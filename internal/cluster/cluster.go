@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"compilegate/internal/engine"
 	"compilegate/internal/errclass"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/vtime"
@@ -156,6 +157,10 @@ type Config struct {
 type Router struct {
 	cfg   Config
 	nodes []Node
+	// stmts is the snapshot's precomputed statement identities — the same
+	// map the nodes resolve submissions with — so affinity hashes nothing
+	// for a statement the snapshot knows.
+	stmts engine.StaticStatements
 
 	next        int      // round-robin cursor
 	routed      []uint64 // per-node forwarded submissions
@@ -168,12 +173,14 @@ type Router struct {
 // New builds a classic router (no health exclusion, breakers, or
 // failover) over the nodes in the given (fixed) order.
 func New(policy Policy, nodes []Node) (*Router, error) {
-	return NewRouter(Config{Policy: policy}, nodes)
+	return NewRouter(Config{Policy: policy}, nodes, nil)
 }
 
 // NewRouter builds a router from a full config over the nodes in the
-// given (fixed) order.
-func NewRouter(cfg Config, nodes []Node) (*Router, error) {
+// given (fixed) order. stmts is the run snapshot's statement identities
+// (nil when there is none); affinity routing fingerprints only text it
+// does not hold.
+func NewRouter(cfg Config, nodes []Node, stmts engine.StaticStatements) (*Router, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}
@@ -187,6 +194,7 @@ func NewRouter(cfg Config, nodes []Node) (*Router, error) {
 	r := &Router{
 		cfg:    cfg,
 		nodes:  nodes,
+		stmts:  stmts,
 		routed: make([]uint64, len(nodes)),
 	}
 	if cfg.Breaker.Enabled {
@@ -336,8 +344,7 @@ func (r *Router) pick(now time.Duration, sql string, avoid int) (i int, probe bo
 	case LeastLoaded:
 		i = r.pickLeastLoaded(now, avoid)
 	case Affinity:
-		home := int(sqlparser.Hash64(sqlparser.Fingerprint(sql)) % uint64(len(r.nodes)))
-		i = r.eligibleFrom(now, home, avoid)
+		i = r.eligibleFrom(now, r.home(sql), avoid)
 	default: // RoundRobin
 		i = r.eligibleFrom(now, r.next, avoid)
 		r.next = (i + 1) % len(r.nodes)
@@ -346,6 +353,18 @@ func (r *Router) pick(now time.Duration, sql string, avoid int) (i int, probe bo
 		probe = r.breakers[i].admit(now)
 	}
 	return i, probe
+}
+
+// home returns the statement's affinity home node: its fingerprint hash
+// modulo the fleet size. The snapshot's StmtID.Seed is that hash.
+func (r *Router) home(sql string) int {
+	var h uint64
+	if id, ok := r.stmts[sql]; ok {
+		h = uint64(id.Seed)
+	} else {
+		h = sqlparser.Hash64(sqlparser.Fingerprint(sql))
+	}
+	return int(h % uint64(len(r.nodes)))
 }
 
 // eligibleFrom returns the first eligible node at or after start

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"compilegate/internal/engine"
 	"compilegate/internal/errclass"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/vtime"
@@ -134,11 +135,21 @@ func TestLeastLoadedPicksArgminWithStableTies(t *testing.T) {
 
 func TestAffinityPinsStatementsToHomes(t *testing.T) {
 	fakes, nodes := fleet(4)
-	r, _ := New(Affinity, nodes)
 	stmts := []string{
 		"SELECT * FROM dim_customer WHERE dim_customer.customer_id = 1",
 		"SELECT * FROM dim_product WHERE dim_product.product_id = 37",
 		"SELECT * FROM dim_customer WHERE dim_customer.customer_id = 202",
+	}
+	// The snapshot knows the first two; the third is fingerprinted per
+	// submission. All three must land on the fingerprint-hash home.
+	r, _ := NewRouter(Config{Policy: Affinity}, nodes, engine.PrepareStatements(stmts[:2]))
+	// A doctored identity shows the snapshot is what routes a known
+	// statement, not a second fingerprinting of its text.
+	fpHome := r.home(stmts[0])
+	doctored, _ := NewRouter(Config{Policy: Affinity}, nodes,
+		engine.StaticStatements{stmts[0]: {Seed: int64(fpHome + 1)}})
+	if got, want := doctored.home(stmts[0]), (fpHome+1)%len(nodes); got != want {
+		t.Errorf("home = %d, want %d from the snapshot's StmtID", got, want)
 	}
 	homes := make([]int, len(stmts))
 	for si, sql := range stmts {
@@ -229,7 +240,7 @@ func TestAllExcludedFallbackIsPolicyFirstChoice(t *testing.T) {
 func TestHealthExclusion(t *testing.T) {
 	newHealthy := func(policy Policy, h HealthConfig) ([]*fakeNode, *Router) {
 		fakes, nodes := fleet(3)
-		r, err := NewRouter(Config{Policy: policy, Health: h}, nodes)
+		r, err := NewRouter(Config{Policy: policy, Health: h}, nodes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +301,7 @@ func TestHealthExclusion(t *testing.T) {
 // classes surface immediately, and an exhausted fleet stops masking.
 func TestFailoverResubmission(t *testing.T) {
 	fakes, nodes := fleet(3)
-	r, err := NewRouter(Config{Policy: RoundRobin, FailoverHops: 2}, nodes)
+	r, err := NewRouter(Config{Policy: RoundRobin, FailoverHops: 2}, nodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +338,7 @@ func TestFailoverResubmission(t *testing.T) {
 	for _, f := range fakes {
 		f.err = errclass.Crashed
 	}
-	r, _ = NewRouter(Config{Policy: RoundRobin, FailoverHops: 2}, nodes)
+	r, _ = NewRouter(Config{Policy: RoundRobin, FailoverHops: 2}, nodes, nil)
 	if err := r.Submit(nil, "q"); !errors.Is(err, errclass.Crashed) {
 		t.Fatalf("exhausted failover returned %v", err)
 	}
@@ -343,7 +354,7 @@ func TestFailoverResubmission(t *testing.T) {
 func TestRouterBreakerTripsAndExcludes(t *testing.T) {
 	fakes, nodes := fleet(2)
 	cfg := Config{Policy: RoundRobin, Breaker: BreakerConfig{Enabled: true, Threshold: 3}}
-	r, err := NewRouter(cfg, nodes)
+	r, err := NewRouter(cfg, nodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,10 +395,10 @@ func TestRouterBreakerTripsAndExcludes(t *testing.T) {
 
 func TestRouterConfigValidation(t *testing.T) {
 	_, nodes := fleet(2)
-	if _, err := NewRouter(Config{Policy: RoundRobin, FailoverHops: -1}, nodes); err == nil {
+	if _, err := NewRouter(Config{Policy: RoundRobin, FailoverHops: -1}, nodes, nil); err == nil {
 		t.Fatal("negative failover hops accepted")
 	}
-	if _, err := NewRouter(Config{Policy: "bogus"}, nodes); err == nil {
+	if _, err := NewRouter(Config{Policy: "bogus"}, nodes, nil); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }

@@ -15,7 +15,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"compilegate/internal/broker"
@@ -278,13 +277,11 @@ type Server struct {
 	compileMemN                  int64
 
 	// Hot-path caches and free lists (one scheduler per server, no
-	// locking): statement-text identity memo, pooled execution-locality
-	// sources, recycled compile-work continuation ops. static is the
-	// snapshot's shared read-only identity map, consulted before the
-	// per-run memo.
+	// locking): statement-text identity memo, recycled compile-work
+	// continuation ops. static is the snapshot's shared read-only identity
+	// map, consulted before the per-run memo.
 	static    StaticStatements
 	queryMemo map[string]queryInfo
-	rngs      freelist.List[rand.Rand]
 	workOps   freelist.List[compileWorkOp]
 	queries   freelist.List[plan.Query]
 	compCtxs  freelist.List[compileCtx]
@@ -723,21 +720,6 @@ type queryInfo struct {
 // pure cache, so clearing it only costs re-derivation.
 const queryMemoCap = 8192
 
-// getRNG returns a pooled execution-locality source reseeded in place —
-// reseeding reproduces exactly the stream rand.New(rand.NewSource(seed))
-// would, without the per-query allocation.
-func (s *Server) getRNG(seed int64) *rand.Rand {
-	if r := s.rngs.Get(); r != nil {
-		r.Seed(seed)
-		return r
-	}
-	return rand.New(rand.NewSource(seed))
-}
-
-func (s *Server) putRNG(r *rand.Rand) {
-	s.rngs.Put(r)
-}
-
 // getQuery returns a recycled query shell for ParseInto; the parse
 // Resets it, so stale contents (even from a failed parse) are harmless.
 func (s *Server) getQuery() *plan.Query {
@@ -791,7 +773,10 @@ func (s *Server) Submit(t *vtime.Task, sql string) error {
 		s.queryMemo[sql] = info
 	}
 
-	p, cached := s.cache.Get(info.fp)
+	// A hit executes a prepared plan: prep carries the plan's scan-extent
+	// lists from one execution to the next. A freshly compiled plan runs
+	// with none — most are never seen again.
+	p, prep, cached := s.cache.Get(info.fp)
 	if !cached {
 		if q == nil {
 			q = s.getQuery()
@@ -821,10 +806,8 @@ func (s *Server) Submit(t *vtime.Task, sql string) error {
 		s.putQuery(q)
 	}
 
-	rng := s.getRNG(info.seed)
 	execStart := t.Now()
-	_, err := s.exec.Execute(t, p, rng)
-	s.putRNG(rng)
+	_, err := s.exec.Execute(t, p, info.seed, prep)
 	if s.crashEpoch != epoch {
 		// Crashed mid-execution: whatever the executor concluded, the
 		// client's connection died with the old process.

@@ -1,0 +1,172 @@
+package engine
+
+import (
+	"testing"
+	"time"
+
+	"compilegate/internal/catalog"
+	"compilegate/internal/executor"
+	"compilegate/internal/sqlparser"
+	"compilegate/internal/vtime"
+)
+
+const pointSQL = "SELECT * FROM dim_channel WHERE dim_channel.channel_id = 3"
+
+// preparedFor returns the Prepared the plan cache holds for sql (nil when
+// the statement is not cached). It counts as a hit.
+func preparedFor(srv *Server, sql string) *executor.Prepared {
+	_, prep, _ := srv.cache.Get(sqlparser.Fingerprint(sql))
+	return prep
+}
+
+// TestRecompiledPlanRecordsAfresh: a plan's recorded scan lists go when
+// its cache entry goes — by eviction, Clear, or crash — and the plan
+// compiled next under the fingerprint records its own, even when it has
+// a different shape.
+func TestRecompiledPlanRecordsAfresh(t *testing.T) {
+	srv, sched := testServer(t, nil)
+	sched.Go("client", func(tk *vtime.Task) {
+		defer srv.Close()
+		submit := func(sql string, times int) {
+			t.Helper()
+			for i := 0; i < times; i++ {
+				if err := srv.Submit(tk, sql); err != nil {
+					t.Errorf("Submit: %v", err)
+				}
+			}
+		}
+		submit(pointSQL, 1)
+		if prep := preparedFor(srv, pointSQL); prep.Scans() != 0 {
+			t.Errorf("a plan executed once recorded %d scans", prep.Scans())
+			return
+		}
+		submit(pointSQL, 2) // records, replays
+		seen := []*executor.Prepared{preparedFor(srv, pointSQL)}
+		if got := seen[0].Scans(); got != 1 {
+			t.Errorf("recorded %d scans on the first hit, want 1", got)
+			return
+		}
+
+		for _, c := range []struct {
+			name string
+			drop func()
+		}{
+			{"evict", func() { srv.cache.Shrink(srv.cache.Bytes()) }},
+			{"clear", srv.cache.Clear},
+			{"crash", func() { srv.Crash(); srv.Restart() }},
+		} {
+			name := c.name
+			compiles := srv.Governor().Started()
+			c.drop()
+			submit(pointSQL, 2) // recompiles, records
+			if srv.Governor().Started() != compiles+1 {
+				t.Errorf("%s: plan was not recompiled", name)
+				return
+			}
+			prep := preparedFor(srv, pointSQL)
+			for _, old := range seen {
+				if prep == old {
+					t.Errorf("%s: the recompiled plan was handed an earlier plan's lists", name)
+					return
+				}
+			}
+			if prep.Scans() != 1 {
+				t.Errorf("%s: recompiled plan recorded %d scans, want 1", name, prep.Scans())
+				return
+			}
+			seen = append(seen, prep)
+		}
+
+		// A recompilation may yield another shape (a best-effort plan cut
+		// short of the full search): cache a two-scan plan under the
+		// point query's fingerprint. It must record two lists of its own,
+		// not replay the one list of the plan it replaced.
+		submit(joinSQL, 1)
+		joinPlan, _, _ := srv.cache.Get(sqlparser.Fingerprint(joinSQL))
+		srv.cache.Put(sqlparser.Fingerprint(pointSQL), joinPlan, tk.Now())
+		submit(pointSQL, 2) // records, replays
+		if got := preparedFor(srv, pointSQL).Scans(); got != 2 {
+			t.Errorf("replacement plan recorded %d scans, want 2", got)
+			return
+		}
+		if got := seen[len(seen)-1].Scans(); got != 1 {
+			t.Errorf("the replaced plan's lists changed: %d scans", got)
+			return
+		}
+	})
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashMidExecutionInstallsNothing crashes the engine under a
+// cache-hit execution that is recording: the query fails with ErrCrashed
+// and what it recorded reaches no plan of the restarted engine.
+func TestCrashMidExecutionInstallsNothing(t *testing.T) {
+	srv, sched := testServer(t, nil)
+	sched.Go("victim", func(tk *vtime.Task) {
+		defer srv.Close()
+		if err := srv.Submit(tk, joinSQL); err != nil {
+			t.Errorf("Submit: %v", err)
+		}
+		executed := srv.Executor().Executed()
+		if err := srv.Submit(tk, joinSQL); err != ErrCrashed {
+			t.Errorf("Submit across a crash = %v, want ErrCrashed", err)
+		}
+		if srv.Executor().Executed() != executed+1 {
+			t.Error("the crash did not land mid-execution; test is vacuous")
+		}
+		if prep := preparedFor(srv, joinSQL); prep != nil {
+			t.Error("the crashed engine's plan survived the restart")
+		}
+		if err := srv.Submit(tk, joinSQL); err != nil {
+			t.Errorf("post-restart Submit: %v", err)
+		}
+		if prep := preparedFor(srv, joinSQL); prep.Scans() != 0 {
+			t.Errorf("the recompiled plan starts with %d recorded scans", prep.Scans())
+		}
+	})
+	sched.Go("chaos", func(tk *vtime.Task) {
+		for srv.PlanCache().Hits() == 0 {
+			tk.Sleep(time.Millisecond)
+		}
+		srv.Crash()
+		srv.Restart()
+	})
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheHitSubmitAllocatesNothing pins the prepared path: on an idle
+// one-client server, submitting a snapshot statement whose plan is cached
+// and recorded allocates nothing.
+func TestCacheHitSubmitAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	sched := vtime.NewScheduler()
+	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: cfg.BufferPool.ExtentBytes})
+	srv, err := NewShared(cfg, cat, Prebuilt{Statements: PrepareStatements([]string{pointSQL})}, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Go("client", func(tk *vtime.Task) {
+		defer srv.Close()
+		submit := func() {
+			if err := srv.Submit(tk, pointSQL); err != nil {
+				t.Errorf("Submit: %v", err)
+			}
+		}
+		for i := 0; i < 3; i++ { // compile, record, replay
+			submit()
+		}
+		if n := testing.AllocsPerRun(200, submit); n != 0 {
+			t.Errorf("a plan-cache-hit Submit allocates %v times, want 0", n)
+		}
+	})
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -333,25 +333,66 @@ func (e *Executor) PageStallTotal() time.Duration { return e.pageStallTotal }
 // Grants exposes the grant manager.
 func (e *Executor) Grants() *GrantManager { return e.grants }
 
+// Prepared is what the executor keeps with a cached plan between
+// executions: the extent list of every scan node, in execution order,
+// exactly as the plan's seed draws them. The seed is a function of the
+// statement fingerprint, so on one executor a plan's lists are a constant:
+// the first execution handed an empty Prepared that visits every scan
+// records them, and every later one replays them with no PRNG at all.
+// The zero value is empty. It belongs to whatever holds the plan (the
+// plan-cache entry) and is dropped with it; once recorded it is never
+// written again.
+type Prepared struct {
+	keys []storage.ExtentKey // every scan's list, concatenated
+	ends []int               // ends[i]: where scan i's list ends in keys
+}
+
+// Scans returns how many scan lists are recorded: the plan's scan count,
+// or 0 while nothing is (every plan has at least one scan).
+func (pr *Prepared) Scans() int { return len(pr.ends) }
+
 // execOp is the continuation state machine behind Execute: acquire the
 // grant, run the plan's nodes (children first — build before probe,
 // matching hash-join scheduling; the tree is flattened into exactly the
 // old recursion's visit order), pay spill and refault I/O, release.
-// Scan-key and node scratch buffers are retained across uses.
+// The op carries the result slots, and its scan-key and node scratch
+// buffers and its locality source are retained across uses.
 type execOp struct {
 	e    *Executor
+	t    *vtime.Task
 	p    *plan.Plan
-	rng  *rand.Rand
-	st   *Stats
-	errp *error
+	seed int64
+	prep *Prepared
 	k    vtime.Step
+	// begin is op.start bound once when the op is created, so Execute
+	// hands Await a stored func instead of a fresh closure.
+	begin func(vtime.Step)
 
-	start     time.Duration
+	st  Stats
+	err error
+
+	// rng is reseeded from seed at the first scan that draws; an
+	// execution that replays (or never reaches a scan) never pays the
+	// seeding.
+	rng    *rand.Rand
+	seeded bool
+	// replay is fixed when the execution starts: prep was recorded by
+	// then. Otherwise, with a prep, scans draw straight into recKeys,
+	// which becomes prep's list if this execution is the first to finish
+	// its scans. keys, the scratch buffer of one-shot executions, never
+	// holds a list that outlives the execution.
+	replay  bool
+	si      int // next scan's index into prep.ends when replaying
+	recKeys []storage.ExtentKey
+	recEnds []int
+
+	startAt   time.Duration
 	want      int64
 	granted   int64
 	nodes     []*plan.Node
 	ni        int
 	keys      []storage.ExtentKey
+	scan      []storage.ExtentKey // the current scan's extents
 	bi, bj    int
 	batchHits int
 	state     int8
@@ -370,13 +411,13 @@ const (
 
 func (op *execOp) Run(t *vtime.Task) {
 	e := op.e
-	st := op.st
+	st := &op.st
 	for {
 		switch op.state {
 		case exGranted:
-			if *op.errp != nil {
+			if op.err != nil {
 				// No grant was taken; nothing to release.
-				op.finish(t)
+				op.k.Run(t)
 				return
 			}
 			st.GrantBytes = op.granted
@@ -386,13 +427,14 @@ func (op *execOp) Run(t *vtime.Task) {
 			op.state = exNode
 		case exNode:
 			if op.ni >= len(op.nodes) {
+				op.install()
 				op.state = exSpill
 				continue
 			}
 			n := op.nodes[op.ni]
 			switch n.Op {
 			case plan.OpSeqScan, plan.OpIndexScan:
-				op.keys = e.layout.ScanExtentsInto(op.keys[:0], n.Table, n.ScanFraction, e.cfg.Pattern, op.rng)
+				op.scan = op.scanExtents(n)
 				op.bi = 0
 				op.state = exBatch
 			case plan.OpHashJoin:
@@ -411,8 +453,8 @@ func (op *execOp) Run(t *vtime.Task) {
 				op.ni++
 			}
 		case exBatch:
-			if op.bi >= len(op.keys) {
-				st.ExtentsRead += len(op.keys)
+			if op.bi >= len(op.scan) {
+				st.ExtentsRead += len(op.scan)
 				n := op.nodes[op.ni]
 				tb := e.layout.Catalog().Table(n.Table)
 				visited := float64(tb.Rows)
@@ -425,12 +467,12 @@ func (op *execOp) Run(t *vtime.Task) {
 				continue
 			}
 			j := op.bi + e.cfg.ReadBatch
-			if j > len(op.keys) {
-				j = len(op.keys)
+			if j > len(op.scan) {
+				j = len(op.scan)
 			}
 			op.bj = j
 			op.state = exBatchDone
-			e.pool.ReadManyThen(t, op.keys[op.bi:j], &op.batchHits, op)
+			e.pool.ReadManyThen(t, op.scan[op.bi:j], &op.batchHits, op)
 			return
 		case exBatchDone:
 			st.Hits += op.batchHits
@@ -466,9 +508,9 @@ func (op *execOp) Run(t *vtime.Task) {
 			}
 		case exFinish:
 			e.executed++
-			st.Elapsed = t.Now() - op.start
+			st.Elapsed = t.Now() - op.startAt
 			e.grants.Release(op.granted)
-			op.finish(t)
+			op.k.Run(t)
 			return
 		}
 	}
@@ -489,11 +531,49 @@ func (op *execOp) useCPU(t *vtime.Task, units float64) bool {
 	return true
 }
 
-func (op *execOp) finish(t *vtime.Task) {
-	k := op.k
-	op.k, op.p, op.rng, op.st, op.errp = nil, nil, nil, nil, nil
-	op.e.execs.Put(op)
-	k.Run(t)
+// scanExtents returns the extents scan node n touches: replayed from
+// the plan's recorded lists, or drawn from the seeded source — into the
+// recording when the plan is cached and not yet recorded, else into the
+// op's scratch buffer.
+func (op *execOp) scanExtents(n *plan.Node) []storage.ExtentKey {
+	if op.replay {
+		lo := 0
+		if op.si > 0 {
+			lo = op.prep.ends[op.si-1]
+		}
+		hi := op.prep.ends[op.si]
+		op.si++
+		return op.prep.keys[lo:hi:hi]
+	}
+	if !op.seeded {
+		// Reseeding in place reproduces exactly the stream
+		// rand.New(rand.NewSource(seed)) would.
+		if op.rng == nil {
+			op.rng = rand.New(rand.NewSource(op.seed))
+		} else {
+			op.rng.Seed(op.seed)
+		}
+		op.seeded = true
+	}
+	e := op.e
+	if op.prep == nil {
+		op.keys = e.layout.ScanExtentsInto(op.keys[:0], n.Table, n.ScanFraction, e.cfg.Pattern, op.rng)
+		return op.keys
+	}
+	lo := len(op.recKeys)
+	op.recKeys = e.layout.ScanExtentsInto(op.recKeys, n.Table, n.ScanFraction, e.cfg.Pattern, op.rng)
+	op.recEnds = append(op.recEnds, len(op.recKeys))
+	return op.recKeys[lo:]
+}
+
+// install hands a finished recording to the plan, once every scan node
+// has been visited. A concurrent recording of the same plan that finished
+// first wins; the lists are equal either way.
+func (op *execOp) install() {
+	if op.recEnds != nil && op.prep.Scans() == 0 {
+		op.prep.keys, op.prep.ends = op.recKeys, op.recEnds
+	}
+	op.recKeys, op.recEnds = nil, nil
 }
 
 // appendPostorder flattens the plan tree into the execution order the
@@ -508,32 +588,41 @@ func appendPostorder(nodes []*plan.Node, n *plan.Node) []*plan.Node {
 	return append(nodes, n)
 }
 
-// ExecuteThen runs plan p as continuation steps on the event loop, then
-// runs k with the outcome in st and errp. rng drives scan locality (seed
-// it per query for deterministic-but-varied access patterns).
-func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, rng *rand.Rand, st *Stats, errp *error, k vtime.Step) {
-	op := e.execs.Get()
-	if op == nil {
-		op = &execOp{e: e}
-	}
-	*st = Stats{}
-	*errp = nil
-	op.p, op.rng, op.st, op.errp, op.k = p, rng, st, errp, k
-	op.start = t.Now()
-	op.want = p.MemoryGrant()
+// start is the op's Await entry point: ask for the grant, resuming at
+// exGranted.
+func (op *execOp) start(k vtime.Step) {
+	e := op.e
+	op.k = k
+	op.st = Stats{}
+	op.seeded, op.si = false, 0
+	op.replay = op.prep != nil && op.prep.Scans() > 0
+	op.startAt = op.t.Now()
+	op.want = op.p.MemoryGrant()
 	minFrac := e.cfg.MinGrantFrac
 	if minFrac <= 0 {
 		minFrac = 1
 	}
 	op.state = exGranted
-	e.grants.AcquireReducedThen(t, op.want, minFrac, &op.granted, op.errp, op)
+	e.grants.AcquireReducedThen(op.t, op.want, minFrac, &op.granted, &op.err, op)
 }
 
-// Execute runs plan p on behalf of task t. rng drives scan locality (seed
-// it per query for deterministic-but-varied access patterns).
-func (e *Executor) Execute(t *vtime.Task, p *plan.Plan, rng *rand.Rand) (Stats, error) {
-	var st Stats
-	var err error
-	t.Await(func(k vtime.Step) { e.ExecuteThen(t, p, rng, &st, &err, k) })
+// Execute runs plan p on behalf of task t. seed drives scan locality
+// (derive it from the statement for deterministic-but-varied access
+// patterns). prep is nil for a plan executed once; for a cached plan it
+// is the Prepared kept with the plan, which the first complete execution
+// fills and later ones replay instead of drawing — with the same seed on
+// every execution of the plan, the two are indistinguishable in virtual
+// time. A steady-state call allocates nothing.
+func (e *Executor) Execute(t *vtime.Task, p *plan.Plan, seed int64, prep *Prepared) (Stats, error) {
+	op := e.execs.Get()
+	if op == nil {
+		op = &execOp{e: e}
+		op.begin = op.start
+	}
+	op.t, op.p, op.seed, op.prep = t, p, seed, prep
+	t.Await(op.begin)
+	st, err := op.st, op.err
+	op.t, op.p, op.prep, op.k, op.err, op.scan = nil, nil, nil, nil, nil, nil
+	e.execs.Put(op)
 	return st, err
 }

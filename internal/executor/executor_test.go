@@ -2,7 +2,6 @@ package executor
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -79,7 +78,7 @@ func TestExecuteSimpleScan(t *testing.T) {
 	var st Stats
 	s.Go("q", func(tk *vtime.Task) {
 		var err error
-		st, err = e.exec.Execute(tk, p, rand.New(rand.NewSource(1)))
+		st, err = e.exec.Execute(tk, p, 1, nil)
 		if err != nil {
 			t.Error(err)
 		}
@@ -105,11 +104,11 @@ func TestWarmCacheFasterThanCold(t *testing.T) {
 	var cold, warm Stats
 	s.Go("q", func(tk *vtime.Task) {
 		var err error
-		cold, err = e.exec.Execute(tk, p, rand.New(rand.NewSource(1)))
+		cold, err = e.exec.Execute(tk, p, 1, nil)
 		if err != nil {
 			t.Error(err)
 		}
-		warm, err = e.exec.Execute(tk, p, rand.New(rand.NewSource(1)))
+		warm, err = e.exec.Execute(tk, p, 1, nil)
 		if err != nil {
 			t.Error(err)
 		}
@@ -136,7 +135,7 @@ func TestGrantAcquireRelease(t *testing.T) {
 	}
 	s := vtime.NewScheduler()
 	s.Go("q", func(tk *vtime.Task) {
-		if _, err := e.exec.Execute(tk, p, rand.New(rand.NewSource(1))); err != nil {
+		if _, err := e.exec.Execute(tk, p, 1, nil); err != nil {
 			t.Error(err)
 		}
 		if e.grants.Tracker().Used() != 0 {
@@ -252,7 +251,7 @@ func TestCPUConsumption(t *testing.T) {
 	s := vtime.NewScheduler()
 	var st Stats
 	s.Go("q", func(tk *vtime.Task) {
-		st, _ = e.exec.Execute(tk, p, rand.New(rand.NewSource(1)))
+		st, _ = e.exec.Execute(tk, p, 1, nil)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -306,7 +305,7 @@ func TestDeterministicExecution(t *testing.T) {
 		s := vtime.NewScheduler()
 		var st Stats
 		s.Go("q", func(tk *vtime.Task) {
-			st, _ = e.exec.Execute(tk, p, rand.New(rand.NewSource(42)))
+			st, _ = e.exec.Execute(tk, p, 42, nil)
 		})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)

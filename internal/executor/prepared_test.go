@@ -1,0 +1,207 @@
+package executor
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"compilegate/internal/mem"
+	"compilegate/internal/plan"
+	"compilegate/internal/sqlparser"
+	"compilegate/internal/storage"
+	"compilegate/internal/vtime"
+	"compilegate/internal/workload"
+)
+
+// stmtSeed is the engine's execution-locality seed for a statement.
+func stmtSeed(sql string) int64 {
+	return int64(sqlparser.Hash64(sqlparser.Fingerprint(sql)))
+}
+
+// freshLists is the reference the replay path must reproduce: every scan
+// of p in execution order, drawn from a new source seeded with seed.
+func freshLists(e *env, p *plan.Plan, seed int64) [][]storage.ExtentKey {
+	rng := rand.New(rand.NewSource(seed))
+	var lists [][]storage.ExtentKey
+	for _, n := range appendPostorder(nil, p.Root) {
+		if n.Op == plan.OpSeqScan || n.Op == plan.OpIndexScan {
+			lists = append(lists, e.layout.ScanExtentsInto(nil, n.Table, n.ScanFraction, e.exec.cfg.Pattern, rng))
+		}
+	}
+	return lists
+}
+
+func (pr *Prepared) lists() [][]storage.ExtentKey {
+	var out [][]storage.ExtentKey
+	lo := 0
+	for _, hi := range pr.ends {
+		out = append(out, pr.keys[lo:hi])
+		lo = hi
+	}
+	return out
+}
+
+// TestReplayEqualsFreshDraws is the differential for the prepared path:
+// for every OLTP statement and a handful of SALES plans, a server that
+// records on the first execution and replays afterwards is
+// indistinguishable, execution by execution, from one that reseeds a
+// source per execution, and the recorded lists are the fresh draws.
+func TestReplayEqualsFreshDraws(t *testing.T) {
+	stmts := workload.SpecOLTP.StaticStatements()
+	sales, salesRNG := workload.NewSales(), rand.New(rand.NewSource(7))
+	for i := 0; i < 5; i++ {
+		stmts = append(stmts, sales.Next(salesRNG))
+	}
+
+	prepared, oneShot := newEnv(mem.GiB, time.Minute), newEnv(mem.GiB, time.Minute)
+	type stmt struct {
+		sql  string
+		p    *plan.Plan
+		seed int64
+		prep *Prepared
+	}
+	var cases []stmt
+	for _, sql := range stmts {
+		q, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, stmt{sql, prepared.plan(t, q), stmtSeed(sql), new(Prepared)})
+	}
+
+	const execs = 3 // record, replay, replay
+	run := func(e *env, withPrep bool) []Stats {
+		var out []Stats
+		s := vtime.NewScheduler()
+		s.Go("client", func(tk *vtime.Task) {
+			for i := 0; i < execs; i++ {
+				for _, c := range cases {
+					var prep *Prepared
+					if withPrep {
+						prep = c.prep
+					}
+					st, err := e.exec.Execute(tk, c.p, c.seed, prep)
+					if err != nil {
+						t.Errorf("%s: %v", c.sql, err)
+					}
+					out = append(out, st)
+				}
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got, want := run(prepared, true), run(oneShot, false)
+	for i := range want {
+		if got[i] != want[i] {
+			c := cases[i%len(cases)]
+			t.Fatalf("execution %d of %q: prepared %+v, reseeded %+v", i/len(cases), c.sql, got[i], want[i])
+		}
+	}
+	for _, c := range cases {
+		ref := freshLists(prepared, c.p, c.seed)
+		rec := c.prep.lists()
+		if len(rec) != len(ref) {
+			t.Fatalf("%q: %d lists recorded, plan has %d scans", c.sql, len(rec), len(ref))
+		}
+		for i := range ref {
+			if !slices.Equal(rec[i], ref[i]) {
+				t.Fatalf("%q: scan %d's recorded list differs from a fresh source's draws", c.sql, i)
+			}
+		}
+	}
+}
+
+// TestFailedExecutionRecordsNothing: an execution that never reaches its
+// scans (its grant times out) leaves the Prepared empty, and the next
+// complete execution records.
+func TestFailedExecutionRecordsNothing(t *testing.T) {
+	e := newEnv(mem.GiB, 5*time.Second)
+	q := starQ(2)
+	q.GroupBy = []plan.ColRef{{Table: "dim_store", Column: "city_id"}}
+	q.Aggregates = 1
+	p := e.plan(t, q)
+	if p.MemoryGrant() <= 0 {
+		t.Fatal("plan needs no grant; test is vacuous")
+	}
+	prep := new(Prepared)
+	s := vtime.NewScheduler()
+	s.Go("hog", func(tk *vtime.Task) {
+		hog := mem.GiB - p.MemoryGrant()/2
+		if err := e.grants.Acquire(tk, hog); err != nil {
+			t.Error(err)
+		}
+		tk.Sleep(time.Minute)
+		e.grants.Release(hog)
+	})
+	s.Go("client", func(tk *vtime.Task) {
+		tk.Sleep(time.Millisecond)
+		_, err := e.exec.Execute(tk, p, 1, prep)
+		var ge *ErrGrantTimeout
+		if !errors.As(err, &ge) {
+			t.Errorf("err = %v, want grant timeout", err)
+		}
+		if prep.Scans() != 0 {
+			t.Errorf("a failed execution recorded %d scans", prep.Scans())
+		}
+		tk.Sleep(2 * time.Minute)
+		if _, err := e.exec.Execute(tk, p, 1, prep); err != nil {
+			t.Error(err)
+		}
+		if want := len(freshLists(e, p, 1)); prep.Scans() != want {
+			t.Errorf("recorded %d scans after a complete execution, want %d", prep.Scans(), want)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGeneratingAfterReplayLeavesListsIntact: one pooled op serves a
+// recording, a replaying, a one-shot and another recording execution in
+// turn; the first plan's installed lists must come through untouched and
+// share no storage with the op's scratch buffer.
+func TestGeneratingAfterReplayLeavesListsIntact(t *testing.T) {
+	e := newEnv(mem.GiB, time.Minute)
+	p1, p2 := e.plan(t, starQ(2)), e.plan(t, starQ(3))
+	prep1, prep2 := new(Prepared), new(Prepared)
+	s := vtime.NewScheduler()
+	s.Go("client", func(tk *vtime.Task) {
+		exec := func(p *plan.Plan, seed int64, prep *Prepared) {
+			if _, err := e.exec.Execute(tk, p, seed, prep); err != nil {
+				t.Error(err)
+			}
+		}
+		exec(p1, 11, prep1) // records
+		keys, ends := slices.Clone(prep1.keys), slices.Clone(prep1.ends)
+		exec(p1, 11, prep1) // replays
+		exec(p2, 22, nil)   // generates into the op's scratch buffer
+		exec(p2, 22, prep2) // records on the same op
+		exec(p1, 11, prep1) // replays again
+		if !slices.Equal(prep1.keys, keys) || !slices.Equal(prep1.ends, ends) {
+			t.Error("installed lists changed after later executions on the same op")
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	op := e.exec.execs.Get()
+	if op == nil || e.exec.execs.Get() != nil {
+		t.Fatal("sequential executions did not share one pooled op")
+	}
+	if len(op.keys) == 0 {
+		t.Fatal("the one-shot execution left no scratch list; test is vacuous")
+	}
+	for _, prep := range []*Prepared{prep1, prep2} {
+		if &op.keys[0] == &prep.keys[0] {
+			t.Error("the op's scratch buffer aliases an installed list")
+		}
+	}
+	if op.recKeys != nil || op.scan != nil {
+		t.Error("a pooled op still references a recording or a plan's list")
+	}
+}

@@ -1,15 +1,12 @@
 package executor
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"compilegate/internal/mem"
 	"compilegate/internal/vtime"
 )
-
-func newTestRand() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
 func TestAcquireReducedFullWhenFree(t *testing.T) {
 	e := newEnv(mem.GiB, time.Minute)
@@ -110,7 +107,7 @@ func TestSpillChargedOnReducedGrant(t *testing.T) {
 	var full, reduced Stats
 	s.Go("baseline", func(tk *vtime.Task) {
 		var err error
-		full, err = e.exec.Execute(tk, p, newTestRand())
+		full, err = e.exec.Execute(tk, p, 1, nil)
 		if err != nil {
 			t.Error(err)
 		}
@@ -136,7 +133,7 @@ func TestSpillChargedOnReducedGrant(t *testing.T) {
 	s2.Go("victim", func(tk *vtime.Task) {
 		tk.Sleep(time.Millisecond)
 		var err error
-		reduced, err = e2.exec.Execute(tk, p2, newTestRand())
+		reduced, err = e2.exec.Execute(tk, p2, 1, nil)
 		if err != nil {
 			t.Errorf("execution with reduced grant failed: %v", err)
 		}

@@ -39,7 +39,7 @@ func runCluster(sched *vtime.Scheduler, o Options, ecfg engine.Config, snap *Sna
 	if o.Breaker != nil {
 		rcfg.Breaker = *o.Breaker
 	}
-	router, err := cluster.NewRouter(rcfg, routed)
+	router, err := cluster.NewRouter(rcfg, routed, snap.Statements)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}

@@ -9,6 +9,7 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -17,9 +18,10 @@ import (
 // Recorder aggregates completions and errors into fixed-width time slices,
 // mirroring the "Successful Queries/Time" axes of Figures 3-5.
 type Recorder struct {
-	sliceDur time.Duration
-	slices   []slice
-	totals   map[string]int64
+	sliceDur  time.Duration
+	slices    []slice
+	completed int64
+	errors    map[string]int64 // totals by kind
 }
 
 type slice struct {
@@ -33,7 +35,7 @@ func NewRecorder(sliceDur time.Duration) *Recorder {
 	if sliceDur <= 0 {
 		panic("metrics: non-positive slice duration")
 	}
-	return &Recorder{sliceDur: sliceDur, totals: make(map[string]int64)}
+	return &Recorder{sliceDur: sliceDur, errors: make(map[string]int64)}
 }
 
 // SliceDur returns the slice width.
@@ -51,34 +53,28 @@ func (r *Recorder) sliceAt(now time.Duration) *slice {
 // now.
 func (r *Recorder) RecordCompletion(now time.Duration) {
 	r.sliceAt(now).completed++
-	r.totals["completed"]++
+	r.completed++
 }
 
 // RecordError counts one failed query of the given kind (e.g. "oom",
 // "gateway-timeout", "grant-timeout") at virtual time now.
 func (r *Recorder) RecordError(now time.Duration, kind string) {
 	r.sliceAt(now).errors[kind]++
-	r.totals["error:"+kind]++
+	r.errors[kind]++
 }
 
 // Completed returns the total number of completions recorded.
-func (r *Recorder) Completed() int64 { return r.totals["completed"] }
+func (r *Recorder) Completed() int64 { return r.completed }
 
 // Errors returns total error counts by kind.
 func (r *Recorder) Errors() map[string]int64 {
-	out := make(map[string]int64)
-	for k, v := range r.totals {
-		if kind, ok := strings.CutPrefix(k, "error:"); ok {
-			out[kind] = v
-		}
-	}
-	return out
+	return maps.Clone(r.errors)
 }
 
 // TotalErrors returns the total number of errors across kinds.
 func (r *Recorder) TotalErrors() int64 {
 	var n int64
-	for _, v := range r.Errors() {
+	for _, v := range r.errors {
 		n += v
 	}
 	return n

@@ -8,12 +8,19 @@
 // fall out of the fingerprint. Because SALES churns an insert and an
 // eviction through the cache per statement, recency is an intrusive
 // doubly-linked list over pooled entries rather than container/list.
+//
+// An entry that is hit also carries the executor's Prepared for its plan
+// (the plan's recorded scan-extent lists). It is created on the first hit
+// — a plan that is never reused retains nothing — and dropped with the
+// entry on eviction, replacement and Clear, so a recompiled plan always
+// starts from an empty one.
 package plancache
 
 import (
 	"fmt"
 	"time"
 
+	"compilegate/internal/executor"
 	"compilegate/internal/freelist"
 	"compilegate/internal/mem"
 	"compilegate/internal/plan"
@@ -22,6 +29,7 @@ import (
 type entry struct {
 	key        string
 	p          *plan.Plan
+	prep       *executor.Prepared // nil until the first hit
 	bytes      int64
 	added      time.Duration
 	prev, next *entry // recency list: front = most recent
@@ -108,21 +116,27 @@ func (c *Cache) release(e *entry) {
 	c.unlink(e)
 	delete(c.entries, e.key)
 	c.tracker.Release(e.bytes)
-	e.p = nil
+	// Entries are recycled but a Prepared never is: an execution still in
+	// flight keeps writing to the orphan, not to the entry's next plan.
+	e.p, e.prep = nil, nil
 	e.key = ""
 	c.free.Put(e)
 }
 
-// Get returns the cached plan for the fingerprint, refreshing recency.
-func (c *Cache) Get(key string) (*plan.Plan, bool) {
+// Get returns the cached plan for the fingerprint and the Prepared kept
+// with it, refreshing recency.
+func (c *Cache) Get(key string) (*plan.Plan, *executor.Prepared, bool) {
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, nil, false
 	}
 	c.hits++
 	c.moveToFront(e)
-	return e.p, true
+	if e.prep == nil {
+		e.prep = new(executor.Prepared)
+	}
+	return e.p, e.prep, true
 }
 
 // Put caches a plan under the fingerprint at virtual time now. If memory

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"compilegate/internal/executor"
 	"compilegate/internal/mem"
 	"compilegate/internal/plan"
 )
@@ -24,11 +25,11 @@ func TestGetPutHitMiss(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
 	c := New(b.NewTracker("plancache"))
 	p := tinyPlan(1)
-	if _, ok := c.Get("q1"); ok {
+	if _, _, ok := c.Get("q1"); ok {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put("q1", p, 0)
-	got, ok := c.Get("q1")
+	got, _, ok := c.Get("q1")
 	if !ok || got != p {
 		t.Fatal("cached plan not returned")
 	}
@@ -69,7 +70,7 @@ func TestPutReplacesStalePlan(t *testing.T) {
 	}
 	c.Put("q1", old, 0)
 	c.Put("q1", fresh, time.Second)
-	got, ok := c.Get("q1")
+	got, _, ok := c.Get("q1")
 	if !ok || got != fresh {
 		t.Fatal("re-put kept the stale plan")
 	}
@@ -98,10 +99,10 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	// Touch q0 so q1 is the LRU.
 	c.Get("q0")
 	c.Put("q3", tinyPlan(1), 10)
-	if _, ok := c.Get("q1"); ok {
+	if _, _, ok := c.Get("q1"); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if _, ok := c.Get("q0"); !ok {
+	if _, _, ok := c.Get("q0"); !ok {
 		t.Fatal("recently-used entry evicted")
 	}
 	if c.Evictions() != 1 {
@@ -124,10 +125,10 @@ func TestShrink(t *testing.T) {
 		t.Fatal("bytes inconsistent after shrink")
 	}
 	// Oldest (q0...) went first.
-	if _, ok := c.Get("q0"); ok {
+	if _, _, ok := c.Get("q0"); ok {
 		t.Fatal("oldest survived shrink")
 	}
-	if _, ok := c.Get("q9"); !ok {
+	if _, _, ok := c.Get("q9"); !ok {
 		t.Fatal("newest evicted by shrink")
 	}
 }
@@ -201,5 +202,46 @@ func TestQuickCacheAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPreparedLivesAndDiesWithEntry: hits on one entry share one
+// Prepared; replacement, eviction and Clear each drop it, so the plan
+// cached next under the key — on a recycled entry — starts from an empty
+// one of its own.
+func TestPreparedLivesAndDiesWithEntry(t *testing.T) {
+	b := mem.NewBudget(mem.GiB)
+	c := New(b.NewTracker("plancache"))
+	hit := func() *executor.Prepared {
+		t.Helper()
+		_, prep, ok := c.Get("q")
+		if !ok || prep == nil {
+			t.Fatal("no Prepared on a hit")
+		}
+		if _, again, _ := c.Get("q"); again != prep {
+			t.Fatal("two hits on one entry got different Prepareds")
+		}
+		return prep
+	}
+	c.Put("q", tinyPlan(1), 0)
+	seen := []*executor.Prepared{hit()}
+	for _, tc := range []struct {
+		name string
+		drop func()
+	}{
+		{"replace", func() {}},
+		{"evict", func() { c.Shrink(c.Bytes()) }},
+		{"clear", c.Clear},
+	} {
+		name := tc.name
+		tc.drop()
+		c.Put("q", tinyPlan(2), 0)
+		prep := hit()
+		for _, old := range seen {
+			if prep == old {
+				t.Fatalf("%s: the new plan got an earlier plan's Prepared", name)
+			}
+		}
+		seen = append(seen, prep)
 	}
 }
