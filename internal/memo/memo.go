@@ -13,12 +13,18 @@ package memo
 import (
 	"fmt"
 
-	"compilegate/internal/catalog"
 	"compilegate/internal/u64hash"
 )
 
-// GroupID indexes a group within a memo.
+// GroupID indexes a group within a memo, in creation order.
 type GroupID int32
+
+// ExprID indexes an expression within a memo, in creation order.
+type ExprID int32
+
+// NoExpr is the absent expression: the end of a group's list, and what a
+// duplicate insertion returns.
+const NoExpr ExprID = -1
 
 // ExprKind distinguishes leaf (table) expressions from join expressions.
 type ExprKind int8
@@ -29,60 +35,48 @@ const (
 	KindJoin
 )
 
-// Expr is one logical alternative inside a group. Expressions of one
-// group form an intrusive singly-linked list in insertion order (the
-// next link lives in the Expr itself, carved from the same arena), so
-// appending an alternative never allocates — the memo's storage is
-// struct-of-arenas all the way down.
+// Expr is one logical alternative inside a group: 16 bytes, four to a
+// cache line. Expressions of one group form an intrusive singly-linked
+// list in insertion order, linked by index into the memo's one flat
+// expression arena. A leaf carries no payload: its table is the single
+// bit of its group's Set.
 type Expr struct {
-	Kind  ExprKind
-	Table *catalog.Table // KindLeaf
-	L, R  GroupID        // KindJoin
-
-	next *Expr // intrusive group-list link
+	L, R GroupID // KindJoin children
+	next ExprID  // intrusive group-list link
+	Kind ExprKind
 
 	// Rule-application flags prevent re-deriving the same alternatives.
 	CommuteApplied bool
 	AssocApplied   bool
 }
 
-// Next returns the expression inserted after e in its group (nil at the
-// tail). Iteration order is exactly insertion order.
-func (e *Expr) Next() *Expr { return e.next }
+// Next returns the expression inserted after e in its group (NoExpr at
+// the tail). Iteration order is exactly insertion order.
+func (e *Expr) Next() ExprID { return e.next }
 
 // Group holds logically-equivalent expressions producing the same join
-// set.
+// set. Its ID is its index in the memo's group arena.
 type Group struct {
-	ID   GroupID
 	Set  uint64 // bitset of table IDs covered
 	Card float64
+	// Nbr is the group's neighbourhood: the union of its tables' join-graph
+	// neighbours, fixed at creation (a leaf's is supplied by the caller, a
+	// join group's is the OR of its children's). Two groups are linked by
+	// a join edge iff a.Nbr&b.Set != 0.
+	Nbr uint64
 
 	// Intrusive expression list plus the exploration cursor: every
 	// expression up to and including lastExplored has had rules applied.
-	head, tail   *Expr
-	lastExplored *Expr
-	nExprs       int
+	head, tail   ExprID
+	lastExplored ExprID
+	nExprs       int32
 }
 
-// FirstExpr returns the group's first expression (nil when empty).
-func (g *Group) FirstExpr() *Expr { return g.head }
+// FirstExpr returns the group's first expression.
+func (g *Group) FirstExpr() ExprID { return g.head }
 
 // Len returns the number of expressions in the group.
-func (g *Group) Len() int { return g.nExprs }
-
-// PopUnexplored returns the next expression rules have not yet been
-// applied to, advancing the exploration cursor, or nil when every
-// expression (including ones appended since the last call) is explored.
-func (g *Group) PopUnexplored() *Expr {
-	e := g.head
-	if g.lastExplored != nil {
-		e = g.lastExplored.next
-	}
-	if e != nil {
-		g.lastExplored = e
-	}
-	return e
-}
+func (g *Group) Len() int { return int(g.nExprs) }
 
 // ChargeFunc charges n simulated bytes of compilation memory. Returning an
 // error aborts memo growth (out of memory or gateway timeout).
@@ -111,39 +105,38 @@ func DefaultConfig() Config {
 	}
 }
 
-// Memo is the search-space store. Groups and expressions are allocated
-// from chunked arenas (pointer-stable, reusable via Reset) so a pooled
-// memo compiles thousands of statements without churning the garbage
-// collector — the per-alternative allocation cost the paper's premise
-// turns into the dominant hot-path cost.
+// Memo is the search-space store: two flat arenas indexed by ID, a
+// set-to-group map and a dedup bit matrix. All four keep their capacity
+// across Reset, so a pooled memo compiles thousands of statements
+// without allocating, and Reset costs what the previous compilation
+// touched — never the largest one the memo has served.
+//
+// *Group and *Expr pointers handed out by Group and Expr alias the
+// arenas: they are valid until the next Add* call, which may move them.
+// IDs are stable for the life of a compilation.
 type Memo struct {
 	cfg    Config
 	charge ChargeFunc
 
-	groups []*Group
+	groups []Group
+	exprs  []Expr
 	bySet  u64hash.MapI32
-	// exprKeys dedups join expressions group-wide. The (l, r) child pair
-	// alone determines the expression (its set is l.Set|r.Set), so the
-	// key packs both group IDs into one word; the set is open-addressing
-	// (keys are never zero: overlapping sides are rejected first).
-	exprKeys u64hash.Set
+	// seen dedups join expressions without hashing. A group's children
+	// partition its table set and groups are unique per set, so within
+	// group g the left child l determines the expression (the right child
+	// is the group covering g.Set&^l.Set). Parent and child never swap
+	// roles (a child's set is a strict subset), so the unordered ID pair
+	// {g, l} names the expression: seen is a triangular bit matrix over
+	// group-ID pairs, bit hi*(hi-1)/2+lo. Row hi is appended when group
+	// hi is created, so len(seen) is the high-water word and everything
+	// in seen[len:cap] is zero.
+	seen []uint64
 
-	// Arena chunks; each chunk is sliced to its used length and retains
-	// capacity across Reset.
-	gchunks [][]Group
-	gcur    int
-	echunks [][]Expr
-	ecur    int
-
-	bytes      int64
-	exprCount  int
-	groupCount int
+	bytes int64
+	// cleared counts the words Reset has zeroed over the memo's life; the
+	// tests read it to pin that reset cost follows use.
+	cleared int
 }
-
-const (
-	groupChunkSize = 64
-	exprChunkSize  = 256
-)
 
 // New creates an empty memo. charge may be nil (no accounting), which the
 // tests use.
@@ -153,9 +146,11 @@ func New(cfg Config, charge ChargeFunc) *Memo {
 	return m
 }
 
-// Reset empties the memo for reuse, retaining arena chunks, map buckets,
-// and per-group expression-list capacity. The optimizer pools memos
-// across compilations through this.
+// Reset empties the memo for reuse, retaining every backing array. The
+// arenas are truncated, not cleared (slots are fully initialized on
+// reuse); the dedup matrix clears up to its high-water word and the set
+// map clears the slots it filled. The optimizer pools memos across
+// compilations through this.
 func (m *Memo) Reset(cfg Config, charge ChargeFunc) {
 	if charge == nil {
 		charge = func(int64) error { return nil }
@@ -163,182 +158,168 @@ func (m *Memo) Reset(cfg Config, charge ChargeFunc) {
 	m.cfg = cfg
 	m.charge = charge
 	m.groups = m.groups[:0]
+	m.exprs = m.exprs[:0]
+	m.cleared += m.bySet.Len() + len(m.seen)
 	m.bySet.Reset()
-	m.exprKeys.Reset()
-	for i := range m.gchunks {
-		m.gchunks[i] = m.gchunks[i][:0]
-	}
-	for i := range m.echunks {
-		m.echunks[i] = m.echunks[i][:0]
-	}
-	m.gcur, m.ecur = 0, 0
+	clear(m.seen)
+	m.seen = m.seen[:0]
 	m.bytes = 0
-	m.exprCount = 0
-	m.groupCount = 0
-}
-
-// allocGroup carves a pointer-stable Group slot out of the arena. The
-// slot's fields are stale when reused; the caller initializes them all.
-func (m *Memo) allocGroup() *Group {
-	for {
-		if m.gcur == len(m.gchunks) {
-			m.gchunks = append(m.gchunks, make([]Group, 0, groupChunkSize))
-		}
-		c := m.gchunks[m.gcur]
-		if len(c) == cap(c) {
-			m.gcur++
-			continue
-		}
-		c = c[:len(c)+1]
-		m.gchunks[m.gcur] = c
-		return &c[len(c)-1]
-	}
-}
-
-// allocExpr carves a pointer-stable Expr slot out of the arena.
-func (m *Memo) allocExpr() *Expr {
-	for {
-		if m.ecur == len(m.echunks) {
-			m.echunks = append(m.echunks, make([]Expr, 0, exprChunkSize))
-		}
-		c := m.echunks[m.ecur]
-		if len(c) == cap(c) {
-			m.ecur++
-			continue
-		}
-		c = c[:len(c)+1]
-		m.echunks[m.ecur] = c
-		return &c[len(c)-1]
-	}
 }
 
 // Bytes returns the simulated bytes the memo has charged.
 func (m *Memo) Bytes() int64 { return m.bytes }
 
-// Groups returns the number of groups.
-func (m *Memo) Groups() int { return m.groupCount }
+// Groups returns the number of groups; IDs run from 0 to Groups()-1.
+func (m *Memo) Groups() int { return len(m.groups) }
 
 // Exprs returns the number of expressions.
-func (m *Memo) Exprs() int { return m.exprCount }
+func (m *Memo) Exprs() int { return len(m.exprs) }
 
 // Group returns the group with the given ID.
-func (m *Memo) Group(id GroupID) *Group { return m.groups[id] }
+func (m *Memo) Group(id GroupID) *Group { return &m.groups[id] }
 
-// AllGroups iterates groups in creation order.
-func (m *Memo) AllGroups() []*Group { return m.groups }
+// Expr returns the expression with the given ID.
+func (m *Memo) Expr(id ExprID) *Expr { return &m.exprs[id] }
 
 // GroupBySet returns the group covering exactly the given table set.
-func (m *Memo) GroupBySet(set uint64) (*Group, bool) {
+func (m *Memo) GroupBySet(set uint64) (GroupID, bool) {
 	id, ok := m.bySet.Get(set)
-	if !ok {
-		return nil, false
-	}
-	return m.groups[id], true
+	return GroupID(id), ok
 }
 
-// getOrAddGroup returns the group for set, creating it (with cardinality
-// card) if needed. The bool reports whether the group already existed.
-func (m *Memo) getOrAddGroup(set uint64, card float64) (*Group, bool, error) {
-	if id, ok := m.bySet.Get(set); ok {
-		return m.groups[id], true, nil
+// PopUnexplored returns the next expression of g that rules have not yet
+// been applied to, advancing the exploration cursor, or NoExpr when every
+// expression (including ones appended since the last call) is explored.
+func (m *Memo) PopUnexplored(id GroupID) ExprID {
+	g := &m.groups[id]
+	e := g.head
+	if g.lastExplored != NoExpr {
+		e = m.exprs[g.lastExplored].next
 	}
+	if e != NoExpr {
+		g.lastExplored = e
+	}
+	return e
+}
+
+// addGroup creates the group for set, which must not exist yet.
+func (m *Memo) addGroup(set uint64, card float64, nbr uint64) (GroupID, error) {
 	if err := m.charge(m.cfg.BytesPerGroup); err != nil {
-		return nil, false, err
+		return 0, err
 	}
 	m.bytes += m.cfg.BytesPerGroup
-	g := m.allocGroup()
-	g.ID = GroupID(len(m.groups))
-	g.Set = set
-	g.Card = card
-	g.head, g.tail, g.lastExplored = nil, nil, nil // stale links from a prior life
-	g.nExprs = 0
-	m.groups = append(m.groups, g)
-	m.bySet.Put(set, int32(g.ID))
-	m.groupCount++
-	return g, false, nil
+	id := GroupID(len(m.groups))
+	m.groups = append(m.groups, Group{
+		Set: set, Card: card, Nbr: nbr,
+		head: NoExpr, tail: NoExpr, lastExplored: NoExpr,
+	})
+	m.bySet.Put(set, int32(id))
+	m.growSeen(len(m.groups))
+	return id, nil
 }
 
-// AddLeaf inserts a leaf group for the table with the given filtered
-// cardinality. Adding the same table twice returns the existing group.
-func (m *Memo) AddLeaf(t *catalog.Table, card float64) (*Group, error) {
-	set := uint64(1) << uint(t.ID)
-	g, existed, err := m.getOrAddGroup(set, card)
-	if err != nil {
-		return nil, err
+// growSeen extends the dedup matrix to cover n groups: n(n-1)/2 bits.
+func (m *Memo) growSeen(n int) {
+	words := (n*(n-1)/2 + 63) / 64
+	if words <= len(m.seen) {
+		return
 	}
-	if existed {
+	if words > cap(m.seen) {
+		grown := make([]uint64, len(m.seen), 2*words)
+		copy(grown, m.seen)
+		m.seen = grown
+	}
+	m.seen = m.seen[:words]
+}
+
+// markSeen test-and-sets the bit naming the expression of group g whose
+// left child is l, reporting whether it was newly set.
+func (m *Memo) markSeen(g, l GroupID) bool {
+	hi, lo := uint(g), uint(l)
+	if hi < lo {
+		hi, lo = lo, hi
+	}
+	bit := hi*(hi-1)/2 + lo
+	w, mask := &m.seen[bit>>6], uint64(1)<<(bit&63)
+	if *w&mask != 0 {
+		return false
+	}
+	*w |= mask
+	return true
+}
+
+// AddLeaf inserts a leaf group for the table with the given ID (its bit
+// position in join sets), filtered cardinality and join-graph neighbours.
+// Adding the same table twice returns the existing group.
+func (m *Memo) AddLeaf(table int, card float64, nbr uint64) (GroupID, error) {
+	set := uint64(1) << uint(table)
+	if g, ok := m.GroupBySet(set); ok {
 		return g, nil
 	}
-	if err := m.addExpr(g, KindLeaf, t, 0, 0); err != nil {
-		return nil, err
+	g, err := m.addGroup(set, card, nbr)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := m.addExpr(g, KindLeaf, 0, 0); err != nil {
+		return 0, err
 	}
 	return g, nil
 }
 
 // AddJoin inserts a join expression L⋈R into the group covering
-// L.Set ∪ R.Set (creating the group with cardinality card if new). It
-// reports whether a new expression was actually added (false = duplicate).
-func (m *Memo) AddJoin(l, r *Group, card float64) (*Group, bool, error) {
-	if l.Set&r.Set != 0 {
-		return nil, false, fmt.Errorf("memo: join sides overlap: %b & %b", l.Set, r.Set)
+// L.Set ∪ R.Set (creating the group with cardinality card if new). The
+// returned expression is NoExpr when the group already held L⋈R.
+func (m *Memo) AddJoin(l, r GroupID, card float64) (GroupID, ExprID, error) {
+	lg, rg := &m.groups[l], &m.groups[r]
+	if lg.Set&rg.Set != 0 {
+		return 0, NoExpr, fmt.Errorf("memo: join sides overlap: %b & %b", lg.Set, rg.Set)
 	}
-	set := l.Set | r.Set
-	g, _, err := m.getOrAddGroup(set, card)
-	if err != nil {
-		return nil, false, err
+	set := lg.Set | rg.Set
+	g, ok := m.GroupBySet(set)
+	if !ok {
+		var err error
+		if g, err = m.addGroup(set, card, lg.Nbr|rg.Nbr); err != nil {
+			return 0, NoExpr, err
+		}
 	}
-	// Key insertion before the charge is safe: a failed charge aborts the
-	// whole compilation, so the memo is never consulted again.
-	key := uint64(uint32(l.ID))<<32 | uint64(uint32(r.ID))
-	if !m.exprKeys.Add(key) {
-		return g, false, nil
-	}
-	if err := m.addExpr(g, KindJoin, nil, l.ID, r.ID); err != nil {
-		return nil, false, err
-	}
-	return g, true, nil
+	e, err := m.AddJoinInto(g, l, r)
+	return g, e, err
 }
 
 // AddJoinInto is AddJoin when the covering group is already in hand —
 // the commute and associate rules derive alternatives for the very group
 // they are exploring, so the set lookup AddJoin pays is pure overhead
-// there. g.Set must equal l.Set|r.Set.
-func (m *Memo) AddJoinInto(g, l, r *Group) (bool, error) {
-	key := uint64(uint32(l.ID))<<32 | uint64(uint32(r.ID))
-	if !m.exprKeys.Add(key) {
-		return false, nil
+// there. g's set must equal l's ∪ r's. It returns the new expression, or
+// NoExpr when g already holds L⋈R.
+func (m *Memo) AddJoinInto(g, l, r GroupID) (ExprID, error) {
+	// Marking before the charge is safe: a failed charge aborts the whole
+	// compilation, so the memo is never consulted again.
+	if !m.markSeen(g, l) {
+		return NoExpr, nil
 	}
-	if err := m.addExpr(g, KindJoin, nil, l.ID, r.ID); err != nil {
-		return false, err
-	}
-	return true, nil
+	return m.addExpr(g, KindJoin, l, r)
 }
 
-func (m *Memo) addExpr(g *Group, kind ExprKind, t *catalog.Table, l, r GroupID) error {
+func (m *Memo) addExpr(g GroupID, kind ExprKind, l, r GroupID) (ExprID, error) {
 	if err := m.charge(m.cfg.BytesPerExpr); err != nil {
-		return err
+		return NoExpr, err
 	}
 	m.bytes += m.cfg.BytesPerExpr
-	e := m.allocExpr()
-	e.Kind = kind
-	e.Table = t
-	e.L, e.R = l, r
-	e.next = nil
-	e.CommuteApplied = false
-	e.AssocApplied = false
-	if g.tail == nil {
-		g.head = e
+	id := ExprID(len(m.exprs))
+	m.exprs = append(m.exprs, Expr{L: l, R: r, next: NoExpr, Kind: kind})
+	grp := &m.groups[g]
+	if grp.tail == NoExpr {
+		grp.head = id
 	} else {
-		g.tail.next = e
+		m.exprs[grp.tail].next = id
 	}
-	g.tail = e
-	g.nExprs++
-	m.exprCount++
-	return nil
+	grp.tail = id
+	grp.nExprs++
+	return id, nil
 }
 
 // String summarizes the memo.
 func (m *Memo) String() string {
 	return fmt.Sprintf("memo: %d groups, %d exprs, %d simulated bytes",
-		m.groupCount, m.exprCount, m.bytes)
+		len(m.groups), len(m.exprs), m.bytes)
 }

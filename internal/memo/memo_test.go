@@ -4,29 +4,15 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-
-	"compilegate/internal/catalog"
 )
-
-func tables(n int) []*catalog.Table {
-	c := catalog.New(8 << 20)
-	out := make([]*catalog.Table, n)
-	for i := 0; i < n; i++ {
-		out[i] = c.AddTable(&catalog.Table{
-			Name: string(rune('a' + i)), Rows: int64(1000 * (i + 1)), RowBytes: 100,
-		})
-	}
-	return out
-}
 
 func TestAddLeafDedup(t *testing.T) {
 	m := New(DefaultConfig(), nil)
-	ts := tables(2)
-	g1, err := m.AddLeaf(ts[0], 1000)
+	g1, err := m.AddLeaf(0, 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := m.AddLeaf(ts[0], 1000)
+	g2, err := m.AddLeaf(0, 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,42 +26,69 @@ func TestAddLeafDedup(t *testing.T) {
 
 func TestAddJoinCreatesUnionGroup(t *testing.T) {
 	m := New(DefaultConfig(), nil)
-	ts := tables(2)
-	a, _ := m.AddLeaf(ts[0], 1000)
-	b, _ := m.AddLeaf(ts[1], 2000)
-	j, added, err := m.AddJoin(a, b, 5000)
-	if err != nil || !added {
-		t.Fatalf("AddJoin: added=%v err=%v", added, err)
+	a, _ := m.AddLeaf(0, 1000, 0b010)
+	b, _ := m.AddLeaf(1, 2000, 0b101)
+	j, e, err := m.AddJoin(a, b, 5000)
+	if err != nil || e == NoExpr {
+		t.Fatalf("AddJoin: expr=%v err=%v", e, err)
 	}
-	if j.Set != a.Set|b.Set {
-		t.Fatalf("join set = %b", j.Set)
+	jg := m.Group(j)
+	if jg.Set != m.Group(a).Set|m.Group(b).Set {
+		t.Fatalf("join set = %b", jg.Set)
 	}
-	if j.Card != 5000 {
-		t.Fatalf("join card = %v", j.Card)
+	if jg.Card != 5000 {
+		t.Fatalf("join card = %v", jg.Card)
+	}
+	if jg.Nbr != 0b111 {
+		t.Fatalf("join neighbourhood = %b, want the OR of its children's", jg.Nbr)
 	}
 	// Commuted join lands in the same group as a distinct expr.
-	j2, added2, err := m.AddJoin(b, a, 5000)
-	if err != nil || !added2 {
-		t.Fatalf("commuted AddJoin: added=%v err=%v", added2, err)
+	j2, e2, err := m.AddJoin(b, a, 5000)
+	if err != nil || e2 == NoExpr {
+		t.Fatalf("commuted AddJoin: expr=%v err=%v", e2, err)
 	}
 	if j2 != j {
 		t.Fatal("commuted join created a new group")
 	}
-	if j.Len() != 2 {
-		t.Fatalf("group exprs = %d, want 2", j.Len())
+	if m.Group(j).Len() != 2 {
+		t.Fatalf("group exprs = %d, want 2", m.Group(j).Len())
+	}
+	if first := m.Group(j).FirstExpr(); first != e || m.Expr(first).Next() != e2 || m.Expr(e2).Next() != NoExpr {
+		t.Fatal("group list is not in insertion order")
 	}
 	// Exact duplicate is rejected.
-	_, added3, _ := m.AddJoin(a, b, 5000)
-	if added3 {
+	if _, e3, _ := m.AddJoin(a, b, 5000); e3 != NoExpr {
 		t.Fatal("duplicate join expr added")
+	}
+	if e4, _ := m.AddJoinInto(j, b, a); e4 != NoExpr {
+		t.Fatal("duplicate join expr added through AddJoinInto")
+	}
+}
+
+func TestPopUnexploredFollowsAppends(t *testing.T) {
+	m := New(DefaultConfig(), nil)
+	a, _ := m.AddLeaf(0, 1, 0)
+	b, _ := m.AddLeaf(1, 1, 0)
+	j, e1, _ := m.AddJoin(a, b, 1)
+	if got := m.PopUnexplored(j); got != e1 {
+		t.Fatalf("first pop = %d, want %d", got, e1)
+	}
+	if got := m.PopUnexplored(j); got != NoExpr {
+		t.Fatalf("pop of an explored group = %d", got)
+	}
+	e2, _ := m.AddJoinInto(j, b, a)
+	if got := m.PopUnexplored(j); got != e2 {
+		t.Fatalf("pop after append = %d, want %d", got, e2)
+	}
+	if got := m.PopUnexplored(j); got != NoExpr {
+		t.Fatalf("pop of an explored group = %d", got)
 	}
 }
 
 func TestAddJoinOverlapRejected(t *testing.T) {
 	m := New(DefaultConfig(), nil)
-	ts := tables(2)
-	a, _ := m.AddLeaf(ts[0], 1000)
-	b, _ := m.AddLeaf(ts[1], 2000)
+	a, _ := m.AddLeaf(0, 1000, 0)
+	b, _ := m.AddLeaf(1, 2000, 0)
 	j, _, _ := m.AddJoin(a, b, 5000)
 	if _, _, err := m.AddJoin(j, a, 1); err == nil {
 		t.Fatal("overlapping join accepted")
@@ -86,11 +99,10 @@ func TestMemoryChargedPerStructure(t *testing.T) {
 	cfg := Config{BytesPerGroup: 100, BytesPerExpr: 10}
 	var charged int64
 	m := New(cfg, func(n int64) error { charged += n; return nil })
-	ts := tables(2)
-	a, _ := m.AddLeaf(ts[0], 1) // group + expr = 110
-	b, _ := m.AddLeaf(ts[1], 1) // 110
-	m.AddJoin(a, b, 1)          // 110
-	m.AddJoin(b, a, 1)          // expr only = 10
+	a, _ := m.AddLeaf(0, 1, 0) // group + expr = 110
+	b, _ := m.AddLeaf(1, 1, 0) // 110
+	m.AddJoin(a, b, 1)         // 110
+	m.AddJoin(b, a, 1)         // expr only = 10
 	if charged != 340 {
 		t.Fatalf("charged = %d, want 340", charged)
 	}
@@ -109,77 +121,139 @@ func TestChargeFailureStopsGrowth(t *testing.T) {
 		}
 		return nil
 	})
-	ts := tables(2)
-	if _, err := m.AddLeaf(ts[0], 1); err != nil {
+	if _, err := m.AddLeaf(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, err := m.AddLeaf(ts[1], 1)
+	_, err := m.AddLeaf(1, 1, 0)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failed group must not be registered.
-	if _, ok := m.GroupBySet(1 << uint(ts[1].ID)); ok {
+	if _, ok := m.GroupBySet(1 << 1); ok {
 		t.Fatal("failed group registered")
 	}
 }
 
 func TestGroupLookup(t *testing.T) {
 	m := New(DefaultConfig(), nil)
-	ts := tables(3)
-	a, _ := m.AddLeaf(ts[0], 1)
-	if g, ok := m.GroupBySet(a.Set); !ok || g != a {
+	a, _ := m.AddLeaf(0, 1, 0)
+	if g, ok := m.GroupBySet(m.Group(a).Set); !ok || g != a {
 		t.Fatal("GroupBySet broken")
 	}
 	if _, ok := m.GroupBySet(1 << 63); ok {
 		t.Fatal("phantom group")
-	}
-	if m.Group(a.ID) != a {
-		t.Fatal("Group(ID) broken")
 	}
 	if m.String() == "" {
 		t.Fatal("empty String")
 	}
 }
 
-// Property: after any sequence of joins over random leaf pairs, the memo
-// has exactly one group per distinct table set and expression count >=
-// group count; Bytes() equals groups*BytesPerGroup + exprs*BytesPerExpr.
+// Property: after any sequence of joins over random group pairs, the
+// memo has exactly one group per distinct table set and expression count
+// >= group count; Bytes() equals groups*BytesPerGroup +
+// exprs*BytesPerExpr; and the hash-free dedup agrees with a reference set
+// keyed on the ordered (left, right) child pair — an expression is new
+// exactly when its pair is.
 func TestQuickMemoAccounting(t *testing.T) {
 	cfg := Config{BytesPerGroup: 7, BytesPerExpr: 3}
 	f := func(pairs [][2]uint8) bool {
 		m := New(cfg, nil)
-		ts := tables(6)
-		groups := make([]*Group, 0, 16)
-		for _, tb := range ts {
-			g, err := m.AddLeaf(tb, 10)
+		groups := make([]GroupID, 0, 16)
+		for table := 0; table < 6; table++ {
+			g, err := m.AddLeaf(table, 10, 0)
 			if err != nil {
 				return false
 			}
 			groups = append(groups, g)
 		}
+		seen := make(map[[2]GroupID]bool)
 		for _, p := range pairs {
 			a := groups[int(p[0])%len(groups)]
 			b := groups[int(p[1])%len(groups)]
-			if a.Set&b.Set != 0 {
+			if m.Group(a).Set&m.Group(b).Set != 0 {
 				continue
 			}
-			g, _, err := m.AddJoin(a, b, 100)
+			g, e, err := m.AddJoin(a, b, 100)
 			if err != nil {
 				return false
 			}
+			if (e != NoExpr) == seen[[2]GroupID{a, b}] {
+				return false // dedup disagrees with the (l, r) reference
+			}
+			seen[[2]GroupID{a, b}] = true
 			groups = append(groups, g)
 		}
 		sets := make(map[uint64]bool)
-		for _, g := range m.AllGroups() {
-			if sets[g.Set] {
+		for g := 0; g < m.Groups(); g++ {
+			set := m.Group(GroupID(g)).Set
+			if sets[set] {
 				return false // duplicate set
 			}
-			sets[g.Set] = true
+			sets[set] = true
 		}
 		want := int64(m.Groups())*cfg.BytesPerGroup + int64(m.Exprs())*cfg.BytesPerExpr
 		return m.Bytes() == want && m.Exprs() >= m.Groups()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// intervalMemo fills m with every contiguous-interval group over an
+// n-table chain and every (split, order) expression of each: the connected
+// bushy space of a chain query, n(n+1)/2 groups.
+func intervalMemo(m *Memo, n int) {
+	iv := make([][]GroupID, n)
+	for i := range iv {
+		iv[i] = make([]GroupID, n)
+		iv[i][i], _ = m.AddLeaf(i, 10, 0)
+	}
+	for span := 1; span < n; span++ {
+		for i := 0; i+span < n; i++ {
+			for k := i; k < i+span; k++ {
+				l, r := iv[i][k], iv[k+1][i+span]
+				iv[i][i+span], _, _ = m.AddJoin(l, r, 10)
+				m.AddJoin(r, l, 10)
+			}
+		}
+	}
+}
+
+// TestResetCostFollowsUse: a pooled memo that served one budget-sized
+// compilation must not make the small compilations after it pay for its
+// footprint — Reset clears what the previous compilation touched (the
+// dedup matrix up to its high-water word, the set map's filled slots),
+// not what the memo ever grew to — and steady-state reuse allocates
+// nothing.
+func TestResetCostFollowsUse(t *testing.T) {
+	m := New(DefaultConfig(), nil)
+	intervalMemo(m, 45) // 1035 groups: the size a MaxTasks compilation reaches
+	bigGroups := m.Groups()
+	small := func() {
+		m.Reset(DefaultConfig(), nil)
+		a, _ := m.AddLeaf(0, 1, 0)
+		b, _ := m.AddLeaf(1, 1, 0)
+		j, _, _ := m.AddJoin(a, b, 1)
+		m.AddJoinInto(j, b, a)
+	}
+	before := m.cleared
+	small() // this Reset pays for the large compilation
+	big := m.cleared - before
+	if wantMin := bigGroups + bigGroups*(bigGroups-1)/2/64; big < wantMin {
+		t.Fatalf("reset after the large compilation cleared %d words, want >= %d", big, wantMin)
+	}
+
+	const rounds = 1000
+	before = m.cleared
+	for i := 0; i < rounds; i++ {
+		small()
+	}
+	// Three groups: three set-map slots and one matrix word each.
+	if got := m.cleared - before; got != rounds*4 {
+		t.Fatalf("%d two-table resets cleared %d words, want %d (%d per reset; the large one cleared %d)",
+			rounds, got, rounds*4, 4, big)
+	}
+	if allocs := testing.AllocsPerRun(100, small); allocs != 0 {
+		t.Fatalf("steady-state memo reuse allocates %v times per compilation", allocs)
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"compilegate/internal/memo"
 	"compilegate/internal/plan"
 	"compilegate/internal/stats"
-	"compilegate/internal/u64hash"
 )
 
 // Hooks connect one optimization run to the engine.
@@ -85,7 +84,7 @@ type Optimizer struct {
 // runPool and memoPool recycle per-optimization state across every
 // optimizer in the process. Optimizers on different sweep shards drain
 // and fill them concurrently, so they must be synchronized pools; a
-// pooled instance carries only capacity (arena chunks, map buckets) —
+// pooled instance carries only capacity (arenas, map slots) —
 // getRun and memo.Reset restore observable state bit-identically, so
 // reuse never affects results.
 var (
@@ -105,7 +104,9 @@ func New(est *stats.Estimator, cfg Config) *Optimizer {
 // reset by getRun or overwritten by resolve. Leaf cardinalities,
 // selectivities, and adjacency are dense arrays indexed by table ID (the
 // bit position in the join bitsets) instead of maps — the hot lookups in
-// cardOfSet and connected cost an array index.
+// cardOfSet cost an array index. Nothing here is hashed or memoized per
+// group: what exploration needs of a group (set, cardinality,
+// neighbourhood) is stored in the group.
 type run struct {
 	o     *Optimizer
 	q     *plan.Query
@@ -119,19 +120,12 @@ type run struct {
 	leafSel  [64]float64               // combined filter selectivity by table ID
 	adjacent [64]uint64                // neighbor bitset by table ID
 	edges    []joinEdge                // join edges in insertion order (deterministic)
-	edgeSeen u64hash.Set
-	cardMemo u64hash.MapF64
-	// nbr caches each group's neighborhood — the union of adjacent[] over
-	// its tables — indexed by group ID, so the connectivity test in the
-	// associate rule is one AND instead of a bit loop. 0 means "not yet
-	// computed" (a true-zero neighborhood only occurs for single-table
-	// queries, which never test connectivity).
-	nbr []uint64
 
 	// Extraction DP and buildInitial scratch, reused across phases.
 	dp        []costed
-	leaves    []*memo.Group // leaf group per term
-	remaining []bool        // buildInitial: term not yet joined
+	order     []memo.GroupID // groups by ascending table count, for the DP
+	leaves    []memo.GroupID // leaf group per term
+	remaining []bool         // buildInitial: term not yet joined
 	aggCols   []struct{ Table, Column string }
 	// Plan-node arena for the current extraction; ownership transfers to
 	// the plan, so it is not pooled.
@@ -158,9 +152,6 @@ func (o *Optimizer) getRun(q *plan.Query, hooks Hooks) *run {
 	r.leafSel = [64]float64{}
 	r.adjacent = [64]uint64{}
 	r.edges = r.edges[:0]
-	r.edgeSeen.Reset()
-	r.cardMemo.Reset()
-	r.nbr = r.nbr[:0]
 	r.tasks, r.budget, r.sinceWork = 0, 0, 0
 	r.cutBestFirst = false
 	return r
@@ -196,7 +187,7 @@ func (o *Optimizer) Optimize(q *plan.Query, hooks Hooks) (*plan.Plan, error) {
 	// the throwaway initial plan's nodes (same arithmetic, no allocation).
 	r.budget = r.effortBudget(r.initialCost(root))
 
-	if err := r.explore(root); err != nil {
+	if err := r.explore(); err != nil {
 		return nil, err
 	}
 	p := r.extract(root)
@@ -258,11 +249,11 @@ func (r *run) resolve() error {
 		if a == nil || b == nil {
 			return fmt.Errorf("optimizer: join references unknown table %s-%s", j.A, j.B)
 		}
+		if r.adjacent[a.ID]&(1<<uint(b.ID)) != 0 {
+			continue // repeated edge: one selectivity factor per table pair
+		}
 		r.adjacent[a.ID] |= 1 << uint(b.ID)
 		r.adjacent[b.ID] |= 1 << uint(a.ID)
-		if !r.edgeSeen.Add(edgeKey(a.ID, b.ID)) {
-			continue
-		}
 		r.edges = append(r.edges, joinEdge{
 			mask: 1<<uint(a.ID) | 1<<uint(b.ID),
 			sel:  r.o.est.JoinSelectivity(j.A, j.B),
@@ -276,23 +267,12 @@ type joinEdge struct {
 	sel  float64
 }
 
-// edgeKey packs an unordered table-ID pair into one nonzero word for
-// the dedup set (IDs are offset by one because u64hash reserves key 0).
-func edgeKey(a, b int) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a+1)<<32 | uint64(b+1)
-}
-
 // cardOfSet estimates the cardinality of joining exactly the tables in
 // set: the product of filtered leaf cardinalities (ascending table ID,
 // so the float rounding matches run to run) and the selectivities of all
-// join edges internal to the set.
+// join edges internal to the set. It is a pure function of the resolved
+// query, paid once per genuinely new group.
 func (r *run) cardOfSet(set uint64) float64 {
-	if c, ok := r.cardMemo.Get(set); ok {
-		return c
-	}
 	card := 1.0
 	for s := set; s != 0; s &= s - 1 {
 		card *= r.leafCard[bits.TrailingZeros64(s)]
@@ -305,46 +285,20 @@ func (r *run) cardOfSet(set uint64) float64 {
 	if card < 1 {
 		card = 1
 	}
-	r.cardMemo.Put(set, card)
 	return card
-}
-
-// neighborhood returns the union of adjacent[] over g's tables, cached
-// by group ID. groupsConnected(a, b) therefore tests exactly "does any
-// join edge link a and b" — the same predicate as looping a's bits and
-// ANDing adjacent[] against b.Set — but costs one AND on the hot
-// associate path.
-func (r *run) neighborhood(g *memo.Group) uint64 {
-	id := int(g.ID)
-	for id >= len(r.nbr) {
-		r.nbr = append(r.nbr, 0)
-	}
-	n := r.nbr[id]
-	if n == 0 {
-		for s := g.Set; s != 0; s &= s - 1 {
-			n |= r.adjacent[bits.TrailingZeros64(s)]
-		}
-		r.nbr[id] = n
-	}
-	return n
-}
-
-// groupsConnected reports whether any join edge links the two groups.
-func (r *run) groupsConnected(a, b *memo.Group) bool {
-	return r.neighborhood(a)&b.Set != 0
 }
 
 // buildInitial creates leaf groups and a connectivity-respecting left-deep
 // join tree in greedy smallest-cardinality-first order, returning the root
 // group. This is the "first complete plan" dynamic optimization starts
 // from.
-func (r *run) buildInitial() (*memo.Group, error) {
+func (r *run) buildInitial() (memo.GroupID, error) {
 	r.leaves = r.leaves[:0]
 	for i := range r.terms {
 		t := r.tabs[i]
-		g, err := r.m.AddLeaf(t, r.leafCard[t.ID])
+		g, err := r.m.AddLeaf(t.ID, r.leafCard[t.ID], r.adjacent[t.ID])
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		r.leaves = append(r.leaves, g)
 	}
@@ -358,46 +312,42 @@ func (r *run) buildInitial() (*memo.Group, error) {
 	for range r.terms {
 		r.remaining = append(r.remaining, true)
 	}
-	var cur *memo.Group
-	curIdx := -1
+	curIdx := 0
 	for i := range r.terms {
-		g := r.leaves[i]
-		if cur == nil || g.Card < cur.Card {
-			cur = g
+		if r.leafCard[r.tabs[i].ID] < r.leafCard[r.tabs[curIdx].ID] {
 			curIdx = i
 		}
 	}
+	cur := r.leaves[curIdx]
 	r.remaining[curIdx] = false
-	left := len(r.terms) - 1
-	for left > 0 {
-		var best *memo.Group
+	for left := len(r.terms) - 1; left > 0; left-- {
+		curSet, curNbr := r.m.Group(cur).Set, r.m.Group(cur).Nbr
 		bestIdx := -1
 		bestCard := math.Inf(1)
 		for i := range r.terms {
 			if !r.remaining[i] {
 				continue
 			}
-			g := r.leaves[i]
-			if !r.groupsConnected(cur, g) {
+			bit := uint64(1) << uint(r.tabs[i].ID)
+			if curNbr&bit == 0 {
 				continue
 			}
-			c := r.cardOfSet(cur.Set | g.Set)
+			c := r.cardOfSet(curSet | bit)
 			if c < bestCard {
-				best, bestIdx, bestCard = g, i, c
+				bestIdx, bestCard = i, c
 			}
 		}
-		if best == nil {
+		if bestIdx < 0 {
 			// Validate() guarantees connectivity, so this is unreachable
 			// unless the query lied; fail loudly.
-			return nil, fmt.Errorf("optimizer: disconnected join graph at %s", r.terms[curIdx].Name)
+			return 0, fmt.Errorf("optimizer: disconnected join graph at %s", r.terms[curIdx].Name)
 		}
-		joined, _, err := r.m.AddJoin(cur, best, bestCard)
+		joined, _, err := r.m.AddJoin(cur, r.leaves[bestIdx], bestCard)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		cur = joined
 		r.remaining[bestIdx] = false
-		left--
 	}
 	return cur, nil
 }
@@ -423,7 +373,7 @@ func (r *run) step() bool {
 
 // explore runs rule application round-robin across groups until the
 // budget is exhausted, best-effort fires, or the space is fully explored.
-func (r *run) explore(root *memo.Group) error {
+func (r *run) explore() error {
 	flushWork := func() {
 		if r.hooks.Work != nil && r.sinceWork > 0 {
 			r.hooks.Work(r.sinceWork)
@@ -432,10 +382,9 @@ func (r *run) explore(root *memo.Group) error {
 	}
 	for {
 		progressed := false
-		// Iterate by index: AllGroups grows while we iterate.
-		for gi := 0; gi < len(r.m.AllGroups()); gi++ {
-			g := r.m.Group(memo.GroupID(gi))
-			for e := g.PopUnexplored(); e != nil; e = g.PopUnexplored() {
+		// The group count grows while we iterate.
+		for g := memo.GroupID(0); int(g) < r.m.Groups(); g++ {
+			for e := r.m.PopUnexplored(g); e != memo.NoExpr; e = r.m.PopUnexplored(g) {
 				progressed = true
 				if err := r.applyRules(g, e); err != nil {
 					flushWork()
@@ -456,92 +405,169 @@ func (r *run) explore(root *memo.Group) error {
 
 // applyRules derives new alternatives from one expression: join
 // commutativity and left-associativity (with commutativity these generate
-// the connected bushy space).
-func (r *run) applyRules(g *memo.Group, e *memo.Expr) error {
+// the connected bushy space). The memo's arenas may move on every add, so
+// expressions and groups are re-read by ID rather than held by pointer.
+func (r *run) applyRules(g memo.GroupID, id memo.ExprID) error {
+	m := r.m
+	e := m.Expr(id)
 	if e.Kind != memo.KindJoin {
 		return nil
 	}
-	l, rt := r.m.Group(e.L), r.m.Group(e.R)
+	l, rt := e.L, e.R
+	commute, assoc := !e.CommuteApplied, !e.AssocApplied
+	e.CommuteApplied, e.AssocApplied = true, true
 
 	// Commute: L ⋈ R  =>  R ⋈ L. The alternative lands in g itself, so
-	// no set lookup is needed.
-	if !e.CommuteApplied {
-		e.CommuteApplied = true
-		if _, err := r.m.AddJoinInto(g, rt, l); err != nil {
+	// no set lookup is needed. The twin is born commuted: commuting it
+	// back could only re-derive e.
+	if commute {
+		twin, err := m.AddJoinInto(g, rt, l)
+		if err != nil {
 			return err
 		}
+		if twin != memo.NoExpr {
+			m.Expr(twin).CommuteApplied = true
+		}
+	}
+	if !assoc {
+		return nil
 	}
 
 	// Associate: (A ⋈ B) ⋈ R  =>  A ⋈ (B ⋈ R), for every join shape of L.
-	if !e.AssocApplied {
-		e.AssocApplied = true
-		for le := l.FirstExpr(); le != nil; le = le.Next() {
-			if le.Kind != memo.KindJoin {
-				continue
-			}
-			a, b := r.m.Group(le.L), r.m.Group(le.R)
-			if !r.groupsConnected(b, rt) {
-				continue // would introduce a cross product
-			}
-			// Look the inner group up before estimating its cardinality:
-			// once exploration converges the group almost always exists,
-			// and AddJoin would discard the estimate — cardOfSet is the
-			// collapse regime's hottest function, so only pay it when the
-			// group is genuinely new.
-			var inner *memo.Group
-			var added bool
-			var err error
-			if g2, ok := r.m.GroupBySet(b.Set | rt.Set); ok {
-				inner = g2
-				added, err = r.m.AddJoinInto(g2, b, rt)
-			} else {
-				inner, added, err = r.m.AddJoin(b, rt, r.cardOfSet(b.Set|rt.Set))
-			}
-			if err != nil {
-				return err
-			}
-			if added && !r.step() {
-				return nil
-			}
-			if _, err := r.m.AddJoinInto(g, a, inner); err != nil {
-				return err
-			}
+	rtSet := m.Group(rt).Set
+	for le := m.Group(l).FirstExpr(); le != memo.NoExpr; le = m.Expr(le).Next() {
+		x := m.Expr(le)
+		if x.Kind != memo.KindJoin {
+			continue
+		}
+		a, b := x.L, x.R
+		bg := m.Group(b)
+		if bg.Nbr&rtSet == 0 {
+			continue // would introduce a cross product
+		}
+		// Look the inner group up before estimating its cardinality: once
+		// exploration converges the group almost always exists, and only a
+		// genuinely new group needs cardOfSet.
+		innerSet := bg.Set | rtSet
+		inner, ok := m.GroupBySet(innerSet)
+		var ne memo.ExprID
+		var err error
+		if ok {
+			ne, err = m.AddJoinInto(inner, b, rt)
+		} else {
+			inner, ne, err = m.AddJoin(b, rt, r.cardOfSet(innerSet))
+		}
+		if err != nil {
+			return err
+		}
+		if ne != memo.NoExpr && !r.step() {
+			return nil
+		}
+		if _, err := m.AddJoinInto(g, a, inner); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// costed is the DP table entry for plan extraction.
+// costed is the DP table entry for plan extraction: a group's cheapest
+// expression.
 type costed struct {
 	cost float64
-	expr *memo.Expr
+	expr memo.ExprID
 	// Leaf access path choice:
 	op   plan.Op
 	frac float64 // fraction of extents read
-	ok   bool    // entry computed
 }
 
-// extract computes the cheapest implementation of every group reachable
-// from root and materializes the physical plan (with the query's aggregate
-// on top when present). The DP table is a pooled slice indexed by group
-// ID rather than a map, and the plan's nodes come from a single
-// exactly-sized arena owned by the plan — one allocation per extraction
-// instead of one per node.
-func (r *run) extract(root *memo.Group) *plan.Plan {
-	n := len(r.m.AllGroups())
+// solve fills the DP table with every group's cheapest expression,
+// bottom-up: a join's children cover strictly fewer tables than its
+// group, so visiting groups by ascending table count (a counting sort on
+// the popcount of their sets) finds both children's entries final. Each
+// group keeps the first of its cheapest expressions in insertion order.
+func (r *run) solve() {
+	m := r.m
+	n := m.Groups()
 	if cap(r.dp) < n {
 		r.dp = make([]costed, n)
-	} else {
-		r.dp = r.dp[:n]
-		clear(r.dp)
+		r.order = make([]memo.GroupID, n)
 	}
-	count := r.countNodes(root, r.dp)
+	r.dp, r.order = r.dp[:n], r.order[:n]
+	var start [66]int32 // start[c]: first slot of the groups covering c tables
+	for g := 0; g < n; g++ {
+		start[bits.OnesCount64(m.Group(memo.GroupID(g)).Set)+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	for g := 0; g < n; g++ {
+		c := bits.OnesCount64(m.Group(memo.GroupID(g)).Set)
+		r.order[start[c]] = memo.GroupID(g)
+		start[c]++
+	}
+
+	cm := r.o.cfg.Cost
+	for _, id := range r.order {
+		g := m.Group(id)
+		if m.Expr(g.FirstExpr()).Kind == memo.KindLeaf {
+			r.dp[id] = r.bestScan(bits.TrailingZeros64(g.Set), g.FirstExpr())
+			continue
+		}
+		out := costed{cost: math.Inf(1), expr: memo.NoExpr}
+		for eid := g.FirstExpr(); eid != memo.NoExpr; {
+			e := m.Expr(eid)
+			l, rt := m.Group(e.L), m.Group(e.R)
+			// Hash join, right side builds.
+			c := r.dp[e.L].cost + r.dp[e.R].cost + rt.Card*cm.BuildRow + l.Card*cm.CPURow + g.Card*cm.CPURow
+			if c < out.cost {
+				out = costed{cost: c, expr: eid}
+			}
+			eid = e.Next()
+		}
+		r.dp[id] = out
+	}
+}
+
+// bestScan picks the access path of the leaf group over table tid, whose
+// one expression is e.
+func (r *run) bestScan(tid int, e memo.ExprID) costed {
+	cm := r.o.cfg.Cost
+	t := r.o.cat.Tables()[tid]
+	extents := float64(r.o.cat.Extents(t))
+	sel := r.leafSel[tid]
+	// Sequential scan.
+	out := costed{cost: extents*cm.SeqExtent + float64(t.Rows)*cm.CPURow, expr: e, op: plan.OpSeqScan, frac: 1}
+	// Index scan when a filtered column has a leading index and the filter
+	// is selective enough to beat sequential I/O.
+	if term := r.q.Table(t.Name); term != nil {
+		for _, p := range term.Preds {
+			if !t.HasIndexOn(p.Column) {
+				continue
+			}
+			idx := extents*sel*cm.RandExtent + float64(t.Rows)*sel*cm.CPURow
+			if idx < out.cost {
+				out = costed{cost: idx, expr: e, op: plan.OpIndexScan, frac: sel}
+			}
+		}
+	}
+	return out
+}
+
+// extract computes the cheapest implementation of every group and
+// materializes the physical plan reachable from root (with the query's
+// aggregate on top when present). The DP table is a pooled slice indexed
+// by group ID rather than a map, and the plan's nodes come from a single
+// exactly-sized arena owned by the plan — one allocation per extraction
+// instead of one per node.
+func (r *run) extract(root memo.GroupID) *plan.Plan {
+	r.solve()
+	count := r.countNodes(root)
 	if len(r.q.GroupBy) > 0 {
 		count++
 	}
 	arena := make([]plan.Node, count)
 	r.arena, r.arenaNext = arena, 0
-	node := r.buildNode(root, r.dp)
+	node := r.buildNode(root)
 	// Aggregation on top.
 	if len(r.q.GroupBy) > 0 {
 		groups := r.groupByDistinct(node.OutCard)
@@ -567,14 +593,13 @@ func (r *run) extract(root *memo.Group) *plan.Plan {
 }
 
 // countNodes sizes the plan-node arena: the number of nodes buildNode
-// will materialize for the chosen expression tree. It runs the same
-// memoized DP, so the subsequent build finds every entry computed.
-func (r *run) countNodes(g *memo.Group, memoized []costed) int {
-	c := r.bestOf(g, memoized)
-	if c.expr.Kind == memo.KindLeaf {
+// will materialize for the chosen expression tree.
+func (r *run) countNodes(g memo.GroupID) int {
+	e := r.m.Expr(r.dp[g].expr)
+	if e.Kind == memo.KindLeaf {
 		return 1
 	}
-	return 1 + r.countNodes(r.m.Group(c.expr.L), memoized) + r.countNodes(r.m.Group(c.expr.R), memoized)
+	return 1 + r.countNodes(e.L) + r.countNodes(e.R)
 }
 
 // newNode hands out the next arena slot.
@@ -597,23 +622,18 @@ func (r *run) groupByDistinct(card float64) float64 {
 // initialCost is extract().Cost() without materializing plan nodes: the
 // same DP over the same groups with the same operand order, so the
 // effort budget it feeds is bit-identical to the materializing version.
-func (r *run) initialCost(root *memo.Group) float64 {
-	n := len(r.m.AllGroups())
-	if cap(r.dp) < n {
-		r.dp = make([]costed, n)
-	} else {
-		r.dp = r.dp[:n]
-		clear(r.dp)
-	}
-	cost := r.subtreeCost(root, r.dp)
+func (r *run) initialCost(root memo.GroupID) float64 {
+	r.solve()
+	cost := r.subtreeCost(root)
 	if len(r.q.GroupBy) > 0 {
-		groups := r.groupByDistinct(root.Card)
+		card := r.m.Group(root).Card
+		groups := r.groupByDistinct(card)
 		aggs := r.q.Aggregates
 		if aggs < 1 {
 			aggs = 1
 		}
 		cm := r.o.cfg.Cost
-		aggCost := root.Card*cm.AggRow*float64(aggs) + groups*cm.BuildRow
+		aggCost := card*cm.AggRow*float64(aggs) + groups*cm.BuildRow
 		cost = cost + aggCost
 	}
 	return cost
@@ -622,82 +642,31 @@ func (r *run) initialCost(root *memo.Group) float64 {
 // subtreeCost mirrors buildNode's SubtreeCost arithmetic (operand order
 // included — float addition is not associative) without allocating the
 // nodes.
-func (r *run) subtreeCost(g *memo.Group, memoized []costed) float64 {
-	c := r.bestOf(g, memoized)
-	e := c.expr
+func (r *run) subtreeCost(id memo.GroupID) float64 {
+	c := &r.dp[id]
+	e := r.m.Expr(c.expr)
 	if e.Kind == memo.KindLeaf {
 		return c.cost
 	}
-	l, rt := r.m.Group(e.L), r.m.Group(e.R)
-	lc := r.subtreeCost(l, memoized)
-	rc := r.subtreeCost(rt, memoized)
+	g, l, rt := r.m.Group(id), r.m.Group(e.L), r.m.Group(e.R)
+	lc := r.subtreeCost(e.L)
+	rc := r.subtreeCost(e.R)
 	cm := r.o.cfg.Cost
 	own := rt.Card*cm.BuildRow + l.Card*cm.CPURow + g.Card*cm.CPURow
 	return lc + rc + own
 }
 
-// bestOf computes the group's cheapest expression, memoized in the DP
-// slice; the returned pointer aliases the slice entry (stable for the
-// duration of one extraction).
-func (r *run) bestOf(g *memo.Group, memoized []costed) *costed {
-	if c := &memoized[g.ID]; c.ok {
-		return c
-	}
-	cm := r.o.cfg.Cost
-	out := costed{cost: math.Inf(1), ok: true}
-	for e := g.FirstExpr(); e != nil; e = e.Next() {
-		switch e.Kind {
-		case memo.KindLeaf:
-			t := e.Table
-			extents := float64(r.o.cat.Extents(t))
-			sel := r.leafSel[bits.TrailingZeros64(g.Set)]
-			// Sequential scan.
-			seq := extents*cm.SeqExtent + float64(t.Rows)*cm.CPURow
-			if seq < out.cost {
-				out = costed{cost: seq, expr: e, op: plan.OpSeqScan, frac: 1}
-			}
-			// Index scan when a filtered column has a leading index and
-			// the filter is selective enough to beat sequential I/O.
-			if term := r.q.Table(t.Name); term != nil {
-				for _, p := range term.Preds {
-					if !t.HasIndexOn(p.Column) {
-						continue
-					}
-					frac := sel
-					idx := extents*frac*cm.RandExtent + float64(t.Rows)*sel*cm.CPURow
-					if idx < out.cost {
-						out = costed{cost: idx, expr: e, op: plan.OpIndexScan, frac: frac}
-					}
-				}
-			}
-		case memo.KindJoin:
-			l, rt := r.m.Group(e.L), r.m.Group(e.R)
-			cl := r.bestOf(l, memoized)
-			cr := r.bestOf(rt, memoized)
-			// Hash join, right side builds.
-			c := cl.cost + cr.cost + rt.Card*cm.BuildRow + l.Card*cm.CPURow + g.Card*cm.CPURow
-			if c < out.cost {
-				out = costed{cost: c, expr: e}
-			}
-		}
-	}
-	out.ok = true
-	memoized[g.ID] = out
-	return &memoized[g.ID]
-}
-
 // buildNode materializes the chosen expression tree for g out of the
 // extraction arena.
-func (r *run) buildNode(g *memo.Group, memoized []costed) *plan.Node {
-	c := r.bestOf(g, memoized)
-	cm := r.o.cfg.Cost
-	e := c.expr
+func (r *run) buildNode(id memo.GroupID) *plan.Node {
+	c := &r.dp[id]
+	g := r.m.Group(id)
+	e := r.m.Expr(c.expr)
 	if e.Kind == memo.KindLeaf {
-		t := e.Table
 		n := r.newNode()
 		*n = plan.Node{
 			Op:           c.op,
-			Table:        t.Name,
+			Table:        r.o.cat.Tables()[bits.TrailingZeros64(g.Set)].Name,
 			ScanFraction: c.frac,
 			OutCard:      g.Card,
 			NodeCost:     c.cost,
@@ -706,8 +675,9 @@ func (r *run) buildNode(g *memo.Group, memoized []costed) *plan.Node {
 		return n
 	}
 	l, rt := r.m.Group(e.L), r.m.Group(e.R)
-	ln := r.buildNode(l, memoized)
-	rn := r.buildNode(rt, memoized)
+	ln := r.buildNode(e.L)
+	rn := r.buildNode(e.R)
+	cm := r.o.cfg.Cost
 	own := rt.Card*cm.BuildRow + l.Card*cm.CPURow + g.Card*cm.CPURow
 	n := r.newNode()
 	*n = plan.Node{

@@ -1,0 +1,228 @@
+package optimizer
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"os"
+	"strings"
+	"testing"
+
+	"compilegate/internal/catalog"
+	"compilegate/internal/plan"
+	"compilegate/internal/sqlparser"
+	"compilegate/internal/stats"
+	"compilegate/internal/workload"
+)
+
+// updateTrajectory re-records testdata/trajectory.golden. Run
+//
+//	go test ./internal/optimizer -run TestTrajectoryGolden -update
+//
+// only with an *intentional* change to what the optimizer charges,
+// reports or returns; a kernel refactor must reproduce the file
+// byte-for-byte.
+var updateTrajectory = flag.Bool("update", false, "re-record testdata/trajectory.golden")
+
+const trajectoryPath = "testdata/trajectory.golden"
+
+// trajectoryScale is the catalog scale every registered scenario runs
+// at, so the corpus reaches the same budgets the simulations do.
+const trajectoryScale = 0.04
+
+type trajectoryStmt struct {
+	name   string
+	opt    *Optimizer // default config
+	capped *Optimizer // MaxTasks 200
+	q      *plan.Query
+}
+
+// trajectoryCorpus is the fixed statement set: 8 literal draws of each
+// of the 10 SALES templates, one statement per TPC-H chain (0-7 joins),
+// and the first 5 OLTP statements (all three shapes).
+func trajectoryCorpus(t testing.TB) []trajectoryStmt {
+	capped := DefaultConfig()
+	capped.MaxTasks = 200
+	optimizers := func(cat *catalog.Catalog) (*Optimizer, *Optimizer) {
+		est := stats.NewEstimator(cat)
+		return New(est, DefaultConfig()), New(est, capped)
+	}
+	salesOpt, salesCapped := optimizers(workload.SpecSales.NewCatalog(trajectoryScale, 8<<20))
+	tpchOpt, tpchCapped := optimizers(workload.SpecTPCH.NewCatalog(trajectoryScale, 8<<20))
+
+	var out []trajectoryStmt
+	add := func(name, sql string, opt, capped *Optimizer) {
+		q, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, sql)
+		}
+		out = append(out, trajectoryStmt{name: name, opt: opt, capped: capped, q: q})
+	}
+	// template returns sql's static part: everything before the literals.
+	template := func(sql string) string { return sql[:strings.Index(sql, " WHERE ")] }
+
+	// SALES: the generator picks templates at random, so draw until every
+	// template has 8 statements; templates are numbered by first draw.
+	const draws = 8
+	sales := workload.NewSales()
+	rng := rand.New(rand.NewSource(14))
+	ordinal := map[string]int{}
+	perTemplate := make([][]string, sales.Templates())
+	for full := 0; full < sales.Templates(); {
+		sql := sales.Next(rng)
+		k, ok := ordinal[template(sql)]
+		if !ok {
+			k = len(ordinal)
+			ordinal[template(sql)] = k
+		}
+		if len(perTemplate[k]) < draws {
+			perTemplate[k] = append(perTemplate[k], sql)
+			if len(perTemplate[k]) == draws {
+				full++
+			}
+		}
+	}
+	for k, sqls := range perTemplate {
+		for i, sql := range sqls {
+			add(fmt.Sprintf("sales/t%d/%d", k, i), sql, salesOpt, salesCapped)
+		}
+	}
+
+	// TPC-H: one statement per chain, numbered by first draw.
+	tpch := workload.NewTPCH()
+	seen := map[string]bool{}
+	for len(seen) < 9 {
+		sql := tpch.Next(rng)
+		if !seen[template(sql)] {
+			seen[template(sql)] = true
+			add(fmt.Sprintf("tpch/c%d", len(seen)-1), sql, tpchOpt, tpchCapped)
+		}
+	}
+
+	for i, sql := range workload.NewOLTP().Statements()[:5] {
+		add(fmt.Sprintf("oltp/%d", i), sql, salesOpt, salesCapped)
+	}
+	return out
+}
+
+// trajectoryScript is one hook behaviour. Every script except "nohooks"
+// records the ordered event stream the optimizer emits.
+type trajectoryScript struct {
+	name     string
+	nilHooks bool // pass Hooks{}: the nil-callback branches
+	capped   bool // optimizer with MaxTasks 200
+	bePoll   int  // BestEffort answers true at this poll (1-based), once
+	failAt   int  // Charge fails at this charge (1-based)
+}
+
+var trajectoryScripts = []trajectoryScript{
+	{name: "nohooks", nilHooks: true},
+	{name: "observe"},
+	{name: "maxtasks200", capped: true},
+	{name: "besteffort@1", bePoll: 1},
+	{name: "besteffort@3", bePoll: 3},
+	{name: "besteffort@10", bePoll: 10},
+	{name: "chargefail@50", failAt: 50},
+	{name: "chargefail@500", failAt: 500},
+	{name: "chargefail@2000", failAt: 2000},
+}
+
+var errTrajectoryCharge = errors.New("scripted charge failure")
+
+// trajectoryLine runs one statement under one script and renders the
+// golden line: event count and FNV-1a hash of the ordered `c<n>` / `w<k>`
+// / `b<0|1>` stream, then the plan's hash and scalars, or the error.
+func trajectoryLine(s trajectoryStmt, sc trajectoryScript) string {
+	events := fnv.New64a()
+	var nEvents, charges, polls int
+	event := func(kind byte, v int64) {
+		nEvents++
+		fmt.Fprintf(events, "%c%d\n", kind, v)
+	}
+	hooks := Hooks{
+		Charge: func(n int64) error {
+			event('c', n)
+			charges++
+			if charges == sc.failAt {
+				return errTrajectoryCharge
+			}
+			return nil
+		},
+		Work: func(k int) { event('w', int64(k)) },
+		BestEffort: func() bool {
+			polls++
+			fire := polls == sc.bePoll
+			if fire {
+				event('b', 1)
+			} else {
+				event('b', 0)
+			}
+			return fire
+		},
+	}
+	if sc.nilHooks {
+		hooks = Hooks{}
+	}
+	opt := s.opt
+	if sc.capped {
+		opt = s.capped
+	}
+	p, err := opt.Optimize(s.q, hooks)
+	head := fmt.Sprintf("%s %s events=%d/%016x", s.name, sc.name, nEvents, events.Sum64())
+	if err != nil {
+		return fmt.Sprintf("%s error=%v", head, err)
+	}
+	ph := fnv.New64a()
+	ph.Write([]byte(p.String()))
+	return fmt.Sprintf("%s plan=%016x cost=%v exprs=%d bytes=%d besteffort=%t",
+		head, ph.Sum64(), p.Cost(), p.ExprsExplored, p.CompileBytes, p.BestEffort)
+}
+
+// TestTrajectoryGolden is the unit-level form of the kernel's exactness
+// contract: for every statement of the corpus under every hook script,
+// the same Charge/Work/BestEffort calls in the same order with the same
+// answers honoured at the same points, and the same plan. The scenario
+// goldens pin the same thing through whole simulations in ~70 s; this
+// pins it at the optimizer's boundary in well under a second.
+func TestTrajectoryGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, s := range trajectoryCorpus(t) {
+		for _, sc := range trajectoryScripts {
+			sb.WriteString(trajectoryLine(s, sc))
+			sb.WriteByte('\n')
+		}
+	}
+	got := sb.String()
+
+	if *updateTrajectory {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(trajectoryPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("recorded %d trajectory lines to %s", strings.Count(got, "\n"), trajectoryPath)
+		return
+	}
+
+	want, err := os.ReadFile(trajectoryPath)
+	if err != nil {
+		t.Fatalf("no golden file (run with -update to record): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Errorf("trajectory has %d lines, golden %d", len(gotLines), len(wantLines))
+	}
+	shown := 0
+	for i := 0; i < len(gotLines) && i < len(wantLines) && shown < 10; i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("line %d:\n   got %s\n  want %s", i+1, gotLines[i], wantLines[i])
+			shown++
+		}
+	}
+}

@@ -1,16 +1,16 @@
-// Package u64hash provides tiny open-addressing hash containers for
-// nonzero uint64 keys. The optimizer's memo dedup tables and cardinality
-// memos are the hottest data structures in a compilation; these replace
-// Go maps there, trading generality for a single mixed-hash probe, no
-// per-bucket control words, and backing arrays that Reset retains for
-// pooled reuse.
+// Package u64hash provides a tiny open-addressing hash map for nonzero
+// uint64 keys. The memo's set-to-group index is probed on every
+// associate-rule application; MapI32 replaces a Go map there, trading
+// generality for a single mixed-hash probe, no per-bucket control words,
+// backing arrays that Reset retains for pooled reuse, and a Reset that
+// costs what was inserted rather than what was ever allocated.
 //
-// Keys must be nonzero (zero marks an empty slot). All containers grow
-// by doubling at 1/2 load, keeping probe sequences short.
+// Keys must be nonzero (zero marks an empty slot). The table grows by
+// doubling at 1/2 load, keeping probe sequences short.
 package u64hash
 
-// mix is the splitmix64 finalizer: join bitsets and packed ID pairs are
-// low-entropy, so slot selection needs a full-avalanche mix.
+// mix is the splitmix64 finalizer: join bitsets are low-entropy, so slot
+// selection needs a full-avalanche mix.
 func mix(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -20,170 +20,33 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// minSlots sizes a table's first allocation. Memo dedup tables routinely
-// reach thousands of keys per compilation, so starting larger skips most
+// minSlots sizes a table's first allocation. The memo's index routinely
+// reaches a thousand keys per compilation, so starting larger skips most
 // of the rehash ladder during pool warm-up: every run rebuilds its pools
 // from scratch, and the doubling ladder from a small table was a
 // measurable share of each run's allocation volume. 2048 slots (16 KiB
 // of keys) amortizes to noise across a pooled instance's lifetime.
 const minSlots = 2048
 
-// Set is an open-addressing set of nonzero uint64 keys.
-type Set struct {
-	slots []uint64
-	n     int
-}
-
-// Len returns the number of keys in the set.
-func (s *Set) Len() int { return s.n }
-
-// Reset empties the set, retaining capacity.
-func (s *Set) Reset() {
-	clear(s.slots)
-	s.n = 0
-}
-
-// Add inserts k, reporting whether it was newly added (false = already
-// present). k must be nonzero.
-func (s *Set) Add(k uint64) bool {
-	if len(s.slots) == 0 {
-		s.grow()
-	}
-	mask := uint64(len(s.slots) - 1)
-	i := mix(k) & mask
-	for {
-		switch s.slots[i] {
-		case 0:
-			if s.n*2 >= len(s.slots) {
-				s.grow()
-				mask = uint64(len(s.slots) - 1)
-				i = mix(k) & mask
-				for s.slots[i] != 0 {
-					i = (i + 1) & mask
-				}
-			}
-			s.slots[i] = k
-			s.n++
-			return true
-		case k:
-			return false
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (s *Set) grow() {
-	n := len(s.slots) * 2
-	if n < minSlots {
-		n = minSlots
-	}
-	old := s.slots
-	s.slots = make([]uint64, n)
-	mask := uint64(n - 1)
-	for _, k := range old {
-		if k == 0 {
-			continue
-		}
-		i := mix(k) & mask
-		for s.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = k
-	}
-}
-
-// MapF64 maps nonzero uint64 keys to float64 values.
-type MapF64 struct {
-	keys []uint64
-	vals []float64
-	n    int
-}
-
-// Len returns the number of entries.
-func (m *MapF64) Len() int { return m.n }
-
-// Reset empties the map, retaining capacity.
-func (m *MapF64) Reset() {
-	clear(m.keys)
-	m.n = 0
-}
-
-// Get returns the value for k and whether it is present.
-func (m *MapF64) Get(k uint64) (float64, bool) {
-	if len(m.keys) == 0 {
-		return 0, false
-	}
-	mask := uint64(len(m.keys) - 1)
-	i := mix(k) & mask
-	for {
-		switch m.keys[i] {
-		case 0:
-			return 0, false
-		case k:
-			return m.vals[i], true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// Put inserts or replaces the value for k. k must be nonzero.
-func (m *MapF64) Put(k uint64, v float64) {
-	if m.n*2 >= len(m.keys) {
-		m.grow()
-	}
-	mask := uint64(len(m.keys) - 1)
-	i := mix(k) & mask
-	for {
-		switch m.keys[i] {
-		case 0:
-			m.keys[i] = k
-			m.vals[i] = v
-			m.n++
-			return
-		case k:
-			m.vals[i] = v
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (m *MapF64) grow() {
-	n := len(m.keys) * 2
-	if n < minSlots {
-		n = minSlots
-	}
-	oldK, oldV := m.keys, m.vals
-	m.keys = make([]uint64, n)
-	m.vals = make([]float64, n)
-	mask := uint64(n - 1)
-	for j, k := range oldK {
-		if k == 0 {
-			continue
-		}
-		i := mix(k) & mask
-		for m.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		m.keys[i] = k
-		m.vals[i] = oldV[j]
-	}
-}
-
 // MapI32 maps nonzero uint64 keys to int32 values.
 type MapI32 struct {
 	keys []uint64
 	vals []int32
-	n    int
+	// used journals the slots filled since the last Reset, so Reset
+	// empties exactly those instead of sweeping the whole table: a pooled
+	// map that once served a large compilation stays cheap for small ones.
+	used []int32
 }
 
 // Len returns the number of entries.
-func (m *MapI32) Len() int { return m.n }
+func (m *MapI32) Len() int { return len(m.used) }
 
-// Reset empties the map, retaining capacity.
+// Reset empties the map, retaining capacity. It clears Len() slots.
 func (m *MapI32) Reset() {
-	clear(m.keys)
-	m.n = 0
+	for _, i := range m.used {
+		m.keys[i] = 0
+	}
+	m.used = m.used[:0]
 }
 
 // Get returns the value for k and whether it is present.
@@ -206,7 +69,7 @@ func (m *MapI32) Get(k uint64) (int32, bool) {
 
 // Put inserts or replaces the value for k. k must be nonzero.
 func (m *MapI32) Put(k uint64, v int32) {
-	if m.n*2 >= len(m.keys) {
+	if len(m.used)*2 >= len(m.keys) {
 		m.grow()
 	}
 	mask := uint64(len(m.keys) - 1)
@@ -216,7 +79,7 @@ func (m *MapI32) Put(k uint64, v int32) {
 		case 0:
 			m.keys[i] = k
 			m.vals[i] = v
-			m.n++
+			m.used = append(m.used, int32(i))
 			return
 		case k:
 			m.vals[i] = v
@@ -231,19 +94,19 @@ func (m *MapI32) grow() {
 	if n < minSlots {
 		n = minSlots
 	}
-	oldK, oldV := m.keys, m.vals
+	oldK, oldV, oldUsed := m.keys, m.vals, m.used
 	m.keys = make([]uint64, n)
 	m.vals = make([]int32, n)
+	m.used = make([]int32, 0, n/2)
 	mask := uint64(n - 1)
-	for j, k := range oldK {
-		if k == 0 {
-			continue
-		}
+	for _, j := range oldUsed {
+		k := oldK[j]
 		i := mix(k) & mask
 		for m.keys[i] != 0 {
 			i = (i + 1) & mask
 		}
 		m.keys[i] = k
 		m.vals[i] = oldV[j]
+		m.used = append(m.used, int32(i))
 	}
 }

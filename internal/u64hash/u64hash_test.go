@@ -5,50 +5,6 @@ import (
 	"testing"
 )
 
-func TestSetAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var s Set
-	ref := make(map[uint64]bool)
-	for i := 0; i < 20000; i++ {
-		k := uint64(rng.Int63n(5000)) + 1
-		added := s.Add(k)
-		if added == ref[k] {
-			t.Fatalf("Add(%d) = %v, want %v", k, added, !ref[k])
-		}
-		ref[k] = true
-	}
-	if s.Len() != len(ref) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(ref))
-	}
-	s.Reset()
-	if s.Len() != 0 || !s.Add(42) {
-		t.Fatal("Reset did not empty the set")
-	}
-}
-
-func TestMapF64AgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var m MapF64
-	ref := make(map[uint64]float64)
-	for i := 0; i < 20000; i++ {
-		k := uint64(rng.Int63n(3000)) + 1
-		if rng.Intn(2) == 0 {
-			v := rng.Float64()
-			m.Put(k, v)
-			ref[k] = v
-		} else {
-			got, ok := m.Get(k)
-			want, wok := ref[k]
-			if ok != wok || got != want {
-				t.Fatalf("Get(%d) = %v,%v want %v,%v", k, got, ok, want, wok)
-			}
-		}
-	}
-	if m.Len() != len(ref) {
-		t.Fatalf("Len = %d, want %d", m.Len(), len(ref))
-	}
-}
-
 func TestMapI32AgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var m MapI32
@@ -71,5 +27,23 @@ func TestMapI32AgainstMap(t *testing.T) {
 	m.Put(999999, 0)
 	if v, ok := m.Get(999999); !ok || v != 0 {
 		t.Fatal("zero value not stored")
+	}
+	// Reset clears the filled slots, and the map is empty after.
+	if m.Len() != len(ref)+1 {
+		t.Fatalf("Len = %d, want %d", m.Len(), len(ref)+1)
+	}
+	m.Reset()
+	for k := range ref {
+		if _, ok := m.Get(k); ok {
+			t.Fatalf("key %d survived Reset", k)
+		}
+	}
+	for _, k := range m.keys {
+		if k != 0 {
+			t.Fatal("Reset left a filled slot")
+		}
+	}
+	if m.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", m.Len())
 	}
 }
