@@ -71,6 +71,10 @@ type Catalog struct {
 	tables      map[string]*Table
 	order       []*Table
 	fks         []FKEdge
+	// fkOf indexes fks by unordered table-ID pair (lo*64+hi): one plus the
+	// position of the first edge registered between the two tables, zero
+	// for none. AddFK maintains it, so the finished catalog is read-only.
+	fkOf [64 * 64]int16
 }
 
 // New creates an empty catalog using the given extent size.
@@ -102,6 +106,17 @@ func (c *Catalog) AddFK(child, childCol, parent string) {
 		panic(fmt.Sprintf("catalog: FK %s.%s -> %s references unknown table", child, childCol, parent))
 	}
 	c.fks = append(c.fks, FKEdge{Child: child, ChildColumn: childCol, Parent: parent})
+	if at := &c.fkOf[fkPair(c.Table(child), c.Table(parent))]; *at == 0 {
+		*at = int16(len(c.fks))
+	}
+}
+
+func fkPair(a, b *Table) int {
+	lo, hi := a.ID, b.ID
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return lo*64 + hi
 }
 
 // Table returns the named table or nil.
@@ -116,12 +131,15 @@ func (c *Catalog) FKs() []FKEdge { return c.fks }
 // FK returns the edge joining the two tables (in either direction), or
 // false when none exists.
 func (c *Catalog) FK(a, b string) (FKEdge, bool) {
-	for _, e := range c.fks {
-		if (e.Child == a && e.Parent == b) || (e.Child == b && e.Parent == a) {
-			return e, true
-		}
+	ta, tb := c.tables[a], c.tables[b]
+	if ta == nil || tb == nil {
+		return FKEdge{}, false
 	}
-	return FKEdge{}, false
+	at := c.fkOf[fkPair(ta, tb)]
+	if at == 0 {
+		return FKEdge{}, false
+	}
+	return c.fks[at-1], true
 }
 
 // Extents returns the number of extents the table occupies (at least 1).

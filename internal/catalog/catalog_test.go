@@ -54,6 +54,42 @@ func TestFKLookup(t *testing.T) {
 	}
 }
 
+// The pair index must answer exactly what the scan over the edge list
+// did: for every ordered pair of names (known or not), the first edge
+// registered between the two tables in either direction — including a
+// second, later edge over the same pair, which must stay shadowed.
+func TestFKIndexMatchesEdgeScan(t *testing.T) {
+	scan := func(c *Catalog, a, b string) (FKEdge, bool) {
+		for _, e := range c.FKs() {
+			if (e.Child == a && e.Parent == b) || (e.Child == b && e.Parent == a) {
+				return e, true
+			}
+		}
+		return FKEdge{}, false
+	}
+	dup := NewTPCHLike(1, 8<<20)
+	dup.AddFK("orders", "o_orderkey", "lineitem") // reversed twin of the first edge
+	dup.AddFK("nation", "n_nationkey", "nation")  // self edge
+	for name, c := range map[string]*Catalog{
+		"sales": NewSales(DefaultSalesConfig()), "tpch": NewTPCHLike(1, 8<<20),
+		"oltp": NewOLTPLike(8 << 20), "tpch+dup": dup,
+	} {
+		names := []string{"no_such_table"}
+		for _, tb := range c.Tables() {
+			names = append(names, tb.Name)
+		}
+		for _, a := range names {
+			for _, b := range names {
+				want, wantOK := scan(c, a, b)
+				got, ok := c.FK(a, b)
+				if got != want || ok != wantOK {
+					t.Fatalf("%s: FK(%s, %s) = %v, %v; the edge scan gives %v, %v", name, a, b, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
 func TestExtents(t *testing.T) {
 	c := New(8 << 20)
 	tb := c.AddTable(&Table{Name: "t", Rows: 1, RowBytes: 10})

@@ -8,6 +8,10 @@
 //	parse → plan-cache probe → (compile under the governor) → cache →
 //	acquire execution grant → execute → record completion/error
 //
+// A compilation that fails leaves the statement's exploration behind; the
+// client's resubmission of the same text compiles on it instead of
+// starting over (see attempt).
+//
 // A housekeeping task ticks the Memory Broker, which redistributes memory
 // among the buffer pool, plan cache, compilations, and execution grants
 // when the machine comes under pressure.
@@ -15,6 +19,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"compilegate/internal/broker"
@@ -285,6 +290,10 @@ type Server struct {
 	workOps   freelist.List[compileWorkOp]
 	queries   freelist.List[plan.Query]
 	compCtxs  freelist.List[compileCtx]
+	attempts  freelist.List[attempt]
+	// retained holds the attempts of failed submissions, oldest first, for
+	// their resubmission to pick up; never more than retainedCap.
+	retained []*attempt
 
 	// Fault-plane state (see internal/fault): ballast is the wired
 	// "leak" tracker injections ratchet; faultDiskMul dilates every disk
@@ -388,6 +397,7 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 
 		static:    pre.Statements,
 		queryMemo: make(map[string]queryInfo),
+		retained:  make([]*attempt, 0, retainedCap),
 	}
 	if cfg.Pressure.Enabled {
 		s.budget.SetPressure(cfg.Pressure)
@@ -609,13 +619,18 @@ var ErrCrashed error = &crashError{}
 // with ErrCrashed at its next engine interaction, the plan cache and the
 // brokers' sample history are lost (in-memory state does not survive the
 // process), and submits fail fast until Restart — clients observe a dead
-// connection and reconnect by retrying.
+// connection and reconnect by retrying. Retained explorations go with the
+// process too; those of compilations in flight follow when they notice.
 func (s *Server) Crash() {
 	s.down = true
 	s.crashEpoch++
 	s.crashes++
 	s.cache.Clear()
 	clear(s.queryMemo)
+	for _, a := range s.retained {
+		s.releaseAttempt(a)
+	}
+	s.retained = slices.Delete(s.retained, 0, len(s.retained))
 	if s.brk != nil {
 		s.brk.ResetHistory()
 	}
@@ -733,6 +748,79 @@ func (s *Server) putQuery(q *plan.Query) {
 	s.queries.Put(q)
 }
 
+// attempt is what a Submit holds while it compiles: the parsed statement
+// and its exploration. The paper's failed compilations "likely need to be
+// resubmitted", and a resubmission is the same text, so a compilation
+// that fails leaves its attempt in the server's retained table and the
+// next Submit of that text takes it out and compiles on the recorded
+// exploration: no parse, no binding, and no re-exploring what the failed
+// compilation already explored — while every charge, work batch and
+// best-effort poll is made as if it had. An attempt has one owner at a
+// time: taking it removes it from the table, so two tasks compiling one
+// text never share one.
+type attempt struct {
+	sql  string
+	seed int64 // the statement's locality seed: a cheap first compare
+	q    *plan.Query
+	x    optimizer.Exploration
+}
+
+// retainedCap bounds the retained table. A client resubmits a failed
+// statement within its backoff or not at all, so the entries that will be
+// taken are the failures of the last few seconds; the rest are leftovers
+// of abandoned statements, which the oldest-first displacement clears. On
+// the 40-client collapse shape 8 slots serve all but one resubmission in
+// 27 thousand (4 lose 2%), and each slot keeps a run's arenas out of the
+// pools, so more is only memory (DESIGN.md, "Recorded exploration").
+const retainedCap = 8
+
+// takeRetained removes and returns the attempt a failed submission of sql
+// left, or nil.
+func (s *Server) takeRetained(sql string, seed int64) *attempt {
+	for i, a := range s.retained {
+		if a.seed == seed && a.sql == sql {
+			s.retained = slices.Delete(s.retained, i, i+1)
+			return a
+		}
+	}
+	return nil
+}
+
+// newAttempt starts an attempt over the freshly parsed q, which it owns
+// from here on.
+func (s *Server) newAttempt(sql string, seed int64, q *plan.Query) *attempt {
+	a := s.attempts.Get()
+	if a == nil {
+		a = new(attempt)
+	}
+	a.sql, a.seed, a.q, a.x = sql, seed, q, s.opt.Explore(q)
+	return a
+}
+
+// releaseAttempt returns an attempt's exploration and query to the pools.
+func (s *Server) releaseAttempt(a *attempt) {
+	a.x.Release()
+	s.putQuery(a.q)
+	a.sql, a.q = "", nil
+	s.attempts.Put(a)
+}
+
+// finishAttempt ends a compilation's hold on its attempt. A failure under
+// the epoch the Submit started in retains it, displacing the oldest entry
+// of a full table; success releases it, and so does a crash — the process
+// that explored is gone.
+func (s *Server) finishAttempt(a *attempt, failed bool, epoch uint64) {
+	if !failed || s.crashEpoch != epoch {
+		s.releaseAttempt(a)
+		return
+	}
+	if len(s.retained) == retainedCap {
+		s.releaseAttempt(s.retained[0])
+		s.retained = slices.Delete(s.retained, 0, 1)
+	}
+	s.retained = append(s.retained, a)
+}
+
 // Submit runs one query end to end on behalf of the calling task. The
 // returned error (if any) has already been recorded in the metrics.
 func (s *Server) Submit(t *vtime.Task, sql string) error {
@@ -778,24 +866,27 @@ func (s *Server) Submit(t *vtime.Task, sql string) error {
 	// with none — most are never seen again.
 	p, prep, cached := s.cache.Get(info.fp)
 	if !cached {
-		if q == nil {
-			q = s.getQuery()
-			if err := sqlparser.ParseInto(q, sql); err != nil {
-				s.putQuery(q)
-				s.rec.RecordError(t.Now(), ErrKindOther)
-				return err
+		a := s.takeRetained(sql, info.seed)
+		if a == nil {
+			if q == nil {
+				q = s.getQuery()
+				if err := sqlparser.ParseInto(q, sql); err != nil {
+					s.putQuery(q)
+					s.rec.RecordError(t.Now(), ErrKindOther)
+					return err
+				}
 			}
+			a, q = s.newAttempt(sql, info.seed, q), nil
 		}
 		var err error
-		p, err = s.compile(t, q)
-		s.putQuery(q)
-		q = nil
+		p, err = s.compile(t, a)
 		if err == nil && s.crashEpoch != epoch {
 			// The engine crashed while this compilation ran; the process
 			// that produced the plan is gone and so is the client's
 			// connection. Nothing may reach the (new) plan cache.
 			err = ErrCrashed
 		}
+		s.finishAttempt(a, err != nil, epoch)
 		if err != nil {
 			s.rec.RecordError(t.Now(), classify(err))
 			return err
@@ -972,11 +1063,11 @@ func (s *Server) getCompileCtx(t *vtime.Task, comp *core.Compilation, scale floa
 	return c
 }
 
-func (s *Server) compile(t *vtime.Task, q *plan.Query) (*plan.Plan, error) {
+func (s *Server) compile(t *vtime.Task, a *attempt) (*plan.Plan, error) {
 	comp := s.gov.Begin(t, "compile")
 	start := t.Now()
 	st := s.cfg.CompileStages
-	staged := !st.Disabled && len(q.Tables) > 1
+	staged := !st.Disabled && len(a.q.Tables) > 1
 	if staged && st.BindBytes > 0 {
 		if err := comp.Alloc(st.BindBytes); err != nil {
 			return nil, err
@@ -988,10 +1079,10 @@ func (s *Server) compile(t *vtime.Task, q *plan.Query) (*plan.Plan, error) {
 	}
 	ctx := s.getCompileCtx(t, comp, scale)
 	ctxEpoch := ctx.epoch
-	p, err := s.opt.Optimize(q, ctx.hooks)
+	p, err := a.x.Optimize(ctx.hooks)
 	costingHeld := ctx.costingHeld
-	// Optimize no longer holds the hooks once it returns (the pooled run
-	// drops them), so the ctx can be recycled before error handling.
+	// Optimize no longer holds the hooks once it returns, so the ctx can be
+	// recycled before error handling.
 	s.compCtxs.Put(ctx)
 	if err != nil {
 		// Alloc failures already rolled the compilation back; other

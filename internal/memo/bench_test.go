@@ -10,18 +10,18 @@ import "testing"
 // Reset, build the 78 groups, 1144 probes.
 func BenchmarkAddJoinInto(b *testing.B) {
 	const n = 12
-	m := New(DefaultConfig(), nil)
+	m := New()
 	var iv [n][n]GroupID
 	probes := 0
 	b.ReportAllocs()
 	for b.Loop() {
-		m.Reset(DefaultConfig(), nil)
+		m.Reset()
 		for i := range iv {
-			iv[i][i], _ = m.AddLeaf(i, 10, 0)
+			iv[i][i] = m.AddLeaf(i, 10, 0)
 		}
 		for span := 1; span < n; span++ {
 			for i := 0; i+span < n; i++ {
-				iv[i][i+span], _, _ = m.AddJoin(iv[i][i], iv[i+1][i+span], 10)
+				iv[i][i+span], _ = m.AddJoin(iv[i][i], iv[i+1][i+span], 10)
 			}
 		}
 		probes = 0

@@ -2,12 +2,14 @@
 // paper) the optimizer explores: groups of logically-equivalent
 // expressions, deduplicated so each alternative is stored once.
 //
-// The memo is where compilation memory goes. Every group and expression
-// created charges simulated bytes through a caller-supplied hook; the
-// governor wires that hook to Compilation.Alloc so memo growth is exactly
-// the memory the gateways throttle. The paper's premise — "the memory
-// consumed during optimization is closely related to the number of
-// considered alternatives" — is therefore true by construction.
+// The memo is where compilation memory goes, and it is a pure structure:
+// it neither charges nor fails. Every group and every expression stands
+// for a fixed number of simulated bytes (Config), so a compilation's
+// memory is a count of what it has been shown of the memo — the optimizer
+// charges those bytes through the governor as it walks its record of the
+// memo's growth. The paper's premise — "the memory consumed during
+// optimization is closely related to the number of considered
+// alternatives" — is therefore true by construction.
 package memo
 
 import (
@@ -78,10 +80,6 @@ func (g *Group) FirstExpr() ExprID { return g.head }
 // Len returns the number of expressions in the group.
 func (g *Group) Len() int { return int(g.nExprs) }
 
-// ChargeFunc charges n simulated bytes of compilation memory. Returning an
-// error aborts memo growth (out of memory or gateway timeout).
-type ChargeFunc func(n int64) error
-
 // Config sizes the memo's simulated memory footprint.
 type Config struct {
 	// BytesPerGroup / BytesPerExpr are the simulated allocation charged
@@ -90,6 +88,12 @@ type Config struct {
 	// (operator trees, properties, required/derived physical props).
 	BytesPerGroup int64
 	BytesPerExpr  int64
+}
+
+// Bytes returns the simulated footprint of a memo (or a memo prefix) of
+// the given size.
+func (c Config) Bytes(groups, exprs int) int64 {
+	return int64(groups)*c.BytesPerGroup + int64(exprs)*c.BytesPerExpr
 }
 
 // DefaultConfig matches the calibration in DESIGN.md: the memo is the
@@ -114,10 +118,12 @@ func DefaultConfig() Config {
 // *Group and *Expr pointers handed out by Group and Expr alias the
 // arenas: they are valid until the next Add* call, which may move them.
 // IDs are stable for the life of a compilation.
+//
+// Both arenas are append-only and a group's expression list is in
+// ascending ID order, so the memo as it stood after its first g groups
+// and e expressions is still readable once it has grown past them: visit
+// groups below g and stop each list at the first ID >= e.
 type Memo struct {
-	cfg    Config
-	charge ChargeFunc
-
 	groups []Group
 	exprs  []Expr
 	bySet  u64hash.MapI32
@@ -132,42 +138,27 @@ type Memo struct {
 	// in seen[len:cap] is zero.
 	seen []uint64
 
-	bytes int64
 	// cleared counts the words Reset has zeroed over the memo's life; the
 	// tests read it to pin that reset cost follows use.
 	cleared int
 }
 
-// New creates an empty memo. charge may be nil (no accounting), which the
-// tests use.
-func New(cfg Config, charge ChargeFunc) *Memo {
-	m := &Memo{}
-	m.Reset(cfg, charge)
-	return m
-}
+// New creates an empty memo.
+func New() *Memo { return &Memo{} }
 
 // Reset empties the memo for reuse, retaining every backing array. The
 // arenas are truncated, not cleared (slots are fully initialized on
 // reuse); the dedup matrix clears up to its high-water word and the set
 // map clears the slots it filled. The optimizer pools memos across
 // compilations through this.
-func (m *Memo) Reset(cfg Config, charge ChargeFunc) {
-	if charge == nil {
-		charge = func(int64) error { return nil }
-	}
-	m.cfg = cfg
-	m.charge = charge
+func (m *Memo) Reset() {
 	m.groups = m.groups[:0]
 	m.exprs = m.exprs[:0]
 	m.cleared += m.bySet.Len() + len(m.seen)
 	m.bySet.Reset()
 	clear(m.seen)
 	m.seen = m.seen[:0]
-	m.bytes = 0
 }
-
-// Bytes returns the simulated bytes the memo has charged.
-func (m *Memo) Bytes() int64 { return m.bytes }
 
 // Groups returns the number of groups; IDs run from 0 to Groups()-1.
 func (m *Memo) Groups() int { return len(m.groups) }
@@ -203,11 +194,7 @@ func (m *Memo) PopUnexplored(id GroupID) ExprID {
 }
 
 // addGroup creates the group for set, which must not exist yet.
-func (m *Memo) addGroup(set uint64, card float64, nbr uint64) (GroupID, error) {
-	if err := m.charge(m.cfg.BytesPerGroup); err != nil {
-		return 0, err
-	}
-	m.bytes += m.cfg.BytesPerGroup
+func (m *Memo) addGroup(set uint64, card float64, nbr uint64) GroupID {
 	id := GroupID(len(m.groups))
 	m.groups = append(m.groups, Group{
 		Set: set, Card: card, Nbr: nbr,
@@ -215,7 +202,7 @@ func (m *Memo) addGroup(set uint64, card float64, nbr uint64) (GroupID, error) {
 	})
 	m.bySet.Put(set, int32(id))
 	m.growSeen(len(m.groups))
-	return id, nil
+	return id
 }
 
 // growSeen extends the dedup matrix to cover n groups: n(n-1)/2 bits.
@@ -251,39 +238,31 @@ func (m *Memo) markSeen(g, l GroupID) bool {
 // AddLeaf inserts a leaf group for the table with the given ID (its bit
 // position in join sets), filtered cardinality and join-graph neighbours.
 // Adding the same table twice returns the existing group.
-func (m *Memo) AddLeaf(table int, card float64, nbr uint64) (GroupID, error) {
+func (m *Memo) AddLeaf(table int, card float64, nbr uint64) GroupID {
 	set := uint64(1) << uint(table)
 	if g, ok := m.GroupBySet(set); ok {
-		return g, nil
+		return g
 	}
-	g, err := m.addGroup(set, card, nbr)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := m.addExpr(g, KindLeaf, 0, 0); err != nil {
-		return 0, err
-	}
-	return g, nil
+	g := m.addGroup(set, card, nbr)
+	m.addExpr(g, KindLeaf, 0, 0)
+	return g
 }
 
 // AddJoin inserts a join expression L⋈R into the group covering
 // L.Set ∪ R.Set (creating the group with cardinality card if new). The
 // returned expression is NoExpr when the group already held L⋈R.
-func (m *Memo) AddJoin(l, r GroupID, card float64) (GroupID, ExprID, error) {
+// Overlapping sides are a caller bug and panic.
+func (m *Memo) AddJoin(l, r GroupID, card float64) (GroupID, ExprID) {
 	lg, rg := &m.groups[l], &m.groups[r]
 	if lg.Set&rg.Set != 0 {
-		return 0, NoExpr, fmt.Errorf("memo: join sides overlap: %b & %b", lg.Set, rg.Set)
+		panic(fmt.Sprintf("memo: join sides overlap: %b & %b", lg.Set, rg.Set))
 	}
 	set := lg.Set | rg.Set
 	g, ok := m.GroupBySet(set)
 	if !ok {
-		var err error
-		if g, err = m.addGroup(set, card, lg.Nbr|rg.Nbr); err != nil {
-			return 0, NoExpr, err
-		}
+		g = m.addGroup(set, card, lg.Nbr|rg.Nbr)
 	}
-	e, err := m.AddJoinInto(g, l, r)
-	return g, e, err
+	return g, m.AddJoinInto(g, l, r)
 }
 
 // AddJoinInto is AddJoin when the covering group is already in hand —
@@ -291,20 +270,14 @@ func (m *Memo) AddJoin(l, r GroupID, card float64) (GroupID, ExprID, error) {
 // they are exploring, so the set lookup AddJoin pays is pure overhead
 // there. g's set must equal l's ∪ r's. It returns the new expression, or
 // NoExpr when g already holds L⋈R.
-func (m *Memo) AddJoinInto(g, l, r GroupID) (ExprID, error) {
-	// Marking before the charge is safe: a failed charge aborts the whole
-	// compilation, so the memo is never consulted again.
+func (m *Memo) AddJoinInto(g, l, r GroupID) ExprID {
 	if !m.markSeen(g, l) {
-		return NoExpr, nil
+		return NoExpr
 	}
 	return m.addExpr(g, KindJoin, l, r)
 }
 
-func (m *Memo) addExpr(g GroupID, kind ExprKind, l, r GroupID) (ExprID, error) {
-	if err := m.charge(m.cfg.BytesPerExpr); err != nil {
-		return NoExpr, err
-	}
-	m.bytes += m.cfg.BytesPerExpr
+func (m *Memo) addExpr(g GroupID, kind ExprKind, l, r GroupID) ExprID {
 	id := ExprID(len(m.exprs))
 	m.exprs = append(m.exprs, Expr{L: l, R: r, next: NoExpr, Kind: kind})
 	grp := &m.groups[g]
@@ -315,11 +288,10 @@ func (m *Memo) addExpr(g GroupID, kind ExprKind, l, r GroupID) (ExprID, error) {
 	}
 	grp.tail = id
 	grp.nExprs++
-	return id, nil
+	return id
 }
 
 // String summarizes the memo.
 func (m *Memo) String() string {
-	return fmt.Sprintf("memo: %d groups, %d exprs, %d simulated bytes",
-		len(m.groups), len(m.exprs), m.bytes)
+	return fmt.Sprintf("memo: %d groups, %d exprs", len(m.groups), len(m.exprs))
 }

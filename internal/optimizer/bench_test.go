@@ -4,6 +4,7 @@ import (
 	"iter"
 	"math/rand"
 	"testing"
+	"time"
 
 	"compilegate/internal/plan"
 	"compilegate/internal/sqlparser"
@@ -28,6 +29,24 @@ func salesOptimizer() *Optimizer {
 	return New(stats.NewEstimator(cat), DefaultConfig())
 }
 
+// salesQuery draws SALES statements (heavy templates only, or all) until
+// one with the given join count comes up. The 20-join statement is
+// template Q6, one of the two heavy templates.
+func salesQuery(b *testing.B, heavy bool, joins int) *plan.Query {
+	gen, rng := workload.NewSales(), rand.New(rand.NewSource(14))
+	for {
+		sql := ""
+		if heavy {
+			sql = gen.NextHeavy(rng)
+		} else {
+			sql = gen.Next(rng)
+		}
+		if q := mustParse(b, sql); len(q.Joins) == joins {
+			return q
+		}
+	}
+}
+
 var benchPlan *plan.Plan
 
 // BenchmarkOptimize is the solo miss path at three join widths: one
@@ -35,15 +54,6 @@ var benchPlan *plan.Plan
 // suffix is the statement's join count.
 func BenchmarkOptimize(b *testing.B) {
 	tpch := workload.SpecTPCH.NewCatalog(benchScale, 8<<20)
-	// The 20-join SALES statement is template Q6, one of the two heavy
-	// templates; draw heavies until it comes up.
-	var sales20 *plan.Query
-	gen, rng := workload.NewSales(), rand.New(rand.NewSource(14))
-	for sales20 == nil {
-		if q := mustParse(b, gen.NextHeavy(rng)); len(q.Joins) == 20 {
-			sales20 = q
-		}
-	}
 	cases := []struct {
 		name string
 		opt  *Optimizer
@@ -58,7 +68,7 @@ func BenchmarkOptimize(b *testing.B) {
 				" JOIN region ON nation.n_regionkey = region.r_regionkey"+
 				" JOIN part ON lineitem.l_partkey = part.p_partkey"+
 				" WHERE lineitem.l_orderkey BETWEEN 1000 AND 1050000")},
-		{"sales20", salesOptimizer(), sales20},
+		{"sales20", salesOptimizer(), salesQuery(b, true, 20)},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -117,4 +127,59 @@ func BenchmarkOptimizeInterleaved40(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*live), "ns/compile")
+}
+
+// BenchmarkOptimizeRetry is the resubmission path: a compilation that
+// dies on a charge 60% of the way through, then a second one on the same
+// exploration that runs to completion — replaying the first's tape and
+// exploring live past it. One op is that pair; ns/retry is the second
+// compilation alone and ns/fresh a whole compilation on a fresh
+// exploration, for the ratio.
+func BenchmarkOptimizeRetry(b *testing.B) {
+	opt := salesOptimizer()
+	for _, c := range []struct {
+		name string
+		q    *plan.Query
+	}{{"sales17", salesQuery(b, false, 17)}, {"sales20", salesQuery(b, true, 20)}} {
+		b.Run(c.name, func(b *testing.B) {
+			charges := 0
+			count := Hooks{Charge: func(int64) error { charges++; return nil }}
+			if _, err := opt.Optimize(c.q, count); err != nil {
+				b.Fatal(err)
+			}
+			failAt, n := charges*6/10, 0
+			failing := Hooks{Charge: func(int64) error {
+				if n++; n == failAt {
+					return errTrajectoryCharge
+				}
+				return nil
+			}}
+			var fresh, retry time.Duration
+			b.ReportAllocs()
+			for b.Loop() {
+				t0 := time.Now()
+				p, err := opt.Optimize(c.q, count)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fresh += time.Since(t0)
+
+				x := opt.Explore(c.q)
+				n = 0
+				if _, err := x.Optimize(failing); err != errTrajectoryCharge {
+					b.Fatalf("first attempt: %v", err)
+				}
+				t0 = time.Now()
+				p, err = x.Optimize(count)
+				retry += time.Since(t0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				x.Release()
+				benchPlan = p
+			}
+			b.ReportMetric(float64(fresh.Nanoseconds())/float64(b.N), "ns/fresh")
+			b.ReportMetric(float64(retry.Nanoseconds())/float64(b.N), "ns/retry")
+		})
+	}
 }

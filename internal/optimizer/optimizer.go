@@ -15,6 +15,14 @@
 //   - a complete plan (the initial left-deep tree) exists almost
 //     immediately, so the best-effort path (§4.1) can always return
 //     something once the broker predicts exhaustion.
+//
+// Exploration is a pure function of the statement; the hooks only decide
+// where it is cut. So it is split in two. The kernel (run.advance) grows
+// the memo hook-free and appends what it did to a tape; the player
+// (Exploration.Optimize) walks the tape and is the only code that calls
+// the hooks, counts tasks and decides to stop. A compilation that is cut
+// leaves its exploration behind, and a resubmission of the statement plays
+// the same tape again instead of re-exploring.
 package optimizer
 
 import (
@@ -31,9 +39,10 @@ import (
 
 // Hooks connect one optimization run to the engine.
 type Hooks struct {
-	// Charge charges simulated compilation memory; may block at gateways
-	// and may fail (OOM / gateway timeout).
-	Charge memo.ChargeFunc
+	// Charge charges n simulated bytes of compilation memory; may block at
+	// gateways and may fail (OOM / gateway timeout), which aborts the
+	// compilation.
+	Charge func(n int64) error
 	// Work reports n units of optimizer work so the engine can consume
 	// virtual CPU time. May be nil.
 	Work func(tasks int)
@@ -70,18 +79,17 @@ func DefaultConfig() Config {
 }
 
 // Optimizer holds immutable state shared across optimizations. Per-
-// optimization state (runs and memos) comes from process-wide pools:
-// each in-flight compilation holds its run and memo until it finishes
-// or aborts, and recycled instances keep their grown arenas, so a
-// sweep's later runs compile without re-paying the first run's
-// arena warm-up.
+// statement state (runs and memos) comes from process-wide pools: an
+// exploration holds its run and memo until it is released, and recycled
+// instances keep their grown arenas, so a sweep's later runs compile
+// without re-paying the first run's arena warm-up.
 type Optimizer struct {
 	est *stats.Estimator
 	cat *catalog.Catalog
 	cfg Config
 }
 
-// runPool and memoPool recycle per-optimization state across every
+// runPool and memoPool recycle per-statement state across every
 // optimizer in the process. Optimizers on different sweep shards drain
 // and fill them concurrently, so they must be synchronized pools; a
 // pooled instance carries only capacity (arenas, map slots) —
@@ -89,8 +97,18 @@ type Optimizer struct {
 // reuse never affects results.
 var (
 	runPool  = sync.Pool{New: func() any { return &run{tableOf: make(map[string]*catalog.Table)} }}
-	memoPool = sync.Pool{New: func() any { return memo.New(memo.Config{}, nil) }}
+	memoPool = sync.Pool{New: func() any { return memo.New() }}
 )
+
+// dpTables is the extraction DP's state. It belongs to a compilation, not
+// to the exploration — a retained run must not hold a table sized for the
+// largest memo it ever solved — so it is pooled apart from runs.
+type dpTables struct {
+	dp    []costed
+	order []memo.GroupID // groups by ascending table count
+}
+
+var dpPool = sync.Pool{New: func() any { return new(dpTables) }}
 
 // New creates an optimizer over the estimator's catalog.
 func New(est *stats.Estimator, cfg Config) *Optimizer {
@@ -100,18 +118,34 @@ func New(est *stats.Estimator, cfg Config) *Optimizer {
 	return &Optimizer{est: est, cat: est.Catalog(), cfg: cfg}
 }
 
-// run is the per-optimization state. It is pooled: every field is either
-// reset by getRun or overwritten by resolve. Leaf cardinalities,
-// selectivities, and adjacency are dense arrays indexed by table ID (the
-// bit position in the join bitsets) instead of maps — the hot lookups in
-// cardOfSet cost an array index. Nothing here is hashed or memoized per
-// group: what exploration needs of a group (set, cardinality,
-// neighbourhood) is stored in the group.
+// A tape segment is what the kernel did up to and including one step, in
+// the only order it can happen in: some expressions added to existing
+// groups, then possibly a new group with its first expression, then the
+// step. The first two are memory (the player charges Config.Memo's bytes
+// for each structure), a step is where a compilation counts a task and may
+// be stopped. buildInitial's segments have no step, and neither has the
+// one that spills a full expression count.
+const (
+	segExprs uint16 = 1<<13 - 1 // mask: expressions added to existing groups
+	segGroup uint16 = 1 << 13   // then a group was created, and its first expression
+	segInner uint16 = 1 << 14   // then: the associate rule derived a new inner expression
+	segOuter uint16 = 1 << 15   // then: one expression's rules are done
+)
+
+// run is one statement's exploration: the resolved query, its memo, the
+// tape of the memo's growth and the kernel's position. It holds nothing
+// of any one compilation — that is the player's — so it can outlive the
+// compilation that started it. It is pooled: every field is either reset
+// by getRun or overwritten by resolve. Leaf cardinalities, selectivities,
+// and adjacency are dense arrays indexed by table ID (the bit position in
+// the join bitsets) instead of maps — the hot lookups in cardOfSet cost
+// an array index. Nothing here is hashed or memoized per group: what
+// exploration needs of a group (set, cardinality, neighbourhood) is
+// stored in the group.
 type run struct {
-	o     *Optimizer
-	q     *plan.Query
-	hooks Hooks
-	m     *memo.Memo
+	o *Optimizer
+	q *plan.Query
+	m *memo.Memo
 
 	terms    []*plan.TableTerm         // query terms by table ID position
 	tabs     []*catalog.Table          // resolved tables, parallel to terms
@@ -121,9 +155,26 @@ type run struct {
 	adjacent [64]uint64                // neighbor bitset by table ID
 	edges    []joinEdge                // join edges in insertion order (deterministic)
 
-	// Extraction DP and buildInitial scratch, reused across phases.
-	dp        []costed
-	order     []memo.GroupID // groups by ascending table count, for the DP
+	// The record. tape[:k] describes how the memo grew to the prefix it
+	// names; root and the initial plan's cost (which sizes every
+	// compilation's budget) are fixed once buildInitial has run.
+	tape        []uint16
+	root        memo.GroupID
+	initialCost float64
+
+	// The kernel's position: the round-robin cursor over groups.
+	g          memo.GroupID
+	progressed bool
+	// cuts is empty on every run but a private one (see rederive): the
+	// tape positions, ascending, at which the associate rule drops the rest
+	// of its expression's alternatives right after taping segInner. The
+	// kernel has passed the first nextCut of them.
+	cuts    []int
+	nextCut int
+
+	// The extraction DP's tables, borrowed from dpPool between solve and
+	// unsolve, and buildInitial scratch.
+	t         *dpTables
 	leaves    []memo.GroupID // leaf group per term
 	remaining []bool         // buildInitial: term not yet joined
 	aggCols   []struct{ Table, Column string }
@@ -131,20 +182,14 @@ type run struct {
 	// the plan, so it is not pooled.
 	arena     []plan.Node
 	arenaNext int
-
-	tasks        int
-	budget       int
-	sinceWork    int
-	cutBestFirst bool // best-effort fired
 }
 
 // getRun returns a pooled, reset run with a pooled memo attached.
-func (o *Optimizer) getRun(q *plan.Query, hooks Hooks) *run {
+func (o *Optimizer) getRun(q *plan.Query) *run {
 	r := runPool.Get().(*run)
 	m := memoPool.Get().(*memo.Memo)
-	m.Reset(o.cfg.Memo, hooks.Charge)
-	r.o = o
-	r.q, r.hooks, r.m = q, hooks, m
+	m.Reset()
+	r.o, r.q, r.m = o, q, m
 	r.terms = r.terms[:0]
 	r.tabs = r.tabs[:0]
 	clear(r.tableOf)
@@ -152,74 +197,238 @@ func (o *Optimizer) getRun(q *plan.Query, hooks Hooks) *run {
 	r.leafSel = [64]float64{}
 	r.adjacent = [64]uint64{}
 	r.edges = r.edges[:0]
-	r.tasks, r.budget, r.sinceWork = 0, 0, 0
-	r.cutBestFirst = false
+	r.tape = r.tape[:0]
+	r.g, r.progressed, r.cuts, r.nextCut = 0, false, r.cuts[:0], 0
 	return r
 }
 
-// putRun recycles a finished run and its memo. The returned plan holds
-// no references into either.
+// putRun recycles a run and its memo. Plans extracted from it hold no
+// references into either.
 func (o *Optimizer) putRun(r *run) {
 	memoPool.Put(r.m)
 	r.o, r.q, r.m = nil, nil, nil
-	r.hooks = Hooks{}
 	runPool.Put(r)
 }
 
-// Optimize compiles q to a physical plan. Errors are either query errors
-// (validation), mem.ErrOutOfMemory, or *gateway.ErrTimeout propagated from
-// the Charge hook.
-func (o *Optimizer) Optimize(q *plan.Query, hooks Hooks) (*plan.Plan, error) {
+// open starts q's exploration: bind it, build the initial left-deep plan
+// and cost it. Errors are query errors (validation).
+func (o *Optimizer) open(q *plan.Query) (*run, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	r := o.getRun(q, hooks)
-	defer o.putRun(r)
+	r := o.getRun(q)
 	if err := r.resolve(); err != nil {
+		o.putRun(r)
 		return nil, err
 	}
-	root, err := r.buildInitial()
-	if err != nil {
+	if err := r.buildInitial(); err != nil {
+		o.putRun(r)
 		return nil, err
 	}
-	// Dynamic optimization: size the exploration budget from the initial
-	// plan's estimated cost. The cost is computed without materializing
-	// the throwaway initial plan's nodes (same arithmetic, no allocation).
-	r.budget = r.effortBudget(r.initialCost(root))
+	// The cost is computed without materializing the throwaway initial
+	// plan's nodes (same arithmetic, no allocation).
+	r.initialCost = r.costInitial()
+	return r, nil
+}
 
-	if err := r.explore(); err != nil {
-		return nil, err
+// Exploration is the recorded exploration of one statement. Any number of
+// compilations may be played on it, one at a time: each starts from the
+// beginning of the tape, calls its own hooks in the order and with the
+// answers honoured exactly as a compilation on a fresh exploration would,
+// and explores live only past what earlier ones recorded. The zero value
+// is released.
+type Exploration struct {
+	o *Optimizer
+	q *plan.Query
+	r *run // nil until the first compilation
+}
+
+// Explore returns q's exploration, not yet started: the first Optimize
+// validates and binds q. q must stay unmodified until Release.
+func (o *Optimizer) Explore(q *plan.Query) Exploration {
+	return Exploration{o: o, q: q}
+}
+
+// Release returns the exploration's state to the pools.
+func (x *Exploration) Release() {
+	if x.r != nil {
+		x.o.putRun(x.r)
 	}
-	p := r.extract(root)
-	p.BestEffort = r.cutBestFirst
-	p.ExprsExplored = r.m.Exprs()
-	p.CompileBytes = r.m.Bytes()
-	return p, nil
+	*x = Exploration{}
+}
+
+// Optimize compiles q to a physical plan on an exploration of its own.
+// Errors are either query errors (validation), mem.ErrOutOfMemory, or
+// *gateway.ErrTimeout propagated from the Charge hook.
+func (o *Optimizer) Optimize(q *plan.Query, hooks Hooks) (*plan.Plan, error) {
+	x := o.Explore(q)
+	defer x.Release()
+	return x.Optimize(hooks)
 }
 
 // EstimateInitialCost returns the cost of the unexplored left-deep plan
 // for q — what dynamic optimization keys its effort from. Used by tests
 // and diagnostics; it charges no memory.
 func (o *Optimizer) EstimateInitialCost(q *plan.Query) (float64, error) {
-	if err := q.Validate(); err != nil {
-		return 0, err
-	}
-	r := o.getRun(q, Hooks{})
-	defer o.putRun(r)
-	if err := r.resolve(); err != nil {
-		return 0, err
-	}
-	root, err := r.buildInitial()
+	r, err := o.open(q)
 	if err != nil {
 		return 0, err
 	}
-	return r.initialCost(root), nil
+	defer o.putRun(r)
+	return r.initialCost, nil
 }
 
-func (r *run) effortBudget(cost float64) int {
-	b := r.o.cfg.MinTasks + int(cost*r.o.cfg.EffortPerCost)
-	if b > r.o.cfg.MaxTasks {
-		b = r.o.cfg.MaxTasks
+// player is one compilation's share of the state: its hooks, its task
+// count and its position on the tape, which is also a memo prefix — the
+// groups and expressions it has charged for.
+type player struct {
+	hooks                    Hooks
+	tasks, budget, sinceWork int
+	bestEffort               bool // best-effort fired
+	pos                      int  // tape cursor
+	groups, exprs            int  // memo prefix shown so far
+}
+
+// step accounts one unit of optimizer work. It returns false when
+// exploration must stop (budget exhausted or best-effort requested). Off a
+// batch boundary it is small enough to inline into the player's loop.
+func (p *player) step(batch int) bool {
+	p.tasks++
+	p.sinceWork++
+	if p.sinceWork < batch {
+		return p.tasks < p.budget
+	}
+	return p.boundary()
+}
+
+// boundary ends a work batch: it fires the Work callback and polls
+// BestEffort.
+func (p *player) boundary() bool {
+	if p.hooks.Work != nil {
+		p.hooks.Work(p.sinceWork)
+	}
+	p.sinceWork = 0
+	if p.hooks.BestEffort != nil && p.hooks.BestEffort() {
+		p.bestEffort = true
+		return false
+	}
+	return p.tasks < p.budget
+}
+
+// Optimize plays one compilation: it walks the tape from the start,
+// charging for every group and expression and taking every step, and
+// runs the kernel only when it reaches the tape's end. Where it
+// stops — a failed charge, the budget, best-effort, or the end of the
+// search space — it extracts the plan from the memo prefix at its cursor,
+// so a kernel that ran ahead, or a tape left by a longer earlier attempt,
+// changes nothing. Errors are query errors (validation, on the first
+// compilation only) or come from the Charge hook.
+func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
+	o := x.o
+	if x.r == nil {
+		r, err := o.open(x.q)
+		if err != nil {
+			return nil, err
+		}
+		x.r = r
+	}
+	r := x.r
+	private := false // r is this compilation's alone: it has left the canonical tape
+	var cuts []int   // where it did
+	cfg := &o.cfg
+	p := player{hooks: hooks, budget: o.effortBudget(r.initialCost)}
+	var err error
+	tape, charge := r.tape, hooks.Charge
+play:
+	for {
+		if p.pos == len(tape) {
+			if !r.advance() {
+				break
+			}
+			tape = r.tape
+		}
+		seg := tape[p.pos]
+		p.pos++
+		n, group := int(seg&segExprs), 0
+		if seg&segGroup != 0 {
+			group = 1
+		}
+		if charge != nil {
+			for i := 0; i < n; i++ {
+				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
+					break play
+				}
+			}
+			if group != 0 {
+				if err = charge(cfg.Memo.BytesPerGroup); err != nil {
+					break play
+				}
+				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
+					break play
+				}
+			}
+		}
+		p.exprs += n + group
+		p.groups += group
+		if seg&(segInner|segOuter) == 0 || p.step(cfg.WorkBatch) {
+			continue
+		}
+		// A stop at the inner step leaves the associate rule at once and
+		// lets the loop over expressions take its own step.
+		if seg&segOuter != 0 || !p.step(cfg.WorkBatch) {
+			break
+		}
+		// That second step forgot the stop (ROADMAP item 4: best-effort
+		// answers true once): exploration goes on without the rest of this
+		// expression's alternatives — a trajectory that is not a prefix of
+		// the tape, whose kernel has derived them already. The compilation
+		// finishes on a private run, explored hook-free up to here with the
+		// same cut (and any earlier ones).
+		cuts = append(cuts, p.pos)
+		if private {
+			o.putRun(r)
+		}
+		r, private = o.rederive(x.q, cuts), true
+		tape = r.tape
+	}
+	if hooks.Work != nil && p.sinceWork > 0 {
+		hooks.Work(p.sinceWork)
+	}
+	var out *plan.Plan
+	if err == nil {
+		out = r.extract(p.groups, p.exprs)
+		out.BestEffort = p.bestEffort
+		out.ExprsExplored = p.exprs
+		out.CompileBytes = cfg.Memo.Bytes(p.groups, p.exprs)
+	}
+	if private {
+		o.putRun(r)
+	}
+	return out, err
+}
+
+// rederive explores q hook-free on a fresh run up to the last of cuts,
+// giving up the associate rule's expression at each of them: the memo a
+// compilation holds that had its inner-step stop forgotten there.
+func (o *Optimizer) rederive(q *plan.Query, cuts []int) *run {
+	r, err := o.open(q)
+	if err != nil {
+		panic(fmt.Sprintf("optimizer: re-deriving an explored statement: %v", err))
+	}
+	r.cuts = append(r.cuts, cuts...)
+	pos := cuts[len(cuts)-1]
+	for len(r.tape) < pos && r.advance() {
+	}
+	if len(r.tape) != pos || r.nextCut != len(r.cuts) {
+		panic("optimizer: exploration is not a function of the statement")
+	}
+	return r
+}
+
+func (o *Optimizer) effortBudget(cost float64) int {
+	b := o.cfg.MinTasks + int(cost*o.cfg.EffortPerCost)
+	if b > o.cfg.MaxTasks {
+		b = o.cfg.MaxTasks
 	}
 	return b
 }
@@ -289,21 +498,20 @@ func (r *run) cardOfSet(set uint64) float64 {
 }
 
 // buildInitial creates leaf groups and a connectivity-respecting left-deep
-// join tree in greedy smallest-cardinality-first order, returning the root
-// group. This is the "first complete plan" dynamic optimization starts
-// from.
-func (r *run) buildInitial() (memo.GroupID, error) {
+// join tree in greedy smallest-cardinality-first order, taping every
+// structure and leaving the root group in r.root. This is the "first
+// complete plan" dynamic optimization starts from.
+func (r *run) buildInitial() error {
+	m := r.m
 	r.leaves = r.leaves[:0]
 	for i := range r.terms {
 		t := r.tabs[i]
-		g, err := r.m.AddLeaf(t.ID, r.leafCard[t.ID], r.adjacent[t.ID])
-		if err != nil {
-			return 0, err
-		}
-		r.leaves = append(r.leaves, g)
+		r.leaves = append(r.leaves, m.AddLeaf(t.ID, r.leafCard[t.ID], r.adjacent[t.ID]))
+		r.tape = append(r.tape, segGroup)
 	}
 	if len(r.terms) == 1 {
-		return r.leaves[0], nil
+		r.root = r.leaves[0]
+		return nil
 	}
 
 	// Pick the smallest filtered leaf as the seed, then greedily join the
@@ -321,7 +529,7 @@ func (r *run) buildInitial() (memo.GroupID, error) {
 	cur := r.leaves[curIdx]
 	r.remaining[curIdx] = false
 	for left := len(r.terms) - 1; left > 0; left-- {
-		curSet, curNbr := r.m.Group(cur).Set, r.m.Group(cur).Nbr
+		curSet, curNbr := m.Group(cur).Set, m.Group(cur).Nbr
 		bestIdx := -1
 		bestCard := math.Inf(1)
 		for i := range r.terms {
@@ -340,66 +548,36 @@ func (r *run) buildInitial() (memo.GroupID, error) {
 		if bestIdx < 0 {
 			// Validate() guarantees connectivity, so this is unreachable
 			// unless the query lied; fail loudly.
-			return 0, fmt.Errorf("optimizer: disconnected join graph at %s", r.terms[curIdx].Name)
+			return fmt.Errorf("optimizer: disconnected join graph at %s", r.terms[curIdx].Name)
 		}
-		joined, _, err := r.m.AddJoin(cur, r.leaves[bestIdx], bestCard)
-		if err != nil {
-			return 0, err
-		}
-		cur = joined
+		// Each join covers one table more than the last: its group is new.
+		cur, _ = m.AddJoin(cur, r.leaves[bestIdx], bestCard)
+		r.tape = append(r.tape, segGroup)
 		r.remaining[bestIdx] = false
 	}
-	return cur, nil
+	r.root = cur
+	return nil
 }
 
-// step accounts one unit of optimizer work, firing the Work/BestEffort
-// callbacks on batch boundaries. It returns false when exploration must
-// stop (budget exhausted or best-effort requested).
-func (r *run) step() bool {
-	r.tasks++
-	r.sinceWork++
-	if r.sinceWork >= r.o.cfg.WorkBatch {
-		if r.hooks.Work != nil {
-			r.hooks.Work(r.sinceWork)
-		}
-		r.sinceWork = 0
-		if r.hooks.BestEffort != nil && r.hooks.BestEffort() {
-			r.cutBestFirst = true
-			return false
-		}
-	}
-	return r.tasks < r.budget
-}
-
-// explore runs rule application round-robin across groups until the
-// budget is exhausted, best-effort fires, or the space is fully explored.
-func (r *run) explore() error {
-	flushWork := func() {
-		if r.hooks.Work != nil && r.sinceWork > 0 {
-			r.hooks.Work(r.sinceWork)
-			r.sinceWork = 0
-		}
-	}
+// advance is the kernel: it applies the rules to the next unexplored
+// expression and tapes what that did, or reports false, taping nothing,
+// when every expression has had its rules applied. Rule application goes
+// round-robin across groups (the group count grows while it iterates); a
+// pass that finds nothing unexplored ends the search.
+func (r *run) advance() bool {
+	m := r.m
 	for {
-		progressed := false
-		// The group count grows while we iterate.
-		for g := memo.GroupID(0); int(g) < r.m.Groups(); g++ {
-			for e := r.m.PopUnexplored(g); e != memo.NoExpr; e = r.m.PopUnexplored(g) {
-				progressed = true
-				if err := r.applyRules(g, e); err != nil {
-					flushWork()
-					return err
-				}
-				if !r.step() {
-					flushWork()
-					return nil
-				}
+		for ; int(r.g) < m.Groups(); r.g++ {
+			if e := m.PopUnexplored(r.g); e != memo.NoExpr {
+				r.progressed = true
+				r.applyRules(r.g, e)
+				return true
 			}
 		}
-		if !progressed {
-			flushWork()
-			return nil
+		if !r.progressed {
+			return false
 		}
+		r.g, r.progressed = 0, false
 	}
 }
 
@@ -407,30 +585,30 @@ func (r *run) explore() error {
 // commutativity and left-associativity (with commutativity these generate
 // the connected bushy space). The memo's arenas may move on every add, so
 // expressions and groups are re-read by ID rather than held by pointer.
-func (r *run) applyRules(g memo.GroupID, id memo.ExprID) error {
+func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 	m := r.m
 	e := m.Expr(id)
 	if e.Kind != memo.KindJoin {
-		return nil
+		r.tape = append(r.tape, segOuter)
+		return
 	}
 	l, rt := e.L, e.R
 	commute, assoc := !e.CommuteApplied, !e.AssocApplied
 	e.CommuteApplied, e.AssocApplied = true, true
+	var added uint16 // expressions added to existing groups since the last step
 
 	// Commute: L ⋈ R  =>  R ⋈ L. The alternative lands in g itself, so
 	// no set lookup is needed. The twin is born commuted: commuting it
 	// back could only re-derive e.
 	if commute {
-		twin, err := m.AddJoinInto(g, rt, l)
-		if err != nil {
-			return err
-		}
-		if twin != memo.NoExpr {
+		if twin := m.AddJoinInto(g, rt, l); twin != memo.NoExpr {
 			m.Expr(twin).CommuteApplied = true
+			added = 1
 		}
 	}
 	if !assoc {
-		return nil
+		r.tape = append(r.tape, added|segOuter)
+		return
 	}
 
 	// Associate: (A ⋈ B) ⋈ R  =>  A ⋈ (B ⋈ R), for every join shape of L.
@@ -450,24 +628,40 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) error {
 		// genuinely new group needs cardOfSet.
 		innerSet := bg.Set | rtSet
 		inner, ok := m.GroupBySet(innerSet)
-		var ne memo.ExprID
-		var err error
+		step := segInner
 		if ok {
-			ne, err = m.AddJoinInto(inner, b, rt)
+			if m.AddJoinInto(inner, b, rt) != memo.NoExpr {
+				added = r.count(added)
+			} else {
+				step = 0
+			}
 		} else {
-			inner, ne, err = m.AddJoin(b, rt, r.cardOfSet(innerSet))
+			inner, _ = m.AddJoin(b, rt, r.cardOfSet(innerSet))
+			step |= segGroup
 		}
-		if err != nil {
-			return err
+		if step != 0 {
+			r.tape = append(r.tape, added|step)
+			added = 0
+			if r.nextCut < len(r.cuts) && len(r.tape) == r.cuts[r.nextCut] {
+				r.nextCut++
+				return // the compilation's own second step stands in for segOuter
+			}
 		}
-		if ne != memo.NoExpr && !r.step() {
-			return nil
-		}
-		if _, err := m.AddJoinInto(g, a, inner); err != nil {
-			return err
+		if m.AddJoinInto(g, a, inner) != memo.NoExpr {
+			added = r.count(added)
 		}
 	}
-	return nil
+	r.tape = append(r.tape, added|segOuter)
+}
+
+// count adds one to a segment's expression count, spilling a full count
+// to the tape as a stepless segment first.
+func (r *run) count(added uint16) uint16 {
+	if added == segExprs {
+		r.tape = append(r.tape, added)
+		return 1
+	}
+	return added + 1
 }
 
 // costed is the DP table entry for plan extraction: a group's cheapest
@@ -485,14 +679,16 @@ type costed struct {
 // group, so visiting groups by ascending table count (a counting sort on
 // the popcount of their sets) finds both children's entries final. Each
 // group keeps the first of its cheapest expressions in insertion order.
-func (r *run) solve() {
+// It reads the memo prefix of n groups and nExprs expressions.
+func (r *run) solve(n, nExprs int) {
 	m := r.m
-	n := m.Groups()
-	if cap(r.dp) < n {
-		r.dp = make([]costed, n)
-		r.order = make([]memo.GroupID, n)
+	t := dpPool.Get().(*dpTables)
+	if cap(t.dp) < n {
+		t.dp = make([]costed, n)
+		t.order = make([]memo.GroupID, n)
 	}
-	r.dp, r.order = r.dp[:n], r.order[:n]
+	t.dp, t.order = t.dp[:n], t.order[:n]
+	r.t = t
 	var start [66]int32 // start[c]: first slot of the groups covering c tables
 	for g := 0; g < n; g++ {
 		start[bits.OnesCount64(m.Group(memo.GroupID(g)).Set)+1]++
@@ -502,30 +698,36 @@ func (r *run) solve() {
 	}
 	for g := 0; g < n; g++ {
 		c := bits.OnesCount64(m.Group(memo.GroupID(g)).Set)
-		r.order[start[c]] = memo.GroupID(g)
+		t.order[start[c]] = memo.GroupID(g)
 		start[c]++
 	}
 
 	cm := r.o.cfg.Cost
-	for _, id := range r.order {
+	for _, id := range t.order {
 		g := m.Group(id)
 		if m.Expr(g.FirstExpr()).Kind == memo.KindLeaf {
-			r.dp[id] = r.bestScan(bits.TrailingZeros64(g.Set), g.FirstExpr())
+			t.dp[id] = r.bestScan(bits.TrailingZeros64(g.Set), g.FirstExpr())
 			continue
 		}
 		out := costed{cost: math.Inf(1), expr: memo.NoExpr}
-		for eid := g.FirstExpr(); eid != memo.NoExpr; {
+		for eid := g.FirstExpr(); eid != memo.NoExpr && int(eid) < nExprs; {
 			e := m.Expr(eid)
 			l, rt := m.Group(e.L), m.Group(e.R)
 			// Hash join, right side builds.
-			c := r.dp[e.L].cost + r.dp[e.R].cost + rt.Card*cm.BuildRow + l.Card*cm.CPURow + g.Card*cm.CPURow
+			c := t.dp[e.L].cost + t.dp[e.R].cost + rt.Card*cm.BuildRow + l.Card*cm.CPURow + g.Card*cm.CPURow
 			if c < out.cost {
 				out = costed{cost: c, expr: eid}
 			}
 			eid = e.Next()
 		}
-		r.dp[id] = out
+		t.dp[id] = out
 	}
+}
+
+// unsolve returns the DP's tables to their pool.
+func (r *run) unsolve() {
+	dpPool.Put(r.t)
+	r.t = nil
 }
 
 // bestScan picks the access path of the leaf group over table tid, whose
@@ -553,14 +755,15 @@ func (r *run) bestScan(tid int, e memo.ExprID) costed {
 	return out
 }
 
-// extract computes the cheapest implementation of every group and
-// materializes the physical plan reachable from root (with the query's
-// aggregate on top when present). The DP table is a pooled slice indexed
-// by group ID rather than a map, and the plan's nodes come from a single
-// exactly-sized arena owned by the plan — one allocation per extraction
-// instead of one per node.
-func (r *run) extract(root memo.GroupID) *plan.Plan {
-	r.solve()
+// extract computes the cheapest implementation of every group in the memo
+// prefix (groups, exprs) and materializes the physical plan reachable from
+// the root (with the query's aggregate on top when present). The DP table
+// is a pooled slice indexed by group ID rather than a map, and the plan's
+// nodes come from a single exactly-sized arena owned by the plan — one
+// allocation per extraction instead of one per node.
+func (r *run) extract(groups, exprs int) *plan.Plan {
+	root := r.root
+	r.solve(groups, exprs)
 	count := r.countNodes(root)
 	if len(r.q.GroupBy) > 0 {
 		count++
@@ -589,13 +792,14 @@ func (r *run) extract(root memo.GroupID) *plan.Plan {
 		node = agg
 	}
 	r.arena = nil // the plan owns the arena now
+	r.unsolve()
 	return &plan.Plan{Root: node}
 }
 
 // countNodes sizes the plan-node arena: the number of nodes buildNode
 // will materialize for the chosen expression tree.
 func (r *run) countNodes(g memo.GroupID) int {
-	e := r.m.Expr(r.dp[g].expr)
+	e := r.m.Expr(r.t.dp[g].expr)
 	if e.Kind == memo.KindLeaf {
 		return 1
 	}
@@ -619,12 +823,15 @@ func (r *run) groupByDistinct(card float64) float64 {
 	return r.o.est.DistinctAfterGroupBy(card, r.aggCols)
 }
 
-// initialCost is extract().Cost() without materializing plan nodes: the
-// same DP over the same groups with the same operand order, so the
-// effort budget it feeds is bit-identical to the materializing version.
-func (r *run) initialCost(root memo.GroupID) float64 {
-	r.solve()
+// costInitial is extract().Cost() of the memo buildInitial left, without
+// materializing plan nodes: the same DP over the same groups with the same
+// operand order, so the effort budget it feeds is bit-identical to the
+// materializing version.
+func (r *run) costInitial() float64 {
+	root := r.root
+	r.solve(r.m.Groups(), r.m.Exprs())
 	cost := r.subtreeCost(root)
+	r.unsolve()
 	if len(r.q.GroupBy) > 0 {
 		card := r.m.Group(root).Card
 		groups := r.groupByDistinct(card)
@@ -643,7 +850,7 @@ func (r *run) initialCost(root memo.GroupID) float64 {
 // included — float addition is not associative) without allocating the
 // nodes.
 func (r *run) subtreeCost(id memo.GroupID) float64 {
-	c := &r.dp[id]
+	c := &r.t.dp[id]
 	e := r.m.Expr(c.expr)
 	if e.Kind == memo.KindLeaf {
 		return c.cost
@@ -659,7 +866,7 @@ func (r *run) subtreeCost(id memo.GroupID) float64 {
 // buildNode materializes the chosen expression tree for g out of the
 // extraction arena.
 func (r *run) buildNode(id memo.GroupID) *plan.Node {
-	c := &r.dp[id]
+	c := &r.t.dp[id]
 	g := r.m.Group(id)
 	e := r.m.Expr(c.expr)
 	if e.Kind == memo.KindLeaf {

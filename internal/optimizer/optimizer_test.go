@@ -435,3 +435,23 @@ func TestSteadyStateOptimizeAllocatesOnlyThePlan(t *testing.T) {
 		}
 	}
 }
+
+// A segment counts the expressions added to existing groups in 13 bits. An
+// expression's rules can add more than that only past MaxTasks settings no
+// scenario uses, so the spill is pinned here: a full count goes to the tape
+// as a segment without a step (the player charges its expressions and moves
+// on, as it does for buildInitial's), and counting restarts at one.
+func TestSegmentCountSpills(t *testing.T) {
+	r := &run{}
+	n := r.count(segExprs - 1)
+	if n != segExprs || len(r.tape) != 0 {
+		t.Fatalf("count(%d) = %d with %d segments taped, want %d and none", segExprs-1, n, len(r.tape), segExprs)
+	}
+	n = r.count(n)
+	if n != 1 || len(r.tape) != 1 || r.tape[0] != segExprs {
+		t.Fatalf("count(full) = %d, tape %v; want 1 and one stepless segment of %d expressions", n, r.tape, segExprs)
+	}
+	if r.tape[0]&(segGroup|segInner|segOuter) != 0 {
+		t.Fatalf("the spilled segment %#x carries a flag", r.tape[0])
+	}
+}

@@ -114,6 +114,7 @@ type trajectoryScript struct {
 	nilHooks bool // pass Hooks{}: the nil-callback branches
 	capped   bool // optimizer with MaxTasks 200
 	bePoll   int  // BestEffort answers true at this poll (1-based), once
+	beFrom   int  // BestEffort answers true at every poll from this one on
 	failAt   int  // Charge fails at this charge (1-based)
 }
 
@@ -131,12 +132,27 @@ var trajectoryScripts = []trajectoryScript{
 
 var errTrajectoryCharge = errors.New("scripted charge failure")
 
-// trajectoryLine runs one statement under one script and renders the
-// golden line: event count and FNV-1a hash of the ordered `c<n>` / `w<k>`
-// / `b<0|1>` stream, then the plan's hash and scalars, or the error.
+// trajectoryLine runs one statement under one script on a fresh
+// exploration and renders the golden line: event count and FNV-1a hash of
+// the ordered `c<n>` / `w<k>` / `b<0|1>` stream, then the plan's hash and
+// scalars, or the error.
 func trajectoryLine(s trajectoryStmt, sc trajectoryScript) string {
+	line, _ := trajectoryRun(s, sc, nil)
+	return line
+}
+
+// trajectoryCounts is what a scripted compilation did, for choosing the
+// next script relative to it.
+type trajectoryCounts struct {
+	charges, polls int
+	pollsAfterFire int // > 0: the best-effort stop was forgotten (inner step)
+}
+
+// trajectoryRun is trajectoryLine on the exploration x, or on a fresh one
+// when x is nil.
+func trajectoryRun(s trajectoryStmt, sc trajectoryScript, x *Exploration) (string, trajectoryCounts) {
 	events := fnv.New64a()
-	var nEvents, charges, polls int
+	var nEvents, charges, polls, pollsAfterFire int
 	event := func(kind byte, v int64) {
 		nEvents++
 		fmt.Fprintf(events, "%c%d\n", kind, v)
@@ -153,7 +169,10 @@ func trajectoryLine(s trajectoryStmt, sc trajectoryScript) string {
 		Work: func(k int) { event('w', int64(k)) },
 		BestEffort: func() bool {
 			polls++
-			fire := polls == sc.bePoll
+			if first := max(sc.bePoll, sc.beFrom); first > 0 && polls > first {
+				pollsAfterFire++
+			}
+			fire := polls == sc.bePoll || (sc.beFrom > 0 && polls >= sc.beFrom)
 			if fire {
 				event('b', 1)
 			} else {
@@ -169,15 +188,138 @@ func trajectoryLine(s trajectoryStmt, sc trajectoryScript) string {
 	if sc.capped {
 		opt = s.capped
 	}
-	p, err := opt.Optimize(s.q, hooks)
+	var p *plan.Plan
+	var err error
+	if x != nil {
+		p, err = x.Optimize(hooks)
+	} else {
+		p, err = opt.Optimize(s.q, hooks)
+	}
+	counts := trajectoryCounts{charges, polls, pollsAfterFire}
 	head := fmt.Sprintf("%s %s events=%d/%016x", s.name, sc.name, nEvents, events.Sum64())
 	if err != nil {
-		return fmt.Sprintf("%s error=%v", head, err)
+		return fmt.Sprintf("%s error=%v", head, err), counts
 	}
 	ph := fnv.New64a()
 	ph.Write([]byte(p.String()))
 	return fmt.Sprintf("%s plan=%016x cost=%v exprs=%d bytes=%d besteffort=%t",
-		head, ph.Sum64(), p.Cost(), p.ExprsExplored, p.CompileBytes, p.BestEffort)
+		head, ph.Sum64(), p.Cost(), p.ExprsExplored, p.CompileBytes, p.BestEffort), counts
+}
+
+// TestRetainedTrajectoriesMatchFresh is the exactness contract of recorded
+// exploration: a compilation played on an exploration that earlier
+// compilations of the statement left behind — cut short of it, at it, or
+// past it — is indistinguishable from one on a fresh exploration: same
+// hook stream, same plan, same ExprsExplored and CompileBytes, same error.
+// Every statement of the corpus is failed at charge k1, resubmitted to fail
+// at k2 in {k1/2, k1, 2*k1}, then run to completion; and failed at k1,
+// then cut by best-effort at a poll before, at and after the failed
+// attempt's last, then run to completion. The expectation is always the
+// same script on a fresh exploration, never the golden file.
+func TestRetainedTrajectoriesMatchFresh(t *testing.T) {
+	failAt := func(k int) trajectoryScript {
+		return trajectoryScript{name: fmt.Sprintf("chargefail@%d", k), failAt: k}
+	}
+	cutAt := func(poll int) trajectoryScript {
+		return trajectoryScript{name: fmt.Sprintf("besteffort@%d", poll), bePoll: poll}
+	}
+	complete := trajectoryScript{name: "observe"}
+	for _, s := range trajectoryCorpus(t) {
+		fresh := map[string]string{}
+		play := func(x *Exploration, history string, sc trajectoryScript) trajectoryCounts {
+			t.Helper()
+			want, ok := fresh[sc.name]
+			if !ok {
+				want, _ = trajectoryRun(s, sc, nil)
+				fresh[sc.name] = want
+			}
+			got, counts := trajectoryRun(s, sc, x)
+			if got != want {
+				t.Errorf("after %s:\n   got %s\n fresh %s", history, got, want)
+			}
+			return counts
+		}
+		for _, k1 := range []int{50, 500, 2000} {
+			for _, k2 := range []int{k1 / 2, k1, 2 * k1} {
+				x := s.opt.Explore(s.q)
+				play(&x, "nothing", failAt(k1))
+				play(&x, fmt.Sprintf("chargefail@%d", k1), failAt(k2))
+				play(&x, fmt.Sprintf("chargefail@%d, chargefail@%d", k1, k2), complete)
+				x.Release()
+			}
+			probe := s.opt.Explore(s.q)
+			last := play(&probe, "nothing", failAt(k1)).polls
+			probe.Release()
+			for _, poll := range []int{last / 2, last, last + 1, 2*last + 1} {
+				if poll < 1 {
+					continue
+				}
+				x := s.opt.Explore(s.q)
+				play(&x, "nothing", failAt(k1))
+				play(&x, fmt.Sprintf("chargefail@%d", k1), cutAt(poll))
+				play(&x, fmt.Sprintf("chargefail@%d, besteffort@%d", k1, poll), complete)
+				x.Release()
+			}
+		}
+	}
+}
+
+// TestRetainedDivergenceMatchesFresh covers the one trajectory that is not
+// a prefix of the tape: best-effort firing on a poll that lands on the
+// associate rule's inner step, whose stop is forgotten (ROADMAP item 4), so
+// the compilation explores on without the rest of that expression's
+// alternatives. It must finish on a private run re-derived to the cut,
+// whether the exploration's tape is complete, ends before the cut or is
+// brand new, and leave the exploration as it was: the compilation, and
+// every later one on the exploration, matches a fresh one.
+func TestRetainedDivergenceMatchesFresh(t *testing.T) {
+	complete := trajectoryScript{name: "observe"}
+	histories := []trajectoryScript{
+		complete,
+		{name: "chargefail@30", failAt: 30},
+		{name: "nothing", failAt: 1},
+	}
+	diverged := make([]int, len(histories))
+	for i, s := range trajectoryCorpus(t) {
+		if i%3 != 0 {
+			continue // every third statement still covers all templates and chains
+		}
+		wantAll, all := trajectoryRun(s, complete, nil)
+		for poll := 1; poll <= all.polls && poll <= 12; poll++ {
+			sc := trajectoryScript{name: fmt.Sprintf("besteffort@%d", poll), bePoll: poll}
+			want, wc := trajectoryRun(s, sc, nil)
+			for h, first := range histories {
+				x := s.opt.Explore(s.q)
+				trajectoryRun(s, first, &x)
+				before, tape := x.r, len(x.r.tape)
+				got, c := trajectoryRun(s, sc, &x)
+				if got != want {
+					t.Errorf("after %s:\n   got %s\n fresh %s", first.name, got, want)
+				}
+				if c.pollsAfterFire != wc.pollsAfterFire {
+					t.Errorf("%s after %s: polled %d times after firing, fresh %d", sc.name, first.name, c.pollsAfterFire, wc.pollsAfterFire)
+				}
+				if x.r != before || len(x.r.tape) < tape || len(x.r.cuts) != 0 {
+					t.Errorf("%s %s after %s: the compilation disturbed the exploration's run", s.name, sc.name, first.name)
+				}
+				// Polls after the one that fired prove the stop was forgotten.
+				// (A divergence that ends before its next poll goes uncounted.)
+				if c.pollsAfterFire > 0 {
+					diverged[h]++
+				}
+				if got, _ := trajectoryRun(s, complete, &x); got != wantAll {
+					t.Errorf("after %s, %s:\n   got %s\n fresh %s", first.name, sc.name, got, wantAll)
+				}
+				x.Release()
+			}
+		}
+	}
+	for h, n := range diverged {
+		if n == 0 {
+			t.Errorf("no divergence seen after %q; the corpus must reach it", histories[h].name)
+		}
+	}
+	t.Logf("divergences by history %v", diverged)
 }
 
 // TestTrajectoryGolden is the unit-level form of the kernel's exactness
@@ -224,5 +366,38 @@ func TestTrajectoryGolden(t *testing.T) {
 			t.Errorf("line %d:\n   got %s\n  want %s", i+1, gotLines[i], wantLines[i])
 			shown++
 		}
+	}
+}
+
+// stickyDigest is the FNV-1a hash of the lines TestStickyBestEffortDigest
+// renders, recorded with the PR 14 kernel (the fused explore loop) and
+// byte-identical under the kernel/player split.
+const stickyDigest = "896689607300ccd2"
+
+// TestStickyBestEffortDigest pins the trajectory the golden file's scripts
+// cannot reach: a BestEffort hook that keeps answering true, as a test or
+// a future governor may. Every poll from the first true on stops the
+// step, and each of those that lands on the associate rule's inner step is
+// forgotten in turn (ROADMAP item 4), so one compilation leaves the
+// canonical trajectory several times — the player re-derives with every
+// cut so far. Re-record (from the failure message) only together with
+// trajectory.golden.
+func TestStickyBestEffortDigest(t *testing.T) {
+	all := fnv.New64a()
+	reached := 0
+	for _, s := range trajectoryCorpus(t) {
+		for _, from := range []int{1, 2, 5} {
+			line, c := trajectoryRun(s, trajectoryScript{name: fmt.Sprintf("besteffort>=%d", from), beFrom: from}, nil)
+			fmt.Fprintln(all, line)
+			if c.pollsAfterFire >= 2 {
+				reached++
+			}
+		}
+	}
+	if reached == 0 {
+		t.Error("no compilation had two stops forgotten; the corpus must reach repeated divergence")
+	}
+	if got := fmt.Sprintf("%016x", all.Sum64()); got != stickyDigest {
+		t.Errorf("sticky best-effort digest = %s, want %s", got, stickyDigest)
 	}
 }
