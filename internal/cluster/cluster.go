@@ -29,6 +29,7 @@ import (
 
 	"compilegate/internal/engine"
 	"compilegate/internal/errclass"
+	"compilegate/internal/freelist"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
@@ -168,6 +169,8 @@ type Router struct {
 	resubmitted uint64   // failover resubmissions after a crashed response
 	allExcluded uint64   // submissions forced onto an excluded fleet
 	breakers    []*breaker
+
+	ops freelist.List[routeOp] // recycled continuation ops (single scheduler)
 }
 
 // New builds a classic router (no health exclusion, breakers, or
@@ -264,43 +267,65 @@ func taskNow(t *vtime.Task) time.Duration {
 	return t.Now()
 }
 
-// Submit implements workload.Submitter: route one query to a node.
-// Must be called from task context; the state it mutates is what makes
-// later routing decisions, so calls are strictly ordered by the event
-// loop. With FailoverHops > 0, a crashed-class response is resubmitted
-// to the next eligible node instead of surfacing immediately — the
-// load balancer masking a node loss from the client, one layer below
-// the client's own retry/backoff plane.
-func (r *Router) Submit(t *vtime.Task, sql string) error {
-	i, probe := r.pick(taskNow(t), sql, -1)
-	err := r.forward(t, i, probe, sql)
-	for hop := 0; hop < r.cfg.FailoverHops; hop++ {
-		if err == nil || errclass.Of(err) != errclass.Crashed {
-			return err
-		}
+// SubmitThen implements workload.Submitter: route one query to a node,
+// store its error through errp and run k. Must be called from task
+// context; the state it mutates is what makes later routing decisions,
+// so calls are strictly ordered by the event loop.
+func (r *Router) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step) {
+	op := r.ops.Get()
+	if op == nil {
+		op = &routeOp{r: r}
+	}
+	op.sql, op.errp, op.k, op.hops = sql, errp, k, 0
+	op.i, op.probe = r.pick(taskNow(t), sql, -1)
+	op.forward(t)
+}
+
+// routeOp is one submission's passage through the router: forward to the
+// picked node, and when the node answers (Run) feed its breaker and either
+// fail over or hand the answer to the client.
+type routeOp struct {
+	r     *Router
+	sql   string
+	i     int  // the node the submission is at
+	probe bool // it went there as a half-open breaker probe
+	hops  int  // failover resubmissions so far
+	err   error
+	errp  *error
+	k     vtime.Step
+}
+
+func (op *routeOp) forward(t *vtime.Task) {
+	op.r.routed[op.i]++
+	op.r.nodes[op.i].SubmitThen(t, op.sql, &op.err, op)
+}
+
+// Run takes node i's answer. With FailoverHops > 0, a crashed-class
+// answer is resubmitted to the next eligible node instead of surfacing
+// immediately — the load balancer masking a node loss from the client,
+// one layer below the client's own retry/backoff plane.
+func (op *routeOp) Run(t *vtime.Task) {
+	r, err := op.r, op.err
+	if r.breakers != nil {
+		r.breakers[op.i].observe(taskNow(t), err, op.probe)
+	}
+	if op.hops < r.cfg.FailoverHops && err != nil && errclass.Of(err) == errclass.Crashed {
 		// Re-pick at the post-attempt clock, avoiding the node that just
 		// failed; when the fleet has nowhere else to offer, stop masking
 		// and let the client's retry loop take over.
-		j, probe := r.pick(taskNow(t), sql, i)
-		if j == i {
-			return err
+		if j, probe := r.pick(taskNow(t), op.sql, op.i); j != op.i {
+			r.resubmitted++
+			op.hops++
+			op.i, op.probe = j, probe
+			op.forward(t)
+			return
 		}
-		r.resubmitted++
-		i = j
-		err = r.forward(t, i, probe, sql)
 	}
-	return err
-}
-
-// forward sends one submission to node i and feeds the outcome to the
-// node's breaker.
-func (r *Router) forward(t *vtime.Task, i int, probe bool, sql string) error {
-	r.routed[i]++
-	err := r.nodes[i].Submit(t, sql)
-	if r.breakers != nil {
-		r.breakers[i].observe(taskNow(t), err, probe)
-	}
-	return err
+	*op.errp = err
+	k := op.k
+	op.sql, op.err, op.errp, op.k = "", nil, nil, nil
+	r.ops.Put(op)
+	k.Run(t)
 }
 
 // eligible reports whether node i may take a submission at virtual

@@ -22,9 +22,18 @@ type fakeNode struct {
 	err        error
 }
 
-func (f *fakeNode) Submit(t *vtime.Task, sql string) error {
+func (f *fakeNode) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step) {
 	f.submitted = append(f.submitted, sql)
-	return f.err
+	*errp = f.err
+	k.Run(t)
+}
+
+// submit routes one statement outside any scheduler: the fake nodes answer
+// synchronously, and a nil task reads as t=0.
+func submit(r *Router, sql string) error {
+	var err error
+	r.SubmitThen(nil, sql, &err, vtime.StepFunc(func(*vtime.Task) {}))
+	return err
 }
 
 func (f *fakeNode) Down() bool               { return f.down }
@@ -70,7 +79,7 @@ func TestRoundRobinCyclesAndSkipsDownNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := r.Submit(nil, "q"); err != nil {
+		if err := submit(r, "q"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +93,7 @@ func TestRoundRobinCyclesAndSkipsDownNodes(t *testing.T) {
 	// continues from there.
 	fakes[1].down = true
 	for i := 0; i < 4; i++ {
-		r.Submit(nil, "q")
+		submit(r, "q")
 	}
 	if len(fakes[1].submitted) != 2 {
 		t.Errorf("down node received %d submissions, want still 2", len(fakes[1].submitted))
@@ -104,7 +113,7 @@ func TestRoundRobinAllDownFallsBack(t *testing.T) {
 		f.err = errors.New("crashed")
 	}
 	r, _ := New(RoundRobin, nodes)
-	if err := r.Submit(nil, "q"); err == nil {
+	if err := submit(r, "q"); err == nil {
 		t.Fatal("submission to an all-down fleet should surface the node error")
 	}
 	if len(fakes[0].submitted)+len(fakes[1].submitted) != 1 {
@@ -116,18 +125,18 @@ func TestLeastLoadedPicksArgminWithStableTies(t *testing.T) {
 	fakes, nodes := fleet(3)
 	fakes[0].active, fakes[1].active, fakes[2].active = 4, 1, 1
 	r, _ := New(LeastLoaded, nodes)
-	r.Submit(nil, "q")
+	submit(r, "q")
 	if len(fakes[1].submitted) != 1 {
 		t.Fatal("least-loaded must break ties to the lowest index")
 	}
 	fakes[1].active = 9
-	r.Submit(nil, "q")
+	submit(r, "q")
 	if len(fakes[2].submitted) != 1 {
 		t.Fatal("least-loaded did not track the load signal")
 	}
 	// The lightest node crashing removes it from consideration.
 	fakes[2].down = true
-	r.Submit(nil, "q")
+	submit(r, "q")
 	if len(fakes[0].submitted) != 1 {
 		t.Fatal("least-loaded routed to a down node")
 	}
@@ -157,7 +166,7 @@ func TestAffinityPinsStatementsToHomes(t *testing.T) {
 		homes[si] = want
 		before := len(fakes[want].submitted)
 		for i := 0; i < 3; i++ {
-			r.Submit(nil, sql)
+			submit(r, sql)
 		}
 		if got := len(fakes[want].submitted) - before; got != 3 {
 			t.Errorf("statement %d: home node %d got %d of 3 submissions", si, want, got)
@@ -168,14 +177,14 @@ func TestAffinityPinsStatementsToHomes(t *testing.T) {
 	// after restart.
 	home := homes[0]
 	fakes[home].down = true
-	r.Submit(nil, stmts[0])
+	submit(r, stmts[0])
 	fallback := (home + 1) % len(nodes)
 	if len(fakes[fallback].submitted) == 0 {
 		t.Fatal("affinity did not fall through past the down home")
 	}
 	fakes[home].down = false
 	before := len(fakes[home].submitted)
-	r.Submit(nil, stmts[0])
+	submit(r, stmts[0])
 	if len(fakes[home].submitted) != before+1 {
 		t.Fatal("affinity did not return to the restarted home")
 	}
@@ -219,7 +228,7 @@ func TestAllExcludedFallbackIsPolicyFirstChoice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Submit(nil, tc.sql); err == nil {
+			if err := submit(r, tc.sql); err == nil {
 				t.Fatal("all-down fleet should surface the node error")
 			}
 			want := tc.want()
@@ -251,7 +260,7 @@ func TestHealthExclusion(t *testing.T) {
 	fakes, r := newHealthy(RoundRobin, HealthConfig{Enabled: true})
 	fakes[0].overcommit = 1.4
 	for i := 0; i < 6; i++ {
-		r.Submit(nil, "q")
+		submit(r, "q")
 	}
 	if len(fakes[0].submitted) != 0 {
 		t.Fatalf("overcommitted node took %d submissions", len(fakes[0].submitted))
@@ -269,7 +278,7 @@ func TestHealthExclusion(t *testing.T) {
 	fakes[1].thrash = 0.95
 	fakes[2].thrash = 0.9
 	for i := 0; i < 6; i++ {
-		r.Submit(nil, "q")
+		submit(r, "q")
 	}
 	if len(fakes[1].submitted) != 0 {
 		t.Fatalf("thrashing node took %d submissions", len(fakes[1].submitted))
@@ -281,13 +290,13 @@ func TestHealthExclusion(t *testing.T) {
 	// Brown-out only matters under ShedBrownout.
 	fakes, r = newHealthy(LeastLoaded, HealthConfig{Enabled: true})
 	fakes[0].brownedOut = true
-	r.Submit(nil, "q")
+	submit(r, "q")
 	if len(fakes[0].submitted) != 1 {
 		t.Fatal("browned-out node excluded without ShedBrownout")
 	}
 	fakes, r = newHealthy(LeastLoaded, HealthConfig{Enabled: true, ShedBrownout: true})
 	fakes[0].brownedOut = true
-	r.Submit(nil, "q")
+	submit(r, "q")
 	if len(fakes[0].submitted) != 0 {
 		t.Fatal("ShedBrownout did not exclude the browned-out node")
 	}
@@ -309,7 +318,7 @@ func TestFailoverResubmission(t *testing.T) {
 	// Node 0 returns a crashed response (an in-flight loss: Down() is
 	// still false); the router resubmits to node 1, which succeeds.
 	fakes[0].err = errclass.Crashed
-	if err := r.Submit(nil, "q"); err != nil {
+	if err := submit(r, "q"); err != nil {
 		t.Fatalf("failover did not mask the crash: %v", err)
 	}
 	if len(fakes[0].submitted) != 1 || len(fakes[1].submitted) != 1 {
@@ -325,7 +334,7 @@ func TestFailoverResubmission(t *testing.T) {
 	for _, f := range fakes {
 		f.err = errclass.Shed
 	}
-	if err := r.Submit(nil, "q"); !errors.Is(err, errclass.Shed) {
+	if err := submit(r, "q"); !errors.Is(err, errclass.Shed) {
 		t.Fatalf("shed response was masked: %v", err)
 	}
 	if r.Resubmitted() != 1 {
@@ -339,7 +348,7 @@ func TestFailoverResubmission(t *testing.T) {
 		f.err = errclass.Crashed
 	}
 	r, _ = NewRouter(Config{Policy: RoundRobin, FailoverHops: 2}, nodes, nil)
-	if err := r.Submit(nil, "q"); !errors.Is(err, errclass.Crashed) {
+	if err := submit(r, "q"); !errors.Is(err, errclass.Crashed) {
 		t.Fatalf("exhausted failover returned %v", err)
 	}
 	total := len(fakes[0].submitted) + len(fakes[1].submitted) + len(fakes[2].submitted)
@@ -365,7 +374,7 @@ func TestRouterBreakerTripsAndExcludes(t *testing.T) {
 	// 0 accumulates consecutive failures while node 1 stays healthy.
 	fakes[0].err = errclass.Shed
 	for i := 0; i < 8; i++ {
-		r.Submit(nil, "q")
+		submit(r, "q")
 	}
 	if st, _ := r.BreakerState(0); st != BreakerOpen {
 		t.Fatalf("node 0 breaker = %s, want open", st)
@@ -380,7 +389,7 @@ func TestRouterBreakerTripsAndExcludes(t *testing.T) {
 	// the cooldown) every further submission lands on node 1.
 	before := len(fakes[0].submitted)
 	for i := 0; i < 4; i++ {
-		if err := r.Submit(nil, "q"); err != nil {
+		if err := submit(r, "q"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,7 +416,7 @@ func TestRoutedCountersAndReport(t *testing.T) {
 	_, nodes := fleet(2)
 	r, _ := New(RoundRobin, nodes)
 	for i := 0; i < 5; i++ {
-		r.Submit(nil, "q")
+		submit(r, "q")
 	}
 	if r.Len() != 2 || r.Policy() != RoundRobin {
 		t.Fatal("accessors broken")

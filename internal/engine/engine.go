@@ -2,11 +2,12 @@
 // governed optimizer, execution engine, buffer pool, memory broker, and
 // metrics — the system under test for every experiment in the paper.
 //
-// A Server runs inside one vtime.Scheduler. Client tasks call Submit,
-// which executes the complete query lifecycle:
+// A Server runs inside one vtime.Scheduler. Client tasks call SubmitThen
+// (Submit from blocking-style code), which walks the statement lifecycle
+// (statement.go):
 //
-//	parse → plan-cache probe → (compile under the governor) → cache →
-//	acquire execution grant → execute → record completion/error
+//	identify → plan-cache probe → (compile under the governor) →
+//	execute under a memory grant → record completion/error
 //
 // A compilation that fails leaves the statement's exploration behind; the
 // client's resubmission of the same text compiles on it instead of
@@ -286,7 +287,8 @@ type Server struct {
 	// continuation ops. static is the snapshot's shared read-only identity
 	// map, consulted before the per-run memo.
 	static    StaticStatements
-	queryMemo map[string]queryInfo
+	queryMemo map[string]StmtID
+	stmts     freelist.List[statement]
 	workOps   freelist.List[compileWorkOp]
 	queries   freelist.List[plan.Query]
 	compCtxs  freelist.List[compileCtx]
@@ -396,7 +398,7 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 		overcommitTrace:    metrics.NewTrace("overcommit-permille"),
 
 		static:    pre.Statements,
-		queryMemo: make(map[string]queryInfo),
+		queryMemo: make(map[string]StmtID),
 		retained:  make([]*attempt, 0, retainedCap),
 	}
 	if cfg.Pressure.Enabled {
@@ -718,402 +720,6 @@ func classify(err error) string {
 	default:
 		return ErrKindOther
 	}
-}
-
-// queryInfo caches the derived identity of one statement text: its
-// plan-cache fingerprint and the execution-locality seed. Both are pure
-// functions of the text, so repeated workload SQL skips re-parsing and
-// re-hashing entirely when the plan cache holds its plan.
-type queryInfo struct {
-	fp   string
-	seed int64
-}
-
-// queryMemoCap bounds the statement-text memo; the SALES workload
-// uniquifies every query, so without a cap an 8-hour run would retain
-// every statement ever submitted. Eviction is wholesale: the memo is a
-// pure cache, so clearing it only costs re-derivation.
-const queryMemoCap = 8192
-
-// getQuery returns a recycled query shell for ParseInto; the parse
-// Resets it, so stale contents (even from a failed parse) are harmless.
-func (s *Server) getQuery() *plan.Query {
-	if q := s.queries.Get(); q != nil {
-		return q
-	}
-	return new(plan.Query)
-}
-
-func (s *Server) putQuery(q *plan.Query) {
-	s.queries.Put(q)
-}
-
-// attempt is what a Submit holds while it compiles: the parsed statement
-// and its exploration. The paper's failed compilations "likely need to be
-// resubmitted", and a resubmission is the same text, so a compilation
-// that fails leaves its attempt in the server's retained table and the
-// next Submit of that text takes it out and compiles on the recorded
-// exploration: no parse, no binding, and no re-exploring what the failed
-// compilation already explored — while every charge, work batch and
-// best-effort poll is made as if it had. An attempt has one owner at a
-// time: taking it removes it from the table, so two tasks compiling one
-// text never share one.
-type attempt struct {
-	sql  string
-	seed int64 // the statement's locality seed: a cheap first compare
-	q    *plan.Query
-	x    optimizer.Exploration
-}
-
-// retainedCap bounds the retained table. A client resubmits a failed
-// statement within its backoff or not at all, so the entries that will be
-// taken are the failures of the last few seconds; the rest are leftovers
-// of abandoned statements, which the oldest-first displacement clears. On
-// the 40-client collapse shape 8 slots serve all but one resubmission in
-// 27 thousand (4 lose 2%), and each slot keeps a run's arenas out of the
-// pools, so more is only memory (DESIGN.md, "Recorded exploration").
-const retainedCap = 8
-
-// takeRetained removes and returns the attempt a failed submission of sql
-// left, or nil.
-func (s *Server) takeRetained(sql string, seed int64) *attempt {
-	for i, a := range s.retained {
-		if a.seed == seed && a.sql == sql {
-			s.retained = slices.Delete(s.retained, i, i+1)
-			return a
-		}
-	}
-	return nil
-}
-
-// newAttempt starts an attempt over the freshly parsed q, which it owns
-// from here on.
-func (s *Server) newAttempt(sql string, seed int64, q *plan.Query) *attempt {
-	a := s.attempts.Get()
-	if a == nil {
-		a = new(attempt)
-	}
-	a.sql, a.seed, a.q, a.x = sql, seed, q, s.opt.Explore(q)
-	return a
-}
-
-// releaseAttempt returns an attempt's exploration and query to the pools.
-func (s *Server) releaseAttempt(a *attempt) {
-	a.x.Release()
-	s.putQuery(a.q)
-	a.sql, a.q = "", nil
-	s.attempts.Put(a)
-}
-
-// finishAttempt ends a compilation's hold on its attempt. A failure under
-// the epoch the Submit started in retains it, displacing the oldest entry
-// of a full table; success releases it, and so does a crash — the process
-// that explored is gone.
-func (s *Server) finishAttempt(a *attempt, failed bool, epoch uint64) {
-	if !failed || s.crashEpoch != epoch {
-		s.releaseAttempt(a)
-		return
-	}
-	if len(s.retained) == retainedCap {
-		s.releaseAttempt(s.retained[0])
-		s.retained = slices.Delete(s.retained, 0, 1)
-	}
-	s.retained = append(s.retained, a)
-}
-
-// Submit runs one query end to end on behalf of the calling task. The
-// returned error (if any) has already been recorded in the metrics.
-func (s *Server) Submit(t *vtime.Task, sql string) error {
-	if s.down {
-		// Crashed: the connection is refused outright. Recorded like any
-		// other failure so the error series shows the outage.
-		s.rec.RecordError(t.Now(), ErrKindCrashed)
-		return ErrCrashed
-	}
-	epoch := s.crashEpoch
-	var info queryInfo
-	var seen bool
-	if id, ok := s.static[sql]; ok {
-		// Snapshot-shared identity: the statement's fingerprint and seed
-		// were derived once for the workload shape; nothing to memoize.
-		info, seen = queryInfo{fp: id.Fingerprint, seed: id.Seed}, true
-	} else {
-		info, seen = s.queryMemo[sql]
-	}
-	var q *plan.Query
-	if !seen {
-		q = s.getQuery()
-		if err := sqlparser.ParseInto(q, sql); err != nil {
-			s.putQuery(q)
-			s.rec.RecordError(t.Now(), ErrKindOther)
-			return err
-		}
-		// Execution locality is seeded from the full fingerprint so
-		// repeated statements overlap on hot regions while distinct
-		// queries get independent locality (length + first byte collide
-		// far too often). Only successfully parsed text enters the memo,
-		// so malformed SQL keeps its parse-first error behaviour.
-		info.fp = sqlparser.Fingerprint(sql)
-		info.seed = int64(sqlparser.Hash64(info.fp))
-		if len(s.queryMemo) >= queryMemoCap {
-			clear(s.queryMemo)
-		}
-		s.queryMemo[sql] = info
-	}
-
-	// A hit executes a prepared plan: prep carries the plan's scan-extent
-	// lists from one execution to the next. A freshly compiled plan runs
-	// with none — most are never seen again.
-	p, prep, cached := s.cache.Get(info.fp)
-	if !cached {
-		a := s.takeRetained(sql, info.seed)
-		if a == nil {
-			if q == nil {
-				q = s.getQuery()
-				if err := sqlparser.ParseInto(q, sql); err != nil {
-					s.putQuery(q)
-					s.rec.RecordError(t.Now(), ErrKindOther)
-					return err
-				}
-			}
-			a, q = s.newAttempt(sql, info.seed, q), nil
-		}
-		var err error
-		p, err = s.compile(t, a)
-		if err == nil && s.crashEpoch != epoch {
-			// The engine crashed while this compilation ran; the process
-			// that produced the plan is gone and so is the client's
-			// connection. Nothing may reach the (new) plan cache.
-			err = ErrCrashed
-		}
-		s.finishAttempt(a, err != nil, epoch)
-		if err != nil {
-			s.rec.RecordError(t.Now(), classify(err))
-			return err
-		}
-		s.cache.Put(info.fp, p, t.Now())
-	}
-	if q != nil {
-		s.putQuery(q)
-	}
-
-	execStart := t.Now()
-	_, err := s.exec.Execute(t, p, info.seed, prep)
-	if s.crashEpoch != epoch {
-		// Crashed mid-execution: whatever the executor concluded, the
-		// client's connection died with the old process.
-		err = ErrCrashed
-	}
-	if err != nil {
-		s.rec.RecordError(t.Now(), classify(err))
-		return err
-	}
-	s.execHist.Observe(t.Now() - execStart)
-	s.rec.RecordCompletion(t.Now())
-	return nil
-}
-
-// compileWorkOp is the continuation op behind one optimizer Work batch:
-// burn the batch's CPU on the processor pool, then pay the non-CPU wait
-// (metadata fetches, latching). Both phases run as event-loop steps, so
-// a compilation's many work batches each cost a single coroutine round
-// trip instead of one per CPU quantum.
-type compileWorkOp struct {
-	s     *Server
-	cpu   time.Duration
-	tasks int
-	k     vtime.Step
-	state int8
-}
-
-func (op *compileWorkOp) Run(t *vtime.Task) {
-	s := op.s
-	switch op.state {
-	case 0:
-		op.state = 1
-		s.cpu.UseThen(t, op.cpu, op)
-	case 1:
-		if s.cfg.CompileTaskWait > 0 {
-			// Metadata fetches and latching stretch with the paging
-			// slowdown too: a thrashing machine faults on catalog
-			// pages like everything else. The slowdown is read after
-			// the CPU phase, when the wait actually starts.
-			wait := time.Duration(op.tasks) * s.cfg.CompileTaskWait
-			if f := s.budget.Slowdown(); f > 1 {
-				wait = time.Duration(float64(wait) * f)
-			}
-			op.state = 2
-			t.SleepThen(wait, op)
-			return
-		}
-		op.finish(t)
-	case 2:
-		op.finish(t)
-	}
-}
-
-func (op *compileWorkOp) finish(t *vtime.Task) {
-	k := op.k
-	op.k = nil
-	op.s.workOps.Put(op)
-	k.Run(t)
-}
-
-// compileWork charges one optimizer work batch on behalf of t.
-func (s *Server) compileWork(t *vtime.Task, tasks int) {
-	t.Await(func(k vtime.Step) {
-		op := s.workOps.Get()
-		if op == nil {
-			op = &compileWorkOp{s: s}
-		}
-		op.cpu = time.Duration(tasks) * s.cfg.CompileTaskCPU
-		op.tasks, op.k, op.state = tasks, k, 0
-		op.Run(t)
-	})
-}
-
-// stageRamp wires total additional bytes onto the compilation in
-// StepBytes increments, charging StepTasks of optimizer work per step.
-// Every increment passes through Compilation.Alloc, so the gateway
-// ladder can block (or time out) the compiling task mid-ramp and the
-// broker's trend detector sees the footprint actually climb between
-// ticks. A failed step has already rolled the whole compilation back.
-func (s *Server) stageRamp(t *vtime.Task, comp *core.Compilation, epoch uint64, total int64) error {
-	st := s.cfg.CompileStages
-	step := st.StepBytes
-	if step <= 0 {
-		step = total
-	}
-	for reserved := int64(0); reserved < total; {
-		if s.crashEpoch != epoch {
-			comp.Abort()
-			return ErrCrashed
-		}
-		n := step
-		if rest := total - reserved; n > rest {
-			n = rest
-		}
-		if err := comp.Alloc(n); err != nil {
-			return err
-		}
-		reserved += n
-		if st.StepTasks > 0 {
-			s.compileWork(t, st.StepTasks)
-		}
-	}
-	return nil
-}
-
-// compile optimizes q under the governor, walking the staged memory
-// phases: bind (fixed footprint) → join enumeration with costing
-// scratch accreting alongside every memo charge → codegen (a ramp
-// sized from the memo). Costing scratch is freed once codegen has
-// consumed it; everything else is released when the compilation
-// closes.
-// compileCtx carries one compilation's optimizer hook state. It is
-// pooled, and the three hook func values are bound to the ctx once when
-// it is first created — starting a compilation rewrites the per-call
-// fields in place instead of allocating fresh closures (the former
-// single largest allocation source in a sweep).
-type compileCtx struct {
-	s    *Server
-	t    *vtime.Task
-	comp *core.Compilation
-	// epoch is the crash epoch the compilation started under; a charge
-	// after the engine crashed aborts the compilation with ErrCrashed.
-	epoch uint64
-	// scale is CompileStages.CostingScale when the compilation is
-	// staged, else 0 (plain memo charges).
-	scale       float64
-	costingHeld int64
-	hooks       optimizer.Hooks
-}
-
-// charge forwards memo growth to the compilation. When staged, the
-// footprint the gateways see grows scale+1 times as fast as the memo —
-// exploration's memory is memo plus costing scratch.
-func (c *compileCtx) charge(n int64) error {
-	if c.s.crashEpoch != c.epoch {
-		// The engine crashed under this compilation; stop growing
-		// immediately (the caller aborts, releasing memory and gates).
-		return ErrCrashed
-	}
-	if c.scale > 0 {
-		extra := int64(c.scale * float64(n))
-		if err := c.comp.Alloc(n + extra); err != nil {
-			return err
-		}
-		c.costingHeld += extra
-		return nil
-	}
-	return c.comp.Alloc(n)
-}
-
-func (c *compileCtx) work(tasks int) { c.s.compileWork(c.t, tasks) }
-
-func (c *compileCtx) bestEffort() bool { return c.comp.ShouldYieldBestEffort() }
-
-func (s *Server) getCompileCtx(t *vtime.Task, comp *core.Compilation, scale float64) *compileCtx {
-	c := s.compCtxs.Get()
-	if c == nil {
-		c = &compileCtx{s: s}
-		c.hooks = optimizer.Hooks{Charge: c.charge, Work: c.work, BestEffort: c.bestEffort}
-	}
-	c.t, c.comp, c.scale, c.costingHeld, c.epoch = t, comp, scale, 0, s.crashEpoch
-	return c
-}
-
-func (s *Server) compile(t *vtime.Task, a *attempt) (*plan.Plan, error) {
-	comp := s.gov.Begin(t, "compile")
-	start := t.Now()
-	st := s.cfg.CompileStages
-	staged := !st.Disabled && len(a.q.Tables) > 1
-	if staged && st.BindBytes > 0 {
-		if err := comp.Alloc(st.BindBytes); err != nil {
-			return nil, err
-		}
-	}
-	scale := 0.0
-	if staged && st.CostingScale > 0 {
-		scale = st.CostingScale
-	}
-	ctx := s.getCompileCtx(t, comp, scale)
-	ctxEpoch := ctx.epoch
-	p, err := a.x.Optimize(ctx.hooks)
-	costingHeld := ctx.costingHeld
-	// Optimize no longer holds the hooks once it returns, so the ctx can be
-	// recycled before error handling.
-	s.compCtxs.Put(ctx)
-	if err != nil {
-		// Alloc failures already rolled the compilation back; other
-		// errors (validation) abort explicitly. Both are idempotent.
-		comp.Abort()
-		return nil, err
-	}
-	if staged && !p.BestEffort {
-		if err := s.stageRamp(t, comp, ctxEpoch, int64(st.CodegenScale*float64(p.CompileBytes))); err != nil {
-			return nil, err
-		}
-		// Costing scratch is dead once the physical plan exists; the
-		// release mid-flight is what gives the broker a falling trend
-		// to track.
-		comp.Free(costingHeld)
-	}
-	// A best-effort plan skips the codegen ramp entirely: the §4.1
-	// valve yielded the held plan precisely because the broker predicts
-	// exhaustion, so the compilation must not grow further — otherwise
-	// the ramp could fail with the very out-of-memory error the valve
-	// exists to avoid.
-	peak := comp.Peak()
-	comp.Finish()
-	s.compileHist.Observe(t.Now() - start)
-	p.CompileBytes = peak
-	s.compileMemSum += peak
-	s.compileMemN++
-	if peak > s.compileMemMax {
-		s.compileMemMax = peak
-	}
-	return p, nil
 }
 
 // Accessors for experiments and diagnostics.

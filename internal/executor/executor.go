@@ -351,22 +351,21 @@ type Prepared struct {
 // or 0 while nothing is (every plan has at least one scan).
 func (pr *Prepared) Scans() int { return len(pr.ends) }
 
-// execOp is the continuation state machine behind Execute: acquire the
-// grant, run the plan's nodes (children first — build before probe,
+// execOp is the continuation state machine behind ExecuteThen: acquire
+// the grant, run the plan's nodes (children first — build before probe,
 // matching hash-join scheduling; the tree is flattened into exactly the
 // old recursion's visit order), pay spill and refault I/O, release.
-// The op carries the result slots, and its scan-key and node scratch
-// buffers and its locality source are retained across uses.
+// Its scan-key and node scratch buffers and its locality source are
+// retained across uses.
 type execOp struct {
 	e    *Executor
-	t    *vtime.Task
 	p    *plan.Plan
 	seed int64
 	prep *Prepared
+	// stp (may be nil) and errp receive the outcome before k runs.
+	stp  *Stats
+	errp *error
 	k    vtime.Step
-	// begin is op.start bound once when the op is created, so Execute
-	// hands Await a stored func instead of a fresh closure.
-	begin func(vtime.Step)
 
 	st  Stats
 	err error
@@ -417,7 +416,7 @@ func (op *execOp) Run(t *vtime.Task) {
 		case exGranted:
 			if op.err != nil {
 				// No grant was taken; nothing to release.
-				op.k.Run(t)
+				op.finish(t)
 				return
 			}
 			st.GrantBytes = op.granted
@@ -510,7 +509,7 @@ func (op *execOp) Run(t *vtime.Task) {
 			e.executed++
 			st.Elapsed = t.Now() - op.startAt
 			e.grants.Release(op.granted)
-			op.k.Run(t)
+			op.finish(t)
 			return
 		}
 	}
@@ -588,41 +587,48 @@ func appendPostorder(nodes []*plan.Node, n *plan.Node) []*plan.Node {
 	return append(nodes, n)
 }
 
-// start is the op's Await entry point: ask for the grant, resuming at
-// exGranted.
-func (op *execOp) start(k vtime.Step) {
-	e := op.e
-	op.k = k
+// finish delivers the outcome, recycles the op and continues with k.
+func (op *execOp) finish(t *vtime.Task) {
+	if op.stp != nil {
+		*op.stp = op.st
+	}
+	*op.errp = op.err
+	k := op.k
+	op.p, op.prep, op.stp, op.errp, op.k, op.err, op.scan = nil, nil, nil, nil, nil, nil, nil
+	op.e.execs.Put(op)
+	k.Run(t)
+}
+
+// ExecuteThen runs plan p on behalf of task t as continuation steps, then
+// stores the outcome through st (nil to discard the statistics) and errp
+// and runs k. seed drives scan locality (derive it from the statement for
+// deterministic-but-varied access patterns). prep is nil for a plan
+// executed once; for a cached plan it is the Prepared kept with the plan,
+// which the first complete execution fills and later ones replay instead
+// of drawing — with the same seed on every execution of the plan, the two
+// are indistinguishable in virtual time. A steady-state call allocates
+// nothing.
+func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Prepared, st *Stats, errp *error, k vtime.Step) {
+	op := e.execs.Get()
+	if op == nil {
+		op = &execOp{e: e}
+	}
+	op.p, op.seed, op.prep, op.stp, op.errp, op.k = p, seed, prep, st, errp, k
 	op.st = Stats{}
 	op.seeded, op.si = false, 0
-	op.replay = op.prep != nil && op.prep.Scans() > 0
-	op.startAt = op.t.Now()
-	op.want = op.p.MemoryGrant()
+	op.replay = prep != nil && prep.Scans() > 0
+	op.startAt = t.Now()
+	op.want = p.MemoryGrant()
 	minFrac := e.cfg.MinGrantFrac
 	if minFrac <= 0 {
 		minFrac = 1
 	}
 	op.state = exGranted
-	e.grants.AcquireReducedThen(op.t, op.want, minFrac, &op.granted, &op.err, op)
+	e.grants.AcquireReducedThen(t, op.want, minFrac, &op.granted, &op.err, op)
 }
 
-// Execute runs plan p on behalf of task t. seed drives scan locality
-// (derive it from the statement for deterministic-but-varied access
-// patterns). prep is nil for a plan executed once; for a cached plan it
-// is the Prepared kept with the plan, which the first complete execution
-// fills and later ones replay instead of drawing — with the same seed on
-// every execution of the plan, the two are indistinguishable in virtual
-// time. A steady-state call allocates nothing.
-func (e *Executor) Execute(t *vtime.Task, p *plan.Plan, seed int64, prep *Prepared) (Stats, error) {
-	op := e.execs.Get()
-	if op == nil {
-		op = &execOp{e: e}
-		op.begin = op.start
-	}
-	op.t, op.p, op.seed, op.prep = t, p, seed, prep
-	t.Await(op.begin)
-	st, err := op.st, op.err
-	op.t, op.p, op.prep, op.k, op.err, op.scan = nil, nil, nil, nil, nil, nil
-	e.execs.Put(op)
+// Execute is ExecuteThen for blocking-style callers.
+func (e *Executor) Execute(t *vtime.Task, p *plan.Plan, seed int64, prep *Prepared) (st Stats, err error) {
+	t.Await(func(k vtime.Step) { e.ExecuteThen(t, p, seed, prep, &st, &err, k) })
 	return st, err
 }

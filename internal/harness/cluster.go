@@ -21,7 +21,7 @@ import (
 // order is fixed at construction, every router decision is a pure
 // function of the statement text and per-node counters, and all tasks
 // live on the run's single event loop.
-func runCluster(sched *vtime.Scheduler, o Options, ecfg engine.Config, snap *Snapshot, lcfg workload.LoadConfig) (*Result, error) {
+func runCluster(sched *vtime.Scheduler, o Options, ecfg engine.Config, snap *Snapshot, lcfg workload.LoadConfig, drive loadDriver) (*Result, error) {
 	nodes := make([]*engine.Server, o.Nodes)
 	routed := make([]cluster.Node, o.Nodes)
 	for i := range nodes {
@@ -50,7 +50,7 @@ func runCluster(sched *vtime.Scheduler, o Options, ecfg engine.Config, snap *Sna
 			srv.Close()
 		}
 	}
-	loadStats := workload.Run(sched, router, gen, lcfg, closeAll)
+	loadStats := drive(sched, router, gen, lcfg, closeAll)
 
 	// As in the single-server path, fault tasks spawn after the client
 	// population so the event schedule is a pure function of the options.

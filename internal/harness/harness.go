@@ -230,6 +230,14 @@ func Run(o Options) (*Result, error) {
 // so back-to-back runs reuse its run queue, timer wheel, and task slab;
 // results are bit-identical either way.
 func RunOn(sched *vtime.Scheduler, o Options) (*Result, error) {
+	return runOn(sched, o, workload.Run)
+}
+
+// loadDriver is workload.Run's signature: what spawns the client
+// population. Tests substitute the blocking reference driver.
+type loadDriver func(*vtime.Scheduler, workload.Submitter, workload.Generator, workload.LoadConfig, func()) *workload.LoadStats
+
+func runOn(sched *vtime.Scheduler, o Options, drive loadDriver) (*Result, error) {
 	if o.Clients <= 0 {
 		return nil, fmt.Errorf("harness: no clients")
 	}
@@ -306,7 +314,7 @@ func RunOn(sched *vtime.Scheduler, o Options) (*Result, error) {
 	lcfg.Seed = o.Seed
 
 	if o.Nodes > 1 {
-		return runCluster(sched, o, ecfg, snap, lcfg)
+		return runCluster(sched, o, ecfg, snap, lcfg, drive)
 	}
 
 	srv, err := engine.NewShared(ecfg, snap.Catalog, snap.prebuilt(), sched)
@@ -315,7 +323,7 @@ func RunOn(sched *vtime.Scheduler, o Options) (*Result, error) {
 	}
 
 	gen := o.Workload.Generator()
-	loadStats := workload.Run(sched, srv, gen, lcfg, srv.Close)
+	loadStats := drive(sched, srv, gen, lcfg, srv.Close)
 
 	// The fault plane spawns after the client population so task creation
 	// order — and with it the whole event schedule — is a pure function

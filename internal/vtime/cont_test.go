@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -257,5 +258,217 @@ func TestEventsCounter(t *testing.T) {
 	}
 	if s.Events() != 2 {
 		t.Fatalf("Events = %d, want 2 (spawn dispatch + timer wake)", s.Events())
+	}
+}
+
+// syncOp completes an Await's operation without parking; parkOp parks it
+// for a second.
+func syncOp(tk *Task) func(Step) { return func(k Step) { k.Run(tk) } }
+func parkOp(tk *Task) func(Step) { return func(k Step) { tk.SleepThen(time.Second, k) } }
+
+// TestAwaitNests pins Await's re-entrancy: the operation an Await starts
+// may enter a blocking section that Awaits. Each case is an outer Await
+// whose operation runs inner Awaits inside a Block and then completes the
+// way outer says; the clock after the outer Await tells whether every
+// level that had to park did.
+func TestAwaitNests(t *testing.T) {
+	cases := []struct {
+		name  string
+		inner []bool // one nested level per entry, outermost first: does it park?
+		outer bool   // does the outer operation park after the nesting returns?
+		want  time.Duration
+	}{
+		// The defect: the inner Await's synchronous completion used to leave
+		// syncDone set, and the outer Await then returned without parking.
+		{"inner sync, outer parks", []bool{false}, true, time.Second},
+		{"inner parks, outer sync", []bool{true}, false, time.Second},
+		{"inner parks, outer parks", []bool{true}, true, 2 * time.Second},
+		{"three deep: sync inside park inside sync, outer parks", []bool{false, true, false}, true, 2 * time.Second},
+		{"three deep: all park", []bool{true, true, true}, true, 4 * time.Second},
+		{"three deep: all sync", []bool{false, false, false}, false, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler()
+			var after time.Duration
+			op := func(parks bool, tk *Task) func(Step) {
+				if parks {
+					return parkOp(tk)
+				}
+				return syncOp(tk)
+			}
+			// nest(i) is level i's operation: Block on a section that Awaits
+			// level i+1, then complete as level i is told to.
+			var nest func(i int, tk *Task, parks bool) func(Step)
+			nest = func(i int, tk *Task, parks bool) func(Step) {
+				if i == len(tc.inner) {
+					return op(parks, tk)
+				}
+				return func(k Step) {
+					tk.Block(StepFunc(func(tk *Task) {
+						tk.Await(nest(i+1, tk, tc.inner[i]))
+					}), StepFunc(func(tk *Task) { op(parks, tk)(k) }))
+				}
+			}
+			s.Go("task", func(tk *Task) {
+				tk.Await(nest(0, tk, tc.outer))
+				after = tk.Now()
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if after != tc.want {
+				t.Fatalf("outer Await returned at %v, want %v", after, tc.want)
+			}
+		})
+	}
+}
+
+// TestBlockFromStep: a continuation task runs one blocking section on a
+// coroutine it holds only for the section, continues on the event loop in
+// the dispatch the section returned in, and gives the coroutine back for
+// the next section to reuse.
+func TestBlockFromStep(t *testing.T) {
+	s := NewScheduler()
+	var trace []string
+	section := StepFunc(func(tk *Task) {
+		tk.Sleep(time.Second)
+		trace = append(trace, "section@"+tk.Now().String())
+	})
+	s.GoFunc("cont", func(tk *Task) {
+		tk.Block(section, StepFunc(func(tk *Task) {
+			trace = append(trace, "step@"+tk.Now().String())
+			tk.SleepThen(time.Second, StepFunc(func(tk *Task) {
+				tk.Block(section, StepFunc(func(tk *Task) {
+					trace = append(trace, "done@"+tk.Now().String())
+				}))
+			}))
+		}))
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"section@1s", "step@1s", "section@3s", "done@3s"}
+	if len(trace) != len(want) {
+		t.Fatalf("trace = %v, want %v", trace, want)
+	}
+	for i := range want {
+		if trace[i] != want[i] {
+			t.Fatalf("trace = %v, want %v", trace, want)
+		}
+	}
+	// Spawn, section wake, think wake, section wake: the section's return
+	// and the step after it share the wake's dispatch.
+	if s.Events() != 4 {
+		t.Errorf("Events = %d, want 4", s.Events())
+	}
+	if s.Coroutines() != 1 {
+		t.Errorf("Coroutines = %d, want 1 (the second section reuses the first's)", s.Coroutines())
+	}
+	if s.CoroSwitches() != 4 {
+		t.Errorf("CoroSwitches = %d, want 4 (enter and resume, twice)", s.CoroSwitches())
+	}
+}
+
+// TestBlockWhileParkedInAwait: a section entered from a step of an
+// Await's operation — the task's own coroutine is parked in that Await —
+// runs on a second coroutine, and the Await resumes on the first.
+func TestBlockWhileParkedInAwait(t *testing.T) {
+	s := NewScheduler()
+	var inSection, afterAwait time.Duration
+	s.Go("task", func(tk *Task) {
+		tk.Await(func(k Step) {
+			tk.SleepThen(time.Second, StepFunc(func(tk *Task) {
+				tk.Block(StepFunc(func(tk *Task) {
+					tk.Sleep(time.Second)
+					inSection = tk.Now()
+				}), k)
+			}))
+		})
+		afterAwait = tk.Now()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if inSection != 2*time.Second || afterAwait != 2*time.Second {
+		t.Fatalf("section finished at %v, Await returned at %v, want 2s both", inSection, afterAwait)
+	}
+	if s.Coroutines() != 2 {
+		t.Errorf("Coroutines = %d, want 2", s.Coroutines())
+	}
+}
+
+// TestBlockingAPIOutsideSection: the blocking API panics on the event
+// loop, also for a task whose coroutine is parked in an Await.
+func TestBlockingAPIOutsideSection(t *testing.T) {
+	cases := map[string]func(s *Scheduler, blocking func(*Task)){
+		"from a step": func(s *Scheduler, blocking func(*Task)) {
+			s.GoFunc("cont", blocking)
+		},
+		"from a step of an Await's operation": func(s *Scheduler, blocking func(*Task)) {
+			s.Go("task", func(tk *Task) {
+				tk.Await(func(k Step) { tk.SleepThen(time.Second, StepFunc(blocking)) })
+			})
+		},
+	}
+	calls := map[string]func(*Task){
+		"Sleep": func(tk *Task) { tk.Sleep(time.Second) },
+		"Await": func(tk *Task) { tk.Await(syncOp(tk)) },
+	}
+	for where, spawn := range cases {
+		for what, blocking := range calls {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s did not panic", what, where)
+					}
+				}()
+				s := NewScheduler()
+				spawn(s, blocking)
+				s.Run()
+			}()
+		}
+	}
+}
+
+// TestRunKeepsNoIdleCoroutines: a parked coroutine is a goroutine the
+// collector cannot reclaim, so Run ends the idle ones before it returns.
+func TestRunKeepsNoIdleCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewScheduler()
+	for i := 0; i < 50; i++ {
+		s.Go("sleeper", func(tk *Task) { tk.Sleep(time.Second) })
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Coroutines() != 50 {
+		t.Fatalf("Coroutines = %d, want 50", s.Coroutines())
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before Run, %d after", before, after)
+	}
+}
+
+// TestAwaitErrAllocatesNothing: the error slot is the task's own.
+func TestAwaitErrAllocatesNothing(t *testing.T) {
+	s := NewScheduler()
+	errOp := &ErrDeadlock{}
+	s.Go("task", func(tk *Task) {
+		call := func() {
+			err := tk.AwaitErr(func(errp *error, k Step) {
+				*errp = errOp
+				k.Run(tk)
+			})
+			if err != errOp {
+				t.Errorf("AwaitErr = %v, want the operation's error", err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, call); n != 0 {
+			t.Errorf("AwaitErr allocates %v times, want 0", n)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -22,19 +22,31 @@
 // bit-identical to the heap scheduler (pinned by the scenario
 // golden-digest test and the wheel-vs-heap differential test).
 //
-// Two task flavours share the same run queue and timer wheel:
+// There are three ways to run code under a Scheduler, and they share one
+// run queue and one timer wheel:
 //
-//   - Continuation tasks (GoStep) are pure state machines. They have no
-//     stack at all; each step runs on the event-loop goroutine.
-//   - Blocking-style tasks (Go) keep the classic imperative API
-//     (Task.Sleep, WaitQueue.Wait, ...). Their bodies run on a coroutine
-//     (iter.Pull), which the loop enters and leaves by direct coroutine
-//     switch — roughly 4x cheaper than a channel handoff, and with no
-//     runtime-scheduler involvement. Blocking code can execute a whole
-//     continuation-style composite operation with ONE coroutine round
-//     trip via Task.Await; the hot engine paths use this so high-
-//     frequency events (CPU quanta, disk transfers, grant retries) never
-//     touch a stack.
+//   - A step (GoStep, and every *Then primitive's continuation) is a
+//     plain call on the event-loop goroutine. A task made only of steps
+//     is a state machine with no stack at all; the client population and
+//     the engine's housekeeping are such tasks.
+//   - A blocking section (Task.Block) is ordinary imperative code —
+//     Task.Sleep, WaitQueue.Wait, Task.Await — that a task runs on a
+//     coroutine (iter.Pull) for as long as the section lasts. The
+//     coroutine comes from the scheduler's free list when the section
+//     starts and goes back when it returns, and the task continues with a
+//     step in the same dispatch. The loop enters and leaves a coroutine by
+//     direct switch — roughly 4x cheaper than a channel handoff, and with
+//     no runtime-scheduler involvement — but every switch lands on a
+//     cache-cold stack, so a task should hold one only where its code
+//     needs a stack: the engine's statements take one to compile and for
+//     nothing else.
+//   - A Go task is a task whose whole body is one blocking section.
+//
+// Blocking code can execute a whole continuation-style composite
+// operation with ONE coroutine round trip via Task.Await; the hot engine
+// paths use this so high-frequency events (CPU quanta, disk transfers,
+// grant retries) never touch a stack. Awaits nest: the operation an Await
+// starts may itself enter a blocking section that Awaits.
 //
 // Tasks block by sleeping or by waiting on a WaitQueue; when no task is
 // runnable the scheduler advances the virtual clock to the next timer.
@@ -77,12 +89,17 @@ type Scheduler struct {
 	seq    uint64 // task-ID sequence (diagnostics only)
 	events uint64 // dispatched events (sim-events/sec numerator)
 
+	// Coroutines not inside a blocking section, linked through prev, and
+	// the two diagnostic counters that say what stacks cost a run:
+	// switches into a coroutine, and coroutines created.
+	freeCoros *coro
+	switches  uint64
+	coros     uint64
+
 	// queues holds every WaitQueue tasks of this scheduler have waited
 	// on, so deadlock reports (diag.go) can name the blocked tasks; the
 	// hot wait paths only pay a nil check for it.
 	queues []*WaitQueue
-
-	running *Task
 
 	// Task slab: chunked arena the Tasks of a run are carved from.
 	// Starting a task costs one allocation per taskChunkSize tasks
@@ -113,6 +130,15 @@ func (s *Scheduler) Live() int { return s.live }
 // processed — the numerator of the sim-events/sec benchmark metric.
 func (s *Scheduler) Events() uint64 { return s.events }
 
+// CoroSwitches reports how many times the event loop switched into a
+// coroutine, and Coroutines how many coroutines it created: what the
+// run's blocking sections cost beyond its Events. Diagnostics, like
+// Events.
+func (s *Scheduler) CoroSwitches() uint64 { return s.switches }
+
+// Coroutines: see CoroSwitches.
+func (s *Scheduler) Coroutines() uint64 { return s.coros }
+
 // Idle reports whether the scheduler holds no live tasks, no runnable
 // tasks, and no armed timers — the state in which Reset is legal. A
 // scheduler whose Run returned nil is idle; one abandoned after a
@@ -137,8 +163,9 @@ func (s *Scheduler) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.events = 0
+	s.switches = 0
+	s.coros = 0
 	s.queues = s.queues[:0]
-	s.running = nil
 	s.wheel.cur = 0
 	for i := range s.tchunks {
 		s.tchunks[i] = s.tchunks[i][:0]
@@ -195,34 +222,28 @@ func (s *Scheduler) growRunq() {
 	s.rhead = 0
 }
 
-// Go creates a blocking-style task named name executing fn and schedules
-// it to run. The body runs on a coroutine entered by direct switch; fn
+// Go creates a task named name whose body fn is one blocking section: fn
 // may use the imperative API (Sleep, Wait, Await, ...). The name is used
 // only for diagnostics (deadlock reports). Go may be called from the
 // host goroutine before Run, or from a running task.
 func (s *Scheduler) Go(name string, fn func(*Task)) *Task {
-	s.seq++
-	t := s.newTask()
-	*t = Task{s: s, name: name, id: s.seq, wlevel: -1, goro: true}
-	next, _ := iter.Pull(func(yield func(struct{}) bool) {
-		t.yieldCo = yield
-		if !yield(struct{}{}) {
-			return
-		}
-		fn(t)
-	})
-	t.resumeCo = func() bool { _, ok := next(); return ok }
-	t.resumeCo() // prime to the initial yield so yieldCo is captured
-	s.live++
-	t.k = coroResume
-	s.pushRunq(t)
-	return t
+	return s.GoStep(name, goBody(fn))
 }
+
+// goBody is a Go task's only step: run the body as a blocking section
+// and, when it returns, arm nothing — the task exits.
+type goBody func(*Task)
+
+func (fn goBody) Run(t *Task) { t.Block(StepFunc(fn), exitStep{}) }
+
+type exitStep struct{}
+
+func (exitStep) Run(*Task) {}
 
 // GoStep starts a continuation task: k runs when the task is first
 // scheduled, and the task exits when a step returns without arming a new
-// resume point (SleepThen, YieldThen, WaitThen, ...). Continuation tasks
-// have no stack and may not call the blocking API.
+// resume point (SleepThen, YieldThen, WaitThen, ...). A continuation task
+// has no stack; it may call the blocking API only inside a Block section.
 func (s *Scheduler) GoStep(name string, k Step) *Task {
 	s.seq++
 	t := s.newTask()
@@ -245,6 +266,7 @@ func (s *Scheduler) Run() error {
 	for {
 		if s.rlen == 0 {
 			if s.wheel.count == 0 {
+				s.dropCoros()
 				if s.live == 0 {
 					return nil
 				}
@@ -254,7 +276,6 @@ func (s *Scheduler) Run() error {
 		}
 		t := s.popRunq()
 		s.events++
-		s.running = t
 		k := t.k
 		t.k = nil
 		// De-virtualized dispatch: the overwhelmingly common resume
@@ -272,10 +293,9 @@ func (s *Scheduler) Run() error {
 		default:
 			k.Run(t)
 		}
-		s.running = nil
-		if t.k == nil && !t.goro {
-			// A continuation task's step returned without arming a new
-			// resume point: the task is done.
+		if t.k == nil {
+			// The step returned without arming a new resume point: the
+			// task is done.
 			s.live--
 		}
 	}
@@ -321,7 +341,7 @@ func (s *Scheduler) fireDue() {
 // dispatch, sleep, and wake — the resume point, scheduler, deadline,
 // wait-queue membership, and flags — packs into the first cache line;
 // the wheel links follow immediately (touched on arm/disarm), and the
-// cold diagnostic and coroutine plumbing trails at the end.
+// cold diagnostics trail at the end.
 type Task struct {
 	// k is the pending resume point, invoked when the task is next
 	// dispatched from the run queue.
@@ -338,17 +358,19 @@ type Task struct {
 	qprev, qnext *Task
 
 	wlevel, wslot int8
-	goro          bool // blocking-style task (has a coroutine)
-	onCoro        bool // currently executing inside the coroutine
-	syncDone      bool // Await operation completed without parking
+	onCoro        bool // currently executing inside co
+	syncDone      bool // the innermost Await's operation completed without parking
 	timedOut      bool
+
+	// co is the coroutine of the task's innermost open blocking section,
+	// nil outside one.
+	co *coro
 
 	// Wheel bucket links (intrusive doubly-linked FIFO).
 	wprev, wnext *Task
 
-	// Coroutine support for blocking-style tasks.
-	resumeCo func() bool
-	yieldCo  func(struct{}) bool
+	// err is AwaitErr's result slot.
+	err error
 
 	// Diagnostics only.
 	id   uint64
@@ -372,11 +394,94 @@ func (t *Task) Scheduler() *Scheduler { return t.s }
 // WaitTimeoutThen / AcquireTimeoutThen consult it.
 func (t *Task) TimedOut() bool { return t.timedOut }
 
-// --- coroutine switching ---
+// --- blocking sections ---
 
-// coroResumeStep switches control into a blocking-style task's
-// coroutine. As the final continuation of an Await chain it also marks
-// synchronous completion when the chain never parked.
+// coro is one pooled coroutine: idle on the scheduler's free list, or
+// running (or parked inside) the blocking section body of task t.
+type coro struct {
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+
+	t    *Task
+	body Step // the section; nil once it has returned
+	k    Step // what t continues with after the section
+	// prev is the coroutine t was parked on when this section began (a
+	// section entered from a step of an Await's operation), or the next
+	// free coroutine while this one is idle.
+	prev *coro
+}
+
+// getCoro returns an idle coroutine, creating one when the free list is
+// empty. A new coroutine is primed up to its first yield, where it waits
+// for a section.
+func (s *Scheduler) getCoro() *coro {
+	if co := s.freeCoros; co != nil {
+		s.freeCoros = co.prev
+		return co
+	}
+	co := &coro{}
+	co.resume, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		for yield(struct{}{}) {
+			co.body.Run(co.t)
+			co.body = nil
+		}
+	})
+	co.resume()
+	s.coros++
+	return co
+}
+
+// dropCoros ends the idle coroutines. A parked coroutine is a goroutine
+// the garbage collector cannot reclaim, so a scheduler keeps none past
+// the end of Run; the next Run creates what it needs.
+func (s *Scheduler) dropCoros() {
+	for co := s.freeCoros; co != nil; co = co.prev {
+		co.stop()
+	}
+	s.freeCoros = nil
+}
+
+// Block runs body — blocking-style code: Sleep, Wait, Await — as one
+// blocking section of the task, then continues with k. Called from a
+// step, it takes a coroutine for exactly as long as body runs, and k runs
+// on the event loop in the dispatch in which body returned. Called from
+// inside a blocking section, it is body.Run(t) followed by k.Run(t).
+func (t *Task) Block(body, k Step) {
+	if t.onCoro {
+		body.Run(t)
+		k.Run(t)
+		return
+	}
+	co := t.s.getCoro()
+	co.t, co.body, co.k, co.prev = t, body, k, t.co
+	t.co = co
+	t.switchIn()
+}
+
+// switchIn runs the task's innermost blocking section until it parks or
+// returns; a section that returned gives its coroutine back and the task
+// continues with the section's k.
+func (t *Task) switchIn() {
+	s, co := t.s, t.co
+	s.switches++
+	t.onCoro = true
+	co.resume()
+	t.onCoro = false
+	if co.body != nil {
+		return
+	}
+	k := co.k
+	t.co = co.prev
+	co.t, co.k, co.prev = nil, nil, s.freeCoros
+	s.freeCoros = co
+	k.Run(t)
+}
+
+// coroResumeStep switches control back into the task's blocking section.
+// As the final continuation of an Await chain it also marks synchronous
+// completion when the chain never parked.
 type coroResumeStep struct{}
 
 func (coroResumeStep) Run(t *Task) {
@@ -391,48 +496,53 @@ func (coroResumeStep) Run(t *Task) {
 
 var coroResume Step = coroResumeStep{}
 
-func (t *Task) switchIn() {
-	t.onCoro = true
-	alive := t.resumeCo()
-	t.onCoro = false
-	if !alive {
-		t.s.live--
-	}
-}
-
-// park suspends the coroutine until the task's pending continuation
-// (which must be coroResume, or a chain ending in it) runs.
+// park suspends the blocking section until the task's pending
+// continuation (which must be coroResume, or a chain ending in it) runs.
 func (t *Task) park() {
-	if !t.goro {
-		panic("vtime: blocking wait on continuation task " + t.name)
+	if !t.onCoro {
+		panic("vtime: blocking wait outside a blocking section of task " + t.name)
 	}
-	// yield reports false only after an iter.Pull stop, which the
-	// scheduler never issues: coroutines of forever-blocked tasks are
-	// abandoned in place when Run returns ErrDeadlock, exactly as the
-	// channel-based scheduler abandoned its parked goroutines. The guard
-	// keeps that invariant loud instead of silently running task code
-	// after a teardown.
-	if !t.yieldCo(struct{}{}) {
+	// yield reports false only after the coroutine is stopped, which the
+	// scheduler does to idle coroutines alone: those of forever-blocked
+	// tasks are abandoned in place when Run returns ErrDeadlock, exactly as
+	// the channel-based scheduler abandoned its parked goroutines. The
+	// guard keeps that invariant loud instead of silently running task
+	// code after a teardown.
+	if !t.co.yield(struct{}{}) {
 		panic("vtime: task " + t.name + " resumed after scheduler teardown")
 	}
 }
 
-// Await runs a continuation-style composite operation from a
-// blocking-style task with at most one coroutine round trip: start must
-// arrange — via the *Then primitives — for the provided Step to
-// eventually run; that Step resumes this call. If the operation
-// completes without ever parking, Await returns without touching the
-// scheduler.
+// Await runs a continuation-style composite operation from a blocking
+// section with at most one coroutine round trip: start must arrange —
+// via the *Then primitives — for the provided Step to eventually run;
+// that Step resumes this call. If the operation completes without ever
+// parking, Await returns without touching the scheduler. The operation
+// may itself Block and Await: syncDone is true only between an
+// operation's synchronous completion and its own Await's return, so an
+// inner Await that completed synchronously does not excuse the outer one
+// from parking.
 func (t *Task) Await(start func(k Step)) {
-	if !t.goro {
-		panic("vtime: Await on continuation task " + t.name)
+	if !t.onCoro {
+		panic("vtime: Await outside a blocking section of task " + t.name)
 	}
-	t.syncDone = false
 	start(coroResume)
 	if t.syncDone {
+		t.syncDone = false
 		return
 	}
 	t.park()
+}
+
+// AwaitErr is Await for an operation that reports an error through a
+// pointer. The slot it hands start is the task's own, so the call
+// allocates nothing; the operation must store through it only as it
+// completes (a nested AwaitErr uses the same slot in between).
+func (t *Task) AwaitErr(start func(errp *error, k Step)) error {
+	t.Await(func(k Step) { start(&t.err, k) })
+	err := t.err
+	t.err = nil
+	return err
 }
 
 // --- continuation primitives ---
@@ -456,7 +566,7 @@ func (t *Task) SleepThen(d time.Duration, k Step) {
 	t.s.addTimer(t, t.s.now+d)
 }
 
-// --- blocking wrappers (coroutine tasks only) ---
+// --- blocking wrappers (blocking sections only) ---
 
 // Yield reschedules the task at the back of the run queue, letting other
 // runnable tasks execute at the same virtual instant.

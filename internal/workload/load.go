@@ -9,11 +9,12 @@ import (
 	"compilegate/internal/vtime"
 )
 
-// Submitter runs one query end to end on behalf of a client task,
-// returning the engine's error (compile OOM, gateway timeout, grant
-// timeout, ...). The engine's Server implements it.
+// Submitter runs one query end to end on behalf of a client task as
+// continuation steps, then stores the engine's error (compile OOM,
+// gateway timeout, grant timeout, ...; nil for a completion) through errp
+// and runs k. The engine's Server and the cluster's Router implement it.
 type Submitter interface {
-	Submit(t *vtime.Task, sql string) error
+	SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step)
 }
 
 // LoadConfig shapes the closed-loop client population (§5.2's custom load
@@ -83,10 +84,10 @@ type LoadStats struct {
 	BudgetExhausted int
 }
 
-// backoffFor returns the sleep before retry number attempt (1-based).
+// Backoff returns the sleep before retry number attempt (1-based).
 // The legacy fixed path must not touch rng: consuming a draw would shift
 // every later query of the client and break golden digests.
-func backoffFor(cfg *LoadConfig, rng *rand.Rand, attempt int) time.Duration {
+func (cfg *LoadConfig) Backoff(rng *rand.Rand, attempt int) time.Duration {
 	if cfg.BackoffBase <= 0 {
 		return cfg.RetryBackoff
 	}
@@ -115,55 +116,111 @@ func backoffFor(cfg *LoadConfig, rng *rand.Rand, attempt int) time.Duration {
 	return d
 }
 
+// load is what the clients of one Run share.
+type load struct {
+	cfg       LoadConfig
+	sub       Submitter
+	gen       Generator
+	stats     LoadStats
+	remaining int
+	onAllDone func()
+}
+
+// client is one closed-loop user as a continuation task: a state machine
+// whose every wait — arrival stagger, the submission, retry backoff,
+// think time — is a resume point on the event loop, so a client holds a
+// coroutine only while the engine compiles for it.
+type client struct {
+	ld      *load
+	rng     *rand.Rand
+	sql     string // the query in flight, kept for its retries
+	err     error  // the last submission's outcome
+	i       int    // position in the population: seed and stagger
+	retries int    // of the query in flight
+	budget  int    // retries left for the whole run (cfg.RetryBudget > 0)
+	state   int8
+}
+
+const (
+	clientArrive   int8 = iota // first dispatch: seed, then stagger
+	clientNext                 // stagger or think time is over: next query, or leave
+	clientSubmit               // backoff is over: resubmit
+	clientAnswered             // a submission came back
+)
+
+func (c *client) Run(t *vtime.Task) {
+	ld := c.ld
+	cfg, stats := &ld.cfg, &ld.stats
+	switch c.state {
+	case clientArrive:
+		c.rng = rand.New(rand.NewSource(cfg.Seed + int64(c.i)*7919))
+		c.budget = cfg.RetryBudget
+		c.state = clientNext
+		// Stagger arrival so clients don't align on the same instant.
+		t.SleepThen(time.Duration(c.i)*250*time.Millisecond, c)
+	case clientNext:
+		if t.Now() >= cfg.Horizon {
+			ld.remaining--
+			if ld.remaining == 0 && ld.onAllDone != nil {
+				ld.onAllDone()
+			}
+			return // no resume point armed: the client leaves
+		}
+		c.sql = ld.gen.Next(c.rng)
+		stats.Submitted++
+		c.retries = 0
+		fallthrough
+	case clientSubmit:
+		c.state = clientAnswered
+		ld.sub.SubmitThen(t, c.sql, &c.err, c)
+	case clientAnswered:
+		if c.err != nil && c.retries < cfg.MaxRetries && t.Now() < cfg.Horizon && c.mayRetry() {
+			c.retries++
+			stats.Retries++
+			c.state = clientSubmit
+			t.SleepThen(cfg.Backoff(c.rng, c.retries), c)
+			return
+		}
+		if c.err != nil {
+			stats.Failed++
+		} else {
+			stats.Succeeded++
+		}
+		c.state = clientNext
+		t.SleepThen(cfg.ThinkTime, c)
+	}
+}
+
+// mayRetry decides whether the client resubmits after c.err, counting a
+// give-up when it does not: shed work a cooperating driver leaves alone,
+// or a retry the client's budget cannot pay for.
+func (c *client) mayRetry() bool {
+	cfg, stats := &c.ld.cfg, &c.ld.stats
+	if cfg.NoRetryShed && errclass.IsShed(c.err) {
+		stats.GiveUps++
+		return false
+	}
+	if cfg.RetryBudget > 0 {
+		if c.budget <= 0 {
+			stats.GiveUps++
+			stats.BudgetExhausted++
+			return false
+		}
+		c.budget--
+	}
+	return true
+}
+
 // Run spawns cfg.Clients client tasks against sub. onAllDone (may be nil)
 // fires from the last client to finish — use it to stop engine
 // housekeeping. Returns the shared stats structure, filled in as the
 // simulation runs.
 func Run(sched *vtime.Scheduler, sub Submitter, gen Generator, cfg LoadConfig, onAllDone func()) *LoadStats {
-	stats := &LoadStats{}
-	remaining := cfg.Clients
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		sched.Go("client", func(t *vtime.Task) {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-			budget := cfg.RetryBudget
-			// Stagger arrival so clients don't align on the same instant.
-			t.Sleep(time.Duration(i) * 250 * time.Millisecond)
-			for t.Now() < cfg.Horizon {
-				sql := gen.Next(rng)
-				stats.Submitted++
-				err := sub.Submit(t, sql)
-				retries := 0
-				for err != nil && retries < cfg.MaxRetries && t.Now() < cfg.Horizon {
-					if cfg.NoRetryShed && errclass.IsShed(err) {
-						stats.GiveUps++
-						break
-					}
-					if cfg.RetryBudget > 0 {
-						if budget <= 0 {
-							stats.GiveUps++
-							stats.BudgetExhausted++
-							break
-						}
-						budget--
-					}
-					retries++
-					stats.Retries++
-					t.Sleep(backoffFor(&cfg, rng, retries))
-					err = sub.Submit(t, sql)
-				}
-				if err != nil {
-					stats.Failed++
-				} else {
-					stats.Succeeded++
-				}
-				t.Sleep(cfg.ThinkTime)
-			}
-			remaining--
-			if remaining == 0 && onAllDone != nil {
-				onAllDone()
-			}
-		})
+	ld := &load{cfg: cfg, sub: sub, gen: gen, remaining: cfg.Clients, onAllDone: onAllDone}
+	clients := make([]client, cfg.Clients)
+	for i := range clients {
+		clients[i] = client{ld: ld, i: i}
+		sched.GoStep("client", &clients[i])
 	}
-	return stats
+	return &ld.stats
 }

@@ -166,13 +166,16 @@ type fakeSubmitter struct {
 	failAt map[int]bool
 }
 
-func (f *fakeSubmitter) Submit(t *vtime.Task, sql string) error {
+func (f *fakeSubmitter) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step) {
 	f.calls++
-	t.Sleep(time.Second)
-	if f.failAt[f.calls] {
-		return errFake
-	}
-	return nil
+	fail := f.failAt[f.calls]
+	t.SleepThen(time.Second, vtime.StepFunc(func(t *vtime.Task) {
+		*errp = nil
+		if fail {
+			*errp = errFake
+		}
+		k.Run(t)
+	}))
 }
 
 var errFake = &fakeError{}
@@ -261,8 +264,8 @@ func TestBackoffFor(t *testing.T) {
 		{"overflow-uncapped-pins-to-base", LoadConfig{BackoffBase: 500 * time.Millisecond}, 1000, 500 * time.Millisecond},
 	}
 	for _, tc := range cases {
-		if got := backoffFor(&tc.cfg, nil, tc.attempt); got != tc.want {
-			t.Errorf("%s: backoffFor(attempt=%d) = %v, want %v", tc.name, tc.attempt, got, tc.want)
+		if got := tc.cfg.Backoff(nil, tc.attempt); got != tc.want {
+			t.Errorf("%s: Backoff(attempt=%d) = %v, want %v", tc.name, tc.attempt, got, tc.want)
 		}
 	}
 }
@@ -272,7 +275,7 @@ func TestBackoffForNeverNegative(t *testing.T) {
 	// backoff must stay positive and respect the cap everywhere.
 	cfg := LoadConfig{BackoffBase: 500 * time.Millisecond, BackoffCap: 10 * time.Second}
 	for attempt := 1; attempt <= 200; attempt++ {
-		d := backoffFor(&cfg, nil, attempt)
+		d := cfg.Backoff(nil, attempt)
 		if d <= 0 || d > cfg.BackoffCap {
 			t.Fatalf("attempt %d: backoff %v escapes (0, %v]", attempt, d, cfg.BackoffCap)
 		}
@@ -283,7 +286,7 @@ func TestBackoffForJitterBounds(t *testing.T) {
 	cfg := LoadConfig{BackoffBase: time.Second, BackoffCap: 10 * time.Second, BackoffJitter: 0.3}
 	rng := rand.New(rand.NewSource(7))
 	for attempt := 1; attempt <= 20; attempt++ {
-		d := backoffFor(&cfg, rng, attempt)
+		d := cfg.Backoff(rng, attempt)
 		base := time.Second << uint(attempt-1)
 		if attempt > 4 { // 16s > cap
 			base = cfg.BackoffCap
