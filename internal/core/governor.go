@@ -82,6 +82,9 @@ type Governor struct {
 	aborted    uint64
 	bestEffort uint64 // compilations cut short by the exhaustion signal
 	peakActive int
+	// AllocSpan calls that charged their span at once, and that refused.
+	spansSettled  uint64
+	spansReplayed uint64
 
 	// Brown-out state machine (see BrownoutConfig).
 	brownout        bool
@@ -195,6 +198,10 @@ func (g *Governor) Finished() uint64 { return g.finished }
 // Aborted returns the number of compilations aborted (timeout or OOM).
 func (g *Governor) Aborted() uint64 { return g.aborted }
 
+// Spans returns how many AllocSpan calls charged their span at once and how
+// many refused, leaving it to be replayed through Alloc.
+func (g *Governor) Spans() (settled, replayed uint64) { return g.spansSettled, g.spansReplayed }
+
 // BestEffortCount returns how many compilations were cut short by the
 // exhaustion signal, returning best-effort plans.
 func (g *Governor) BestEffortCount() uint64 { return g.bestEffort }
@@ -271,6 +278,30 @@ func (c *Compilation) Alloc(n int64) error {
 	return nil
 }
 
+// AllocSpan is k Alloc calls, each of at least one byte and n bytes in all,
+// provided none of them would block at a gate, make the budget reclaim, or
+// fail. Nothing else runs between them and the compilation only grows, so
+// that is a question about the last one alone. Otherwise it does nothing and
+// reports false: the caller makes the k calls.
+func (c *Compilation) AllocSpan(n int64, k int) bool {
+	if c.closed {
+		panic("core: AllocSpan on closed compilation " + c.name)
+	}
+	if (c.ticket != nil && !c.ticket.Clears(c.used+n)) || !c.g.tracker.ReserveSpan(n, k) {
+		c.g.spansReplayed++
+		return false
+	}
+	c.used += n
+	if c.ticket != nil {
+		c.ticket.Update(c.task, c.used) // clears: records the usage, nothing more
+	}
+	if c.used > c.peak {
+		c.peak = c.used
+	}
+	c.g.spansSettled++
+	return true
+}
+
 // Free returns n bytes mid-compilation (e.g. a discarded subtree).
 func (c *Compilation) Free(n int64) {
 	if n > c.used {
@@ -342,6 +373,9 @@ func (g *Governor) Report() string {
 	s := fmt.Sprintf("governor: enabled=%v started=%d finished=%d aborted=%d best-effort=%d peak-active=%d compile-mem=%s (peak %s)\n",
 		g.opts.Enabled, g.started, g.finished, g.aborted, g.bestEffort, g.peakActive,
 		mem.FormatBytes(g.tracker.Used()), mem.FormatBytes(g.tracker.Peak()))
+	if g.spansSettled+g.spansReplayed > 0 {
+		s += fmt.Sprintf("charge spans: settled=%d replayed=%d\n", g.spansSettled, g.spansReplayed)
+	}
 	if g.opts.Brownout.Enabled {
 		s += fmt.Sprintf("brownout: active=%v entries=%d ticks=%d\n",
 			g.brownout, g.brownoutEntries, g.brownoutTicks)

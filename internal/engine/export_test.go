@@ -1,0 +1,10 @@
+package engine
+
+// SetSpanCharging switches span charging off (or back on) for every server
+// that has not compiled yet, and returns the previous setting. Only the
+// whole-run differential test uses it; it must not run in parallel with
+// other tests.
+func SetSpanCharging(on bool) (was bool) {
+	was, spanCharging = spanCharging, on
+	return was
+}

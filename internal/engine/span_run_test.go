@@ -1,0 +1,152 @@
+package engine_test
+
+import (
+	"reflect"
+	"regexp"
+	"strconv"
+	"testing"
+	"time"
+
+	"compilegate/internal/engine"
+	"compilegate/internal/harness"
+	"compilegate/internal/scenario"
+	"compilegate/internal/workload"
+)
+
+// The whole-run side of span charging's contract lives here and not in
+// internal/harness because the switch it needs is this package's
+// export_test.go, which only this package's tests can see.
+
+// spanLine is the governor's span counters in a server's report — the one
+// thing a run with span charging shows that a run without does not.
+var spanLine = regexp.MustCompile(`(?m)^charge spans: settled=(\d+) replayed=(\d+)\n`)
+
+// spanCounts sums the span counters over every server in a run's report.
+func spanCounts(t *testing.T, r *harness.Result) (settled, replayed uint64) {
+	t.Helper()
+	for _, m := range spanLine.FindAllStringSubmatch(r.Report, -1) {
+		a, errA := strconv.ParseUint(m[1], 10, 64)
+		b, errB := strconv.ParseUint(m[2], 10, 64)
+		if errA != nil || errB != nil {
+			t.Fatalf("span counters %q: %v, %v", m[0], errA, errB)
+		}
+		settled, replayed = settled+a, replayed+b
+	}
+	return settled, replayed
+}
+
+// dssShape is the benchmark's dss-governed (throttled, 30 clients) and
+// dss-collapse (unthrottled, 40 clients) workloads on a quarter of their
+// window: six times the benchmark's own -quick size (some 10 000 spans a run
+// instead of 2 000) and still well under a second.
+func dssShape(clients int, throttled bool) harness.Options {
+	s := scenario.Scenario{
+		Name:      "dss",
+		Clients:   clients,
+		Scale:     0.04,
+		Workload:  workload.SpecSales,
+		Horizon:   2 * time.Hour,
+		Warmup:    time.Hour,
+		Throttled: throttled,
+		Engine:    scenario.CalibratedKnobs().Apply,
+	}
+	return s.Options()
+}
+
+// registeredOptions is a registered scenario, its window compressed to
+// [warmup, horizon) when horizon is not zero.
+func registeredOptions(t *testing.T, name string, warmup, horizon time.Duration) harness.Options {
+	t.Helper()
+	s, ok := scenario.Default.Get(name)
+	if !ok {
+		t.Fatalf("scenario %q is not registered", name)
+	}
+	o := s.Options()
+	if horizon > 0 {
+		o.Warmup, o.Horizon = warmup, horizon
+	}
+	return o
+}
+
+// TestSpanChargingLeavesRunsIdentical runs each shape with span charging
+// and with every structure charged on its own, and requires the two Results
+// to be equal in every field — series, client counters, the scheduler's
+// event count, per-node results, the servers' reports — once the span
+// counters' own line is taken out of the reports. The shapes are the places
+// a span can end badly: gates and the broker's moving thresholds
+// (dss-governed), the end of physical memory, reclaim and the OOM-retry
+// spiral (dss-collapse), a crash landing on compilations in flight
+// (cluster-nodeloss), the address-space group cap (best-effort) and
+// brown-out admission under a leak (fault-leak).
+func TestSpanChargingLeavesRunsIdentical(t *testing.T) {
+	cases := []struct {
+		name  string
+		opts  harness.Options
+		shape func(t *testing.T, r *harness.Result)
+	}{
+		{"dss-governed", dssShape(30, true), func(t *testing.T, r *harness.Result) {
+			if r.BestEffortPlans == 0 {
+				t.Error("no best-effort plans: the exhaustion path is idle")
+			}
+		}},
+		{"dss-collapse", dssShape(40, false), func(t *testing.T, r *harness.Result) {
+			if r.ErrorsByKind["oom"] == 0 {
+				t.Errorf("errors %v: no compilation ran out of memory", r.ErrorsByKind)
+			}
+			// The fast path's own regression test: on the workload the
+			// claim is made on, all but a few spans must settle at once.
+			settled, replayed := spanCounts(t, r)
+			if share := float64(settled) / float64(settled+replayed); share < 0.85 {
+				t.Errorf("%d of %d spans settled at once (%.3f), want at least 0.85", settled, settled+replayed, share)
+			}
+		}},
+		{"cluster-nodeloss", registeredOptions(t, "cluster-nodeloss", 0, 0), func(t *testing.T, r *harness.Result) {
+			if r.Fault == nil || r.Fault.Crashes != 1 || r.ErrorsByKind["crashed"] == 0 {
+				t.Errorf("crashes %+v, errors %v: the node loss did not reach a query in flight", r.Fault, r.ErrorsByKind)
+			}
+		}},
+		{"best-effort (VAS cap)", registeredOptions(t, "best-effort", 20*time.Minute, time.Hour), func(t *testing.T, r *harness.Result) {
+			if r.BestEffortPlans == 0 {
+				t.Error("no best-effort plans on the starved machine")
+			}
+		}},
+		{"fault-leak (brown-out)", registeredOptions(t, "fault-leak", 20*time.Minute, 70*time.Minute), func(t *testing.T, r *harness.Result) {
+			if r.BrownoutEntries == 0 {
+				t.Error("the leak never escalated the governor to brown-out")
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := harness.RunOn(nil, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.shape(t, got)
+			settled, replayed := spanCounts(t, got)
+			if settled == 0 || replayed == 0 {
+				t.Errorf("%d spans settled at once, %d replayed: both paths must run", settled, replayed)
+			}
+			t.Logf("%d spans settled at once, %d replayed", settled, replayed)
+
+			defer engine.SetSpanCharging(engine.SetSpanCharging(false))
+			want, err := harness.RunOn(nil, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := spanCounts(t, want); a+b != 0 {
+				t.Fatalf("the reference run charged %d spans", a+b)
+			}
+			got.Report = spanLine.ReplaceAllString(got.Report, "")
+			if reflect.DeepEqual(want, got) {
+				return
+			}
+			w, g := reflect.ValueOf(*want), reflect.ValueOf(*got)
+			for i := 0; i < w.NumField(); i++ {
+				if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+					t.Errorf("%s: per structure %v, span charging %v", w.Type().Field(i).Name, w.Field(i).Interface(), g.Field(i).Interface())
+				}
+			}
+		})
+	}
+}

@@ -371,7 +371,7 @@ func (s *Server) stageRamp(t *vtime.Task, comp *core.Compilation, epoch uint64, 
 }
 
 // compileCtx carries one compilation's optimizer hook state. It is
-// pooled, and the three hook func values are bound to the ctx once when
+// pooled, and the hook func values are bound to the ctx once when
 // it is first created — starting a compilation rewrites the per-call
 // fields in place instead of allocating fresh closures (the former
 // single largest allocation source in a sweep).
@@ -382,31 +382,49 @@ type compileCtx struct {
 	// epoch is the crash epoch the compilation started under; a charge
 	// after the engine crashed aborts the compilation with ErrCrashed.
 	epoch uint64
-	// scale is CompileStages.CostingScale when the compilation is
-	// staged, else 0 (plain memo charges).
-	scale       float64
-	costingHeld int64
-	hooks       optimizer.Hooks
+	// exprExtra and groupExtra are the costing scratch that accretes with
+	// one memo expression and one memo group: CompileStages.CostingScale
+	// times the structure's bytes when the compilation is staged, else 0
+	// (plain memo charges).
+	exprExtra, groupExtra int64
+	costingHeld           int64
+	hooks                 optimizer.Hooks
 }
 
-// charge forwards memo growth to the compilation. When staged, the
-// footprint the gateways see grows scale+1 times as fast as the memo —
-// exploration's memory is memo plus costing scratch.
+// charge forwards the growth of the memo by one structure of n bytes to the
+// compilation. When staged, the footprint the gateways see grows scale+1
+// times as fast as the memo — exploration's memory is memo plus costing
+// scratch.
 func (c *compileCtx) charge(n int64) error {
 	if c.s.crashEpoch != c.epoch {
 		// The engine crashed under this compilation; stop growing
 		// immediately (the caller aborts, releasing memory and gates).
 		return ErrCrashed
 	}
-	if c.scale > 0 {
-		extra := int64(c.scale * float64(n))
-		if err := c.comp.Alloc(n + extra); err != nil {
-			return err
-		}
-		c.costingHeld += extra
-		return nil
+	extra := c.exprExtra
+	if n != c.s.cfg.Optimizer.Memo.BytesPerExpr {
+		extra = c.groupExtra
 	}
-	return c.comp.Alloc(n)
+	if err := c.comp.Alloc(n + extra); err != nil {
+		return err
+	}
+	c.costingHeld += extra
+	return nil
+}
+
+// chargeSpan is charge for every structure of a span at once, when the
+// governor can take them so (see optimizer.Hooks.ChargeSpan). A crash
+// refuses the span, so that its first charge reports it.
+func (c *compileCtx) chargeSpan(exprs, groups int) bool {
+	if c.s.crashEpoch != c.epoch {
+		return false
+	}
+	extra := int64(exprs)*c.exprExtra + int64(groups)*c.groupExtra
+	if !c.comp.AllocSpan(c.s.cfg.Optimizer.Memo.Bytes(groups, exprs)+extra, exprs+groups) {
+		return false
+	}
+	c.costingHeld += extra
+	return true
 }
 
 func (c *compileCtx) work(tasks int) { c.s.compileWork(c.t, tasks) }
@@ -415,13 +433,24 @@ func (c *compileCtx) bestEffort() bool { return c.comp.ShouldYieldBestEffort() }
 
 func (s *Server) getCompileCtx(t *vtime.Task, comp *core.Compilation, scale float64) *compileCtx {
 	c := s.compCtxs.Get()
+	memo := s.cfg.Optimizer.Memo
 	if c == nil {
 		c = &compileCtx{s: s}
 		c.hooks = optimizer.Hooks{Charge: c.charge, Work: c.work, BestEffort: c.bestEffort}
+		// A span is so many reservations of at least a byte each; a memo
+		// configured with a free structure is charged one by one.
+		if spanCharging && memo.BytesPerExpr > 0 && memo.BytesPerGroup > 0 {
+			c.hooks.ChargeSpan = c.chargeSpan
+		}
 	}
-	c.t, c.comp, c.scale, c.costingHeld, c.epoch = t, comp, scale, 0, s.crashEpoch
+	c.t, c.comp, c.costingHeld, c.epoch = t, comp, 0, s.crashEpoch
+	c.exprExtra, c.groupExtra = int64(scale*float64(memo.BytesPerExpr)), int64(scale*float64(memo.BytesPerGroup))
 	return c
 }
+
+// spanCharging is false only in the differential tests that run a whole
+// simulation both ways (export_test.go).
+var spanCharging = true
 
 // compile optimizes a's statement under the governor, walking the staged
 // memory phases: bind (fixed footprint) → join enumeration with costing

@@ -309,6 +309,14 @@ func (t *Ticket) Update(task *vtime.Task, usage int64) error {
 	return nil
 }
 
+// Clears reports whether Update(usage) would return at once, acquiring no
+// gate: the ticket holds the whole chain or usage is at or below the next
+// gate's threshold. Then so would Update of any smaller usage, which lets a
+// compilation report a run of growth by its last value alone.
+func (t *Ticket) Clears(usage int64) bool {
+	return t.held == len(t.chain.levels) || usage <= t.chain.levels[t.held].threshold
+}
+
 // Close releases every gate the ticket holds, in reverse acquisition
 // order. It is idempotent.
 func (t *Ticket) Close() {

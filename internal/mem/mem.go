@@ -388,15 +388,22 @@ func (t *Tracker) Reserve(n int64) error {
 			return t.failOOM(oomBudget, "", t.budget.used, t.budget.total, t.budget.CommitLimit())
 		}
 	}
-	t.budget.used += n
+	t.take(n, 1)
+	return nil
+}
+
+// take books k admitted reservations of n bytes in all.
+func (t *Tracker) take(n int64, k uint64) {
+	b := t.budget
+	b.used += n
 	t.used += n
 	if t.used > t.peak {
 		t.peak = t.used
 	}
 	if !t.reclaimable {
-		t.budget.wired += n
-		if t.budget.wired > t.budget.wiredPeak {
-			t.budget.wiredPeak = t.budget.wired
+		b.wired += n
+		if b.wired > b.wiredPeak {
+			b.wiredPeak = b.wired
 		}
 	}
 	if g := t.group; g != nil {
@@ -405,8 +412,24 @@ func (t *Tracker) Reserve(n int64) error {
 			g.peak = g.used
 		}
 	}
-	t.allocs++
-	return nil
+	t.allocs += k
+}
+
+// ReserveSpan makes k reservations, each of at least one byte and n bytes
+// in all, provided none of them would touch the component limit, the group
+// cap or physical memory — that is, could fail or run a reclaimer. Usage
+// only grows across them, so the last is the one to test. Otherwise it does
+// nothing and reports false, and the caller reserves one by one.
+func (t *Tracker) ReserveSpan(n int64, k int) bool {
+	if k < 0 || n < int64(k) {
+		panic("mem: span of empty or negative reservations")
+	}
+	b, g := t.budget, t.group
+	if (t.limit > 0 && t.used+n > t.limit) || (g != nil && g.used+n > g.cap) || b.used+n > b.total {
+		return false
+	}
+	t.take(n, uint64(k))
+	return true
 }
 
 // MustReserve is Reserve for infallible bookkeeping (e.g. fixed overhead

@@ -6,16 +6,19 @@ import (
 	"testing"
 	"time"
 
+	"compilegate/internal/core"
+	"compilegate/internal/mem"
 	"compilegate/internal/plan"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/stats"
+	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
 )
 
 // benchScale is the catalog scale every registered scenario runs at.
 const benchScale = 0.04
 
-func mustParse(b *testing.B, sql string) *plan.Query {
+func mustParse(b testing.TB, sql string) *plan.Query {
 	q, err := sqlparser.Parse(sql)
 	if err != nil {
 		b.Fatalf("%v\n%s", err, sql)
@@ -32,7 +35,7 @@ func salesOptimizer() *Optimizer {
 // salesQuery draws SALES statements (heavy templates only, or all) until
 // one with the given join count comes up. The 20-join statement is
 // template Q6, one of the two heavy templates.
-func salesQuery(b *testing.B, heavy bool, joins int) *plan.Query {
+func salesQuery(b testing.TB, heavy bool, joins int) *plan.Query {
 	gen, rng := workload.NewSales(), rand.New(rand.NewSource(14))
 	for {
 		sql := ""
@@ -181,5 +184,71 @@ func BenchmarkOptimizeRetry(b *testing.B) {
 			b.ReportMetric(float64(fresh.Nanoseconds())/float64(b.N), "ns/fresh")
 			b.ReportMetric(float64(retry.Nanoseconds())/float64(b.N), "ns/retry")
 		})
+	}
+}
+
+// BenchmarkOptimizeGoverned is Optimize as the engine calls it: every memo
+// structure charged to a real core.Compilation at five times its size (memo
+// plus the staged model's costing scratch). The repo benchmark's
+// optimizer.optimize_ns replays with Hooks{} and is blind to that
+// conversation. "room" is the unthrottled server (no chain, memory to
+// spare), "gated" the throttled one (the production ladder for 8 CPUs and
+// 4 GiB, uncontended: the compilation takes the gates it crosses at once);
+// "single" drops the ChargeSpan hook, so each structure is an Alloc call.
+// One op is one compilation, opened and finished.
+func BenchmarkOptimizeGoverned(b *testing.B) {
+	const scratch = 5
+	opt := salesOptimizer()
+	memo := opt.cfg.Memo
+	for _, stmt := range []struct {
+		name string
+		q    *plan.Query
+	}{{"sales16", salesQuery(b, false, 16)}, {"sales20", salesQuery(b, true, 20)}} {
+		for _, gated := range []bool{false, true} {
+			for _, spans := range []bool{true, false} {
+				name := stmt.name + map[bool]string{false: "/room", true: "/gated"}[gated] + map[bool]string{true: "", false: "/single"}[spans]
+				b.Run(name, func(b *testing.B) {
+					opts := core.DefaultOptions(8, 4*mem.GiB)
+					opts.Enabled = gated
+					gov, err := core.NewGovernor(opts, mem.NewBudget(4*mem.GiB).NewTracker("compile"))
+					if err != nil {
+						b.Fatal(err)
+					}
+					s := vtime.NewScheduler()
+					s.Go("compile", func(tk *vtime.Task) {
+						var comp *core.Compilation
+						hooks := Hooks{
+							Charge:     func(n int64) error { return comp.Alloc(scratch * n) },
+							Work:       func(int) {},
+							BestEffort: func() bool { return comp.ShouldYieldBestEffort() },
+						}
+						if spans {
+							hooks.ChargeSpan = func(exprs, groups int) bool {
+								return comp.AllocSpan(scratch*memo.Bytes(groups, exprs), exprs+groups)
+							}
+						}
+						b.ReportAllocs()
+						for b.Loop() {
+							comp = gov.Begin(tk, "bench")
+							p, err := opt.Optimize(stmt.q, hooks)
+							if err != nil {
+								b.Fatal(err)
+							}
+							if comp.Peak() != scratch*p.CompileBytes {
+								b.Fatalf("compilation peaked at %d bytes, plan says %d", comp.Peak(), scratch*p.CompileBytes)
+							}
+							comp.Finish()
+							benchPlan = p
+						}
+					})
+					if err := s.Run(); err != nil {
+						b.Fatal(err)
+					}
+					if settled, replayed := gov.Spans(); spans {
+						b.ReportMetric(float64(settled)/float64(settled+replayed), "settled/span")
+					}
+				})
+			}
+		}
 	}
 }

@@ -7,8 +7,10 @@
 // depends on:
 //
 //   - memory grows with the number of alternatives considered (every memo
-//     structure is charged through the Charge hook, which the engine wires
-//     to the governor's Compilation.Alloc — where gateway blocking happens);
+//     structure is charged to the engine, which wires the Charge hook to the
+//     governor's Compilation.Alloc — where gateway blocking happens — and
+//     the optional ChargeSpan hook to AllocSpan, which takes a work batch's
+//     worth of structures at once when none of them would block there);
 //   - optimization time is a function of estimated query cost (dynamic
 //     optimization), so expensive 15-20-join queries compile for tens of
 //     virtual seconds while OLTP queries finish instantly;
@@ -22,7 +24,11 @@
 // (Exploration.Optimize) walks the tape and is the only code that calls
 // the hooks, counts tasks and decides to stop. A compilation that is cut
 // leaves its exploration behind, and a resubmission of the statement plays
-// the same tape again instead of re-exploring.
+// the same tape again instead of re-exploring. Between two Work/BestEffort
+// calls the player may pass structures uncharged and settle the span in one
+// ChargeSpan call; when the engine refuses — some structure in it would
+// block, reclaim or fail — it goes back to the span's start and charges them
+// one by one, so what the engine sees is the same either way.
 package optimizer
 
 import (
@@ -39,9 +45,12 @@ import (
 
 // Hooks connect one optimization run to the engine.
 type Hooks struct {
-	// Charge charges n simulated bytes of compilation memory; may block at
-	// gateways and may fail (OOM / gateway timeout), which aborts the
-	// compilation.
+	// Charge charges n simulated bytes of compilation memory — one memo
+	// structure: Config.Memo's bytes for an expression or for a group; may
+	// block at gateways and may fail (OOM / gateway timeout), which aborts
+	// the compilation. Without a ChargeSpan hook it is called for every
+	// structure; with one, for the structures of the spans that hook
+	// refused.
 	Charge func(n int64) error
 	// Work reports n units of optimizer work so the engine can consume
 	// virtual CPU time. May be nil.
@@ -49,6 +58,16 @@ type Hooks struct {
 	// BestEffort, polled periodically, asks whether to stop exploring and
 	// return the best complete plan so far. May be nil.
 	BestEffort func() bool
+	// ChargeSpan, when set beside Charge, lets a compilation settle its memo
+	// growth once per span — the structures it passed since the last call of
+	// any hook — instead of once per structure. It charges exprs expressions
+	// and groups groups (Config.Memo's bytes each) and reports true iff a
+	// Charge call for each of them, in any order, would have returned nil at
+	// once: without blocking and without anything but the sum of their
+	// charges changing on the engine's side. Otherwise it must change
+	// nothing and report false; the compilation then makes those Charge
+	// calls one by one, in the tape's order, as if it had never asked.
+	ChargeSpan func(exprs, groups int) bool
 }
 
 // Config tunes the optimizer.
@@ -278,45 +297,89 @@ func (o *Optimizer) EstimateInitialCost(q *plan.Query) (float64, error) {
 	return r.initialCost, nil
 }
 
-// player is one compilation's share of the state: its hooks, its task
-// count and its position on the tape, which is also a memo prefix — the
-// groups and expressions it has charged for.
+// cursor is a compilation's position: on the tape — which is also a memo
+// prefix, the groups and expressions it has passed — and in its task count.
+type cursor struct {
+	pos           int // tape cursor
+	groups, exprs int // memo prefix shown so far
+	tasks         int // steps taken
+	worked        int // of them, reported through Work
+}
+
+// player is one compilation's share of the state: its hooks, its budget
+// and its cursor. With a ChargeSpan hook it defers: structures are passed
+// uncharged and the span since mark is settled in one call before the next
+// hook call. A refused span puts the cursor back on mark and is played again
+// with a Charge per structure, up to the next work-batch boundary.
 type player struct {
-	hooks                    Hooks
-	tasks, budget, sinceWork int
-	bestEffort               bool // best-effort fired
-	pos                      int  // tape cursor
-	groups, exprs            int  // memo prefix shown so far
+	hooks Hooks
+	cursor
+	mark       cursor // deferring: where the unsettled span began
+	deferring  bool
+	budget     int  // tasks it may take
+	batch      int  // tasks between Work/BestEffort calls
+	next       int  // the task count that ends the batch or the budget, whichever is first
+	bestEffort bool // best-effort fired
 }
 
 // step accounts one unit of optimizer work. It returns false when
-// exploration must stop (budget exhausted or best-effort requested). Off a
-// batch boundary it is small enough to inline into the player's loop.
-func (p *player) step(batch int) bool {
+// exploration must stop (budget exhausted or best-effort requested). It is
+// small enough to inline into the player's loop.
+func (p *player) step() bool {
 	p.tasks++
-	p.sinceWork++
-	if p.sinceWork < batch {
-		return p.tasks < p.budget
-	}
-	return p.boundary()
+	return p.tasks < p.next || p.boundary()
 }
 
-// boundary ends a work batch: it fires the Work callback and polls
-// BestEffort.
+// boundary is the step that ends a work batch, the budget, or both. The
+// span is settled first; a refusal undoes the step with the rest of the
+// span, and exploration goes on from mark. At the end of a batch it fires
+// the Work callback and polls BestEffort. Whatever comes next starts a new
+// span.
 func (p *player) boundary() bool {
-	if p.hooks.Work != nil {
-		p.hooks.Work(p.sinceWork)
+	if !p.settle() {
+		return true
 	}
-	p.sinceWork = 0
-	if p.hooks.BestEffort != nil && p.hooks.BestEffort() {
-		p.bestEffort = true
-		return false
+	stop := false
+	if n := p.tasks - p.worked; n >= p.batch {
+		if p.hooks.Work != nil {
+			p.hooks.Work(n)
+		}
+		p.worked = p.tasks
+		if p.hooks.BestEffort != nil && p.hooks.BestEffort() {
+			p.bestEffort, stop = true, true
+		}
 	}
-	return p.tasks < p.budget
+	p.startSpan()
+	return !stop && p.tasks < p.budget
+}
+
+// startSpan marks the cursor as the start of a span, deferred when the
+// hooks allow.
+func (p *player) startSpan() {
+	p.mark, p.deferring = p.cursor, p.hooks.ChargeSpan != nil && p.hooks.Charge != nil
+	p.next = min(p.worked+p.batch, p.budget)
+}
+
+// settle charges the deferred span, if there is one, and reports true; or
+// it rewinds to the span's start, stops deferring and reports false. The
+// cursor is a value and the tape and memo only grow, so the rewind is an
+// assignment: what the kernel explored past mark stays, as it does after
+// any compilation that stops short of the tape's end.
+func (p *player) settle() bool {
+	if !p.deferring {
+		return true
+	}
+	exprs, groups := p.exprs-p.mark.exprs, p.groups-p.mark.groups
+	if exprs == 0 || p.hooks.ChargeSpan(exprs, groups) {
+		return true
+	}
+	p.cursor, p.deferring = p.mark, false
+	return false
 }
 
 // Optimize plays one compilation: it walks the tape from the start,
-// charging for every group and expression and taking every step, and
+// charging for every group and expression — one by one, or a span at a
+// time when hooks.ChargeSpan allows — and taking every step, and
 // runs the kernel only when it reaches the tape's end. Where it
 // stops — a failed charge, the budget, best-effort, or the end of the
 // search space — it extracts the plan from the memo prefix at its cursor,
@@ -336,16 +399,18 @@ func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 	private := false // r is this compilation's alone: it has left the canonical tape
 	var cuts []int   // where it did
 	cfg := &o.cfg
-	p := player{hooks: hooks, budget: o.effortBudget(r.initialCost)}
+	p := player{hooks: hooks, budget: o.effortBudget(r.initialCost), batch: cfg.WorkBatch}
+	p.startSpan()
 	var err error
 	tape, charge := r.tape, hooks.Charge
 play:
 	for {
 		if p.pos == len(tape) {
-			if !r.advance() {
-				break
-			}
-			tape = r.tape
+			if r.advance() {
+				tape = r.tape
+			} else if p.settle() {
+				break // the end of the search space
+			} // else the last span was refused: play it again from mark
 		}
 		seg := tape[p.pos]
 		p.pos++
@@ -353,7 +418,7 @@ play:
 		if seg&segGroup != 0 {
 			group = 1
 		}
-		if charge != nil {
+		if charge != nil && !p.deferring {
 			for i := 0; i < n; i++ {
 				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
 					break play
@@ -370,12 +435,12 @@ play:
 		}
 		p.exprs += n + group
 		p.groups += group
-		if seg&(segInner|segOuter) == 0 || p.step(cfg.WorkBatch) {
+		if seg&(segInner|segOuter) == 0 || p.step() {
 			continue
 		}
 		// A stop at the inner step leaves the associate rule at once and
 		// lets the loop over expressions take its own step.
-		if seg&segOuter != 0 || !p.step(cfg.WorkBatch) {
+		if seg&segOuter != 0 || !p.step() {
 			break
 		}
 		// That second step forgot the stop (ROADMAP item 4: best-effort
@@ -383,16 +448,18 @@ play:
 		// expression's alternatives — a trajectory that is not a prefix of
 		// the tape, whose kernel has derived them already. The compilation
 		// finishes on a private run, explored hook-free up to here with the
-		// same cut (and any earlier ones).
+		// same cut (and any earlier ones). The stop settled the span before
+		// it, so the next one begins here, on the private tape.
 		cuts = append(cuts, p.pos)
 		if private {
 			o.putRun(r)
 		}
 		r, private = o.rederive(x.q, cuts), true
 		tape = r.tape
+		p.startSpan()
 	}
-	if hooks.Work != nil && p.sinceWork > 0 {
-		hooks.Work(p.sinceWork)
+	if n := p.tasks - p.worked; hooks.Work != nil && n > 0 {
+		hooks.Work(n)
 	}
 	var out *plan.Plan
 	if err == nil {

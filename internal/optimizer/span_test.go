@@ -1,0 +1,250 @@
+package optimizer
+
+import (
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"strings"
+	"testing"
+
+	"compilegate/internal/plan"
+)
+
+// spanScript is a scripted governor: it lets a compilation grow until one
+// trip, placed by structure count (gate, failure) or by bytes (limit), and
+// cuts it by best-effort at a chosen poll.
+type spanScript struct {
+	gateAt int   // Charge number gateAt "blocks": it logs a gate event, then succeeds
+	failAt int   // Charge number failAt fails
+	limit  int64 // a Charge that would take the total past limit fails (0: none)
+	bePoll int   // BestEffort answers true at this poll (1-based), once
+}
+
+var (
+	errSpanFail  = errors.New("scripted failure")
+	errSpanLimit = errors.New("scripted limit")
+)
+
+// spanGovernor plays a spanScript and logs what a real governor could see:
+// the bytes and structures charged so far at every Work and BestEffort
+// call, and at the gate. Its ChargeSpan refuses exactly the spans that
+// contain the trip, changing nothing.
+type spanGovernor struct {
+	spanScript
+	o          *Optimizer
+	bytes      int64
+	structures int
+	tasks      int
+	polls      int
+	log        strings.Builder
+	settled    int
+	replayed   int
+}
+
+func (g *spanGovernor) charge(n int64) error {
+	g.structures++
+	switch {
+	case g.structures == g.failAt:
+		return errSpanFail
+	case g.limit > 0 && g.bytes+n > g.limit:
+		return errSpanLimit
+	case g.structures == g.gateAt:
+		fmt.Fprintf(&g.log, "gate bytes=%d tasks=%d\n", g.bytes, g.tasks)
+	}
+	g.bytes += n
+	return nil
+}
+
+func (g *spanGovernor) chargeSpan(exprs, groups int) bool {
+	k, n := exprs+groups, g.o.cfg.Memo.Bytes(groups, exprs)
+	trips := func(at int) bool { return g.structures < at && at <= g.structures+k }
+	if trips(g.gateAt) || trips(g.failAt) || (g.limit > 0 && g.bytes+n > g.limit) {
+		g.replayed++
+		return false
+	}
+	g.structures += k
+	g.bytes += n
+	g.settled++
+	return true
+}
+
+func (g *spanGovernor) work(k int) {
+	g.tasks += k
+	fmt.Fprintf(&g.log, "work %d bytes=%d structures=%d tasks=%d\n", k, g.bytes, g.structures, g.tasks)
+}
+
+func (g *spanGovernor) bestEffort() bool {
+	g.polls++
+	fmt.Fprintf(&g.log, "poll %d bytes=%d structures=%d\n", g.polls, g.bytes, g.structures)
+	return g.polls == g.bePoll
+}
+
+// play runs one compilation of q under sc — on x, or on a fresh exploration
+// when x is nil — and renders everything observable about it: the
+// governor's log, the last (partial-batch) Work argument, the error, and the
+// plan's digest and counters.
+func (sc spanScript) play(t *testing.T, o *Optimizer, q *plan.Query, x *Exploration, spans bool) (string, *spanGovernor) {
+	t.Helper()
+	g := &spanGovernor{spanScript: sc, o: o}
+	hooks := Hooks{Charge: g.charge, Work: g.work, BestEffort: g.bestEffort}
+	if spans {
+		hooks.ChargeSpan = g.chargeSpan
+	}
+	var p *plan.Plan
+	var err error
+	if x != nil {
+		p, err = x.Optimize(hooks)
+	} else {
+		p, err = o.Optimize(q, hooks)
+	}
+	fmt.Fprintf(&g.log, "end bytes=%d structures=%d tasks=%d err=%v\n", g.bytes, g.structures, g.tasks, err)
+	if err == nil {
+		h := fnv.New64a()
+		h.Write([]byte(p.String()))
+		fmt.Fprintf(&g.log, "plan=%016x exprs=%d bytes=%d besteffort=%t\n", h.Sum64(), p.ExprsExplored, p.CompileBytes, p.BestEffort)
+		if p.CompileBytes != g.bytes {
+			t.Errorf("plan reports %d compile bytes, the governor was charged %d", p.CompileBytes, g.bytes)
+		}
+	}
+	return g.log.String(), g
+}
+
+// spanStatements are the two statement widths the DSS benchmarks compile.
+func spanStatements(t *testing.T) (*Optimizer, map[string]*plan.Query) {
+	return salesOptimizer(), map[string]*plan.Query{
+		"sales16": salesQuery(t, false, 16),
+		"sales20": salesQuery(t, true, 20),
+	}
+}
+
+// spanOffsets is how many of a statement's first structures get a trip of
+// each kind: several work batches' worth (a batch is ~60 structures).
+const spanOffsets = 400
+
+// firstDiff names the first line two logs disagree on.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  spans  %s\n  single %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("%d lines against %d", len(al), len(bl))
+}
+
+// TestSpanChargingMatchesPerStructure is span charging's exactness
+// contract at the optimizer's boundary. A gate, a failure and a byte limit
+// are placed at every one of a statement's first spanOffsets structures; the
+// compilation with a ChargeSpan hook must be indistinguishable from the one
+// without, to a governor that logs its own state at every hook call — on a
+// fresh exploration, on one a failed compilation left (shorter than, and
+// longer than, this one), and with a best-effort poll on the way.
+func TestSpanChargingMatchesPerStructure(t *testing.T) {
+	o, stmts := spanStatements(t)
+	for name, q := range stmts {
+		settled, replayed := 0, 0
+		compare := func(what string, sc spanScript, history []spanScript) {
+			t.Helper()
+			var logs [2]string
+			for i, spans := range []bool{true, false} {
+				var x *Exploration
+				if history != nil {
+					e := o.Explore(q)
+					defer e.Release()
+					x = &e
+					for _, h := range history {
+						h.play(t, o, q, x, spans)
+					}
+				}
+				var g *spanGovernor
+				logs[i], g = sc.play(t, o, q, x, spans)
+				settled, replayed = settled+g.settled, replayed+g.replayed
+			}
+			if logs[0] != logs[1] {
+				t.Fatalf("%s %s %+v: %s", name, what, sc, firstDiff(logs[0], logs[1]))
+			}
+		}
+		unit := o.cfg.Memo.BytesPerExpr
+		for at := 1; at <= spanOffsets; at++ {
+			trips := []spanScript{
+				{gateAt: at},
+				{failAt: at},
+				{limit: int64(at) * unit}, // between structures, and inside a group's two charges
+				{limit: int64(at)*unit - 1},
+				{gateAt: at, failAt: at + 37},
+				{gateAt: at, bePoll: 2},
+			}
+			for _, sc := range trips {
+				compare("fresh", sc, nil)
+			}
+			if at%7 == 0 {
+				for _, sc := range trips[:3] {
+					compare("after a shorter failure", sc, []spanScript{{failAt: at / 2}})
+					compare("after a longer failure", sc, []spanScript{{failAt: 2 * at}})
+					compare("after a failure and a cut", sc, []spanScript{{failAt: 3 * at}, {bePoll: 1, gateAt: at}})
+				}
+			}
+		}
+		compare("fresh", spanScript{}, nil)
+		if settled == 0 || replayed == 0 {
+			t.Fatalf("%s: %d spans settled, %d replayed: both paths must run", name, settled, replayed)
+		}
+		t.Logf("%s: %d spans settled at once, %d replayed", name, settled, replayed)
+	}
+}
+
+// TestSpanChargingThroughDivergence is the same contract across the one
+// trajectory that leaves the tape: best-effort firing on a poll that lands on
+// the associate rule's inner step, whose stop is forgotten, so the
+// compilation moves to a private run in the middle of its tape
+// (TestBestEffortAtInnerStepKeepsExploring). Trips are placed at every
+// structure of the batches around the move, for the first two such polls.
+func TestSpanChargingThroughDivergence(t *testing.T) {
+	o, stmts := spanStatements(t)
+	for name, q := range stmts {
+		diverged := 0
+		for poll := 1; poll <= 6 && diverged < 2; poll++ {
+			base, g := spanScript{bePoll: poll}.play(t, o, q, nil, false)
+			if g.polls == poll {
+				continue // the stop held: an outer step
+			}
+			diverged++
+			// The structure count when the poll fired.
+			var fired int
+			for _, line := range strings.Split(base, "\n") {
+				if strings.HasPrefix(line, fmt.Sprintf("poll %d ", poll)) {
+					fmt.Sscanf(line[strings.Index(line, "structures="):], "structures=%d", &fired)
+				}
+			}
+			for at := max(fired-70, 1); at <= fired+140; at++ {
+				for _, sc := range []spanScript{
+					{bePoll: poll, gateAt: at},
+					{bePoll: poll, failAt: at},
+					{bePoll: poll, limit: int64(at) * o.cfg.Memo.BytesPerExpr},
+				} {
+					histories := [][]spanScript{nil}
+					if at%5 == 0 { // on a shorter tape, and on a complete one
+						histories = append(histories, []spanScript{{failAt: fired / 2}}, []spanScript{{}})
+					}
+					for _, history := range histories {
+						var logs [2]string
+						for i, spans := range []bool{true, false} {
+							e := o.Explore(q)
+							for _, h := range history {
+								h.play(t, o, q, &e, spans)
+							}
+							logs[i], _ = sc.play(t, o, q, &e, spans)
+							e.Release()
+						}
+						if logs[0] != logs[1] {
+							t.Fatalf("%s %+v after %+v: %s", name, sc, history, firstDiff(logs[0], logs[1]))
+						}
+					}
+				}
+			}
+		}
+		if diverged == 0 {
+			t.Errorf("%s: no poll up to 6 landed on an inner step", name)
+		}
+	}
+}
