@@ -214,6 +214,9 @@ func DefaultConfig() Config {
 type StmtID struct {
 	Fingerprint string
 	Seed        int64
+	// Static is the statement's index in the snapshot's closed set — dense,
+	// from 0, so per-statement state is a slice — and -1 for any other text.
+	Static int
 }
 
 // StaticStatements maps statement text to its precomputed identity. A
@@ -231,8 +234,11 @@ func PrepareStatements(sqls []string) StaticStatements {
 		if _, err := sqlparser.Parse(sql); err != nil {
 			continue
 		}
+		if _, dup := out[sql]; dup {
+			continue
+		}
 		fp := sqlparser.Fingerprint(sql)
-		out[sql] = StmtID{Fingerprint: fp, Seed: int64(sqlparser.Hash64(fp))}
+		out[sql] = StmtID{Fingerprint: fp, Seed: int64(sqlparser.Hash64(fp)), Static: len(out)}
 	}
 	return out
 }
@@ -285,14 +291,18 @@ type Server struct {
 	// Hot-path caches and free lists (one scheduler per server, no
 	// locking): statement-text identity memo, recycled compile-work
 	// continuation ops. static is the snapshot's shared read-only identity
-	// map, consulted before the per-run memo.
-	static    StaticStatements
-	queryMemo map[string]StmtID
-	stmts     freelist.List[statement]
-	workOps   freelist.List[compileWorkOp]
-	queries   freelist.List[plan.Query]
-	compCtxs  freelist.List[compileCtx]
-	attempts  freelist.List[attempt]
+	// map, consulted before the per-run memo. staticPrep holds, by
+	// StmtID.Static, the scan lists of each static statement's plan: a pure
+	// function of the statement (its seed, and the plan its text compiles to),
+	// so they outlive the plan-cache entry, the recompilation and the crash.
+	static     StaticStatements
+	staticPrep []executor.Prepared
+	queryMemo  map[string]StmtID
+	stmts      freelist.List[statement]
+	workOps    freelist.List[compileWorkOp]
+	queries    freelist.List[plan.Query]
+	compCtxs   freelist.List[compileCtx]
+	attempts   freelist.List[attempt]
 	// retained holds the attempts of failed submissions, oldest first, for
 	// their resubmission to pick up; never more than retainedCap.
 	retained []*attempt
@@ -397,9 +407,10 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 		activeCompileTrace: metrics.NewTrace("active-compiles"),
 		overcommitTrace:    metrics.NewTrace("overcommit-permille"),
 
-		static:    pre.Statements,
-		queryMemo: make(map[string]StmtID),
-		retained:  make([]*attempt, 0, retainedCap),
+		static:     pre.Statements,
+		staticPrep: make([]executor.Prepared, len(pre.Statements)),
+		queryMemo:  make(map[string]StmtID),
+		retained:   make([]*attempt, 0, retainedCap),
 	}
 	if cfg.Pressure.Enabled {
 		s.budget.SetPressure(cfg.Pressure)
@@ -822,9 +833,9 @@ func (s *Server) CompileMemProfile() (mean, max int64) {
 // Report renders a diagnostic summary.
 func (s *Server) Report() string {
 	mean, maxB := s.CompileMemProfile()
-	r := fmt.Sprintf("engine: completed=%d errors=%v\n%s%s\n%s\ncompile-mem mean=%s max=%s\ncompile times: %s\n",
+	r := fmt.Sprintf("engine: completed=%d errors=%v\n%s%s\n%s\ncompile-mem mean=%s max=%s\ncompile times: %s\nexecutions: completed=%d replayed=%d\n",
 		s.rec.Completed(), s.rec.Errors(), s.gov.Report(), s.pool.String(), s.cache.String(),
-		mem.FormatBytes(mean), mem.FormatBytes(maxB), s.compileHist.String())
+		mem.FormatBytes(mean), mem.FormatBytes(maxB), s.compileHist.String(), s.exec.Executed(), s.exec.Replayed())
 	if s.cfg.Pressure.Enabled {
 		r += fmt.Sprintf("paging: wired-peak=%s page-steal=%s cpu-stall=%v exec-refault=%v\n",
 			mem.FormatBytes(s.budget.WiredPeak()), mem.FormatBytes(s.PageStealBytes()),

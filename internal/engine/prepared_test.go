@@ -170,3 +170,74 @@ func TestCacheHitSubmitAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// PrepareStatements numbers the texts it keeps densely from 0, in order,
+// once each.
+func TestPrepareStatementsIndexIsDense(t *testing.T) {
+	ids := PrepareStatements([]string{pointSQL, "SELEC nonsense", joinSQL, pointSQL})
+	if len(ids) != 2 || ids[pointSQL].Static != 0 || ids[joinSQL].Static != 1 {
+		t.Fatalf("identities %+v: want pointSQL at 0 and joinSQL at 1", ids)
+	}
+}
+
+// TestStaticStatementKeepsItsLists: a snapshot statement's scan lists are
+// recorded by its first execution on the server and replayed by every later
+// one, whether the plan comes from the cache or from a recompilation after
+// an eviction, a Clear or a crash; text outside the snapshot's set replays
+// only from its plan-cache entry, as before.
+func TestStaticStatementKeepsItsLists(t *testing.T) {
+	cfg := DefaultConfig()
+	sched := vtime.NewScheduler()
+	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: cfg.BufferPool.ExtentBytes})
+	srv, err := NewShared(cfg, cat, Prebuilt{Statements: PrepareStatements([]string{pointSQL})}, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Go("client", func(tk *vtime.Task) {
+		defer srv.Close()
+		// submit runs sql once and reports whether the plan was compiled
+		// for it and whether its execution replayed.
+		submit := func(sql string) (compiled, replayed bool) {
+			t.Helper()
+			c, r := srv.Governor().Started(), srv.Executor().Replayed()
+			if err := srv.Submit(tk, sql); err != nil {
+				t.Errorf("Submit: %v", err)
+			}
+			return srv.Governor().Started() > c, srv.Executor().Replayed() > r
+		}
+		if compiled, replayed := submit(pointSQL); !compiled || replayed {
+			t.Errorf("first submission: compiled %t, replayed %t", compiled, replayed)
+		}
+		if compiled, replayed := submit(pointSQL); compiled || !replayed {
+			t.Errorf("first hit: compiled %t, replayed %t; want the lists its compilation's execution recorded", compiled, replayed)
+		}
+		for _, c := range []struct {
+			name string
+			drop func()
+		}{
+			{"evict", func() { srv.cache.Shrink(srv.cache.Bytes()) }},
+			{"clear", srv.cache.Clear},
+			{"crash", func() { srv.Crash(); srv.Restart() }},
+		} {
+			c.drop()
+			if compiled, replayed := submit(pointSQL); !compiled || !replayed {
+				t.Errorf("after %s: compiled %t, replayed %t; want a recompiled plan on the statement's lists", c.name, compiled, replayed)
+			}
+		}
+		srv.cache.Clear()
+		if compiled, replayed := submit(joinSQL); !compiled || replayed {
+			t.Errorf("text outside the snapshot, first submission: compiled %t, replayed %t", compiled, replayed)
+		}
+		submit(joinSQL) // first hit: records into the entry's Prepared
+		srv.cache.Clear()
+		if compiled, replayed := submit(joinSQL); !compiled || replayed {
+			t.Errorf("text outside the snapshot, recompiled: compiled %t, replayed %t", compiled, replayed)
+		}
+	})
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -23,16 +23,22 @@ var spanLine = regexp.MustCompile(`(?m)^charge spans: settled=(\d+) replayed=(\d
 
 // spanCounts sums the span counters over every server in a run's report.
 func spanCounts(t *testing.T, r *harness.Result) (settled, replayed uint64) {
+	return sumReportLines(t, r, spanLine)
+}
+
+// sumReportLines sums the two counters line captures over every server in a
+// run's report.
+func sumReportLines(t *testing.T, r *harness.Result, line *regexp.Regexp) (first, second uint64) {
 	t.Helper()
-	for _, m := range spanLine.FindAllStringSubmatch(r.Report, -1) {
+	for _, m := range line.FindAllStringSubmatch(r.Report, -1) {
 		a, errA := strconv.ParseUint(m[1], 10, 64)
 		b, errB := strconv.ParseUint(m[2], 10, 64)
 		if errA != nil || errB != nil {
-			t.Fatalf("span counters %q: %v, %v", m[0], errA, errB)
+			t.Fatalf("counters %q: %v, %v", m[0], errA, errB)
 		}
-		settled, replayed = settled+a, replayed+b
+		first, second = first+a, second+b
 	}
-	return settled, replayed
+	return first, second
 }
 
 // dssShape is the benchmark's dss-governed (throttled, 30 clients) and

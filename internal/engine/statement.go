@@ -179,8 +179,8 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 		// queries get independent locality (length + first byte collide
 		// far too often). Only successfully parsed text enters the memo,
 		// so malformed SQL keeps its parse-first error behaviour.
-		st.id.Fingerprint = sqlparser.Fingerprint(sql)
-		st.id.Seed = int64(sqlparser.Hash64(st.id.Fingerprint))
+		fp := sqlparser.Fingerprint(sql)
+		st.id = StmtID{Fingerprint: fp, Seed: int64(sqlparser.Hash64(fp)), Static: -1}
 		if len(s.queryMemo) >= queryMemoCap {
 			clear(s.queryMemo)
 		}
@@ -188,7 +188,8 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 	}
 
 	// Probe. A hit executes a prepared plan: prep carries the plan's
-	// scan-extent lists from one execution to the next.
+	// scan-extent lists from one execution to the next (see execute for the
+	// statements that keep their own).
 	if p, prep, cached := s.cache.Get(st.id.Fingerprint); cached {
 		if q != nil {
 			s.queries.Put(q)
@@ -222,7 +223,16 @@ func (st *compiling) Run(t *vtime.Task) {
 	st.p, st.err = st.s.compile(t, st.a)
 }
 
+// execute runs p with prep — the plan-cache entry's Prepared on a hit, nil
+// for a freshly compiled plan, most of which are never seen again — unless
+// the statement is one of the snapshot's: its text compiles to the same plan
+// every time, so the plan's scan lists are the statement's, recorded once
+// per server and replayed by every execution after, cached or recompiled. A
+// best-effort cut may order the scans differently and goes by prep.
 func (st *statement) execute(t *vtime.Task, p *plan.Plan, prep *executor.Prepared) {
+	if i := st.id.Static; i >= 0 && !p.BestEffort && staticPrepared {
+		prep = &st.s.staticPrep[i]
+	}
 	st.execStart = t.Now()
 	st.s.exec.ExecuteThen(t, p, st.id.Seed, prep, nil, &st.err, st)
 }
@@ -246,8 +256,6 @@ func (st *statement) Run(t *vtime.Task) {
 		}
 		s.finishAttempt(a, err != nil, st.epoch)
 		if err == nil {
-			// A freshly compiled plan runs with no Prepared — most are
-			// never seen again.
 			s.cache.Put(st.id.Fingerprint, st.p, t.Now())
 			st.execute(t, st.p, nil)
 			return
@@ -448,9 +456,12 @@ func (s *Server) getCompileCtx(t *vtime.Task, comp *core.Compilation, scale floa
 	return c
 }
 
-// spanCharging is false only in the differential tests that run a whole
-// simulation both ways (export_test.go).
-var spanCharging = true
+// spanCharging and staticPrepared are false only in the differential tests
+// that run a whole simulation both ways (export_test.go).
+var (
+	spanCharging   = true
+	staticPrepared = true
+)
 
 // compile optimizes a's statement under the governor, walking the staged
 // memory phases: bind (fixed footprint) → join enumeration with costing

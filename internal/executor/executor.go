@@ -304,8 +304,8 @@ type Executor struct {
 	// func returning <= 1 when healthy); drives workspace refaults.
 	pressure func() float64
 
-	executed       uint64
-	pageStallTotal time.Duration
+	executed, replayed uint64
+	pageStallTotal     time.Duration
 
 	execs freelist.List[execOp] // recycled continuation ops (single scheduler)
 }
@@ -325,6 +325,10 @@ func (e *Executor) SetPressure(fn func() float64) { e.pressure = fn }
 
 // Executed returns the number of completed executions.
 func (e *Executor) Executed() uint64 { return e.executed }
+
+// Replayed returns the number of executions that were handed recorded scan
+// lists and so drew nothing.
+func (e *Executor) Replayed() uint64 { return e.replayed }
 
 // PageStallTotal returns aggregate workspace-refault disk time charged
 // across all executions.
@@ -424,6 +428,9 @@ func (op *execOp) Run(t *vtime.Task) {
 			op.nodes = appendPostorder(op.nodes[:0], op.p.Root)
 			op.ni = 0
 			op.state = exNode
+			if op.prep != nil && !op.replay {
+				op.sizeRecording()
+			}
 		case exNode:
 			if op.ni >= len(op.nodes) {
 				op.install()
@@ -565,6 +572,19 @@ func (op *execOp) scanExtents(n *plan.Node) []storage.ExtentKey {
 	return op.recKeys[lo:]
 }
 
+// sizeRecording allocates the recording at the size the plan's scans will
+// fill, so that drawing into it never grows it.
+func (op *execOp) sizeRecording() {
+	scans, keys := 0, 0
+	for _, n := range op.nodes {
+		if n.Op == plan.OpSeqScan || n.Op == plan.OpIndexScan {
+			scans++
+			keys += op.e.layout.ScanLen(n.Table, n.ScanFraction)
+		}
+	}
+	op.recKeys, op.recEnds = make([]storage.ExtentKey, 0, keys), make([]int, 0, scans)
+}
+
 // install hands a finished recording to the plan, once every scan node
 // has been visited. A concurrent recording of the same plan that finished
 // first wins; the lists are equal either way.
@@ -617,6 +637,9 @@ func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Pr
 	op.st = Stats{}
 	op.seeded, op.si = false, 0
 	op.replay = prep != nil && prep.Scans() > 0
+	if op.replay {
+		e.replayed++
+	}
 	op.startAt = t.Now()
 	op.want = p.MemoryGrant()
 	minFrac := e.cfg.MinGrantFrac

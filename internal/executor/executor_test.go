@@ -52,7 +52,7 @@ func newEnvCfg(grantLimit int64, grantTimeout time.Duration, mutate func(*Config
 	}
 }
 
-func (e *env) plan(t *testing.T, q *plan.Query) *plan.Plan {
+func (e *env) plan(t testing.TB, q *plan.Query) *plan.Plan {
 	t.Helper()
 	p, err := e.opt.Optimize(q, optimizer.Hooks{})
 	if err != nil {

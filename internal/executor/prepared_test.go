@@ -96,6 +96,12 @@ func TestReplayEqualsFreshDraws(t *testing.T) {
 		return out
 	}
 	got, want := run(prepared, true), run(oneShot, false)
+	if n, r := prepared.exec.Executed(), prepared.exec.Replayed(); int(n) != execs*len(cases) || int(r) != (execs-1)*len(cases) {
+		t.Errorf("%d executions, %d replayed; want %d and %d", n, r, execs*len(cases), (execs-1)*len(cases))
+	}
+	if r := oneShot.exec.Replayed(); r != 0 {
+		t.Errorf("%d executions replayed without a Prepared", r)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			c := cases[i%len(cases)]
@@ -105,6 +111,10 @@ func TestReplayEqualsFreshDraws(t *testing.T) {
 	for _, c := range cases {
 		ref := freshLists(prepared, c.p, c.seed)
 		rec := c.prep.lists()
+		if cap(c.prep.keys) != len(c.prep.keys) || cap(c.prep.ends) != len(c.prep.ends) {
+			t.Errorf("%q: recording of %d keys in %d lists has room for %d and %d: it was not sized before drawing",
+				c.sql, len(c.prep.keys), len(c.prep.ends), cap(c.prep.keys), cap(c.prep.ends))
+		}
 		if len(rec) != len(ref) {
 			t.Fatalf("%q: %d lists recorded, plan has %d scans", c.sql, len(rec), len(ref))
 		}

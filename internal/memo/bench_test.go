@@ -17,11 +17,11 @@ func BenchmarkAddJoinInto(b *testing.B) {
 	for b.Loop() {
 		m.Reset()
 		for i := range iv {
-			iv[i][i] = m.AddLeaf(i, 10, 0)
+			iv[i][i] = m.AddLeaf(i, 0)
 		}
 		for span := 1; span < n; span++ {
 			for i := 0; i+span < n; i++ {
-				iv[i][i+span], _ = m.AddJoin(iv[i][i], iv[i+1][i+span], 10)
+				iv[i][i+span], _ = m.AddJoin(iv[i][i], iv[i+1][i+span])
 			}
 		}
 		probes = 0

@@ -10,6 +10,11 @@
 // memo's growth. The paper's premise — "the memory consumed during
 // optimization is closely related to the number of considered
 // alternatives" — is therefore true by construction.
+//
+// It is also purely structural: a group is a table set, its join-graph
+// neighbourhood and a list of expressions. What a set is estimated to
+// produce is never read while exploring, so it is not stored here; the
+// optimizer computes cardinalities from Group.Set when it costs a plan.
 package memo
 
 import (
@@ -57,10 +62,10 @@ type Expr struct {
 func (e *Expr) Next() ExprID { return e.next }
 
 // Group holds logically-equivalent expressions producing the same join
-// set. Its ID is its index in the memo's group arena.
+// set: 32 bytes, two to a cache line. Its ID is its index in the memo's
+// group arena.
 type Group struct {
-	Set  uint64 // bitset of table IDs covered
-	Card float64
+	Set uint64 // bitset of table IDs covered
 	// Nbr is the group's neighbourhood: the union of its tables' join-graph
 	// neighbours, fixed at creation (a leaf's is supplied by the caller, a
 	// join group's is the OR of its children's). Two groups are linked by
@@ -194,10 +199,10 @@ func (m *Memo) PopUnexplored(id GroupID) ExprID {
 }
 
 // addGroup creates the group for set, which must not exist yet.
-func (m *Memo) addGroup(set uint64, card float64, nbr uint64) GroupID {
+func (m *Memo) addGroup(set, nbr uint64) GroupID {
 	id := GroupID(len(m.groups))
 	m.groups = append(m.groups, Group{
-		Set: set, Card: card, Nbr: nbr,
+		Set: set, Nbr: nbr,
 		head: NoExpr, tail: NoExpr, lastExplored: NoExpr,
 	})
 	m.bySet.Put(set, int32(id))
@@ -236,23 +241,23 @@ func (m *Memo) markSeen(g, l GroupID) bool {
 }
 
 // AddLeaf inserts a leaf group for the table with the given ID (its bit
-// position in join sets), filtered cardinality and join-graph neighbours.
-// Adding the same table twice returns the existing group.
-func (m *Memo) AddLeaf(table int, card float64, nbr uint64) GroupID {
+// position in join sets) and join-graph neighbours. Adding the same table
+// twice returns the existing group.
+func (m *Memo) AddLeaf(table int, nbr uint64) GroupID {
 	set := uint64(1) << uint(table)
 	if g, ok := m.GroupBySet(set); ok {
 		return g
 	}
-	g := m.addGroup(set, card, nbr)
+	g := m.addGroup(set, nbr)
 	m.addExpr(g, KindLeaf, 0, 0)
 	return g
 }
 
 // AddJoin inserts a join expression L⋈R into the group covering
-// L.Set ∪ R.Set (creating the group with cardinality card if new). The
-// returned expression is NoExpr when the group already held L⋈R.
-// Overlapping sides are a caller bug and panic.
-func (m *Memo) AddJoin(l, r GroupID, card float64) (GroupID, ExprID) {
+// L.Set ∪ R.Set (creating the group if new). The returned expression is
+// NoExpr when the group already held L⋈R. Overlapping sides are a caller
+// bug and panic.
+func (m *Memo) AddJoin(l, r GroupID) (GroupID, ExprID) {
 	lg, rg := &m.groups[l], &m.groups[r]
 	if lg.Set&rg.Set != 0 {
 		panic(fmt.Sprintf("memo: join sides overlap: %b & %b", lg.Set, rg.Set))
@@ -260,7 +265,7 @@ func (m *Memo) AddJoin(l, r GroupID, card float64) (GroupID, ExprID) {
 	set := lg.Set | rg.Set
 	g, ok := m.GroupBySet(set)
 	if !ok {
-		g = m.addGroup(set, card, lg.Nbr|rg.Nbr)
+		g = m.addGroup(set, lg.Nbr|rg.Nbr)
 	}
 	return g, m.AddJoinInto(g, l, r)
 }

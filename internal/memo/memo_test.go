@@ -3,12 +3,13 @@ package memo
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAddLeafDedup(t *testing.T) {
 	m := New()
-	g1 := m.AddLeaf(0, 1000, 0)
-	g2 := m.AddLeaf(0, 1000, 0)
+	g1 := m.AddLeaf(0, 0)
+	g2 := m.AddLeaf(0, 0)
 	if g1 != g2 {
 		t.Fatal("duplicate leaf created a second group")
 	}
@@ -19,9 +20,9 @@ func TestAddLeafDedup(t *testing.T) {
 
 func TestAddJoinCreatesUnionGroup(t *testing.T) {
 	m := New()
-	a := m.AddLeaf(0, 1000, 0b010)
-	b := m.AddLeaf(1, 2000, 0b101)
-	j, e := m.AddJoin(a, b, 5000)
+	a := m.AddLeaf(0, 0b010)
+	b := m.AddLeaf(1, 0b101)
+	j, e := m.AddJoin(a, b)
 	if e == NoExpr {
 		t.Fatal("AddJoin: no expression")
 	}
@@ -29,14 +30,11 @@ func TestAddJoinCreatesUnionGroup(t *testing.T) {
 	if jg.Set != m.Group(a).Set|m.Group(b).Set {
 		t.Fatalf("join set = %b", jg.Set)
 	}
-	if jg.Card != 5000 {
-		t.Fatalf("join card = %v", jg.Card)
-	}
 	if jg.Nbr != 0b111 {
 		t.Fatalf("join neighbourhood = %b, want the OR of its children's", jg.Nbr)
 	}
 	// Commuted join lands in the same group as a distinct expr.
-	j2, e2 := m.AddJoin(b, a, 5000)
+	j2, e2 := m.AddJoin(b, a)
 	if e2 == NoExpr {
 		t.Fatal("commuted AddJoin: no expression")
 	}
@@ -50,7 +48,7 @@ func TestAddJoinCreatesUnionGroup(t *testing.T) {
 		t.Fatal("group list is not in insertion order")
 	}
 	// Exact duplicate is rejected.
-	if _, e3 := m.AddJoin(a, b, 5000); e3 != NoExpr {
+	if _, e3 := m.AddJoin(a, b); e3 != NoExpr {
 		t.Fatal("duplicate join expr added")
 	}
 	if e4 := m.AddJoinInto(j, b, a); e4 != NoExpr {
@@ -60,9 +58,9 @@ func TestAddJoinCreatesUnionGroup(t *testing.T) {
 
 func TestPopUnexploredFollowsAppends(t *testing.T) {
 	m := New()
-	a := m.AddLeaf(0, 1, 0)
-	b := m.AddLeaf(1, 1, 0)
-	j, e1 := m.AddJoin(a, b, 1)
+	a := m.AddLeaf(0, 0)
+	b := m.AddLeaf(1, 0)
+	j, e1 := m.AddJoin(a, b)
 	if got := m.PopUnexplored(j); got != e1 {
 		t.Fatalf("first pop = %d, want %d", got, e1)
 	}
@@ -80,15 +78,15 @@ func TestPopUnexploredFollowsAppends(t *testing.T) {
 
 func TestAddJoinOverlapRejected(t *testing.T) {
 	m := New()
-	a := m.AddLeaf(0, 1000, 0)
-	b := m.AddLeaf(1, 2000, 0)
-	j, _ := m.AddJoin(a, b, 5000)
+	a := m.AddLeaf(0, 0)
+	b := m.AddLeaf(1, 0)
+	j, _ := m.AddJoin(a, b)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overlapping join accepted")
 		}
 	}()
-	m.AddJoin(j, a, 1)
+	m.AddJoin(j, a)
 }
 
 // The memo charges nothing itself: its simulated footprint is its size
@@ -96,10 +94,10 @@ func TestAddJoinOverlapRejected(t *testing.T) {
 func TestBytesAreCountsTimesConfig(t *testing.T) {
 	cfg := Config{BytesPerGroup: 100, BytesPerExpr: 10}
 	m := New()
-	a := m.AddLeaf(0, 1, 0) // group + expr = 110
-	b := m.AddLeaf(1, 1, 0) // 110
-	m.AddJoin(a, b, 1)      // 110
-	m.AddJoin(b, a, 1)      // expr only = 10
+	a := m.AddLeaf(0, 0) // group + expr = 110
+	b := m.AddLeaf(1, 0) // 110
+	m.AddJoin(a, b)      // 110
+	m.AddJoin(b, a)      // expr only = 10
 	if got := cfg.Bytes(m.Groups(), m.Exprs()); got != 340 {
 		t.Fatalf("Bytes = %d, want 340", got)
 	}
@@ -107,7 +105,7 @@ func TestBytesAreCountsTimesConfig(t *testing.T) {
 
 func TestGroupLookup(t *testing.T) {
 	m := New()
-	a := m.AddLeaf(0, 1, 0)
+	a := m.AddLeaf(0, 0)
 	if g, ok := m.GroupBySet(m.Group(a).Set); !ok || g != a {
 		t.Fatal("GroupBySet broken")
 	}
@@ -129,7 +127,7 @@ func TestQuickMemoAccounting(t *testing.T) {
 		m := New()
 		groups := make([]GroupID, 0, 16)
 		for table := 0; table < 6; table++ {
-			groups = append(groups, m.AddLeaf(table, 10, 0))
+			groups = append(groups, m.AddLeaf(table, 0))
 		}
 		seen := make(map[[2]GroupID]bool)
 		for _, p := range pairs {
@@ -138,7 +136,7 @@ func TestQuickMemoAccounting(t *testing.T) {
 			if m.Group(a).Set&m.Group(b).Set != 0 {
 				continue
 			}
-			g, e := m.AddJoin(a, b, 100)
+			g, e := m.AddJoin(a, b)
 			if (e != NoExpr) == seen[[2]GroupID{a, b}] {
 				return false // dedup disagrees with the (l, r) reference
 			}
@@ -167,14 +165,14 @@ func intervalMemo(m *Memo, n int) {
 	iv := make([][]GroupID, n)
 	for i := range iv {
 		iv[i] = make([]GroupID, n)
-		iv[i][i] = m.AddLeaf(i, 10, 0)
+		iv[i][i] = m.AddLeaf(i, 0)
 	}
 	for span := 1; span < n; span++ {
 		for i := 0; i+span < n; i++ {
 			for k := i; k < i+span; k++ {
 				l, r := iv[i][k], iv[k+1][i+span]
-				iv[i][i+span], _ = m.AddJoin(l, r, 10)
-				m.AddJoin(r, l, 10)
+				iv[i][i+span], _ = m.AddJoin(l, r)
+				m.AddJoin(r, l)
 			}
 		}
 	}
@@ -192,9 +190,9 @@ func TestResetCostFollowsUse(t *testing.T) {
 	bigGroups := m.Groups()
 	small := func() {
 		m.Reset()
-		a := m.AddLeaf(0, 1, 0)
-		b := m.AddLeaf(1, 1, 0)
-		j, _ := m.AddJoin(a, b, 1)
+		a := m.AddLeaf(0, 0)
+		b := m.AddLeaf(1, 0)
+		j, _ := m.AddJoin(a, b)
 		m.AddJoinInto(j, b, a)
 	}
 	before := m.cleared
@@ -216,5 +214,16 @@ func TestResetCostFollowsUse(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, small); allocs != 0 {
 		t.Fatalf("steady-state memo reuse allocates %v times per compilation", allocs)
+	}
+}
+
+// The arenas' element sizes are the kernel's cache footprint: two groups or
+// four expressions to a 64-byte line.
+func TestStructSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Group{}); n != 32 {
+		t.Errorf("Group is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(Expr{}); n != 16 {
+		t.Errorf("Expr is %d bytes, want 16", n)
 	}
 }

@@ -194,8 +194,10 @@ func BenchmarkOptimizeRetry(b *testing.B) {
 // conversation. "room" is the unthrottled server (no chain, memory to
 // spare), "gated" the throttled one (the production ladder for 8 CPUs and
 // 4 GiB, uncontended: the compilation takes the gates it crosses at once);
-// "single" drops the ChargeSpan hook, so each structure is an Alloc call.
-// One op is one compilation, opened and finished.
+// "single" drops the ChargeSpan hook, so each structure is an Alloc call;
+// "replay" compiles on an exploration an earlier compilation completed, as a
+// resubmission does: the kernel has nothing left to do and the player moves
+// from mark to mark. One op is one compilation, opened and finished.
 func BenchmarkOptimizeGoverned(b *testing.B) {
 	const scratch = 5
 	opt := salesOptimizer()
@@ -205,8 +207,12 @@ func BenchmarkOptimizeGoverned(b *testing.B) {
 		q    *plan.Query
 	}{{"sales16", salesQuery(b, false, 16)}, {"sales20", salesQuery(b, true, 20)}} {
 		for _, gated := range []bool{false, true} {
-			for _, spans := range []bool{true, false} {
-				name := stmt.name + map[bool]string{false: "/room", true: "/gated"}[gated] + map[bool]string{true: "", false: "/single"}[spans]
+			for _, v := range []struct {
+				name          string
+				spans, replay bool
+			}{{"", true, false}, {"/single", false, false}, {"/replay", true, true}} {
+				spans := v.spans
+				name := stmt.name + map[bool]string{false: "/room", true: "/gated"}[gated] + v.name
 				b.Run(name, func(b *testing.B) {
 					opts := core.DefaultOptions(8, 4*mem.GiB)
 					opts.Enabled = gated
@@ -227,10 +233,16 @@ func BenchmarkOptimizeGoverned(b *testing.B) {
 								return comp.AllocSpan(scratch*memo.Bytes(groups, exprs), exprs+groups)
 							}
 						}
+						x := opt.Explore(stmt.q)
+						defer x.Release()
 						b.ReportAllocs()
 						for b.Loop() {
+							if !v.replay {
+								x.Release()
+								x = opt.Explore(stmt.q)
+							}
 							comp = gov.Begin(tk, "bench")
-							p, err := opt.Optimize(stmt.q, hooks)
+							p, err := x.Optimize(hooks)
 							if err != nil {
 								b.Fatal(err)
 							}
@@ -251,4 +263,53 @@ func BenchmarkOptimizeGoverned(b *testing.B) {
 			}
 		}
 	}
+}
+
+// explored returns the run of stmt's exploration after one compilation with
+// no hooks has taken it to the end of its budget. The run stays out of the
+// pools.
+func explored(b *testing.B, opt *Optimizer, q *plan.Query) *run {
+	x := opt.Explore(q)
+	if _, err := x.Optimize(Hooks{}); err != nil {
+		b.Fatal(err)
+	}
+	return x.r
+}
+
+var benchCards []float64
+
+// BenchmarkFillCards is the cardinality estimate of every group of a full
+// memo, four sets at a time: what extraction pays once per exploration for
+// the groups no earlier extraction costed. One op is one memo.
+func BenchmarkFillCards(b *testing.B) {
+	opt := salesOptimizer()
+	for _, stmt := range []struct {
+		name string
+		q    *plan.Query
+	}{{"sales16", salesQuery(b, false, 16)}, {"sales20", salesQuery(b, true, 20)}} {
+		b.Run(stmt.name, func(b *testing.B) {
+			r := explored(b, opt, stmt.q)
+			n := r.m.Groups()
+			for b.Loop() {
+				r.cards = r.cards[:0]
+				r.fillCards(n)
+			}
+			benchCards = r.cards
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/group")
+			b.ReportMetric(float64(len(r.factors)), "factors")
+		})
+	}
+}
+
+// BenchmarkExtract is plan extraction from a full sales20 memo whose
+// cardinalities are filled, as a resubmission's are: the DP over every
+// group and expression, then the plan's nodes.
+func BenchmarkExtract(b *testing.B) {
+	r := explored(b, salesOptimizer(), salesQuery(b, true, 20))
+	groups, exprs := r.m.Groups(), r.m.Exprs()
+	b.ReportAllocs()
+	for b.Loop() {
+		benchPlan = r.extract(groups, exprs)
+	}
+	b.ReportMetric(float64(exprs), "exprs")
 }

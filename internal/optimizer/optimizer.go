@@ -28,13 +28,21 @@
 // calls the player may pass structures uncharged and settle the span in one
 // ChargeSpan call; when the engine refuses — some structure in it would
 // block, reclaim or fail — it goes back to the span's start and charges them
-// one by one, so what the engine sees is the same either way.
+// one by one, so what the engine sees is the same either way. Such a player
+// does not look at the structures of a whole work batch at all: the kernel
+// marks where every batch ends, and the player moves from mark to mark.
+//
+// Exploration is also purely structural. The memo holds sets and
+// neighbourhoods; what a set of tables is estimated to produce is read only
+// when a plan is costed, so cardinalities are computed there (run.fillCards),
+// once per group of the memo prefix being costed, four sets at a time.
 package optimizer
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"compilegate/internal/catalog"
@@ -115,7 +123,11 @@ type Optimizer struct {
 // getRun and memo.Reset restore observable state bit-identically, so
 // reuse never affects results.
 var (
-	runPool  = sync.Pool{New: func() any { return &run{tableOf: make(map[string]*catalog.Table)} }}
+	runPool = sync.Pool{New: func() any {
+		// 64 factors hold any query of up to 32 tables joined as a tree (the
+		// widest SALES statement has 41); a larger one grows the table.
+		return &run{tableOf: make(map[string]*catalog.Table), factors: make([]factor, 0, 64)}
+	}}
 	memoPool = sync.Pool{New: func() any { return memo.New() }}
 )
 
@@ -151,16 +163,25 @@ const (
 	segOuter uint16 = 1 << 15   // then: one expression's rules are done
 )
 
+// batchMark is where the tape stood when the kernel took a step that made
+// its step count a multiple of WorkBatch: the tape position right after that
+// step's segment, and the memo's size. A step segment is taped after the
+// structures it carries and before the next add, so at that instant the
+// memo's counts are the tape's cumulative counts — the mark is the cursor of
+// a player that has walked there.
+type batchMark struct {
+	pos, groups, exprs int32
+}
+
 // run is one statement's exploration: the resolved query, its memo, the
 // tape of the memo's growth and the kernel's position. It holds nothing
 // of any one compilation — that is the player's — so it can outlive the
 // compilation that started it. It is pooled: every field is either reset
 // by getRun or overwritten by resolve. Leaf cardinalities, selectivities,
 // and adjacency are dense arrays indexed by table ID (the bit position in
-// the join bitsets) instead of maps — the hot lookups in cardOfSet cost
-// an array index. Nothing here is hashed or memoized per group: what
-// exploration needs of a group (set, cardinality, neighbourhood) is
-// stored in the group.
+// the join bitsets) instead of maps. Nothing here is hashed per group:
+// what exploration needs of a group (set, neighbourhood) is stored in the
+// group, and what costing needs (cardinality) in cards.
 type run struct {
 	o *Optimizer
 	q *plan.Query
@@ -172,18 +193,29 @@ type run struct {
 	leafCard [64]float64               // filtered cardinality by table ID
 	leafSel  [64]float64               // combined filter selectivity by table ID
 	adjacent [64]uint64                // neighbor bitset by table ID
-	edges    []joinEdge                // join edges in insertion order (deterministic)
+	// factors are the terms of every cardinality product, in the order they
+	// are multiplied: the query's leaves by ascending table ID, then its join
+	// edges in insertion order.
+	factors []factor
+	// cards[g] is group g's cardinality, for the memo prefix solve has
+	// costed so far. It stays with the run, so a later compilation on the
+	// exploration computes only the groups past it.
+	cards []float64
 
 	// The record. tape[:k] describes how the memo grew to the prefix it
-	// names; root and the initial plan's cost (which sizes every
-	// compilation's budget) are fixed once buildInitial has run.
+	// names; marks[i] is where step (i+1)*WorkBatch left it; root and the
+	// initial plan's cost (which sizes every compilation's budget) are fixed
+	// once buildInitial has run.
 	tape        []uint16
+	marks       []batchMark
 	root        memo.GroupID
 	initialCost float64
 
-	// The kernel's position: the round-robin cursor over groups.
+	// The kernel's position: the round-robin cursor over groups, and how
+	// many steps are left to the next mark.
 	g          memo.GroupID
 	progressed bool
+	toMark     int
 	// cuts is empty on every run but a private one (see rederive): the
 	// tape positions, ascending, at which the associate rule drops the rest
 	// of its expression's alternatives right after taping segInner. The
@@ -215,9 +247,17 @@ func (o *Optimizer) getRun(q *plan.Query) *run {
 	r.leafCard = [64]float64{}
 	r.leafSel = [64]float64{}
 	r.adjacent = [64]uint64{}
-	r.edges = r.edges[:0]
+	r.factors = r.factors[:0]
+	r.cards = r.cards[:0]
 	r.tape = r.tape[:0]
-	r.g, r.progressed, r.cuts, r.nextCut = 0, false, r.cuts[:0], 0
+	// A compilation takes at most MaxTasks steps, and the kernel finishes the
+	// expression whose rules took the last of them.
+	if n := o.cfg.MaxTasks/o.cfg.WorkBatch + 2; cap(r.marks) < n {
+		r.marks = make([]batchMark, 0, n)
+	}
+	r.marks = r.marks[:0]
+	r.g, r.progressed, r.toMark = 0, false, o.cfg.WorkBatch
+	r.cuts, r.nextCut = r.cuts[:0], 0
 	return r
 }
 
@@ -310,7 +350,8 @@ type cursor struct {
 // and its cursor. With a ChargeSpan hook it defers: structures are passed
 // uncharged and the span since mark is settled in one call before the next
 // hook call. A refused span puts the cursor back on mark and is played again
-// with a Charge per structure, up to the next work-batch boundary.
+// with a Charge per structure, up to the next work-batch boundary. A
+// deferred span that is a whole work batch is not walked at all (see jump).
 type player struct {
 	hooks Hooks
 	cursor
@@ -377,15 +418,46 @@ func (p *player) settle() bool {
 	return false
 }
 
-// Optimize plays one compilation: it walks the tape from the start,
+// jumps is false only in the differential tests that play a compilation
+// with and without batch-to-batch moves (export_test.go).
+var jumps = true
+
+// jump moves a player that stands at the start of a deferred span over the
+// whole work batch ahead of it, and reports whether it did. The player must
+// be on the exploration's own tape r, having taken every step of the tape so
+// far exactly once, so that worked/batch batches lie behind it and the
+// kernel's next mark is its cursor after the batch's last step — whose
+// boundary the caller runs next. It stays put when the batch would cross the
+// budget (the walk finds the step that exhausts it) or when the search space
+// ends before the batch does (no mark: the walk finds the end).
+func (p *player) jump(r *run) bool {
+	if p.worked+p.batch > p.budget || !jumps {
+		return false
+	}
+	k := p.worked / p.batch
+	for len(r.marks) <= k {
+		if !r.advance() {
+			return false
+		}
+	}
+	m := r.marks[k]
+	p.pos, p.groups, p.exprs = int(m.pos), int(m.groups), int(m.exprs)
+	p.tasks = p.worked + p.batch
+	return true
+}
+
+// Optimize plays one compilation: it passes over the tape from the start,
 // charging for every group and expression — one by one, or a span at a
-// time when hooks.ChargeSpan allows — and taking every step, and
-// runs the kernel only when it reaches the tape's end. Where it
-// stops — a failed charge, the budget, best-effort, or the end of the
-// search space — it extracts the plan from the memo prefix at its cursor,
-// so a kernel that ran ahead, or a tape left by a longer earlier attempt,
-// changes nothing. Errors are query errors (validation, on the first
-// compilation only) or come from the Charge hook.
+// time when hooks.ChargeSpan allows — and taking every step, and runs the
+// kernel only when it needs tape that is not there yet. It walks segment
+// by segment, except that a span it can settle in one call and that is a
+// whole work batch is passed in one move to the kernel's mark, whose
+// boundary then either settles it or sends the player back to walk it.
+// Where it stops — a failed charge, the budget, best-effort, or the end of
+// the search space — it extracts the plan from the memo prefix at its
+// cursor, so a kernel that ran ahead, or a tape left by a longer earlier
+// attempt, changes nothing. Errors are query errors (validation, on the
+// first compilation only) or come from the Charge hook.
 func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 	o := x.o
 	if x.r == nil {
@@ -402,41 +474,49 @@ func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 	p := player{hooks: hooks, budget: o.effortBudget(r.initialCost), batch: cfg.WorkBatch}
 	p.startSpan()
 	var err error
-	tape, charge := r.tape, hooks.Charge
+	charge := hooks.Charge
 play:
 	for {
-		if p.pos == len(tape) {
-			if r.advance() {
-				tape = r.tape
-			} else if p.settle() {
-				break // the end of the search space
-			} // else the last span was refused: play it again from mark
-		}
-		seg := tape[p.pos]
-		p.pos++
-		n, group := int(seg&segExprs), 0
-		if seg&segGroup != 0 {
-			group = 1
-		}
-		if charge != nil && !p.deferring {
-			for i := 0; i < n; i++ {
-				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
-					break play
+		var seg uint16 // the segment whose step said stop
+		if p.deferring && p.pos == p.mark.pos && !private && p.jump(r) {
+			// The batch's last step, as step takes it.
+			if p.boundary() {
+				continue
+			}
+			seg = r.tape[p.pos-1]
+		} else {
+			if p.pos == len(r.tape) && !r.advance() {
+				if p.settle() {
+					break // the end of the search space
+				}
+				continue // the last span was refused: play it again from mark
+			}
+			seg = r.tape[p.pos]
+			p.pos++
+			n, group := int(seg&segExprs), 0
+			if seg&segGroup != 0 {
+				group = 1
+			}
+			if charge != nil && !p.deferring {
+				for i := 0; i < n; i++ {
+					if err = charge(cfg.Memo.BytesPerExpr); err != nil {
+						break play
+					}
+				}
+				if group != 0 {
+					if err = charge(cfg.Memo.BytesPerGroup); err != nil {
+						break play
+					}
+					if err = charge(cfg.Memo.BytesPerExpr); err != nil {
+						break play
+					}
 				}
 			}
-			if group != 0 {
-				if err = charge(cfg.Memo.BytesPerGroup); err != nil {
-					break play
-				}
-				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
-					break play
-				}
+			p.exprs += n + group
+			p.groups += group
+			if seg&(segInner|segOuter) == 0 || p.step() {
+				continue
 			}
-		}
-		p.exprs += n + group
-		p.groups += group
-		if seg&(segInner|segOuter) == 0 || p.step() {
-			continue
 		}
 		// A stop at the inner step leaves the associate rule at once and
 		// lets the loop over expressions take its own step.
@@ -455,7 +535,6 @@ play:
 			o.putRun(r)
 		}
 		r, private = o.rederive(x.q, cuts), true
-		tape = r.tape
 		p.startSpan()
 	}
 	if n := p.tasks - p.worked; hooks.Work != nil && n > 0 {
@@ -503,6 +582,7 @@ func (o *Optimizer) effortBudget(cost float64) int {
 // resolve binds query tables against the catalog and precomputes the join
 // graph structures.
 func (r *run) resolve() error {
+	var tables uint64
 	for i := range r.q.Tables {
 		term := &r.q.Tables[i]
 		t := r.o.cat.Table(term.Name)
@@ -517,8 +597,13 @@ func (r *run) resolve() error {
 		}
 		r.leafCard[t.ID] = card
 		r.leafSel[t.ID] = sel
+		tables |= 1 << uint(t.ID)
 		r.terms = append(r.terms, term)
 		r.tabs = append(r.tabs, t)
+	}
+	for s := tables; s != 0; s &= s - 1 {
+		id := bits.TrailingZeros64(s)
+		r.factors = append(r.factors, factor{mask: 1 << uint(id), by: [2]float64{1, r.leafCard[id]}})
 	}
 	for _, j := range r.q.Joins {
 		a, b := r.tableOf[j.A], r.tableOf[j.B]
@@ -530,38 +615,78 @@ func (r *run) resolve() error {
 		}
 		r.adjacent[a.ID] |= 1 << uint(b.ID)
 		r.adjacent[b.ID] |= 1 << uint(a.ID)
-		r.edges = append(r.edges, joinEdge{
+		r.factors = append(r.factors, factor{
 			mask: 1<<uint(a.ID) | 1<<uint(b.ID),
-			sel:  r.o.est.JoinSelectivity(j.A, j.B),
+			by:   [2]float64{1, r.o.est.JoinSelectivity(j.A, j.B)},
 		})
 	}
 	return nil
 }
 
-type joinEdge struct {
-	mask uint64 // both endpoint bits
-	sel  float64
+// factor is one term of the cardinality product: a leaf's filtered
+// cardinality (mask: its table's bit) or a join edge's selectivity (mask:
+// both endpoint bits). It applies to the sets that cover mask.
+type factor struct {
+	mask uint64
+	by   [2]float64 // what to multiply by: 1 when it does not apply, else its value
 }
 
-// cardOfSet estimates the cardinality of joining exactly the tables in
-// set: the product of filtered leaf cardinalities (ascending table ID,
-// so the float rounding matches run to run) and the selectivities of all
-// join edges internal to the set. It is a pure function of the resolved
-// query, paid once per genuinely new group.
-func (r *run) cardOfSet(set uint64) float64 {
-	card := 1.0
-	for s := set; s != 0; s &= s - 1 {
-		card *= r.leafCard[bits.TrailingZeros64(s)]
+// applies is 1 when set covers mask and 0 otherwise. The compiler turns it
+// into a flag-to-register move: there is no branch to mispredict. (The &1
+// tells it the result indexes a [2]float64 without a bounds check.)
+func applies(set, mask uint64) int {
+	b := 0
+	if set&mask == mask {
+		b = 1
 	}
-	for _, e := range r.edges {
-		if set&e.mask == e.mask {
-			card *= e.sel
+	return b & 1
+}
+
+// cards4 estimates the cardinality of joining exactly the tables in each of
+// four sets: the product of their filtered leaf cardinalities (ascending
+// table ID, so the float rounding matches run to run) and of the
+// selectivities of all join edges internal to the set, at least 1. It is a
+// pure function of the resolved query. Each product is one chain of
+// dependent multiplications, so a single one leaves the multiplier idle for
+// most of its latency; four independent chains advance together instead.
+// Every chain visits every factor in the same order and multiplies by 1
+// where the factor does not apply — x*1 is x for every float, so a lane's
+// result is bit for bit the product of the factors that do apply, taken in
+// that order.
+func (r *run) cards4(sets [4]uint64) [4]float64 {
+	s0, s1, s2, s3 := sets[0], sets[1], sets[2], sets[3]
+	c0, c1, c2, c3 := 1.0, 1.0, 1.0, 1.0
+	for i := range r.factors {
+		f := &r.factors[i]
+		c0 *= f.by[applies(s0, f.mask)]
+		c1 *= f.by[applies(s1, f.mask)]
+		c2 *= f.by[applies(s2, f.mask)]
+		c3 *= f.by[applies(s3, f.mask)]
+	}
+	out := [4]float64{c0, c1, c2, c3}
+	for i, c := range out {
+		if c < 1 { // not max(c, 1): a NaN product stays the NaN it is
+			out[i] = 1
 		}
 	}
-	if card < 1 {
-		card = 1
+	return out
+}
+
+// fillCards extends cards to the memo's first n groups.
+func (r *run) fillCards(n int) {
+	from := len(r.cards)
+	if from >= n {
+		return
 	}
-	return card
+	r.cards = slices.Grow(r.cards, n-from)[:n]
+	for g := from; g < n; g += 4 {
+		var sets [4]uint64
+		for i := 0; i < 4 && g+i < n; i++ {
+			sets[i] = r.m.Group(memo.GroupID(g + i)).Set
+		}
+		c := r.cards4(sets)
+		copy(r.cards[g:], c[:])
+	}
 }
 
 // buildInitial creates leaf groups and a connectivity-respecting left-deep
@@ -573,7 +698,7 @@ func (r *run) buildInitial() error {
 	r.leaves = r.leaves[:0]
 	for i := range r.terms {
 		t := r.tabs[i]
-		r.leaves = append(r.leaves, m.AddLeaf(t.ID, r.leafCard[t.ID], r.adjacent[t.ID]))
+		r.leaves = append(r.leaves, m.AddLeaf(t.ID, r.adjacent[t.ID]))
 		r.tape = append(r.tape, segGroup)
 	}
 	if len(r.terms) == 1 {
@@ -599,17 +724,26 @@ func (r *run) buildInitial() error {
 		curSet, curNbr := m.Group(cur).Set, m.Group(cur).Nbr
 		bestIdx := -1
 		bestCard := math.Inf(1)
-		for i := range r.terms {
-			if !r.remaining[i] {
-				continue
+		for i := 0; i < len(r.terms); {
+			// The next four connected candidates, estimated together.
+			var cand [4]int
+			var sets [4]uint64
+			k := 0
+			for ; i < len(r.terms) && k < 4; i++ {
+				bit := uint64(1) << uint(r.tabs[i].ID)
+				if r.remaining[i] && curNbr&bit != 0 {
+					cand[k], sets[k] = i, curSet|bit
+					k++
+				}
 			}
-			bit := uint64(1) << uint(r.tabs[i].ID)
-			if curNbr&bit == 0 {
-				continue
+			if k == 0 {
+				break
 			}
-			c := r.cardOfSet(curSet | bit)
-			if c < bestCard {
-				bestIdx, bestCard = i, c
+			cards := r.cards4(sets)
+			for j := 0; j < k; j++ {
+				if cards[j] < bestCard {
+					bestIdx, bestCard = cand[j], cards[j]
+				}
 			}
 		}
 		if bestIdx < 0 {
@@ -618,7 +752,7 @@ func (r *run) buildInitial() error {
 			return fmt.Errorf("optimizer: disconnected join graph at %s", r.terms[curIdx].Name)
 		}
 		// Each join covers one table more than the last: its group is new.
-		cur, _ = m.AddJoin(cur, r.leaves[bestIdx], bestCard)
+		cur, _ = m.AddJoin(cur, r.leaves[bestIdx])
 		r.tape = append(r.tape, segGroup)
 		r.remaining[bestIdx] = false
 	}
@@ -656,7 +790,7 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 	m := r.m
 	e := m.Expr(id)
 	if e.Kind != memo.KindJoin {
-		r.tape = append(r.tape, segOuter)
+		r.tapeStep(segOuter)
 		return
 	}
 	l, rt := e.L, e.R
@@ -674,7 +808,7 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 		}
 	}
 	if !assoc {
-		r.tape = append(r.tape, added|segOuter)
+		r.tapeStep(added | segOuter)
 		return
 	}
 
@@ -690,11 +824,7 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 		if bg.Nbr&rtSet == 0 {
 			continue // would introduce a cross product
 		}
-		// Look the inner group up before estimating its cardinality: once
-		// exploration converges the group almost always exists, and only a
-		// genuinely new group needs cardOfSet.
-		innerSet := bg.Set | rtSet
-		inner, ok := m.GroupBySet(innerSet)
+		inner, ok := m.GroupBySet(bg.Set | rtSet)
 		step := segInner
 		if ok {
 			if m.AddJoinInto(inner, b, rt) != memo.NoExpr {
@@ -703,11 +833,11 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 				step = 0
 			}
 		} else {
-			inner, _ = m.AddJoin(b, rt, r.cardOfSet(innerSet))
+			inner, _ = m.AddJoin(b, rt)
 			step |= segGroup
 		}
 		if step != 0 {
-			r.tape = append(r.tape, added|step)
+			r.tapeStep(added | step)
 			added = 0
 			if r.nextCut < len(r.cuts) && len(r.tape) == r.cuts[r.nextCut] {
 				r.nextCut++
@@ -718,7 +848,17 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 			added = r.count(added)
 		}
 	}
-	r.tape = append(r.tape, added|segOuter)
+	r.tapeStep(added | segOuter)
+}
+
+// tapeStep tapes a segment that ends in a step, and marks the tape where the
+// step is the last of a work batch.
+func (r *run) tapeStep(seg uint16) {
+	r.tape = append(r.tape, seg)
+	if r.toMark--; r.toMark == 0 {
+		r.marks = append(r.marks, batchMark{int32(len(r.tape)), int32(r.m.Groups()), int32(r.m.Exprs())})
+		r.toMark = r.o.cfg.WorkBatch
+	}
 }
 
 // count adds one to a segment's expression count, spilling a full count
@@ -746,9 +886,12 @@ type costed struct {
 // group, so visiting groups by ascending table count (a counting sort on
 // the popcount of their sets) finds both children's entries final. Each
 // group keeps the first of its cheapest expressions in insertion order.
-// It reads the memo prefix of n groups and nExprs expressions.
+// It reads the memo prefix of n groups and nExprs expressions, and is what
+// computes their cardinalities.
 func (r *run) solve(n, nExprs int) {
 	m := r.m
+	r.fillCards(n)
+	cards := r.cards
 	t := dpPool.Get().(*dpTables)
 	if cap(t.dp) < n {
 		t.dp = make([]costed, n)
@@ -779,9 +922,8 @@ func (r *run) solve(n, nExprs int) {
 		out := costed{cost: math.Inf(1), expr: memo.NoExpr}
 		for eid := g.FirstExpr(); eid != memo.NoExpr && int(eid) < nExprs; {
 			e := m.Expr(eid)
-			l, rt := m.Group(e.L), m.Group(e.R)
 			// Hash join, right side builds.
-			c := t.dp[e.L].cost + t.dp[e.R].cost + rt.Card*cm.BuildRow + l.Card*cm.CPURow + g.Card*cm.CPURow
+			c := t.dp[e.L].cost + t.dp[e.R].cost + cards[e.R]*cm.BuildRow + cards[e.L]*cm.CPURow + cards[id]*cm.CPURow
 			if c < out.cost {
 				out = costed{cost: c, expr: eid}
 			}
@@ -900,7 +1042,7 @@ func (r *run) costInitial() float64 {
 	cost := r.subtreeCost(root)
 	r.unsolve()
 	if len(r.q.GroupBy) > 0 {
-		card := r.m.Group(root).Card
+		card := r.cards[root]
 		groups := r.groupByDistinct(card)
 		aggs := r.q.Aggregates
 		if aggs < 1 {
@@ -922,11 +1064,10 @@ func (r *run) subtreeCost(id memo.GroupID) float64 {
 	if e.Kind == memo.KindLeaf {
 		return c.cost
 	}
-	g, l, rt := r.m.Group(id), r.m.Group(e.L), r.m.Group(e.R)
 	lc := r.subtreeCost(e.L)
 	rc := r.subtreeCost(e.R)
 	cm := r.o.cfg.Cost
-	own := rt.Card*cm.BuildRow + l.Card*cm.CPURow + g.Card*cm.CPURow
+	own := r.cards[e.R]*cm.BuildRow + r.cards[e.L]*cm.CPURow + r.cards[id]*cm.CPURow
 	return lc + rc + own
 }
 
@@ -934,34 +1075,32 @@ func (r *run) subtreeCost(id memo.GroupID) float64 {
 // extraction arena.
 func (r *run) buildNode(id memo.GroupID) *plan.Node {
 	c := &r.t.dp[id]
-	g := r.m.Group(id)
 	e := r.m.Expr(c.expr)
 	if e.Kind == memo.KindLeaf {
 		n := r.newNode()
 		*n = plan.Node{
 			Op:           c.op,
-			Table:        r.o.cat.Tables()[bits.TrailingZeros64(g.Set)].Name,
+			Table:        r.o.cat.Tables()[bits.TrailingZeros64(r.m.Group(id).Set)].Name,
 			ScanFraction: c.frac,
-			OutCard:      g.Card,
+			OutCard:      r.cards[id],
 			NodeCost:     c.cost,
 			SubtreeCost:  c.cost,
 		}
 		return n
 	}
-	l, rt := r.m.Group(e.L), r.m.Group(e.R)
 	ln := r.buildNode(e.L)
 	rn := r.buildNode(e.R)
 	cm := r.o.cfg.Cost
-	own := rt.Card*cm.BuildRow + l.Card*cm.CPURow + g.Card*cm.CPURow
+	own := r.cards[e.R]*cm.BuildRow + r.cards[e.L]*cm.CPURow + r.cards[id]*cm.CPURow
 	n := r.newNode()
 	*n = plan.Node{
 		Op:          plan.OpHashJoin,
 		Left:        ln,
 		Right:       rn,
-		OutCard:     g.Card,
+		OutCard:     r.cards[id],
 		NodeCost:    own,
 		SubtreeCost: ln.SubtreeCost + rn.SubtreeCost + own,
-		BuildBytes:  int64(rt.Card) * cm.HashRowBytes,
+		BuildBytes:  int64(r.cards[e.R]) * cm.HashRowBytes,
 	}
 	return n
 }

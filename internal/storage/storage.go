@@ -91,6 +91,23 @@ func (l *Layout) ScanExtents(table string, fraction float64, p Pattern, rng *ran
 	return l.ScanExtentsInto(nil, table, fraction, p, rng)
 }
 
+// ScanLen returns how many extents a scan of the given fraction of the
+// table touches: the length of the list ScanExtents returns for it.
+func (l *Layout) ScanLen(table string, fraction float64) int {
+	n, _ := scanLen(l.extents[table], fraction)
+	return int(n)
+}
+
+// scanLen sizes a scan of a table of total extents: a fraction of 0.999 or
+// more is a full scan (every extent once, sequential), anything less reads
+// that share of the table, at least one extent.
+func scanLen(total int64, fraction float64) (n int64, full bool) {
+	if fraction >= 0.999 {
+		return total, true
+	}
+	return max(int64(float64(total)*fraction), 1), false
+}
+
 // ScanExtentsInto is ScanExtents appending into buf (which should be
 // sliced to zero length), letting hot callers reuse one keys buffer
 // across scans instead of allocating per query.
@@ -100,19 +117,12 @@ func (l *Layout) ScanExtentsInto(buf []ExtentKey, table string, fraction float64
 		panic("storage: unknown table " + table)
 	}
 	total := l.extents[table]
-	if fraction > 1 {
-		fraction = 1
-	}
-	n := int64(float64(total) * fraction)
-	if n < 1 {
-		n = 1
-	}
+	n, full := scanLen(total, fraction)
 	hot := int64(float64(total) * p.HotFraction)
 	if hot < 1 {
 		hot = 1
 	}
-	if fraction >= 0.999 {
-		// Full scan: every extent once, sequential.
+	if full {
 		for i := int64(0); i < total; i++ {
 			buf = append(buf, NewExtentKey(t.ID, i))
 		}

@@ -119,7 +119,8 @@ func TestDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// Property: scans never exceed table bounds and fraction clamps at 1.
+// Property: scans never exceed table bounds, fraction clamps at 1, and
+// ScanLen names the list's length without drawing it.
 func TestQuickScanBounds(t *testing.T) {
 	l := testLayout()
 	tables := l.Catalog().Tables()
@@ -128,7 +129,7 @@ func TestQuickScanBounds(t *testing.T) {
 		frac := float64(fracRaw) / 10000.0 // up to 6.5
 		keys := l.ScanExtents(tb.Name, frac, DefaultPattern(), rand.New(rand.NewSource(seed)))
 		total := l.Extents(tb.Name)
-		if int64(len(keys)) > total {
+		if int64(len(keys)) > total || l.ScanLen(tb.Name, frac) != len(keys) {
 			return false
 		}
 		for _, k := range keys {
