@@ -19,6 +19,7 @@ import (
 
 	"compilegate"
 
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/optimizer"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/stats"
@@ -49,7 +50,7 @@ func main() {
 	var sql string
 	switch {
 	case *sample:
-		sql = s.Workload.Generator().Next(rand.New(rand.NewSource(s.Seed)))
+		sql = s.Workload.Generator().Next(rand.New(lazyrand.New(s.Seed)))
 	case flag.NArg() == 1:
 		sql = flag.Arg(0)
 	default:

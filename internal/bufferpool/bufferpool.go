@@ -62,7 +62,12 @@ type Pool struct {
 	tracker *mem.Tracker
 	disk    *vtime.Semaphore
 
-	frames map[storage.ExtentKey]*frame
+	// frames holds the cached extents' frames by table ID, then extent
+	// (nil where the extent is not cached): an ExtentKey is that pair, so
+	// finding a frame is two slice loads. Rows are sized once, from the
+	// layout's extent counts. cached counts the non-nil slots.
+	frames [][]*frame
+	cached int
 	// CLOCK ring state: clockFirst marks the ring's seam (new frames are
 	// inserted just before it, matching the old slice's append-at-end);
 	// clockHand is the next sweep candidate, nil meaning "at the seam" —
@@ -97,27 +102,43 @@ type Pool struct {
 // burst under the broker's default targets).
 const frameChunk = 64
 
-// New creates a pool charging frames to tracker.
-func New(cfg Config, tracker *mem.Tracker) *Pool {
+// New creates a pool charging frames to tracker, over a database whose
+// table with ID i has extents[i] extents (storage.Layout.ExtentCounts).
+// Reading an extent outside it is a bug and panics.
+func New(cfg Config, tracker *mem.Tracker, extents []int64) *Pool {
 	if cfg.ExtentBytes <= 0 {
 		panic("bufferpool: non-positive extent size")
 	}
 	if cfg.DiskChannels <= 0 {
 		cfg.DiskChannels = 1
 	}
+	var total int64
+	for _, n := range extents {
+		total += n
+	}
+	// One backing array, cut into the tables' rows.
+	slots, frames := make([]*frame, total), make([][]*frame, len(extents))
+	for id, n := range extents {
+		frames[id], slots = slots[:n:n], slots[n:]
+	}
 	return &Pool{
 		cfg:     cfg,
 		tracker: tracker,
 		disk:    vtime.NewSemaphore("disk", cfg.DiskChannels),
-		frames:  make(map[storage.ExtentKey]*frame),
+		frames:  frames,
 	}
+}
+
+// slot returns where key's frame is kept.
+func (p *Pool) slot(key storage.ExtentKey) **frame {
+	return &p.frames[key.TableID()][key.Extent()]
 }
 
 // Bytes returns the pool's current size.
 func (p *Pool) Bytes() int64 { return p.tracker.Used() }
 
 // Frames returns the number of cached extents.
-func (p *Pool) Frames() int { return len(p.frames) }
+func (p *Pool) Frames() int { return p.cached }
 
 // Hits and Misses return the access counters.
 func (p *Pool) Hits() uint64   { return p.hits }
@@ -201,7 +222,7 @@ func (p *Pool) Shrink(want int64) int64 {
 // latency, and reports whether it was a hit. Misses are cached when the
 // budget and target allow; otherwise the read passes through uncached.
 func (p *Pool) Read(t *vtime.Task, key storage.ExtentKey) bool {
-	if f, ok := p.frames[key]; ok {
+	if f := *p.slot(key); f != nil {
 		p.hits++
 		f.ref = true
 		t.Sleep(p.cfg.HitLatency)
@@ -274,7 +295,7 @@ func (p *Pool) ReadManyThen(t *vtime.Task, keys []storage.ExtentKey, hits *int, 
 	op.miss, op.mi, op.k, op.state = op.miss[:0], 0, k, rmNextMiss
 	h := 0
 	for _, key := range keys {
-		if f, ok := p.frames[key]; ok {
+		if f := *p.slot(key); f != nil {
 			p.hits++
 			f.ref = true
 			h++
@@ -302,7 +323,7 @@ func (p *Pool) ReadMany(t *vtime.Task, keys []storage.ExtentKey) int {
 
 // admit tries to cache a just-read extent.
 func (p *Pool) admit(t *vtime.Task, key storage.ExtentKey) {
-	if _, ok := p.frames[key]; ok {
+	if *p.slot(key) != nil {
 		return // racing reader cached it while we slept on disk
 	}
 	// Respect the broker target by evicting an old frame to make room.
@@ -321,22 +342,28 @@ func (p *Pool) admit(t *vtime.Task, key storage.ExtentKey) {
 		if v := p.victim(); v != nil {
 			p.drop(v)
 			// Reuse the freed reservation for the new frame.
-			f := p.newFrame(key)
-			p.frames[key] = f
-			p.clockInsert(f)
+			p.insert(key)
 			return
 		}
 		p.passthrough++
 		return
 	}
+	p.insert(key)
+}
+
+// insert caches key in a new frame (whose memory the caller has reserved),
+// referenced, at the CLOCK ring's seam.
+func (p *Pool) insert(key storage.ExtentKey) *frame {
 	f := p.newFrame(key)
-	p.frames[key] = f
+	*p.slot(key) = f
+	p.cached++
 	p.clockInsert(f)
+	return f
 }
 
 // victim runs the CLOCK sweep and returns an evictable frame (or nil).
 func (p *Pool) victim() *frame {
-	n := len(p.frames)
+	n := p.cached
 	if n == 0 {
 		return nil
 	}
@@ -409,7 +436,8 @@ func (p *Pool) clockRemove(f *frame) {
 // drop removes a frame from the pool structures (not the tracker) and
 // recycles it.
 func (p *Pool) drop(f *frame) {
-	delete(p.frames, f.key)
+	*p.slot(f.key) = nil
+	p.cached--
 	p.clockRemove(f)
 	p.evictions++
 	p.frameFree.Put(f)
@@ -514,21 +542,18 @@ func (p *Pool) DiskDelay(t *vtime.Task, d time.Duration) {
 }
 
 // Contains reports whether the extent is cached (for tests).
-func (p *Pool) Contains(key storage.ExtentKey) bool {
-	_, ok := p.frames[key]
-	return ok
-}
+func (p *Pool) Contains(key storage.ExtentKey) bool { return *p.slot(key) != nil }
 
 // Pin prevents eviction of a cached extent; no-op when absent.
 func (p *Pool) Pin(key storage.ExtentKey) {
-	if f, ok := p.frames[key]; ok {
+	if f := *p.slot(key); f != nil {
 		f.pinned++
 	}
 }
 
 // Unpin releases a pin.
 func (p *Pool) Unpin(key storage.ExtentKey) {
-	if f, ok := p.frames[key]; ok && f.pinned > 0 {
+	if f := *p.slot(key); f != nil && f.pinned > 0 {
 		f.pinned--
 	}
 }

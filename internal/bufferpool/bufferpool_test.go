@@ -20,11 +20,15 @@ func testCfg() Config {
 	}
 }
 
+// testExtents is the database the tests' pools cache: table 1 is the one
+// key addresses.
+var testExtents = []int64{3, 128, 40}
+
 func key(i int64) storage.ExtentKey { return storage.NewExtentKey(1, i) }
 
 func TestMissThenHit(t *testing.T) {
 	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"))
+	p := New(testCfg(), b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		if p.Read(tk, key(1)) {
@@ -51,7 +55,7 @@ func TestMissThenHit(t *testing.T) {
 
 func TestDiskChannelContention(t *testing.T) {
 	b := mem.NewBudget(1 << 20)
-	p := New(testCfg(), b.NewTracker("bp")) // 2 channels, 10ms each
+	p := New(testCfg(), b.NewTracker("bp"), testExtents) // 2 channels, 10ms each
 	s := vtime.NewScheduler()
 	for i := 0; i < 4; i++ {
 		i := i
@@ -70,7 +74,7 @@ func TestDiskChannelContention(t *testing.T) {
 
 func TestBudgetPressurePassthrough(t *testing.T) {
 	b := mem.NewBudget(250) // room for 2 frames only
-	p := New(testCfg(), b.NewTracker("bp"))
+	p := New(testCfg(), b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		p.Read(tk, key(1))
@@ -95,7 +99,7 @@ func TestBudgetPressurePassthrough(t *testing.T) {
 
 func TestClockEvictsColdKeepsHot(t *testing.T) {
 	b := mem.NewBudget(300) // 3 frames
-	p := New(testCfg(), b.NewTracker("bp"))
+	p := New(testCfg(), b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		p.Read(tk, key(1))
@@ -120,7 +124,7 @@ func TestClockEvictsColdKeepsHot(t *testing.T) {
 
 func TestPinnedNeverEvicted(t *testing.T) {
 	b := mem.NewBudget(200) // 2 frames
-	p := New(testCfg(), b.NewTracker("bp"))
+	p := New(testCfg(), b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		p.Read(tk, key(1))
@@ -141,7 +145,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 
 func TestShrinkReleasesMemory(t *testing.T) {
 	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"))
+	p := New(testCfg(), b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		for i := int64(0); i < 10; i++ {
@@ -167,7 +171,7 @@ func TestShrinkRespectsFloor(t *testing.T) {
 	cfg := testCfg()
 	cfg.MinBytes = 500
 	b := mem.NewBudget(10_000)
-	p := New(cfg, b.NewTracker("bp"))
+	p := New(cfg, b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		for i := int64(0); i < 10; i++ {
@@ -185,7 +189,7 @@ func TestShrinkRespectsFloor(t *testing.T) {
 
 func TestTargetCapsGrowth(t *testing.T) {
 	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"))
+	p := New(testCfg(), b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		for i := int64(0); i < 5; i++ {
@@ -215,7 +219,7 @@ func TestTargetCapsGrowth(t *testing.T) {
 
 func TestReadMany(t *testing.T) {
 	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"))
+	p := New(testCfg(), b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		keys := []storage.ExtentKey{key(1), key(2), key(3)}
@@ -236,7 +240,7 @@ func TestReadMany(t *testing.T) {
 
 func TestHitRateZeroTraffic(t *testing.T) {
 	b := mem.NewBudget(1000)
-	p := New(testCfg(), b.NewTracker("bp"))
+	p := New(testCfg(), b.NewTracker("bp"), testExtents)
 	if p.HitRate() != 0 {
 		t.Fatal("hit rate nonzero with no traffic")
 	}
@@ -250,7 +254,7 @@ func TestHitRateZeroTraffic(t *testing.T) {
 func TestQuickPoolInvariants(t *testing.T) {
 	f := func(reads []uint8, shrinks []uint8) bool {
 		b := mem.NewBudget(550) // 5 frames
-		p := New(testCfg(), b.NewTracker("bp"))
+		p := New(testCfg(), b.NewTracker("bp"), testExtents)
 		s := vtime.NewScheduler()
 		ok := true
 		s.Go("r", func(tk *vtime.Task) {
@@ -286,11 +290,10 @@ func TestQuickPoolInvariants(t *testing.T) {
 // seam); admit c; unpin a; the next victim must be c.
 func TestClockSeamInsertVisitedFirst(t *testing.T) {
 	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"))
+	p := New(testCfg(), b.NewTracker("bp"), testExtents)
 	mk := func(i int64) *frame {
-		f := &frame{key: key(i)}
-		p.frames[f.key] = f
-		p.clockInsert(f)
+		f := p.insert(key(i))
+		f.ref = false
 		return f
 	}
 	a := mk(1)

@@ -437,16 +437,16 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 	// Subcomponents. The caches are reclaimable (the pager steals their
 	// pages for free); everything else counts as wired memory under the
 	// pressure model.
-	poolTracker := s.budget.NewTracker("bufferpool")
-	poolTracker.MarkReclaimable()
-	s.pool = bufferpool.New(cfg.BufferPool, poolTracker)
-	cacheTracker := inVAS(s.budget.NewTracker("plancache"))
-	cacheTracker.MarkReclaimable()
-	s.cache = plancache.New(cacheTracker)
 	s.layout = pre.Layout
 	if s.layout == nil {
 		s.layout = storage.NewLayout(cat)
 	}
+	poolTracker := s.budget.NewTracker("bufferpool")
+	poolTracker.MarkReclaimable()
+	s.pool = bufferpool.New(cfg.BufferPool, poolTracker, s.layout.ExtentCounts())
+	cacheTracker := inVAS(s.budget.NewTracker("plancache"))
+	cacheTracker.MarkReclaimable()
+	s.cache = plancache.New(cacheTracker, len(pre.Statements))
 
 	govOpts := core.Options{
 		Enabled:           cfg.Throttle,

@@ -190,7 +190,7 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 	// Probe. A hit executes a prepared plan: prep carries the plan's
 	// scan-extent lists from one execution to the next (see execute for the
 	// statements that keep their own).
-	if p, prep, cached := s.cache.Get(st.id.Fingerprint); cached {
+	if p, prep, cached := s.cache.Get(st.id.Fingerprint, st.id.Static); cached {
 		if q != nil {
 			s.queries.Put(q)
 		}
@@ -256,7 +256,7 @@ func (st *statement) Run(t *vtime.Task) {
 		}
 		s.finishAttempt(a, err != nil, st.epoch)
 		if err == nil {
-			s.cache.Put(st.id.Fingerprint, st.p, t.Now())
+			s.cache.Put(st.id.Fingerprint, st.id.Static, st.p, t.Now())
 			st.execute(t, st.p, nil)
 			return
 		}

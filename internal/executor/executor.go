@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"compilegate/internal/bufferpool"
+	"compilegate/internal/catalog"
 	"compilegate/internal/errclass"
 	"compilegate/internal/freelist"
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/mem"
 	"compilegate/internal/plan"
 	"compilegate/internal/storage"
@@ -337,6 +339,15 @@ func (e *Executor) PageStallTotal() time.Duration { return e.pageStallTotal }
 // Grants exposes the grant manager.
 func (e *Executor) Grants() *GrantManager { return e.grants }
 
+// table returns the catalog entry scan node n reads: the one the optimizer
+// resolved, or for a hand-built plan the one its name resolves to.
+func (e *Executor) table(n *plan.Node) *catalog.Table {
+	if n.Tab != nil {
+		return n.Tab
+	}
+	return e.layout.Table(n.Table)
+}
+
 // Prepared is what the executor keeps with a cached plan between
 // executions: the extent list of every scan node, in execution order,
 // exactly as the plan's seed draws them. The seed is a function of the
@@ -462,8 +473,7 @@ func (op *execOp) Run(t *vtime.Task) {
 			if op.bi >= len(op.scan) {
 				st.ExtentsRead += len(op.scan)
 				n := op.nodes[op.ni]
-				tb := e.layout.Catalog().Table(n.Table)
-				visited := float64(tb.Rows)
+				visited := float64(e.table(n).Rows)
 				if n.Op == plan.OpIndexScan {
 					visited *= n.ScanFraction
 				}
@@ -552,10 +562,10 @@ func (op *execOp) scanExtents(n *plan.Node) []storage.ExtentKey {
 		return op.prep.keys[lo:hi:hi]
 	}
 	if !op.seeded {
-		// Reseeding in place reproduces exactly the stream
-		// rand.New(rand.NewSource(seed)) would.
+		// Reseeding in place reproduces exactly the stream a new source
+		// would, and costs no more than the scans then draw.
 		if op.rng == nil {
-			op.rng = rand.New(rand.NewSource(op.seed))
+			op.rng = rand.New(lazyrand.New(op.seed))
 		} else {
 			op.rng.Seed(op.seed)
 		}
@@ -563,11 +573,11 @@ func (op *execOp) scanExtents(n *plan.Node) []storage.ExtentKey {
 	}
 	e := op.e
 	if op.prep == nil {
-		op.keys = e.layout.ScanExtentsInto(op.keys[:0], n.Table, n.ScanFraction, e.cfg.Pattern, op.rng)
+		op.keys = e.layout.ScanInto(op.keys[:0], e.table(n), n.ScanFraction, e.cfg.Pattern, op.rng)
 		return op.keys
 	}
 	lo := len(op.recKeys)
-	op.recKeys = e.layout.ScanExtentsInto(op.recKeys, n.Table, n.ScanFraction, e.cfg.Pattern, op.rng)
+	op.recKeys = e.layout.ScanInto(op.recKeys, e.table(n), n.ScanFraction, e.cfg.Pattern, op.rng)
 	op.recEnds = append(op.recEnds, len(op.recKeys))
 	return op.recKeys[lo:]
 }
@@ -579,7 +589,7 @@ func (op *execOp) sizeRecording() {
 	for _, n := range op.nodes {
 		if n.Op == plan.OpSeqScan || n.Op == plan.OpIndexScan {
 			scans++
-			keys += op.e.layout.ScanLen(n.Table, n.ScanFraction)
+			keys += op.e.layout.ScanLenOf(op.e.table(n), n.ScanFraction)
 		}
 	}
 	op.recKeys, op.recEnds = make([]storage.ExtentKey, 0, keys), make([]int, 0, scans)

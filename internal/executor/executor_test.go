@@ -34,8 +34,8 @@ func newEnvCfg(grantLimit int64, grantTimeout time.Duration, mutate func(*Config
 	est := stats.NewEstimator(cat)
 	budget := mem.NewBudget(4 * mem.GiB)
 	bpCfg := bufferpool.DefaultConfig()
-	pool := bufferpool.New(bpCfg, budget.NewTracker("bufferpool"))
 	layout := storage.NewLayout(cat)
+	pool := bufferpool.New(bpCfg, budget.NewTracker("bufferpool"), layout.ExtentCounts())
 	cpu := vtime.NewCPUSet(8, 50*time.Millisecond)
 	gt := budget.NewTracker("exec")
 	gt.SetLimit(grantLimit)
@@ -316,4 +316,69 @@ func TestDeterministicExecution(t *testing.T) {
 	if a != b {
 		t.Fatalf("nondeterministic execution: %+v vs %+v", a, b)
 	}
+}
+
+// TestHandBuiltPlanResolvesByName: the optimizer hands every scan node its
+// catalog table; a plan built by hand carries only the name, and executes
+// exactly as the optimizer's does — one-shot and recording alike.
+func TestHandBuiltPlanResolvesByName(t *testing.T) {
+	var strip func(n *plan.Node) *plan.Node
+	strip = func(n *plan.Node) *plan.Node {
+		if n == nil {
+			return nil
+		}
+		c := *n
+		c.Tab, c.Left, c.Right = nil, strip(n.Left), strip(n.Right)
+		return &c
+	}
+	run := func(byName bool) (oneShot, recording, replay Stats, now time.Duration) {
+		e := newEnv(mem.GiB, time.Minute)
+		p := e.plan(t, starQ(3))
+		if byName {
+			p = &plan.Plan{Root: strip(p.Root)}
+		}
+		for _, n := range appendPostorder(nil, p.Root) {
+			if scan := n.Op == plan.OpSeqScan || n.Op == plan.OpIndexScan; scan && (n.Tab == nil) != byName {
+				t.Fatalf("scan of %s: Tab = %v with byName = %v", n.Table, n.Tab, byName)
+			}
+		}
+		s := vtime.NewScheduler()
+		s.Go("q", func(tk *vtime.Task) {
+			var prep Prepared
+			for i, st := range []*Stats{&oneShot, &recording, &replay} {
+				pr := &prep
+				if i == 0 {
+					pr = nil
+				}
+				var err error
+				if *st, err = e.exec.Execute(tk, p, 42, pr); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return oneShot, recording, replay, s.Now()
+	}
+	o1, r1, p1, t1 := run(false)
+	o2, r2, p2, t2 := run(true)
+	if o1 != o2 || r1 != r2 || p1 != p2 || t1 != t2 {
+		t.Fatalf("by name: %+v %+v %+v at %v\nresolved: %+v %+v %+v at %v", o2, r2, p2, t2, o1, r1, p1, t1)
+	}
+	if o1.ExtentsRead == 0 {
+		t.Fatal("no extents read")
+	}
+}
+
+// TestUnknownTableInHandBuiltPlanPanics: a name the catalog does not know
+// is a bug in whoever built the plan.
+func TestUnknownTableInHandBuiltPlanPanics(t *testing.T) {
+	e := newEnv(mem.GiB, time.Minute)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for an unknown table")
+		}
+	}()
+	e.exec.table(&plan.Node{Op: plan.OpSeqScan, Table: "no_such_table"})
 }

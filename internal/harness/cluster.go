@@ -8,6 +8,7 @@ import (
 	"compilegate/internal/cluster"
 	"compilegate/internal/engine"
 	"compilegate/internal/fault"
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/metrics"
 	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
@@ -58,7 +59,7 @@ func runCluster(sched *vtime.Scheduler, o Options, ecfg engine.Config, snap *Sna
 	var faultStats *fault.Stats
 	if injecting {
 		heavy := heavyFor(gen)
-		stormRNG := rand.New(rand.NewSource(o.Fault.Seed))
+		stormRNG := rand.New(lazyrand.New(o.Fault.Seed))
 		surfaces := make([]fault.Surface, len(nodes))
 		for i, srv := range nodes {
 			surfaces[i] = surfaceFor(srv, heavy, stormRNG)

@@ -15,6 +15,7 @@ import (
 	"compilegate/internal/cluster"
 	"compilegate/internal/engine"
 	"compilegate/internal/fault"
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/metrics"
 	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
@@ -331,7 +332,7 @@ func runOn(sched *vtime.Scheduler, o Options, drive loadDriver) (*Result, error)
 	var faultStats *fault.Stats
 	if injecting {
 		heavy := heavyFor(gen)
-		stormRNG := rand.New(rand.NewSource(o.Fault.Seed))
+		stormRNG := rand.New(lazyrand.New(o.Fault.Seed))
 		faultStats = fault.Inject(sched, *o.Fault, surfaceFor(srv, heavy, stormRNG))
 	}
 

@@ -1078,9 +1078,11 @@ func (r *run) buildNode(id memo.GroupID) *plan.Node {
 	e := r.m.Expr(c.expr)
 	if e.Kind == memo.KindLeaf {
 		n := r.newNode()
+		tab := r.o.cat.Tables()[bits.TrailingZeros64(r.m.Group(id).Set)]
 		*n = plan.Node{
 			Op:           c.op,
-			Table:        r.o.cat.Tables()[bits.TrailingZeros64(r.m.Group(id).Set)].Name,
+			Table:        tab.Name,
+			Tab:          tab,
 			ScanFraction: c.frac,
 			OutCard:      r.cards[id],
 			NodeCost:     c.cost,

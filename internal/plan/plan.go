@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 
+	"compilegate/internal/catalog"
 	"compilegate/internal/stats"
 )
 
@@ -207,6 +208,9 @@ func DefaultCostModel() CostModel {
 type Node struct {
 	Op    Op
 	Table string // scans only
+	// Tab is the catalog entry Table names. The optimizer sets it, so that
+	// executing a scan looks nothing up; a hand-built plan may leave it nil.
+	Tab *catalog.Table
 	// ScanFraction is the fraction of the table's extents this scan
 	// touches (selectivity pushed into the access path).
 	ScanFraction float64

@@ -2,6 +2,12 @@
 // storage of physical plans with LRU eviction, charged against the machine
 // budget, shrinkable on broker notice.
 //
+// A statement of the workload's closed set arrives with its index in that
+// set already resolved, and its entry hangs off that index: a slot in a
+// slice, not a key in the fingerprint map. Either way it is one entry on
+// the one recency list, counted, charged and evicted alike; only the probe
+// differs, and a hit on the closed set hashes nothing.
+//
 // The paper's SALES workload deliberately defeats this cache (every query
 // is uniquified), which is precisely why compilation memory dominates; the
 // OLTP workloads hit it and skip compilation entirely. Both behaviours
@@ -27,7 +33,8 @@ import (
 )
 
 type entry struct {
-	key        string
+	key        string // the fingerprint
+	static     int    // ≥ 0: held by statics[static]; else by entries[key]
 	p          *plan.Plan
 	prep       *executor.Prepared // nil until the first hit
 	bytes      int64
@@ -38,9 +45,11 @@ type entry struct {
 // Cache is the plan cache.
 type Cache struct {
 	tracker *mem.Tracker
-	entries map[string]*entry
-	front   *entry // most recently used
-	back    *entry // least recently used
+	entries map[string]*entry // by fingerprint: text outside the closed set
+	statics []*entry          // by index in the closed set; nil = not cached
+	n       int               // entries cached, in either
+	front   *entry            // most recently used
+	back    *entry            // least recently used
 	target  int64
 
 	free freelist.List[entry] // recycled entries
@@ -48,11 +57,13 @@ type Cache struct {
 	hits, misses, inserts, evictions uint64
 }
 
-// New creates a cache charging plans to tracker.
-func New(tracker *mem.Tracker) *Cache {
+// New creates a cache charging plans to tracker, for a workload whose
+// closed statement set has statics members (indices 0..statics-1).
+func New(tracker *mem.Tracker, statics int) *Cache {
 	return &Cache{
 		tracker: tracker,
 		entries: make(map[string]*entry),
+		statics: make([]*entry, statics),
 	}
 }
 
@@ -60,7 +71,7 @@ func New(tracker *mem.Tracker) *Cache {
 func (c *Cache) Bytes() int64 { return c.tracker.Used() }
 
 // Len returns the number of cached plans.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.n }
 
 // Hits, Misses, Evictions expose the counters.
 func (c *Cache) Hits() uint64      { return c.hits }
@@ -111,10 +122,25 @@ func (c *Cache) moveToFront(e *entry) {
 	c.pushFront(e)
 }
 
-// release drops an entry from the map and list and recycles it.
+// lookup is the one probe of a Get or Put: the closed set by index, other
+// text by fingerprint.
+func (c *Cache) lookup(key string, static int) *entry {
+	if static >= 0 {
+		return c.statics[static]
+	}
+	return c.entries[key]
+}
+
+// release drops an entry from its slot or the map, and from the list, and
+// recycles it.
 func (c *Cache) release(e *entry) {
 	c.unlink(e)
-	delete(c.entries, e.key)
+	if e.static >= 0 {
+		c.statics[e.static] = nil
+	} else {
+		delete(c.entries, e.key)
+	}
+	c.n--
 	c.tracker.Release(e.bytes)
 	// Entries are recycled but a Prepared never is: an execution still in
 	// flight keeps writing to the orphan, not to the entry's next plan.
@@ -123,11 +149,12 @@ func (c *Cache) release(e *entry) {
 	c.free.Put(e)
 }
 
-// Get returns the cached plan for the fingerprint and the Prepared kept
-// with it, refreshing recency.
-func (c *Cache) Get(key string) (*plan.Plan, *executor.Prepared, bool) {
-	e, ok := c.entries[key]
-	if !ok {
+// Get returns the cached plan for the statement — static is its index in
+// the closed set, or negative for text outside it, which goes by the
+// fingerprint key — and the Prepared kept with it, refreshing recency.
+func (c *Cache) Get(key string, static int) (*plan.Plan, *executor.Prepared, bool) {
+	e := c.lookup(key, static)
+	if e == nil {
 		c.misses++
 		return nil, nil, false
 	}
@@ -139,13 +166,13 @@ func (c *Cache) Get(key string) (*plan.Plan, *executor.Prepared, bool) {
 	return e.p, e.prep, true
 }
 
-// Put caches a plan under the fingerprint at virtual time now. If memory
+// Put caches a plan for the statement (see Get) at virtual time now. If memory
 // cannot be found even after evicting colder plans the plan is simply not
 // cached (compilation already succeeded; caching is best-effort).
-// Re-putting an existing key replaces the stored plan and adjusts the
+// Re-putting a cached statement replaces the stored plan and adjusts the
 // tracker charge to the new plan's size.
-func (c *Cache) Put(key string, p *plan.Plan, now time.Duration) {
-	if e, ok := c.entries[key]; ok {
+func (c *Cache) Put(key string, static int, p *plan.Plan, now time.Duration) {
+	if e := c.lookup(key, static); e != nil {
 		// Drop the stale entry and release its charge; the fresh plan
 		// goes through the normal insert path below (which may evict
 		// colder plans to make room if it grew).
@@ -169,9 +196,14 @@ func (c *Cache) Put(key string, p *plan.Plan, now time.Duration) {
 	if e == nil {
 		e = &entry{}
 	}
-	e.key, e.p, e.bytes, e.added = key, p, bytes, now
+	e.key, e.static, e.p, e.bytes, e.added = key, static, p, bytes, now
 	c.pushFront(e)
-	c.entries[key] = e
+	if static >= 0 {
+		c.statics[static] = e
+	} else {
+		c.entries[key] = e
+	}
+	c.n++
 	c.inserts++
 }
 

@@ -23,13 +23,13 @@ func tinyPlan(n int) *plan.Plan {
 
 func TestGetPutHitMiss(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"))
+	c := New(b.NewTracker("plancache"), 0)
 	p := tinyPlan(1)
-	if _, _, ok := c.Get("q1"); ok {
+	if _, _, ok := c.Get("q1", -1); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("q1", p, 0)
-	got, _, ok := c.Get("q1")
+	c.Put("q1", -1, p, 0)
+	got, _, ok := c.Get("q1", -1)
 	if !ok || got != p {
 		t.Fatal("cached plan not returned")
 	}
@@ -46,10 +46,10 @@ func TestGetPutHitMiss(t *testing.T) {
 
 func TestPutDuplicateRefreshes(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"))
+	c := New(b.NewTracker("plancache"), 0)
 	p := tinyPlan(1)
-	c.Put("q1", p, 0)
-	c.Put("q1", p, time.Second)
+	c.Put("q1", -1, p, 0)
+	c.Put("q1", -1, p, time.Second)
 	if c.Len() != 1 {
 		t.Fatalf("len = %d", c.Len())
 	}
@@ -63,14 +63,14 @@ func TestPutDuplicateRefreshes(t *testing.T) {
 // with a refreshed recency.
 func TestPutReplacesStalePlan(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"))
+	c := New(b.NewTracker("plancache"), 0)
 	old, fresh := tinyPlan(1), tinyPlan(5)
 	if old.PlanBytes() == fresh.PlanBytes() {
 		t.Fatal("test plans must differ in size")
 	}
-	c.Put("q1", old, 0)
-	c.Put("q1", fresh, time.Second)
-	got, _, ok := c.Get("q1")
+	c.Put("q1", -1, old, 0)
+	c.Put("q1", -1, fresh, time.Second)
+	got, _, ok := c.Get("q1", -1)
 	if !ok || got != fresh {
 		t.Fatal("re-put kept the stale plan")
 	}
@@ -82,7 +82,7 @@ func TestPutReplacesStalePlan(t *testing.T) {
 	}
 
 	// Shrinking on re-put releases the difference too.
-	c.Put("q1", old, 2*time.Second)
+	c.Put("q1", -1, old, 2*time.Second)
 	if c.Bytes() != old.PlanBytes() {
 		t.Fatalf("bytes = %d after shrink, want %d", c.Bytes(), old.PlanBytes())
 	}
@@ -92,17 +92,17 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	p := tinyPlan(1)
 	// Budget fits exactly 3 plans.
 	b := mem.NewBudget(3 * p.PlanBytes())
-	c := New(b.NewTracker("plancache"))
+	c := New(b.NewTracker("plancache"), 0)
 	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("q%d", i), tinyPlan(1), time.Duration(i))
+		c.Put(fmt.Sprintf("q%d", i), -1, tinyPlan(1), time.Duration(i))
 	}
 	// Touch q0 so q1 is the LRU.
-	c.Get("q0")
-	c.Put("q3", tinyPlan(1), 10)
-	if _, _, ok := c.Get("q1"); ok {
+	c.Get("q0", -1)
+	c.Put("q3", -1, tinyPlan(1), 10)
+	if _, _, ok := c.Get("q1", -1); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if _, _, ok := c.Get("q0"); !ok {
+	if _, _, ok := c.Get("q0", -1); !ok {
 		t.Fatal("recently-used entry evicted")
 	}
 	if c.Evictions() != 1 {
@@ -112,9 +112,9 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 
 func TestShrink(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"))
+	c := New(b.NewTracker("plancache"), 0)
 	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("q%d", i), tinyPlan(1), time.Duration(i))
+		c.Put(fmt.Sprintf("q%d", i), -1, tinyPlan(1), time.Duration(i))
 	}
 	before := c.Bytes()
 	freed := c.Shrink(before / 2)
@@ -125,19 +125,19 @@ func TestShrink(t *testing.T) {
 		t.Fatal("bytes inconsistent after shrink")
 	}
 	// Oldest (q0...) went first.
-	if _, _, ok := c.Get("q0"); ok {
+	if _, _, ok := c.Get("q0", -1); ok {
 		t.Fatal("oldest survived shrink")
 	}
-	if _, _, ok := c.Get("q9"); !ok {
+	if _, _, ok := c.Get("q9", -1); !ok {
 		t.Fatal("newest evicted by shrink")
 	}
 }
 
 func TestSetTargetShrinksAndCaps(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"))
+	c := New(b.NewTracker("plancache"), 0)
 	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("q%d", i), tinyPlan(1), 0)
+		c.Put(fmt.Sprintf("q%d", i), -1, tinyPlan(1), 0)
 	}
 	target := c.Bytes() / 2
 	c.SetTarget(target)
@@ -146,7 +146,7 @@ func TestSetTargetShrinksAndCaps(t *testing.T) {
 	}
 	// New puts respect the cap (evict-to-fit).
 	lenBefore := c.Len()
-	c.Put("new", tinyPlan(1), 1)
+	c.Put("new", -1, tinyPlan(1), 1)
 	if c.Bytes() > target {
 		t.Fatal("Put grew past target")
 	}
@@ -162,8 +162,8 @@ func TestSetTargetShrinksAndCaps(t *testing.T) {
 func TestPutSkipsWhenNoRoom(t *testing.T) {
 	p := tinyPlan(1)
 	b := mem.NewBudget(p.PlanBytes() / 2) // can't fit even one
-	c := New(b.NewTracker("plancache"))
-	c.Put("q", p, 0)
+	c := New(b.NewTracker("plancache"), 0)
+	c.Put("q", -1, p, 0)
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatal("plan cached despite no memory")
 	}
@@ -171,7 +171,7 @@ func TestPutSkipsWhenNoRoom(t *testing.T) {
 
 func TestString(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"))
+	c := New(b.NewTracker("plancache"), 0)
 	if c.String() == "" {
 		t.Fatal("empty String")
 	}
@@ -183,13 +183,13 @@ func TestQuickCacheAccounting(t *testing.T) {
 	f := func(ops []uint8) bool {
 		p := tinyPlan(1)
 		b := mem.NewBudget(5 * p.PlanBytes())
-		c := New(b.NewTracker("plancache"))
+		c := New(b.NewTracker("plancache"), 0)
 		for i, op := range ops {
 			key := fmt.Sprintf("q%d", op%12)
 			if op%3 == 0 {
-				c.Get(key)
+				c.Get(key, -1)
 			} else {
-				c.Put(key, tinyPlan(1), time.Duration(i))
+				c.Put(key, -1, tinyPlan(1), time.Duration(i))
 			}
 			if c.Bytes() != int64(c.Len())*p.PlanBytes() {
 				return false
@@ -211,19 +211,19 @@ func TestQuickCacheAccounting(t *testing.T) {
 // one of its own.
 func TestPreparedLivesAndDiesWithEntry(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"))
+	c := New(b.NewTracker("plancache"), 0)
 	hit := func() *executor.Prepared {
 		t.Helper()
-		_, prep, ok := c.Get("q")
+		_, prep, ok := c.Get("q", -1)
 		if !ok || prep == nil {
 			t.Fatal("no Prepared on a hit")
 		}
-		if _, again, _ := c.Get("q"); again != prep {
+		if _, again, _ := c.Get("q", -1); again != prep {
 			t.Fatal("two hits on one entry got different Prepareds")
 		}
 		return prep
 	}
-	c.Put("q", tinyPlan(1), 0)
+	c.Put("q", -1, tinyPlan(1), 0)
 	seen := []*executor.Prepared{hit()}
 	for _, tc := range []struct {
 		name string
@@ -235,7 +235,7 @@ func TestPreparedLivesAndDiesWithEntry(t *testing.T) {
 	} {
 		name := tc.name
 		tc.drop()
-		c.Put("q", tinyPlan(2), 0)
+		c.Put("q", -1, tinyPlan(2), 0)
 		prep := hit()
 		for _, old := range seen {
 			if prep == old {

@@ -34,14 +34,14 @@ func (k ExtentKey) Extent() int64 { return int64(uint64(k) & (1<<40 - 1)) }
 // Layout binds a catalog to the extent address space.
 type Layout struct {
 	cat     *catalog.Catalog
-	extents map[string]int64
+	extents []int64 // by table ID
 }
 
 // NewLayout builds the layout for a catalog.
 func NewLayout(cat *catalog.Catalog) *Layout {
-	l := &Layout{cat: cat, extents: make(map[string]int64)}
+	l := &Layout{cat: cat, extents: make([]int64, len(cat.Tables()))}
 	for _, t := range cat.Tables() {
-		l.extents[t.Name] = cat.Extents(t)
+		l.extents[t.ID] = cat.Extents(t)
 	}
 	return l
 }
@@ -49,14 +49,22 @@ func NewLayout(cat *catalog.Catalog) *Layout {
 // Catalog returns the layout's catalog.
 func (l *Layout) Catalog() *catalog.Catalog { return l.cat }
 
-// Extents returns the extent count of a table.
-func (l *Layout) Extents(table string) int64 {
-	n, ok := l.extents[table]
-	if !ok {
-		panic("storage: unknown table " + table)
+// Table resolves a table name, for callers that have no resolved table. An
+// unknown name is a bug in the caller and panics.
+func (l *Layout) Table(name string) *catalog.Table {
+	t := l.cat.Table(name)
+	if t == nil {
+		panic("storage: unknown table " + name)
 	}
-	return n
+	return t
 }
+
+// Extents returns the extent count of a table.
+func (l *Layout) Extents(table string) int64 { return l.extents[l.Table(table).ID] }
+
+// ExtentCounts returns every table's extent count, indexed by table ID.
+// The slice is the layout's own: read-only.
+func (l *Layout) ExtentCounts() []int64 { return l.extents }
 
 // TotalExtents returns the database's extent count.
 func (l *Layout) TotalExtents() int64 {
@@ -88,13 +96,23 @@ func DefaultPattern() Pattern {
 // instances touch different (but overlapping, via the hot region) extent
 // sets deterministically per seed.
 func (l *Layout) ScanExtents(table string, fraction float64, p Pattern, rng *rand.Rand) []ExtentKey {
-	return l.ScanExtentsInto(nil, table, fraction, p, rng)
+	return l.ScanInto(nil, l.Table(table), fraction, p, rng)
 }
 
-// ScanLen returns how many extents a scan of the given fraction of the
-// table touches: the length of the list ScanExtents returns for it.
+// ScanExtentsInto is ScanInto for a caller that has the table's name.
+func (l *Layout) ScanExtentsInto(buf []ExtentKey, table string, fraction float64, p Pattern, rng *rand.Rand) []ExtentKey {
+	return l.ScanInto(buf, l.Table(table), fraction, p, rng)
+}
+
+// ScanLen is ScanLenOf for a caller that has the table's name.
 func (l *Layout) ScanLen(table string, fraction float64) int {
-	n, _ := scanLen(l.extents[table], fraction)
+	return l.ScanLenOf(l.Table(table), fraction)
+}
+
+// ScanLenOf returns how many extents a scan of the given fraction of t
+// touches: the length of the list ScanInto appends for it.
+func (l *Layout) ScanLenOf(t *catalog.Table, fraction float64) int {
+	n, _ := scanLen(l.extents[t.ID], fraction)
 	return int(n)
 }
 
@@ -108,15 +126,11 @@ func scanLen(total int64, fraction float64) (n int64, full bool) {
 	return max(int64(float64(total)*fraction), 1), false
 }
 
-// ScanExtentsInto is ScanExtents appending into buf (which should be
-// sliced to zero length), letting hot callers reuse one keys buffer
-// across scans instead of allocating per query.
-func (l *Layout) ScanExtentsInto(buf []ExtentKey, table string, fraction float64, p Pattern, rng *rand.Rand) []ExtentKey {
-	t := l.cat.Table(table)
-	if t == nil {
-		panic("storage: unknown table " + table)
-	}
-	total := l.extents[table]
+// ScanInto is ScanExtents for a caller that has resolved the table (the
+// executor, from the plan node), appending to buf so that one keys buffer
+// serves scan after scan.
+func (l *Layout) ScanInto(buf []ExtentKey, t *catalog.Table, fraction float64, p Pattern, rng *rand.Rand) []ExtentKey {
+	total := l.extents[t.ID]
 	n, full := scanLen(total, fraction)
 	hot := int64(float64(total) * p.HotFraction)
 	if hot < 1 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"compilegate/internal/errclass"
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/vtime"
 )
 
@@ -153,7 +154,7 @@ func (c *client) Run(t *vtime.Task) {
 	cfg, stats := &ld.cfg, &ld.stats
 	switch c.state {
 	case clientArrive:
-		c.rng = rand.New(rand.NewSource(cfg.Seed + int64(c.i)*7919))
+		c.rng = rand.New(lazyrand.New(cfg.Seed + int64(c.i)*7919))
 		c.budget = cfg.RetryBudget
 		c.state = clientNext
 		// Stagger arrival so clients don't align on the same instant.
