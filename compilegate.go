@@ -11,9 +11,9 @@
 //   - A complete simulated DBMS (Server) — parser, Cascades-style
 //     optimizer, buffer pool, plan cache, execution engine with memory
 //     grants — running on a deterministic virtual clock.
-//   - The benchmark harness (RunBenchmark) that reproduces the paper's
+//   - The benchmark harness (RunScenario) that reproduces the paper's
 //     SALES experiments (Figures 2-5), driven by a declarative scenario
-//     registry (Scenarios, RunScenario) and a parallel sweep runner
+//     registry (Scenarios, SalesScenario) and a parallel sweep runner
 //     (RunSweep) that executes independent experiments on real cores.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
@@ -98,8 +98,6 @@ type (
 	// Catalog describes a database schema.
 	Catalog = catalog.Catalog
 
-	// BenchmarkOptions selects a paper experiment configuration.
-	BenchmarkOptions = harness.Options
 	// BenchmarkResult carries one run's measurements.
 	BenchmarkResult = harness.Result
 	// NodeResult is one cluster node's share of a multi-node run
@@ -116,10 +114,10 @@ type (
 	// health-exclusion, circuit-breaker, and failover mechanisms.
 	RouterConfig = cluster.Config
 	// RouterHealthConfig turns on health-aware node exclusion in the
-	// cluster router (Scenario.Health / BenchmarkOptions.Health).
+	// cluster router (Scenario.Health).
 	RouterHealthConfig = cluster.HealthConfig
 	// RouterBreakerConfig arms per-node circuit breakers in the cluster
-	// router (Scenario.Breaker / BenchmarkOptions.Breaker).
+	// router (Scenario.Breaker).
 	RouterBreakerConfig = cluster.BreakerConfig
 	// BreakerState is a circuit breaker's position: closed, open, or
 	// half-open.
@@ -129,8 +127,9 @@ type (
 	BreakerTransition = cluster.BreakerTransition
 
 	// Scenario declaratively describes one experiment: workload spec,
-	// catalog scale, client population, measurement window, and
-	// server-config deltas.
+	// catalog scale, client population, measurement window,
+	// server-config deltas, fault plan, and fleet shape. Run executes
+	// it; Baseline and the With* methods derive variants.
 	Scenario = scenario.Scenario
 	// Registry is a named scenario collection; the package keeps a
 	// default instance holding every paper experiment.
@@ -235,7 +234,7 @@ func DefaultGovernorOptions(cpus int, totalMem int64) GovernorOptions {
 
 // NewServer assembles a simulated DBMS over cat inside sched.
 func NewServer(cfg ServerConfig, cat *Catalog, sched *Scheduler) (*Server, error) {
-	return engine.New(cfg, cat, sched)
+	return engine.NewShared(cfg, cat, engine.Prebuilt{}, sched)
 }
 
 // DefaultServerConfig reproduces the paper's testbed with throttling on.
@@ -252,20 +251,9 @@ func NewSalesCatalog(scale float64) *Catalog {
 	return catalog.NewSales(catalog.SalesConfig{Scale: scale, ExtentBytes: 8 * MiB})
 }
 
-// RunBenchmark executes one paper experiment configuration end to end in
-// virtual time and returns its measurements.
-func RunBenchmark(o BenchmarkOptions) (*BenchmarkResult, error) { return harness.Run(o) }
-
-// DefaultBenchmarkOptions returns the SALES configuration at the given
-// client count (the paper uses 30, 35 and 40) with throttling enabled.
-// It resolves through the scenario layer; prefer SalesScenario for new
-// code.
-func DefaultBenchmarkOptions(clients int) BenchmarkOptions {
-	return scenario.Sales(clients).Options()
-}
-
 // SalesScenario returns the canonical §5 SALES experiment at the given
-// client count; derive variants with its With* methods.
+// client count (the paper uses 30, 35 and 40) with throttling enabled;
+// derive variants with its With* methods.
 func SalesScenario(clients int) Scenario { return scenario.Sales(clients) }
 
 // CompareRuns renders the throttled-vs-baseline comparison of Figures 3-5
@@ -334,7 +322,7 @@ const (
 	Shrink = broker.Shrink
 )
 
-// The cluster routing policies (Scenario.Router / BenchmarkOptions.Router).
+// The cluster routing policies (Scenario.Router).
 const (
 	RouteRoundRobin  = cluster.RoundRobin
 	RouteLeastLoaded = cluster.LeastLoaded

@@ -102,9 +102,6 @@ func TestPublicAPIScenarioRegistry(t *testing.T) {
 	if s := SalesScenario(30); s.Clients != 30 || !s.Throttled {
 		t.Fatalf("SalesScenario = %+v", s)
 	}
-	if o := DefaultBenchmarkOptions(30); o.Clients != 30 || !o.Throttled {
-		t.Fatalf("DefaultBenchmarkOptions = %+v", o)
-	}
 
 	if testing.Short() {
 		t.Skip("sweep execution in -short")
@@ -128,21 +125,18 @@ func TestPublicAPIScenarioRegistry(t *testing.T) {
 	}
 }
 
-// TestPublicAPIBenchmarkRun exercises RunBenchmark + CompareRuns on a tiny
+// TestPublicAPIBenchmarkRun exercises RunScenario + CompareRuns on a tiny
 // configuration.
 func TestPublicAPIBenchmarkRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
-	o := DefaultBenchmarkOptions(4)
-	o.Horizon = 20 * time.Minute
-	o.Warmup = 2 * time.Minute
-	th, err := RunBenchmark(o)
+	s := SalesScenario(4).WithWindow(20*time.Minute, 2*time.Minute)
+	th, err := RunScenario(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Throttled = false
-	ba, err := RunBenchmark(o)
+	ba, err := RunScenario(s.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}

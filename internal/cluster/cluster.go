@@ -10,8 +10,8 @@
 // observed errclass failures and re-admits a recovering node through
 // half-open probes, and failover resubmission retries a crashed
 // response on the next healthy node within a bounded hop budget. All
-// three mechanisms are off by default; New preserves the classic
-// dispatcher exactly.
+// three mechanisms are off by default; a Config holding only a policy
+// is the classic dispatcher exactly.
 //
 // Determinism is by construction: the node list is fixed at router
 // construction, every routing decision is a pure function of the
@@ -173,25 +173,15 @@ type Router struct {
 	ops freelist.List[routeOp] // recycled continuation ops (single scheduler)
 }
 
-// New builds a classic router (no health exclusion, breakers, or
-// failover) over the nodes in the given (fixed) order.
-func New(policy Policy, nodes []Node) (*Router, error) {
-	return NewRouter(Config{Policy: policy}, nodes, nil)
-}
-
 // NewRouter builds a router from a full config over the nodes in the
 // given (fixed) order. stmts is the run snapshot's statement identities
 // (nil when there is none); affinity routing fingerprints only text it
-// does not hold.
+// does not hold. The policy and hop budget are the caller's to check
+// (harness.Scenario.Validate does): an unknown policy routes round-robin
+// and a negative hop budget never fails over.
 func NewRouter(cfg Config, nodes []Node, stmts engine.StaticStatements) (*Router, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
-	}
-	if !cfg.Policy.Valid() {
-		return nil, fmt.Errorf("cluster: unknown policy %q", string(cfg.Policy))
-	}
-	if cfg.FailoverHops < 0 {
-		return nil, fmt.Errorf("cluster: negative failover hops %d", cfg.FailoverHops)
 	}
 	cfg.Policy = cfg.Policy.orDefault()
 	r := &Router{

@@ -64,17 +64,14 @@ func TestPolicyValidation(t *testing.T) {
 	if Policy("").String() != "round-robin" {
 		t.Errorf("empty policy renders %q, want round-robin", Policy("").String())
 	}
-	if _, err := New("bogus", []Node{&fakeNode{}}); err == nil {
-		t.Error("router accepted an unknown policy")
-	}
-	if _, err := New(RoundRobin, nil); err == nil {
+	if _, err := NewRouter(Config{}, nil, nil); err == nil {
 		t.Error("router accepted an empty fleet")
 	}
 }
 
 func TestRoundRobinCyclesAndSkipsDownNodes(t *testing.T) {
 	fakes, nodes := fleet(3)
-	r, err := New(RoundRobin, nodes)
+	r, err := NewRouter(Config{Policy: RoundRobin}, nodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +109,7 @@ func TestRoundRobinAllDownFallsBack(t *testing.T) {
 		f.down = true
 		f.err = errors.New("crashed")
 	}
-	r, _ := New(RoundRobin, nodes)
+	r, _ := NewRouter(Config{Policy: RoundRobin}, nodes, nil)
 	if err := submit(r, "q"); err == nil {
 		t.Fatal("submission to an all-down fleet should surface the node error")
 	}
@@ -124,7 +121,7 @@ func TestRoundRobinAllDownFallsBack(t *testing.T) {
 func TestLeastLoadedPicksArgminWithStableTies(t *testing.T) {
 	fakes, nodes := fleet(3)
 	fakes[0].active, fakes[1].active, fakes[2].active = 4, 1, 1
-	r, _ := New(LeastLoaded, nodes)
+	r, _ := NewRouter(Config{Policy: LeastLoaded}, nodes, nil)
 	submit(r, "q")
 	if len(fakes[1].submitted) != 1 {
 		t.Fatal("least-loaded must break ties to the lowest index")
@@ -224,7 +221,7 @@ func TestAllExcludedFallbackIsPolicyFirstChoice(t *testing.T) {
 				f.err = errors.New("crashed")
 				f.active = tc.active[i]
 			}
-			r, err := New(tc.policy, nodes)
+			r, err := NewRouter(Config{Policy: tc.policy}, nodes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,19 +399,9 @@ func TestRouterBreakerTripsAndExcludes(t *testing.T) {
 	}
 }
 
-func TestRouterConfigValidation(t *testing.T) {
-	_, nodes := fleet(2)
-	if _, err := NewRouter(Config{Policy: RoundRobin, FailoverHops: -1}, nodes, nil); err == nil {
-		t.Fatal("negative failover hops accepted")
-	}
-	if _, err := NewRouter(Config{Policy: "bogus"}, nodes, nil); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 func TestRoutedCountersAndReport(t *testing.T) {
 	_, nodes := fleet(2)
-	r, _ := New(RoundRobin, nodes)
+	r, _ := NewRouter(Config{Policy: RoundRobin}, nodes, nil)
 	for i := 0; i < 5; i++ {
 		submit(r, "q")
 	}

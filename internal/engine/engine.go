@@ -322,18 +322,14 @@ type Server struct {
 	closed bool
 }
 
-// New builds a Server over the catalog inside sched. It reserves the
+// NewShared builds a Server over the catalog inside sched. It reserves the
 // fixed overhead, wires broker components and reclaimers, and starts the
-// housekeeping task (stop it with Close when the workload drains).
-func New(cfg Config, cat *catalog.Catalog, sched *vtime.Scheduler) (*Server, error) {
-	return NewShared(cfg, cat, Prebuilt{}, sched)
-}
-
-// NewShared is New over snapshot-shared immutable components: the
-// estimator, storage layout, and static statement identities in pre are
-// used as-is instead of being rebuilt per run (missing ones are built
-// here). Only mutable engine state — budget, pools, caches, metrics —
-// is constructed per server.
+// housekeeping task (stop it with Close when the workload drains). The
+// snapshot-shared immutable components in pre — estimator, storage
+// layout, static statement identities — are used as-is instead of being
+// rebuilt per run; missing ones (an empty Prebuilt) are built here. Only
+// mutable engine state — budget, pools, caches, metrics — is constructed
+// per server.
 func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Scheduler) (*Server, error) {
 	def := DefaultConfig()
 	if cfg.CPUs <= 0 {

@@ -20,7 +20,7 @@ func testServer(t *testing.T, mutate func(*Config)) (*Server, *vtime.Scheduler) 
 	}
 	sched := vtime.NewScheduler()
 	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: cfg.BufferPool.ExtentBytes})
-	srv, err := New(cfg, cat, sched)
+	srv, err := NewShared(cfg, cat, Prebuilt{}, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestExtentMismatchRejected(t *testing.T) {
 	cfg := DefaultConfig()
 	sched := vtime.NewScheduler()
 	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: 1 << 20}) // 1 MiB != pool's 8 MiB
-	if _, err := New(cfg, cat, sched); err == nil {
+	if _, err := NewShared(cfg, cat, Prebuilt{}, sched); err == nil {
 		t.Fatal("extent mismatch accepted")
 	}
 }

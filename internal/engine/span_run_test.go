@@ -45,8 +45,8 @@ func sumReportLines(t *testing.T, r *harness.Result, line *regexp.Regexp) (first
 // dss-collapse (unthrottled, 40 clients) workloads on a quarter of their
 // window: six times the benchmark's own -quick size (some 10 000 spans a run
 // instead of 2 000) and still well under a second.
-func dssShape(clients int, throttled bool) harness.Options {
-	s := scenario.Scenario{
+func dssShape(clients int, throttled bool) scenario.Scenario {
+	return scenario.Scenario{
 		Name:      "dss",
 		Clients:   clients,
 		Scale:     0.04,
@@ -56,22 +56,34 @@ func dssShape(clients int, throttled bool) harness.Options {
 		Throttled: throttled,
 		Engine:    scenario.CalibratedKnobs().Apply,
 	}
-	return s.Options()
 }
 
-// registeredOptions is a registered scenario, its window compressed to
+// registered is a registered scenario, its window compressed to
 // [warmup, horizon) when horizon is not zero.
-func registeredOptions(t *testing.T, name string, warmup, horizon time.Duration) harness.Options {
+func registered(t *testing.T, name string, warmup, horizon time.Duration) scenario.Scenario {
 	t.Helper()
 	s, ok := scenario.Default.Get(name)
 	if !ok {
 		t.Fatalf("scenario %q is not registered", name)
 	}
-	o := s.Options()
 	if horizon > 0 {
-		o.Warmup, o.Horizon = warmup, horizon
+		s = s.WithWindow(horizon, warmup)
 	}
-	return o
+	return s
+}
+
+// diffResults requires two runs of one scenario to agree in every Result
+// field, naming each that does not. The scenario itself is left out: its
+// Engine and Load deltas are funcs, which reflect.DeepEqual never equates.
+func diffResults(t *testing.T, wantName string, want *harness.Result, gotName string, got *harness.Result) {
+	t.Helper()
+	w, g := reflect.ValueOf(*want), reflect.ValueOf(*got)
+	for i := 0; i < w.NumField(); i++ {
+		name := w.Type().Field(i).Name
+		if name != "Options" && !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+			t.Errorf("%s: %s %v, %s %v", name, wantName, w.Field(i).Interface(), gotName, g.Field(i).Interface())
+		}
+	}
 }
 
 // TestSpanChargingLeavesRunsIdentical runs each shape with span charging
@@ -87,7 +99,7 @@ func registeredOptions(t *testing.T, name string, warmup, horizon time.Duration)
 func TestSpanChargingLeavesRunsIdentical(t *testing.T) {
 	cases := []struct {
 		name  string
-		opts  harness.Options
+		opts  scenario.Scenario
 		shape func(t *testing.T, r *harness.Result)
 	}{
 		{"dss-governed", dssShape(30, true), func(t *testing.T, r *harness.Result) {
@@ -106,17 +118,17 @@ func TestSpanChargingLeavesRunsIdentical(t *testing.T) {
 				t.Errorf("%d of %d spans settled at once (%.3f), want at least 0.85", settled, settled+replayed, share)
 			}
 		}},
-		{"cluster-nodeloss", registeredOptions(t, "cluster-nodeloss", 0, 0), func(t *testing.T, r *harness.Result) {
+		{"cluster-nodeloss", registered(t, "cluster-nodeloss", 0, 0), func(t *testing.T, r *harness.Result) {
 			if r.Fault == nil || r.Fault.Crashes != 1 || r.ErrorsByKind["crashed"] == 0 {
 				t.Errorf("crashes %+v, errors %v: the node loss did not reach a query in flight", r.Fault, r.ErrorsByKind)
 			}
 		}},
-		{"best-effort (VAS cap)", registeredOptions(t, "best-effort", 20*time.Minute, time.Hour), func(t *testing.T, r *harness.Result) {
+		{"best-effort (VAS cap)", registered(t, "best-effort", 20*time.Minute, time.Hour), func(t *testing.T, r *harness.Result) {
 			if r.BestEffortPlans == 0 {
 				t.Error("no best-effort plans on the starved machine")
 			}
 		}},
-		{"fault-leak (brown-out)", registeredOptions(t, "fault-leak", 20*time.Minute, 70*time.Minute), func(t *testing.T, r *harness.Result) {
+		{"fault-leak (brown-out)", registered(t, "fault-leak", 20*time.Minute, 70*time.Minute), func(t *testing.T, r *harness.Result) {
 			if r.BrownoutEntries == 0 {
 				t.Error("the leak never escalated the governor to brown-out")
 			}
@@ -124,7 +136,7 @@ func TestSpanChargingLeavesRunsIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := harness.RunOn(nil, tc.opts)
+			got, err := tc.opts.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +148,7 @@ func TestSpanChargingLeavesRunsIdentical(t *testing.T) {
 			t.Logf("%d spans settled at once, %d replayed", settled, replayed)
 
 			defer engine.SetSpanCharging(engine.SetSpanCharging(false))
-			want, err := harness.RunOn(nil, tc.opts)
+			want, err := tc.opts.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,15 +156,7 @@ func TestSpanChargingLeavesRunsIdentical(t *testing.T) {
 				t.Fatalf("the reference run charged %d spans", a+b)
 			}
 			got.Report = spanLine.ReplaceAllString(got.Report, "")
-			if reflect.DeepEqual(want, got) {
-				return
-			}
-			w, g := reflect.ValueOf(*want), reflect.ValueOf(*got)
-			for i := 0; i < w.NumField(); i++ {
-				if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
-					t.Errorf("%s: per structure %v, span charging %v", w.Type().Field(i).Name, w.Field(i).Interface(), g.Field(i).Interface())
-				}
-			}
+			diffResults(t, "per structure", want, "span charging", got)
 		})
 	}
 }

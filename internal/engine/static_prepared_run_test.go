@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"reflect"
 	"regexp"
 	"testing"
 	"time"
@@ -31,8 +30,8 @@ func execCounts(t *testing.T, r *harness.Result) (executed, replayed uint64) {
 // under executions and compilations in flight and comes back with a cold
 // plan cache. (The benchmark's -quick size drops the crash, and of its 900
 // executions a sixth are a statement's first on its node, which record.)
-func mixNodelossShape() harness.Options {
-	s := scenario.Scenario{
+func mixNodelossShape() scenario.Scenario {
+	return scenario.Scenario{
 		Name:      "mix-nodeloss",
 		Clients:   36,
 		Scale:     0.04,
@@ -55,7 +54,6 @@ func mixNodelossShape() harness.Options {
 			{Kind: fault.CrashRestart, Node: 1, At: 40 * time.Minute, Duration: 6 * time.Minute},
 		}},
 	}
-	return s.Options()
 }
 
 // TestStaticPreparedLeavesRunsIdentical runs each shape with and without
@@ -71,7 +69,7 @@ func mixNodelossShape() harness.Options {
 func TestStaticPreparedLeavesRunsIdentical(t *testing.T) {
 	cases := []struct {
 		name  string
-		opts  harness.Options
+		opts  scenario.Scenario
 		shape func(t *testing.T, r *harness.Result)
 	}{
 		{"mix-nodeloss", mixNodelossShape(), func(t *testing.T, r *harness.Result) {
@@ -87,7 +85,7 @@ func TestStaticPreparedLeavesRunsIdentical(t *testing.T) {
 			}
 			t.Logf("%d of %d executions replayed, plan-cache hit rate %.3f", replayed, executed, r.PlanCacheHitRate)
 		}},
-		{"cluster-thrash-shed", registeredOptions(t, "cluster-thrash-shed", 15*time.Minute, 65*time.Minute), func(t *testing.T, r *harness.Result) {
+		{"cluster-thrash-shed", registered(t, "cluster-thrash-shed", 15*time.Minute, 65*time.Minute), func(t *testing.T, r *harness.Result) {
 			if executed, replayed := execCounts(t, r); executed == 0 || replayed != 0 {
 				t.Errorf("%d executions, %d replayed: every SALES statement is new text", executed, replayed)
 			}
@@ -95,14 +93,14 @@ func TestStaticPreparedLeavesRunsIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := harness.RunOn(nil, tc.opts)
+			got, err := tc.opts.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.shape(t, got)
 
 			defer engine.SetStaticPrepared(engine.SetStaticPrepared(false))
-			want, err := harness.RunOn(nil, tc.opts)
+			want, err := tc.opts.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,15 +114,7 @@ func TestStaticPreparedLeavesRunsIdentical(t *testing.T) {
 			}
 			got.Report = execLine.ReplaceAllString(got.Report, "")
 			want.Report = execLine.ReplaceAllString(want.Report, "")
-			if reflect.DeepEqual(want, got) {
-				return
-			}
-			w, g := reflect.ValueOf(*want), reflect.ValueOf(*got)
-			for i := 0; i < w.NumField(); i++ {
-				if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
-					t.Errorf("%s: reseeding %v, static lists %v", w.Type().Field(i).Name, w.Field(i).Interface(), g.Field(i).Interface())
-				}
-			}
+			diffResults(t, "reseeding", want, "static lists", got)
 		})
 	}
 }

@@ -2,8 +2,8 @@
 // failure injection for the simulated DBMS. A Plan lists injections on
 // the virtual-time axis — disk-latency stalls, a wired-memory ballast
 // "leak", compile storms of big-join arrivals, and engine crash/restart
-// cycles — and Inject runs them as ordinary scheduler tasks against a
-// Surface of engine hooks.
+// cycles — and InjectCluster runs them as ordinary scheduler tasks against
+// one Surface of engine hooks per node.
 //
 // Determinism is by construction, not by care: an injection is just
 // another task on the run's single event loop, scheduled at fixed
@@ -281,18 +281,13 @@ type Stats struct {
 
 const defaultLeakInterval = 10 * time.Second
 
-// Inject schedules the plan's injections on sched as ordinary tasks and
-// returns the stats structure they fill in. The plan must be valid and
-// single-node (every injection targeting node 0).
-func Inject(sched *vtime.Scheduler, p Plan, s Surface) *Stats {
-	return InjectCluster(sched, p, []Surface{s})
-}
-
-// InjectCluster is Inject over a fleet: injection i drives
+// InjectCluster schedules the plan's injections on sched as ordinary
+// tasks and returns the stats structure they fill in. Injection i drives
 // surfaces[p.Injections[i].Node], so a plan can stall one node's disk
-// while storming another. The caller must validate the plan and ensure
-// every targeted node index is in range (the harness checks MaxNode
-// against the node count); out-of-range targets panic.
+// while storming another; a single server is a fleet of one surface. The
+// caller must validate the plan and ensure every targeted node index is
+// in range (the harness checks MaxNode against the node count);
+// out-of-range targets panic.
 func InjectCluster(sched *vtime.Scheduler, p Plan, surfaces []Surface) *Stats {
 	st := &Stats{}
 	for i := range p.Injections {

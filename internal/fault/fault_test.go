@@ -150,7 +150,7 @@ func TestInject(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	st := Inject(sched, p, rs.surface())
+	st := InjectCluster(sched, p, []Surface{rs.surface()})
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestInjectDefaults(t *testing.T) {
 		{Kind: MemLeak, At: time.Minute, Duration: defaultLeakInterval * 2, RateBytes: 8},
 		{Kind: CompileStorm, At: time.Minute, Burst: 2},
 	}}
-	st := Inject(sched, p, rs.surface())
+	st := InjectCluster(sched, p, []Surface{rs.surface()})
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}

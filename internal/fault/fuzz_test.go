@@ -66,7 +66,8 @@ func FuzzFaultPlan(f *testing.F) {
 			// discarding the case.
 			plan.Injections = plan.Injections[:1]
 		}
-		o := harness.Options{
+		o := harness.Scenario{
+			Name:      "fuzz",
 			Clients:   3,
 			Horizon:   30 * time.Minute,
 			Warmup:    5 * time.Minute,
@@ -76,7 +77,7 @@ func FuzzFaultPlan(f *testing.F) {
 			Seed:      seed,
 			Fault:     &plan,
 		}
-		if _, err := harness.Run(o); err != nil {
+		if _, err := o.Run(); err != nil {
 			t.Fatalf("faulted run failed: %v\nplan:\n%s", err, plan.String())
 		}
 	})
@@ -110,7 +111,8 @@ func FuzzClusterFaultPlan(f *testing.F) {
 			// instead of discarding the case.
 			plan.Injections = plan.Injections[:1]
 		}
-		o := harness.Options{
+		o := harness.Scenario{
+			Name:      "fuzz-cluster",
 			Clients:   6,
 			Horizon:   30 * time.Minute,
 			Warmup:    5 * time.Minute,
@@ -121,13 +123,13 @@ func FuzzClusterFaultPlan(f *testing.F) {
 			Fault:     &plan,
 			Nodes:     nodes,
 			Router:    policies[int(uint64(seed)%3)],
-			Health:    &cluster.HealthConfig{Enabled: true, ShedBrownout: seed%2 == 0},
+			Health:    cluster.HealthConfig{Enabled: true, ShedBrownout: seed%2 == 0},
 			// Aggressive settings so fuzzed faults actually exercise the
 			// trip / cooldown / probe cycle inside the 30-minute horizon.
-			Breaker:      &cluster.BreakerConfig{Enabled: true, Threshold: 2, Cooldown: 30 * time.Second, Probes: 2},
+			Breaker:      cluster.BreakerConfig{Enabled: true, Threshold: 2, Cooldown: 30 * time.Second, Probes: 2},
 			FailoverHops: 2,
 		}
-		r, err := harness.Run(o)
+		r, err := o.Run()
 		if err != nil {
 			t.Fatalf("breaker-armed cluster run failed: %v\nplan:\n%s", err, plan.String())
 		}

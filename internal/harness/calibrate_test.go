@@ -53,13 +53,11 @@ func TestCalibrateGrid(t *testing.T) {
 		ecfg.Optimizer = ocfg
 
 		run := func(throttled bool) *Result {
-			o := DefaultOptions(k.clients)
-			o.Horizon = 3 * time.Hour
-			o.Warmup = 45 * time.Minute
+			o := defaults(k.clients).WithWindow(3*time.Hour, 45*time.Minute)
 			o.Throttled = throttled
 			o.Seed = int64(gi%3) + 1
-			o.Engine = &ecfg
-			r, err := Run(o)
+			o.Engine = func(c *engine.Config) { *c = ecfg }
+			r, err := o.Run()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,9 +18,9 @@ import (
 	"compilegate/internal/workload"
 )
 
-// defaultsScenario mirrors harness.DefaultOptions(clients) as a
-// Scenario (no engine delta, so the harness defaults apply), with a
-// compressed window for test cost.
+// defaultsScenario is SALES on the uncalibrated machine (no engine
+// delta, so engine.DefaultConfig applies), with a compressed window for
+// test cost.
 func defaultsScenario(name string, clients int, horizon, warmup time.Duration) scenario.Scenario {
 	return scenario.Scenario{
 		Name:        name,

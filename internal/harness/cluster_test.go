@@ -11,11 +11,9 @@ import (
 	"compilegate/internal/workload"
 )
 
-func clusterOpts(nodes int, policy cluster.Policy) Options {
-	o := DefaultOptions(12)
+func clusterOpts(nodes int, policy cluster.Policy) Scenario {
+	o := quickOpts(12)
 	o.Workload = workload.SpecOLTP
-	o.Horizon = 30 * time.Minute
-	o.Warmup = 5 * time.Minute
 	o.Nodes = nodes
 	o.Router = policy
 	return o
@@ -23,7 +21,7 @@ func clusterOpts(nodes int, policy cluster.Policy) Options {
 
 func TestClusterRunAggregates(t *testing.T) {
 	o := clusterOpts(3, cluster.RoundRobin)
-	r, err := Run(o)
+	r, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +76,11 @@ func TestClusterRunAggregates(t *testing.T) {
 
 func TestClusterRunDeterministic(t *testing.T) {
 	o := clusterOpts(2, cluster.LeastLoaded)
-	a, err := Run(o)
+	a, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(o)
+	b, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +97,13 @@ func TestClusterAffinityBeatsRoundRobinOnWidePool(t *testing.T) {
 	// affinity pays it once across the fleet.
 	base := clusterOpts(4, cluster.Affinity)
 	base.Workload = workload.SpecOLTPWide
-	aff, err := Run(base)
+	aff, err := base.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rrOpts := base
 	rrOpts.Router = cluster.RoundRobin
-	rr, err := Run(rrOpts)
+	rr, err := rrOpts.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +118,7 @@ func TestClusterFaultTargetsOneNode(t *testing.T) {
 	o.Fault = &fault.Plan{Seed: 5, Injections: []fault.Injection{
 		{Kind: fault.CrashRestart, Node: 1, At: 10 * time.Minute, Duration: 3 * time.Minute},
 	}}
-	r, err := Run(o)
+	r, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +138,12 @@ func TestClusterFaultTargetsOneNode(t *testing.T) {
 // hops.
 func TestClusterBreakerRunSurfacesRouterDiagnostics(t *testing.T) {
 	o := clusterOpts(2, cluster.RoundRobin)
-	o.Breaker = &cluster.BreakerConfig{Enabled: true, Threshold: 3}
+	o.Breaker = cluster.BreakerConfig{Enabled: true, Threshold: 3}
 	o.FailoverHops = 1
 	o.Fault = &fault.Plan{Seed: 7, Injections: []fault.Injection{
 		{Kind: fault.CrashRestart, Node: 1, At: 10 * time.Minute, Duration: 5 * time.Minute},
 	}}
-	r, err := Run(o)
+	r, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +169,7 @@ func TestClusterBreakerRunSurfacesRouterDiagnostics(t *testing.T) {
 		t.Fatalf("routed sum %d != submissions+failovers %d", routed, want)
 	}
 	// The run is deterministic like every other cluster configuration.
-	again, err := Run(o)
+	again, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +180,14 @@ func TestClusterBreakerRunSurfacesRouterDiagnostics(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	o := clusterOpts(2, cluster.Policy("bogus"))
-	if _, err := Run(o); err == nil {
+	if _, err := o.Run(); err == nil {
 		t.Fatal("unknown router policy accepted")
 	}
 	o = clusterOpts(2, cluster.RoundRobin)
 	o.Fault = &fault.Plan{Injections: []fault.Injection{
 		{Kind: fault.CrashRestart, Node: 2, At: time.Minute, Duration: time.Minute},
 	}}
-	if _, err := Run(o); err == nil {
+	if _, err := o.Run(); err == nil {
 		t.Fatal("fault plan targeting a missing node accepted")
 	}
 }
@@ -210,9 +208,8 @@ func TestMeasureRecoverySkipsPartialFinalSlice(t *testing.T) {
 		{T: 40 * time.Minute, V: 80},
 		{T: 50 * time.Minute, V: 95}, // truncated: only 5 of 10 minutes ran
 	}
-	o := Options{Horizon: 55 * time.Minute, Fault: plan}
-	res := &Result{}
-	measureRecovery(res, series, sliceDur, o)
+	res := &Result{Options: Scenario{Horizon: 55 * time.Minute, Fault: plan}}
+	measureRecovery(res, series, sliceDur)
 	if res.PreFaultThroughput != 100 {
 		t.Fatalf("pre-fault throughput = %v, want 100", res.PreFaultThroughput)
 	}
@@ -221,9 +218,8 @@ func TestMeasureRecoverySkipsPartialFinalSlice(t *testing.T) {
 	}
 
 	// With the horizon extended so the same slice is full, it counts.
-	o.Horizon = 60 * time.Minute
-	res = &Result{}
-	measureRecovery(res, series, sliceDur, o)
+	res = &Result{Options: Scenario{Horizon: 60 * time.Minute, Fault: plan}}
+	measureRecovery(res, series, sliceDur)
 	if !res.Recovered {
 		t.Fatal("full recovered slice not accepted")
 	}

@@ -90,20 +90,17 @@ func registered(t *testing.T, name string) scenario.Scenario {
 // zero think time and client 0's zero-length stagger (each a yield, and
 // an event).
 func TestContinuationClientsMatchBlockingReference(t *testing.T) {
-	oltp := func(clients int, horizon, think time.Duration) harness.Options {
-		o := harness.DefaultOptions(clients)
-		o.Workload = workload.SpecOLTP
-		o.Horizon, o.Warmup = horizon, horizon/2
-		l := workload.DefaultLoadConfig(clients)
-		l.ThinkTime = think
-		o.Load = &l
-		return o
+	oltp := func(clients int, horizon, think time.Duration) scenario.Scenario {
+		s := defaultsScenario("oltp", clients, horizon, horizon/2)
+		s.Workload = workload.SpecOLTP
+		s.Load = func(l *workload.LoadConfig) { l.ThinkTime = think }
+		return s
 	}
 	failover := registered(t, "cluster-nodeloss")
 	failover.FailoverHops = 2
 	cases := []struct {
 		name  string
-		opts  harness.Options
+		opts  scenario.Scenario
 		shape func(t *testing.T, r *harness.Result)
 	}{
 		{"single-server OLTP", oltp(60, 20*time.Minute, 5*time.Second), func(t *testing.T, r *harness.Result) {
@@ -111,7 +108,7 @@ func TestContinuationClientsMatchBlockingReference(t *testing.T) {
 				t.Errorf("plan-cache hit rate %.3f: not the hit path", r.PlanCacheHitRate)
 			}
 		}},
-		{"cluster-breaker-recovery", registered(t, "cluster-breaker-recovery").Options(), func(t *testing.T, r *harness.Result) {
+		{"cluster-breaker-recovery", registered(t, "cluster-breaker-recovery"), func(t *testing.T, r *harness.Result) {
 			probed := false
 			for _, tr := range r.NodeResults[1].BreakerTransitions {
 				probed = probed || tr.To.String() == "half-open"
@@ -120,26 +117,24 @@ func TestContinuationClientsMatchBlockingReference(t *testing.T) {
 				t.Errorf("node 1's breaker never went half-open: %+v", r.NodeResults[1].BreakerTransitions)
 			}
 		}},
-		{"failover hops", failover.Options(), func(t *testing.T, r *harness.Result) {
+		{"failover hops", failover, func(t *testing.T, r *harness.Result) {
 			if r.Resubmitted == 0 {
 				t.Error("the router never failed a submission over")
 			}
 		}},
-		{"mix-nodeloss", registered(t, "cluster-nodeloss").Options(), func(t *testing.T, r *harness.Result) {
+		{"mix-nodeloss", registered(t, "cluster-nodeloss"), func(t *testing.T, r *harness.Result) {
 			if r.Fault == nil || r.Fault.Crashes != 1 || r.ErrorsByKind["crashed"] == 0 || r.Load.Retries == 0 {
 				t.Errorf("crashes %+v, errors %v, retries %d: the node loss did not reach the clients", r.Fault, r.ErrorsByKind, r.Load.Retries)
 			}
 		}},
-		{"SALES, jittered backoff", registered(t, "retry-storm").Baseline().Options(), func(t *testing.T, r *harness.Result) {
-			if r.Load.Retries == 0 || r.Options.Load.BackoffJitter == 0 {
-				t.Errorf("%d retries at jitter %v: the jittered driver is idle", r.Load.Retries, r.Options.Load.BackoffJitter)
+		{"SALES, jittered backoff", registered(t, "retry-storm").Baseline(), func(t *testing.T, r *harness.Result) {
+			var l workload.LoadConfig
+			r.Options.Load(&l)
+			if r.Load.Retries == 0 || l.BackoffJitter == 0 {
+				t.Errorf("%d retries at jitter %v: the jittered driver is idle", r.Load.Retries, l.BackoffJitter)
 			}
 		}},
-		{"SALES, fixed backoff", func() harness.Options {
-			o := harness.DefaultOptions(40)
-			o.Horizon, o.Warmup, o.Throttled = 40*time.Minute, 20*time.Minute, false
-			return o
-		}(), func(t *testing.T, r *harness.Result) {
+		{"SALES, fixed backoff", defaultsScenario("fixed-backoff", 40, 40*time.Minute, 20*time.Minute).Baseline(), func(t *testing.T, r *harness.Result) {
 			if r.Load.Retries == 0 {
 				t.Error("no retries: the fixed-backoff driver is idle")
 			}
@@ -150,26 +145,32 @@ func TestContinuationClientsMatchBlockingReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			want, err := harness.RunOnWith(nil, tc.opts, referenceRun)
+			want, err := harness.RunOnWith(nil, tc.opts, referenceRun, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := harness.RunOn(nil, tc.opts)
+			got, err := tc.opts.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.shape != nil {
 				tc.shape(t, got)
 			}
-			if reflect.DeepEqual(want, got) {
-				return
-			}
-			w, g := reflect.ValueOf(*want), reflect.ValueOf(*got)
-			for i := 0; i < w.NumField(); i++ {
-				if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
-					t.Errorf("%s: reference %v, continuation clients %v", w.Type().Field(i).Name, w.Field(i).Interface(), g.Field(i).Interface())
-				}
-			}
+			diffResults(t, "reference", want, "continuation clients", got)
 		})
+	}
+}
+
+// diffResults requires two runs of one scenario to agree in every Result
+// field, naming each that does not. The scenario itself is left out: its
+// Engine and Load deltas are funcs, which reflect.DeepEqual never equates.
+func diffResults(t *testing.T, wantName string, want *harness.Result, gotName string, got *harness.Result) {
+	t.Helper()
+	w, g := reflect.ValueOf(*want), reflect.ValueOf(*got)
+	for i := 0; i < w.NumField(); i++ {
+		name := w.Type().Field(i).Name
+		if name != "Options" && !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+			t.Errorf("%s: %s %v, %s %v", name, wantName, w.Field(i).Interface(), gotName, g.Field(i).Interface())
+		}
 	}
 }

@@ -1,8 +1,13 @@
 // Package harness runs complete benchmark configurations — the virtual
-// equivalent of the paper's test lab. One Run builds a scheduler, a
-// simulated server over the chosen catalog, and a closed-loop client
-// population, executes the whole run in virtual time, and reports the
-// same measurements the paper's figures plot.
+// equivalent of the paper's test lab. It owns the run: the Scenario type
+// that describes one (the only declaration of a run's settings, with the
+// only validator), the one path that executes it — a scheduler, a fleet
+// of simulated servers over the chosen catalog behind a router (a single
+// server is a one-node fleet with the router elided), a closed-loop
+// client population and the fault plane, all in virtual time — and the
+// Result carrying the measurements the paper's figures plot, audited
+// before it is returned. Package scenario owns what is run: the registry
+// of named experiments, sweeps, replications and the calibration.
 package harness
 
 import (
@@ -21,80 +26,10 @@ import (
 	"compilegate/internal/workload"
 )
 
-// Options selects a benchmark configuration.
-type Options struct {
-	// Clients is the concurrent user count (paper: 30 / 35 / 40).
-	Clients int
-	// Horizon is how long clients submit queries.
-	Horizon time.Duration
-	// Warmup excludes the initial portion from measurement, as §5.2 does
-	// ("the data starts at an intermediate time index").
-	Warmup time.Duration
-	// Throttled toggles compilation throttling (the paper's comparison).
-	Throttled bool
-	// Scale scales the catalog (DESIGN.md: 0.04 keeps page counts
-	// tractable while preserving the DB ≫ RAM ratio).
-	Scale float64
-	// Workload resolves the query generator and catalog; the zero value
-	// is workload.SpecSales.
-	Workload workload.Spec
-	// Seed drives all randomness.
-	Seed int64
-	// Engine overrides the default engine config when non-nil (ablations
-	// use this).
-	Engine *engine.Config
-	// Load overrides the default load config when non-nil.
-	Load *workload.LoadConfig
-	// Fault, when non-nil and non-empty, injects the scripted failure
-	// plan into the run. Injections execute as ordinary scheduler tasks,
-	// so determinism and sweep invariance are unaffected. The plan must
-	// clear before Horizon.
-	Fault *fault.Plan
-	// Snapshot, when non-nil, supplies the shared immutable run state
-	// (catalog, estimator, layout, statement identities) instead of the
-	// process-wide cache. Its shape must match Workload and Scale. Runs
-	// produce byte-identical results with shared, private, or absent
-	// snapshots; the field exists for tests proving exactly that.
-	Snapshot *Snapshot
-	// Nodes runs the experiment as a cluster: that many independent
-	// engine instances (each with its own budget, governor, plan cache,
-	// and buffer pool) share one scheduler and one snapshot behind a
-	// deterministic router. 0 and 1 both mean the classic single-server
-	// run.
-	Nodes int
-	// Router picks the cluster routing policy (zero value:
-	// round-robin). Ignored when Nodes <= 1.
-	Router cluster.Policy
-	// Health, when non-nil, turns on health-aware node exclusion in the
-	// cluster router: nodes past the overcommit/thrash thresholds are
-	// skipped like crashed ones. Cluster runs only.
-	Health *cluster.HealthConfig
-	// Breaker, when non-nil, arms a per-node circuit breaker in the
-	// cluster router, driven by the errclass outcomes of routed
-	// submissions. Cluster runs only.
-	Breaker *cluster.BreakerConfig
-	// FailoverHops bounds router-level failover resubmission on
-	// crashed responses (0 disables it). Cluster runs only.
-	FailoverHops int
-}
-
-// DefaultOptions returns the SALES configuration at the given client
-// count with throttling enabled.
-func DefaultOptions(clients int) Options {
-	return Options{
-		Clients:   clients,
-		Horizon:   8 * time.Hour, // the paper measures t = 10800 s .. 28800 s
-		Warmup:    3 * time.Hour,
-		Throttled: true,
-		Scale:     0.04,
-		Workload:  workload.SpecSales,
-		Seed:      1,
-	}
-}
-
 // Result is one run's measurements.
 type Result struct {
-	Options Options
+	// Options is the scenario the run executed.
+	Options Scenario
 	// Series is completions per slice inside the measurement window —
 	// the curve Figures 3-5 plot.
 	Series []metrics.Point
@@ -221,163 +156,108 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Completed) / window
 }
 
-// Run executes one configuration to completion in virtual time.
-func Run(o Options) (*Result, error) {
-	return RunOn(nil, o)
-}
-
-// RunOn is Run on a caller-supplied scheduler, which must be idle (nil
-// builds a private one). Sweep shards pass their pooled scheduler here
-// so back-to-back runs reuse its run queue, timer wheel, and task slab;
-// results are bit-identical either way.
-func RunOn(sched *vtime.Scheduler, o Options) (*Result, error) {
-	return runOn(sched, o, workload.Run)
-}
-
 // loadDriver is workload.Run's signature: what spawns the client
 // population. Tests substitute the blocking reference driver.
 type loadDriver func(*vtime.Scheduler, workload.Submitter, workload.Generator, workload.LoadConfig, func()) *workload.LoadStats
 
-func runOn(sched *vtime.Scheduler, o Options, drive loadDriver) (*Result, error) {
-	if o.Clients <= 0 {
-		return nil, fmt.Errorf("harness: no clients")
-	}
-	if !o.Workload.Valid() {
-		return nil, fmt.Errorf("harness: unknown workload %q", string(o.Workload))
-	}
-	if o.Scale <= 0 {
-		o.Scale = 0.04
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = 2 * time.Hour
-	}
-	if o.Warmup >= o.Horizon {
-		return nil, fmt.Errorf("harness: warmup %v >= horizon %v", o.Warmup, o.Horizon)
-	}
-	injecting := o.Fault != nil && !o.Fault.Empty()
-	if injecting {
-		if err := o.Fault.Validate(); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-		if lc := o.Fault.LastClear(); lc > o.Horizon {
-			return nil, fmt.Errorf("harness: fault plan clears at %v, past horizon %v", lc, o.Horizon)
-		}
-		nodes := o.Nodes
-		if nodes < 1 {
-			nodes = 1
-		}
-		if mx := o.Fault.MaxNode(); mx >= nodes {
-			return nil, fmt.Errorf("harness: fault plan targets node %d of a %d-node run", mx, nodes)
-		}
-	}
-	if o.Nodes > 1 && !o.Router.Valid() {
-		return nil, fmt.Errorf("harness: unknown router policy %q", string(o.Router))
-	}
-	if o.Nodes <= 1 && (o.Health != nil || o.Breaker != nil || o.FailoverHops != 0) {
-		return nil, fmt.Errorf("harness: router health/breaker/failover options require a cluster run (nodes = %d)", o.Nodes)
-	}
-	if o.FailoverHops < 0 {
-		return nil, fmt.Errorf("harness: negative failover hops %d", o.FailoverHops)
+// run is the one run path. It builds the fleet — fleet() engine instances
+// in fixed order on one scheduler, sharing one immutable snapshot — puts
+// the router in front of it when there is more than one node, spawns the
+// client population and the fault plane, runs the simulation to the end
+// and audits it. A single server is a one-node fleet whose clients submit
+// to it directly: no router exists, so no routing step, task or event is
+// added to what a lone server would do. Determinism: node order is fixed
+// at construction, every router decision is a pure function of the
+// statement text and per-node counters, and all tasks live on the run's
+// single event loop. snap, when not nil, replaces the process-wide
+// snapshot of the scenario's shape.
+func (s Scenario) run(sched *vtime.Scheduler, drive loadDriver, snap *Snapshot) (*Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 
-	var ecfg engine.Config
-	if o.Engine != nil {
-		ecfg = *o.Engine
-	} else {
-		ecfg = engine.DefaultConfig()
+	ecfg := engine.DefaultConfig()
+	if s.Engine != nil {
+		s.Engine(&ecfg)
 	}
-	ecfg.Throttle = o.Throttled
-	if !o.Throttled {
+	ecfg.Throttle = s.Throttled
+	if !s.Throttled {
 		ecfg.DynamicThresholds = false
 		ecfg.BestEffort = false
 	}
-
-	snap := o.Snapshot
-	if snap == nil {
-		snap = SnapshotFor(o.Workload, o.Scale)
-	} else if snap.Workload.String() != o.Workload.String() || snap.Scale != o.Scale {
-		return nil, fmt.Errorf("harness: snapshot shape %s/%g does not match options %s/%g",
-			snap.Workload, snap.Scale, o.Workload, o.Scale)
+	lcfg := workload.DefaultLoadConfig(s.Clients)
+	if s.Load != nil {
+		s.Load(&lcfg)
 	}
+	lcfg.Clients = s.Clients
+	lcfg.Horizon = s.Horizon
+	lcfg.Seed = s.Seed
 
+	if snap == nil {
+		snap = SnapshotFor(s.Workload, s.Scale)
+	}
 	if sched == nil {
 		sched = vtime.NewScheduler()
 	}
 
-	var lcfg workload.LoadConfig
-	if o.Load != nil {
-		lcfg = *o.Load
-	} else {
-		lcfg = workload.DefaultLoadConfig(o.Clients)
+	nodes := make([]*engine.Server, s.fleet())
+	for i := range nodes {
+		srv, err := engine.NewShared(ecfg, snap.Catalog, snap.prebuilt(), sched)
+		if err != nil {
+			return nil, fmt.Errorf("harness: node %d: %w", i, err)
+		}
+		nodes[i] = srv
 	}
-	lcfg.Clients = o.Clients
-	lcfg.Horizon = o.Horizon
-	lcfg.Seed = o.Seed
-
-	if o.Nodes > 1 {
-		return runCluster(sched, o, ecfg, snap, lcfg, drive)
+	var router *cluster.Router
+	var front workload.Submitter = nodes[0]
+	if len(nodes) > 1 {
+		routed := make([]cluster.Node, len(nodes))
+		for i, srv := range nodes {
+			routed[i] = srv
+		}
+		var err error
+		router, err = cluster.NewRouter(cluster.Config{
+			Policy: s.Router, Health: s.Health, Breaker: s.Breaker, FailoverHops: s.FailoverHops,
+		}, routed, snap.Statements)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
+		}
+		front = router
 	}
 
-	srv, err := engine.NewShared(ecfg, snap.Catalog, snap.prebuilt(), sched)
-	if err != nil {
-		return nil, err
-	}
-
-	gen := o.Workload.Generator()
-	loadStats := drive(sched, srv, gen, lcfg, srv.Close)
+	gen := s.Workload.Generator()
+	loadStats := drive(sched, front, gen, lcfg, func() {
+		for _, srv := range nodes {
+			srv.Close()
+		}
+	})
 
 	// The fault plane spawns after the client population so task creation
 	// order — and with it the whole event schedule — is a pure function
-	// of the options.
+	// of the scenario.
 	var faultStats *fault.Stats
-	if injecting {
+	if !s.Fault.Empty() {
 		heavy := heavyFor(gen)
-		stormRNG := rand.New(lazyrand.New(o.Fault.Seed))
-		faultStats = fault.Inject(sched, *o.Fault, surfaceFor(srv, heavy, stormRNG))
+		stormRNG := rand.New(lazyrand.New(s.Fault.Seed))
+		surfaces := make([]fault.Surface, len(nodes))
+		for i, srv := range nodes {
+			surfaces[i] = surfaceFor(srv, heavy, stormRNG)
+		}
+		faultStats = fault.InjectCluster(sched, *s.Fault, surfaces)
 	}
 
 	if err := sched.Run(); err != nil {
 		return nil, fmt.Errorf("harness: simulation error: %w", err)
 	}
-	if err := srv.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("harness: post-run invariant violation: %w", err)
+	for i, srv := range nodes {
+		if err := srv.CheckInvariants(); err != nil {
+			return nil, fmt.Errorf("harness: node %d: post-run invariant violation: %w", i, err)
+		}
 	}
 
-	rec := srv.Recorder()
-	meanMem, maxMem := srv.CompileMemProfile()
-	res := &Result{
-		Options:           o,
-		Series:            rec.CompletionSeries(o.Warmup, o.Horizon),
-		Completed:         rec.CompletionsIn(o.Warmup, o.Horizon),
-		Errors:            rec.ErrorsIn(o.Warmup, o.Horizon),
-		ErrorsByKind:      rec.Errors(),
-		Load:              *loadStats,
-		CompileMemMean:    meanMem,
-		CompileMemMax:     maxMem,
-		BufferPoolHitRate: srv.BufferPool().HitRate(),
-		PlanCacheHitRate:  srv.PlanCache().HitRate(),
-		BestEffortPlans:   srv.Governor().BestEffortCount(),
-		BrownoutEntries:   srv.Governor().BrownoutEntries(),
-		BrownoutTicks:     srv.Governor().BrownoutTicks(),
-		CompileP50:        srv.CompileTimes().Quantile(0.5),
-		CompileP90:        srv.CompileTimes().Quantile(0.9),
-		ExecP50:           srv.ExecTimes().Quantile(0.5),
-		SimEvents:         sched.Events(),
-		Report:            srv.Report(),
-	}
-	poolTr, compTr, execTr, activeTr := srv.Traces()
-	res.AvgPoolBytes = traceWindowAvg(poolTr, o.Warmup, o.Horizon)
-	res.AvgCompileBytes = traceWindowAvg(compTr, o.Warmup, o.Horizon)
-	res.AvgExecBytes = traceWindowAvg(execTr, o.Warmup, o.Horizon)
-	res.AvgActiveCompiles = float64(traceWindowAvg(activeTr, o.Warmup, o.Horizon))
-	res.AvgOvercommitRatio = float64(traceWindowAvg(srv.OvercommitTrace(), o.Warmup, o.Horizon)) / 1000
-	res.PageStealBytes = srv.PageStealBytes()
-	if chain := srv.Governor().Chain(); chain != nil {
-		res.GatewayTimeouts = chain.Timeouts()
-	}
-	if faultStats != nil {
-		res.Fault = faultStats
-		measureRecovery(res, rec.CompletionSeries(0, o.Horizon), rec.SliceDur(), o)
+	res := aggregate(s, nodes, router, loadStats, faultStats, sched.Events())
+	if err := res.audit(); err != nil {
+		return nil, fmt.Errorf("harness: post-run audit: %w", err)
 	}
 	return res, nil
 }
@@ -414,9 +294,9 @@ func surfaceFor(srv *engine.Server, heavy func(*rand.Rand) string, stormRNG *ran
 // throughput as the mean over full slices before the first injection
 // (slice 0 excluded — it is ramp-up), then the first slice at or after
 // the last clear whose completions are back within 10% of that mean.
-// The series is the run's full completion series (cluster runs pass
-// the node sum).
-func measureRecovery(res *Result, series []metrics.Point, sliceDur time.Duration, o Options) {
+// The series is the run's full completion series, summed over the fleet.
+func measureRecovery(res *Result, series []metrics.Point, sliceDur time.Duration) {
+	o := &res.Options
 	onset, clear := o.Fault.FirstOnset(), o.Fault.LastClear()
 	var sum, n int64
 	for _, p := range series {

@@ -10,37 +10,40 @@ import (
 	"compilegate/internal/workload"
 )
 
-func quickOpts(clients int) Options {
-	o := DefaultOptions(clients)
-	o.Horizon = 30 * time.Minute
-	o.Warmup = 5 * time.Minute
-	return o
+// defaults is SALES on the uncalibrated machine — no engine or load delta,
+// so engine.DefaultConfig and workload.DefaultLoadConfig apply — over the
+// paper's window.
+func defaults(clients int) Scenario {
+	return Scenario{
+		Name:      "defaults",
+		Clients:   clients,
+		Scale:     0.04,
+		Workload:  workload.SpecSales,
+		Horizon:   8 * time.Hour,
+		Warmup:    3 * time.Hour,
+		Throttled: true,
+		Seed:      1,
+	}
 }
 
-func TestDefaultOptionsMatchPaperWindow(t *testing.T) {
-	o := DefaultOptions(30)
-	if o.Horizon != 8*time.Hour || o.Warmup != 3*time.Hour {
-		t.Fatalf("window = [%v, %v), paper uses [3h, 8h)", o.Warmup, o.Horizon)
-	}
-	if !o.Throttled || o.Workload != "sales" {
-		t.Fatal("defaults should be throttled SALES")
-	}
+func quickOpts(clients int) Scenario {
+	return defaults(clients).WithWindow(30*time.Minute, 5*time.Minute)
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Options{Clients: 0}); err == nil {
+	if _, err := defaults(0).Run(); err == nil {
 		t.Fatal("zero clients accepted")
 	}
-	bad := DefaultOptions(5)
+	bad := defaults(5)
 	bad.Warmup = bad.Horizon
-	if _, err := Run(bad); err == nil {
+	if _, err := bad.Run(); err == nil {
 		t.Fatal("warmup >= horizon accepted")
 	}
 }
 
 func TestRunProducesSeries(t *testing.T) {
 	o := quickOpts(8)
-	r, err := Run(o)
+	r, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +71,11 @@ func TestRunProducesSeries(t *testing.T) {
 
 func TestRunDeterministicAcrossInvocations(t *testing.T) {
 	o := quickOpts(6)
-	a, err := Run(o)
+	a, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(o)
+	b, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +91,9 @@ func TestRunDeterministicAcrossInvocations(t *testing.T) {
 
 func TestSeedChangesRun(t *testing.T) {
 	o := quickOpts(6)
-	a, _ := Run(o)
+	a, _ := o.Run()
 	o.Seed = 99
-	b, _ := Run(o)
+	b, _ := o.Run()
 	same := a.Completed == b.Completed
 	for i := range a.Series {
 		if i < len(b.Series) && a.Series[i] != b.Series[i] {
@@ -108,7 +111,7 @@ func TestWorkloadSelection(t *testing.T) {
 		o.Workload = wl
 		o.Horizon = 20 * time.Minute
 		o.Warmup = 2 * time.Minute
-		r, err := Run(o)
+		r, err := o.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", wl, err)
 		}
@@ -119,8 +122,8 @@ func TestWorkloadSelection(t *testing.T) {
 }
 
 func TestCompareAndSeriesString(t *testing.T) {
-	th := &Result{Options: DefaultOptions(30), Completed: 135}
-	ba := &Result{Options: DefaultOptions(30), Completed: 100}
+	th := &Result{Options: defaults(30), Completed: 135}
+	ba := &Result{Options: defaults(30), Completed: 100}
 	ratio, summary := Compare(th, ba)
 	if ratio != 1.35 {
 		t.Fatalf("ratio = %v", ratio)
@@ -163,8 +166,8 @@ func TestCompareZeroBaseline(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			th := &Result{Options: DefaultOptions(30), Completed: tc.throttled}
-			ba := &Result{Options: DefaultOptions(30), Completed: tc.baseline}
+			th := &Result{Options: defaults(30), Completed: tc.throttled}
+			ba := &Result{Options: defaults(30), Completed: tc.baseline}
 			ratio, summary := Compare(th, ba)
 			switch {
 			case tc.wantInf:

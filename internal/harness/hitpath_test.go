@@ -17,15 +17,12 @@ import (
 // compilations, not by the clients or the queries.
 func TestCoroutinesFollowCompilations(t *testing.T) {
 	const clients = 200
-	o := DefaultOptions(clients)
+	o := defaults(clients).WithWindow(10*time.Minute, 5*time.Minute)
 	o.Workload = workload.SpecOLTP
-	o.Horizon, o.Warmup = 10*time.Minute, 5*time.Minute
 	o.Nodes = 2
-	l := workload.DefaultLoadConfig(clients)
-	l.ThinkTime = 5 * time.Second
-	o.Load = &l
+	o.Load = func(l *workload.LoadConfig) { l.ThinkTime = 5 * time.Second }
 	sched := vtime.NewScheduler()
-	r, err := RunOn(sched, o)
+	r, err := o.RunOn(sched)
 	if err != nil {
 		t.Fatal(err)
 	}

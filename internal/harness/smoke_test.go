@@ -8,10 +8,8 @@ import (
 // TestSmokeShortRun exercises the full stack end to end on a short
 // horizon and prints the dynamics for calibration.
 func TestSmokeShortRun(t *testing.T) {
-	o := DefaultOptions(30)
-	o.Horizon = 40 * time.Minute
-	o.Warmup = 10 * time.Minute
-	res, err := Run(o)
+	o := defaults(30).WithWindow(40*time.Minute, 10*time.Minute)
+	res, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +25,7 @@ func TestSmokeShortRun(t *testing.T) {
 	t.Logf("report:\n%s", res.Report)
 
 	o.Throttled = false
-	base, err := Run(o)
+	base, err := o.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,21 +2,20 @@ package scenario
 
 import (
 	"reflect"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"compilegate/internal/engine"
+	"compilegate/internal/fault"
 	"compilegate/internal/harness"
 	"compilegate/internal/vtime"
 )
 
 // TestRegisteredScenariosBuildValidConfigs proves every registered
 // experiment resolves to a runnable configuration: the scenario
-// validates, its options carry the declared fields, and the resulting
-// engine config assembles a real server over the resolved catalog.
+// validates and its engine delta yields a config that assembles a real
+// server over the resolved catalog.
 func TestRegisteredScenariosBuildValidConfigs(t *testing.T) {
 	all := All()
 	if len(all) < 10 {
@@ -27,43 +26,69 @@ func TestRegisteredScenariosBuildValidConfigs(t *testing.T) {
 			if err := s.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			o := s.Options()
-			if o.Clients != s.Clients || o.Scale != s.Scale || o.Workload != s.Workload ||
-				o.Horizon != s.Horizon || o.Warmup != s.Warmup ||
-				o.Throttled != s.Throttled || o.Seed != s.Seed {
-				t.Fatalf("options %+v do not mirror scenario %+v", o, s)
-			}
-			if (o.Engine != nil) != (s.Engine != nil) {
-				t.Fatal("engine delta not applied")
-			}
 			ecfg := engine.DefaultConfig()
-			if o.Engine != nil {
-				ecfg = *o.Engine
+			if s.Engine != nil {
+				s.Engine(&ecfg)
 			}
-			ecfg.Throttle = o.Throttled
-			cat := o.Workload.NewCatalog(o.Scale, ecfg.BufferPool.ExtentBytes)
-			if _, err := engine.New(ecfg, cat, vtime.NewScheduler()); err != nil {
+			ecfg.Throttle = s.Throttled
+			cat := s.Workload.NewCatalog(s.Scale, ecfg.BufferPool.ExtentBytes)
+			if _, err := engine.NewShared(ecfg, cat, engine.Prebuilt{}, vtime.NewScheduler()); err != nil {
 				t.Fatalf("engine rejects the scenario's config: %v", err)
 			}
 		})
 	}
 }
 
+// TestSalesMatchesPaperWindow pins the canonical experiment to §5.2: an
+// 8-hour throttled SALES run measured from t = 3 h.
+func TestSalesMatchesPaperWindow(t *testing.T) {
+	s := Sales(30)
+	if s.Horizon != 8*time.Hour || s.Warmup != 3*time.Hour {
+		t.Fatalf("window = [%v, %v), paper uses [3h, 8h)", s.Warmup, s.Horizon)
+	}
+	if !s.Throttled || s.Workload != "sales" {
+		t.Fatal("the canonical experiment should be throttled SALES")
+	}
+}
+
+// TestValidateRejectsBrokenScenarios breaks one field at a time. Validate
+// is the only check a description gets, so Run must refuse each case too,
+// with the same error: nothing downstream defaults or re-checks a field.
 func TestValidateRejectsBrokenScenarios(t *testing.T) {
 	good := Sales(4)
 	good.Name = "ok"
+	crash := func(at, dur time.Duration, node int) *fault.Plan {
+		return &fault.Plan{Injections: []fault.Injection{{Kind: fault.CrashRestart, Node: node, At: at, Duration: dur}}}
+	}
 	cases := map[string]func(*Scenario){
-		"no-name":         func(s *Scenario) { s.Name = "" },
-		"no-clients":      func(s *Scenario) { s.Clients = 0 },
-		"no-scale":        func(s *Scenario) { s.Scale = 0 },
-		"bad-workload":    func(s *Scenario) { s.Workload = "tpcds" },
-		"warmup>=horizon": func(s *Scenario) { s.Warmup = s.Horizon },
+		"no-name":          func(s *Scenario) { s.Name = "" },
+		"no-clients":       func(s *Scenario) { s.Clients = 0 },
+		"no-scale":         func(s *Scenario) { s.Scale = 0 },
+		"negative-scale":   func(s *Scenario) { s.Scale = -1 },
+		"bad-workload":     func(s *Scenario) { s.Workload = "tpcds" },
+		"warmup>=horizon":  func(s *Scenario) { s.Warmup = s.Horizon },
+		"no-horizon":       func(s *Scenario) { s.Horizon, s.Warmup = 0, 0 },
+		"negative-warmup":  func(s *Scenario) { s.Warmup = -time.Minute },
+		"negative-nodes":   func(s *Scenario) { s.Nodes = -1 },
+		"bad-router":       func(s *Scenario) { s.Nodes, s.Router = 2, "random" },
+		"health-one-node":  func(s *Scenario) { s.Health.Enabled = true },
+		"breaker-one-node": func(s *Scenario) { s.Nodes, s.Breaker.Enabled = 1, true },
+		"hops-one-node":    func(s *Scenario) { s.FailoverHops = 1 },
+		"negative-hops":    func(s *Scenario) { s.Nodes, s.FailoverHops = 2, -1 },
+		"malformed-fault":  func(s *Scenario) { s.Fault = crash(-time.Minute, time.Minute, 0) },
+		"fault-past-end":   func(s *Scenario) { s.Fault = crash(s.Horizon-time.Minute, 2*time.Minute, 0) },
+		"fault-node-range": func(s *Scenario) { s.Nodes, s.Fault = 2, crash(time.Minute, time.Minute, 2) },
 	}
 	for name, breakIt := range cases {
 		s := good
 		breakIt(&s)
-		if err := s.Validate(); err == nil {
+		err := s.Validate()
+		if err == nil {
 			t.Errorf("%s: broken scenario validated", name)
+			continue
+		}
+		if _, runErr := s.Run(); runErr == nil || runErr.Error() != err.Error() {
+			t.Errorf("%s: Validate says %q, Run says %v", name, err, runErr)
 		}
 	}
 	if err := good.Validate(); err != nil {
@@ -172,7 +197,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 			t.Errorf("%s: parallel report diverges from serial:\n%s\nvs\n%s",
 				sr.Scenario.Name, sr.Result.Report, serial[i].Report)
 		}
-		if !reflect.DeepEqual(sr.Result, serial[i]) {
+		if !sameResult(sr.Result, serial[i]) {
 			t.Errorf("%s: parallel result differs from serial run", sr.Scenario.Name)
 		}
 	}
@@ -185,13 +210,9 @@ func TestSweepMatchesSerial(t *testing.T) {
 // private scheduler and shares no mutable state. It extends the
 // four-scenario serial-vs-parallel probe (TestSweepMatchesSerial)
 // across the whole registry, guarding scheduler determinism under the
-// staged compile-memory model.
-//
-// A third pass re-runs every scenario with a private, freshly built
-// snapshot instead of the process-wide shared one, proving the shared
-// immutable run state (catalog, estimator, layout, statement
-// identities) changes nothing: sharing is purely a setup-cost
-// optimization.
+// staged compile-memory model. (That the process-wide shared snapshot
+// changes nothing either is internal/harness's
+// TestFreshSnapshotMatchesShared.)
 func TestSweepWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
@@ -213,7 +234,7 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range repOne.Runs {
-		if !reflect.DeepEqual(repOne.Runs[i], repMany.Runs[i]) {
+		if !sameSeedRun(repOne.Runs[i], repMany.Runs[i]) {
 			t.Errorf("replication seed %d differs between workers=1 and workers=N", repOne.Runs[i].Seed)
 		}
 	}
@@ -230,7 +251,7 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range clOne.Runs {
-			if !reflect.DeepEqual(clOne.Runs[i], clMany.Runs[i]) {
+			if !sameSeedRun(clOne.Runs[i], clMany.Runs[i]) {
 				t.Errorf("%s replication seed %d differs between workers=1 and workers=N", name, clOne.Runs[i].Seed)
 			}
 		}
@@ -248,45 +269,8 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 				name, one[i].Result.Report, many[i].Result.Report)
 			continue
 		}
-		if !reflect.DeepEqual(one[i].Result, many[i].Result) {
+		if !sameResult(one[i].Result, many[i].Result) {
 			t.Errorf("%s: results differ between workers=1 and workers=N", name)
-		}
-	}
-
-	// Shared-snapshot path: private snapshots must reproduce the shared
-	// ones bit for bit.
-	fresh := make([]*harness.Result, len(scenarios))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, s := range scenarios {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			o := s.Options()
-			o.Snapshot = harness.NewSnapshot(o.Workload, o.Scale)
-			r, err := harness.Run(o)
-			if err != nil {
-				t.Errorf("%s: fresh-snapshot run: %v", s.Name, err)
-				return
-			}
-			fresh[i] = r
-		}()
-	}
-	wg.Wait()
-	for i := range scenarios {
-		if fresh[i] == nil {
-			continue
-		}
-		// The Options differ by the Snapshot pointer itself; blank it
-		// before the deep comparison of the measurements.
-		shared := *many[i].Result
-		private := *fresh[i]
-		shared.Options.Snapshot, private.Options.Snapshot = nil, nil
-		if !reflect.DeepEqual(shared, private) {
-			t.Errorf("%s: fresh-snapshot result differs from shared-snapshot result",
-				scenarios[i].Name)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"compilegate/internal/harness"
 	"compilegate/internal/vtime"
 )
 
@@ -43,7 +44,7 @@ func TestShardCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range repRef.Runs {
-		if !reflect.DeepEqual(repRef.Runs[i], repSharded.Runs[i]) {
+		if !sameSeedRun(repRef.Runs[i], repSharded.Runs[i]) {
 			t.Errorf("replication seed %d differs between shards=1 and shards=4", repRef.Runs[i].Seed)
 		}
 	}
@@ -63,7 +64,7 @@ func TestShardCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range clRef.Runs {
-			if !reflect.DeepEqual(clRef.Runs[i], clSharded.Runs[i]) {
+			if !sameSeedRun(clRef.Runs[i], clSharded.Runs[i]) {
 				t.Errorf("%s replication seed %d differs between shards=1 and shards=4", name, clRef.Runs[i].Seed)
 			}
 		}
@@ -82,7 +83,7 @@ func TestShardCountInvariance(t *testing.T) {
 					name, k, ref[i].Result.Report, got[i].Result.Report)
 				continue
 			}
-			if !reflect.DeepEqual(ref[i].Result, got[i].Result) {
+			if !sameResult(ref[i].Result, got[i].Result) {
 				t.Errorf("%s: results differ between workers=1 and workers=%d", name, k)
 			}
 		}
@@ -123,12 +124,29 @@ func TestSchedulerReuseInvariance(t *testing.T) {
 		t.Errorf("pooled-scheduler run diverges from fresh-scheduler run:\n%s\nvs\n%s",
 			first.Report, fresh.Report)
 	}
-	if !reflect.DeepEqual(first, fresh) {
+	if !sameResult(first, fresh) {
 		t.Error("pooled-scheduler result differs from fresh-scheduler result")
 	}
-	if !reflect.DeepEqual(first, second) {
+	if !sameResult(first, second) {
 		t.Error("second run on a Reset scheduler differs from the first")
 	}
+}
+
+// sameResult reports whether two runs measured the same thing. The
+// scenario a Result carries is left out: its Engine and Load deltas are
+// funcs, which reflect.DeepEqual never equates.
+func sameResult(a, b *harness.Result) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	x, y := *a, *b
+	x.Options, y.Options = Scenario{}, Scenario{}
+	return reflect.DeepEqual(x, y)
+}
+
+// sameSeedRun is sameResult over both arms of a replication's seed.
+func sameSeedRun(a, b SeedRun) bool {
+	return a.Seed == b.Seed && sameResult(a.Result, b.Result) && sameResult(a.Baseline, b.Baseline)
 }
 
 // MustGet fetches a registered scenario or fails the test.
