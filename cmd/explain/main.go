@@ -14,15 +14,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"compilegate"
 
-	"compilegate/internal/lazyrand"
 	"compilegate/internal/optimizer"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/stats"
+	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
 )
 
@@ -50,7 +49,7 @@ func main() {
 	var sql string
 	switch {
 	case *sample:
-		sql = s.Workload.Generator().Next(rand.New(lazyrand.New(s.Seed)))
+		sql = s.Workload.Generator().Next(vtime.NewRand(s.Seed))
 	case flag.NArg() == 1:
 		sql = flag.Arg(0)
 	default:

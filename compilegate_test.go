@@ -131,7 +131,7 @@ func TestPublicAPIBenchmarkRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
-	s := SalesScenario(4).WithWindow(20*time.Minute, 2*time.Minute)
+	s := SalesScenario(4).WithWindow(20*time.Minute, 2*time.Minute).WithSlice(2 * time.Minute)
 	th, err := RunScenario(s)
 	if err != nil {
 		t.Fatal(err)

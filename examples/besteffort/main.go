@@ -93,9 +93,9 @@ func main() {
 		if !ok {
 			panic(name + " scenario not registered")
 		}
-		pair = append(pair, s.WithWindow(45*time.Minute, 10*time.Minute))
+		pair = append(pair, s.WithWindow(50*time.Minute, 10*time.Minute))
 	}
-	fmt.Println("\nsweeping the best-effort ablation pair (45 min window, 2 GiB machine)...")
+	fmt.Println("\nsweeping the best-effort ablation pair (50 min window, 2 GiB machine)...")
 	for _, sr := range compilegate.RunSweep(pair, 2) {
 		if sr.Err != nil {
 			panic(sr.Err)

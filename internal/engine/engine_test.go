@@ -112,12 +112,13 @@ func TestUniquifiedQueriesDefeatCache(t *testing.T) {
 
 func TestCompileOOMClassified(t *testing.T) {
 	srv, sched := testServer(t, func(c *Config) {
-		// Tiny machine with almost everything pinned: the first sizable
-		// compilation must fail with out-of-memory.
-		c.MemoryBytes = 40 * mem.MiB
-		c.FixedOverheadBytes = 30 * mem.MiB
+		// Tiny machine with almost everything pinned: 10 MiB up to the
+		// commit limit, less than a sizable compilation holds by its first
+		// best-effort poll, so the valve cannot save it from out-of-memory.
+		c.MemoryBytes = 16 * mem.MiB
+		c.FixedOverheadBytes = 14 * mem.MiB
 	})
-	// A heavy snowflake query -> compile memory far beyond 300 MiB.
+	// A heavy snowflake query -> compile memory far beyond 10 MiB.
 	w := workload.NewSales()
 	sched.Go("client", func(tk *vtime.Task) {
 		var sawOOM bool
@@ -128,7 +129,7 @@ func TestCompileOOMClassified(t *testing.T) {
 			}
 		}
 		if !sawOOM {
-			t.Error("no OOM on a 300 MiB machine")
+			t.Error("no OOM on a machine with 10 MiB to commit")
 		}
 		srv.Close()
 	})

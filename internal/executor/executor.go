@@ -14,7 +14,6 @@ import (
 	"compilegate/internal/catalog"
 	"compilegate/internal/errclass"
 	"compilegate/internal/freelist"
-	"compilegate/internal/lazyrand"
 	"compilegate/internal/mem"
 	"compilegate/internal/plan"
 	"compilegate/internal/storage"
@@ -563,9 +562,9 @@ func (op *execOp) scanExtents(n *plan.Node) []storage.ExtentKey {
 	}
 	if !op.seeded {
 		// Reseeding in place reproduces exactly the stream a new source
-		// would, and costs no more than the scans then draw.
+		// would.
 		if op.rng == nil {
-			op.rng = rand.New(lazyrand.New(op.seed))
+			op.rng = vtime.NewRand(op.seed)
 		} else {
 			op.rng.Seed(op.seed)
 		}

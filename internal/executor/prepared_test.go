@@ -23,7 +23,7 @@ func stmtSeed(sql string) int64 {
 // freshLists is the reference the replay path must reproduce: every scan
 // of p in execution order, drawn from a new source seeded with seed.
 func freshLists(e *env, p *plan.Plan, seed int64) [][]storage.ExtentKey {
-	rng := rand.New(rand.NewSource(seed))
+	rng := vtime.NewRand(seed)
 	var lists [][]storage.ExtentKey
 	for _, n := range appendPostorder(nil, p.Root) {
 		if n.Op == plan.OpSeqScan || n.Op == plan.OpIndexScan {

@@ -70,7 +70,7 @@ func FuzzFaultPlan(f *testing.F) {
 			Name:      "fuzz",
 			Clients:   3,
 			Horizon:   30 * time.Minute,
-			Warmup:    5 * time.Minute,
+			Warmup:    10 * time.Minute,
 			Throttled: seed%2 == 0,
 			Scale:     0.02,
 			Workload:  workload.SpecSales,
@@ -115,7 +115,7 @@ func FuzzClusterFaultPlan(f *testing.F) {
 			Name:      "fuzz-cluster",
 			Clients:   6,
 			Horizon:   30 * time.Minute,
-			Warmup:    5 * time.Minute,
+			Warmup:    10 * time.Minute,
 			Throttled: true,
 			Scale:     0.02,
 			Workload:  workload.SpecSales,

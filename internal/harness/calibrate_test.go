@@ -57,6 +57,7 @@ func TestCalibrateGrid(t *testing.T) {
 			o.Throttled = throttled
 			o.Seed = int64(gi%3) + 1
 			o.Engine = func(c *engine.Config) { *c = ecfg }
+			o = o.WithSlice(15 * time.Minute)
 			r, err := o.Run()
 			if err != nil {
 				t.Fatal(err)

@@ -18,9 +18,9 @@ import (
 	"compilegate/internal/workload"
 )
 
-// defaultsScenario is SALES on the uncalibrated machine (no engine
-// delta, so engine.DefaultConfig applies), with a compressed window for
-// test cost.
+// defaultsScenario is SALES on the uncalibrated machine (engine.DefaultConfig
+// but for the recorder's slice, which is the warm-up: every window here is
+// a whole number of those), with a compressed window for test cost.
 func defaultsScenario(name string, clients int, horizon, warmup time.Duration) scenario.Scenario {
 	return scenario.Scenario{
 		Name:        name,
@@ -32,7 +32,7 @@ func defaultsScenario(name string, clients int, horizon, warmup time.Duration) s
 		Warmup:      warmup,
 		Throttled:   true,
 		Seed:        1,
-	}
+	}.WithSlice(warmup)
 }
 
 // replicate runs an unpaired replication over the claim seeds.

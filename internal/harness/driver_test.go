@@ -1,7 +1,6 @@
 package harness_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -28,9 +27,9 @@ func referenceRun(sched *vtime.Scheduler, sub workload.Submitter, gen workload.G
 			submit := func(sql string) error {
 				return t.AwaitErr(func(errp *error, k vtime.Step) { sub.SubmitThen(t, sql, errp, k) })
 			}
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+			rng := vtime.NewRand(cfg.Seed + int64(i)*7919)
 			budget := cfg.RetryBudget
-			t.Sleep(time.Duration(i) * 250 * time.Millisecond)
+			t.Sleep(time.Duration(i) * min(250*time.Millisecond, cfg.Warmup/time.Duration(2*cfg.Clients)))
 			for t.Now() < cfg.Horizon {
 				sql := gen.Next(rng)
 				stats.Submitted++
@@ -86,9 +85,9 @@ func registered(t *testing.T, name string) scenario.Scenario {
 // engines' reports. The shapes cover what the state machine and the
 // continuation router and engine had to reproduce: the hit path, half-open
 // probes, failover hops, a crash landing on executions and compilations
-// in flight, both backoff drivers and the order of their PRNG draws, a
-// zero think time and client 0's zero-length stagger (each a yield, and
-// an event).
+// in flight, backoff with and without jitter and the order of the PRNG
+// draws, an arrival ramp squeezed into half a short warm-up, a zero think
+// time and client 0's zero-length stagger (each a yield, and an event).
 func TestContinuationClientsMatchBlockingReference(t *testing.T) {
 	oltp := func(clients int, horizon, think time.Duration) scenario.Scenario {
 		s := defaultsScenario("oltp", clients, horizon, horizon/2)
@@ -141,11 +140,13 @@ func TestContinuationClientsMatchBlockingReference(t *testing.T) {
 		}},
 		{"think time 0", oltp(4, time.Minute, 0), nil},
 		{"one client", oltp(1, 30*time.Second, time.Second), nil},
+		// 100 clients at 250 ms would still be arriving at 24.75 s.
+		{"ramp squeezed into half of a 15 s warm-up", oltp(100, 30*time.Second, time.Second), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			want, err := harness.RunOnWith(nil, tc.opts, referenceRun, nil)
+			want, err := harness.RunOnWith(nil, tc.opts, harness.Seams{Drive: referenceRun})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,10 +2,12 @@ package harness
 
 import "compilegate/internal/vtime"
 
-// RunOnWith is Scenario.RunOn with the client population spawned by drive
-// instead of workload.Run (the driver differential test) and, when snap is
-// not nil, with that snapshot in place of the process-wide shared one (the
-// fresh-snapshot differential test).
-func RunOnWith(sched *vtime.Scheduler, s Scenario, drive loadDriver, snap *Snapshot) (*Result, error) {
-	return s.run(sched, drive, snap)
+// Seams is what a test substitutes on the run path: the client driver (the
+// driver differential test), the snapshot (the fresh-snapshot differential
+// test), a tap on every node (the window conservation test).
+type Seams = seams
+
+// RunOnWith is Scenario.RunOn with test's substitutions.
+func RunOnWith(sched *vtime.Scheduler, s Scenario, test Seams) (*Result, error) {
+	return s.run(sched, test)
 }

@@ -20,7 +20,6 @@ import (
 	"compilegate/internal/cluster"
 	"compilegate/internal/engine"
 	"compilegate/internal/fault"
-	"compilegate/internal/lazyrand"
 	"compilegate/internal/metrics"
 	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
@@ -156,9 +155,19 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Completed) / window
 }
 
-// loadDriver is workload.Run's signature: what spawns the client
-// population. Tests substitute the blocking reference driver.
-type loadDriver func(*vtime.Scheduler, workload.Submitter, workload.Generator, workload.LoadConfig, func()) *workload.LoadStats
+// seams are what tests substitute on the one run path (export_test.go);
+// the zero value is the production run.
+type seams struct {
+	// Drive spawns the client population (nil: workload.Run). Tests
+	// substitute the blocking reference driver.
+	Drive func(*vtime.Scheduler, workload.Submitter, workload.Generator, workload.LoadConfig, func()) *workload.LoadStats
+	// Snap replaces the process-wide snapshot of the scenario's shape.
+	Snap *Snapshot
+	// Tap wraps each node as the router, a lone server's clients and the
+	// fault plane's storm queries submit to it, so a test sees every
+	// submission a recorder does.
+	Tap func(cluster.Node) cluster.Node
+}
 
 // run is the one run path. It builds the fleet — fleet() engine instances
 // in fixed order on one scheduler, sharing one immutable snapshot — puts
@@ -169,17 +178,13 @@ type loadDriver func(*vtime.Scheduler, workload.Submitter, workload.Generator, w
 // added to what a lone server would do. Determinism: node order is fixed
 // at construction, every router decision is a pure function of the
 // statement text and per-node counters, and all tasks live on the run's
-// single event loop. snap, when not nil, replaces the process-wide
-// snapshot of the scenario's shape.
-func (s Scenario) run(sched *vtime.Scheduler, drive loadDriver, snap *Snapshot) (*Result, error) {
+// single event loop.
+func (s Scenario) run(sched *vtime.Scheduler, test seams) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 
-	ecfg := engine.DefaultConfig()
-	if s.Engine != nil {
-		s.Engine(&ecfg)
-	}
+	ecfg := s.engineConfig()
 	ecfg.Throttle = s.Throttled
 	if !s.Throttled {
 		ecfg.DynamicThresholds = false
@@ -190,11 +195,15 @@ func (s Scenario) run(sched *vtime.Scheduler, drive loadDriver, snap *Snapshot) 
 		s.Load(&lcfg)
 	}
 	lcfg.Clients = s.Clients
-	lcfg.Horizon = s.Horizon
+	lcfg.Horizon, lcfg.Warmup = s.Horizon, s.Warmup
 	lcfg.Seed = s.Seed
 
+	snap, drive := test.Snap, test.Drive
 	if snap == nil {
 		snap = SnapshotFor(s.Workload, s.Scale)
+	}
+	if drive == nil {
+		drive = workload.Run
 	}
 	if sched == nil {
 		sched = vtime.NewScheduler()
@@ -208,13 +217,17 @@ func (s Scenario) run(sched *vtime.Scheduler, drive loadDriver, snap *Snapshot) 
 		}
 		nodes[i] = srv
 	}
-	var router *cluster.Router
-	var front workload.Submitter = nodes[0]
-	if len(nodes) > 1 {
-		routed := make([]cluster.Node, len(nodes))
-		for i, srv := range nodes {
-			routed[i] = srv
+	// routed is the fleet as submissions reach it.
+	routed := make([]cluster.Node, len(nodes))
+	for i, srv := range nodes {
+		routed[i] = srv
+		if test.Tap != nil {
+			routed[i] = test.Tap(srv)
 		}
+	}
+	var router *cluster.Router
+	var front workload.Submitter = routed[0]
+	if len(nodes) > 1 {
 		var err error
 		router, err = cluster.NewRouter(cluster.Config{
 			Policy: s.Router, Health: s.Health, Breaker: s.Breaker, FailoverHops: s.FailoverHops,
@@ -238,10 +251,10 @@ func (s Scenario) run(sched *vtime.Scheduler, drive loadDriver, snap *Snapshot) 
 	var faultStats *fault.Stats
 	if !s.Fault.Empty() {
 		heavy := heavyFor(gen)
-		stormRNG := rand.New(lazyrand.New(s.Fault.Seed))
+		stormRNG := vtime.NewRand(s.Fault.Seed)
 		surfaces := make([]fault.Surface, len(nodes))
 		for i, srv := range nodes {
-			surfaces[i] = surfaceFor(srv, heavy, stormRNG)
+			surfaces[i] = surfaceFor(srv, routed[i], heavy, stormRNG)
 		}
 		faultStats = fault.InjectCluster(sched, *s.Fault, surfaces)
 	}
@@ -275,9 +288,9 @@ func heavyFor(gen workload.Generator) func(*rand.Rand) string {
 }
 
 // surfaceFor wires one server's fault-plane hooks. Storm queries go to
-// the server directly (not through a router): the injection targets
-// that node.
-func surfaceFor(srv *engine.Server, heavy func(*rand.Rand) string, stormRNG *rand.Rand) fault.Surface {
+// the server directly (not through a router) — as sub, the server as
+// submissions reach it: the injection targets that node.
+func surfaceFor(srv *engine.Server, sub workload.Submitter, heavy func(*rand.Rand) string, stormRNG *rand.Rand) fault.Surface {
 	return fault.Surface{
 		SetDiskStall: srv.SetDiskFault,
 		Leak:         srv.LeakBallast,
@@ -285,7 +298,7 @@ func surfaceFor(srv *engine.Server, heavy func(*rand.Rand) string, stormRNG *ran
 		Crash:        srv.Crash,
 		Restart:      srv.Restart,
 		StormQuery: func(t *vtime.Task) error {
-			return srv.Submit(t, heavy(stormRNG))
+			return t.AwaitErr(func(errp *error, k vtime.Step) { sub.SubmitThen(t, heavy(stormRNG), errp, k) })
 		},
 	}
 }

@@ -27,7 +27,7 @@ func defaults(clients int) Scenario {
 }
 
 func quickOpts(clients int) Scenario {
-	return defaults(clients).WithWindow(30*time.Minute, 5*time.Minute)
+	return defaults(clients).WithWindow(30*time.Minute, 5*time.Minute).WithSlice(5 * time.Minute)
 }
 
 func TestRunValidation(t *testing.T) {
@@ -50,7 +50,7 @@ func TestRunProducesSeries(t *testing.T) {
 	if r.Completed == 0 {
 		t.Fatal("no completions")
 	}
-	wantSlices := int((o.Horizon - o.Warmup) / (10 * time.Minute))
+	wantSlices := int((o.Horizon - o.Warmup) / (5 * time.Minute))
 	if len(r.Series) != wantSlices {
 		t.Fatalf("series has %d slices, want %d", len(r.Series), wantSlices)
 	}
@@ -110,7 +110,6 @@ func TestWorkloadSelection(t *testing.T) {
 		o := quickOpts(4)
 		o.Workload = wl
 		o.Horizon = 20 * time.Minute
-		o.Warmup = 2 * time.Minute
 		r, err := o.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", wl, err)

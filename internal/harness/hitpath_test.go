@@ -17,7 +17,7 @@ import (
 // compilations, not by the clients or the queries.
 func TestCoroutinesFollowCompilations(t *testing.T) {
 	const clients = 200
-	o := defaults(clients).WithWindow(10*time.Minute, 5*time.Minute)
+	o := defaults(clients).WithWindow(10*time.Minute, 5*time.Minute).WithSlice(5 * time.Minute)
 	o.Workload = workload.SpecOLTP
 	o.Nodes = 2
 	o.Load = func(l *workload.LoadConfig) { l.ThinkTime = 5 * time.Second }

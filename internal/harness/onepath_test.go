@@ -5,9 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"compilegate/internal/cluster"
 	"compilegate/internal/harness"
 	"compilegate/internal/scenario"
-	"compilegate/internal/workload"
+	"compilegate/internal/vtime"
 )
 
 // quickWindow compresses a long scenario the way cmd/figures -quick and the
@@ -71,11 +72,66 @@ func TestFreshSnapshotMatchesShared(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := harness.RunOnWith(nil, s, workload.Run, harness.NewSnapshot(s.Workload, s.Scale))
+			fresh, err := harness.RunOnWith(nil, s, harness.Seams{Snap: harness.NewSnapshot(s.Workload, s.Scale)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			diffResults(t, "shared snapshot", shared, "fresh snapshot", fresh)
+		})
+	}
+}
+
+// windowTap counts, at every node, the submissions that come back completed
+// at a time inside [from, to). A statement's outcome reaches its caller in
+// the step that records it, so that is the recorder's RecordCompletion calls
+// with t in the window — counted where they happen, not read back from
+// slices.
+type windowTap struct {
+	cluster.Node
+	from, to time.Duration
+	n        *int64
+}
+
+func (w windowTap) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step) {
+	w.Node.SubmitThen(t, sql, errp, vtime.StepFunc(func(t *vtime.Task) {
+		if now := t.Now(); *errp == nil && now >= w.from && now < w.to {
+			*w.n++
+		}
+		k.Run(t)
+	}))
+}
+
+// TestWindowCountsWhatHappenedInIt holds every registered scenario to its
+// declared window: the series sums to Completed, and Completed is the
+// number of completions that happened in [Warmup, Horizon) — on every node,
+// storm queries included — so Throughput() divides what the window held by
+// the window's length.
+func TestWindowCountsWhatHappenedInIt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short")
+	}
+	for _, s := range scenario.All() {
+		s := quickWindow(s)
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			var happened int64
+			r, err := harness.RunOnWith(nil, s, harness.Seams{Tap: func(n cluster.Node) cluster.Node {
+				return windowTap{n, s.Warmup, s.Horizon, &happened}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var series int64
+			for _, p := range r.Series {
+				series += p.V
+			}
+			if happened == 0 || series != r.Completed || r.Completed != happened {
+				t.Errorf("window [%v, %v): series sums to %d, Completed %d, %d completions happened in it",
+					s.Warmup, s.Horizon, series, r.Completed, happened)
+			}
+			if want := float64(happened) / (s.Horizon - s.Warmup).Hours(); r.Throughput() != want {
+				t.Errorf("Throughput() %v, %d completions in %v are %v an hour", r.Throughput(), happened, s.Horizon-s.Warmup, want)
+			}
 		})
 	}
 }

@@ -34,7 +34,9 @@ type Scenario struct {
 
 	// Horizon/Warmup bound the measurement window: clients submit until
 	// Horizon, measurements start at Warmup, as §5.2 does ("the data
-	// starts at an intermediate time index").
+	// starts at an intermediate time index"). Both are whole multiples of
+	// the recorder's slice (engine.Config.SliceDur, 10 minutes unless
+	// Engine sets it), so the slices counted are exactly the window.
 	Horizon time.Duration
 	Warmup  time.Duration
 
@@ -82,6 +84,16 @@ type Scenario struct {
 // fleet is the number of engine instances the scenario runs on.
 func (s Scenario) fleet() int { return max(s.Nodes, 1) }
 
+// engineConfig is the default server config with the scenario's Engine
+// delta applied.
+func (s Scenario) engineConfig() engine.Config {
+	cfg := engine.DefaultConfig()
+	if s.Engine != nil {
+		s.Engine(&cfg)
+	}
+	return cfg
+}
+
 // Validate reports whether the scenario describes a runnable experiment.
 // Every run starts here, and nothing downstream re-checks or defaults a
 // field.
@@ -100,6 +112,15 @@ func (s Scenario) Validate() error {
 	}
 	if s.Horizon <= 0 || s.Warmup < 0 || s.Warmup >= s.Horizon {
 		return fmt.Errorf("scenario %s: window [%v, %v)", s.Name, s.Warmup, s.Horizon)
+	}
+	// The recorder counts completions per slice, so a window that cuts a
+	// slice would count completions outside it or drop some inside.
+	slice := s.engineConfig().SliceDur
+	if slice <= 0 {
+		slice = engine.DefaultConfig().SliceDur
+	}
+	if s.Warmup%slice != 0 || s.Horizon%slice != 0 {
+		return fmt.Errorf("scenario %s: window [%v, %v) is not made of whole %v recorder slices", s.Name, s.Warmup, s.Horizon, slice)
 	}
 	if s.Nodes < 0 {
 		return fmt.Errorf("scenario %s: nodes = %d", s.Name, s.Nodes)
@@ -137,7 +158,7 @@ func (s Scenario) Run() (*Result, error) {
 // so back-to-back runs reuse its run queue, timer wheel, and task slab;
 // results are bit-identical either way.
 func (s Scenario) RunOn(sched *vtime.Scheduler) (*Result, error) {
-	return s.run(sched, workload.Run, nil)
+	return s.run(sched, seams{})
 }
 
 // Baseline returns the unthrottled twin of the scenario — the
@@ -154,6 +175,20 @@ func (s Scenario) Baseline() Scenario {
 // of the configuration.
 func (s Scenario) WithWindow(horizon, warmup time.Duration) Scenario {
 	s.Horizon, s.Warmup = horizon, warmup
+	return s
+}
+
+// WithSlice returns a copy whose recorder counts completions in slices of
+// d instead of the default 10 minutes, on top of the scenario's Engine
+// delta — for a window that is not made of whole 10-minute slices.
+func (s Scenario) WithSlice(d time.Duration) Scenario {
+	delta := s.Engine
+	s.Engine = func(c *engine.Config) {
+		if delta != nil {
+			delta(c)
+		}
+		c.SliceDur = d
+	}
 	return s
 }
 

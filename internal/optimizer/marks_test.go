@@ -38,9 +38,8 @@ func playBothWays(t *testing.T, o *Optimizer, q *plan.Query, history []spanScrip
 // player: moving to the kernel's mark and running the batch's boundary there
 // is indistinguishable from walking the batch — on a fresh exploration, on a
 // tape an earlier compilation left shorter or longer than this one needs,
-// with a budget that ends on a batch boundary and one that does not, with a
-// search space that ends inside a batch, and across the inner-step
-// divergence, where the compilation leaves the tape it was jumping on.
+// with a budget that ends on a batch boundary and one that does not, and with
+// a search space that ends inside a batch.
 func TestJumpsMatchWalking(t *testing.T) {
 	o, stmts := spanStatements(t)
 	batch := o.cfg.WorkBatch
@@ -113,23 +112,6 @@ func TestJumpsMatchWalking(t *testing.T) {
 	}
 	if midBatch == 0 {
 		t.Error("no star query ran out of search space inside a batch past its first")
-	}
-
-	// The inner-step divergence (TestBestEffortAtInnerStepKeepsExploring's
-	// statement): the poll that fires at an inner step is reached by a jump,
-	// its stop is forgotten, and the rest is walked on a private run.
-	q, diverged := snowQuery(), 0
-	for poll := 1; poll <= 8; poll++ {
-		for _, history := range [][]spanScript{nil, {{failAt: 100}}, {{}}} {
-			_, g := playBothWays(t, small, q, history, spanScript{bePoll: poll})
-			if g.polls > poll && history == nil {
-				diverged++
-			}
-			playBothWays(t, small, q, history, spanScript{bePoll: poll, failAt: 64 * (poll + 2)})
-		}
-	}
-	if diverged == 0 {
-		t.Error("no poll up to 8 landed on an inner step")
 	}
 }
 

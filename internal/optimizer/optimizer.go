@@ -159,8 +159,7 @@ func New(est *stats.Estimator, cfg Config) *Optimizer {
 const (
 	segExprs uint16 = 1<<13 - 1 // mask: expressions added to existing groups
 	segGroup uint16 = 1 << 13   // then a group was created, and its first expression
-	segInner uint16 = 1 << 14   // then: the associate rule derived a new inner expression
-	segOuter uint16 = 1 << 15   // then: one expression's rules are done
+	segStep  uint16 = 1 << 14   // then a step: a new inner expression of the associate rule, or the end of one expression's rules
 )
 
 // batchMark is where the tape stood when the kernel took a step that made
@@ -216,12 +215,6 @@ type run struct {
 	g          memo.GroupID
 	progressed bool
 	toMark     int
-	// cuts is empty on every run but a private one (see rederive): the
-	// tape positions, ascending, at which the associate rule drops the rest
-	// of its expression's alternatives right after taping segInner. The
-	// kernel has passed the first nextCut of them.
-	cuts    []int
-	nextCut int
 
 	// The extraction DP's tables, borrowed from dpPool between solve and
 	// unsolve, and buildInitial scratch.
@@ -257,7 +250,6 @@ func (o *Optimizer) getRun(q *plan.Query) *run {
 	}
 	r.marks = r.marks[:0]
 	r.g, r.progressed, r.toMark = 0, false, o.cfg.WorkBatch
-	r.cuts, r.nextCut = r.cuts[:0], 0
 	return r
 }
 
@@ -377,6 +369,9 @@ func (p *player) step() bool {
 // the Work callback and polls BestEffort. Whatever comes next starts a new
 // span.
 func (p *player) boundary() bool {
+	if p.bestEffort {
+		panic("optimizer: a compilation went on after its best-effort stop")
+	}
 	if !p.settle() {
 		return true
 	}
@@ -423,13 +418,13 @@ func (p *player) settle() bool {
 var jumps = true
 
 // jump moves a player that stands at the start of a deferred span over the
-// whole work batch ahead of it, and reports whether it did. The player must
-// be on the exploration's own tape r, having taken every step of the tape so
-// far exactly once, so that worked/batch batches lie behind it and the
-// kernel's next mark is its cursor after the batch's last step — whose
-// boundary the caller runs next. It stays put when the batch would cross the
-// budget (the walk finds the step that exhausts it) or when the search space
-// ends before the batch does (no mark: the walk finds the end).
+// whole work batch ahead of it, and reports whether it did. The player has
+// taken every step of the tape so far exactly once, so worked/batch batches
+// lie behind it and the kernel's next mark is its cursor after the batch's
+// last step — whose boundary the caller runs next. It stays put when the
+// batch would cross the budget (the walk finds the step that exhausts it) or
+// when the search space ends before the batch does (no mark: the walk finds
+// the end).
 func (p *player) jump(r *run) bool {
 	if p.worked+p.batch > p.budget || !jumps {
 		return false
@@ -453,11 +448,12 @@ func (p *player) jump(r *run) bool {
 // by segment, except that a span it can settle in one call and that is a
 // whole work batch is passed in one move to the kernel's mark, whose
 // boundary then either settles it or sends the player back to walk it.
-// Where it stops — a failed charge, the budget, best-effort, or the end of
-// the search space — it extracts the plan from the memo prefix at its
-// cursor, so a kernel that ran ahead, or a tape left by a longer earlier
-// attempt, changes nothing. Errors are query errors (validation, on the
-// first compilation only) or come from the Charge hook.
+// It stops at a failed charge, at the first step that exhausts the budget
+// or has best-effort answer true, or at the end of the search space — always
+// a prefix of the statement's one tape — and extracts the plan from the memo
+// prefix at its cursor, so a kernel that ran ahead, or a tape left by a
+// longer earlier attempt, changes nothing. Errors are query errors
+// (validation, on the first compilation only) or come from the Charge hook.
 func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 	o := x.o
 	if x.r == nil {
@@ -468,8 +464,6 @@ func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 		x.r = r
 	}
 	r := x.r
-	private := false // r is this compilation's alone: it has left the canonical tape
-	var cuts []int   // where it did
 	cfg := &o.cfg
 	p := player{hooks: hooks, budget: o.effortBudget(r.initialCost), batch: cfg.WorkBatch}
 	p.startSpan()
@@ -477,98 +471,60 @@ func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 	charge := hooks.Charge
 play:
 	for {
-		var seg uint16 // the segment whose step said stop
-		if p.deferring && p.pos == p.mark.pos && !private && p.jump(r) {
+		if p.deferring && p.pos == p.mark.pos && p.jump(r) {
 			// The batch's last step, as step takes it.
-			if p.boundary() {
-				continue
+			if !p.boundary() {
+				break
 			}
-			seg = r.tape[p.pos-1]
-		} else {
-			if p.pos == len(r.tape) && !r.advance() {
-				if p.settle() {
-					break // the end of the search space
-				}
-				continue // the last span was refused: play it again from mark
+			continue
+		}
+		if p.pos == len(r.tape) && !r.advance() {
+			if p.settle() {
+				break // the end of the search space
 			}
-			seg = r.tape[p.pos]
-			p.pos++
-			n, group := int(seg&segExprs), 0
-			if seg&segGroup != 0 {
-				group = 1
-			}
-			if charge != nil && !p.deferring {
-				for i := 0; i < n; i++ {
-					if err = charge(cfg.Memo.BytesPerExpr); err != nil {
-						break play
-					}
-				}
-				if group != 0 {
-					if err = charge(cfg.Memo.BytesPerGroup); err != nil {
-						break play
-					}
-					if err = charge(cfg.Memo.BytesPerExpr); err != nil {
-						break play
-					}
+			continue // the last span was refused: play it again from mark
+		}
+		seg := r.tape[p.pos]
+		p.pos++
+		n, group := int(seg&segExprs), 0
+		if seg&segGroup != 0 {
+			group = 1
+		}
+		if charge != nil && !p.deferring {
+			for i := 0; i < n; i++ {
+				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
+					break play
 				}
 			}
-			p.exprs += n + group
-			p.groups += group
-			if seg&(segInner|segOuter) == 0 || p.step() {
-				continue
+			if group != 0 {
+				if err = charge(cfg.Memo.BytesPerGroup); err != nil {
+					break play
+				}
+				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
+					break play
+				}
 			}
 		}
-		// A stop at the inner step leaves the associate rule at once and
-		// lets the loop over expressions take its own step.
-		if seg&segOuter != 0 || !p.step() {
+		p.exprs += n + group
+		p.groups += group
+		if seg&segStep != 0 && !p.step() {
 			break
 		}
-		// That second step forgot the stop (ROADMAP item 4: best-effort
-		// answers true once): exploration goes on without the rest of this
-		// expression's alternatives — a trajectory that is not a prefix of
-		// the tape, whose kernel has derived them already. The compilation
-		// finishes on a private run, explored hook-free up to here with the
-		// same cut (and any earlier ones). The stop settled the span before
-		// it, so the next one begins here, on the private tape.
-		cuts = append(cuts, p.pos)
-		if private {
-			o.putRun(r)
-		}
-		r, private = o.rederive(x.q, cuts), true
-		p.startSpan()
+	}
+	if p.tasks > p.budget {
+		panic("optimizer: a compilation took more tasks than its budget")
 	}
 	if n := p.tasks - p.worked; hooks.Work != nil && n > 0 {
 		hooks.Work(n)
 	}
-	var out *plan.Plan
-	if err == nil {
-		out = r.extract(p.groups, p.exprs)
-		out.BestEffort = p.bestEffort
-		out.ExprsExplored = p.exprs
-		out.CompileBytes = cfg.Memo.Bytes(p.groups, p.exprs)
-	}
-	if private {
-		o.putRun(r)
-	}
-	return out, err
-}
-
-// rederive explores q hook-free on a fresh run up to the last of cuts,
-// giving up the associate rule's expression at each of them: the memo a
-// compilation holds that had its inner-step stop forgotten there.
-func (o *Optimizer) rederive(q *plan.Query, cuts []int) *run {
-	r, err := o.open(q)
 	if err != nil {
-		panic(fmt.Sprintf("optimizer: re-deriving an explored statement: %v", err))
+		return nil, err
 	}
-	r.cuts = append(r.cuts, cuts...)
-	pos := cuts[len(cuts)-1]
-	for len(r.tape) < pos && r.advance() {
-	}
-	if len(r.tape) != pos || r.nextCut != len(r.cuts) {
-		panic("optimizer: exploration is not a function of the statement")
-	}
-	return r
+	out := r.extract(p.groups, p.exprs)
+	out.BestEffort = p.bestEffort
+	out.ExprsExplored = p.exprs
+	out.CompileBytes = cfg.Memo.Bytes(p.groups, p.exprs)
+	return out, nil
 }
 
 func (o *Optimizer) effortBudget(cost float64) int {
@@ -790,7 +746,7 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 	m := r.m
 	e := m.Expr(id)
 	if e.Kind != memo.KindJoin {
-		r.tapeStep(segOuter)
+		r.tapeStep(segStep)
 		return
 	}
 	l, rt := e.L, e.R
@@ -808,7 +764,7 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 		}
 	}
 	if !assoc {
-		r.tapeStep(added | segOuter)
+		r.tapeStep(added | segStep)
 		return
 	}
 
@@ -825,7 +781,7 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 			continue // would introduce a cross product
 		}
 		inner, ok := m.GroupBySet(bg.Set | rtSet)
-		step := segInner
+		step := segStep
 		if ok {
 			if m.AddJoinInto(inner, b, rt) != memo.NoExpr {
 				added = r.count(added)
@@ -839,16 +795,12 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 		if step != 0 {
 			r.tapeStep(added | step)
 			added = 0
-			if r.nextCut < len(r.cuts) && len(r.tape) == r.cuts[r.nextCut] {
-				r.nextCut++
-				return // the compilation's own second step stands in for segOuter
-			}
 		}
 		if m.AddJoinInto(g, a, inner) != memo.NoExpr {
 			added = r.count(added)
 		}
 	}
-	r.tapeStep(added | segOuter)
+	r.tapeStep(added | segStep)
 }
 
 // tapeStep tapes a segment that ends in a step, and marks the tape where the

@@ -324,87 +324,39 @@ func TestOptimizerSpeed(t *testing.T) {
 	}
 }
 
-// TestBestEffortAtInnerStepKeepsExploring pins a defect, on purpose.
-// When the §4.1 valve fires on a poll that lands on the associate rule's
-// inner step (`if added && !r.step() { return nil }`), applyRules returns
-// nil and explore calls step() a second time; BestEffort answers true once
-// per compilation, so that second call sees only `tasks < budget` and
-// exploration runs on to the full budget with the plan already flagged
-// best-effort: the valve fired, the engine skips the codegen ramp, but the
-// memo kept growing under predicted exhaustion. (A poll that lands on
-// explore's own step stops at once, which is the intended behaviour.)
-// Fixing it changes every best-effort compilation's trajectory, so it
-// waits for the batched golden re-record (ROADMAP item 4); that re-record
-// deletes this test. Until then a kernel change must reproduce the
-// behaviour exactly — testdata/trajectory.golden's best-effort cases pin
-// the precise event streams.
-func TestBestEffortAtInnerStepKeepsExploring(t *testing.T) {
+// TestBestEffortStopsAtTheFirstStep is §4.1's valve at the optimizer's
+// boundary: once BestEffort answers true the compilation returns the best
+// plan so far — whether the poll landed on the associate rule's inner step
+// or on the end of an expression — so the hook is never polled again, and
+// no compilation, cut or not, reports more tasks than its budget.
+func TestBestEffortStopsAtTheFirstStep(t *testing.T) {
 	_, o := salesEnv()
-	observe := func(firePoll int) (p *plan.Plan, work, pollsAfterFire int) {
-		polls := 0
-		p, err := o.Optimize(snowQuery(), Hooks{
-			Work: func(n int) { work += n },
-			BestEffort: func() bool {
-				polls++
-				if polls > firePoll {
-					pollsAfterFire++
-				}
-				return polls == firePoll
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p, work, pollsAfterFire
-	}
-	// The budget, as Optimize derives it. A run that uses it up reports
-	// budget tasks, or budget+1 when the last task is an inner step: its
-	// false return is followed by explore's own step(), so that task is
-	// counted twice — the same double call, seen from the budget side.
 	initial, err := o.EstimateInitialCost(snowQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := min(o.cfg.MinTasks+int(initial*o.cfg.EffortPerCost), o.cfg.MaxTasks)
-	usedUp := func(work int) bool { return work == budget || work == budget+1 }
-
-	full, fullWork, _ := observe(0)
-	if full.BestEffort {
-		t.Fatal("a hook that never fires produced a best-effort plan")
-	}
-	if !usedUp(fullWork) {
-		t.Fatalf("the uncut run reported %d tasks, want the budget %d (the query must be budget-bound)", fullWork, budget)
-	}
-
-	var sawOuter bool
-	for firePoll := 1; ; firePoll++ {
-		p, work, after := observe(firePoll)
-		if !p.BestEffort {
-			t.Fatalf("no poll up to %d landed on an inner step", firePoll)
+	budget := o.effortBudget(initial)
+	for firePoll := 0; firePoll <= 8; firePoll++ { // 0: never fires
+		polls, work := 0, 0
+		p, err := o.Optimize(snowQuery(), Hooks{
+			Work:       func(n int) { work += n },
+			BestEffort: func() bool { polls++; return polls == firePoll },
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if after == 0 {
-			// The poll landed on explore's own step: exploration stopped
-			// where the valve fired.
-			sawOuter = true
-			if work >= budget {
-				t.Fatalf("poll %d: stopped at the valve yet reported %d tasks of %d", firePoll, work, budget)
+		if work > budget {
+			t.Errorf("poll %d: %d tasks reported, budget %d", firePoll, work, budget)
+		}
+		if firePoll == 0 {
+			if p.BestEffort || work != budget {
+				t.Fatalf("uncut: best-effort %t, %d tasks, want the whole budget %d (the query must be budget-bound)", p.BestEffort, work, budget)
 			}
 			continue
 		}
-		// The poll landed on the inner step: the stop was forgotten.
-		if !usedUp(work) {
-			t.Errorf("poll %d: %d tasks reported, want the whole budget %d", firePoll, work, budget)
+		if !p.BestEffort || polls != firePoll || work != firePoll*o.cfg.WorkBatch {
+			t.Errorf("poll %d: best-effort %t after %d polls and %d tasks, want a stop at that poll", firePoll, p.BestEffort, polls, work)
 		}
-		if p.ExprsExplored*10 < full.ExprsExplored*9 {
-			t.Errorf("poll %d: explored %d expressions, want about the uncut run's %d",
-				firePoll, p.ExprsExplored, full.ExprsExplored)
-		}
-		t.Logf("valve fired at poll %d (inner step) and was polled %d more times; %d of %d expressions explored",
-			firePoll, after, p.ExprsExplored, full.ExprsExplored)
-		break
-	}
-	if !sawOuter {
-		t.Log("every poll before it landed on an inner step")
 	}
 }
 
@@ -451,7 +403,7 @@ func TestSegmentCountSpills(t *testing.T) {
 	if n != 1 || len(r.tape) != 1 || r.tape[0] != segExprs {
 		t.Fatalf("count(full) = %d, tape %v; want 1 and one stepless segment of %d expressions", n, r.tape, segExprs)
 	}
-	if r.tape[0]&(segGroup|segInner|segOuter) != 0 {
+	if r.tape[0]&(segGroup|segStep) != 0 {
 		t.Fatalf("the spilled segment %#x carries a flag", r.tape[0])
 	}
 }

@@ -192,59 +192,3 @@ func TestSpanChargingMatchesPerStructure(t *testing.T) {
 		t.Logf("%s: %d spans settled at once, %d replayed", name, settled, replayed)
 	}
 }
-
-// TestSpanChargingThroughDivergence is the same contract across the one
-// trajectory that leaves the tape: best-effort firing on a poll that lands on
-// the associate rule's inner step, whose stop is forgotten, so the
-// compilation moves to a private run in the middle of its tape
-// (TestBestEffortAtInnerStepKeepsExploring). Trips are placed at every
-// structure of the batches around the move, for the first two such polls.
-func TestSpanChargingThroughDivergence(t *testing.T) {
-	o, stmts := spanStatements(t)
-	for name, q := range stmts {
-		diverged := 0
-		for poll := 1; poll <= 6 && diverged < 2; poll++ {
-			base, g := spanScript{bePoll: poll}.play(t, o, q, nil, false)
-			if g.polls == poll {
-				continue // the stop held: an outer step
-			}
-			diverged++
-			// The structure count when the poll fired.
-			var fired int
-			for _, line := range strings.Split(base, "\n") {
-				if strings.HasPrefix(line, fmt.Sprintf("poll %d ", poll)) {
-					fmt.Sscanf(line[strings.Index(line, "structures="):], "structures=%d", &fired)
-				}
-			}
-			for at := max(fired-70, 1); at <= fired+140; at++ {
-				for _, sc := range []spanScript{
-					{bePoll: poll, gateAt: at},
-					{bePoll: poll, failAt: at},
-					{bePoll: poll, limit: int64(at) * o.cfg.Memo.BytesPerExpr},
-				} {
-					histories := [][]spanScript{nil}
-					if at%5 == 0 { // on a shorter tape, and on a complete one
-						histories = append(histories, []spanScript{{failAt: fired / 2}}, []spanScript{{}})
-					}
-					for _, history := range histories {
-						var logs [2]string
-						for i, spans := range []bool{true, false} {
-							e := o.Explore(q)
-							for _, h := range history {
-								h.play(t, o, q, &e, spans)
-							}
-							logs[i], _ = sc.play(t, o, q, &e, spans)
-							e.Release()
-						}
-						if logs[0] != logs[1] {
-							t.Fatalf("%s %+v after %+v: %s", name, sc, history, firstDiff(logs[0], logs[1]))
-						}
-					}
-				}
-			}
-		}
-		if diverged == 0 {
-			t.Errorf("%s: no poll up to 6 landed on an inner step", name)
-		}
-	}
-}

@@ -114,7 +114,6 @@ type trajectoryScript struct {
 	nilHooks bool // pass Hooks{}: the nil-callback branches
 	capped   bool // optimizer with MaxTasks 200
 	bePoll   int  // BestEffort answers true at this poll (1-based), once
-	beFrom   int  // BestEffort answers true at every poll from this one on
 	failAt   int  // Charge fails at this charge (1-based)
 }
 
@@ -145,14 +144,13 @@ func trajectoryLine(s trajectoryStmt, sc trajectoryScript) string {
 // next script relative to it.
 type trajectoryCounts struct {
 	charges, polls int
-	pollsAfterFire int // > 0: the best-effort stop was forgotten (inner step)
 }
 
 // trajectoryRun is trajectoryLine on the exploration x, or on a fresh one
 // when x is nil.
 func trajectoryRun(s trajectoryStmt, sc trajectoryScript, x *Exploration) (string, trajectoryCounts) {
 	events := fnv.New64a()
-	var nEvents, charges, polls, pollsAfterFire int
+	var nEvents, charges, polls int
 	event := func(kind byte, v int64) {
 		nEvents++
 		fmt.Fprintf(events, "%c%d\n", kind, v)
@@ -169,10 +167,7 @@ func trajectoryRun(s trajectoryStmt, sc trajectoryScript, x *Exploration) (strin
 		Work: func(k int) { event('w', int64(k)) },
 		BestEffort: func() bool {
 			polls++
-			if first := max(sc.bePoll, sc.beFrom); first > 0 && polls > first {
-				pollsAfterFire++
-			}
-			fire := polls == sc.bePoll || (sc.beFrom > 0 && polls >= sc.beFrom)
+			fire := polls == sc.bePoll
 			if fire {
 				event('b', 1)
 			} else {
@@ -195,7 +190,7 @@ func trajectoryRun(s trajectoryStmt, sc trajectoryScript, x *Exploration) (strin
 	} else {
 		p, err = opt.Optimize(s.q, hooks)
 	}
-	counts := trajectoryCounts{charges, polls, pollsAfterFire}
+	counts := trajectoryCounts{charges, polls}
 	head := fmt.Sprintf("%s %s events=%d/%016x", s.name, sc.name, nEvents, events.Sum64())
 	if err != nil {
 		return fmt.Sprintf("%s error=%v", head, err), counts
@@ -264,64 +259,6 @@ func TestRetainedTrajectoriesMatchFresh(t *testing.T) {
 	}
 }
 
-// TestRetainedDivergenceMatchesFresh covers the one trajectory that is not
-// a prefix of the tape: best-effort firing on a poll that lands on the
-// associate rule's inner step, whose stop is forgotten (ROADMAP item 4), so
-// the compilation explores on without the rest of that expression's
-// alternatives. It must finish on a private run re-derived to the cut,
-// whether the exploration's tape is complete, ends before the cut or is
-// brand new, and leave the exploration as it was: the compilation, and
-// every later one on the exploration, matches a fresh one.
-func TestRetainedDivergenceMatchesFresh(t *testing.T) {
-	complete := trajectoryScript{name: "observe"}
-	histories := []trajectoryScript{
-		complete,
-		{name: "chargefail@30", failAt: 30},
-		{name: "nothing", failAt: 1},
-	}
-	diverged := make([]int, len(histories))
-	for i, s := range trajectoryCorpus(t) {
-		if i%3 != 0 {
-			continue // every third statement still covers all templates and chains
-		}
-		wantAll, all := trajectoryRun(s, complete, nil)
-		for poll := 1; poll <= all.polls && poll <= 12; poll++ {
-			sc := trajectoryScript{name: fmt.Sprintf("besteffort@%d", poll), bePoll: poll}
-			want, wc := trajectoryRun(s, sc, nil)
-			for h, first := range histories {
-				x := s.opt.Explore(s.q)
-				trajectoryRun(s, first, &x)
-				before, tape := x.r, len(x.r.tape)
-				got, c := trajectoryRun(s, sc, &x)
-				if got != want {
-					t.Errorf("after %s:\n   got %s\n fresh %s", first.name, got, want)
-				}
-				if c.pollsAfterFire != wc.pollsAfterFire {
-					t.Errorf("%s after %s: polled %d times after firing, fresh %d", sc.name, first.name, c.pollsAfterFire, wc.pollsAfterFire)
-				}
-				if x.r != before || len(x.r.tape) < tape || len(x.r.cuts) != 0 {
-					t.Errorf("%s %s after %s: the compilation disturbed the exploration's run", s.name, sc.name, first.name)
-				}
-				// Polls after the one that fired prove the stop was forgotten.
-				// (A divergence that ends before its next poll goes uncounted.)
-				if c.pollsAfterFire > 0 {
-					diverged[h]++
-				}
-				if got, _ := trajectoryRun(s, complete, &x); got != wantAll {
-					t.Errorf("after %s, %s:\n   got %s\n fresh %s", first.name, sc.name, got, wantAll)
-				}
-				x.Release()
-			}
-		}
-	}
-	for h, n := range diverged {
-		if n == 0 {
-			t.Errorf("no divergence seen after %q; the corpus must reach it", histories[h].name)
-		}
-	}
-	t.Logf("divergences by history %v", diverged)
-}
-
 // TestTrajectoryGolden is the unit-level form of the kernel's exactness
 // contract: for every statement of the corpus under every hook script,
 // the same Charge/Work/BestEffort calls in the same order with the same
@@ -366,38 +303,5 @@ func TestTrajectoryGolden(t *testing.T) {
 			t.Errorf("line %d:\n   got %s\n  want %s", i+1, gotLines[i], wantLines[i])
 			shown++
 		}
-	}
-}
-
-// stickyDigest is the FNV-1a hash of the lines TestStickyBestEffortDigest
-// renders, recorded with the PR 14 kernel (the fused explore loop) and
-// byte-identical under the kernel/player split.
-const stickyDigest = "896689607300ccd2"
-
-// TestStickyBestEffortDigest pins the trajectory the golden file's scripts
-// cannot reach: a BestEffort hook that keeps answering true, as a test or
-// a future governor may. Every poll from the first true on stops the
-// step, and each of those that lands on the associate rule's inner step is
-// forgotten in turn (ROADMAP item 4), so one compilation leaves the
-// canonical trajectory several times — the player re-derives with every
-// cut so far. Re-record (from the failure message) only together with
-// trajectory.golden.
-func TestStickyBestEffortDigest(t *testing.T) {
-	all := fnv.New64a()
-	reached := 0
-	for _, s := range trajectoryCorpus(t) {
-		for _, from := range []int{1, 2, 5} {
-			line, c := trajectoryRun(s, trajectoryScript{name: fmt.Sprintf("besteffort>=%d", from), beFrom: from}, nil)
-			fmt.Fprintln(all, line)
-			if c.pollsAfterFire >= 2 {
-				reached++
-			}
-		}
-	}
-	if reached == 0 {
-		t.Error("no compilation had two stops forgotten; the corpus must reach repeated divergence")
-	}
-	if got := fmt.Sprintf("%016x", all.Sum64()); got != stickyDigest {
-		t.Errorf("sticky best-effort digest = %s, want %s", got, stickyDigest)
 	}
 }

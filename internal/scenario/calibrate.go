@@ -270,8 +270,9 @@ func (c Calibration) cellScenario(k PressureKnobs, clients int, seed int64) Scen
 	s.Description = fmt.Sprintf("calibration cell %s at %d clients, seed %d", k.Name, clients, seed)
 	s.Horizon, s.Warmup = c.Horizon, c.Warmup
 	s.Seed = seed
-	s.Engine = func(cfg *engine.Config) { k.Apply(cfg) }
-	return s
+	s.Engine = k.Apply
+	// The grid's 45- and 15-minute warm-ups are whole 5-minute slices.
+	return s.WithSlice(5 * time.Minute)
 }
 
 // scenarios expands the grid into throttled/baseline scenario pairs in a

@@ -111,7 +111,9 @@ func TestClaimThrashShedThroughputMargin(t *testing.T) {
 // streak behind each breaker keeps resetting — the router must never
 // find itself with zero admitting nodes. A breaker design that tripped
 // the whole fleet open under correlated stress would fail this at the
-// first seed.
+// first seed. The completions band is the one PR 10 fitted, [600, 900],
+// scaled by 65/60: it was fitted when the recorder counted 60 of the
+// declared window's 65 minutes (EXPERIMENTS.md, "The one golden break").
 func TestClaimStormDoesNotTripFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
@@ -129,7 +131,7 @@ func TestClaimStormDoesNotTripFleet(t *testing.T) {
 	}.Assert(t, rep)
 	ClaimBand{
 		Claim:  "cluster-compile-storm: the stormed fleet keeps completing work",
-		Metric: MetricCompleted, Lo: 600, Hi: 900,
+		Metric: MetricCompleted, Lo: 650, Hi: 975,
 	}.Assert(t, rep)
 }
 

@@ -8,12 +8,22 @@ import (
 
 // The paper-claim tests below assert distributions, not draws: every
 // claim replicates its scenario over ClaimSeeds() (5 by default; PR CI
-// narrows to 3 through CLAIMS_SEEDS) at the paper's full 8 h window
+// narrows to 3 through CLAIMS_SEEDS; generator-sensitive claims keep at
+// least 10, see generatorSensitive) at the paper's full 8 h window
 // measured from 3 h, and holds only when the bootstrap confidence
 // interval of the metric sits inside the claimed band. Compressed
 // windows are deliberately not used here: at 3 h/45 min the figure3
 // separation genuinely fails on some seeds (seed 3 gives 0.99x), which
 // is exactly the lucky-draw failure mode replication exists to expose.
+
+// generatorSensitive names the replications with a claim whose verdict
+// moved when only the random source did (EXPERIMENTS.md, "Claims ×
+// perturbations"): figure3's >= 1.2x separation holds over ten seeds under
+// either generator but its five-seed interval reaches down to 1.17 under
+// PCG, and fault-crash-restart's one-hour recovery bound needs more than
+// three seeds once a single one of them never recovers. They are asserted
+// over at least ten seeds, whatever CLAIMS_SEEDS says.
+var generatorSensitive = map[string]bool{"figure3": true, "fault-crash-restart": true}
 
 // claimReplication runs the named figure's paired replication over the
 // claim seed population, memoized so the figure3 claims share one set
@@ -26,7 +36,11 @@ func claimReplication(t *testing.T, name string) *ReplicationReport {
 	if rep, ok := claimReps.Load(name); ok {
 		return rep.(*ReplicationReport)
 	}
-	rep, err := Replication{Scenario: MustGet(t, name), Seeds: ClaimSeeds(), Paired: true}.Run()
+	seeds := ClaimSeeds()
+	if generatorSensitive[name] && len(seeds) < 10 {
+		seeds = Seeds(10)
+	}
+	rep, err := Replication{Scenario: MustGet(t, name), Seeds: seeds, Paired: true}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

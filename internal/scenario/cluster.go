@@ -37,7 +37,7 @@ func init() {
 			l.ThinkTime = 15 * time.Second
 		},
 	}
-	Default.MustRegister(rr)
+	Default.MustRegister(rr.WithSlice(5 * time.Minute))
 
 	// The locality experiment: a 2000-statement point-query pool over
 	// four nodes. Round-robin pays the pool's cold-compilation bill on
@@ -120,7 +120,7 @@ func init() {
 				RateBytes: 64 * mem.MiB, Interval: 10 * time.Second, Release: true},
 		}},
 	}
-	Default.MustRegister(thrash)
+	Default.MustRegister(thrash.WithSlice(5 * time.Minute))
 
 	// The correlated-storm control: a compile-storm burst hits every node
 	// at the same instant. Storms raise pressure fleet-wide, but client
@@ -154,7 +154,7 @@ func init() {
 			{Kind: fault.CompileStorm, Node: 3, At: 40 * time.Minute, Burst: 16, Interval: 2 * time.Second},
 		}},
 	}
-	Default.MustRegister(storm)
+	Default.MustRegister(storm.WithSlice(5 * time.Minute))
 
 	// The recovery experiment: cluster-nodeloss re-run with the router's
 	// liveness oracle replaced by circuit breakers. The router discovers

@@ -97,7 +97,7 @@ func init() {
 	fig2.Description = "Figure 2 conditions: compilations throttle at the monitor ladder under memory pressure"
 	fig2.Horizon, fig2.Warmup = 30*time.Minute, 5*time.Minute
 	fig2.Engine = calibrated(func(c *engine.Config) { c.MemoryBytes = 2 * mem.GiB })
-	Default.MustRegister(fig2)
+	Default.MustRegister(fig2.WithSlice(5 * time.Minute))
 
 	Default.MustRegister(figure(3, 30, "paper: ~35% higher throughput"))
 	Default.MustRegister(figure(4, 35, "paper: throttled stays ahead"))
@@ -166,7 +166,7 @@ func init() {
 	dss.Name = "adhoc-dss"
 	dss.Description = "SALES ad-hoc DSS demo window (90 min)"
 	dss.Horizon, dss.Warmup = 90*time.Minute, 15*time.Minute
-	Default.MustRegister(dss)
+	Default.MustRegister(dss.WithSlice(15 * time.Minute))
 
 	// A seconds-scale smoke configuration for quickstarts and tests.
 	quick := Sales(4)
@@ -174,5 +174,5 @@ func init() {
 	quick.Description = "small SALES smoke run (4 clients, 20 min)"
 	quick.Scale = 0.02
 	quick.Horizon, quick.Warmup = 20*time.Minute, 2*time.Minute
-	Default.MustRegister(quick)
+	Default.MustRegister(quick.WithSlice(2 * time.Minute))
 }

@@ -15,7 +15,7 @@ import (
 
 // cheapScenario is a fast SALES run for replication plumbing tests.
 func cheapScenario() Scenario {
-	return Sales(6).WithWindow(20*time.Minute, 5*time.Minute)
+	return Sales(6).WithWindow(20*time.Minute, 5*time.Minute).WithSlice(5 * time.Minute)
 }
 
 // syntheticReport builds a report whose metric values are dictated by

@@ -61,23 +61,24 @@ func TestValidateRejectsBrokenScenarios(t *testing.T) {
 		return &fault.Plan{Injections: []fault.Injection{{Kind: fault.CrashRestart, Node: node, At: at, Duration: dur}}}
 	}
 	cases := map[string]func(*Scenario){
-		"no-name":          func(s *Scenario) { s.Name = "" },
-		"no-clients":       func(s *Scenario) { s.Clients = 0 },
-		"no-scale":         func(s *Scenario) { s.Scale = 0 },
-		"negative-scale":   func(s *Scenario) { s.Scale = -1 },
-		"bad-workload":     func(s *Scenario) { s.Workload = "tpcds" },
-		"warmup>=horizon":  func(s *Scenario) { s.Warmup = s.Horizon },
-		"no-horizon":       func(s *Scenario) { s.Horizon, s.Warmup = 0, 0 },
-		"negative-warmup":  func(s *Scenario) { s.Warmup = -time.Minute },
-		"negative-nodes":   func(s *Scenario) { s.Nodes = -1 },
-		"bad-router":       func(s *Scenario) { s.Nodes, s.Router = 2, "random" },
-		"health-one-node":  func(s *Scenario) { s.Health.Enabled = true },
-		"breaker-one-node": func(s *Scenario) { s.Nodes, s.Breaker.Enabled = 1, true },
-		"hops-one-node":    func(s *Scenario) { s.FailoverHops = 1 },
-		"negative-hops":    func(s *Scenario) { s.Nodes, s.FailoverHops = 2, -1 },
-		"malformed-fault":  func(s *Scenario) { s.Fault = crash(-time.Minute, time.Minute, 0) },
-		"fault-past-end":   func(s *Scenario) { s.Fault = crash(s.Horizon-time.Minute, 2*time.Minute, 0) },
-		"fault-node-range": func(s *Scenario) { s.Nodes, s.Fault = 2, crash(time.Minute, time.Minute, 2) },
+		"no-name":            func(s *Scenario) { s.Name = "" },
+		"no-clients":         func(s *Scenario) { s.Clients = 0 },
+		"no-scale":           func(s *Scenario) { s.Scale = 0 },
+		"negative-scale":     func(s *Scenario) { s.Scale = -1 },
+		"bad-workload":       func(s *Scenario) { s.Workload = "tpcds" },
+		"warmup>=horizon":    func(s *Scenario) { s.Warmup = s.Horizon },
+		"no-horizon":         func(s *Scenario) { s.Horizon, s.Warmup = 0, 0 },
+		"negative-warmup":    func(s *Scenario) { s.Warmup = -time.Minute },
+		"window-cuts-slices": func(s *Scenario) { s.Warmup, s.Horizon = 5*time.Minute, 15*time.Minute },
+		"negative-nodes":     func(s *Scenario) { s.Nodes = -1 },
+		"bad-router":         func(s *Scenario) { s.Nodes, s.Router = 2, "random" },
+		"health-one-node":    func(s *Scenario) { s.Health.Enabled = true },
+		"breaker-one-node":   func(s *Scenario) { s.Nodes, s.Breaker.Enabled = 1, true },
+		"hops-one-node":      func(s *Scenario) { s.FailoverHops = 1 },
+		"negative-hops":      func(s *Scenario) { s.Nodes, s.FailoverHops = 2, -1 },
+		"malformed-fault":    func(s *Scenario) { s.Fault = crash(-time.Minute, time.Minute, 0) },
+		"fault-past-end":     func(s *Scenario) { s.Fault = crash(s.Horizon-time.Minute, 2*time.Minute, 0) },
+		"fault-node-range":   func(s *Scenario) { s.Nodes, s.Fault = 2, crash(time.Minute, time.Minute, 2) },
 	}
 	for name, breakIt := range cases {
 		s := good
@@ -158,7 +159,7 @@ func sweepSet(t *testing.T) []Scenario {
 			t.Fatalf("scenario %s not registered", name)
 		}
 		if s.Horizon > 30*time.Minute {
-			s = s.WithWindow(20*time.Minute, 5*time.Minute)
+			s = s.WithWindow(20*time.Minute, 5*time.Minute).WithSlice(5 * time.Minute)
 		}
 		out = append(out, s)
 	}

@@ -16,7 +16,7 @@ func TestSearchBeatsGridDifferential(t *testing.T) {
 		t.Skip("full search-vs-grid differential skipped in short mode (nightly runs it)")
 	}
 	cal := DefaultCalibration()
-	cal.Horizon, cal.Warmup = 40*time.Minute, 10*time.Minute
+	cal.Horizon, cal.Warmup = 60*time.Minute, 10*time.Minute
 	seeds := Seeds(5)
 
 	grid := cal

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"compilegate/internal/errclass"
-	"compilegate/internal/lazyrand"
 	"compilegate/internal/vtime"
 )
 
@@ -26,23 +25,23 @@ type LoadConfig struct {
 	// Horizon: clients stop submitting new queries at this virtual time
 	// (in-flight queries run to completion).
 	Horizon time.Duration
+	// Warmup is where measurement starts. Clients arrive one after another
+	// over at most its first half, so a population of any size is all
+	// there before anything is measured.
+	Warmup time.Duration
 	// ThinkTime separates a client's queries.
 	ThinkTime time.Duration
 	// MaxRetries bounds resubmission of a failed query; the paper notes
 	// aborted queries "likely need to be resubmitted to the system".
 	MaxRetries int
-	// RetryBackoff separates retries (the legacy fixed-backoff driver;
-	// BackoffBase = 0 selects it).
-	RetryBackoff time.Duration
 	// Seed makes the run reproducible.
 	Seed int64
 
-	// BackoffBase > 0 enables the real-driver retry model: capped
-	// exponential backoff (BackoffBase doubling per attempt up to
-	// BackoffCap) with deterministic jitter drawn from the client's
-	// seeded RNG — sleep ∈ backoff·[1−BackoffJitter, 1+BackoffJitter).
-	// The legacy fixed-backoff path draws nothing from the RNG, so
-	// existing scenarios reproduce byte-identically.
+	// Retries are separated by capped exponential backoff: BackoffBase,
+	// doubling per attempt up to BackoffCap (0: uncapped), with
+	// deterministic jitter drawn from the client's seeded RNG — sleep ∈
+	// backoff·[1−BackoffJitter, 1+BackoffJitter). Base equal to cap is a
+	// fixed backoff; without jitter nothing is drawn.
 	BackoffBase   time.Duration
 	BackoffCap    time.Duration
 	BackoffJitter float64
@@ -61,12 +60,13 @@ type LoadConfig struct {
 // DefaultLoadConfig mirrors the paper's setup at the given client count.
 func DefaultLoadConfig(clients int) LoadConfig {
 	return LoadConfig{
-		Clients:      clients,
-		Horizon:      2 * time.Hour,
-		ThinkTime:    2 * time.Second,
-		MaxRetries:   2,
-		RetryBackoff: 5 * time.Second,
-		Seed:         1,
+		Clients:     clients,
+		Horizon:     2 * time.Hour,
+		ThinkTime:   2 * time.Second,
+		MaxRetries:  2,
+		Seed:        1,
+		BackoffBase: 5 * time.Second,
+		BackoffCap:  5 * time.Second,
 	}
 }
 
@@ -86,12 +86,7 @@ type LoadStats struct {
 }
 
 // Backoff returns the sleep before retry number attempt (1-based).
-// The legacy fixed path must not touch rng: consuming a draw would shift
-// every later query of the client and break golden digests.
 func (cfg *LoadConfig) Backoff(rng *rand.Rand, attempt int) time.Duration {
-	if cfg.BackoffBase <= 0 {
-		return cfg.RetryBackoff
-	}
 	d := cfg.BackoffBase
 	if shift := uint(attempt - 1); shift < 63 && d <= math.MaxInt64>>shift {
 		d <<= shift
@@ -115,6 +110,13 @@ func (cfg *LoadConfig) Backoff(rng *rand.Rand, attempt int) time.Duration {
 		d = time.Duration(float64(d) * f)
 	}
 	return d
+}
+
+// arrivalGap separates consecutive clients' arrivals so they do not align
+// on one instant: 250 ms, or less where that would carry the last arrival
+// past half the warm-up.
+func (cfg *LoadConfig) arrivalGap() time.Duration {
+	return min(250*time.Millisecond, cfg.Warmup/time.Duration(2*cfg.Clients))
 }
 
 // load is what the clients of one Run share.
@@ -154,11 +156,10 @@ func (c *client) Run(t *vtime.Task) {
 	cfg, stats := &ld.cfg, &ld.stats
 	switch c.state {
 	case clientArrive:
-		c.rng = rand.New(lazyrand.New(cfg.Seed + int64(c.i)*7919))
+		c.rng = vtime.NewRand(cfg.Seed + int64(c.i)*7919)
 		c.budget = cfg.RetryBudget
 		c.state = clientNext
-		// Stagger arrival so clients don't align on the same instant.
-		t.SleepThen(time.Duration(c.i)*250*time.Millisecond, c)
+		t.SleepThen(time.Duration(c.i)*cfg.arrivalGap(), c)
 	case clientNext:
 		if t.Now() >= cfg.Horizon {
 			ld.remaining--

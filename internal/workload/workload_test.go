@@ -189,7 +189,7 @@ func TestLoadGeneratorRunsClients(t *testing.T) {
 	sub := &fakeSubmitter{failAt: map[int]bool{}}
 	cfg := LoadConfig{
 		Clients: 5, Horizon: time.Minute, ThinkTime: time.Second,
-		MaxRetries: 1, RetryBackoff: time.Second, Seed: 1,
+		MaxRetries: 1, BackoffBase: time.Second, BackoffCap: time.Second, Seed: 1,
 	}
 	done := false
 	stats := Run(sched, sub, NewOLTP(), cfg, func() { done = true })
@@ -209,7 +209,7 @@ func TestLoadGeneratorRetries(t *testing.T) {
 	sub := &fakeSubmitter{failAt: map[int]bool{1: true, 2: true, 3: true, 4: true}}
 	cfg := LoadConfig{
 		Clients: 1, Horizon: 30 * time.Second, ThinkTime: time.Second,
-		MaxRetries: 2, RetryBackoff: time.Second, Seed: 1,
+		MaxRetries: 2, BackoffBase: time.Second, BackoffCap: time.Second, Seed: 1,
 	}
 	stats := Run(sched, sub, NewOLTP(), cfg, nil)
 	if err := sched.Run(); err != nil {
@@ -240,17 +240,16 @@ func TestLoadHorizonStopsClients(t *testing.T) {
 }
 
 func TestBackoffFor(t *testing.T) {
-	// rng is nil for every jitter-free case: the fixed path and the
-	// jitter-free exponential path must not draw from the client RNG, or
-	// they would shift every later query and break golden digests.
+	// rng is nil for every jitter-free case: without jitter a backoff must
+	// not draw from the client RNG, or it would shift every later query.
 	cases := []struct {
 		name    string
 		cfg     LoadConfig
 		attempt int
 		want    time.Duration
 	}{
-		{"legacy-fixed", LoadConfig{RetryBackoff: 5 * time.Second}, 1, 5 * time.Second},
-		{"legacy-fixed-late-attempt", LoadConfig{RetryBackoff: 5 * time.Second}, 50, 5 * time.Second},
+		{"default-fixed", DefaultLoadConfig(1), 1, 5 * time.Second},
+		{"default-fixed-late-attempt", DefaultLoadConfig(1), 50, 5 * time.Second},
 		{"exp-first", LoadConfig{BackoffBase: 500 * time.Millisecond}, 1, 500 * time.Millisecond},
 		{"exp-doubles", LoadConfig{BackoffBase: 500 * time.Millisecond}, 5, 8 * time.Second},
 		{"exp-capped", LoadConfig{BackoffBase: 500 * time.Millisecond, BackoffCap: 10 * time.Second}, 10, 10 * time.Second},

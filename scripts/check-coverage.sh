@@ -7,10 +7,9 @@
 # were set (engine 83.3, mem 93.2, scenario 86.9, vtime 95.0, fault
 # 100.0, cluster 94.5 — the last measured after the breaker and health
 # planes landed), so they trip on real regressions, not on refactoring
-# noise. PR 19 added the exact O(1)-seed source (lazyrand 96.5: all but
-# the init self-check's panic) and the two index-addressed tables whose
-# differential tests are the proof they changed nothing (bufferpool 76.0,
-# plancache 100.0). The harness floor (93.2 measured) came with the one
+# noise. PR 19 added the two index-addressed tables whose differential
+# tests are the proof they changed nothing (bufferpool 76.0, plancache
+# 100.0). The harness floor (93.2 measured) came with the one
 # run path: every run of every package goes through it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,7 +20,6 @@ declare -A floors=(
   ["./internal/engine"]=79
   ["./internal/fault"]=85
   ["./internal/harness"]=90
-  ["./internal/lazyrand"]=95
   ["./internal/mem"]=82
   ["./internal/plancache"]=96
   ["./internal/scenario"]=80
