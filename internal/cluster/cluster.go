@@ -377,7 +377,7 @@ func (r *Router) home(sql string) int {
 	if id, ok := r.stmts[sql]; ok {
 		h = uint64(id.Seed)
 	} else {
-		h = sqlparser.Hash64(sqlparser.Fingerprint(sql))
+		h = sqlparser.FingerprintHash(sqlparser.Hash64(sql))
 	}
 	return int(h % uint64(len(r.nodes)))
 }

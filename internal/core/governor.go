@@ -206,15 +206,17 @@ func (g *Governor) Spans() (settled, replayed uint64) { return g.spansSettled, g
 // exhaustion signal, returning best-effort plans.
 func (g *Governor) BestEffortCount() uint64 { return g.bestEffort }
 
-// Compilation is one query compilation's session with the governor.
+// Compilation is one query compilation's session with the governor. It is a
+// plain value, gateway ticket included, so a caller that pools its own
+// per-compilation record can keep the session inside it (BeginIn); it is
+// used through its address.
 type Compilation struct {
 	g      *Governor
 	task   *vtime.Task
 	name   string
-	ticket *gateway.Ticket
+	ticket gateway.Ticket // live only under a governor with a chain
 	used   int64
 	peak   int64
-	opened time.Duration
 	closed bool
 	cut    bool // best-effort signal consumed
 }
@@ -222,7 +224,15 @@ type Compilation struct {
 // Begin opens a compilation handle for the given task. name is used in
 // diagnostics.
 func (g *Governor) Begin(task *vtime.Task, name string) *Compilation {
-	c := &Compilation{g: g, task: task, name: name, opened: task.Now()}
+	c := new(Compilation)
+	g.BeginIn(c, task, name)
+	return c
+}
+
+// BeginIn is Begin in storage the caller owns: it overwrites *c, which
+// must not be reused before the compilation is closed (Finish or Abort).
+func (g *Governor) BeginIn(c *Compilation, task *vtime.Task, name string) {
+	*c = Compilation{g: g, task: task, name: name}
 	if g.chain != nil {
 		c.ticket = g.chain.NewTicket()
 	}
@@ -231,7 +241,6 @@ func (g *Governor) Begin(task *vtime.Task, name string) *Compilation {
 		g.peakActive = g.active
 	}
 	g.started++
-	return c
 }
 
 // Used returns the compilation's current simulated memory.
@@ -241,12 +250,7 @@ func (c *Compilation) Used() int64 { return c.used }
 func (c *Compilation) Peak() int64 { return c.peak }
 
 // GateWait returns the time this compilation has spent blocked at gates.
-func (c *Compilation) GateWait() time.Duration {
-	if c.ticket == nil {
-		return 0
-	}
-	return c.ticket.WaitTime()
-}
+func (c *Compilation) GateWait() time.Duration { return c.ticket.WaitTime() }
 
 // Alloc charges n bytes of compilation memory. The call may block the
 // compiling task at a memory monitor. It returns mem.ErrOutOfMemory (via
@@ -261,14 +265,14 @@ func (c *Compilation) Alloc(n int64) error {
 	// actually taken, so a blocked compilation holds its current memory
 	// but does not keep growing — exactly the paper's "restrict future
 	// memory allocations" semantics.
-	if c.ticket != nil {
+	if c.g.chain != nil {
 		if err := c.ticket.Update(c.task, c.used+n); err != nil {
-			c.fail()
+			c.Abort()
 			return err
 		}
 	}
 	if err := c.g.tracker.Reserve(n); err != nil {
-		c.fail()
+		c.Abort()
 		return err
 	}
 	c.used += n
@@ -287,12 +291,13 @@ func (c *Compilation) AllocSpan(n int64, k int) bool {
 	if c.closed {
 		panic("core: AllocSpan on closed compilation " + c.name)
 	}
-	if (c.ticket != nil && !c.ticket.Clears(c.used+n)) || !c.g.tracker.ReserveSpan(n, k) {
+	gated := c.g.chain != nil
+	if (gated && !c.ticket.Clears(c.used+n)) || !c.g.tracker.ReserveSpan(n, k) {
 		c.g.spansReplayed++
 		return false
 	}
 	c.used += n
-	if c.ticket != nil {
+	if gated {
 		c.ticket.Update(c.task, c.used) // clears: records the usage, nothing more
 	}
 	if c.used > c.peak {
@@ -327,17 +332,8 @@ func (c *Compilation) ShouldYieldBestEffort() bool {
 	return false
 }
 
-// fail rolls back a compilation whose allocation was rejected.
-func (c *Compilation) fail() {
-	if c.closed {
-		return
-	}
-	c.release()
-	c.g.aborted++
-}
-
 // Finish completes the compilation successfully, releasing all memory and
-// gates. Idempotent with Abort/fail: only the first close counts.
+// gates. Idempotent with Abort: only the first close counts.
 func (c *Compilation) Finish() {
 	if c.closed {
 		return
@@ -346,8 +342,9 @@ func (c *Compilation) Finish() {
 	c.g.finished++
 }
 
-// Abort terminates the compilation unsuccessfully (e.g. the client gave
-// up), releasing all memory and gates.
+// Abort terminates the compilation unsuccessfully — Alloc does it when an
+// allocation is rejected, the caller when it gives up for a reason of its
+// own — releasing all memory and gates.
 func (c *Compilation) Abort() {
 	if c.closed {
 		return
@@ -362,7 +359,7 @@ func (c *Compilation) release() {
 		c.g.tracker.Release(c.used)
 		c.used = 0
 	}
-	if c.ticket != nil {
+	if c.g.chain != nil {
 		c.ticket.Close()
 	}
 	c.g.active--

@@ -71,7 +71,7 @@ func TestAllocSpanIsKAllocs(t *testing.T) {
 						g.OnBrokerNotice(broker.Notification{Target: w.target, Pressure: true})
 					}
 					c := g.Begin(tk, "q")
-					for c.ticket != nil && c.ticket.Held() < w.held {
+					for g.chain != nil && c.ticket.Held() < w.held {
 						if err := c.Alloc(g.chain.Info()[c.ticket.Held()].Threshold + 1 - c.Used()); err != nil {
 							t.Fatal(err)
 						}
@@ -109,7 +109,7 @@ func TestAllocSpanIsKAllocs(t *testing.T) {
 					}
 					before := state()
 					if !fast {
-						clean = kAllocs() && reclaims == 0 && (c.ticket == nil || c.ticket.Held() == w.held)
+						clean = kAllocs() && reclaims == 0 && (g.chain == nil || c.ticket.Held() == w.held)
 						states[pass] = state()
 						return
 					}

@@ -9,9 +9,9 @@
 //	identify → plan-cache probe → (compile under the governor) →
 //	execute under a memory grant → record completion/error
 //
-// A compilation that fails leaves the statement's exploration behind; the
-// client's resubmission of the same text compiles on it instead of
-// starting over (see attempt).
+// A compilation that fails leaves its record, exploration included, behind;
+// the client's resubmission of the same text compiles on it instead of
+// starting over (see statements and attempt).
 //
 // A housekeeping task ticks the Memory Broker, which redistributes memory
 // among the buffer pool, plan cache, compilations, and execution grants
@@ -20,7 +20,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"compilegate/internal/broker"
@@ -208,37 +207,43 @@ func DefaultConfig() Config {
 	}
 }
 
-// StmtID is the derived identity of one statement text: its plan-cache
-// fingerprint and the execution-locality seed. Both are pure functions
-// of the text.
+// StmtID is what is a pure function of one statement text: its plan-cache
+// fingerprint (sqlparser.Hash64 of the text; sqlparser.Fingerprint is the
+// same number in hex) and the execution-locality seed.
 type StmtID struct {
-	Fingerprint string
+	Fingerprint uint64
 	Seed        int64
 	// Static is the statement's index in the snapshot's closed set — dense,
 	// from 0, so per-statement state is a slice — and -1 for any other text.
 	Static int
+	// Query is the closed set's parse of the text, nil for any other text.
+	// It is never written after PrepareStatements, so every compilation of
+	// the statement, on any server of the shape, reads the one copy.
+	Query *plan.Query
 }
 
-// StaticStatements maps statement text to its precomputed identity. A
-// run snapshot builds one per workload shape (the OLTP point-query pool)
-// and shares it read-only across every run of that shape, so recurring
-// statements are never parsed or hashed again.
+// StaticStatements maps statement text to its precomputed identity and
+// parse. A run snapshot builds one per workload shape (the OLTP
+// point-query pool) and shares it read-only across every run of that
+// shape, so recurring statements are never hashed or parsed again.
 type StaticStatements map[string]StmtID
 
-// PrepareStatements derives identities for a closed statement set.
-// Texts that do not parse are skipped — they keep the parse-first error
-// behaviour when submitted.
+// PrepareStatements derives the records of a closed statement set. Texts
+// that do not parse are skipped — they fail with their parse error when
+// submitted.
 func PrepareStatements(sqls []string) StaticStatements {
 	out := make(StaticStatements, len(sqls))
 	for _, sql := range sqls {
-		if _, err := sqlparser.Parse(sql); err != nil {
-			continue
-		}
 		if _, dup := out[sql]; dup {
 			continue
 		}
-		fp := sqlparser.Fingerprint(sql)
-		out[sql] = StmtID{Fingerprint: fp, Seed: int64(sqlparser.Hash64(fp)), Static: len(out)}
+		q, err := sqlparser.Parse(sql)
+		if err != nil {
+			continue
+		}
+		id := identify(sql)
+		id.Static, id.Query = len(out), q
+		out[sql] = id
 	}
 	return out
 }
@@ -252,7 +257,8 @@ type Prebuilt struct {
 	Estimator *stats.Estimator
 	// Layout maps the catalog onto the extent address space.
 	Layout *storage.Layout
-	// Statements is the workload's pre-fingerprinted recurring set.
+	// Statements is the workload's closed statement set, identified and
+	// parsed.
 	Statements StaticStatements
 }
 
@@ -288,24 +294,12 @@ type Server struct {
 	compileMemSum, compileMemMax int64
 	compileMemN                  int64
 
-	// Hot-path caches and free lists (one scheduler per server, no
-	// locking): statement-text identity memo, recycled compile-work
-	// continuation ops. static is the snapshot's shared read-only identity
-	// map, consulted before the per-run memo. staticPrep holds, by
-	// StmtID.Static, the scan lists of each static statement's plan: a pure
-	// function of the statement (its seed, and the plan its text compiles to),
-	// so they outlive the plan-cache entry, the recompilation and the crash.
-	static     StaticStatements
-	staticPrep []executor.Prepared
-	queryMemo  map[string]StmtID
-	stmts      freelist.List[statement]
-	workOps    freelist.List[compileWorkOp]
-	queries    freelist.List[plan.Query]
-	compCtxs   freelist.List[compileCtx]
-	attempts   freelist.List[attempt]
-	// retained holds the attempts of failed submissions, oldest first, for
-	// their resubmission to pick up; never more than retainedCap.
-	retained []*attempt
+	// Host-side state that simulates nothing (one scheduler per server, no
+	// locking): the statement table, and the free lists of submissions and
+	// compile-work continuation ops.
+	statements
+	stmts   freelist.List[statement]
+	workOps freelist.List[compileWorkOp]
 
 	// Fault-plane state (see internal/fault): ballast is the wired
 	// "leak" tracker injections ratchet; faultDiskMul dilates every disk
@@ -326,7 +320,7 @@ type Server struct {
 // fixed overhead, wires broker components and reclaimers, and starts the
 // housekeeping task (stop it with Close when the workload drains). The
 // snapshot-shared immutable components in pre — estimator, storage
-// layout, static statement identities — are used as-is instead of being
+// layout, the closed statement set's records — are used as-is instead of being
 // rebuilt per run; missing ones (an empty Prebuilt) are built here. Only
 // mutable engine state — budget, pools, caches, metrics — is constructed
 // per server.
@@ -403,10 +397,11 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 		activeCompileTrace: metrics.NewTrace("active-compiles"),
 		overcommitTrace:    metrics.NewTrace("overcommit-permille"),
 
-		static:     pre.Statements,
-		staticPrep: make([]executor.Prepared, len(pre.Statements)),
-		queryMemo:  make(map[string]StmtID),
-		retained:   make([]*attempt, 0, retainedCap),
+		statements: statements{
+			static:     pre.Statements,
+			staticPrep: make([]executor.Prepared, len(pre.Statements)),
+			retained:   make([]*attempt, 0, retainedCap+1),
+		},
 	}
 	if cfg.Pressure.Enabled {
 		s.budget.SetPressure(cfg.Pressure)
@@ -635,11 +630,7 @@ func (s *Server) Crash() {
 	s.crashEpoch++
 	s.crashes++
 	s.cache.Clear()
-	clear(s.queryMemo)
-	for _, a := range s.retained {
-		s.releaseAttempt(a)
-	}
-	s.retained = slices.Delete(s.retained, 0, len(s.retained))
+	s.dropRetained()
 	if s.brk != nil {
 		s.brk.ResetHistory()
 	}

@@ -17,3 +17,12 @@ func SetStaticPrepared(on bool) (was bool) {
 	was, staticPrepared = staticPrepared, on
 	return was
 }
+
+// SetRetainedLimit changes how many failed compilations' attempts a server
+// keeps for their resubmissions (retainedCap unless a test says otherwise),
+// and returns the previous setting. Only the whole-run differential test
+// uses it; it must not run in parallel with other tests.
+func SetRetainedLimit(n int) (was int) {
+	was, retainedLimit = retainedLimit, n
+	return was
+}

@@ -163,7 +163,7 @@ func TestPrepareStatementsSkipsMalformed(t *testing.T) {
 		t.Fatalf("prepared %d statements, want 1", len(st))
 	}
 	id, ok := st[good]
-	if !ok || id.Fingerprint == "" || id.Seed == 0 {
+	if !ok || id.Fingerprint == 0 || id.Query == nil || id.Seed == 0 {
 		t.Fatalf("statement identity = %+v, ok=%v", id, ok)
 	}
 }

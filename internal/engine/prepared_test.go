@@ -15,7 +15,7 @@ const pointSQL = "SELECT * FROM dim_channel WHERE dim_channel.channel_id = 3"
 // preparedFor returns the Prepared the plan cache holds for sql (nil when
 // the statement is not cached). It counts as a hit.
 func preparedFor(srv *Server, sql string) *executor.Prepared {
-	_, prep, _ := srv.cache.Get(sqlparser.Fingerprint(sql), -1)
+	_, prep, _ := srv.cache.Get(sqlparser.Hash64(sql), -1)
 	return prep
 }
 
@@ -82,8 +82,8 @@ func TestRecompiledPlanRecordsAfresh(t *testing.T) {
 		// point query's fingerprint. It must record two lists of its own,
 		// not replay the one list of the plan it replaced.
 		submit(joinSQL, 1)
-		joinPlan, _, _ := srv.cache.Get(sqlparser.Fingerprint(joinSQL), -1)
-		srv.cache.Put(sqlparser.Fingerprint(pointSQL), -1, joinPlan, tk.Now())
+		joinPlan, _, _ := srv.cache.Get(sqlparser.Hash64(joinSQL), -1)
+		srv.cache.Put(sqlparser.Hash64(pointSQL), -1, joinPlan, tk.Now())
 		submit(pointSQL, 2) // records, replays
 		if got := preparedFor(srv, pointSQL).Scans(); got != 2 {
 			t.Errorf("replacement plan recorded %d scans, want 2", got)

@@ -6,6 +6,7 @@ import (
 
 	"compilegate/internal/core"
 	"compilegate/internal/executor"
+	"compilegate/internal/freelist"
 	"compilegate/internal/optimizer"
 	"compilegate/internal/plan"
 	"compilegate/internal/sqlparser"
@@ -14,9 +15,8 @@ import (
 
 // The statement lifecycle. A submission passes through five phases:
 //
-//	identify  text → fingerprint and locality seed: the snapshot's static
-//	          map, the per-run memo, or — for text seen for the first
-//	          time — the parse
+//	identify  text → fingerprint and locality seed: the snapshot's closed
+//	          set by text, or one hash of any other text
 //	probe     one plan-cache lookup (it counts, and it reorders the LRU)
 //	compile   only on a miss: the governed optimizer, on a coroutine
 //	execute   grant → plan nodes → spill/refault I/O
@@ -28,43 +28,71 @@ import (
 // as a blocking section and a statement whose plan is cached never
 // touches a coroutine.
 
-// queryMemoCap bounds the statement-text memo, which keeps the identity
-// of text the snapshot does not know, so repeated workload SQL skips
-// re-parsing and re-hashing when the plan cache holds its plan. The SALES
-// workload uniquifies every query, so without a cap an 8-hour run would
-// retain every statement ever submitted. Eviction is wholesale: the memo
-// is a pure cache, so clearing it only costs re-derivation.
-const queryMemoCap = 8192
-
-// parse returns sql parsed into a recycled query shell; the parse Resets
-// the shell, so stale contents (even from a failed parse) are harmless.
-func (s *Server) parse(sql string) (*plan.Query, error) {
-	q := s.queries.Get()
-	if q == nil {
-		q = new(plan.Query)
-	}
-	if err := sqlparser.ParseInto(q, sql); err != nil {
-		s.queries.Put(q)
-		return nil, err
-	}
-	return q, nil
+// identify derives the identity of text outside the closed set. Execution
+// locality is seeded from the full fingerprint so repeated statements
+// overlap on hot regions while distinct queries get independent locality
+// (length + first byte collide far too often).
+func identify(sql string) StmtID {
+	fp := sqlparser.Hash64(sql)
+	return StmtID{Fingerprint: fp, Seed: int64(sqlparser.FingerprintHash(fp)), Static: -1}
 }
 
-// attempt is what a submission holds while it compiles: the parsed
-// statement and its exploration. The paper's failed compilations "likely
-// need to be resubmitted", and a resubmission is the same text, so a
-// compilation that fails leaves its attempt in the server's retained table
-// and the next submission of that text takes it out and compiles on the
-// recorded exploration: no parse, no binding, and no re-exploring what the
-// failed compilation already explored — while every charge, work batch and
-// best-effort poll is made as if it had. An attempt has one owner at a
-// time: taking it removes it from the table, so two tasks compiling one
-// text never share one.
+// statements is everything a server knows about statement text that is not
+// simulated (the plan cache is the only simulated cache, keyed by the
+// identity derived here). A statement of the closed set has a record for the
+// life of the server: its identity and parse (the snapshot's, shared
+// read-only) and, by its dense index, the scan lists of the plan its text
+// compiles to — a pure function of the statement, so they outlive the
+// plan-cache entry, the recompilation and the crash. Any other text has a
+// record only while something simulated points at it: the compilation in
+// flight (its attempt), the resubmission a failed one waits for (the retained
+// attempt), or its plan-cache entry, keyed by the hash. Text is looked up in
+// the closed set and among the few retained attempts only, so nothing here
+// grows with the statements seen and nothing needs evicting.
+type statements struct {
+	static     StaticStatements
+	staticPrep []executor.Prepared
+	// retained holds the attempts of failed compilations, oldest first, for
+	// their resubmission to pick up; never more than retainedCap.
+	retained []*attempt
+	attempts freelist.List[attempt]
+}
+
+// attempt is one compilation's record, and all a submission holds while it
+// compiles: the statement (text, identity, parse — the closed set's shared
+// one, or the record's own), its exploration, the governor session with the
+// gateway ticket inside it, and the optimizer hook state. The paper's
+// failed compilations "likely need to be resubmitted", and a resubmission
+// is the same text, so a compilation that fails leaves its attempt in the
+// retained table and the next submission of that text takes it out and
+// compiles on the recorded exploration: no hash, parse or binding, nothing
+// explored twice — while every charge, work batch and best-effort poll is
+// made as if it had been. Taking it removes it from the table, so two tasks
+// compiling one text never share one. It is pooled, and returns to the pool
+// only after its compilation has closed.
 type attempt struct {
-	sql  string
-	seed int64 // the statement's locality seed: a cheap first compare
-	q    *plan.Query
-	x    optimizer.Exploration
+	s   *Server
+	sql string
+	id  StmtID
+	q   *plan.Query
+	own plan.Query // what q points at for text outside the closed set
+	x   optimizer.Exploration
+
+	t    *vtime.Task
+	comp core.Compilation
+	// epoch is the crash epoch the compilation started under; a charge
+	// after the engine crashed aborts the compilation with ErrCrashed.
+	epoch uint64
+	// exprExtra and groupExtra are the costing scratch that accretes with
+	// one memo expression and one memo group: CompileStages.CostingScale
+	// times the structure's bytes when the compilation is staged, else 0
+	// (plain memo charges).
+	exprExtra, groupExtra int64
+	costingHeld           int64
+	// hooks are bound to the attempt once, when it is first created:
+	// starting a compilation rewrites the fields above in place instead of
+	// allocating fresh closures.
+	hooks optimizer.Hooks
 }
 
 // retainedCap bounds the retained table. A client resubmits a failed
@@ -73,37 +101,51 @@ type attempt struct {
 // of abandoned statements, which the oldest-first displacement clears. On
 // the 40-client collapse shape 8 slots serve all but one resubmission in
 // 27 thousand (4 lose 2%), and each slot keeps a run's arenas out of the
-// pools, so more is only memory (DESIGN.md, "Recorded exploration").
+// pools, so more is only memory (DESIGN.md, "Statement lifecycle").
 const retainedCap = 8
 
-// takeRetained removes and returns the attempt a failed submission of sql
-// left, or nil.
-func (s *Server) takeRetained(sql string, seed int64) *attempt {
+// leftBy returns the index in the retained table of the attempt a failed
+// submission of sql left, or -1. A resubmission hands in the very string
+// that failed, so the compare that matches is a pointer compare, and the
+// ones that do not mostly differ in length.
+func (s *Server) leftBy(sql string) int {
 	for i, a := range s.retained {
-		if a.seed == seed && a.sql == sql {
-			s.retained = slices.Delete(s.retained, i, i+1)
-			return a
+		if a.sql == sql {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// newAttempt starts an attempt over the freshly parsed q, which it owns
-// from here on.
-func (s *Server) newAttempt(sql string, seed int64, q *plan.Query) *attempt {
+// newAttempt starts an attempt at the statement: over the closed set's
+// parse, or over its own parse of any other text — whose error is the
+// statement's.
+func (s *Server) newAttempt(sql string, id StmtID) (*attempt, error) {
 	a := s.attempts.Get()
 	if a == nil {
-		a = new(attempt)
+		a = &attempt{s: s}
+		a.hooks = optimizer.Hooks{Charge: a.charge, Work: a.work, BestEffort: a.bestEffort}
+		// A span is so many reservations of at least a byte each; a memo
+		// configured with a free structure is charged one by one.
+		if memo := s.cfg.Optimizer.Memo; spanCharging && memo.BytesPerExpr > 0 && memo.BytesPerGroup > 0 {
+			a.hooks.ChargeSpan = a.chargeSpan
+		}
 	}
-	a.sql, a.seed, a.q, a.x = sql, seed, q, s.opt.Explore(q)
-	return a
+	if a.q = id.Query; a.q == nil {
+		if err := sqlparser.ParseInto(&a.own, sql); err != nil {
+			s.attempts.Put(a)
+			return nil, err
+		}
+		a.q = &a.own
+	}
+	a.sql, a.id, a.x = sql, id, s.opt.Explore(a.q)
+	return a, nil
 }
 
-// releaseAttempt returns an attempt's exploration and query to the pools.
+// releaseAttempt returns an attempt and its exploration to the pools.
 func (s *Server) releaseAttempt(a *attempt) {
 	a.x.Release()
-	s.queries.Put(a.q)
-	a.sql, a.q = "", nil
+	a.sql, a.q, a.t = "", nil, nil
 	s.attempts.Put(a)
 }
 
@@ -116,11 +158,20 @@ func (s *Server) finishAttempt(a *attempt, failed bool, epoch uint64) {
 		s.releaseAttempt(a)
 		return
 	}
-	if len(s.retained) == retainedCap {
+	s.retained = append(s.retained, a)
+	if len(s.retained) > retainedLimit {
 		s.releaseAttempt(s.retained[0])
 		s.retained = slices.Delete(s.retained, 0, 1)
 	}
-	s.retained = append(s.retained, a)
+}
+
+// dropRetained releases every retained attempt: the process that explored
+// them is gone.
+func (s *Server) dropRetained() {
+	for _, a := range s.retained {
+		s.releaseAttempt(a)
+	}
+	s.retained = slices.Delete(s.retained, 0, len(s.retained))
 }
 
 // statement is one submission's state across the phases; it is also the
@@ -160,58 +211,39 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 		return
 	}
 
-	// Identify.
-	var q *plan.Query
-	if id, ok := s.static[sql]; ok {
-		// Snapshot-shared identity: the statement's fingerprint and seed
-		// were derived once for the workload shape; nothing to memoize.
-		st.id = id
-	} else if id, ok := s.queryMemo[sql]; ok {
-		st.id = id
-	} else {
-		var err error
-		if q, err = s.parse(sql); err != nil {
-			st.record(t, err)
-			return
+	// Identify. The closed set's identities were derived once per workload
+	// shape, and a failed compilation's attempt kept its own; any other text
+	// costs one hash of its bytes (1.7 µs of a SALES statement), no parse.
+	left := s.leftBy(sql)
+	id, ok := s.static[sql]
+	if !ok {
+		if left >= 0 {
+			id = s.retained[left].id
+		} else {
+			id = identify(sql)
 		}
-		// Execution locality is seeded from the full fingerprint so
-		// repeated statements overlap on hot regions while distinct
-		// queries get independent locality (length + first byte collide
-		// far too often). Only successfully parsed text enters the memo,
-		// so malformed SQL keeps its parse-first error behaviour.
-		fp := sqlparser.Fingerprint(sql)
-		st.id = StmtID{Fingerprint: fp, Seed: int64(sqlparser.Hash64(fp)), Static: -1}
-		if len(s.queryMemo) >= queryMemoCap {
-			clear(s.queryMemo)
-		}
-		s.queryMemo[sql] = st.id
 	}
+	st.id = id
 
 	// Probe. A hit executes a prepared plan: prep carries the plan's
 	// scan-extent lists from one execution to the next (see execute for the
 	// statements that keep their own).
-	if p, prep, cached := s.cache.Get(st.id.Fingerprint, st.id.Static); cached {
-		if q != nil {
-			s.queries.Put(q)
-		}
+	if p, prep, cached := s.cache.Get(id.Fingerprint, id.Static); cached {
 		st.execute(t, p, prep)
 		return
 	}
 
-	// Compile, on the exploration a failed submission of this text left or
-	// on a new one over the parsed statement.
-	if st.a = s.takeRetained(sql, st.id.Seed); st.a == nil {
-		if q == nil {
-			var err error
-			if q, err = s.parse(sql); err != nil {
-				st.record(t, err)
-				return
-			}
+	// Compile, on the attempt a failed submission of this text left or on a
+	// new one.
+	if left >= 0 {
+		st.a = s.retained[left]
+		s.retained = slices.Delete(s.retained, left, left+1)
+	} else {
+		var err error
+		if st.a, err = s.newAttempt(sql, id); err != nil {
+			st.record(t, err)
+			return
 		}
-		st.a, q = s.newAttempt(sql, st.id.Seed, q), nil
-	}
-	if q != nil {
-		s.queries.Put(q)
 	}
 	t.Block((*compiling)(st), st)
 }
@@ -352,22 +384,22 @@ func (s *Server) compileWork(t *vtime.Task, tasks int) {
 // ladder can block (or time out) the compiling task mid-ramp and the
 // broker's trend detector sees the footprint actually climb between
 // ticks. A failed step has already rolled the whole compilation back.
-func (s *Server) stageRamp(t *vtime.Task, comp *core.Compilation, epoch uint64, total int64) error {
+func (s *Server) stageRamp(t *vtime.Task, a *attempt, total int64) error {
 	st := s.cfg.CompileStages
 	step := st.StepBytes
 	if step <= 0 {
 		step = total
 	}
 	for reserved := int64(0); reserved < total; {
-		if s.crashEpoch != epoch {
-			comp.Abort()
+		if s.crashEpoch != a.epoch {
+			a.comp.Abort()
 			return ErrCrashed
 		}
 		n := step
 		if rest := total - reserved; n > rest {
 			n = rest
 		}
-		if err := comp.Alloc(n); err != nil {
+		if err := a.comp.Alloc(n); err != nil {
 			return err
 		}
 		reserved += n
@@ -378,99 +410,66 @@ func (s *Server) stageRamp(t *vtime.Task, comp *core.Compilation, epoch uint64, 
 	return nil
 }
 
-// compileCtx carries one compilation's optimizer hook state. It is
-// pooled, and the hook func values are bound to the ctx once when
-// it is first created — starting a compilation rewrites the per-call
-// fields in place instead of allocating fresh closures (the former
-// single largest allocation source in a sweep).
-type compileCtx struct {
-	s    *Server
-	t    *vtime.Task
-	comp *core.Compilation
-	// epoch is the crash epoch the compilation started under; a charge
-	// after the engine crashed aborts the compilation with ErrCrashed.
-	epoch uint64
-	// exprExtra and groupExtra are the costing scratch that accretes with
-	// one memo expression and one memo group: CompileStages.CostingScale
-	// times the structure's bytes when the compilation is staged, else 0
-	// (plain memo charges).
-	exprExtra, groupExtra int64
-	costingHeld           int64
-	hooks                 optimizer.Hooks
-}
-
 // charge forwards the growth of the memo by one structure of n bytes to the
 // compilation. When staged, the footprint the gateways see grows scale+1
 // times as fast as the memo — exploration's memory is memo plus costing
 // scratch.
-func (c *compileCtx) charge(n int64) error {
-	if c.s.crashEpoch != c.epoch {
+func (a *attempt) charge(n int64) error {
+	if a.s.crashEpoch != a.epoch {
 		// The engine crashed under this compilation; stop growing
 		// immediately (the caller aborts, releasing memory and gates).
 		return ErrCrashed
 	}
-	extra := c.exprExtra
-	if n != c.s.cfg.Optimizer.Memo.BytesPerExpr {
-		extra = c.groupExtra
+	extra := a.exprExtra
+	if n != a.s.cfg.Optimizer.Memo.BytesPerExpr {
+		extra = a.groupExtra
 	}
-	if err := c.comp.Alloc(n + extra); err != nil {
+	if err := a.comp.Alloc(n + extra); err != nil {
 		return err
 	}
-	c.costingHeld += extra
+	a.costingHeld += extra
 	return nil
 }
 
 // chargeSpan is charge for every structure of a span at once, when the
 // governor can take them so (see optimizer.Hooks.ChargeSpan). A crash
 // refuses the span, so that its first charge reports it.
-func (c *compileCtx) chargeSpan(exprs, groups int) bool {
-	if c.s.crashEpoch != c.epoch {
+func (a *attempt) chargeSpan(exprs, groups int) bool {
+	if a.s.crashEpoch != a.epoch {
 		return false
 	}
-	extra := int64(exprs)*c.exprExtra + int64(groups)*c.groupExtra
-	if !c.comp.AllocSpan(c.s.cfg.Optimizer.Memo.Bytes(groups, exprs)+extra, exprs+groups) {
+	extra := int64(exprs)*a.exprExtra + int64(groups)*a.groupExtra
+	if !a.comp.AllocSpan(a.s.cfg.Optimizer.Memo.Bytes(groups, exprs)+extra, exprs+groups) {
 		return false
 	}
-	c.costingHeld += extra
+	a.costingHeld += extra
 	return true
 }
 
-func (c *compileCtx) work(tasks int) { c.s.compileWork(c.t, tasks) }
+func (a *attempt) work(tasks int) { a.s.compileWork(a.t, tasks) }
 
-func (c *compileCtx) bestEffort() bool { return c.comp.ShouldYieldBestEffort() }
+func (a *attempt) bestEffort() bool { return a.comp.ShouldYieldBestEffort() }
 
-func (s *Server) getCompileCtx(t *vtime.Task, comp *core.Compilation, scale float64) *compileCtx {
-	c := s.compCtxs.Get()
-	memo := s.cfg.Optimizer.Memo
-	if c == nil {
-		c = &compileCtx{s: s}
-		c.hooks = optimizer.Hooks{Charge: c.charge, Work: c.work, BestEffort: c.bestEffort}
-		// A span is so many reservations of at least a byte each; a memo
-		// configured with a free structure is charged one by one.
-		if spanCharging && memo.BytesPerExpr > 0 && memo.BytesPerGroup > 0 {
-			c.hooks.ChargeSpan = c.chargeSpan
-		}
-	}
-	c.t, c.comp, c.costingHeld, c.epoch = t, comp, 0, s.crashEpoch
-	c.exprExtra, c.groupExtra = int64(scale*float64(memo.BytesPerExpr)), int64(scale*float64(memo.BytesPerGroup))
-	return c
-}
-
-// spanCharging and staticPrepared are false only in the differential tests
-// that run a whole simulation both ways (export_test.go).
+// spanCharging and staticPrepared are false, and retainedLimit other than
+// retainedCap, only in the differential tests that run a whole simulation
+// both ways (export_test.go).
 var (
 	spanCharging   = true
 	staticPrepared = true
+	retainedLimit  = retainedCap
 )
 
 // compile optimizes a's statement under the governor, walking the staged
 // memory phases: bind (fixed footprint) → join enumeration with costing
 // scratch accreting alongside every memo charge → codegen (a ramp sized
 // from the memo). Costing scratch is freed once codegen has consumed it;
-// everything else is released when the compilation closes. It is
-// blocking-style code: t must be inside a blocking section.
+// everything else is released when the compilation closes, which it has
+// on every return from here: a holds the session, so a may be retained or
+// recycled only after. It is blocking-style code: t must be inside a
+// blocking section.
 func (s *Server) compile(t *vtime.Task, a *attempt) (*plan.Plan, error) {
-	comp := s.gov.Begin(t, "compile")
+	comp := &a.comp
+	s.gov.BeginIn(comp, t, "compile")
 	start := t.Now()
 	st := s.cfg.CompileStages
 	staged := !st.Disabled && len(a.q.Tables) > 1
@@ -483,13 +482,10 @@ func (s *Server) compile(t *vtime.Task, a *attempt) (*plan.Plan, error) {
 	if staged && st.CostingScale > 0 {
 		scale = st.CostingScale
 	}
-	ctx := s.getCompileCtx(t, comp, scale)
-	ctxEpoch := ctx.epoch
-	p, err := a.x.Optimize(ctx.hooks)
-	costingHeld := ctx.costingHeld
-	// Optimize no longer holds the hooks once it returns, so the ctx can be
-	// recycled before error handling.
-	s.compCtxs.Put(ctx)
+	memo := s.cfg.Optimizer.Memo
+	a.t, a.costingHeld, a.epoch = t, 0, s.crashEpoch
+	a.exprExtra, a.groupExtra = int64(scale*float64(memo.BytesPerExpr)), int64(scale*float64(memo.BytesPerGroup))
+	p, err := a.x.Optimize(a.hooks)
 	if err != nil {
 		// Alloc failures already rolled the compilation back; other
 		// errors (validation) abort explicitly. Both are idempotent.
@@ -497,13 +493,13 @@ func (s *Server) compile(t *vtime.Task, a *attempt) (*plan.Plan, error) {
 		return nil, err
 	}
 	if staged && !p.BestEffort {
-		if err := s.stageRamp(t, comp, ctxEpoch, int64(st.CodegenScale*float64(p.CompileBytes))); err != nil {
+		if err := s.stageRamp(t, a, int64(st.CodegenScale*float64(p.CompileBytes))); err != nil {
 			return nil, err
 		}
 		// Costing scratch is dead once the physical plan exists; the
 		// release mid-flight is what gives the broker a falling trend
 		// to track.
-		comp.Free(costingHeld)
+		comp.Free(a.costingHeld)
 	}
 	// A best-effort plan skips the codegen ramp entirely: the §4.1
 	// valve yielded the held plan precisely because the broker predicts

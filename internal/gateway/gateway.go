@@ -257,7 +257,8 @@ func (c *Chain) recomputeThresholds() {
 	}
 }
 
-// Ticket tracks one compilation's progress through the chain.
+// Ticket tracks one compilation's progress through the chain. It is a value,
+// so a compilation's record can hold it; do not copy one that holds a gate.
 type Ticket struct {
 	chain *Chain
 	held  int // gates [0, held) are held
@@ -266,8 +267,8 @@ type Ticket struct {
 }
 
 // NewTicket starts a compilation at zero usage holding no gates.
-func (c *Chain) NewTicket() *Ticket {
-	return &Ticket{chain: c}
+func (c *Chain) NewTicket() Ticket {
+	return Ticket{chain: c}
 }
 
 // Held reports how many gates the ticket currently holds.

@@ -36,7 +36,8 @@ func TestClearsIsKUpdates(t *testing.T) {
 						s := vtime.NewScheduler()
 						s.Go("q", func(tk *vtime.Task) {
 							for i := 0; i < neighbours; i++ {
-								_ = c.NewTicket().Update(tk, 150)
+								neighbour := c.NewTicket()
+								_ = neighbour.Update(tk, 150)
 							}
 							c.SetTarget(target)
 							ti := c.NewTicket()
@@ -60,7 +61,7 @@ func TestClearsIsKUpdates(t *testing.T) {
 										t.Fatal(err)
 									}
 								}
-								span = spanState(c, ti)
+								span = spanState(c, &ti)
 								return
 							}
 							for u := start; u <= last; u += unit {
@@ -69,7 +70,7 @@ func TestClearsIsKUpdates(t *testing.T) {
 								}
 							}
 							acquired = c.Acquires() != before
-							slow = spanState(c, ti)
+							slow = spanState(c, &ti)
 						})
 						if err := s.Run(); err != nil {
 							t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 // Snapshot is the immutable state of one scenario *shape* — everything a
 // run needs that does not depend on the engine config, client count,
 // seed, or measurement window: the resolved catalog, the statistics
-// estimator, the storage layout, and the workload's pre-fingerprinted
-// recurring statement set. A snapshot is built once per (workload,
+// estimator, the storage layout, and the workload's closed statement set,
+// identified and parsed. A snapshot is built once per (workload,
 // scale) and shared read-only by every run of that shape, including
 // concurrent sweep runs: only mutable engine state (budget, pools,
 // caches, metrics, schedulers) is per-run. This is what lets a

@@ -14,9 +14,9 @@ import (
 // does for any other statement.
 func BenchmarkCacheGet(b *testing.B) {
 	sqls := workload.SpecOLTP.StaticStatements()
-	fps := make([]string, len(sqls))
+	fps := make([]uint64, len(sqls))
 	for i, sql := range sqls {
-		fps[i] = sqlparser.Fingerprint(sql)
+		fps[i] = sqlparser.Hash64(sql)
 	}
 	for _, static := range []bool{true, false} {
 		name := map[bool]string{true: "static", false: "text"}[static]

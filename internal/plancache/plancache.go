@@ -1,6 +1,7 @@
-// Package plancache implements the compiled-plan cache: fingerprint-keyed
-// storage of physical plans with LRU eviction, charged against the machine
-// budget, shrinkable on broker notice.
+// Package plancache implements the compiled-plan cache: storage of physical
+// plans keyed by the statement's fingerprint (the 64-bit hash of its text,
+// sqlparser.Hash64) with LRU eviction, charged against the machine budget,
+// shrinkable on broker notice.
 //
 // A statement of the workload's closed set arrives with its index in that
 // set already resolved, and its entry hangs off that index: a slot in a
@@ -33,7 +34,7 @@ import (
 )
 
 type entry struct {
-	key        string // the fingerprint
+	key        uint64 // the fingerprint
 	static     int    // ≥ 0: held by statics[static]; else by entries[key]
 	p          *plan.Plan
 	prep       *executor.Prepared // nil until the first hit
@@ -45,7 +46,7 @@ type entry struct {
 // Cache is the plan cache.
 type Cache struct {
 	tracker *mem.Tracker
-	entries map[string]*entry // by fingerprint: text outside the closed set
+	entries map[uint64]*entry // by fingerprint: text outside the closed set
 	statics []*entry          // by index in the closed set; nil = not cached
 	n       int               // entries cached, in either
 	front   *entry            // most recently used
@@ -62,7 +63,7 @@ type Cache struct {
 func New(tracker *mem.Tracker, statics int) *Cache {
 	return &Cache{
 		tracker: tracker,
-		entries: make(map[string]*entry),
+		entries: make(map[uint64]*entry),
 		statics: make([]*entry, statics),
 	}
 }
@@ -124,7 +125,7 @@ func (c *Cache) moveToFront(e *entry) {
 
 // lookup is the one probe of a Get or Put: the closed set by index, other
 // text by fingerprint.
-func (c *Cache) lookup(key string, static int) *entry {
+func (c *Cache) lookup(key uint64, static int) *entry {
 	if static >= 0 {
 		return c.statics[static]
 	}
@@ -145,14 +146,13 @@ func (c *Cache) release(e *entry) {
 	// Entries are recycled but a Prepared never is: an execution still in
 	// flight keeps writing to the orphan, not to the entry's next plan.
 	e.p, e.prep = nil, nil
-	e.key = ""
 	c.free.Put(e)
 }
 
 // Get returns the cached plan for the statement — static is its index in
 // the closed set, or negative for text outside it, which goes by the
 // fingerprint key — and the Prepared kept with it, refreshing recency.
-func (c *Cache) Get(key string, static int) (*plan.Plan, *executor.Prepared, bool) {
+func (c *Cache) Get(key uint64, static int) (*plan.Plan, *executor.Prepared, bool) {
 	e := c.lookup(key, static)
 	if e == nil {
 		c.misses++
@@ -171,7 +171,7 @@ func (c *Cache) Get(key string, static int) (*plan.Plan, *executor.Prepared, boo
 // cached (compilation already succeeded; caching is best-effort).
 // Re-putting a cached statement replaces the stored plan and adjusts the
 // tracker charge to the new plan's size.
-func (c *Cache) Put(key string, static int, p *plan.Plan, now time.Duration) {
+func (c *Cache) Put(key uint64, static int, p *plan.Plan, now time.Duration) {
 	if e := c.lookup(key, static); e != nil {
 		// Drop the stale entry and release its charge; the fresh plan
 		// goes through the normal insert path below (which may evict

@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,6 +13,13 @@ import (
 )
 
 // tinyPlan builds a plan with n nodes (n >= 1, left-deep).
+// key stands in for a statement's fingerprint.
+func key(name string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return h.Sum64()
+}
+
 func tinyPlan(n int) *plan.Plan {
 	root := &plan.Node{Op: plan.OpSeqScan, Table: "t"}
 	for i := 1; i < n; i++ {
@@ -25,11 +33,11 @@ func TestGetPutHitMiss(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
 	c := New(b.NewTracker("plancache"), 0)
 	p := tinyPlan(1)
-	if _, _, ok := c.Get("q1", -1); ok {
+	if _, _, ok := c.Get(key("q1"), -1); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("q1", -1, p, 0)
-	got, _, ok := c.Get("q1", -1)
+	c.Put(key("q1"), -1, p, 0)
+	got, _, ok := c.Get(key("q1"), -1)
 	if !ok || got != p {
 		t.Fatal("cached plan not returned")
 	}
@@ -48,8 +56,8 @@ func TestPutDuplicateRefreshes(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
 	c := New(b.NewTracker("plancache"), 0)
 	p := tinyPlan(1)
-	c.Put("q1", -1, p, 0)
-	c.Put("q1", -1, p, time.Second)
+	c.Put(key("q1"), -1, p, 0)
+	c.Put(key("q1"), -1, p, time.Second)
 	if c.Len() != 1 {
 		t.Fatalf("len = %d", c.Len())
 	}
@@ -68,9 +76,9 @@ func TestPutReplacesStalePlan(t *testing.T) {
 	if old.PlanBytes() == fresh.PlanBytes() {
 		t.Fatal("test plans must differ in size")
 	}
-	c.Put("q1", -1, old, 0)
-	c.Put("q1", -1, fresh, time.Second)
-	got, _, ok := c.Get("q1", -1)
+	c.Put(key("q1"), -1, old, 0)
+	c.Put(key("q1"), -1, fresh, time.Second)
+	got, _, ok := c.Get(key("q1"), -1)
 	if !ok || got != fresh {
 		t.Fatal("re-put kept the stale plan")
 	}
@@ -82,7 +90,7 @@ func TestPutReplacesStalePlan(t *testing.T) {
 	}
 
 	// Shrinking on re-put releases the difference too.
-	c.Put("q1", -1, old, 2*time.Second)
+	c.Put(key("q1"), -1, old, 2*time.Second)
 	if c.Bytes() != old.PlanBytes() {
 		t.Fatalf("bytes = %d after shrink, want %d", c.Bytes(), old.PlanBytes())
 	}
@@ -94,15 +102,15 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	b := mem.NewBudget(3 * p.PlanBytes())
 	c := New(b.NewTracker("plancache"), 0)
 	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("q%d", i), -1, tinyPlan(1), time.Duration(i))
+		c.Put(key(fmt.Sprintf("q%d", i)), -1, tinyPlan(1), time.Duration(i))
 	}
 	// Touch q0 so q1 is the LRU.
-	c.Get("q0", -1)
-	c.Put("q3", -1, tinyPlan(1), 10)
-	if _, _, ok := c.Get("q1", -1); ok {
+	c.Get(key("q0"), -1)
+	c.Put(key("q3"), -1, tinyPlan(1), 10)
+	if _, _, ok := c.Get(key("q1"), -1); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if _, _, ok := c.Get("q0", -1); !ok {
+	if _, _, ok := c.Get(key("q0"), -1); !ok {
 		t.Fatal("recently-used entry evicted")
 	}
 	if c.Evictions() != 1 {
@@ -114,7 +122,7 @@ func TestShrink(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
 	c := New(b.NewTracker("plancache"), 0)
 	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("q%d", i), -1, tinyPlan(1), time.Duration(i))
+		c.Put(key(fmt.Sprintf("q%d", i)), -1, tinyPlan(1), time.Duration(i))
 	}
 	before := c.Bytes()
 	freed := c.Shrink(before / 2)
@@ -125,10 +133,10 @@ func TestShrink(t *testing.T) {
 		t.Fatal("bytes inconsistent after shrink")
 	}
 	// Oldest (q0...) went first.
-	if _, _, ok := c.Get("q0", -1); ok {
+	if _, _, ok := c.Get(key("q0"), -1); ok {
 		t.Fatal("oldest survived shrink")
 	}
-	if _, _, ok := c.Get("q9", -1); !ok {
+	if _, _, ok := c.Get(key("q9"), -1); !ok {
 		t.Fatal("newest evicted by shrink")
 	}
 }
@@ -137,7 +145,7 @@ func TestSetTargetShrinksAndCaps(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
 	c := New(b.NewTracker("plancache"), 0)
 	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("q%d", i), -1, tinyPlan(1), 0)
+		c.Put(key(fmt.Sprintf("q%d", i)), -1, tinyPlan(1), 0)
 	}
 	target := c.Bytes() / 2
 	c.SetTarget(target)
@@ -146,7 +154,7 @@ func TestSetTargetShrinksAndCaps(t *testing.T) {
 	}
 	// New puts respect the cap (evict-to-fit).
 	lenBefore := c.Len()
-	c.Put("new", -1, tinyPlan(1), 1)
+	c.Put(key("new"), -1, tinyPlan(1), 1)
 	if c.Bytes() > target {
 		t.Fatal("Put grew past target")
 	}
@@ -163,7 +171,7 @@ func TestPutSkipsWhenNoRoom(t *testing.T) {
 	p := tinyPlan(1)
 	b := mem.NewBudget(p.PlanBytes() / 2) // can't fit even one
 	c := New(b.NewTracker("plancache"), 0)
-	c.Put("q", -1, p, 0)
+	c.Put(key("q"), -1, p, 0)
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatal("plan cached despite no memory")
 	}
@@ -185,11 +193,11 @@ func TestQuickCacheAccounting(t *testing.T) {
 		b := mem.NewBudget(5 * p.PlanBytes())
 		c := New(b.NewTracker("plancache"), 0)
 		for i, op := range ops {
-			key := fmt.Sprintf("q%d", op%12)
+			k := uint64(op % 12)
 			if op%3 == 0 {
-				c.Get(key, -1)
+				c.Get(k, -1)
 			} else {
-				c.Put(key, -1, tinyPlan(1), time.Duration(i))
+				c.Put(k, -1, tinyPlan(1), time.Duration(i))
 			}
 			if c.Bytes() != int64(c.Len())*p.PlanBytes() {
 				return false
@@ -214,16 +222,16 @@ func TestPreparedLivesAndDiesWithEntry(t *testing.T) {
 	c := New(b.NewTracker("plancache"), 0)
 	hit := func() *executor.Prepared {
 		t.Helper()
-		_, prep, ok := c.Get("q", -1)
+		_, prep, ok := c.Get(key("q"), -1)
 		if !ok || prep == nil {
 			t.Fatal("no Prepared on a hit")
 		}
-		if _, again, _ := c.Get("q", -1); again != prep {
+		if _, again, _ := c.Get(key("q"), -1); again != prep {
 			t.Fatal("two hits on one entry got different Prepareds")
 		}
 		return prep
 	}
-	c.Put("q", -1, tinyPlan(1), 0)
+	c.Put(key("q"), -1, tinyPlan(1), 0)
 	seen := []*executor.Prepared{hit()}
 	for _, tc := range []struct {
 		name string
@@ -235,7 +243,7 @@ func TestPreparedLivesAndDiesWithEntry(t *testing.T) {
 	} {
 		name := tc.name
 		tc.drop()
-		c.Put("q", -1, tinyPlan(2), 0)
+		c.Put(key("q"), -1, tinyPlan(2), 0)
 		prep := hit()
 		for _, old := range seen {
 			if prep == old {

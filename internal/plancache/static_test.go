@@ -1,7 +1,6 @@
 package plancache
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -19,13 +18,13 @@ import (
 func TestStaticSlotsMatchFingerprintOnly(t *testing.T) {
 	const statements, statics = 24, 9
 	type stmt struct {
-		fp     string
+		fp     uint64
 		static int
 	}
 	stmts := make([]stmt, statements)
 	for i := range stmts {
 		// Closed-set members are scattered among the others.
-		stmts[i] = stmt{fp: fmt.Sprintf("fp%02d", i), static: -1}
+		stmts[i] = stmt{fp: uint64(i), static: -1}
 		if i%3 == 1 && i/3 < statics {
 			stmts[i].static = i / 3
 		}
@@ -44,7 +43,7 @@ func TestStaticSlotsMatchFingerprintOnly(t *testing.T) {
 				gp, gprep, gok := got.Get(s.fp, s.static)
 				rp, _, rok := ref.Get(s.fp, -1)
 				if gok != rok || gp != rp || gok != (gprep != nil) {
-					t.Fatalf("seed %d step %d: Get(%s) = %p, %v; reference %p, %v", seed, step, s.fp, gp, gok, rp, rok)
+					t.Fatalf("seed %d step %d: Get(%d) = %p, %v; reference %p, %v", seed, step, s.fp, gp, gok, rp, rok)
 				}
 				if gok && s.static >= 0 {
 					staticHits++
@@ -82,11 +81,11 @@ func TestStaticSlotsMatchFingerprintOnly(t *testing.T) {
 			for _, s := range stmts {
 				e := got.lookup(s.fp, s.static)
 				if (e != nil) != (ref.lookup(s.fp, -1) != nil) {
-					t.Fatalf("seed %d step %d: %s cached = %v, reference disagrees", seed, step, s.fp, e != nil)
+					t.Fatalf("seed %d step %d: %d cached = %v, reference disagrees", seed, step, s.fp, e != nil)
 				}
 				// An entry lives in exactly one of the two.
 				if s.static >= 0 && got.entries[s.fp] != nil {
-					t.Fatalf("seed %d step %d: static statement %s is in the fingerprint map", seed, step, s.fp)
+					t.Fatalf("seed %d step %d: static statement %d is in the fingerprint map", seed, step, s.fp)
 				}
 				if e != nil && s.static < 0 {
 					inMap++
@@ -109,20 +108,20 @@ func TestStaticSlotsMatchFingerprintOnly(t *testing.T) {
 func TestStaticRePutReplacesSlot(t *testing.T) {
 	c := New(mem.NewBudget(mem.GiB).NewTracker("plancache"), 3)
 	old, fresh := tinyPlan(1), tinyPlan(3)
-	c.Put("fp", 2, old, 0)
-	c.Put("fp", 2, fresh, time.Second)
-	if p, _, ok := c.Get("fp", 2); !ok || p != fresh {
+	c.Put(key("fp"), 2, old, 0)
+	c.Put(key("fp"), 2, fresh, time.Second)
+	if p, _, ok := c.Get(key("fp"), 2); !ok || p != fresh {
 		t.Fatalf("Get after re-Put = %p, %v; want the fresh plan %p", p, ok, fresh)
 	}
 	if c.Len() != 1 || c.Bytes() != fresh.PlanBytes() || len(c.entries) != 0 {
 		t.Fatalf("after re-Put: %d plans, %d bytes, %d in the map; want 1, %d, 0", c.Len(), c.Bytes(), len(c.entries), fresh.PlanBytes())
 	}
 	// The same fingerprint outside the closed set is another statement.
-	if _, _, ok := c.Get("fp", -1); ok {
+	if _, _, ok := c.Get(key("fp"), -1); ok {
 		t.Fatal("a static entry was found through the fingerprint map")
 	}
 	c.Shrink(c.Bytes())
-	if _, _, ok := c.Get("fp", 2); ok || c.statics[2] != nil || c.Len() != 0 {
+	if _, _, ok := c.Get(key("fp"), 2); ok || c.statics[2] != nil || c.Len() != 0 {
 		t.Fatal("eviction left the static slot occupied")
 	}
 }

@@ -36,17 +36,30 @@ func Hash64(s string) uint64 {
 
 const hexDigits = "0123456789abcdef"
 
-// Fingerprint hashes query text for plan-cache lookup. Any textual
-// difference (including comments) yields a new fingerprint, which is how
-// the paper's load generator defeats plan caching [7].
-func Fingerprint(sql string) string {
-	h := Hash64(sql)
-	var buf [16]byte
+// hex16 spells h as 16 lower-case hex digits.
+func hex16(h uint64) (buf [16]byte) {
 	for i := 15; i >= 0; i-- {
 		buf[i] = hexDigits[h&0xf]
 		h >>= 4
 	}
+	return buf
+}
+
+// Fingerprint hashes query text for plan-cache lookup. Any textual
+// difference (including comments) yields a new fingerprint, which is how
+// the paper's load generator defeats plan caching [7]. It is Hash64(sql)
+// in hex; the engine keys on the integer.
+func Fingerprint(sql string) string {
+	buf := hex16(Hash64(sql))
 	return string(buf[:])
+}
+
+// FingerprintHash is Hash64(Fingerprint(sql)) for h = Hash64(sql) — the
+// statement's execution-locality seed and affinity hash — without building
+// the string.
+func FingerprintHash(h uint64) uint64 {
+	buf := hex16(h)
+	return Hash64(string(buf[:]))
 }
 
 // lexerPool recycles token buffers across Parse calls; Parse runs from
@@ -84,14 +97,15 @@ func ParseInto(q *plan.Query, sql string) error {
 }
 
 // keywords interns the lower-case form of the dialect's (upper-case)
-// keywords and common aggregate names, so lexing a statement does not
-// allocate one lowered string per keyword token.
+// keywords and aggregate names — every word the parser compares a token
+// against — so lexing a statement allocates no lowered string per keyword.
 var keywords = map[string]string{
 	"select": "select", "from": "from", "where": "where", "and": "and",
 	"or": "or", "inner": "inner", "join": "join", "on": "on",
 	"group": "group", "by": "by", "as": "as", "sum": "sum",
 	"count": "count", "avg": "avg", "min": "min", "max": "max",
 	"distinct": "distinct", "order": "order", "having": "having",
+	"between": "between",
 }
 
 // lowerIdent lower-cases an identifier token, interning keywords and

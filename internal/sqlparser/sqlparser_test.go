@@ -216,3 +216,36 @@ func TestWildInputDoesNotHang(t *testing.T) {
 		_, _ = Parse(s) // must terminate
 	}
 }
+
+// Lexing a statement of any of the three workload shapes allocates nothing
+// once the lexer's token buffer has grown: every upper-case word the
+// generators emit is interned, so lowerIdent never builds a lowered copy.
+func TestLexingTheCorporaAllocatesNothing(t *testing.T) {
+	var l lexer
+	for _, sql := range benchCorpus() {
+		l.lex(sql) // grow the token buffer
+		if n := testing.AllocsPerRun(10, func() { l.lex(sql) }); n != 0 {
+			t.Errorf("lexing allocates %v times: %s", n, sql)
+		}
+	}
+	for word := range keywords {
+		upper := strings.ToUpper(word)
+		if n := testing.AllocsPerRun(10, func() { _ = lowerIdent(upper) }); n != 0 {
+			t.Errorf("lowerIdent(%q) allocates %v times", upper, n)
+		}
+	}
+}
+
+// FingerprintHash is the hash of the fingerprint string, computed without
+// the string.
+func TestFingerprintHashMatchesTheString(t *testing.T) {
+	for _, sql := range append(benchCorpus(), "", "x") {
+		h := Hash64(sql)
+		if got, want := FingerprintHash(h), Hash64(Fingerprint(sql)); got != want {
+			t.Errorf("FingerprintHash = %#x, Hash64(Fingerprint) = %#x for %q", got, want, sql)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = FingerprintHash(h) }); n != 0 {
+			t.Errorf("FingerprintHash allocates %v times", n)
+		}
+	}
+}
