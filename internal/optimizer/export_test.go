@@ -8,3 +8,13 @@ func setJumps(on bool) (was bool) {
 	was, jumps = jumps, on
 	return was
 }
+
+// setHelper switches the kernel helper off (or back on, where a core is
+// spare) and returns the previous setting. Compilations under way keep the
+// setting they started with, and the helper still serves what was queued. Only
+// the differential and stress tests use it; they must not run in parallel
+// with other tests.
+func setHelper(on bool) (was bool) {
+	was, helps = helps, on
+	return was
+}

@@ -31,6 +31,8 @@
 // one by one, so what the engine sees is the same either way. Such a player
 // does not look at the structures of a whole work batch at all: the kernel
 // marks where every batch ends, and the player moves from mark to mark.
+// The kernel has a second caller, a helper goroutine that runs it ahead of the
+// players on a core the simulations leave idle (helper.go).
 //
 // Exploration is also purely structural. The memo holds sets and
 // neighbourhoods; what a set of tables is estimated to produce is read only
@@ -44,6 +46,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"compilegate/internal/catalog"
 	"compilegate/internal/memo"
@@ -181,7 +184,18 @@ type batchMark struct {
 // the join bitsets) instead of maps. Nothing here is hashed per group:
 // what exploration needs of a group (set, neighbourhood) is stored in the
 // group, and what costing needs (cardinality) in cards.
+//
+// A run has two callers, its player and the kernel helper (helper.go). Every
+// field below the atomics belongs to whoever holds mu — the pool resets and
+// releases under it too, so a request that outlived its run finds a target of
+// zero — except marks[:nmarks], which never change and are read without it.
 type run struct {
+	mu     sync.Mutex
+	nmarks atomic.Int32 // marks published
+	target atomic.Int32 // marks a player asked the helper for; 0 in the pool
+	wanted atomic.Bool  // a player waits for mu
+	queued atomic.Bool  // the helper's queue holds the run
+
 	o *Optimizer
 	q *plan.Query
 	m *memo.Memo
@@ -202,9 +216,10 @@ type run struct {
 	cards []float64
 
 	// The record. tape[:k] describes how the memo grew to the prefix it
-	// names; marks[i] is where step (i+1)*WorkBatch left it; root and the
-	// initial plan's cost (which sizes every compilation's budget) are fixed
-	// once buildInitial has run.
+	// names; marks[i], for i < nmarks, is where step (i+1)*WorkBatch left it
+	// (getRun sizes the slice once, so publishing a mark writes an element and
+	// never the header); root and the initial plan's cost (which sizes every
+	// compilation's budget) are fixed once buildInitial has run.
 	tape        []uint16
 	marks       []batchMark
 	root        memo.GroupID
@@ -233,6 +248,7 @@ func (o *Optimizer) getRun(q *plan.Query) *run {
 	r := runPool.Get().(*run)
 	m := memoPool.Get().(*memo.Memo)
 	m.Reset()
+	r.mu.Lock()
 	r.o, r.q, r.m = o, q, m
 	r.terms = r.terms[:0]
 	r.tabs = r.tabs[:0]
@@ -243,21 +259,25 @@ func (o *Optimizer) getRun(q *plan.Query) *run {
 	r.factors = r.factors[:0]
 	r.cards = r.cards[:0]
 	r.tape = r.tape[:0]
-	// A compilation takes at most MaxTasks steps, and the kernel finishes the
-	// expression whose rules took the last of them.
-	if n := o.cfg.MaxTasks/o.cfg.WorkBatch + 2; cap(r.marks) < n {
-		r.marks = make([]batchMark, 0, n)
+	// A compilation takes at most MaxTasks steps, so it jumps to no mark past
+	// this many; the kernel records no others.
+	if n := o.cfg.MaxTasks / o.cfg.WorkBatch; len(r.marks) < n {
+		r.marks = make([]batchMark, n)
 	}
-	r.marks = r.marks[:0]
+	r.nmarks.Store(0)
 	r.g, r.progressed, r.toMark = 0, false, o.cfg.WorkBatch
+	r.mu.Unlock()
 	return r
 }
 
 // putRun recycles a run and its memo. Plans extracted from it hold no
 // references into either.
 func (o *Optimizer) putRun(r *run) {
+	r.take()
+	r.target.Store(0)
 	memoPool.Put(r.m)
 	r.o, r.q, r.m = nil, nil, nil
+	r.mu.Unlock()
 	runPool.Put(r)
 }
 
@@ -345,7 +365,11 @@ type cursor struct {
 // with a Charge per structure, up to the next work-batch boundary. A
 // deferred span that is a whole work batch is not walked at all (see jump).
 type player struct {
-	hooks Hooks
+	hooks  Hooks
+	r      *run
+	held   bool // the player holds r.mu
+	limit  int  // marks the kernel helper may be asked for: 0 without a spare core
+	inline int  // kernel steps the player took itself (HelperCounts)
 	cursor
 	mark       cursor // deferring: where the unsettled span began
 	deferring  bool
@@ -367,11 +391,14 @@ func (p *player) step() bool {
 // span is settled first; a refusal undoes the step with the rest of the
 // span, and exploration goes on from mark. At the end of a batch it fires
 // the Work callback and polls BestEffort. Whatever comes next starts a new
-// span.
+// span. Hooks are called with the run let go — Work parks the compilation,
+// perhaps for good — and after the helper was asked for the batches ahead.
 func (p *player) boundary() bool {
 	if p.bestEffort {
 		panic("optimizer: a compilation went on after its best-effort stop")
 	}
+	p.drop()
+	p.r.request(p.tasks/p.batch, p.limit)
 	if !p.settle() {
 		return true
 	}
@@ -413,6 +440,22 @@ func (p *player) settle() bool {
 	return false
 }
 
+// hold takes the run for the player, to read its tape or memo or to advance
+// it; drop lets it go.
+func (p *player) hold() {
+	if !p.held {
+		p.r.take()
+		p.held = true
+	}
+}
+
+func (p *player) drop() {
+	if p.held {
+		p.r.mu.Unlock()
+		p.held = false
+	}
+}
+
 // jumps is false only in the differential tests that play a compilation
 // with and without batch-to-batch moves (export_test.go).
 var jumps = true
@@ -421,18 +464,22 @@ var jumps = true
 // whole work batch ahead of it, and reports whether it did. The player has
 // taken every step of the tape so far exactly once, so worked/batch batches
 // lie behind it and the kernel's next mark is its cursor after the batch's
-// last step — whose boundary the caller runs next. It stays put when the
-// batch would cross the budget (the walk finds the step that exhausts it) or
-// when the search space ends before the batch does (no mark: the walk finds
-// the end).
-func (p *player) jump(r *run) bool {
+// last step — whose boundary the caller runs next. A published mark is read
+// without holding the run; to one that is not the player advances the run
+// itself. It stays put when the batch would cross the budget (the walk finds
+// the step that exhausts it) or when the search space ends before the batch
+// does (no mark: the walk finds the end).
+func (p *player) jump() bool {
 	if p.worked+p.batch > p.budget || !jumps {
 		return false
 	}
-	k := p.worked / p.batch
-	for len(r.marks) <= k {
-		if !r.advance() {
-			return false
+	r, k := p.r, p.worked/p.batch
+	if int(r.nmarks.Load()) <= k {
+		p.hold()
+		for int(r.nmarks.Load()) <= k {
+			if p.inline++; !r.advance() {
+				return false
+			}
 		}
 	}
 	m := r.marks[k]
@@ -465,24 +512,33 @@ func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 	}
 	r := x.r
 	cfg := &o.cfg
-	p := player{hooks: hooks, budget: o.effortBudget(r.initialCost), batch: cfg.WorkBatch}
+	p := player{hooks: hooks, r: r, budget: o.effortBudget(r.initialCost), batch: cfg.WorkBatch}
+	defer p.drop() // a panic must not leave the run held: Release takes it
 	p.startSpan()
+	if p.deferring && spareCore() {
+		p.limit = p.budget / p.batch // the last mark the budget lets it jump to
+		r.request(0, p.limit)
+	}
 	var err error
 	charge := hooks.Charge
 play:
 	for {
-		if p.deferring && p.pos == p.mark.pos && p.jump(r) {
+		if p.deferring && p.pos == p.mark.pos && p.jump() {
 			// The batch's last step, as step takes it.
 			if !p.boundary() {
 				break
 			}
 			continue
 		}
-		if p.pos == len(r.tape) && !r.advance() {
-			if p.settle() {
-				break // the end of the search space
+		p.hold()
+		if p.pos == len(r.tape) {
+			if p.inline++; !r.advance() {
+				p.drop()
+				if p.settle() {
+					break // the end of the search space
+				}
+				continue // the last span was refused: play it again from mark
 			}
-			continue // the last span was refused: play it again from mark
 		}
 		seg := r.tape[p.pos]
 		p.pos++
@@ -490,7 +546,8 @@ play:
 		if seg&segGroup != 0 {
 			group = 1
 		}
-		if charge != nil && !p.deferring {
+		if charge != nil && !p.deferring && n+group > 0 {
+			p.drop() // a charge may park the compilation
 			for i := 0; i < n; i++ {
 				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
 					break play
@@ -511,6 +568,8 @@ play:
 			break
 		}
 	}
+	p.drop()
+	counts.inlineSteps.Add(uint64(p.inline))
 	if p.tasks > p.budget {
 		panic("optimizer: a compilation took more tasks than its budget")
 	}
@@ -520,6 +579,7 @@ play:
 	if err != nil {
 		return nil, err
 	}
+	p.hold()
 	out := r.extract(p.groups, p.exprs)
 	out.BestEffort = p.bestEffort
 	out.ExprsExplored = p.exprs
@@ -808,7 +868,10 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 func (r *run) tapeStep(seg uint16) {
 	r.tape = append(r.tape, seg)
 	if r.toMark--; r.toMark == 0 {
-		r.marks = append(r.marks, batchMark{int32(len(r.tape)), int32(r.m.Groups()), int32(r.m.Exprs())})
+		if n := int(r.nmarks.Load()); n < len(r.marks) {
+			r.marks[n] = batchMark{int32(len(r.tape)), int32(r.m.Groups()), int32(r.m.Exprs())}
+			r.nmarks.Store(int32(n + 1))
+		}
 		r.toMark = r.o.cfg.WorkBatch
 	}
 }

@@ -68,7 +68,14 @@ func (g *spanGovernor) chargeSpan(exprs, groups int) bool {
 	return true
 }
 
+// spanWorkPause, when set, runs in every Work call: the host time an engine's
+// Work hook spends away from the compilation (helper_test.go sets it).
+var spanWorkPause func()
+
 func (g *spanGovernor) work(k int) {
+	if spanWorkPause != nil {
+		spanWorkPause()
+	}
 	g.tasks += k
 	fmt.Fprintf(&g.log, "work %d bytes=%d structures=%d tasks=%d\n", k, g.bytes, g.structures, g.tasks)
 }

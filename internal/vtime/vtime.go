@@ -56,6 +56,7 @@ package vtime
 
 import (
 	"iter"
+	"sync/atomic"
 	"time"
 )
 
@@ -259,10 +260,19 @@ func (s *Scheduler) GoFunc(name string, f func(*Task)) *Task {
 	return s.GoStep(name, StepFunc(f))
 }
 
+var running atomic.Int32
+
+// Running reports how many schedulers of this process are inside Run — the
+// host cores simulations use right now. It depends on host timing: nothing
+// simulated may read it (the optimizer's kernel helper stands down by it).
+func Running() int { return int(running.Load()) }
+
 // Run executes tasks until every task has exited. It returns an
 // *ErrDeadlock if tasks remain blocked with no pending timer. Run must
 // be called from the host goroutine (not from a task).
 func (s *Scheduler) Run() error {
+	running.Add(1)
+	defer running.Add(-1)
 	for {
 		if s.rlen == 0 {
 			if s.wheel.count == 0 {
