@@ -10,24 +10,15 @@
 //
 // Usage:
 //
-//	calibrate [-grid|-search] [-quick] [-workers N] [-seed S] [-seeds N]
-//	          [-csv out.csv] [-md out.md]
+//	calibrate [-quick] [-workers N] [-seeds N] [-csv out.csv] [-md out.md]
 //	          [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -quick compresses the measurement window (90 min instead of 3 h) so
 // the whole grid finishes in well under a minute; use the full window
 // before trusting a new calibration. The profile flags capture the grid
-// under pprof (see DESIGN.md, "Profiling a run").
-//
-// -search replaces the exhaustive grid with successive halving over the
-// fidelity score: every knob set gets a cheap first look, the top third
-// is promoted onto a widening clients x seeds budget, and the winner is
-// picked at the full budget — the grid's best score at a quarter or
-// less of its simulation count (the differential test pins both
-// properties). -grid forces the exhaustive sweep (the default, and what
-// the recorded calibration tables came from). -seeds N replicates every
-// cell over seeds {1..N} so the score reflects a population, not one
-// draw.
+// under pprof (see DESIGN.md, "Profiling a run"). -seeds N replicates
+// every cell over seeds {1..N} so the score reflects a population, not
+// one draw.
 package main
 
 import (
@@ -42,10 +33,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "compressed measurement window")
-	grid := flag.Bool("grid", false, "exhaustive grid sweep (the default)")
-	search := flag.Bool("search", false, "successive-halving search instead of the exhaustive grid")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = all cores)")
-	seed := flag.Int64("seed", 1, "random seed for every run")
 	nseeds := flag.Int("seeds", 1, "replication seeds per cell (seeds {1..N})")
 	csvPath := flag.String("csv", "", "write the full grid as CSV to this path")
 	mdPath := flag.String("md", "", "write per-knob-set markdown tables to this path")
@@ -60,10 +48,6 @@ func main() {
 	}
 	defer stop()
 
-	if *grid && *search {
-		fmt.Fprintln(os.Stderr, "calibrate: -grid and -search are mutually exclusive")
-		os.Exit(1)
-	}
 	if *nseeds < 1 {
 		fmt.Fprintln(os.Stderr, "calibrate: -seeds must be >= 1")
 		os.Exit(1)
@@ -71,30 +55,10 @@ func main() {
 
 	cal := compilegate.DefaultCalibration()
 	cal.Workers = *workers
-	cal.Seed = *seed
 	if *quick {
 		cal.Horizon, cal.Warmup = 90*time.Minute, 15*time.Minute
 	}
 	seeds := compilegate.ReplicationSeeds(*nseeds)
-
-	if *search {
-		cells := len(cal.Knobs) * len(cal.Clients) * len(seeds)
-		fmt.Printf("searching: %d knob sets x %d client counts x %d seeds (grid would cost %d simulations), window [%v, %v)\n",
-			len(cal.Knobs), len(cal.Clients), len(seeds), 2*cells, cal.Warmup, cal.Horizon)
-
-		srep := cal.Search(seeds)
-		fmt.Print(srep)
-		best := srep.Winner
-		fmt.Printf("\nselected: %s (score %.3f, %d of %d grid simulations)\n",
-			best.Name, srep.Score, srep.Runs, srep.GridRuns)
-		printKnobs(best)
-		writeReports(*csvPath, *mdPath, &compilegate.CalibrationReport{
-			Points:  srep.Points,
-			Targets: compilegate.PaperTargets(),
-		})
-		return
-	}
-
 	cal.Seeds = seeds
 	cells := len(cal.Knobs) * len(cal.Clients) * len(seeds)
 	fmt.Printf("calibrating: %d knob sets x %d client counts x %d seeds = %d cells (%d simulations), window [%v, %v)\n",
@@ -109,17 +73,12 @@ func main() {
 	}
 	best, score := rep.Best()
 	fmt.Printf("\nselected: %s (score %.3f)\n", best.Name, score)
-	printKnobs(best)
-	writeReports(*csvPath, *mdPath, rep)
-}
-
-// printKnobs renders the selected knob set's operating point.
-func printKnobs(best compilegate.PressureKnobs) {
 	fmt.Printf("  cache-reserve=%.2f slope=%.1f wait=%v grant-frac=%.2f\n",
 		best.CacheReserveFrac, best.SlowdownSlope, best.CompileTaskWait, best.ExecGrantLimitFrac)
 	fmt.Printf("  memo-scale=%.2f stages=%.1f/%.1f vas=%dMiB exhaustion=%.2f\n",
 		best.MemoBytesScale, best.StageCostingScale, best.StageCodegenScale,
 		best.VASBytes>>20, best.BrokerExhaustionFrac)
+	writeReports(*csvPath, *mdPath, rep)
 }
 
 // writeReports writes the evaluated cells as CSV and/or markdown.

@@ -113,12 +113,6 @@ type (
 	// RouterConfig assembles a ClusterRouter: policy plus the optional
 	// health-exclusion, circuit-breaker, and failover mechanisms.
 	RouterConfig = cluster.Config
-	// RouterHealthConfig turns on health-aware node exclusion in the
-	// cluster router (Scenario.Health).
-	RouterHealthConfig = cluster.HealthConfig
-	// RouterBreakerConfig arms per-node circuit breakers in the cluster
-	// router (Scenario.Breaker).
-	RouterBreakerConfig = cluster.BreakerConfig
 	// BreakerState is a circuit breaker's position: closed, open, or
 	// half-open.
 	BreakerState = cluster.BreakerState
@@ -156,12 +150,6 @@ type (
 	CalibrationPoint = scenario.CalibrationPoint
 	// FidelityTarget is a paper separation to calibrate toward.
 	FidelityTarget = scenario.FidelityTarget
-	// SearchReport is a finished successive-halving calibration search
-	// (Calibration.Search): the grid's best fidelity at a fraction of
-	// its simulation budget.
-	SearchReport = scenario.SearchReport
-	// SearchRung is one rung of the halving schedule.
-	SearchRung = scenario.SearchRung
 
 	// Replication is a multi-seed run of one scenario; every paper claim
 	// is asserted over a replication, not a single draw.
@@ -239,11 +227,6 @@ func NewServer(cfg ServerConfig, cat *Catalog, sched *Scheduler) (*Server, error
 
 // DefaultServerConfig reproduces the paper's testbed with throttling on.
 func DefaultServerConfig() ServerConfig { return engine.DefaultConfig() }
-
-// DefaultCompileStages returns the calibrated staged compile-memory
-// model (an order-of-magnitude lifetime ramp over the exploration
-// memo; see DESIGN.md, "Staged compile-memory model").
-func DefaultCompileStages() CompileStages { return engine.DefaultCompileStages() }
 
 // NewSalesCatalog builds the SALES data-mart schema at the given scale
 // (1.0 = the paper's 524 GB mart with a >400M-row fact table).

@@ -66,17 +66,6 @@ type NotifyFunc func(Notification)
 
 // Config tunes the broker.
 type Config struct {
-	// SampleWindow is how many usage samples feed trend detection.
-	SampleWindow int
-	// Horizon is how far ahead usage is extrapolated.
-	Horizon time.Duration
-	// StableBand is the fraction of target (e.g. 0.9) above which a
-	// component is told Stable rather than Grow.
-	StableBand float64
-	// HeadroomFrac is the fraction of total memory the broker keeps as
-	// slack: components are brokered against total*(1-HeadroomFrac), so
-	// contention is resolved before the machine is literally full.
-	HeadroomFrac float64
 	// ExhaustionFreeFrac: when under pressure and free memory falls below
 	// this fraction of total, notifications carry Exhaustion=true.
 	ExhaustionFreeFrac float64
@@ -84,14 +73,23 @@ type Config struct {
 
 // DefaultConfig returns the tuning used in the reproduction.
 func DefaultConfig() Config {
-	return Config{
-		SampleWindow:       8,
-		Horizon:            10 * time.Second,
-		StableBand:         0.9,
-		HeadroomFrac:       0.08,
-		ExhaustionFreeFrac: 0.03,
-	}
+	return Config{ExhaustionFreeFrac: 0.03}
 }
+
+// The broker's fixed tuning.
+const (
+	// sampleWindow is how many usage samples feed trend detection.
+	sampleWindow = 8
+	// horizon is how far ahead usage is extrapolated.
+	horizon = 10 * time.Second
+	// stableBand is the fraction of target above which a component is told
+	// Stable rather than Grow.
+	stableBand = 0.9
+	// headroomFrac is the fraction of total memory the broker keeps as
+	// slack: components are brokered against total*(1-headroomFrac), so
+	// contention is resolved before the machine is literally full.
+	headroomFrac = 0.08
+)
 
 // Domain is the memory region a broker arbitrates: the whole machine
 // budget or a bounded sub-region (mem.Group), such as the 32-bit address
@@ -126,7 +124,7 @@ type Component struct {
 	usage  func() int64
 	notify NotifyFunc
 
-	// Usage-sample ring: samples holds up to the configured window, shead
+	// Usage-sample ring: samples holds up to sampleWindow samples, shead
 	// is the next write slot, sn the live count. A true ring (not a
 	// forward re-slice) so the backing array is allocated once and never
 	// churns — the broker ticks every interval for every component, and
@@ -144,15 +142,6 @@ type sample struct {
 
 // New creates a broker over the given memory domain.
 func New(cfg Config, budget Domain) *Broker {
-	if cfg.SampleWindow < 2 {
-		cfg.SampleWindow = 2
-	}
-	if cfg.StableBand <= 0 || cfg.StableBand > 1 {
-		cfg.StableBand = 0.9
-	}
-	if cfg.HeadroomFrac < 0 || cfg.HeadroomFrac >= 1 {
-		cfg.HeadroomFrac = 0
-	}
 	return &Broker{cfg: cfg, budget: budget}
 }
 
@@ -220,8 +209,8 @@ func (b *Broker) Tick(now time.Duration) {
 	var usedByComponents, predictedTotal int64
 	for i, c := range b.components {
 		u := c.usage()
-		c.addSample(now, u, b.cfg.SampleWindow)
-		p := c.predict(b.cfg.Horizon)
+		c.addSample(now, u)
+		p := c.predict()
 		predicted[i] = p
 		usedByComponents += u
 		predictedTotal += p
@@ -233,7 +222,7 @@ func (b *Broker) Tick(now time.Duration) {
 	if other < 0 {
 		other = 0
 	}
-	available := b.budget.Total() - int64(b.cfg.HeadroomFrac*float64(b.budget.Total())) - other
+	available := b.budget.Total() - int64(headroomFrac*float64(b.budget.Total())) - other
 	if available < 0 {
 		available = 0
 	}
@@ -266,7 +255,7 @@ func (b *Broker) Tick(now time.Duration) {
 		switch {
 		case u > targets[i]:
 			n.Decision = Shrink
-		case float64(u) > b.cfg.StableBand*float64(targets[i]):
+		case float64(u) > stableBand*float64(targets[i]):
 			n.Decision = Stable
 		default:
 			n.Decision = Grow
@@ -338,15 +327,13 @@ func (b *Broker) computeTargets(available int64, predicted []int64) []int64 {
 	return targets
 }
 
-func (c *Component) addSample(t time.Duration, v int64, window int) {
-	if len(c.samples) != window {
-		// First sample, or a reconfigured window: rebuild the ring.
-		c.samples = make([]sample, window)
-		c.shead, c.sn = 0, 0
+func (c *Component) addSample(t time.Duration, v int64) {
+	if c.samples == nil {
+		c.samples = make([]sample, sampleWindow)
 	}
 	c.samples[c.shead] = sample{t: t, v: v}
-	c.shead = (c.shead + 1) % window
-	if c.sn < window {
+	c.shead = (c.shead + 1) % sampleWindow
+	if c.sn < sampleWindow {
 		c.sn++
 	}
 }
@@ -355,7 +342,7 @@ func (c *Component) addSample(t time.Duration, v int64, window int) {
 // a least-squares trend over the sample window. Predictions never go
 // negative, and a shrinking trend is honored (the paper's broker mitigates
 // wild swings by reacting to trends in both directions).
-func (c *Component) predict(horizon time.Duration) int64 {
+func (c *Component) predict() int64 {
 	n := c.sn
 	if n == 0 {
 		return 0

@@ -29,8 +29,7 @@ func BenchmarkReadMany(b *testing.B) {
 		{"evict", 4 * batch, batch},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := testCfg()
-			p := New(cfg, mem.NewBudget(tc.frames*cfg.ExtentBytes).NewTracker("bp"), []int64{table})
+			p := New(ext, mem.NewBudget(tc.frames*ext).NewTracker("bp"), []int64{table})
 			keys := make([]storage.ExtentKey, batch)
 			s := vtime.NewScheduler()
 			s.Go("reader", func(tk *vtime.Task) {

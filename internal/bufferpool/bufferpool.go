@@ -20,37 +20,20 @@ import (
 	"compilegate/internal/vtime"
 )
 
-// Config tunes the pool.
-type Config struct {
-	// ExtentBytes is the frame size (matches the catalog's extent size).
-	ExtentBytes int64
-	// DiskLatency is the time to read one extent from disk.
-	DiskLatency time.Duration
-	// DiskChannels bounds concurrent extent reads (I/O bandwidth =
-	// DiskChannels * ExtentBytes / DiskLatency).
-	DiskChannels int
-	// HitLatency is the cost of serving an extent from memory.
-	HitLatency time.Duration
-	// MinBytes is the floor the pool never shrinks below.
-	MinBytes int64
-}
-
-// DefaultConfig models the paper's testbed: a 2-channel Ultra3 SCSI
-// array reading 8 MiB extents at ~160 MB/s per channel.
-func DefaultConfig() Config {
-	return Config{
-		ExtentBytes:  8 << 20,
-		DiskLatency:  200 * time.Millisecond,
-		DiskChannels: 2,
-		HitLatency:   200 * time.Microsecond,
-		MinBytes:     64 << 20,
-	}
-}
+// The paper's testbed disks: a 2-channel Ultra3 SCSI array, one extent
+// read in diskLatency per channel (I/O bandwidth = diskChannels x extent /
+// diskLatency), memory hits at hitLatency; and the floor the pool never
+// shrinks below.
+const (
+	diskLatency  = 200 * time.Millisecond
+	diskChannels = 2
+	hitLatency   = 200 * time.Microsecond
+	minBytes     = 64 << 20
+)
 
 type frame struct {
-	key    storage.ExtentKey
-	ref    bool
-	pinned int
+	key storage.ExtentKey
+	ref bool
 	// Intrusive circular CLOCK ring links (insertion order), so evicting
 	// a frame is an O(1) unlink instead of a slice scan-and-shift.
 	cprev, cnext *frame
@@ -58,9 +41,9 @@ type frame struct {
 
 // Pool is the buffer pool.
 type Pool struct {
-	cfg     Config
-	tracker *mem.Tracker
-	disk    *vtime.Semaphore
+	extentBytes int64 // the frame size: the catalog's extent size
+	tracker     *mem.Tracker
+	disk        *vtime.Semaphore
 
 	// frames holds the cached extents' frames by table ID, then extent
 	// (nil where the extent is not cached): an ExtentKey is that pair, so
@@ -102,15 +85,13 @@ type Pool struct {
 // burst under the broker's default targets).
 const frameChunk = 64
 
-// New creates a pool charging frames to tracker, over a database whose
-// table with ID i has extents[i] extents (storage.Layout.ExtentCounts).
-// Reading an extent outside it is a bug and panics.
-func New(cfg Config, tracker *mem.Tracker, extents []int64) *Pool {
-	if cfg.ExtentBytes <= 0 {
+// New creates a pool of extentBytes frames (the catalog's extent size)
+// charging tracker, over a database whose table with ID i has extents[i]
+// extents (storage.Layout.ExtentCounts). Reading an extent outside it is a
+// bug and panics.
+func New(extentBytes int64, tracker *mem.Tracker, extents []int64) *Pool {
+	if extentBytes <= 0 {
 		panic("bufferpool: non-positive extent size")
-	}
-	if cfg.DiskChannels <= 0 {
-		cfg.DiskChannels = 1
 	}
 	var total int64
 	for _, n := range extents {
@@ -122,10 +103,10 @@ func New(cfg Config, tracker *mem.Tracker, extents []int64) *Pool {
 		frames[id], slots = slots[:n:n], slots[n:]
 	}
 	return &Pool{
-		cfg:     cfg,
-		tracker: tracker,
-		disk:    vtime.NewSemaphore("disk", cfg.DiskChannels),
-		frames:  frames,
+		extentBytes: extentBytes,
+		tracker:     tracker,
+		disk:        vtime.NewSemaphore("disk", diskChannels),
+		frames:      frames,
 	}
 }
 
@@ -157,14 +138,14 @@ func (p *Pool) HitRate() float64 {
 }
 
 // SetDilation installs a disk time-dilation hook: every physical extent
-// transfer takes DiskLatency*fn(). The engine wires this to the paging
+// transfer takes diskLatency*fn(). The engine wires this to the paging
 // slowdown — on a thrashing machine swap traffic contends with the
 // database's own I/O on the same channels. nil restores undilated reads.
 func (p *Pool) SetDilation(fn func() float64) { p.dilation = fn }
 
-// diskLatency returns the current per-extent transfer time, dilated.
-func (p *Pool) diskLatency() time.Duration {
-	d := p.cfg.DiskLatency
+// transferTime returns the current per-extent transfer time, dilated.
+func (p *Pool) transferTime() time.Duration {
+	d := diskLatency
 	if p.dilation != nil {
 		if f := p.dilation(); f > 1 {
 			d = time.Duration(float64(d) * f)
@@ -198,44 +179,23 @@ func (p *Pool) SetTarget(target int64) {
 // Target returns the current broker target.
 func (p *Pool) Target() int64 { return p.target }
 
-// Shrink releases up to want bytes of unpinned frames (oldest-clock
-// first) and returns the bytes actually freed. It is the pool's
+// Shrink releases up to want bytes of frames (oldest-clock first), never
+// below minBytes, and returns the bytes actually freed. It is the pool's
 // mem.Reclaimer and broker shrink handler.
 func (p *Pool) Shrink(want int64) int64 {
 	var freed int64
-	floor := p.cfg.MinBytes
-	for freed < want && p.Bytes()-freed > floor {
+	for freed < want && p.Bytes()-freed > minBytes {
 		f := p.victim()
 		if f == nil {
 			break
 		}
 		p.drop(f)
-		freed += p.cfg.ExtentBytes
+		freed += p.extentBytes
 	}
 	if freed > 0 {
 		p.tracker.Release(freed)
 	}
 	return freed
-}
-
-// Read fetches one extent on behalf of task t, simulating memory or disk
-// latency, and reports whether it was a hit. Misses are cached when the
-// budget and target allow; otherwise the read passes through uncached.
-func (p *Pool) Read(t *vtime.Task, key storage.ExtentKey) bool {
-	if f := *p.slot(key); f != nil {
-		p.hits++
-		f.ref = true
-		t.Sleep(p.cfg.HitLatency)
-		return true
-	}
-	p.misses++
-	// Physical read: contend for a disk channel.
-	p.disk.Acquire(t)
-	t.Sleep(p.diskLatency())
-	p.disk.Release()
-
-	p.admit(t, key)
-	return false
 }
 
 // readManyOp is the continuation state machine behind ReadMany: one
@@ -272,7 +232,7 @@ func (op *readManyOp) Run(t *vtime.Task) {
 			return
 		case rmTransfer:
 			op.state = rmAdmit
-			t.SleepThen(p.diskLatency(), op)
+			t.SleepThen(p.transferTime(), op)
 			return
 		case rmAdmit:
 			p.disk.Release()
@@ -306,7 +266,7 @@ func (p *Pool) ReadManyThen(t *vtime.Task, keys []storage.ExtentKey, hits *int, 
 	}
 	*hits = h
 	if h > 0 {
-		t.SleepThen(time.Duration(h)*p.cfg.HitLatency, op)
+		t.SleepThen(time.Duration(h)*hitLatency, op)
 		return
 	}
 	op.Run(t)
@@ -327,16 +287,16 @@ func (p *Pool) admit(t *vtime.Task, key storage.ExtentKey) {
 		return // racing reader cached it while we slept on disk
 	}
 	// Respect the broker target by evicting an old frame to make room.
-	if p.target > 0 && p.Bytes()+p.cfg.ExtentBytes > p.target {
+	if p.target > 0 && p.Bytes()+p.extentBytes > p.target {
 		if v := p.victim(); v != nil {
 			p.drop(v)
-			p.tracker.Release(p.cfg.ExtentBytes)
+			p.tracker.Release(p.extentBytes)
 		} else {
 			p.passthrough++
 			return
 		}
 	}
-	if err := p.tracker.Reserve(p.cfg.ExtentBytes); err != nil {
+	if err := p.tracker.Reserve(p.extentBytes); err != nil {
 		// Budget exhausted even after global reclaim: try evicting our
 		// own coldest frame; else serve uncached.
 		if v := p.victim(); v != nil {
@@ -376,9 +336,6 @@ func (p *Pool) victim() *frame {
 			p.clockHand = nil // advanced past the tail: back at the seam
 		} else {
 			p.clockHand = f.cnext
-		}
-		if f.pinned > 0 {
-			continue
 		}
 		if f.ref {
 			f.ref = false
@@ -447,7 +404,7 @@ func (p *Pool) drop(f *frame) {
 // frames are carved from the chunk arena.
 func (p *Pool) newFrame(key storage.ExtentKey) *frame {
 	if f := p.frameFree.Get(); f != nil {
-		f.key, f.ref, f.pinned = key, true, 0
+		f.key, f.ref = key, true
 		return f
 	}
 	if len(p.frameArena) == 0 {
@@ -460,9 +417,9 @@ func (p *Pool) newFrame(key storage.ExtentKey) *frame {
 }
 
 // ExtentBytes returns the frame size.
-func (p *Pool) ExtentBytes() int64 { return p.cfg.ExtentBytes }
+func (p *Pool) ExtentBytes() int64 { return p.extentBytes }
 
-// diskDelayOp is the continuation state machine behind DiskDelay: claim
+// diskDelayOp is the continuation state machine behind DiskDelayThen: claim
 // a disk channel for one extent-sized chunk at a time.
 type diskDelayOp struct {
 	p      *Pool
@@ -484,8 +441,8 @@ func (op *diskDelayOp) Run(t *vtime.Task) {
 	for {
 		switch op.state {
 		case ddClaim:
-			chunk := p.cfg.DiskLatency
-			if chunk <= 0 || chunk > op.remain {
+			chunk := diskLatency
+			if chunk > op.remain {
 				chunk = op.remain
 			}
 			occupy := chunk
@@ -518,7 +475,8 @@ func (op *diskDelayOp) Run(t *vtime.Task) {
 }
 
 // DiskDelayThen occupies a disk channel for d of virtual time as
-// continuation steps on the event loop, then runs k.
+// continuation steps on the event loop, then runs k: raw I/O that bypasses
+// the cache (an execution's workspace refaults).
 func (p *Pool) DiskDelayThen(t *vtime.Task, d time.Duration, k vtime.Step) {
 	if d <= 0 {
 		k.Run(t)
@@ -532,31 +490,8 @@ func (p *Pool) DiskDelayThen(t *vtime.Task, d time.Duration, k vtime.Step) {
 	op.Run(t)
 }
 
-// DiskDelay occupies a disk channel for d of virtual time on behalf of t
-// (spill writes/reads and other raw I/O that bypasses the cache).
-func (p *Pool) DiskDelay(t *vtime.Task, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t.Await(func(k vtime.Step) { p.DiskDelayThen(t, d, k) })
-}
-
 // Contains reports whether the extent is cached (for tests).
 func (p *Pool) Contains(key storage.ExtentKey) bool { return *p.slot(key) != nil }
-
-// Pin prevents eviction of a cached extent; no-op when absent.
-func (p *Pool) Pin(key storage.ExtentKey) {
-	if f := *p.slot(key); f != nil {
-		f.pinned++
-	}
-}
-
-// Unpin releases a pin.
-func (p *Pool) Unpin(key storage.ExtentKey) {
-	if f := *p.slot(key); f != nil && f.pinned > 0 {
-		f.pinned--
-	}
-}
 
 // String summarizes the pool.
 func (p *Pool) String() string {

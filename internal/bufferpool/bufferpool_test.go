@@ -10,15 +10,9 @@ import (
 	"compilegate/internal/vtime"
 )
 
-func testCfg() Config {
-	return Config{
-		ExtentBytes:  100,
-		DiskLatency:  10 * time.Millisecond,
-		DiskChannels: 2,
-		HitLatency:   100 * time.Microsecond,
-		MinBytes:     0,
-	}
-}
+// ext is the tests' extent size: above minBytes, so a pool of them can
+// shrink to empty.
+const ext = 100 << 20
 
 // testExtents is the database the tests' pools cache: table 1 is the one
 // key addresses.
@@ -26,15 +20,20 @@ var testExtents = []int64{3, 128, 40}
 
 func key(i int64) storage.ExtentKey { return storage.NewExtentKey(1, i) }
 
+// read is a one-extent ReadMany; it reports whether it was a hit.
+func read(p *Pool, tk *vtime.Task, k storage.ExtentKey) bool {
+	return p.ReadMany(tk, []storage.ExtentKey{k}) == 1
+}
+
 func TestMissThenHit(t *testing.T) {
-	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"), testExtents)
+	b := mem.NewBudget(100 * ext)
+	p := New(ext, b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
-		if p.Read(tk, key(1)) {
+		if read(p, tk, key(1)) {
 			t.Error("first read was a hit")
 		}
-		if !p.Read(tk, key(1)) {
+		if !read(p, tk, key(1)) {
 			t.Error("second read was a miss")
 		}
 	})
@@ -44,49 +43,49 @@ func TestMissThenHit(t *testing.T) {
 	if p.Hits() != 1 || p.Misses() != 1 {
 		t.Fatalf("hits=%d misses=%d", p.Hits(), p.Misses())
 	}
-	if p.Bytes() != 100 || p.Frames() != 1 {
+	if p.Bytes() != ext || p.Frames() != 1 {
 		t.Fatalf("bytes=%d frames=%d", p.Bytes(), p.Frames())
 	}
-	// Latency: one miss (10ms) + one hit (0.1ms).
-	if s.Now() != 10*time.Millisecond+100*time.Microsecond {
+	// Latency: one miss (200ms) + one hit (0.2ms).
+	if s.Now() != 200*time.Millisecond+200*time.Microsecond {
 		t.Fatalf("elapsed = %v", s.Now())
 	}
 }
 
 func TestDiskChannelContention(t *testing.T) {
-	b := mem.NewBudget(1 << 20)
-	p := New(testCfg(), b.NewTracker("bp"), testExtents) // 2 channels, 10ms each
+	b := mem.NewBudget(100 * ext)
+	p := New(ext, b.NewTracker("bp"), testExtents) // 2 channels, 200ms each
 	s := vtime.NewScheduler()
 	for i := 0; i < 4; i++ {
 		i := i
 		s.Go("r", func(tk *vtime.Task) {
-			p.Read(tk, key(int64(i)))
+			read(p, tk, key(int64(i)))
 		})
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// 4 misses over 2 channels = 2 waves of 10ms.
-	if s.Now() != 20*time.Millisecond {
-		t.Fatalf("elapsed = %v, want 20ms", s.Now())
+	// 4 misses over 2 channels = 2 waves of 200ms.
+	if s.Now() != 400*time.Millisecond {
+		t.Fatalf("elapsed = %v, want 400ms", s.Now())
 	}
 }
 
 func TestBudgetPressurePassthrough(t *testing.T) {
-	b := mem.NewBudget(250) // room for 2 frames only
-	p := New(testCfg(), b.NewTracker("bp"), testExtents)
+	b := mem.NewBudget(2*ext + ext/2) // room for 2 frames only
+	p := New(ext, b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
-		p.Read(tk, key(1))
-		p.Read(tk, key(2))
+		read(p, tk, key(1))
+		read(p, tk, key(2))
 		// Third unique extent: budget exhausted; pool must evict its own
 		// coldest frame and keep working.
-		p.Read(tk, key(3))
+		read(p, tk, key(3))
 		if p.Frames() != 2 {
 			t.Errorf("frames = %d, want 2", p.Frames())
 		}
-		if p.Bytes() != 200 {
-			t.Errorf("bytes = %d, want 200", p.Bytes())
+		if p.Bytes() != 2*ext {
+			t.Errorf("bytes = %d, want %d", p.Bytes(), 2*ext)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -98,18 +97,18 @@ func TestBudgetPressurePassthrough(t *testing.T) {
 }
 
 func TestClockEvictsColdKeepsHot(t *testing.T) {
-	b := mem.NewBudget(300) // 3 frames
-	p := New(testCfg(), b.NewTracker("bp"), testExtents)
+	b := mem.NewBudget(3 * ext) // 3 frames
+	p := New(ext, b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
-		p.Read(tk, key(1))
-		p.Read(tk, key(2))
-		p.Read(tk, key(3))
+		read(p, tk, key(1))
+		read(p, tk, key(2))
+		read(p, tk, key(3))
 		// Re-touch 1 and 2 so 3 is the cold one.
-		p.Read(tk, key(1))
-		p.Read(tk, key(2))
+		read(p, tk, key(1))
+		read(p, tk, key(2))
 		// Clock sweep clears refs; touch 1 and 2 again mid-sweep pattern.
-		p.Read(tk, key(4)) // must evict someone
+		read(p, tk, key(4)) // must evict someone
 		if !p.Contains(key(4)) {
 			t.Error("new extent not cached")
 		}
@@ -122,43 +121,22 @@ func TestClockEvictsColdKeepsHot(t *testing.T) {
 	}
 }
 
-func TestPinnedNeverEvicted(t *testing.T) {
-	b := mem.NewBudget(200) // 2 frames
-	p := New(testCfg(), b.NewTracker("bp"), testExtents)
-	s := vtime.NewScheduler()
-	s.Go("r", func(tk *vtime.Task) {
-		p.Read(tk, key(1))
-		p.Pin(key(1))
-		p.Read(tk, key(2))
-		for i := int64(3); i < 10; i++ {
-			p.Read(tk, key(i))
-		}
-		if !p.Contains(key(1)) {
-			t.Error("pinned extent evicted")
-		}
-		p.Unpin(key(1))
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShrinkReleasesMemory(t *testing.T) {
-	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"), testExtents)
+	b := mem.NewBudget(100 * ext)
+	p := New(ext, b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		for i := int64(0); i < 10; i++ {
-			p.Read(tk, key(i))
+			read(p, tk, key(i))
 		}
-		if p.Bytes() != 1000 {
+		if p.Bytes() != 10*ext {
 			t.Fatalf("bytes = %d", p.Bytes())
 		}
-		freed := p.Shrink(350)
-		if freed != 400 { // whole frames only
-			t.Errorf("freed = %d, want 400", freed)
+		freed := p.Shrink(3*ext + ext/2)
+		if freed != 4*ext { // whole frames only
+			t.Errorf("freed = %d, want %d", freed, 4*ext)
 		}
-		if p.Bytes() != 600 || p.Frames() != 6 {
+		if p.Bytes() != 6*ext || p.Frames() != 6 {
 			t.Errorf("after shrink: bytes=%d frames=%d", p.Bytes(), p.Frames())
 		}
 	})
@@ -167,19 +145,20 @@ func TestShrinkReleasesMemory(t *testing.T) {
 	}
 }
 
+// TestShrinkRespectsFloor: with 16 MiB extents the 64 MiB floor is four
+// frames, and no shrink goes below it.
 func TestShrinkRespectsFloor(t *testing.T) {
-	cfg := testCfg()
-	cfg.MinBytes = 500
-	b := mem.NewBudget(10_000)
-	p := New(cfg, b.NewTracker("bp"), testExtents)
+	const small = minBytes / 4
+	b := mem.NewBudget(100 * small)
+	p := New(small, b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		for i := int64(0); i < 10; i++ {
-			p.Read(tk, key(i))
+			read(p, tk, key(i))
 		}
-		p.Shrink(1_000_000)
-		if p.Bytes() < 500 {
-			t.Errorf("shrank below floor: %d", p.Bytes())
+		p.Shrink(100 * small)
+		if p.Bytes() != minBytes {
+			t.Errorf("shrank to %d, want the %d floor", p.Bytes(), minBytes)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -188,27 +167,27 @@ func TestShrinkRespectsFloor(t *testing.T) {
 }
 
 func TestTargetCapsGrowth(t *testing.T) {
-	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"), testExtents)
+	b := mem.NewBudget(100 * ext)
+	p := New(ext, b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		for i := int64(0); i < 5; i++ {
-			p.Read(tk, key(i))
+			read(p, tk, key(i))
 		}
-		p.SetTarget(300) // force down to 3 frames
-		if p.Bytes() > 300 {
-			t.Errorf("bytes = %d after SetTarget(300)", p.Bytes())
+		p.SetTarget(3 * ext) // force down to 3 frames
+		if p.Bytes() > 3*ext {
+			t.Errorf("bytes = %d after SetTarget(3 frames)", p.Bytes())
 		}
 		// Growth beyond target replaces rather than grows.
 		for i := int64(10); i < 15; i++ {
-			p.Read(tk, key(i))
+			read(p, tk, key(i))
 		}
-		if p.Bytes() > 300 {
+		if p.Bytes() > 3*ext {
 			t.Errorf("pool grew past target: %d", p.Bytes())
 		}
 		p.SetTarget(0)
-		p.Read(tk, key(99))
-		if p.Bytes() != 400 {
+		read(p, tk, key(99))
+		if p.Bytes() != 4*ext {
 			t.Errorf("pool did not resume growth after clearing target: %d", p.Bytes())
 		}
 	})
@@ -218,8 +197,8 @@ func TestTargetCapsGrowth(t *testing.T) {
 }
 
 func TestReadMany(t *testing.T) {
-	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"), testExtents)
+	b := mem.NewBudget(100 * ext)
+	p := New(ext, b.NewTracker("bp"), testExtents)
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		keys := []storage.ExtentKey{key(1), key(2), key(3)}
@@ -239,8 +218,8 @@ func TestReadMany(t *testing.T) {
 }
 
 func TestHitRateZeroTraffic(t *testing.T) {
-	b := mem.NewBudget(1000)
-	p := New(testCfg(), b.NewTracker("bp"), testExtents)
+	b := mem.NewBudget(10 * ext)
+	p := New(ext, b.NewTracker("bp"), testExtents)
 	if p.HitRate() != 0 {
 		t.Fatal("hit rate nonzero with no traffic")
 	}
@@ -249,24 +228,25 @@ func TestHitRateZeroTraffic(t *testing.T) {
 	}
 }
 
-// Property: pool bytes always equal frames*ExtentBytes, never exceed the
+// Property: pool bytes always equal frames*extent, never exceed the
 // budget, and hits+misses equals total reads.
 func TestQuickPoolInvariants(t *testing.T) {
 	f := func(reads []uint8, shrinks []uint8) bool {
-		b := mem.NewBudget(550) // 5 frames
-		p := New(testCfg(), b.NewTracker("bp"), testExtents)
+		budget := int64(5*ext + ext/2) // 5 frames
+		b := mem.NewBudget(budget)
+		p := New(ext, b.NewTracker("bp"), testExtents)
 		s := vtime.NewScheduler()
 		ok := true
 		s.Go("r", func(tk *vtime.Task) {
 			for i, r := range reads {
-				p.Read(tk, key(int64(r%12)))
+				read(p, tk, key(int64(r%12)))
 				if len(shrinks) > 0 && i%3 == 2 {
-					p.Shrink(int64(shrinks[i%len(shrinks)]))
+					p.Shrink(int64(shrinks[i%len(shrinks)]) * ext / 100)
 				}
-				if p.Bytes() != int64(p.Frames())*100 {
+				if p.Bytes() != int64(p.Frames())*ext {
 					ok = false
 				}
-				if p.Bytes() > 550 {
+				if p.Bytes() > budget {
 					ok = false
 				}
 			}
@@ -286,11 +266,11 @@ func TestQuickPoolInvariants(t *testing.T) {
 // the tail (hand == len in slice terms), a frame admitted before the
 // next sweep sits exactly at the hand's position and must be the next
 // sweep candidate — not the ring head. Minimal divergence sequence:
-// admit a, b; pin a; evict (skips pinned a, takes b, hand ends at the
-// seam); admit c; unpin a; the next victim must be c.
+// admit a, b; reference a; evict (clears a's bit, takes b, hand ends at
+// the seam); admit c; the next victim must be c, not the now-cold a.
 func TestClockSeamInsertVisitedFirst(t *testing.T) {
-	b := mem.NewBudget(10_000)
-	p := New(testCfg(), b.NewTracker("bp"), testExtents)
+	b := mem.NewBudget(100 * ext)
+	p := New(ext, b.NewTracker("bp"), testExtents)
 	mk := func(i int64) *frame {
 		f := p.insert(key(i))
 		f.ref = false
@@ -298,14 +278,16 @@ func TestClockSeamInsertVisitedFirst(t *testing.T) {
 	}
 	a := mk(1)
 	mk(2)
-	a.pinned = 1
+	a.ref = true
 	v := p.victim()
 	if v == nil || v.key != key(2) {
-		t.Fatalf("first victim = %v, want frame 2 (frame 1 is pinned)", v)
+		t.Fatalf("first victim = %v, want frame 2 (frame 1 is referenced)", v)
+	}
+	if a.ref {
+		t.Fatal("the sweep did not clear frame 1's reference bit")
 	}
 	p.drop(v)
 	c := mk(3)
-	a.pinned = 0
 	if v := p.victim(); v != c {
 		t.Fatalf("victim after seam insert = %v, want the just-admitted frame 3", v.key)
 	}

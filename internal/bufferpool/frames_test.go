@@ -26,9 +26,8 @@ type modelPool struct {
 }
 
 type modelFrame struct {
-	key    storage.ExtentKey
-	ref    bool
-	pinned int
+	key storage.ExtentKey
+	ref bool
 }
 
 func (m *modelPool) bytes() int64 { return int64(len(m.frames)) * m.extent }
@@ -40,13 +39,10 @@ func (m *modelPool) victim() *modelFrame {
 		}
 		f := m.clock[m.hand]
 		m.hand++
-		switch {
-		case f.pinned > 0:
-		case f.ref:
-			f.ref = false
-		default:
+		if !f.ref {
 			return f
 		}
+		f.ref = false
 	}
 	return nil
 }
@@ -132,9 +128,12 @@ func (m *modelPool) setTarget(target int64) {
 }
 
 // TestFramesMatchMapModel drives the pool and the model through the same
-// random reads, shrinks, page steals, target changes and pins over three
+// random reads, shrinks, page steals and target changes over three
 // tables, and after every step compares the counters and the exact set of
 // cached extents — which is equal only if every victim was the same frame.
+// The extent size sets how many frames the minBytes floor holds (0 to 3);
+// targets fall anywhere, below one extent included, which is what makes a
+// read pass through uncached.
 func TestFramesMatchMapModel(t *testing.T) {
 	extents := []int64{7, 60, 0, 25}
 	var universe []storage.ExtentKey
@@ -146,11 +145,10 @@ func TestFramesMatchMapModel(t *testing.T) {
 	var evictions, passthrough, hits uint64
 	for seed := int64(1); seed <= 12 && !t.Failed(); seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := testCfg()
-		cfg.MinBytes = int64(rng.Intn(4)) * cfg.ExtentBytes
-		budget := int64(2+rng.Intn(26))*cfg.ExtentBytes + int64(rng.Intn(int(cfg.ExtentBytes)))
-		p := New(cfg, mem.NewBudget(budget).NewTracker("bp"), extents)
-		m := &modelPool{extent: cfg.ExtentBytes, budget: budget, floor: cfg.MinBytes,
+		extent := []int64{2 * minBytes, minBytes, minBytes / 2, minBytes / 3}[rng.Intn(4)]
+		budget := int64(2+rng.Intn(26))*extent + rng.Int63n(extent)
+		p := New(extent, mem.NewBudget(budget).NewTracker("bp"), extents)
+		m := &modelPool{extent: extent, budget: budget, floor: minBytes,
 			frames: map[storage.ExtentKey]*modelFrame{}}
 		// Draw from a window of the universe a little larger than the pool,
 		// so that hits, misses and evictions all stay common.
@@ -159,7 +157,7 @@ func TestFramesMatchMapModel(t *testing.T) {
 		s := vtime.NewScheduler()
 		s.Go("driver", func(tk *vtime.Task) {
 			for step := 0; step < 3000; step++ {
-				switch op := rng.Intn(20); {
+				switch op := rng.Intn(17); {
 				case op < 12:
 					keys := make([]storage.ExtentKey, 1+rng.Intn(6))
 					for i := range keys {
@@ -170,37 +168,23 @@ func TestFramesMatchMapModel(t *testing.T) {
 						return
 					}
 				case op < 14:
-					want := int64(rng.Intn(5)) * cfg.ExtentBytes
+					want := int64(rng.Intn(5)) * extent
 					if got, want := p.Shrink(want), m.shrink(want); got != want {
 						t.Errorf("seed %d step %d: Shrink freed %d, model %d", seed, step, got, want)
 						return
 					}
 				case op < 15:
-					want := int64(rng.Intn(4))*cfg.ExtentBytes + 1
+					want := int64(rng.Intn(4))*extent + 1
 					stolen := m.shrink(want)
 					m.stolen += stolen
 					if got := p.StealPages(want); got != stolen {
 						t.Errorf("seed %d step %d: StealPages took %d, model %d", seed, step, got, stolen)
 						return
 					}
-				case op < 17:
-					target := int64(rng.Intn(3)) * int64(rng.Intn(24)) * cfg.ExtentBytes
+				default:
+					target := int64(rng.Intn(3)) * rng.Int63n(24*extent)
 					p.SetTarget(target)
 					m.setTarget(target)
-				case op < 19:
-					key := pick()
-					p.Pin(key)
-					if f := m.frames[key]; f != nil {
-						f.pinned++
-					}
-				default:
-					// Unpin everything, so that pins do not pile up until
-					// nothing can be evicted.
-					for _, f := range m.clock {
-						for ; f.pinned > 0; f.pinned-- {
-							p.Unpin(f.key)
-						}
-					}
 				}
 				if p.hits != m.hits || p.misses != m.misses || p.evictions != m.evictions || p.passthrough != m.passthrough {
 					t.Errorf("seed %d step %d: hits/misses/evictions/passthrough = %d/%d/%d/%d, model %d/%d/%d/%d",

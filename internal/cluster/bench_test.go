@@ -21,7 +21,6 @@ func (n *stubNode) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.St
 func (n *stubNode) Down() bool               { return false }
 func (n *stubNode) ActiveCompiles() int      { return 0 }
 func (n *stubNode) OvercommitRatio() float64 { return 0 }
-func (n *stubNode) BrownedOut() bool         { return false }
 func (n *stubNode) ThrashScore() float64     { return 0 }
 
 // BenchmarkRouterSubmit is one SubmitThen through a four-node router over
@@ -31,9 +30,7 @@ func (n *stubNode) ThrashScore() float64     { return 0 }
 func BenchmarkRouterSubmit(b *testing.B) {
 	sqls := workload.SpecOLTP.StaticStatements()
 	stmts := engine.PrepareStatements(sqls)
-	guarded := Config{Policy: LeastLoaded, FailoverHops: 1}
-	guarded.Health.Enabled = true
-	guarded.Breaker.Enabled = true
+	guarded := Config{Policy: LeastLoaded, Health: true, Breaker: true, FailoverHops: 1}
 	for _, tc := range []struct {
 		name string
 		cfg  Config

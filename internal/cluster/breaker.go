@@ -7,50 +7,24 @@ import (
 	"compilegate/internal/errclass"
 )
 
-// BreakerConfig tunes the per-node circuit breakers the router keeps
-// when Config.Breaker.Enabled is set. The breaker watches every routed
-// submission's outcome through the errclass taxonomy: a classified
-// failure (Shed / Timeout / OOM / Crashed) counts against the node, an
-// unclassified error (a parse error is the client's fault, not the
-// node's) and a success do not.
-type BreakerConfig struct {
-	// Enabled turns the breakers on.
-	Enabled bool
-	// Threshold is how many consecutive classified failures trip a
-	// closed breaker open (0 defaults to 5). Any success resets the
-	// streak, so a node that still completes work between failures —
-	// the correlated-compile-storm case — never trips.
-	Threshold int
-	// Cooldown is the virtual time an open breaker waits before
-	// admitting its first half-open probe (0 defaults to 45s, nine
-	// broker ticks).
-	Cooldown time.Duration
-	// Probes is how many consecutive successful probes close a
-	// half-open breaker (0 defaults to 3) — gradual re-admission
-	// instead of instant re-flooding.
-	Probes int
-}
-
-func (c BreakerConfig) threshold() int {
-	if c.Threshold <= 0 {
-		return 5
-	}
-	return c.Threshold
-}
-
-func (c BreakerConfig) cooldown() time.Duration {
-	if c.Cooldown <= 0 {
-		return 45 * time.Second
-	}
-	return c.Cooldown
-}
-
-func (c BreakerConfig) probes() int {
-	if c.Probes <= 0 {
-		return 3
-	}
-	return c.Probes
-}
+// The per-node circuit breakers the router keeps when Config.Breaker is
+// set watch every routed submission's outcome through the errclass
+// taxonomy: a classified failure (Shed / Timeout / OOM / Crashed) counts
+// against the node, an unclassified error (a parse error is the client's
+// fault, not the node's) and a success do not.
+const (
+	// breakerThreshold consecutive classified failures trip a closed
+	// breaker open. Any success resets the streak, so a node that still
+	// completes work between failures — the correlated-compile-storm case
+	// — never trips.
+	breakerThreshold = 5
+	// breakerCooldown is the virtual time an open breaker waits before
+	// admitting its first half-open probe: nine broker ticks.
+	breakerCooldown = 45 * time.Second
+	// breakerProbes consecutive successful probes close a half-open
+	// breaker — gradual re-admission instead of instant re-flooding.
+	breakerProbes = 3
+)
 
 // BreakerState is one circuit breaker's position: closed (traffic
 // flows), open (the node is excluded until the cooldown elapses), or
@@ -99,8 +73,6 @@ const transitionCap = 128
 // always belongs to the current half-open round and no stale
 // observation can close or re-trip the breaker.
 type breaker struct {
-	cfg BreakerConfig
-
 	state    BreakerState
 	fails    int  // consecutive classified failures while closed
 	okProbes int  // successful probes this half-open round
@@ -112,15 +84,13 @@ type breaker struct {
 	dropped     uint64
 }
 
-func newBreaker(cfg BreakerConfig) *breaker { return &breaker{cfg: cfg} }
-
 // canAdmit reports whether the node may take a routed submission at
 // virtual time now, without mutating any state — the router's
 // eligibility check.
 func (b *breaker) canAdmit(now time.Duration) bool {
 	switch b.state {
 	case BreakerOpen:
-		return now >= b.openedAt+b.cfg.cooldown()
+		return now >= b.openedAt+breakerCooldown
 	case BreakerHalfOpen:
 		return !b.probing
 	default:
@@ -133,7 +103,7 @@ func (b *breaker) canAdmit(now time.Duration) bool {
 // breaker whose cooldown has elapsed moves to half-open here, on the
 // first admitted submission.
 func (b *breaker) admit(now time.Duration) (probe bool) {
-	if b.state == BreakerOpen && now >= b.openedAt+b.cfg.cooldown() {
+	if b.state == BreakerOpen && now >= b.openedAt+breakerCooldown {
 		b.shift(now, BreakerHalfOpen)
 		b.okProbes = 0
 	}
@@ -162,7 +132,7 @@ func (b *breaker) observe(now time.Duration, err error, probe bool) {
 			return
 		}
 		b.okProbes++
-		if b.okProbes >= b.cfg.probes() {
+		if b.okProbes >= breakerProbes {
 			b.shift(now, BreakerClosed)
 			b.fails = 0
 			b.okProbes = 0
@@ -177,7 +147,7 @@ func (b *breaker) observe(now time.Duration, err error, probe bool) {
 		return
 	}
 	b.fails++
-	if b.fails >= b.cfg.threshold() {
+	if b.fails >= breakerThreshold {
 		b.trip(now)
 	}
 }

@@ -20,82 +20,83 @@ type step struct {
 	canWant bool
 }
 
+// trip is the failure streak that opens a closed breaker: a classified
+// failure every second from t=1s, the breakerThreshold-th at t=5s.
+func trip() []step {
+	kinds := []error{errclass.Shed, errclass.Timeout, errclass.OOM, errclass.Crashed, errclass.Shed}
+	steps := make([]step, len(kinds))
+	for i, err := range kinds {
+		steps[i] = step{at: time.Duration(i+1) * time.Second, err: err, state: BreakerClosed}
+	}
+	steps[len(steps)-1].state = BreakerOpen
+	return steps
+}
+
 // TestBreakerStateMachine walks the trip / cooldown / probe / re-trip
-// sequences through scripted observation streams.
+// sequences through scripted observation streams, at the shipped
+// threshold (5), cooldown (45 s) and probe count (3).
 func TestBreakerStateMachine(t *testing.T) {
-	cfg := BreakerConfig{Enabled: true, Threshold: 3, Cooldown: 30 * time.Second, Probes: 2}
 	sec := func(n int) time.Duration { return time.Duration(n) * time.Second }
+	then := func(steps ...step) []step { return append(trip(), steps...) }
+	// probesClose is a half-open round from t0 that closes the breaker.
+	probesClose := func(t0 int) []step {
+		return []step{
+			{at: sec(t0), admit: true, probe: true, state: BreakerHalfOpen},
+			{at: sec(t0 + 1), err: nil, probe: true, state: BreakerHalfOpen},
+			{at: sec(t0 + 2), admit: true, probe: true, state: BreakerHalfOpen},
+			{at: sec(t0 + 3), err: nil, probe: true, state: BreakerHalfOpen},
+			{at: sec(t0 + 4), admit: true, probe: true, state: BreakerHalfOpen},
+			{at: sec(t0 + 5), err: nil, probe: true, state: BreakerClosed},
+		}
+	}
 	cases := []struct {
 		name  string
 		steps []step
 	}{
-		{"trips-at-threshold", []step{
-			{at: sec(1), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(2), err: errclass.Timeout, state: BreakerClosed},
-			{at: sec(3), err: errclass.OOM, state: BreakerOpen},
-		}},
-		{"success-resets-streak", []step{
-			{at: sec(1), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(2), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(3), err: nil, state: BreakerClosed},
-			{at: sec(4), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(5), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(6), err: errclass.Crashed, state: BreakerOpen},
-		}},
+		{"trips-at-threshold", trip()},
+		{"success-resets-streak", append(append(trip()[:4],
+			step{at: sec(10), err: nil, state: BreakerClosed}),
+			step{at: sec(11), err: errclass.Shed, state: BreakerClosed},
+			step{at: sec(12), err: errclass.Shed, state: BreakerClosed},
+			step{at: sec(13), err: errclass.Shed, state: BreakerClosed},
+			step{at: sec(14), err: errclass.Shed, state: BreakerClosed},
+			step{at: sec(15), err: errclass.Crashed, state: BreakerOpen},
+		)},
 		{"unclassified-errors-do-not-count", []step{
 			{at: sec(1), err: errors.New("parse error"), state: BreakerClosed},
 			{at: sec(2), err: errors.New("parse error"), state: BreakerClosed},
 			{at: sec(3), err: errors.New("parse error"), state: BreakerClosed},
 			{at: sec(4), err: errors.New("parse error"), state: BreakerClosed},
+			{at: sec(5), err: errors.New("parse error"), state: BreakerClosed},
+			{at: sec(6), err: errors.New("parse error"), state: BreakerClosed},
 		}},
-		{"cooldown-gates-reentry", []step{
-			{at: sec(1), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(2), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(3), err: errclass.Shed, state: BreakerOpen,
-				canAt: sec(32), canWant: false},
+		{"cooldown-gates-reentry", then(
+			step{at: sec(6), err: errclass.Shed, state: BreakerOpen, canAt: sec(49), canWant: false},
 			// Cooldown elapsed: admit moves open -> half-open and
 			// reserves the single probe slot.
-			{at: sec(33), admit: true, probe: true, state: BreakerHalfOpen,
-				canAt: sec(34), canWant: false},
-		}},
-		{"probes-close-gradually", []step{
-			{at: sec(1), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(2), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(3), err: errclass.Shed, state: BreakerOpen},
-			{at: sec(40), admit: true, probe: true, state: BreakerHalfOpen},
-			{at: sec(45), err: nil, probe: true, state: BreakerHalfOpen},
-			{at: sec(46), admit: true, probe: true, state: BreakerHalfOpen},
-			{at: sec(50), err: nil, probe: true, state: BreakerClosed},
-		}},
-		{"probe-failure-retrips", []step{
-			{at: sec(1), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(2), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(3), err: errclass.Shed, state: BreakerOpen},
-			{at: sec(40), admit: true, probe: true, state: BreakerHalfOpen},
-			{at: sec(44), err: errclass.Crashed, probe: true, state: BreakerOpen,
-				// The re-trip restarts the cooldown from t=44.
-				canAt: sec(50), canWant: false},
-			{at: sec(80), admit: true, probe: true, state: BreakerHalfOpen},
-			{at: sec(81), err: nil, probe: true, state: BreakerHalfOpen},
-			{at: sec(82), admit: true, probe: true, state: BreakerHalfOpen},
-			{at: sec(83), err: nil, probe: true, state: BreakerClosed},
-		}},
-		{"stale-non-probe-outcomes-ignored", []step{
-			{at: sec(1), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(2), err: errclass.Shed, state: BreakerClosed},
-			{at: sec(3), err: errclass.Shed, state: BreakerOpen},
+			step{at: sec(50), admit: true, probe: true, state: BreakerHalfOpen, canAt: sec(51), canWant: false},
+		)},
+		{"probes-close-gradually", then(probesClose(60)...)},
+		{"probe-failure-retrips", then(append([]step{
+			{at: sec(60), admit: true, probe: true, state: BreakerHalfOpen},
+			{at: sec(61), err: nil, probe: true, state: BreakerHalfOpen},
+			{at: sec(62), admit: true, probe: true, state: BreakerHalfOpen},
+			// The re-trip restarts the cooldown from t=64.
+			{at: sec(64), err: errclass.Crashed, probe: true, state: BreakerOpen, canAt: sec(108), canWant: false},
+		}, probesClose(109)...)...)},
+		{"stale-non-probe-outcomes-ignored", then(
 			// Outcomes of work admitted before the trip arrive late;
 			// neither failures nor successes may move the machine.
-			{at: sec(10), err: errclass.Crashed, state: BreakerOpen},
-			{at: sec(11), err: nil, state: BreakerOpen},
-			{at: sec(40), admit: true, probe: true, state: BreakerHalfOpen},
-			{at: sec(41), err: errclass.Shed, state: BreakerHalfOpen},
-			{at: sec(42), err: nil, probe: true, state: BreakerHalfOpen},
-		}},
+			step{at: sec(10), err: errclass.Crashed, state: BreakerOpen},
+			step{at: sec(11), err: nil, state: BreakerOpen},
+			step{at: sec(60), admit: true, probe: true, state: BreakerHalfOpen},
+			step{at: sec(61), err: errclass.Shed, state: BreakerHalfOpen},
+			step{at: sec(62), err: nil, probe: true, state: BreakerHalfOpen},
+		)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := newBreaker(cfg)
+			b := new(breaker)
 			for si, st := range tc.steps {
 				if st.admit {
 					if got := b.admit(st.at); got != st.probe {
@@ -118,16 +119,12 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerDefaultsAndTransitions(t *testing.T) {
-	cfg := BreakerConfig{Enabled: true}
-	if cfg.threshold() != 5 || cfg.cooldown() != 45*time.Second || cfg.probes() != 3 {
-		t.Fatalf("defaults = %d/%v/%d", cfg.threshold(), cfg.cooldown(), cfg.probes())
-	}
-	b := newBreaker(cfg)
-	for i := 0; i < 5; i++ {
+	b := new(breaker)
+	for i := 0; i < breakerThreshold; i++ {
 		b.observe(time.Duration(i)*time.Second, errclass.Shed, false)
 	}
 	if b.state != BreakerOpen || b.trips != 1 {
-		t.Fatalf("state=%s trips=%d after 5 failures", b.state, b.trips)
+		t.Fatalf("state=%s trips=%d after %d failures", b.state, b.trips, breakerThreshold)
 	}
 	want := []BreakerTransition{{At: 4 * time.Second, From: BreakerClosed, To: BreakerOpen}}
 	if len(b.transitions) != 1 || b.transitions[0] != want[0] {
@@ -145,13 +142,14 @@ func TestBreakerDefaultsAndTransitions(t *testing.T) {
 // breaker that flaps forever keeps its counters exact and drops only
 // the trail's tail.
 func TestBreakerTransitionLogBounded(t *testing.T) {
-	cfg := BreakerConfig{Enabled: true, Threshold: 1, Cooldown: time.Second, Probes: 1}
-	b := newBreaker(cfg)
+	b := new(breaker)
 	now := time.Duration(0)
-	for i := 0; i < 200; i++ {
-		// Trip (closed/half-open -> open), cool down, fail the probe.
+	for i := 0; i < breakerThreshold; i++ {
 		b.observe(now, errclass.Shed, false)
-		now += 2 * time.Second
+	}
+	for i := 0; i < 200; i++ {
+		// Cool down, then fail the probe: half-open -> open again.
+		now += breakerCooldown
 		if !b.canAdmit(now) {
 			t.Fatalf("iteration %d: cooldown did not elapse", i)
 		}
@@ -159,7 +157,6 @@ func TestBreakerTransitionLogBounded(t *testing.T) {
 			t.Fatalf("iteration %d: half-open did not probe", i)
 		}
 		b.observe(now, errclass.Shed, true)
-		now += 2 * time.Second
 	}
 	if len(b.transitions) != transitionCap {
 		t.Fatalf("transition log holds %d, want cap %d", len(b.transitions), transitionCap)
@@ -167,7 +164,7 @@ func TestBreakerTransitionLogBounded(t *testing.T) {
 	if b.dropped == 0 {
 		t.Fatal("dropped counter did not move past the cap")
 	}
-	if b.trips < 200 {
-		t.Fatalf("trips = %d, want >= 200", b.trips)
+	if b.trips != 201 {
+		t.Fatalf("trips = %d, want 201", b.trips)
 	}
 }

@@ -5,13 +5,12 @@
 // but the event loop and the immutable run snapshot.
 //
 // Beyond crash-skipping, the router can run as a self-healing control
-// loop: every node exposes a health signal (memory overcommit, governor
-// brown-out, a thrash score), a per-node circuit breaker trips on
-// observed errclass failures and re-admits a recovering node through
-// half-open probes, and failover resubmission retries a crashed
-// response on the next healthy node within a bounded hop budget. All
-// three mechanisms are off by default; a Config holding only a policy
-// is the classic dispatcher exactly.
+// loop: every node exposes a health signal (memory overcommit, a thrash
+// score), a per-node circuit breaker trips on observed errclass failures
+// and re-admits a recovering node through half-open probes, and failover
+// resubmission retries a crashed response on the next healthy node within
+// a bounded hop budget. All three mechanisms are off by default; a Config
+// holding only a policy is the classic dispatcher exactly.
 //
 // Determinism is by construction: the node list is fixed at router
 // construction, every routing decision is a pure function of the
@@ -87,49 +86,22 @@ type Node interface {
 	// OvercommitRatio is the node's wired-memory overcommit ratio
 	// (above 1 the node is paging; see mem.Budget.OvercommitRatio).
 	OvercommitRatio() float64
-	// BrownedOut reports whether the node's governor is in its
-	// sustained-pressure brown-out mode.
-	BrownedOut() bool
 	// ThrashScore is the node's paging-slowdown severity normalized to
 	// [0, 1]: 0 is healthy, 1 is at the pressure model's slowdown cap
 	// (or predicted memory exhaustion).
 	ThrashScore() float64
 }
 
-// HealthConfig turns on health-aware node exclusion: every routing
-// policy skips nodes whose health signal crosses these thresholds, the
-// same way all policies already skip crashed nodes. Exclusion (rather
-// than weighting) keeps routing decisions pure threshold functions of
-// node state — deterministic and cheap.
-type HealthConfig struct {
-	// Enabled turns health exclusion on.
-	Enabled bool
-	// MaxOvercommit excludes a node whose wired-memory overcommit
-	// ratio exceeds it (0 defaults to 1.25 — comfortably past the
-	// paging threshold, so brief excursions don't flap routing).
-	MaxOvercommit float64
-	// MaxThrash excludes a node whose thrash score exceeds it
-	// (0 defaults to 0.9).
-	MaxThrash float64
-	// ShedBrownout additionally excludes nodes whose governor is in
-	// brown-out (off by default: a browned-out node still completes
-	// work, just with degraded plans).
-	ShedBrownout bool
-}
-
-func (h HealthConfig) maxOvercommit() float64 {
-	if h.MaxOvercommit <= 0 {
-		return 1.25
-	}
-	return h.MaxOvercommit
-}
-
-func (h HealthConfig) maxThrash() float64 {
-	if h.MaxThrash <= 0 {
-		return 0.9
-	}
-	return h.MaxThrash
-}
+// The health envelope (Config.Health): a node whose wired-memory
+// overcommit ratio exceeds maxOvercommit (comfortably past the paging
+// threshold, so brief excursions don't flap routing) or whose thrash score
+// exceeds maxThrash is skipped like a crashed one. Exclusion (rather than
+// weighting) keeps routing decisions pure threshold functions of node
+// state — deterministic and cheap.
+const (
+	maxOvercommit = 1.25
+	maxThrash     = 0.9
+)
 
 // Config assembles a Router. The zero value (plus a policy) is the
 // classic blind dispatcher; Health, Breaker, and FailoverHops each
@@ -137,10 +109,12 @@ func (h HealthConfig) maxThrash() float64 {
 type Config struct {
 	// Policy is the routing discipline (zero value: round-robin).
 	Policy Policy
-	// Health configures health-aware node exclusion.
-	Health HealthConfig
-	// Breaker configures the per-node circuit breakers.
-	Breaker BreakerConfig
+	// Health turns on health-aware node exclusion: every routing policy
+	// skips nodes outside the health envelope, the same way all policies
+	// already skip crashed nodes.
+	Health bool
+	// Breaker arms a per-node circuit breaker (see breaker).
+	Breaker bool
 	// FailoverHops bounds router-level failover resubmission: when a
 	// routed submission comes back with a crashed-class error, the
 	// router resubmits it to the next eligible node up to this many
@@ -190,10 +164,10 @@ func NewRouter(cfg Config, nodes []Node, stmts engine.StaticStatements) (*Router
 		stmts:  stmts,
 		routed: make([]uint64, len(nodes)),
 	}
-	if cfg.Breaker.Enabled {
+	if cfg.Breaker {
 		r.breakers = make([]*breaker, len(nodes))
 		for i := range r.breakers {
-			r.breakers[i] = newBreaker(cfg.Breaker)
+			r.breakers[i] = new(breaker)
 		}
 	}
 	return r, nil
@@ -335,16 +309,8 @@ func (r *Router) eligible(now time.Duration, i int) bool {
 	} else if n.Down() {
 		return false
 	}
-	if h := r.cfg.Health; h.Enabled {
-		if n.OvercommitRatio() > h.maxOvercommit() {
-			return false
-		}
-		if n.ThrashScore() > h.maxThrash() {
-			return false
-		}
-		if h.ShedBrownout && n.BrownedOut() {
-			return false
-		}
+	if r.cfg.Health && (n.OvercommitRatio() > maxOvercommit || n.ThrashScore() > maxThrash) {
+		return false
 	}
 	return true
 }
@@ -433,7 +399,7 @@ func (r *Router) pickLeastLoaded(now time.Duration, avoid int) int {
 func (r *Router) Report() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "router policy=%s nodes=%d rerouted=%d", r.cfg.Policy, len(r.nodes), r.rerouted)
-	if r.breakers != nil || r.cfg.FailoverHops > 0 || r.cfg.Health.Enabled {
+	if r.breakers != nil || r.cfg.FailoverHops > 0 || r.cfg.Health {
 		fmt.Fprintf(&sb, " resubmitted=%d all-excluded=%d", r.resubmitted, r.allExcluded)
 	}
 	sb.WriteString("\n")

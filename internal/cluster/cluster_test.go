@@ -17,7 +17,6 @@ type fakeNode struct {
 	active     int
 	overcommit float64
 	thrash     float64
-	brownedOut bool
 	submitted  []string
 	err        error
 }
@@ -39,7 +38,6 @@ func submit(r *Router, sql string) error {
 func (f *fakeNode) Down() bool               { return f.down }
 func (f *fakeNode) ActiveCompiles() int      { return f.active }
 func (f *fakeNode) OvercommitRatio() float64 { return f.overcommit }
-func (f *fakeNode) BrownedOut() bool         { return f.brownedOut }
 func (f *fakeNode) ThrashScore() float64     { return f.thrash }
 
 func fleet(n int) ([]*fakeNode, []Node) {
@@ -241,20 +239,19 @@ func TestAllExcludedFallbackIsPolicyFirstChoice(t *testing.T) {
 }
 
 // TestHealthExclusion pins the health envelope: every policy skips
-// nodes past the overcommit/thrash thresholds (and browned-out ones
-// when ShedBrownout is set) exactly like crashed nodes.
+// nodes past the overcommit/thrash thresholds exactly like crashed nodes.
 func TestHealthExclusion(t *testing.T) {
-	newHealthy := func(policy Policy, h HealthConfig) ([]*fakeNode, *Router) {
+	newHealthy := func(policy Policy) ([]*fakeNode, *Router) {
 		fakes, nodes := fleet(3)
-		r, err := NewRouter(Config{Policy: policy, Health: h}, nodes, nil)
+		r, err := NewRouter(Config{Policy: policy, Health: true}, nodes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fakes, r
 	}
 
-	// Overcommit past the default 1.25 threshold excludes the node.
-	fakes, r := newHealthy(RoundRobin, HealthConfig{Enabled: true})
+	// Overcommit past the 1.25 threshold excludes the node.
+	fakes, r := newHealthy(RoundRobin)
 	fakes[0].overcommit = 1.4
 	for i := 0; i < 6; i++ {
 		submit(r, "q")
@@ -269,9 +266,9 @@ func TestHealthExclusion(t *testing.T) {
 		t.Error("rerouted counter did not move for a health exclusion")
 	}
 
-	// Thrash score past the default 0.9 threshold excludes too; at the
-	// threshold it does not (inclusive envelope).
-	fakes, r = newHealthy(RoundRobin, HealthConfig{Enabled: true})
+	// Thrash score past the 0.9 threshold excludes too; at the threshold
+	// it does not (inclusive envelope).
+	fakes, r = newHealthy(RoundRobin)
 	fakes[1].thrash = 0.95
 	fakes[2].thrash = 0.9
 	for i := 0; i < 6; i++ {
@@ -284,20 +281,11 @@ func TestHealthExclusion(t *testing.T) {
 		t.Fatal("node at the thrash threshold was excluded")
 	}
 
-	// Brown-out only matters under ShedBrownout.
-	fakes, r = newHealthy(LeastLoaded, HealthConfig{Enabled: true})
-	fakes[0].brownedOut = true
+	// Least-loaded moves to the next healthy node.
+	fakes, r = newHealthy(LeastLoaded)
+	fakes[0].overcommit = 1.3
 	submit(r, "q")
-	if len(fakes[0].submitted) != 1 {
-		t.Fatal("browned-out node excluded without ShedBrownout")
-	}
-	fakes, r = newHealthy(LeastLoaded, HealthConfig{Enabled: true, ShedBrownout: true})
-	fakes[0].brownedOut = true
-	submit(r, "q")
-	if len(fakes[0].submitted) != 0 {
-		t.Fatal("ShedBrownout did not exclude the browned-out node")
-	}
-	if len(fakes[1].submitted) != 1 {
+	if len(fakes[0].submitted) != 0 || len(fakes[1].submitted) != 1 {
 		t.Fatal("least-loaded did not move to the next healthy node")
 	}
 }
@@ -359,7 +347,7 @@ func TestFailoverResubmission(t *testing.T) {
 // avoids it and the accessors report the trip.
 func TestRouterBreakerTripsAndExcludes(t *testing.T) {
 	fakes, nodes := fleet(2)
-	cfg := Config{Policy: RoundRobin, Breaker: BreakerConfig{Enabled: true, Threshold: 3}}
+	cfg := Config{Policy: RoundRobin, Breaker: true}
 	r, err := NewRouter(cfg, nodes, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +358,7 @@ func TestRouterBreakerTripsAndExcludes(t *testing.T) {
 	// Node 0 sheds everything it sees; round-robin alternates, so node
 	// 0 accumulates consecutive failures while node 1 stays healthy.
 	fakes[0].err = errclass.Shed
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*breakerThreshold; i++ {
 		submit(r, "q")
 	}
 	if st, _ := r.BreakerState(0); st != BreakerOpen {

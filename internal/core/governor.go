@@ -34,29 +34,23 @@ type Options struct {
 	DynamicThresholds bool
 	// BestEffort enables §4.1's best-plan-so-far on predicted exhaustion.
 	BestEffort bool
-	// Brownout configures sustained-pressure degradation (requires
-	// BestEffort; the zero value leaves the mode off).
-	Brownout BrownoutConfig
+	// Brownout turns on sustained-pressure degradation (requires
+	// BestEffort; off by default): after brownoutEnter consecutive broker
+	// ticks under pressure the governor escalates to best-effort-only
+	// admission — every compilation yields the best complete plan it holds
+	// at its next opportunity, so compile footprints stop growing while the
+	// broker drains the backlog — and it disarms only after brownoutExit
+	// consecutive clean ticks. The asymmetric streak requirement is the
+	// hysteresis: a single quiet tick inside a fault does not flap the
+	// server back into full compilation.
+	Brownout bool
 }
 
-// BrownoutConfig is the governor's sustained-pressure brown-out mode:
-// after EnterTicks consecutive broker ticks under pressure the governor
-// escalates to best-effort-only admission — every compilation yields the
-// best complete plan it holds at its next opportunity, so compile
-// footprints stop growing while the broker drains the backlog — and it
-// disarms only after ExitTicks consecutive clean ticks. The asymmetric
-// streak requirement is the hysteresis: a single quiet tick inside a
-// fault does not flap the server back into full compilation.
-type BrownoutConfig struct {
-	// Enabled turns the mode on.
-	Enabled bool
-	// EnterTicks arms brown-out after this many consecutive pressure
-	// ticks (0 defaults to 3).
-	EnterTicks int
-	// ExitTicks disarms it after this many consecutive clean ticks
-	// (0 defaults to 6).
-	ExitTicks int
-}
+// The brown-out mode's hysteresis, in broker ticks.
+const (
+	brownoutEnter = 3
+	brownoutExit  = 6
+)
 
 // DefaultOptions returns the full production feature set for a machine
 // with the given CPU count and physical memory.
@@ -86,7 +80,7 @@ type Governor struct {
 	spansSettled  uint64
 	spansReplayed uint64
 
-	// Brown-out state machine (see BrownoutConfig).
+	// Brown-out state machine (see Options.Brownout).
 	brownout        bool
 	pressureStreak  int
 	cleanStreak     int
@@ -127,7 +121,7 @@ func (g *Governor) OnBrokerNotice(n broker.Notification) {
 		}
 	}
 	g.exhaustion = n.Exhaustion
-	if bo := g.opts.Brownout; bo.Enabled {
+	if g.opts.Brownout {
 		g.brownoutTick(n.Pressure || n.Exhaustion)
 	}
 }
@@ -141,17 +135,10 @@ func (g *Governor) brownoutTick(pressured bool) {
 		g.cleanStreak++
 		g.pressureStreak = 0
 	}
-	enter, exit := g.opts.Brownout.EnterTicks, g.opts.Brownout.ExitTicks
-	if enter <= 0 {
-		enter = 3
-	}
-	if exit <= 0 {
-		exit = 6
-	}
-	if g.brownout && g.cleanStreak >= exit {
+	if g.brownout && g.cleanStreak >= brownoutExit {
 		g.brownout = false
 	}
-	if !g.brownout && g.pressureStreak >= enter {
+	if !g.brownout && g.pressureStreak >= brownoutEnter {
 		g.brownout = true
 		g.brownoutEntries++
 	}
@@ -159,9 +146,6 @@ func (g *Governor) brownoutTick(pressured bool) {
 		g.brownoutTicks++
 	}
 }
-
-// BrownoutActive reports whether the governor is in brown-out.
-func (g *Governor) BrownoutActive() bool { return g.brownout }
 
 // Exhaustion reports whether the broker's last notification predicted
 // memory exhaustion — the signal behind best-effort plans, exposed for
@@ -373,7 +357,7 @@ func (g *Governor) Report() string {
 	if g.spansSettled+g.spansReplayed > 0 {
 		s += fmt.Sprintf("charge spans: settled=%d replayed=%d\n", g.spansSettled, g.spansReplayed)
 	}
-	if g.opts.Brownout.Enabled {
+	if g.opts.Brownout {
 		s += fmt.Sprintf("brownout: active=%v entries=%d ticks=%d\n",
 			g.brownout, g.brownoutEntries, g.brownoutTicks)
 	}

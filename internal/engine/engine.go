@@ -41,10 +41,9 @@ import (
 	"compilegate/internal/vtime"
 )
 
-// Config assembles a Server. Zero values fall back to DefaultConfig.
+// Config assembles a Server: start from DefaultConfig and change what the
+// run varies. What no run varies is a constant below.
 type Config struct {
-	// CPUs is the virtual processor count (paper: 8).
-	CPUs int
 	// MemoryBytes is physical memory (paper: 4 GiB).
 	MemoryBytes int64
 	// FixedOverheadBytes models the engine's non-negotiable footprint.
@@ -59,32 +58,26 @@ type Config struct {
 	// Brownout enables the governor's sustained-pressure degradation
 	// mode (best-effort-only admission with hysteresis); it requires
 	// BestEffort and is off by default.
-	Brownout core.BrownoutConfig
+	Brownout bool
 	// GatewayOverride, when non-nil, replaces the default monitor ladder
 	// (used by the monitor-count ablation).
 	GatewayOverride *gateway.Config
 
 	// BrokerEnabled runs the Memory Broker (ablation A-5 turns throttling
 	// off but keeps the broker).
-	BrokerEnabled  bool
-	Broker         broker.Config
-	BrokerInterval time.Duration
+	BrokerEnabled bool
+	Broker        broker.Config
 
-	BufferPool bufferpool.Config
-	Executor   executor.Config
-	Optimizer  optimizer.Config
+	Optimizer optimizer.Config
 
-	// CompileTaskCPU converts one optimizer task into virtual CPU time.
-	CompileTaskCPU time.Duration
 	// CompileTaskWait is the non-CPU time per optimizer task (metadata
 	// fetches, latching); it stretches compilations without saturating
 	// the processors, matching the paper's 10-90 s compile profile.
 	CompileTaskWait time.Duration
 	// CompileStages is the staged compile-memory model: the memory a
 	// compilation wires beyond the exploration memo, reserved as a ramp
-	// the monitor ladder can interpose on mid-compilation. The zero
-	// value adopts DefaultCompileStages; set Disabled to reproduce the
-	// flat pre-stage model.
+	// the monitor ladder can interpose on mid-compilation. Set Disabled
+	// to reproduce the flat pre-stage model.
 	CompileStages CompileStages
 	// ExecGrantLimitFrac caps total concurrent execution-grant memory as
 	// a fraction of physical memory.
@@ -101,30 +94,50 @@ type Config struct {
 	// while the pager steals buffer-pool frames. The zero value disables
 	// overcommit entirely (reservations past physical memory fail).
 	Pressure mem.PressureModel
-	// CPUQuantum is the processor-sharing quantum.
-	CPUQuantum time.Duration
 
 	// SliceDur is the metrics slice width (paper figures: 600 s).
 	SliceDur time.Duration
-
-	// Component weights/floors for broker target computation.
-	WeightBufferPool, WeightCompile, WeightExec, WeightPlanCache float64
-	MinBufferPool, MinCompile                                    int64
 }
+
+// The paper's testbed and the engine's fixed tuning.
+const (
+	// cpus is the virtual processor count (paper: 8).
+	cpus = 8
+	// cpuQuantum is the processor-sharing quantum.
+	cpuQuantum = 100 * time.Millisecond
+	// brokerInterval is the housekeeping cadence: one broker tick.
+	brokerInterval = 5 * time.Second
+	// compileTaskCPU converts one optimizer task into virtual CPU time.
+	compileTaskCPU = 1500 * time.Microsecond
+	// bindBytes is the parse/bind footprint a staged compilation wires
+	// when it opens.
+	bindBytes = 128 * mem.KiB
+	// stepTasks is the optimizer work charged per codegen ramp step — the
+	// time cost of growing, which makes the ramp gate-friendly rather than
+	// an instantaneous reservation.
+	stepTasks = 6
+	// Component weights and floors for broker target computation.
+	weightBufferPool = 1.0
+	weightCompile    = 0.9
+	weightExec       = 1.0
+	weightPlanCache  = 0.15
+	minBufferPool    = 128 * mem.MiB
+	minCompile       = 64 * mem.MiB
+)
 
 // CompileStages models the lifetime memory profile of one compilation
 // beyond the exploration memo — the staged compile-memory stock that
 // makes concurrent compilations, not slow ones, the resource problem:
 //
-//   - bind: a fixed footprint wired when the compilation opens
-//     (metadata caches, binding scratch);
+//   - bind: a fixed footprint (bindBytes) wired when the compilation
+//     opens (metadata caches, binding scratch);
 //   - join enumeration + costing: every memo charge carries
 //     CostingScale times its size in costing scratch (statistics,
 //     property derivation, costing contexts grow with the alternatives
 //     considered), so the footprint ramps across the compilation's
 //     whole 10-90 s lifetime rather than arriving at the end;
 //   - codegen: once exploration stops, the physical plan is built as a
-//     ramp of StepBytes reservations (StepTasks of optimizer work
+//     ramp of StepBytes reservations (stepTasks of optimizer work
 //     each), after which the costing scratch is released — a
 //     mid-compilation fall the broker's trend detector sees.
 //
@@ -140,9 +153,6 @@ type CompileStages struct {
 	// Disabled reproduces the flat pre-stage model: compile memory is
 	// the exploration memo alone.
 	Disabled bool
-	// BindBytes is the parse/bind footprint wired when the compilation
-	// opens.
-	BindBytes int64
 	// CostingScale sizes costing scratch as a multiple of every memo
 	// charge; it is held until codegen completes.
 	CostingScale float64
@@ -153,32 +163,16 @@ type CompileStages struct {
 	// StepBytes is the reservation granularity of the codegen ramp;
 	// each step passes through the gateway ladder.
 	StepBytes int64
-	// StepTasks is the optimizer work charged per codegen ramp step —
-	// the time cost of growing, which makes the ramp gate-friendly
-	// rather than an instantaneous reservation.
-	StepTasks int
 }
 
-// DefaultCompileStages returns the calibrated staged compile-memory
+// DefaultConfig reproduces the paper's testbed with throttling fully
+// enabled. Its CompileStages are the calibrated staged compile-memory
 // model (see EXPERIMENTS.md, "Calibration methodology — the unified
 // regime"): peak compile memory an order of magnitude above the
 // exploration memo, ramped over the compilation's lifetime in
 // gate-visible increments.
-func DefaultCompileStages() CompileStages {
-	return CompileStages{
-		BindBytes:    128 * mem.KiB,
-		CostingScale: 4,
-		CodegenScale: 5,
-		StepBytes:    16 * mem.MiB,
-		StepTasks:    6,
-	}
-}
-
-// DefaultConfig reproduces the paper's testbed with throttling fully
-// enabled.
 func DefaultConfig() Config {
 	return Config{
-		CPUs:               8,
 		MemoryBytes:        4 * mem.GiB,
 		FixedOverheadBytes: 200 * mem.MiB,
 		Throttle:           true,
@@ -186,24 +180,12 @@ func DefaultConfig() Config {
 		BestEffort:         true,
 		BrokerEnabled:      true,
 		Broker:             broker.DefaultConfig(),
-		BrokerInterval:     5 * time.Second,
-		BufferPool:         bufferpool.DefaultConfig(),
-		Executor:           executor.DefaultConfig(),
 		Optimizer:          optimizer.DefaultConfig(),
-		CompileTaskCPU:     1500 * time.Microsecond,
 		CompileTaskWait:    45 * time.Millisecond,
-		CompileStages:      DefaultCompileStages(),
+		CompileStages:      CompileStages{CostingScale: 4, CodegenScale: 5, StepBytes: 16 * mem.MiB},
 		ExecGrantLimitFrac: 0.45,
-		VASBytes:           0,
 		Pressure:           mem.DefaultPressureModel(),
-		CPUQuantum:         100 * time.Millisecond,
 		SliceDur:           10 * time.Minute,
-		WeightBufferPool:   1.0,
-		WeightCompile:      0.9,
-		WeightExec:         1.0,
-		WeightPlanCache:    0.15,
-		MinBufferPool:      128 * mem.MiB,
-		MinCompile:         64 * mem.MiB,
 	}
 }
 
@@ -325,56 +307,6 @@ type Server struct {
 // mutable engine state — budget, pools, caches, metrics — is constructed
 // per server.
 func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Scheduler) (*Server, error) {
-	def := DefaultConfig()
-	if cfg.CPUs <= 0 {
-		cfg.CPUs = def.CPUs
-	}
-	if cfg.MemoryBytes <= 0 {
-		cfg.MemoryBytes = def.MemoryBytes
-	}
-	if cfg.BrokerInterval <= 0 {
-		cfg.BrokerInterval = def.BrokerInterval
-	}
-	if cfg.SliceDur <= 0 {
-		cfg.SliceDur = def.SliceDur
-	}
-	if cfg.CompileTaskCPU <= 0 {
-		cfg.CompileTaskCPU = def.CompileTaskCPU
-	}
-	if cfg.CPUQuantum <= 0 {
-		cfg.CPUQuantum = def.CPUQuantum
-	}
-	if cfg.CompileStages == (CompileStages{}) {
-		cfg.CompileStages = def.CompileStages
-	}
-	if cfg.ExecGrantLimitFrac <= 0 {
-		cfg.ExecGrantLimitFrac = def.ExecGrantLimitFrac
-	}
-	if cfg.WeightBufferPool <= 0 {
-		cfg.WeightBufferPool = def.WeightBufferPool
-	}
-	if cfg.WeightCompile <= 0 {
-		cfg.WeightCompile = def.WeightCompile
-	}
-	if cfg.WeightExec <= 0 {
-		cfg.WeightExec = def.WeightExec
-	}
-	if cfg.WeightPlanCache <= 0 {
-		cfg.WeightPlanCache = def.WeightPlanCache
-	}
-	if cfg.BufferPool.ExtentBytes == 0 {
-		cfg.BufferPool = def.BufferPool
-	}
-	if cfg.Executor.CostUnitCPU == 0 {
-		cfg.Executor = def.Executor
-	}
-	if cfg.Optimizer.WorkBatch == 0 {
-		cfg.Optimizer = def.Optimizer
-	}
-	if cfg.BufferPool.ExtentBytes != cat.ExtentBytes {
-		return nil, fmt.Errorf("engine: buffer pool extent %d != catalog extent %d",
-			cfg.BufferPool.ExtentBytes, cat.ExtentBytes)
-	}
 	if pre.Estimator != nil && pre.Estimator.Catalog() != cat {
 		return nil, fmt.Errorf("engine: prebuilt estimator belongs to a different catalog")
 	}
@@ -386,7 +318,7 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 		cfg:         cfg,
 		sched:       sched,
 		budget:      mem.NewBudget(cfg.MemoryBytes),
-		cpu:         vtime.NewCPUSet(cfg.CPUs, cfg.CPUQuantum),
+		cpu:         vtime.NewCPUSet(cpus, cpuQuantum),
 		rec:         metrics.NewRecorder(cfg.SliceDur),
 		compileHist: metrics.NewHistogram(time.Second, 10*time.Second, 30*time.Second, time.Minute, 75*time.Second, 90*time.Second, 2*time.Minute, 3*time.Minute, 5*time.Minute),
 		execHist:    metrics.NewHistogram(10*time.Second, 30*time.Second, time.Minute, 5*time.Minute, 10*time.Minute, 30*time.Minute),
@@ -434,7 +366,7 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 	}
 	poolTracker := s.budget.NewTracker("bufferpool")
 	poolTracker.MarkReclaimable()
-	s.pool = bufferpool.New(cfg.BufferPool, poolTracker, s.layout.ExtentCounts())
+	s.pool = bufferpool.New(cat.ExtentBytes, poolTracker, s.layout.ExtentCounts())
 	cacheTracker := inVAS(s.budget.NewTracker("plancache"))
 	cacheTracker.MarkReclaimable()
 	s.cache = plancache.New(cacheTracker, len(pre.Statements))
@@ -454,7 +386,7 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 	if cfg.GatewayOverride != nil {
 		govOpts.Gateways = *cfg.GatewayOverride
 	} else {
-		govOpts.Gateways = gateway.DefaultConfig(cfg.CPUs, contested)
+		govOpts.Gateways = gateway.DefaultConfig(cpus, contested)
 	}
 	compileTracker := inVAS(s.budget.NewTracker("compile"))
 	compileTracker.AllowOvercommit()
@@ -467,8 +399,7 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 	execTracker := inVAS(s.budget.NewTracker("exec"))
 	execTracker.SetLimit(int64(cfg.ExecGrantLimitFrac * float64(contested)))
 	execTracker.AllowOvercommit()
-	grants := executor.NewGrantManager(execTracker, cfg.Executor.GrantTimeout)
-	s.exec = executor.New(cfg.Executor, s.pool, s.layout, s.cpu, grants, cfg.Optimizer.Cost)
+	s.exec = executor.New(s.pool, s.layout, s.cpu, executor.NewGrantManager(execTracker))
 	if cfg.Pressure.Enabled {
 		// Thrash penalties: every CPU quantum and disk transfer stretches
 		// with the paging slowdown, and executions refault their granted
@@ -513,7 +444,7 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 		// arbitrates the contested region among compile / grants / plan
 		// cache — that broker's compile target drives the gate ladder.
 		s.brk = broker.New(cfg.Broker, s.budget)
-		s.brk.Register("bufferpool", cfg.WeightBufferPool, cfg.MinBufferPool,
+		s.brk.Register("bufferpool", weightBufferPool, minBufferPool,
 			s.pool.Bytes, func(n broker.Notification) {
 				if n.Pressure {
 					s.pool.SetTarget(n.Target)
@@ -526,7 +457,7 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 		} else {
 			s.vasBrk = s.brk
 		}
-		s.vasBrk.Register("plancache", cfg.WeightPlanCache, 0,
+		s.vasBrk.Register("plancache", weightPlanCache, 0,
 			s.cache.Bytes, func(n broker.Notification) {
 				if n.Pressure {
 					s.cache.SetTarget(n.Target)
@@ -534,8 +465,8 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 					s.cache.SetTarget(0)
 				}
 			})
-		s.gov.AttachBroker(s.vasBrk, cfg.WeightCompile, cfg.MinCompile)
-		s.vasBrk.Register("exec", cfg.WeightExec, 0, execTracker.Used, nil)
+		s.gov.AttachBroker(s.vasBrk, weightCompile, minCompile)
+		s.vasBrk.Register("exec", weightExec, 0, execTracker.Used, nil)
 	}
 
 	sched.GoStep("housekeeping", &housekeeper{s: s})
@@ -560,7 +491,7 @@ func (h *housekeeper) Run(t *vtime.Task) {
 		return // no resume point armed: the task exits
 	}
 	h.sleeping = true
-	t.SleepThen(h.s.cfg.BrokerInterval, h)
+	t.SleepThen(brokerInterval, h)
 }
 
 // housekeepingTick is one broker-interval tick.
@@ -742,10 +673,6 @@ func (s *Server) ActiveCompiles() int { return s.gov.Active() }
 // ratio (above 1 the node is paging) — a cluster router's
 // memory-pressure health signal.
 func (s *Server) OvercommitRatio() float64 { return s.budget.OvercommitRatio() }
-
-// BrownedOut reports whether the governor is in its sustained-pressure
-// brown-out mode.
-func (s *Server) BrownedOut() bool { return s.gov.BrownoutActive() }
 
 // ThrashScore condenses the node's paging state into [0, 1] for
 // health-aware routing: the current paging slowdown normalized to the

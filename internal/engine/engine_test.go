@@ -19,7 +19,7 @@ func testServer(t *testing.T, mutate func(*Config)) (*Server, *vtime.Scheduler) 
 		mutate(&cfg)
 	}
 	sched := vtime.NewScheduler()
-	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: cfg.BufferPool.ExtentBytes})
+	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: 8 << 20})
 	srv, err := NewShared(cfg, cat, Prebuilt{}, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -173,11 +173,11 @@ func TestStagedCompilePeakArithmetic(t *testing.T) {
 	})
 	staged := compileOnce(t, sql, nil)
 
-	st := DefaultCompileStages()
-	want := st.BindBytes + int64((1+st.CostingScale+st.CodegenScale)*float64(flat))
+	st := DefaultConfig().CompileStages
+	want := bindBytes + int64((1+st.CostingScale+st.CodegenScale)*float64(flat))
 	if staged != want {
 		t.Fatalf("staged peak = %d, want bind %d + %.0fx memo %d = %d",
-			staged, st.BindBytes, 1+st.CostingScale+st.CodegenScale, flat, want)
+			staged, bindBytes, 1+st.CostingScale+st.CodegenScale, flat, want)
 	}
 	if staged < 9*flat {
 		t.Fatalf("staged stock %d not an order of magnitude above the memo %d", staged, flat)
@@ -223,12 +223,16 @@ func TestHousekeepingTicksBroker(t *testing.T) {
 	}
 }
 
-func TestExtentMismatchRejected(t *testing.T) {
-	cfg := DefaultConfig()
-	sched := vtime.NewScheduler()
-	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: 1 << 20}) // 1 MiB != pool's 8 MiB
-	if _, err := NewShared(cfg, cat, Prebuilt{}, sched); err == nil {
-		t.Fatal("extent mismatch accepted")
+// TestPoolTakesCatalogExtent: the buffer pool's frames are the catalog's
+// extents, whatever their size.
+func TestPoolTakesCatalogExtent(t *testing.T) {
+	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: 1 << 20})
+	srv, err := NewShared(DefaultConfig(), cat, Prebuilt{}, vtime.NewScheduler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.BufferPool().ExtentBytes(); got != cat.ExtentBytes {
+		t.Fatalf("pool extent %d, catalog extent %d", got, cat.ExtentBytes)
 	}
 }
 

@@ -147,7 +147,7 @@ func TestCrashMidExecutionInstallsNothing(t *testing.T) {
 func TestCacheHitSubmitAllocatesNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	sched := vtime.NewScheduler()
-	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: cfg.BufferPool.ExtentBytes})
+	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: 8 << 20})
 	srv, err := NewShared(cfg, cat, Prebuilt{Statements: PrepareStatements([]string{pointSQL})}, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestPrepareStatementsIndexIsDense(t *testing.T) {
 func TestStaticStatementKeepsItsLists(t *testing.T) {
 	cfg := DefaultConfig()
 	sched := vtime.NewScheduler()
-	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: cfg.BufferPool.ExtentBytes})
+	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: 8 << 20})
 	srv, err := NewShared(cfg, cat, Prebuilt{Statements: PrepareStatements([]string{pointSQL})}, sched)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 //	          set by text, or one hash of any other text
 //	probe     one plan-cache lookup (it counts, and it reorders the LRU)
 //	compile   only on a miss: the governed optimizer, on a coroutine
-//	execute   grant → plan nodes → spill/refault I/O
+//	execute   grant → plan nodes → refault I/O
 //	record    completion or error, into the metrics and to the caller
 //
 // SubmitThen walks them as continuation steps on the event loop; compile
@@ -372,21 +372,20 @@ func (s *Server) compileWork(t *vtime.Task, tasks int) {
 		if op == nil {
 			op = &compileWorkOp{s: s}
 		}
-		op.cpu = time.Duration(tasks) * s.cfg.CompileTaskCPU
+		op.cpu = time.Duration(tasks) * compileTaskCPU
 		op.tasks, op.k, op.state = tasks, k, 0
 		op.Run(t)
 	})
 }
 
 // stageRamp wires total additional bytes onto the compilation in
-// StepBytes increments, charging StepTasks of optimizer work per step.
+// StepBytes increments, charging stepTasks of optimizer work per step.
 // Every increment passes through Compilation.Alloc, so the gateway
 // ladder can block (or time out) the compiling task mid-ramp and the
 // broker's trend detector sees the footprint actually climb between
 // ticks. A failed step has already rolled the whole compilation back.
 func (s *Server) stageRamp(t *vtime.Task, a *attempt, total int64) error {
-	st := s.cfg.CompileStages
-	step := st.StepBytes
+	step := s.cfg.CompileStages.StepBytes
 	if step <= 0 {
 		step = total
 	}
@@ -403,9 +402,7 @@ func (s *Server) stageRamp(t *vtime.Task, a *attempt, total int64) error {
 			return err
 		}
 		reserved += n
-		if st.StepTasks > 0 {
-			s.compileWork(t, st.StepTasks)
-		}
+		s.compileWork(t, stepTasks)
 	}
 	return nil
 }
@@ -473,8 +470,8 @@ func (s *Server) compile(t *vtime.Task, a *attempt) (*plan.Plan, error) {
 	start := t.Now()
 	st := s.cfg.CompileStages
 	staged := !st.Disabled && len(a.q.Tables) > 1
-	if staged && st.BindBytes > 0 {
-		if err := comp.Alloc(st.BindBytes); err != nil {
+	if staged {
+		if err := comp.Alloc(bindBytes); err != nil {
 			return nil, err
 		}
 	}

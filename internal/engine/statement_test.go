@@ -25,7 +25,7 @@ func closedSetServer(t *testing.T, mutate func(*Config)) (srv *Server, sched *vt
 		mutate(&cfg)
 	}
 	sched = vtime.NewScheduler()
-	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: cfg.BufferPool.ExtentBytes})
+	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: 8 << 20})
 	srv, err := NewShared(cfg, cat, Prebuilt{Statements: PrepareStatements([]string{pointSQL})}, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestInterleavedCompilationsKeepTheirOwnAccounts(t *testing.T) {
 	srv, sched, _, _ := closedSetServer(t, small)
 	// Memo plus costing scratch is half of what the ramp adds on top of the
 	// bind footprint, so past this the first compilation is in its ramp.
-	inRamp := (solo[first]+srv.cfg.CompileStages.BindBytes)/2 + srv.cfg.CompileStages.StepBytes
+	inRamp := (solo[first]+bindBytes)/2 + srv.cfg.CompileStages.StepBytes
 	done := 0
 	sched.Go("first", func(tk *vtime.Task) {
 		if err := srv.Submit(tk, first); err != nil {

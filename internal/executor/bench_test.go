@@ -2,7 +2,6 @@ package executor
 
 import (
 	"testing"
-	"time"
 
 	"compilegate/internal/mem"
 	"compilegate/internal/plan"
@@ -21,7 +20,7 @@ func BenchmarkExecute(b *testing.B) {
 	for _, prepared := range []bool{true, false} {
 		name := map[bool]string{true: "prepared", false: "oneshot"}[prepared]
 		b.Run(name, func(b *testing.B) {
-			e := newEnv(mem.GiB, time.Minute)
+			e := newEnv(mem.GiB)
 			type stmt struct {
 				p    *plan.Plan
 				seed int64

@@ -36,15 +36,37 @@ func (e *ErrGrantTimeout) Error() string {
 // was admitted; the memory never arrived), not shed work.
 func (e *ErrGrantTimeout) Is(target error) bool { return target == errclass.Timeout }
 
+// The executor's fixed tuning.
+const (
+	// grantTimeout bounds the wait for execution memory.
+	grantTimeout = 10 * time.Minute
+	// costUnitCPU converts one cost-model unit (plan.CPURowCost etc.) into
+	// virtual CPU time.
+	costUnitCPU = time.Second
+	// readBatch is how many extents are requested per buffer-pool call.
+	readBatch = 32
+	// refaultExtentTime is the nominal disk time per refaulted workspace
+	// extent when the machine is thrashing — one disk round-trip: an
+	// overcommitted machine pages parts of each query's granted workspace
+	// out and back in, costing (slowdown-1) * grant-extents of extra
+	// transfers. The transfers ride the same dilated disk channels as every
+	// other I/O, so the effective cost is superlinear in the slowdown —
+	// deliberately: refault traffic on a thrashing machine is itself slowed
+	// by the thrash. It stays off until SetPressure installs a slowdown
+	// source.
+	refaultExtentTime = 200 * time.Millisecond
+)
+
+// scanPattern shapes scan locality.
+var scanPattern = storage.DefaultPattern()
+
 // GrantManager queues execution memory grants against a tracker, FIFO
 // with timeout — the RESOURCE_SEMAPHORE analogue.
 type GrantManager struct {
 	tracker *mem.Tracker
 	queue   *vtime.WaitQueue
-	timeout time.Duration
 
 	granted, timeouts uint64
-	reductions        uint64
 	waitTotal         time.Duration
 
 	ops freelist.List[grantOp] // recycled continuation ops (single scheduler)
@@ -52,11 +74,10 @@ type GrantManager struct {
 
 // NewGrantManager creates a grant manager. tracker should carry a limit
 // (SetLimit) bounding total concurrent execution memory.
-func NewGrantManager(tracker *mem.Tracker, timeout time.Duration) *GrantManager {
+func NewGrantManager(tracker *mem.Tracker) *GrantManager {
 	return &GrantManager{
 		tracker: tracker,
 		queue:   vtime.NewWaitQueue("exec-grants"),
-		timeout: timeout,
 	}
 }
 
@@ -69,34 +90,21 @@ func (gm *GrantManager) Granted() uint64 { return gm.granted }
 // Timeouts returns the number of grant waits that timed out.
 func (gm *GrantManager) Timeouts() uint64 { return gm.timeouts }
 
-// Reductions returns how many times a queued grant lowered its ask.
-func (gm *GrantManager) Reductions() uint64 { return gm.reductions }
-
 // Waiting returns the number of queued requests.
 func (gm *GrantManager) Waiting() int { return gm.queue.Len() }
 
 // TotalWait returns aggregate time spent queued for grants.
 func (gm *GrantManager) TotalWait() time.Duration { return gm.waitTotal }
 
-// Acquire reserves bytes of execution memory for task t, queueing FIFO
-// behind earlier requests when memory is unavailable.
-func (gm *GrantManager) Acquire(t *vtime.Task, bytes int64) error {
-	_, err := gm.AcquireReduced(t, bytes, 1.0)
-	return err
-}
-
-// grantOp is the continuation state machine behind AcquireReduced: wait
-// FIFO with timeout, halving the ask past the halfway point, retrying
-// the reservation on every wake.
+// grantOp is the continuation state machine behind AcquireThen: wait FIFO
+// with timeout, retrying the reservation on every wake.
 type grantOp struct {
-	gm               *GrantManager
-	want, ask, floor int64
-	start            time.Duration
-	deadline, half   time.Duration
-	granted          *int64
-	errp             *error
-	k                vtime.Step
-	state            int8
+	gm              *GrantManager
+	want            int64
+	start, deadline time.Duration
+	errp            *error
+	k               vtime.Step
+	state           int8
 }
 
 const (
@@ -122,20 +130,12 @@ func (op *grantOp) Run(t *vtime.Task) {
 				op.fail(t)
 				return
 			}
-			// Past the halfway point, halve the ask (not below the floor).
-			if t.Now() >= op.half && op.ask > op.floor {
-				op.ask /= 2
-				if op.ask < op.floor {
-					op.ask = op.floor
-				}
-				gm.reductions++
-			}
-			if err := gm.tracker.Reserve(op.ask); err == nil {
+			if err := gm.tracker.Reserve(op.want); err == nil {
 				gm.granted++
 				gm.waitTotal += t.Now() - op.start
 				// Let the next waiter retry too: memory may remain.
 				gm.queue.Signal()
-				op.finish(t, op.ask, nil)
+				op.finish(t, nil)
 				return
 			}
 			op.state = gwWait
@@ -147,34 +147,26 @@ func (op *grantOp) fail(t *vtime.Task) {
 	gm := op.gm
 	gm.timeouts++
 	gm.waitTotal += t.Now() - op.start
-	op.finish(t, 0, &ErrGrantTimeout{Bytes: op.want, Wait: t.Now() - op.start})
+	op.finish(t, &ErrGrantTimeout{Bytes: op.want, Wait: t.Now() - op.start})
 }
 
-func (op *grantOp) finish(t *vtime.Task, granted int64, err error) {
-	*op.granted = granted
+func (op *grantOp) finish(t *vtime.Task, err error) {
 	*op.errp = err
 	k := op.k
-	op.k, op.granted, op.errp = nil, nil, nil
+	op.k, op.errp = nil, nil
 	op.gm.ops.Put(op)
 	k.Run(t)
 }
 
-// AcquireReducedThen reserves execution memory as continuation steps,
-// then runs k with the outcome stored through granted and errp. See
-// AcquireReduced for the reduction semantics.
-func (gm *GrantManager) AcquireReducedThen(t *vtime.Task, want int64, minFrac float64, granted *int64, errp *error, k vtime.Step) {
+// AcquireThen reserves want bytes of execution memory for task t as
+// continuation steps, queueing FIFO behind earlier requests when memory is
+// unavailable, then runs k with the outcome stored through errp: nil when
+// all want bytes are held, an *ErrGrantTimeout when none are.
+func (gm *GrantManager) AcquireThen(t *vtime.Task, want int64, errp *error, k vtime.Step) {
 	*errp = nil
 	if want <= 0 {
-		*granted = 0
 		k.Run(t)
 		return
-	}
-	if minFrac <= 0 || minFrac > 1 {
-		minFrac = 1
-	}
-	floor := int64(float64(want) * minFrac)
-	if floor < 1 {
-		floor = 1
 	}
 	start := t.Now()
 	// FIFO: newcomers queue behind existing waiters even if their (small)
@@ -182,7 +174,6 @@ func (gm *GrantManager) AcquireReducedThen(t *vtime.Task, want int64, minFrac fl
 	if gm.queue.Len() == 0 {
 		if err := gm.tracker.Reserve(want); err == nil {
 			gm.granted++
-			*granted = want
 			k.Run(t)
 			return
 		}
@@ -191,25 +182,16 @@ func (gm *GrantManager) AcquireReducedThen(t *vtime.Task, want int64, minFrac fl
 	if op == nil {
 		op = &grantOp{gm: gm}
 	}
-	op.want, op.ask, op.floor = want, want, floor
-	op.start, op.deadline, op.half = start, start+gm.timeout, start+gm.timeout/2
-	op.granted, op.errp, op.k, op.state = granted, errp, k, gwWait
+	op.want, op.start, op.deadline = want, start, start+grantTimeout
+	op.errp, op.k, op.state = errp, k, gwWait
 	op.Run(t)
 }
 
-// AcquireReduced reserves execution memory, accepting a reduced grant
-// under pressure: the request asks for want bytes but, once half the
-// timeout has elapsed, settles for progressively less — never below
-// want*minFrac. It returns the bytes actually granted. This models the
-// engine's grant-reduction path (§3: execution "can potentially respond
-// to memory pressure"); the executor pays for the shortfall by spilling.
-func (gm *GrantManager) AcquireReduced(t *vtime.Task, want int64, minFrac float64) (int64, error) {
-	var granted int64
+// Acquire is AcquireThen for blocking-style callers.
+func (gm *GrantManager) Acquire(t *vtime.Task, bytes int64) error {
 	var err error
-	t.Await(func(k vtime.Step) {
-		gm.AcquireReducedThen(t, want, minFrac, &granted, &err, k)
-	})
-	return granted, err
+	t.Await(func(k vtime.Step) { gm.AcquireThen(t, bytes, &err, k) })
+	return err
 }
 
 // Release returns a grant and wakes the longest waiter to retry.
@@ -228,63 +210,12 @@ func (gm *GrantManager) Kick() {
 	gm.queue.Signal()
 }
 
-// Config tunes the executor.
-type Config struct {
-	// CostUnitCPU converts one CPU cost-model unit into virtual CPU time.
-	// The cost model's CPURow etc. are expressed in these units.
-	CostUnitCPU time.Duration
-	// GrantTimeout bounds the wait for execution memory.
-	GrantTimeout time.Duration
-	// ReadBatch is how many extents are requested per buffer-pool call.
-	ReadBatch int
-	// Pattern shapes scan locality.
-	Pattern storage.Pattern
-	// MinGrantFrac enables grant reduction under pressure: a queued query
-	// accepts as little as this fraction of its requested grant and
-	// spills the shortfall to disk. 0 (or 1) disables reduction.
-	MinGrantFrac float64
-	// SpillPenaltyPerByte is the extra virtual time per shortfall byte
-	// (write + later read of spilled partitions), charged against the
-	// disk channels.
-	SpillExtentTime time.Duration
-	// RefaultExtentTime is the nominal disk time per refaulted workspace
-	// extent when the machine is thrashing: an overcommitted machine
-	// pages parts of each query's granted workspace out and back in,
-	// costing (slowdown-1) * grant-extents of extra transfers. The
-	// transfers ride the same dilated disk channels as every other I/O,
-	// so the effective cost is superlinear in the slowdown — deliberately:
-	// refault traffic on a thrashing machine is itself slowed by the
-	// thrash. 0 disables the penalty (it also stays off until SetPressure
-	// installs a slowdown source).
-	RefaultExtentTime time.Duration
-}
-
-// DefaultConfig returns the calibrated executor tuning.
-func DefaultConfig() Config {
-	return Config{
-		CostUnitCPU:  time.Second,
-		GrantTimeout: 10 * time.Minute,
-		ReadBatch:    32,
-		Pattern:      storage.DefaultPattern(),
-		// Grant reduction (reduced grants + hash spill) is an extension
-		// the paper only hints at (§3); it is opt-in so the benchmark
-		// baseline fails under memory starvation the way the paper's
-		// engine did. Set MinGrantFrac < 1 to enable it.
-		MinGrantFrac:    1.0,
-		SpillExtentTime: 200 * time.Millisecond, // write + re-read per spilled extent
-		// One paged-out-and-back workspace extent costs one disk
-		// round-trip, same as a spill extent.
-		RefaultExtentTime: 200 * time.Millisecond,
-	}
-}
-
 // Stats reports one execution.
 type Stats struct {
 	ExtentsRead int
 	Hits        int
 	CPUTime     time.Duration
-	GrantBytes  int64 // bytes actually granted
-	SpillBytes  int64 // shortfall spilled to disk (reduced grant)
+	GrantBytes  int64
 	// PageStallTime is the nominal (pre-dilation) disk time charged for
 	// refaulting the workspace on an overcommitted machine; the virtual
 	// time actually spent is this stretched by the slowdown in effect.
@@ -294,12 +225,10 @@ type Stats struct {
 
 // Executor runs plans.
 type Executor struct {
-	cfg    Config
 	pool   *bufferpool.Pool
 	layout *storage.Layout
 	cpu    *vtime.CPUSet
 	grants *GrantManager
-	cost   plan.CostModel
 
 	// pressure reports the machine's current paging slowdown (nil or
 	// func returning <= 1 when healthy); drives workspace refaults.
@@ -312,16 +241,13 @@ type Executor struct {
 }
 
 // New creates an executor.
-func New(cfg Config, pool *bufferpool.Pool, layout *storage.Layout, cpu *vtime.CPUSet, grants *GrantManager, cost plan.CostModel) *Executor {
-	if cfg.ReadBatch <= 0 {
-		cfg.ReadBatch = 32
-	}
-	return &Executor{cfg: cfg, pool: pool, layout: layout, cpu: cpu, grants: grants, cost: cost}
+func New(pool *bufferpool.Pool, layout *storage.Layout, cpu *vtime.CPUSet, grants *GrantManager) *Executor {
+	return &Executor{pool: pool, layout: layout, cpu: cpu, grants: grants}
 }
 
 // SetPressure installs the paging-slowdown source (the engine wires the
 // memory budget's Slowdown). A factor above 1 makes executions refault
-// part of their granted workspace; see Config.RefaultExtentTime.
+// part of their granted workspace; see refaultExtentTime.
 func (e *Executor) SetPressure(fn func() float64) { e.pressure = fn }
 
 // Executed returns the number of completed executions.
@@ -368,7 +294,7 @@ func (pr *Prepared) Scans() int { return len(pr.ends) }
 // execOp is the continuation state machine behind ExecuteThen: acquire
 // the grant, run the plan's nodes (children first — build before probe,
 // matching hash-join scheduling; the tree is flattened into exactly the
-// old recursion's visit order), pay spill and refault I/O, release.
+// old recursion's visit order), pay refault I/O, release.
 // Its scan-key and node scratch buffers and its locality source are
 // retained across uses.
 type execOp struct {
@@ -400,7 +326,6 @@ type execOp struct {
 	recEnds []int
 
 	startAt   time.Duration
-	want      int64
 	granted   int64
 	nodes     []*plan.Node
 	ni        int
@@ -417,7 +342,6 @@ const (
 	exBatch                 // issue the next read batch of the current scan
 	exBatchDone             // account a finished read batch
 	exNodeCPU               // current node's CPU charge finished
-	exSpill                 // pay spill I/O for a reduced grant
 	exRefault               // pay workspace refault I/O under thrash
 	exFinish                // account and release
 )
@@ -434,7 +358,6 @@ func (op *execOp) Run(t *vtime.Task) {
 				return
 			}
 			st.GrantBytes = op.granted
-			st.SpillBytes = op.want - op.granted
 			op.nodes = appendPostorder(op.nodes[:0], op.p.Root)
 			op.ni = 0
 			op.state = exNode
@@ -444,7 +367,7 @@ func (op *execOp) Run(t *vtime.Task) {
 		case exNode:
 			if op.ni >= len(op.nodes) {
 				op.install()
-				op.state = exSpill
+				op.state = exRefault
 				continue
 			}
 			n := op.nodes[op.ni]
@@ -456,7 +379,7 @@ func (op *execOp) Run(t *vtime.Task) {
 			case plan.OpHashJoin:
 				build := n.Right.OutCard
 				probe := n.Left.OutCard
-				units := build*e.cost.BuildRow + probe*e.cost.CPURow + n.OutCard*e.cost.CPURow
+				units := build*plan.BuildRowCost + probe*plan.CPURowCost + n.OutCard*plan.CPURowCost
 				if op.useCPU(t, units) {
 					return
 				}
@@ -476,12 +399,12 @@ func (op *execOp) Run(t *vtime.Task) {
 				if n.Op == plan.OpIndexScan {
 					visited *= n.ScanFraction
 				}
-				if op.useCPU(t, visited*e.cost.CPURow) {
+				if op.useCPU(t, visited*plan.CPURowCost) {
 					return
 				}
 				continue
 			}
-			j := op.bi + e.cfg.ReadBatch
+			j := op.bi + readBatch
 			if j > len(op.scan) {
 				j = len(op.scan)
 			}
@@ -496,25 +419,16 @@ func (op *execOp) Run(t *vtime.Task) {
 		case exNodeCPU:
 			op.ni++
 			op.state = exNode
-		case exSpill:
-			op.state = exRefault
-			// A reduced grant spills hash partitions: pay write + re-read
-			// time on the disk channels, proportional to the shortfall.
-			if st.SpillBytes > 0 && e.cfg.SpillExtentTime > 0 {
-				extents := (st.SpillBytes + e.pool.ExtentBytes() - 1) / e.pool.ExtentBytes()
-				e.pool.DiskDelayThen(t, time.Duration(extents)*e.cfg.SpillExtentTime, op)
-				return
-			}
 		case exRefault:
 			op.state = exFinish
 			// On a thrashing machine part of the granted workspace was
 			// paged out mid-run and must fault back in: (slowdown-1) extra
 			// transfers per workspace extent, against the same disk
 			// channels.
-			if e.pressure != nil && op.granted > 0 && e.cfg.RefaultExtentTime > 0 {
+			if e.pressure != nil && op.granted > 0 {
 				if f := e.pressure(); f > 1 {
 					extents := (op.granted + e.pool.ExtentBytes() - 1) / e.pool.ExtentBytes()
-					stall := time.Duration((f - 1) * float64(extents) * float64(e.cfg.RefaultExtentTime))
+					stall := time.Duration((f - 1) * float64(extents) * float64(refaultExtentTime))
 					st.PageStallTime = stall
 					e.pageStallTotal += stall
 					e.pool.DiskDelayThen(t, stall, op)
@@ -534,7 +448,7 @@ func (op *execOp) Run(t *vtime.Task) {
 // useCPU charges the node's CPU units; it reports whether the op parked
 // (true = return from Run, resume at exNodeCPU).
 func (op *execOp) useCPU(t *vtime.Task, units float64) bool {
-	d := time.Duration(units * float64(op.e.cfg.CostUnitCPU))
+	d := time.Duration(units * float64(costUnitCPU))
 	if d <= 0 {
 		op.ni++
 		op.state = exNode
@@ -572,11 +486,11 @@ func (op *execOp) scanExtents(n *plan.Node) []storage.ExtentKey {
 	}
 	e := op.e
 	if op.prep == nil {
-		op.keys = e.layout.ScanInto(op.keys[:0], e.table(n), n.ScanFraction, e.cfg.Pattern, op.rng)
+		op.keys = e.layout.ScanInto(op.keys[:0], e.table(n), n.ScanFraction, scanPattern, op.rng)
 		return op.keys
 	}
 	lo := len(op.recKeys)
-	op.recKeys = e.layout.ScanInto(op.recKeys, e.table(n), n.ScanFraction, e.cfg.Pattern, op.rng)
+	op.recKeys = e.layout.ScanInto(op.recKeys, e.table(n), n.ScanFraction, scanPattern, op.rng)
 	op.recEnds = append(op.recEnds, len(op.recKeys))
 	return op.recKeys[lo:]
 }
@@ -650,13 +564,9 @@ func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Pr
 		e.replayed++
 	}
 	op.startAt = t.Now()
-	op.want = p.MemoryGrant()
-	minFrac := e.cfg.MinGrantFrac
-	if minFrac <= 0 {
-		minFrac = 1
-	}
+	op.granted = p.MemoryGrant()
 	op.state = exGranted
-	e.grants.AcquireReducedThen(t, op.want, minFrac, &op.granted, &op.err, op)
+	e.grants.AcquireThen(t, op.granted, &op.err, op)
 }
 
 // Execute is ExecuteThen for blocking-style callers.

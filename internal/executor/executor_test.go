@@ -25,26 +25,17 @@ type env struct {
 	opt    *optimizer.Optimizer
 }
 
-func newEnv(grantLimit int64, grantTimeout time.Duration) *env {
-	return newEnvCfg(grantLimit, grantTimeout, nil)
-}
-
-func newEnvCfg(grantLimit int64, grantTimeout time.Duration, mutate func(*Config)) *env {
+func newEnv(grantLimit int64) *env {
 	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.001, ExtentBytes: 8 << 20})
 	est := stats.NewEstimator(cat)
 	budget := mem.NewBudget(4 * mem.GiB)
-	bpCfg := bufferpool.DefaultConfig()
 	layout := storage.NewLayout(cat)
-	pool := bufferpool.New(bpCfg, budget.NewTracker("bufferpool"), layout.ExtentCounts())
+	pool := bufferpool.New(cat.ExtentBytes, budget.NewTracker("bufferpool"), layout.ExtentCounts())
 	cpu := vtime.NewCPUSet(8, 50*time.Millisecond)
 	gt := budget.NewTracker("exec")
 	gt.SetLimit(grantLimit)
-	grants := NewGrantManager(gt, grantTimeout)
-	cfg := DefaultConfig()
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	exec := New(cfg, pool, layout, cpu, grants, plan.DefaultCostModel())
+	grants := NewGrantManager(gt)
+	exec := New(pool, layout, cpu, grants)
 	return &env{
 		budget: budget, pool: pool, layout: layout, cpu: cpu,
 		grants: grants, exec: exec,
@@ -72,7 +63,7 @@ func starQ(n int) *plan.Query {
 }
 
 func TestExecuteSimpleScan(t *testing.T) {
-	e := newEnv(mem.GiB, time.Minute)
+	e := newEnv(mem.GiB)
 	p := e.plan(t, &plan.Query{Tables: []plan.TableTerm{{Name: "dim_product"}}})
 	s := vtime.NewScheduler()
 	var st Stats
@@ -98,7 +89,7 @@ func TestExecuteSimpleScan(t *testing.T) {
 }
 
 func TestWarmCacheFasterThanCold(t *testing.T) {
-	e := newEnv(mem.GiB, time.Minute)
+	e := newEnv(mem.GiB)
 	p := e.plan(t, starQ(2))
 	s := vtime.NewScheduler()
 	var cold, warm Stats
@@ -125,7 +116,7 @@ func TestWarmCacheFasterThanCold(t *testing.T) {
 }
 
 func TestGrantAcquireRelease(t *testing.T) {
-	e := newEnv(mem.GiB, time.Minute)
+	e := newEnv(mem.GiB)
 	q := starQ(2)
 	q.GroupBy = []plan.ColRef{{Table: "dim_store", Column: "city_id"}}
 	q.Aggregates = 1
@@ -151,7 +142,7 @@ func TestGrantAcquireRelease(t *testing.T) {
 }
 
 func TestGrantQueueingSerializes(t *testing.T) {
-	e := newEnv(mem.GiB, time.Hour)
+	e := newEnv(mem.GiB)
 	gm := e.grants
 	s := vtime.NewScheduler()
 	var order []string
@@ -181,7 +172,7 @@ func TestGrantQueueingSerializes(t *testing.T) {
 }
 
 func TestGrantTimeout(t *testing.T) {
-	e := newEnv(mem.GiB, 5*time.Second)
+	e := newEnv(mem.GiB)
 	gm := e.grants
 	s := vtime.NewScheduler()
 	var gotErr error
@@ -189,7 +180,7 @@ func TestGrantTimeout(t *testing.T) {
 		if err := gm.Acquire(tk, 900*mem.MiB); err != nil {
 			t.Error(err)
 		}
-		tk.Sleep(time.Hour)
+		tk.Sleep(grantTimeout + time.Minute)
 		gm.Release(900 * mem.MiB)
 	})
 	s.Go("victim", func(tk *vtime.Task) {
@@ -209,7 +200,7 @@ func TestGrantTimeout(t *testing.T) {
 }
 
 func TestGrantFIFONoBarge(t *testing.T) {
-	e := newEnv(mem.GiB, time.Hour)
+	e := newEnv(mem.GiB)
 	gm := e.grants
 	s := vtime.NewScheduler()
 	var order []string
@@ -246,7 +237,7 @@ func TestGrantFIFONoBarge(t *testing.T) {
 }
 
 func TestCPUConsumption(t *testing.T) {
-	e := newEnv(mem.GiB, time.Minute)
+	e := newEnv(mem.GiB)
 	p := e.plan(t, starQ(3))
 	s := vtime.NewScheduler()
 	var st Stats
@@ -265,7 +256,7 @@ func TestCPUConsumption(t *testing.T) {
 }
 
 func TestKickWakesWaiter(t *testing.T) {
-	e := newEnv(mem.GiB, time.Hour)
+	e := newEnv(mem.GiB)
 	gm := e.grants
 	// Occupy budget with non-grant memory so Acquire queues, then free it
 	// and Kick.
@@ -300,7 +291,7 @@ func TestKickWakesWaiter(t *testing.T) {
 
 func TestDeterministicExecution(t *testing.T) {
 	run := func() Stats {
-		e := newEnv(mem.GiB, time.Minute)
+		e := newEnv(mem.GiB)
 		p := e.plan(t, starQ(2))
 		s := vtime.NewScheduler()
 		var st Stats
@@ -332,7 +323,7 @@ func TestHandBuiltPlanResolvesByName(t *testing.T) {
 		return &c
 	}
 	run := func(byName bool) (oneShot, recording, replay Stats, now time.Duration) {
-		e := newEnv(mem.GiB, time.Minute)
+		e := newEnv(mem.GiB)
 		p := e.plan(t, starQ(3))
 		if byName {
 			p = &plan.Plan{Root: strip(p.Root)}
@@ -374,7 +365,7 @@ func TestHandBuiltPlanResolvesByName(t *testing.T) {
 // TestUnknownTableInHandBuiltPlanPanics: a name the catalog does not know
 // is a bug in whoever built the plan.
 func TestUnknownTableInHandBuiltPlanPanics(t *testing.T) {
-	e := newEnv(mem.GiB, time.Minute)
+	e := newEnv(mem.GiB)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for an unknown table")

@@ -27,7 +27,7 @@ func freshLists(e *env, p *plan.Plan, seed int64) [][]storage.ExtentKey {
 	var lists [][]storage.ExtentKey
 	for _, n := range appendPostorder(nil, p.Root) {
 		if n.Op == plan.OpSeqScan || n.Op == plan.OpIndexScan {
-			lists = append(lists, e.layout.ScanExtentsInto(nil, n.Table, n.ScanFraction, e.exec.cfg.Pattern, rng))
+			lists = append(lists, e.layout.ScanInto(nil, e.layout.Table(n.Table), n.ScanFraction, scanPattern, rng))
 		}
 	}
 	return lists
@@ -55,7 +55,7 @@ func TestReplayEqualsFreshDraws(t *testing.T) {
 		stmts = append(stmts, sales.Next(salesRNG))
 	}
 
-	prepared, oneShot := newEnv(mem.GiB, time.Minute), newEnv(mem.GiB, time.Minute)
+	prepared, oneShot := newEnv(mem.GiB), newEnv(mem.GiB)
 	type stmt struct {
 		sql  string
 		p    *plan.Plan
@@ -130,7 +130,7 @@ func TestReplayEqualsFreshDraws(t *testing.T) {
 // scans (its grant times out) leaves the Prepared empty, and the next
 // complete execution records.
 func TestFailedExecutionRecordsNothing(t *testing.T) {
-	e := newEnv(mem.GiB, 5*time.Second)
+	e := newEnv(mem.GiB)
 	q := starQ(2)
 	q.GroupBy = []plan.ColRef{{Table: "dim_store", Column: "city_id"}}
 	q.Aggregates = 1
@@ -145,7 +145,7 @@ func TestFailedExecutionRecordsNothing(t *testing.T) {
 		if err := e.grants.Acquire(tk, hog); err != nil {
 			t.Error(err)
 		}
-		tk.Sleep(time.Minute)
+		tk.Sleep(grantTimeout + time.Minute)
 		e.grants.Release(hog)
 	})
 	s.Go("client", func(tk *vtime.Task) {
@@ -176,7 +176,7 @@ func TestFailedExecutionRecordsNothing(t *testing.T) {
 // turn; the first plan's installed lists must come through untouched and
 // share no storage with the op's scratch buffer.
 func TestGeneratingAfterReplayLeavesListsIntact(t *testing.T) {
-	e := newEnv(mem.GiB, time.Minute)
+	e := newEnv(mem.GiB)
 	p1, p2 := e.plan(t, starQ(2)), e.plan(t, starQ(3))
 	prep1, prep2 := new(Prepared), new(Prepared)
 	s := vtime.NewScheduler()

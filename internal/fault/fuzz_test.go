@@ -85,7 +85,7 @@ func FuzzFaultPlan(f *testing.F) {
 
 // FuzzClusterFaultPlan drives node-targeted two-injection schedules
 // through a three-node cluster with the whole health plane armed —
-// health exclusion, aggressive circuit breakers, and failover
+// health exclusion, the shipped circuit breakers (5 / 45 s / 3), and failover
 // resubmission — under a routing policy picked by the seed. On top of
 // the harness's per-node memory invariant suite, every run is audited
 // for routing-plane conservation: the per-node routed counts must sum
@@ -112,21 +112,19 @@ func FuzzClusterFaultPlan(f *testing.F) {
 			plan.Injections = plan.Injections[:1]
 		}
 		o := harness.Scenario{
-			Name:      "fuzz-cluster",
-			Clients:   6,
-			Horizon:   30 * time.Minute,
-			Warmup:    10 * time.Minute,
-			Throttled: true,
-			Scale:     0.02,
-			Workload:  workload.SpecSales,
-			Seed:      seed,
-			Fault:     &plan,
-			Nodes:     nodes,
-			Router:    policies[int(uint64(seed)%3)],
-			Health:    cluster.HealthConfig{Enabled: true, ShedBrownout: seed%2 == 0},
-			// Aggressive settings so fuzzed faults actually exercise the
-			// trip / cooldown / probe cycle inside the 30-minute horizon.
-			Breaker:      cluster.BreakerConfig{Enabled: true, Threshold: 2, Cooldown: 30 * time.Second, Probes: 2},
+			Name:         "fuzz-cluster",
+			Clients:      6,
+			Horizon:      30 * time.Minute,
+			Warmup:       10 * time.Minute,
+			Throttled:    true,
+			Scale:        0.02,
+			Workload:     workload.SpecSales,
+			Seed:         seed,
+			Fault:        &plan,
+			Nodes:        nodes,
+			Router:       policies[int(uint64(seed)%3)],
+			Health:       true,
+			Breaker:      true,
 			FailoverHops: 2,
 		}
 		r, err := o.Run()

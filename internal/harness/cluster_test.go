@@ -138,7 +138,7 @@ func TestClusterFaultTargetsOneNode(t *testing.T) {
 // hops.
 func TestClusterBreakerRunSurfacesRouterDiagnostics(t *testing.T) {
 	o := clusterOpts(2, cluster.RoundRobin)
-	o.Breaker = cluster.BreakerConfig{Enabled: true, Threshold: 3}
+	o.Breaker = true
 	o.FailoverHops = 1
 	o.Fault = &fault.Plan{Seed: 7, Injections: []fault.Injection{
 		{Kind: fault.CrashRestart, Node: 1, At: 10 * time.Minute, Duration: 5 * time.Minute},

@@ -72,10 +72,10 @@ type Scenario struct {
 	// Health turns on health-aware node exclusion in the router: nodes
 	// past the overcommit/thrash thresholds are skipped like crashed
 	// ones. Requires a cluster.
-	Health cluster.HealthConfig
+	Health bool
 	// Breaker arms a per-node circuit breaker in the router, driven by
 	// the errclass outcomes of routed submissions. Requires a cluster.
-	Breaker cluster.BreakerConfig
+	Breaker bool
 	// FailoverHops bounds router-level failover resubmission on crashed
 	// responses (0 disables it). Requires a cluster.
 	FailoverHops int
@@ -117,7 +117,7 @@ func (s Scenario) Validate() error {
 	// slice would count completions outside it or drop some inside.
 	slice := s.engineConfig().SliceDur
 	if slice <= 0 {
-		slice = engine.DefaultConfig().SliceDur
+		return fmt.Errorf("scenario %s: recorder slice %v", s.Name, slice)
 	}
 	if s.Warmup%slice != 0 || s.Horizon%slice != 0 {
 		return fmt.Errorf("scenario %s: window [%v, %v) is not made of whole %v recorder slices", s.Name, s.Warmup, s.Horizon, slice)
@@ -128,7 +128,7 @@ func (s Scenario) Validate() error {
 	if s.Nodes > 1 && !s.Router.Valid() {
 		return fmt.Errorf("scenario %s: unknown router policy %q", s.Name, string(s.Router))
 	}
-	if s.Nodes <= 1 && (s.Health.Enabled || s.Breaker.Enabled || s.FailoverHops != 0) {
+	if s.Nodes <= 1 && (s.Health || s.Breaker || s.FailoverHops != 0) {
 		return fmt.Errorf("scenario %s: router health/breaker/failover settings require a cluster (nodes = %d)", s.Name, s.Nodes)
 	}
 	if s.FailoverHops < 0 {

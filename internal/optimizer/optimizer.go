@@ -84,7 +84,6 @@ type Hooks struct {
 // Config tunes the optimizer.
 type Config struct {
 	Memo memo.Config
-	Cost plan.CostModel
 	// MinTasks/MaxTasks clamp the exploration budget.
 	MinTasks, MaxTasks int
 	// EffortPerCost converts the initial plan's estimated cost into the
@@ -100,7 +99,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Memo:          memo.DefaultConfig(),
-		Cost:          plan.DefaultCostModel(),
 		MinTasks:      32,
 		MaxTasks:      6_000,
 		EffortPerCost: 1.5,
@@ -927,7 +925,6 @@ func (r *run) solve(n, nExprs int) {
 		start[c]++
 	}
 
-	cm := r.o.cfg.Cost
 	for _, id := range t.order {
 		g := m.Group(id)
 		if m.Expr(g.FirstExpr()).Kind == memo.KindLeaf {
@@ -938,7 +935,7 @@ func (r *run) solve(n, nExprs int) {
 		for eid := g.FirstExpr(); eid != memo.NoExpr && int(eid) < nExprs; {
 			e := m.Expr(eid)
 			// Hash join, right side builds.
-			c := t.dp[e.L].cost + t.dp[e.R].cost + cards[e.R]*cm.BuildRow + cards[e.L]*cm.CPURow + cards[id]*cm.CPURow
+			c := t.dp[e.L].cost + t.dp[e.R].cost + cards[e.R]*plan.BuildRowCost + cards[e.L]*plan.CPURowCost + cards[id]*plan.CPURowCost
 			if c < out.cost {
 				out = costed{cost: c, expr: eid}
 			}
@@ -957,12 +954,11 @@ func (r *run) unsolve() {
 // bestScan picks the access path of the leaf group over table tid, whose
 // one expression is e.
 func (r *run) bestScan(tid int, e memo.ExprID) costed {
-	cm := r.o.cfg.Cost
 	t := r.o.cat.Tables()[tid]
 	extents := float64(r.o.cat.Extents(t))
 	sel := r.leafSel[tid]
 	// Sequential scan.
-	out := costed{cost: extents*cm.SeqExtent + float64(t.Rows)*cm.CPURow, expr: e, op: plan.OpSeqScan, frac: 1}
+	out := costed{cost: extents*plan.SeqExtentCost + float64(t.Rows)*plan.CPURowCost, expr: e, op: plan.OpSeqScan, frac: 1}
 	// Index scan when a filtered column has a leading index and the filter
 	// is selective enough to beat sequential I/O.
 	if term := r.q.Table(t.Name); term != nil {
@@ -970,7 +966,7 @@ func (r *run) bestScan(tid int, e memo.ExprID) costed {
 			if !t.HasIndexOn(p.Column) {
 				continue
 			}
-			idx := extents*sel*cm.RandExtent + float64(t.Rows)*sel*cm.CPURow
+			idx := extents*sel*plan.RandExtentCost + float64(t.Rows)*sel*plan.CPURowCost
 			if idx < out.cost {
 				out = costed{cost: idx, expr: e, op: plan.OpIndexScan, frac: sel}
 			}
@@ -1002,8 +998,7 @@ func (r *run) extract(groups, exprs int) *plan.Plan {
 		if aggs < 1 {
 			aggs = 1
 		}
-		cm := r.o.cfg.Cost
-		aggCost := node.OutCard*cm.AggRow*float64(aggs) + groups*cm.BuildRow
+		aggCost := node.OutCard*plan.AggRowCost*float64(aggs) + groups*plan.BuildRowCost
 		agg := r.newNode()
 		*agg = plan.Node{
 			Op:          plan.OpHashAgg,
@@ -1011,7 +1006,7 @@ func (r *run) extract(groups, exprs int) *plan.Plan {
 			OutCard:     groups,
 			NodeCost:    aggCost,
 			SubtreeCost: node.SubtreeCost + aggCost,
-			BuildBytes:  int64(groups) * cm.HashRowBytes * 2,
+			BuildBytes:  int64(groups) * plan.HashRowBytes * 2,
 		}
 		node = agg
 	}
@@ -1063,8 +1058,7 @@ func (r *run) costInitial() float64 {
 		if aggs < 1 {
 			aggs = 1
 		}
-		cm := r.o.cfg.Cost
-		aggCost := card*cm.AggRow*float64(aggs) + groups*cm.BuildRow
+		aggCost := card*plan.AggRowCost*float64(aggs) + groups*plan.BuildRowCost
 		cost = cost + aggCost
 	}
 	return cost
@@ -1081,8 +1075,7 @@ func (r *run) subtreeCost(id memo.GroupID) float64 {
 	}
 	lc := r.subtreeCost(e.L)
 	rc := r.subtreeCost(e.R)
-	cm := r.o.cfg.Cost
-	own := r.cards[e.R]*cm.BuildRow + r.cards[e.L]*cm.CPURow + r.cards[id]*cm.CPURow
+	own := r.cards[e.R]*plan.BuildRowCost + r.cards[e.L]*plan.CPURowCost + r.cards[id]*plan.CPURowCost
 	return lc + rc + own
 }
 
@@ -1107,8 +1100,7 @@ func (r *run) buildNode(id memo.GroupID) *plan.Node {
 	}
 	ln := r.buildNode(e.L)
 	rn := r.buildNode(e.R)
-	cm := r.o.cfg.Cost
-	own := r.cards[e.R]*cm.BuildRow + r.cards[e.L]*cm.CPURow + r.cards[id]*cm.CPURow
+	own := r.cards[e.R]*plan.BuildRowCost + r.cards[e.L]*plan.CPURowCost + r.cards[id]*plan.CPURowCost
 	n := r.newNode()
 	*n = plan.Node{
 		Op:          plan.OpHashJoin,
@@ -1117,7 +1109,7 @@ func (r *run) buildNode(id memo.GroupID) *plan.Node {
 		OutCard:     r.cards[id],
 		NodeCost:    own,
 		SubtreeCost: ln.SubtreeCost + rn.SubtreeCost + own,
-		BuildBytes:  int64(r.cards[e.R]) * cm.HashRowBytes,
+		BuildBytes:  int64(r.cards[e.R]) * plan.HashRowBytes,
 	}
 	return n
 }

@@ -174,35 +174,23 @@ func (o Op) String() string {
 	}
 }
 
-// CostModel holds the constants the optimizer and executor share. Units
-// are abstract "cost units"; the executor converts them to virtual time.
-type CostModel struct {
-	// SeqExtent is the cost of scanning one extent sequentially.
-	SeqExtent float64
-	// RandExtent is the cost of one random extent fetch (index path).
-	RandExtent float64
-	// CPURow is the per-row CPU cost of scans/probes.
-	CPURow float64
-	// BuildRow is the per-row cost of inserting into a hash table.
-	BuildRow float64
-	// AggRow is the per-row cost of aggregate evaluation per aggregate.
-	AggRow float64
+// The cost model the optimizer and executor share. Units are abstract
+// "cost units"; the executor converts them to virtual time.
+const (
+	// SeqExtentCost is the cost of scanning one extent sequentially.
+	SeqExtentCost = 1.0
+	// RandExtentCost is the cost of one random extent fetch (index path).
+	RandExtentCost = 4.0
+	// CPURowCost is the per-row CPU cost of scans/probes.
+	CPURowCost = 0.0000015
+	// BuildRowCost is the per-row cost of inserting into a hash table.
+	BuildRowCost = 0.000002
+	// AggRowCost is the per-row cost of aggregate evaluation per aggregate.
+	AggRowCost = 0.000001
 	// HashRowBytes is the in-memory footprint per hash-table row, used to
 	// size execution memory grants.
-	HashRowBytes int64
-}
-
-// DefaultCostModel returns the tuning used throughout the reproduction.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		SeqExtent:    1.0,
-		RandExtent:   4.0,
-		CPURow:       0.0000015,
-		BuildRow:     0.000002,
-		AggRow:       0.000001,
-		HashRowBytes: 384,
-	}
-}
+	HashRowBytes = 384
+)
 
 // Node is one node of a physical plan tree.
 type Node struct {

@@ -119,14 +119,13 @@ func TestBestEffortRendering(t *testing.T) {
 }
 
 func TestDefaultCostModelSane(t *testing.T) {
-	cm := DefaultCostModel()
-	if cm.RandExtent <= cm.SeqExtent {
+	if RandExtentCost <= SeqExtentCost {
 		t.Fatal("random I/O must cost more than sequential")
 	}
-	if cm.CPURow <= 0 || cm.BuildRow <= 0 || cm.AggRow <= 0 || cm.HashRowBytes <= 0 {
+	if CPURowCost <= 0 || BuildRowCost <= 0 || AggRowCost <= 0 || HashRowBytes <= 0 {
 		t.Fatal("non-positive cost constants")
 	}
-	if cm.BuildRow <= cm.CPURow {
+	if BuildRowCost <= CPURowCost {
 		t.Fatal("hash build should cost more per row than a probe")
 	}
 }

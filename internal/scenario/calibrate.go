@@ -9,7 +9,6 @@ import (
 	"compilegate/internal/engine"
 	"compilegate/internal/harness"
 	"compilegate/internal/mem"
-	"compilegate/internal/optimizer"
 )
 
 // PressureKnobs is one point of the calibration grid: the pressure-model
@@ -62,7 +61,8 @@ type PressureKnobs struct {
 	BrokerExhaustionFrac float64
 }
 
-// Apply overlays the knob set on an engine config.
+// Apply overlays the knob set on an engine config (one that started from
+// engine.DefaultConfig).
 func (k PressureKnobs) Apply(c *engine.Config) {
 	if k.CacheReserveFrac > 0 {
 		c.Pressure.CacheReserveFrac = k.CacheReserveFrac
@@ -86,22 +86,14 @@ func (k PressureKnobs) Apply(c *engine.Config) {
 		c.ExecGrantLimitFrac = k.ExecGrantLimitFrac
 	}
 	if k.MemoBytesScale > 0 {
-		if c.Optimizer.WorkBatch == 0 {
-			c.Optimizer = optimizer.DefaultConfig()
-		}
 		c.Optimizer.Memo.BytesPerGroup = int64(k.MemoBytesScale * float64(c.Optimizer.Memo.BytesPerGroup))
 		c.Optimizer.Memo.BytesPerExpr = int64(k.MemoBytesScale * float64(c.Optimizer.Memo.BytesPerExpr))
 	}
-	if k.StageCostingScale > 0 || k.StageCodegenScale > 0 {
-		if c.CompileStages == (engine.CompileStages{}) {
-			c.CompileStages = engine.DefaultCompileStages()
-		}
-		if k.StageCostingScale > 0 {
-			c.CompileStages.CostingScale = k.StageCostingScale
-		}
-		if k.StageCodegenScale > 0 {
-			c.CompileStages.CodegenScale = k.StageCodegenScale
-		}
+	if k.StageCostingScale > 0 {
+		c.CompileStages.CostingScale = k.StageCostingScale
+	}
+	if k.StageCodegenScale > 0 {
+		c.CompileStages.CodegenScale = k.StageCodegenScale
 	}
 	if k.VASBytes > 0 {
 		c.VASBytes = k.VASBytes
@@ -200,11 +192,10 @@ type Calibration struct {
 	Clients []int
 	// Horizon/Warmup bound each run's measurement window.
 	Horizon, Warmup time.Duration
-	Seed            int64
 	// Seeds replicates every cell over this seed population; nil runs
-	// the single-seed grid at Seed (the historical behavior). A
-	// multi-seed grid scores each knob set over all of its cells, so
-	// the selected calibration holds as a distribution.
+	// every cell at seed 1. A multi-seed grid scores each knob set over
+	// all of its cells, so the selected calibration holds as a
+	// distribution.
 	Seeds []int64
 	// Targets score knob sets; nil uses PaperTargets.
 	Targets []FidelityTarget
@@ -242,28 +233,19 @@ func DefaultCalibration() Calibration {
 		Clients: []int{30, 35, 40},
 		Horizon: 3 * time.Hour,
 		Warmup:  45 * time.Minute,
-		Seed:    1,
 	}
 }
 
-// seedList resolves the grid's seed population: Seeds when set, else
-// the single historical Seed.
+// seedList resolves the grid's seed population: Seeds when set, else {1}.
 func (c Calibration) seedList() []int64 {
 	if len(c.Seeds) > 0 {
 		return c.Seeds
 	}
-	seed := c.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return []int64{seed}
+	return []int64{1}
 }
 
 // cellScenario builds the throttled arm of one calibration cell; the
-// baseline arm is its Baseline twin. Both the exhaustive grid and the
-// successive-halving search expand cells through here, so a (knobs,
-// clients, seed) cell is the same simulation no matter which strategy
-// asked for it.
+// baseline arm is its Baseline twin.
 func (c Calibration) cellScenario(k PressureKnobs, clients int, seed int64) Scenario {
 	s := Sales(clients)
 	s.Name = fmt.Sprintf("cal-%s-c%d-s%d", k.Name, clients, seed)

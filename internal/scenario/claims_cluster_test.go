@@ -74,7 +74,7 @@ func TestClaimThrashShedThroughputMargin(t *testing.T) {
 	off := on
 	off.Name = "cluster-thrash-shed-blind"
 	off.Description = "blind-router twin of " + on.Description
-	off.Health, off.Breaker, off.FailoverHops = cluster.HealthConfig{}, cluster.BreakerConfig{}, 0
+	off.Health, off.Breaker, off.FailoverHops = false, false, 0
 
 	seeds := ClaimSeeds()
 	repOn, err := Replication{Scenario: on, Seeds: seeds}.Run()

@@ -112,8 +112,8 @@ func init() {
 		Load: func(l *workload.LoadConfig) {
 			retryDriver(l)
 		},
-		Health:       cluster.HealthConfig{Enabled: true},
-		Breaker:      cluster.BreakerConfig{Enabled: true},
+		Health:       true,
+		Breaker:      true,
 		FailoverHops: 2,
 		Fault: &fault.Plan{Seed: 106, Injections: []fault.Injection{
 			{Kind: fault.MemLeak, Node: 1, At: 25 * time.Minute, Duration: 35 * time.Minute,
@@ -145,7 +145,7 @@ func init() {
 		Load: func(l *workload.LoadConfig) {
 			retryDriver(l)
 		},
-		Breaker:      cluster.BreakerConfig{Enabled: true},
+		Breaker:      true,
 		FailoverHops: 2,
 		Fault: &fault.Plan{Seed: 107, Injections: []fault.Injection{
 			{Kind: fault.CompileStorm, Node: 0, At: 40 * time.Minute, Burst: 16, Interval: 2 * time.Second},
@@ -178,7 +178,7 @@ func init() {
 			retryDriver(l)
 			l.ThinkTime = 5 * time.Second
 		},
-		Breaker:      cluster.BreakerConfig{Enabled: true},
+		Breaker:      true,
 		FailoverHops: 2,
 		Fault: &fault.Plan{Seed: 108, Injections: []fault.Injection{
 			{Kind: fault.CrashRestart, Node: 1, At: 40 * time.Minute, Duration: 6 * time.Minute},

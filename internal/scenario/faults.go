@@ -3,7 +3,6 @@ package scenario
 import (
 	"time"
 
-	"compilegate/internal/core"
 	"compilegate/internal/engine"
 	"compilegate/internal/fault"
 	"compilegate/internal/mem"
@@ -42,7 +41,7 @@ func retryDriver(l *workload.LoadConfig) {
 // brownout turns on the governor's sustained-pressure degradation mode
 // on top of the calibrated knobs.
 func brownout(c *engine.Config) {
-	c.Brownout = core.BrownoutConfig{Enabled: true}
+	c.Brownout = true
 }
 
 func init() {

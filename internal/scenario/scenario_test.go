@@ -10,6 +10,7 @@ import (
 	"compilegate/internal/fault"
 	"compilegate/internal/harness"
 	"compilegate/internal/vtime"
+	"compilegate/internal/workload"
 )
 
 // TestRegisteredScenariosBuildValidConfigs proves every registered
@@ -31,7 +32,7 @@ func TestRegisteredScenariosBuildValidConfigs(t *testing.T) {
 				s.Engine(&ecfg)
 			}
 			ecfg.Throttle = s.Throttled
-			cat := s.Workload.NewCatalog(s.Scale, ecfg.BufferPool.ExtentBytes)
+			cat := s.Workload.NewCatalog(s.Scale, workload.DefaultExtentBytes)
 			if _, err := engine.NewShared(ecfg, cat, engine.Prebuilt{}, vtime.NewScheduler()); err != nil {
 				t.Fatalf("engine rejects the scenario's config: %v", err)
 			}
@@ -70,10 +71,11 @@ func TestValidateRejectsBrokenScenarios(t *testing.T) {
 		"no-horizon":         func(s *Scenario) { s.Horizon, s.Warmup = 0, 0 },
 		"negative-warmup":    func(s *Scenario) { s.Warmup = -time.Minute },
 		"window-cuts-slices": func(s *Scenario) { s.Warmup, s.Horizon = 5*time.Minute, 15*time.Minute },
+		"no-slice":           func(s *Scenario) { *s = s.WithSlice(0) },
 		"negative-nodes":     func(s *Scenario) { s.Nodes = -1 },
 		"bad-router":         func(s *Scenario) { s.Nodes, s.Router = 2, "random" },
-		"health-one-node":    func(s *Scenario) { s.Health.Enabled = true },
-		"breaker-one-node":   func(s *Scenario) { s.Nodes, s.Breaker.Enabled = 1, true },
+		"health-one-node":    func(s *Scenario) { s.Health = true },
+		"breaker-one-node":   func(s *Scenario) { s.Nodes, s.Breaker = 1, true },
 		"hops-one-node":      func(s *Scenario) { s.FailoverHops = 1 },
 		"negative-hops":      func(s *Scenario) { s.Nodes, s.FailoverHops = 2, -1 },
 		"malformed-fault":    func(s *Scenario) { s.Fault = crash(-time.Minute, time.Minute, 0) },

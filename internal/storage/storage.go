@@ -91,24 +91,6 @@ func DefaultPattern() Pattern {
 	return Pattern{HotFraction: 0.10, HotProbability: 0.85}
 }
 
-// ScanExtents returns the extents a scan of the given fraction of the
-// table touches, skewed by the pattern. The rng makes different query
-// instances touch different (but overlapping, via the hot region) extent
-// sets deterministically per seed.
-func (l *Layout) ScanExtents(table string, fraction float64, p Pattern, rng *rand.Rand) []ExtentKey {
-	return l.ScanInto(nil, l.Table(table), fraction, p, rng)
-}
-
-// ScanExtentsInto is ScanInto for a caller that has the table's name.
-func (l *Layout) ScanExtentsInto(buf []ExtentKey, table string, fraction float64, p Pattern, rng *rand.Rand) []ExtentKey {
-	return l.ScanInto(buf, l.Table(table), fraction, p, rng)
-}
-
-// ScanLen is ScanLenOf for a caller that has the table's name.
-func (l *Layout) ScanLen(table string, fraction float64) int {
-	return l.ScanLenOf(l.Table(table), fraction)
-}
-
 // ScanLenOf returns how many extents a scan of the given fraction of t
 // touches: the length of the list ScanInto appends for it.
 func (l *Layout) ScanLenOf(t *catalog.Table, fraction float64) int {
@@ -126,9 +108,11 @@ func scanLen(total int64, fraction float64) (n int64, full bool) {
 	return max(int64(float64(total)*fraction), 1), false
 }
 
-// ScanInto is ScanExtents for a caller that has resolved the table (the
-// executor, from the plan node), appending to buf so that one keys buffer
-// serves scan after scan.
+// ScanInto appends to buf the extents a scan of the given fraction of t
+// touches, skewed by the pattern, so that one keys buffer serves scan
+// after scan. The rng makes different query instances touch different
+// (but overlapping, via the hot region) extent sets deterministically per
+// seed.
 func (l *Layout) ScanInto(buf []ExtentKey, t *catalog.Table, fraction float64, p Pattern, rng *rand.Rand) []ExtentKey {
 	total := l.extents[t.ID]
 	n, full := scanLen(total, fraction)

@@ -12,6 +12,11 @@ func testLayout() *Layout {
 	return NewLayout(catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: 8 << 20}))
 }
 
+// scan draws a scan of the named table into a new list.
+func scan(l *Layout, table string, fraction float64, p Pattern, rng *rand.Rand) []ExtentKey {
+	return l.ScanInto(nil, l.Table(table), fraction, p, rng)
+}
+
 func TestExtentKeyRoundTrip(t *testing.T) {
 	k := NewExtentKey(13, 987654)
 	if k.TableID() != 13 || k.Extent() != 987654 {
@@ -46,7 +51,7 @@ func TestUnknownTablePanics(t *testing.T) {
 func TestFullScanSequential(t *testing.T) {
 	l := testLayout()
 	rng := rand.New(rand.NewSource(1))
-	keys := l.ScanExtents("dim_product", 1.0, DefaultPattern(), rng)
+	keys := scan(l, "dim_product", 1.0, DefaultPattern(), rng)
 	if int64(len(keys)) != l.Extents("dim_product") {
 		t.Fatalf("full scan keys = %d, want %d", len(keys), l.Extents("dim_product"))
 	}
@@ -61,7 +66,7 @@ func TestFractionalScanSize(t *testing.T) {
 	l := testLayout()
 	rng := rand.New(rand.NewSource(2))
 	total := l.Extents("sales_fact")
-	keys := l.ScanExtents("sales_fact", 0.1, DefaultPattern(), rng)
+	keys := scan(l, "sales_fact", 0.1, DefaultPattern(), rng)
 	want := int64(float64(total) * 0.1)
 	if int64(len(keys)) != want {
 		t.Fatalf("10%% scan = %d extents, want %d", len(keys), want)
@@ -82,7 +87,7 @@ func TestHotSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	total := l.Extents("sales_fact")
 	hot := int64(float64(total) * p.HotFraction)
-	keys := l.ScanExtents("sales_fact", 0.3, p, rng)
+	keys := scan(l, "sales_fact", 0.3, p, rng)
 	inHot := 0
 	for _, k := range keys {
 		if k.Extent() < hot {
@@ -99,7 +104,7 @@ func TestHotSkew(t *testing.T) {
 func TestTinyFractionStillReads(t *testing.T) {
 	l := testLayout()
 	rng := rand.New(rand.NewSource(4))
-	keys := l.ScanExtents("dim_channel", 0.0001, DefaultPattern(), rng)
+	keys := scan(l, "dim_channel", 0.0001, DefaultPattern(), rng)
 	if len(keys) != 1 {
 		t.Fatalf("tiny scan = %d extents, want 1", len(keys))
 	}
@@ -107,8 +112,8 @@ func TestTinyFractionStillReads(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	l := testLayout()
-	a := l.ScanExtents("sales_fact", 0.05, DefaultPattern(), rand.New(rand.NewSource(7)))
-	b := l.ScanExtents("sales_fact", 0.05, DefaultPattern(), rand.New(rand.NewSource(7)))
+	a := scan(l, "sales_fact", 0.05, DefaultPattern(), rand.New(rand.NewSource(7)))
+	b := scan(l, "sales_fact", 0.05, DefaultPattern(), rand.New(rand.NewSource(7)))
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -120,16 +125,16 @@ func TestDeterministicPerSeed(t *testing.T) {
 }
 
 // Property: scans never exceed table bounds, fraction clamps at 1, and
-// ScanLen names the list's length without drawing it.
+// ScanLenOf names the list's length without drawing it.
 func TestQuickScanBounds(t *testing.T) {
 	l := testLayout()
 	tables := l.Catalog().Tables()
 	f := func(fracRaw uint16, tIdx uint8, seed int64) bool {
 		tb := tables[int(tIdx)%len(tables)]
 		frac := float64(fracRaw) / 10000.0 // up to 6.5
-		keys := l.ScanExtents(tb.Name, frac, DefaultPattern(), rand.New(rand.NewSource(seed)))
+		keys := l.ScanInto(nil, tb, frac, DefaultPattern(), rand.New(rand.NewSource(seed)))
 		total := l.Extents(tb.Name)
-		if int64(len(keys)) > total || l.ScanLen(tb.Name, frac) != len(keys) {
+		if int64(len(keys)) > total || l.ScanLenOf(tb, frac) != len(keys) {
 			return false
 		}
 		for _, k := range keys {
