@@ -22,79 +22,80 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"compilegate"
 	"compilegate/internal/profiling"
+	"compilegate/internal/scenario"
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "compressed measurement window")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = all cores)")
-	nseeds := flag.Int("seeds", 1, "replication seeds per cell (seeds {1..N})")
-	csvPath := flag.String("csv", "", "write the full grid as CSV to this path")
-	mdPath := flag.String("md", "", "write per-knob-set markdown tables to this path")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this path on exit")
-	flag.Parse()
-
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && err != flag.ErrHelp {
 		fmt.Fprintln(os.Stderr, "calibrate:", err)
 		os.Exit(1)
 	}
-	defer stop()
+}
 
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("calibrate", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "compressed measurement window")
+	workers := fs.Int("workers", 0, "concurrent simulations (0 = all cores)")
+	nseeds := fs.Int("seeds", 1, "replication seeds per cell (seeds {1..N})")
+	csvPath := fs.String("csv", "", "write the full grid as CSV to this path")
+	mdPath := fs.String("md", "", "write per-knob-set markdown tables to this path")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this path on exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *nseeds < 1 {
-		fmt.Fprintln(os.Stderr, "calibrate: -seeds must be >= 1")
-		os.Exit(1)
+		return errors.New("-seeds must be >= 1")
 	}
 
-	cal := compilegate.DefaultCalibration()
+	stop, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer stop()
+
+	cal := scenario.DefaultCalibration()
 	cal.Workers = *workers
 	if *quick {
 		cal.Horizon, cal.Warmup = 90*time.Minute, 15*time.Minute
 	}
-	seeds := compilegate.ReplicationSeeds(*nseeds)
-	cal.Seeds = seeds
-	cells := len(cal.Knobs) * len(cal.Clients) * len(seeds)
-	fmt.Printf("calibrating: %d knob sets x %d client counts x %d seeds = %d cells (%d simulations), window [%v, %v)\n",
-		len(cal.Knobs), len(cal.Clients), len(seeds), cells, 2*cells, cal.Warmup, cal.Horizon)
+	cal.Seeds = scenario.Seeds(*nseeds)
+	cells := len(cal.Knobs) * len(cal.Clients) * len(cal.Seeds)
+	fmt.Fprintf(w, "calibrating: %d knob sets x %d client counts x %d seeds = %d cells (%d simulations), window [%v, %v)\n",
+		len(cal.Knobs), len(cal.Clients), len(cal.Seeds), cells, 2*cells, cal.Warmup, cal.Horizon)
 
 	rep := cal.Run()
 
-	fmt.Print(rep.Markdown())
-	fmt.Println("ranking (best first):")
+	fmt.Fprint(w, rep.Markdown())
+	fmt.Fprintln(w, "ranking (best first):")
 	for i, name := range rep.Ranking() {
-		fmt.Printf("  %d. %-12s score %.3f\n", i+1, name, rep.Score(name))
+		fmt.Fprintf(w, "  %d. %-12s score %.3f\n", i+1, name, rep.Score(name))
 	}
 	best, score := rep.Best()
-	fmt.Printf("\nselected: %s (score %.3f)\n", best.Name, score)
-	fmt.Printf("  cache-reserve=%.2f slope=%.1f wait=%v grant-frac=%.2f\n",
+	fmt.Fprintf(w, "\nselected: %s (score %.3f)\n", best.Name, score)
+	fmt.Fprintf(w, "  cache-reserve=%.2f slope=%.1f wait=%v grant-frac=%.2f\n",
 		best.CacheReserveFrac, best.SlowdownSlope, best.CompileTaskWait, best.ExecGrantLimitFrac)
-	fmt.Printf("  memo-scale=%.2f stages=%.1f/%.1f vas=%dMiB exhaustion=%.2f\n",
+	fmt.Fprintf(w, "  memo-scale=%.2f stages=%.1f/%.1f vas=%dMiB exhaustion=%.2f\n",
 		best.MemoBytesScale, best.StageCostingScale, best.StageCodegenScale,
 		best.VASBytes>>20, best.BrokerExhaustionFrac)
-	writeReports(*csvPath, *mdPath, rep)
-}
 
-// writeReports writes the evaluated cells as CSV and/or markdown.
-func writeReports(csvPath, mdPath string, rep *compilegate.CalibrationReport) {
-	if csvPath != "" {
-		if err := os.WriteFile(csvPath, []byte(rep.CSV()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "calibrate:", err)
-			os.Exit(1)
+	// Write the evaluated cells as CSV and/or markdown.
+	for _, out := range []struct{ path, body string }{{*csvPath, rep.CSV()}, {*mdPath, rep.Markdown()}} {
+		if out.path == "" {
+			continue
 		}
-		fmt.Println("wrote", csvPath)
-	}
-	if mdPath != "" {
-		if err := os.WriteFile(mdPath, []byte(rep.Markdown()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "calibrate:", err)
-			os.Exit(1)
+		if err := os.WriteFile(out.path, []byte(out.body), 0o644); err != nil {
+			return err
 		}
-		fmt.Println("wrote", mdPath)
+		fmt.Fprintln(w, "wrote", out.path)
 	}
+	return nil
 }

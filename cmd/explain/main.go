@@ -12,13 +12,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"compilegate"
-
+	"compilegate/internal/mem"
 	"compilegate/internal/optimizer"
+	"compilegate/internal/scenario"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/stats"
 	"compilegate/internal/vtime"
@@ -26,21 +28,30 @@ import (
 )
 
 func main() {
-	scen := flag.String("scenario", "adhoc-dss", "registered scenario supplying catalog and workload")
-	scale := flag.Float64("scale", 0, "override the scenario's catalog scale")
-	sample := flag.Bool("sample", false, "explain a query generated by the scenario's workload")
-	list := flag.Bool("list", false, "list registered scenarios and exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && err != flag.ErrHelp {
+		fmt.Fprintln(os.Stderr, "explain:", err)
+		os.Exit(1)
+	}
+}
 
-	if *list {
-		fmt.Print(compilegate.ListScenarios())
-		return
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
+	scen := fs.String("scenario", "adhoc-dss", "registered scenario supplying catalog and workload")
+	scale := fs.Float64("scale", 0, "override the scenario's catalog scale")
+	sample := fs.Bool("sample", false, "explain a query generated by the scenario's workload")
+	list := fs.Bool("list", false, "list registered scenarios and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
-	s, ok := compilegate.ScenarioByName(*scen)
+	if *list {
+		fmt.Fprint(w, scenario.List())
+		return nil
+	}
+
+	s, ok := scenario.Get(*scen)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "explain: unknown scenario %q; -list shows the registry\n", *scen)
-		os.Exit(2)
+		return fmt.Errorf("unknown scenario %q; -list shows the registry", *scen)
 	}
 	if *scale > 0 {
 		s.Scale = *scale
@@ -50,32 +61,30 @@ func main() {
 	switch {
 	case *sample:
 		sql = s.Workload.Generator().Next(vtime.NewRand(s.Seed))
-	case flag.NArg() == 1:
-		sql = flag.Arg(0)
+	case fs.NArg() == 1:
+		sql = fs.Arg(0)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: explain [-scenario name] [-scale f] <sql> | explain -sample")
-		os.Exit(2)
+		return errors.New("usage: explain [-scenario name] [-scale f] <sql> | explain -sample")
 	}
 
 	q, err := sqlparser.Parse(sql)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "explain:", err)
-		os.Exit(1)
+		return err
 	}
 	cat := s.Workload.NewCatalog(s.Scale, workload.DefaultExtentBytes)
 	opt := optimizer.New(stats.NewEstimator(cat), optimizer.DefaultConfig())
 	p, err := opt.Optimize(q, optimizer.Hooks{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "explain:", err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Println("query:", sql)
-	fmt.Printf("joins: %d   fingerprint: %s\n\n", q.NumJoins(), sqlparser.Fingerprint(sql))
-	fmt.Print(p.String())
-	fmt.Printf("\nestimated cost: %.4g\n", p.Cost())
-	fmt.Printf("compile memory: %d MiB across %d alternatives\n",
-		p.CompileBytes/compilegate.MiB, p.ExprsExplored)
-	fmt.Printf("execution grant: %d MiB; cached-plan size: %d KiB\n",
-		p.MemoryGrant()/compilegate.MiB, p.PlanBytes()/compilegate.KiB)
+	fmt.Fprintln(w, "query:", sql)
+	fmt.Fprintf(w, "joins: %d   fingerprint: %s\n\n", q.NumJoins(), sqlparser.Fingerprint(sql))
+	fmt.Fprint(w, p.String())
+	fmt.Fprintf(w, "\nestimated cost: %.4g\n", p.Cost())
+	fmt.Fprintf(w, "compile memory: %d MiB across %d alternatives\n",
+		p.CompileBytes/mem.MiB, p.ExprsExplored)
+	fmt.Fprintf(w, "execution grant: %d MiB; cached-plan size: %d KiB\n",
+		p.MemoryGrant()/mem.MiB, p.PlanBytes()/mem.KiB)
+	return nil
 }

@@ -1,7 +1,8 @@
 // figures regenerates every figure dataset from the paper: the monitor
 // ladder (Fig. 1), a compilation-throttling trace (Fig. 2), and the
 // throttled-vs-baseline throughput series at 30/35/40 clients
-// (Figs. 3-5), plus the headline numbers quoted in the text.
+// (Figs. 3-5), plus the headline numbers quoted in the text. It also runs
+// any registered scenario against its baseline.
 //
 // Experiments resolve from the scenario registry, and every
 // throttled/baseline pair runs concurrently through the sweep runner —
@@ -12,156 +13,197 @@
 //
 //	figures [-quick] [-figure all|1|2|3|4|5] [-workers N]
 //	figures -list
-//	figures -scenario oltp-mix
+//	figures -scenario oltp-mix [-clients N] [-seed N] [-scale F]
+//	        [-workload sales|tpch|oltp|mix] [-horizon D] [-warmup D]
 //	figures -faultplan [-scenario fault-leak]
 //
 // -quick shrinks the simulation window so a full regeneration finishes in
-// well under a minute of wall-clock time.
+// well under a minute of wall-clock time. The override flags replace
+// that field of every scenario the command runs, after -quick. -scenario
+// prints, after the side-by-side series, each side's completion series,
+// error taxonomy, compile memory, gateway counters and engine report.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"compilegate"
+	"compilegate/internal/core"
+	"compilegate/internal/gateway"
+	"compilegate/internal/harness"
+	"compilegate/internal/mem"
 	"compilegate/internal/profiling"
+	"compilegate/internal/scenario"
+	"compilegate/internal/vtime"
+	"compilegate/internal/workload"
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "short simulation window")
-	fig := flag.String("figure", "all", "which figure to regenerate")
-	scen := flag.String("scenario", "", "run one registered scenario (with its baseline) instead of a figure")
-	list := flag.Bool("list", false, "list registered scenarios and exit")
-	faultplan := flag.Bool("faultplan", false, "print the injected fault schedule of -scenario (or of every fault scenario) and exit")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = all cores)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this path on exit")
-	flag.Parse()
-
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && err != flag.ErrHelp {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "short simulation window")
+	fig := fs.String("figure", "all", "which figure to regenerate")
+	scen := fs.String("scenario", "", "run one registered scenario (with its baseline) instead of a figure")
+	list := fs.Bool("list", false, "list registered scenarios and exit")
+	faultplan := fs.Bool("faultplan", false, "print the injected fault schedule of -scenario (or of every fault scenario) and exit")
+	workers := fs.Int("workers", 0, "concurrent simulations (0 = all cores)")
+	clients := fs.Int("clients", 0, "override the concurrent database users")
+	seed := fs.Int64("seed", 0, "override the random seed")
+	scale := fs.Float64("scale", 0, "override the catalog scale factor")
+	wl := fs.String("workload", "", "override the workload: sales | tpch | oltp | mix")
+	horizon := fs.Duration("horizon", 0, "override the virtual run length")
+	warmup := fs.Duration("warmup", 0, "override the excluded warm-up prefix")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this path on exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	stop, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
 	defer stop()
 
+	// resolve looks a scenario up in the registry, then applies -quick and
+	// the override flags given on the command line.
+	resolve := func(name string) (scenario.Scenario, error) {
+		s, ok := scenario.Get(name)
+		if !ok {
+			return s, fmt.Errorf("unknown scenario %q; -list shows the registry", name)
+		}
+		if *quick && s.Horizon > 2*time.Hour {
+			s = s.WithWindow(2*time.Hour, 30*time.Minute)
+		}
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "clients":
+				s.Clients = *clients
+			case "seed":
+				s.Seed = *seed
+			case "scale":
+				s.Scale = *scale
+			case "workload":
+				s.Workload, err = workload.ParseSpec(*wl)
+			case "horizon":
+				s.Horizon = *horizon
+			case "warmup":
+				s.Warmup = *warmup
+			}
+		})
+		return s, err
+	}
+
 	if *list {
-		fmt.Print(compilegate.ListScenarios())
-		return
+		fmt.Fprint(w, scenario.List())
+		return nil
 	}
 	if *faultplan {
+		plans := scenario.All()
 		if *scen != "" {
-			s, ok := compilegate.ScenarioByName(*scen)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "figures: unknown scenario %q; -list shows the registry\n", *scen)
-				os.Exit(2)
+			s, err := resolve(*scen)
+			if err != nil {
+				return err
 			}
 			if s.Fault.Empty() {
-				fmt.Fprintf(os.Stderr, "figures: scenario %q injects no faults\n", *scen)
-				os.Exit(2)
+				return fmt.Errorf("scenario %q injects no faults", *scen)
 			}
-			fmt.Printf("== %s ==\n%s", s.Name, s.Fault.String())
-			return
+			plans = []scenario.Scenario{s}
 		}
-		for _, s := range compilegate.Scenarios() {
+		for _, s := range plans {
 			if !s.Fault.Empty() {
-				fmt.Printf("== %s ==\n%s", s.Name, s.Fault.String())
+				fmt.Fprintf(w, "== %s ==\n%s", s.Name, s.Fault.String())
 			}
 		}
-		return
+		return nil
 	}
 	if *scen != "" {
-		s, ok := compilegate.ScenarioByName(*scen)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "figures: unknown scenario %q; -list shows the registry\n", *scen)
-			os.Exit(2)
+		s, err := resolve(*scen)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("== Scenario %s: %s ==\n", s.Name, s.Description)
+		fmt.Fprintf(w, "== Scenario %s: %s ==\n", s.Name, s.Description)
 		if !s.Fault.Empty() {
-			fmt.Printf("  fault plan:\n%s", indent(s.Fault.String(), "  "))
+			plan := strings.TrimRight(s.Fault.String(), "\n")
+			fmt.Fprintf(w, "  fault plan:\n  %s\n", strings.ReplaceAll(plan, "\n", "\n  "))
 		}
-		renderPair(runPair(shrink(s, *quick), *workers))
-		return
+		pair := scenario.RunSweep([]scenario.Scenario{s, s.Baseline()}, *workers)
+		if err := renderPair(w, pair); err != nil {
+			return err
+		}
+		for _, sr := range pair {
+			renderRun(w, sr.Scenario, sr.Result)
+		}
+		return nil
 	}
 
+	figs := []string{*fig}
 	switch *fig {
 	case "1":
-		figure1()
+		figure1(w)
+		return nil
 	case "2":
-		figure2()
-	case "3", "4", "5":
-		n := int((*fig)[0] - '0')
-		s := figureScenario(n, *quick)
-		fmt.Printf("== Figure %d: throughput, %d clients ==\n", n, s.Clients)
-		renderPair(runPair(s, *workers))
+		figure2(w)
+		return nil
 	case "all":
-		figure1()
-		figure2()
-		// All three throughput figures — six independent simulations —
-		// sweep concurrently.
-		var scenarios []compilegate.Scenario
-		for n := 3; n <= 5; n++ {
-			s := figureScenario(n, *quick)
-			scenarios = append(scenarios, s, s.Baseline())
-		}
-		results := compilegate.RunSweep(scenarios, *workers)
-		for i := 0; i < len(results); i += 2 {
-			s := results[i].Scenario
-			fmt.Printf("== Figure %d: throughput, %d clients ==\n", 3+i/2, s.Clients)
-			renderPair([2]compilegate.SweepResult{results[i], results[i+1]})
-		}
+		figure1(w)
+		figure2(w)
+		figs = []string{"3", "4", "5"}
+	case "3", "4", "5":
 	default:
-		fmt.Fprintln(os.Stderr, "figures: unknown -figure", *fig)
-		os.Exit(2)
+		return fmt.Errorf("unknown -figure %q", *fig)
 	}
-}
-
-// figureScenario resolves one throughput figure from the registry.
-func figureScenario(n int, quick bool) compilegate.Scenario {
-	name := fmt.Sprintf("figure%d", n)
-	s, ok := compilegate.ScenarioByName(name)
-	if !ok {
-		panic("figures: " + name + " not registered")
+	// The throughput figures' throttled/baseline pairs sweep concurrently:
+	// six independent simulations for -figure all.
+	var scenarios []scenario.Scenario
+	for _, n := range figs {
+		s, err := resolve("figure" + n)
+		if err != nil {
+			return err
+		}
+		scenarios = append(scenarios, s, s.Baseline())
 	}
-	return shrink(s, quick)
-}
-
-func shrink(s compilegate.Scenario, quick bool) compilegate.Scenario {
-	if quick && s.Horizon > 2*time.Hour {
-		return s.WithWindow(2*time.Hour, 30*time.Minute)
+	results := scenario.RunSweep(scenarios, *workers)
+	for i, n := range figs {
+		fmt.Fprintf(w, "== Figure %s: throughput, %d clients ==\n", n, results[2*i].Scenario.Clients)
+		if err := renderPair(w, results[2*i:2*i+2]); err != nil {
+			return err
+		}
 	}
-	return s
-}
-
-// runPair executes a scenario and its unthrottled baseline concurrently.
-func runPair(s compilegate.Scenario, workers int) [2]compilegate.SweepResult {
-	res := compilegate.RunSweep([]compilegate.Scenario{s, s.Baseline()}, workers)
-	return [2]compilegate.SweepResult{res[0], res[1]}
+	return nil
 }
 
 // renderPair prints the throttled and baseline series side by side.
-func renderPair(pair [2]compilegate.SweepResult) {
+func renderPair(w io.Writer, pair []scenario.SweepResult) error {
 	for _, sr := range pair {
 		if sr.Err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", sr.Scenario.Name, sr.Err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", sr.Scenario.Name, sr.Err)
 		}
 	}
 	th, ba := pair[0].Result, pair[1].Result
-	fmt.Println("  time      throttled  non-throttled")
+	fmt.Fprintln(w, "  time      throttled  non-throttled")
 	for i := range th.Series {
 		b := int64(0)
 		if i < len(ba.Series) {
 			b = ba.Series[i].V
 		}
-		fmt.Printf("  %6.0fs  %9d  %13d\n", th.Series[i].T.Seconds(), th.Series[i].V, b)
+		fmt.Fprintf(w, "  %6.0fs  %9d  %13d\n", th.Series[i].T.Seconds(), th.Series[i].V, b)
 	}
-	ratio, summary := compilegate.CompareRuns(th, ba)
-	fmt.Printf("  ratio: %.2fx — %s\n\n", ratio, summary)
-	renderNodes(th)
+	ratio, summary := harness.Compare(th, ba)
+	fmt.Fprintf(w, "  ratio: %.2fx — %s\n\n", ratio, summary)
+	renderNodes(w, th)
+	return nil
 }
 
 // renderNodes prints the per-node breakdown of a cluster run (no output
@@ -169,74 +211,81 @@ func renderPair(pair [2]compilegate.SweepResult) {
 // health actions (rerouted / failover / all-excluded counters), and —
 // when breakers are armed — each node's final breaker state, trip
 // count, and state-transition trail in virtual-time order.
-func renderNodes(r *compilegate.BenchmarkResult) {
+func renderNodes(w io.Writer, r *harness.Result) {
 	if len(r.NodeResults) == 0 {
 		return
 	}
 	breakers := r.NodeResults[0].BreakerState != ""
-	fmt.Printf("  per-node breakdown (%s router, rerouted=%d", r.Options.Router, r.Rerouted)
+	fmt.Fprintf(w, "  per-node breakdown (%s router, rerouted=%d", r.Options.Router, r.Rerouted)
 	if breakers || r.Options.FailoverHops > 0 {
-		fmt.Printf(" resubmitted=%d all-excluded=%d", r.Resubmitted, r.RouterAllExcluded)
+		fmt.Fprintf(w, " resubmitted=%d all-excluded=%d", r.Resubmitted, r.RouterAllExcluded)
 	}
-	fmt.Println("):")
-	fmt.Print("  node     routed  completed  errors  plan-hit  crashes")
+	fmt.Fprintln(w, "):")
+	fmt.Fprint(w, "  node     routed  completed  errors  plan-hit  crashes")
 	if breakers {
-		fmt.Print("    breaker  trips")
+		fmt.Fprint(w, "    breaker  trips")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, nr := range r.NodeResults {
-		fmt.Printf("  %4d  %9d  %9d  %6d  %8.4f  %7d",
+		fmt.Fprintf(w, "  %4d  %9d  %9d  %6d  %8.4f  %7d",
 			nr.Node, nr.Routed, nr.Completed, nr.Errors, nr.PlanCacheHitRate, nr.Crashes)
 		if breakers {
-			fmt.Printf("  %9s  %5d", nr.BreakerState, nr.BreakerTrips)
+			fmt.Fprintf(w, "  %9s  %5d", nr.BreakerState, nr.BreakerTrips)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, nr := range r.NodeResults {
 		if len(nr.BreakerTransitions) == 0 {
 			continue
 		}
-		fmt.Printf("  node %d breaker transitions:\n", nr.Node)
+		fmt.Fprintf(w, "  node %d breaker transitions:\n", nr.Node)
 		for _, tr := range nr.BreakerTransitions {
-			fmt.Printf("    %s\n", tr)
+			fmt.Fprintf(w, "    %s\n", tr)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-// indent prefixes every non-empty line of s.
-func indent(s, prefix string) string {
-	var sb strings.Builder
-	for _, line := range strings.Split(strings.TrimRight(s, "\n"), "\n") {
-		sb.WriteString(prefix)
-		sb.WriteString(line)
-		sb.WriteString("\n")
+// renderRun prints one side of a -scenario pair: its settings, the
+// completion series, the error taxonomy, compile-memory and gateway
+// counters, and the engine report.
+func renderRun(w io.Writer, s scenario.Scenario, res *harness.Result) {
+	fmt.Fprintf(w, "scenario=%s workload=%s clients=%d throttle=%v window=[%v,%v)\n",
+		s.Name, s.Workload, s.Clients, s.Throttled, s.Warmup, s.Horizon)
+	fmt.Fprintln(w, "completions per slice:")
+	for _, p := range res.Series {
+		fmt.Fprintf(w, "  t=%6.0fs  %d\n", p.T.Seconds(), p.V)
 	}
-	return sb.String()
+	fmt.Fprintf(w, "total completed: %d  (%.1f/hour)\n", res.Completed, res.Throughput())
+	fmt.Fprintf(w, "errors: %v (in-window %d)\n", res.ErrorsByKind, res.Errors)
+	fmt.Fprintf(w, "compile memory: mean %d MiB, max %d MiB; pool hit-rate %.1f%%\n",
+		res.CompileMemMean/mem.MiB, res.CompileMemMax/mem.MiB, res.BufferPoolHitRate*100)
+	fmt.Fprintf(w, "gateway timeouts: %d; best-effort plans: %d\n", res.GatewayTimeouts, res.BestEffortPlans)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, res.Report)
 }
 
 // figure1 prints the monitor ladder (thresholds ascending, concurrency
 // descending) — the content of the paper's Figure 1.
-func figure1() {
-	fmt.Println("== Figure 1: memory monitors ==")
-	chain, err := compilegate.NewGatewayChain(compilegate.DefaultGatewayConfig(8, 4*compilegate.GiB))
+func figure1(w io.Writer) {
+	fmt.Fprintln(w, "== Figure 1: memory monitors ==")
+	chain, err := gateway.NewChain(gateway.DefaultConfig(8, 4*mem.GiB))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Print(chain.String())
-	fmt.Println()
+	fmt.Fprint(w, chain.String())
+	fmt.Fprintln(w)
 }
 
 // figure2 reproduces the throttling example trace with the governance
 // primitives directly: staggered compilations whose memory curves
 // flatten while blocked at monitors. (The registry's "figure2" scenario
 // runs the same conditions through the full engine.)
-func figure2() {
-	fmt.Println("== Figure 2: compilation throttling example ==")
-	sched := compilegate.NewScheduler()
-	budget := compilegate.NewBudget(1 * compilegate.GiB)
-	opts := compilegate.DefaultGovernorOptions(2, budget.Total())
-	gov, err := compilegate.NewGovernor(opts, budget.NewTracker("compile"))
+func figure2(w io.Writer) {
+	fmt.Fprintln(w, "== Figure 2: compilation throttling example ==")
+	sched := vtime.NewScheduler()
+	budget := mem.NewBudget(1 * mem.GiB)
+	gov, err := core.NewGovernor(core.DefaultOptions(2, budget.Total()), budget.NewTracker("compile"))
 	if err != nil {
 		panic(err)
 	}
@@ -246,15 +295,14 @@ func figure2() {
 	}
 	var series []samp
 	cur := [3]int64{}
-	peaks := []int64{420 * compilegate.MiB, 300 * compilegate.MiB, 280 * compilegate.MiB}
+	peaks := []int64{420 * mem.MiB, 300 * mem.MiB, 280 * mem.MiB}
 	rates := []time.Duration{time.Second, 2 * time.Second, 2 * time.Second}
 	for i := range peaks {
-		i := i
-		sched.Go(fmt.Sprintf("Q%d", i+1), func(t *compilegate.Task) {
+		sched.Go(fmt.Sprintf("Q%d", i+1), func(t *vtime.Task) {
 			t.Sleep(time.Duration(i) * 5 * time.Second)
 			c := gov.Begin(t, fmt.Sprintf("Q%d", i+1))
 			for c.Used() < peaks[i] {
-				if err := c.Alloc(10 * compilegate.MiB); err != nil {
+				if err := c.Alloc(10 * mem.MiB); err != nil {
 					break
 				}
 				cur[i] = c.Used()
@@ -264,7 +312,7 @@ func figure2() {
 			cur[i] = 0
 		})
 	}
-	sched.Go("sampler", func(t *compilegate.Task) {
+	sched.Go("sampler", func(t *vtime.Task) {
 		for t.Now() < 4*time.Minute {
 			series = append(series, samp{t.Now(), cur})
 			t.Sleep(5 * time.Second)
@@ -273,10 +321,9 @@ func figure2() {
 	if err := sched.Run(); err != nil {
 		panic(err)
 	}
-	fmt.Println("  time      Q1(MiB)  Q2(MiB)  Q3(MiB)")
+	fmt.Fprintln(w, "  time      Q1(MiB)  Q2(MiB)  Q3(MiB)")
 	for _, s := range series {
-		fmt.Printf("  %7v  %7d  %7d  %7d\n", s.t,
-			s.v[0]/compilegate.MiB, s.v[1]/compilegate.MiB, s.v[2]/compilegate.MiB)
+		fmt.Fprintf(w, "  %7v  %7d  %7d  %7d\n", s.t, s.v[0]/mem.MiB, s.v[1]/mem.MiB, s.v[2]/mem.MiB)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

@@ -1,0 +1,94 @@
+package main
+
+import (
+	"io"
+	"strings"
+	"testing"
+)
+
+// figures runs the command and fails the test on an error.
+func figures(t *testing.T, args ...string) string {
+	t.Helper()
+	var out strings.Builder
+	if err := run(args, &out); err != nil {
+		t.Fatalf("figures %s: %v", strings.Join(args, " "), err)
+	}
+	return out.String()
+}
+
+// wantLines fails unless every want is a whole line of out.
+func wantLines(t *testing.T, out string, want ...string) {
+	t.Helper()
+	lines := "\n" + out
+	for _, w := range want {
+		if !strings.Contains(lines, "\n"+w+"\n") {
+			t.Errorf("output lacks the line %q:\n%s", w, out)
+		}
+	}
+}
+
+func TestList(t *testing.T) {
+	out := figures(t, "-list")
+	for _, name := range []string{"figure3", "cluster-nodeloss", "fault-leak", "quickstart"} {
+		if !strings.Contains(out, "  "+name+" ") {
+			t.Errorf("-list lacks %s:\n%s", name, out)
+		}
+	}
+}
+
+func TestQuickRegeneratesEveryFigure(t *testing.T) {
+	out := figures(t, "-quick")
+	wantLines(t, out,
+		"== Figure 1: memory monitors ==",
+		"== Figure 2: compilation throttling example ==",
+		"== Figure 3: throughput, 30 clients ==",
+		"== Figure 4: throughput, 35 clients ==",
+		"== Figure 5: throughput, 40 clients ==")
+	if n := strings.Count(out, "  ratio: "); n != 3 {
+		t.Errorf("%d ratio lines, want 3", n)
+	}
+}
+
+// TestScenarioOverrides sets every override flag on a cluster scenario and
+// on a fault scenario: both sides of the pair run with them and print
+// their per-run lines.
+func TestScenarioOverrides(t *testing.T) {
+	for _, tc := range []struct{ name, workload, extra string }{
+		{"cluster-nodeloss", "mix", "  per-node breakdown (least-loaded router, rerouted=0):"},
+		{"fault-crash-restart", "sales", "  fault plan:"},
+	} {
+		out := figures(t, "-quick", "-scenario", tc.name, "-clients", "6", "-seed", "3",
+			"-scale", "0.02", "-workload", tc.workload, "-horizon", "1h", "-warmup", "10m")
+		wantLines(t, out, tc.extra,
+			"scenario="+tc.name+" workload="+tc.workload+" clients=6 throttle=true window=[10m0s,1h0m0s)",
+			"scenario="+tc.name+"-baseline workload="+tc.workload+" clients=6 throttle=false window=[10m0s,1h0m0s)",
+			"completions per slice:")
+		for _, prefix := range []string{"\nerrors: ", "\ncompile memory: ", "\ngateway timeouts: "} {
+			if n := strings.Count(out, prefix); n != 2 {
+				t.Errorf("%s: %d lines start %q, want one per side", tc.name, n, prefix[1:])
+			}
+		}
+	}
+}
+
+func TestFaultPlan(t *testing.T) {
+	wantLines(t, figures(t, "-faultplan"), "== fault-leak ==", "== cluster-nodeloss ==")
+	wantLines(t, figures(t, "-faultplan", "-scenario", "fault-diskstall"),
+		"== fault-diskstall ==", "  t=2400s   disk-stall    x6.0 for 1200s")
+	if err := run([]string{"-faultplan", "-scenario", "figure3"}, io.Discard); err == nil {
+		t.Error("-faultplan accepted a scenario without faults")
+	}
+}
+
+func TestUnknownNamesAreErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "no-such-scenario"},
+		{"-figure", "9"},
+		{"-scenario", "quickstart", "-workload", "tpcds"},
+		{"-scenario", "quickstart", "-warmup", "3m"}, // quickstart counts in 2-minute slices
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("figures %s: no error", strings.Join(args, " "))
+		}
+	}
+}

@@ -360,16 +360,16 @@ func (c *Component) predict() int64 {
 		v := float64(s.v)
 		sumT += t
 		sumV += v
-		sumTT += t * t
-		sumTV += t * v
+		sumTT += float64(t * t)
+		sumTV += float64(t * v)
 	}
 	fn := float64(n)
-	den := fn*sumTT - sumT*sumT
+	den := float64(fn*sumTT) - float64(sumT*sumT)
 	if den == 0 {
 		return last.v
 	}
-	slope := (fn*sumTV - sumT*sumV) / den
-	p := float64(last.v) + slope*horizon.Seconds()
+	slope := (float64(fn*sumTV) - float64(sumT*sumV)) / den
+	p := float64(last.v) + float64(slope*horizon.Seconds())
 	if p < 0 {
 		p = 0
 	}

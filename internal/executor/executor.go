@@ -379,7 +379,7 @@ func (op *execOp) Run(t *vtime.Task) {
 			case plan.OpHashJoin:
 				build := n.Right.OutCard
 				probe := n.Left.OutCard
-				units := build*plan.BuildRowCost + probe*plan.CPURowCost + n.OutCard*plan.CPURowCost
+				units := float64(build*plan.BuildRowCost) + float64(probe*plan.CPURowCost) + float64(n.OutCard*plan.CPURowCost)
 				if op.useCPU(t, units) {
 					return
 				}

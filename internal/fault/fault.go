@@ -379,7 +379,7 @@ func Random(rng *rand.Rand, horizon time.Duration) Plan {
 		in := Injection{Kind: k, At: at, Duration: dur}
 		switch k {
 		case DiskStall:
-			in.Factor = 2 + 6*rng.Float64()
+			in.Factor = 2 + float64(6*rng.Float64())
 		case MemLeak:
 			in.RateBytes = (8 + rng.Int63n(56)) << 20 // 8-64 MiB per step
 			in.Interval = time.Duration(5+rng.Intn(25)) * time.Second

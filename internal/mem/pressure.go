@@ -78,7 +78,7 @@ func (m PressureModel) Slowdown(ratio float64) float64 {
 	if !m.Enabled || ratio <= 1 {
 		return 1
 	}
-	f := 1 + m.SlowdownSlope*(ratio-1)
+	f := 1 + float64(m.SlowdownSlope*(ratio-1))
 	if m.MaxSlowdown > 1 && f > m.MaxSlowdown {
 		f = m.MaxSlowdown
 	}

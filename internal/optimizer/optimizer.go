@@ -935,7 +935,7 @@ func (r *run) solve(n, nExprs int) {
 		for eid := g.FirstExpr(); eid != memo.NoExpr && int(eid) < nExprs; {
 			e := m.Expr(eid)
 			// Hash join, right side builds.
-			c := t.dp[e.L].cost + t.dp[e.R].cost + cards[e.R]*plan.BuildRowCost + cards[e.L]*plan.CPURowCost + cards[id]*plan.CPURowCost
+			c := t.dp[e.L].cost + t.dp[e.R].cost + float64(cards[e.R]*plan.BuildRowCost) + float64(cards[e.L]*plan.CPURowCost) + float64(cards[id]*plan.CPURowCost)
 			if c < out.cost {
 				out = costed{cost: c, expr: eid}
 			}
@@ -958,7 +958,7 @@ func (r *run) bestScan(tid int, e memo.ExprID) costed {
 	extents := float64(r.o.cat.Extents(t))
 	sel := r.leafSel[tid]
 	// Sequential scan.
-	out := costed{cost: extents*plan.SeqExtentCost + float64(t.Rows)*plan.CPURowCost, expr: e, op: plan.OpSeqScan, frac: 1}
+	out := costed{cost: float64(extents*plan.SeqExtentCost) + float64(float64(t.Rows)*plan.CPURowCost), expr: e, op: plan.OpSeqScan, frac: 1}
 	// Index scan when a filtered column has a leading index and the filter
 	// is selective enough to beat sequential I/O.
 	if term := r.q.Table(t.Name); term != nil {
@@ -966,7 +966,7 @@ func (r *run) bestScan(tid int, e memo.ExprID) costed {
 			if !t.HasIndexOn(p.Column) {
 				continue
 			}
-			idx := extents*sel*plan.RandExtentCost + float64(t.Rows)*sel*plan.CPURowCost
+			idx := float64(extents*sel*plan.RandExtentCost) + float64(float64(t.Rows)*sel*plan.CPURowCost)
 			if idx < out.cost {
 				out = costed{cost: idx, expr: e, op: plan.OpIndexScan, frac: sel}
 			}
@@ -998,7 +998,7 @@ func (r *run) extract(groups, exprs int) *plan.Plan {
 		if aggs < 1 {
 			aggs = 1
 		}
-		aggCost := node.OutCard*plan.AggRowCost*float64(aggs) + groups*plan.BuildRowCost
+		aggCost := float64(node.OutCard*plan.AggRowCost*float64(aggs)) + float64(groups*plan.BuildRowCost)
 		agg := r.newNode()
 		*agg = plan.Node{
 			Op:          plan.OpHashAgg,
@@ -1058,7 +1058,7 @@ func (r *run) costInitial() float64 {
 		if aggs < 1 {
 			aggs = 1
 		}
-		aggCost := card*plan.AggRowCost*float64(aggs) + groups*plan.BuildRowCost
+		aggCost := float64(card*plan.AggRowCost*float64(aggs)) + float64(groups*plan.BuildRowCost)
 		cost = cost + aggCost
 	}
 	return cost
@@ -1075,7 +1075,7 @@ func (r *run) subtreeCost(id memo.GroupID) float64 {
 	}
 	lc := r.subtreeCost(e.L)
 	rc := r.subtreeCost(e.R)
-	own := r.cards[e.R]*plan.BuildRowCost + r.cards[e.L]*plan.CPURowCost + r.cards[id]*plan.CPURowCost
+	own := float64(r.cards[e.R]*plan.BuildRowCost) + float64(r.cards[e.L]*plan.CPURowCost) + float64(r.cards[id]*plan.CPURowCost)
 	return lc + rc + own
 }
 
@@ -1100,7 +1100,7 @@ func (r *run) buildNode(id memo.GroupID) *plan.Node {
 	}
 	ln := r.buildNode(e.L)
 	rn := r.buildNode(e.R)
-	own := r.cards[e.R]*plan.BuildRowCost + r.cards[e.L]*plan.CPURowCost + r.cards[id]*plan.CPURowCost
+	own := float64(r.cards[e.R]*plan.BuildRowCost) + float64(r.cards[e.L]*plan.CPURowCost) + float64(r.cards[id]*plan.CPURowCost)
 	n := r.newNode()
 	*n = plan.Node{
 		Op:          plan.OpHashJoin,

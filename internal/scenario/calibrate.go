@@ -338,7 +338,7 @@ func (r *CalibrationReport) Score(name string) float64 {
 			continue
 		}
 		if p.Err != nil {
-			score += t.Ratio * t.Ratio
+			score += float64(t.Ratio * t.Ratio)
 			continue
 		}
 		ratio := p.Ratio()
@@ -346,7 +346,7 @@ func (r *CalibrationReport) Score(name string) float64 {
 			continue
 		}
 		d := ratio - t.Ratio
-		score += d * d
+		score += float64(d * d)
 	}
 	return score
 }

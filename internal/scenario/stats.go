@@ -45,13 +45,13 @@ func Quantile(xs []float64, q float64) float64 {
 	if q >= 1 {
 		return s[len(s)-1]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= len(s) {
 		return s[lo]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }
 
 // Interval is a closed confidence interval.
@@ -114,7 +114,7 @@ func BootstrapCI(xs []float64, confidence float64, seed int64) Interval {
 		}
 		means[b] = sum / float64(len(xs))
 	}
-	alpha := (1 - confidence) / 2
+	alpha := float64((1 - confidence) / 2)
 	return Interval{
 		Lo: Quantile(means, alpha),
 		Hi: Quantile(means, 1-alpha),

@@ -106,7 +106,9 @@ func (cfg *LoadConfig) Backoff(rng *rand.Rand, attempt int) time.Duration {
 	if cfg.BackoffJitter > 0 {
 		// Deterministic jitter in [1-j, 1+j): de-synchronizes a client
 		// herd that failed on the same tick without any shared state.
-		f := 1 + cfg.BackoffJitter*(2*rng.Float64()-1)
+		// Float64 is inlined: rounding it keeps 2*u from fusing with its
+		// product on arm64 and the like (DESIGN.md, "Determinism").
+		f := 1 + float64(cfg.BackoffJitter*(2*float64(rng.Float64())-1))
 		d = time.Duration(float64(d) * f)
 	}
 	return d

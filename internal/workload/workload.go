@@ -323,7 +323,7 @@ func (s *Sales) render(t *salesTemplate, rng *rand.Rand) string {
 	buf := append(s.buf[:0], t.head...)
 
 	// Fact date-range filter: selectivity drawn from the template band.
-	frac := t.factFracLo + rng.Float64()*(t.factFracHi-t.factFracLo)
+	frac := t.factFracLo + float64(rng.Float64()*(t.factFracHi-t.factFracLo))
 	width := int64(frac * dateDomain)
 	if width < 1 {
 		width = 1

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check-pkgdocs fails when any package in the module lacks a package-level
 # doc comment (a comment block ending on the line directly above the
-# package clause in at least one non-test file). CI runs it so every
-# internal/* package, command, and example stays documented in the style
-# of compilegate.go's package doc.
+# package clause in at least one non-test file). CI runs it so the root
+# package, every internal/* package and every command stays documented
+# in the style of compilegate.go's package doc.
 set -u
 fail=0
 for dir in $(go list -f '{{.Dir}}' ./...); do
