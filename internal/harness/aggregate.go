@@ -94,6 +94,11 @@ func aggregate(s Scenario, nodes []*engine.Server, router *cluster.Router, loadS
 		if max > res.CompileMemMax {
 			res.CompileMemMax = max
 		}
+		w := srv.Optimizer().Work()
+		res.Work.Compilations += w.Compilations
+		res.Work.Extractions += w.Extractions
+		res.Work.ExtractedGroups += w.ExtractedGroups
+		res.Work.ExtractedExprs += w.ExtractedExprs
 		poolHits += srv.BufferPool().Hits()
 		poolAccess += srv.BufferPool().Hits() + srv.BufferPool().Misses()
 		cacheHits += nr.PlanCacheHits

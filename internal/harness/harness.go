@@ -21,6 +21,7 @@ import (
 	"compilegate/internal/engine"
 	"compilegate/internal/fault"
 	"compilegate/internal/metrics"
+	"compilegate/internal/optimizer"
 	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
 )
@@ -80,6 +81,9 @@ type Result struct {
 	// SimEvents is how many scheduler events the run dispatched — the
 	// numerator of the simulator's own sim-events/sec throughput metric.
 	SimEvents uint64
+	// Work is what the fleet's optimizers did, summed over nodes: exact
+	// counts, functions of the code and the seed alone, beside host time.
+	Work optimizer.Work
 	// Fault reports what the fault plane did (nil for clean runs).
 	Fault *fault.Stats
 	// PreFaultThroughput is the mean completions per slice over full

@@ -292,7 +292,7 @@ func BenchmarkFillCards(b *testing.B) {
 			n := r.m.Groups()
 			for b.Loop() {
 				r.cards = r.cards[:0]
-				r.fillCards(n)
+				r.fillCards(n, false)
 			}
 			benchCards = r.cards
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/group")
@@ -306,10 +306,10 @@ func BenchmarkFillCards(b *testing.B) {
 // group and expression, then the plan's nodes.
 func BenchmarkExtract(b *testing.B) {
 	r := explored(b, salesOptimizer(), salesQuery(b, true, 20))
-	groups, exprs := r.m.Groups(), r.m.Exprs()
+	exprs := r.m.Exprs()
 	b.ReportAllocs()
 	for b.Loop() {
-		benchPlan = r.extract(groups, exprs)
+		benchPlan = r.extract(r.here())
 	}
 	b.ReportMetric(float64(exprs), "exprs")
 }

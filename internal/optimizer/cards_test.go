@@ -56,7 +56,7 @@ func TestCards4MatchesScalarOnCorpus(t *testing.T) {
 		// Extraction filled the prefix the compilation was shown; fill the
 		// rest, from where it stopped (a count that is not a multiple of 4).
 		shown := len(r.cards)
-		r.fillCards(r.m.Groups())
+		r.fillCards(r.m.Groups(), false)
 		if len(r.cards) != r.m.Groups() || shown == 0 {
 			t.Fatalf("%s: %d cardinalities for %d groups, %d after extraction", s.name, len(r.cards), r.m.Groups(), shown)
 		}

@@ -1,5 +1,18 @@
 package optimizer
 
+import "compilegate/internal/plan"
+
+// estimateInitialCost returns the cost of q's unexplored left-deep plan: what
+// dynamic optimization keys the budget of q's compilations from.
+func (o *Optimizer) estimateInitialCost(q *plan.Query) (float64, error) {
+	r, err := o.open(q)
+	if err != nil {
+		return 0, err
+	}
+	defer o.putRun(r)
+	return r.costInitial(), nil
+}
+
 // setJumps switches the player's batch-to-batch moves off (or back on) and
 // returns the previous setting: off, a deferring player walks every segment
 // of every span, as it did before the kernel recorded marks. Only the

@@ -10,10 +10,10 @@ import (
 )
 
 // The kernel helper: one goroutine, process-wide, that grows the tapes of the
-// runs players ask it to, on a core the simulations leave idle. A tape is a
-// pure function of its statement, so who advanced it cannot be observed, and
-// the player still makes every hook call. Both constants carry their
-// measurements in EXPERIMENTS.md ("Measured and left out").
+// runs players ask it to, on a core the simulations leave idle, and then
+// solves their DP at final. Tape and DP are pure functions of the statement,
+// so who computed them cannot be observed, and the player still makes every
+// hook call. EXPERIMENTS.md ("Measured and left out") has the measurements.
 const (
 	// lookahead is how many work batches past the mark its player needs next
 	// the helper keeps a run's tape.
@@ -23,6 +23,12 @@ const (
 	// time apart and waking an idle core costs far more, so a helper that parks
 	// the moment its queue is empty never gets ahead of a player.
 	linger = 200 * time.Microsecond
+	// pollsPerClock is how many empty polls pass between two reads of the
+	// clock: one read per poll made the clock an idle helper's hottest code.
+	pollsPerClock = 64
+	// solveChunk is how many groups of a DP the helper solves between two
+	// looks at whether a player waits for the run.
+	solveChunk = 128
 )
 
 var (
@@ -38,16 +44,19 @@ var (
 // HelperCounts says how the kernel's work was split: steps (run.advance
 // calls) by the helper and by players, runs queued for the helper, times a
 // player found its run held by the helper, times the helper ran out of work
-// and parked. It depends on host timing: it must never reach a Result, a
-// Report or a golden.
-type HelperCounts struct{ HelperSteps, InlineSteps, Requests, Handoffs, Parks uint64 }
+// and parked; and how extraction's was: DPs the helper solved, extractions
+// that found one solved at their prefix, solves the helper gave up to a
+// player. It depends on host timing: it must never reach a Result, a Report
+// or a golden.
+type HelperCounts struct{ HelperSteps, InlineSteps, Requests, Handoffs, Parks, Solves, SolveHits, SolvesAbandoned uint64 }
 
-var counts struct{ helperSteps, inlineSteps, requests, handoffs, parks atomic.Uint64 }
+var counts struct{ helperSteps, inlineSteps, requests, handoffs, parks, solves, solveHits, solvesAbandoned atomic.Uint64 }
 
 // HelperStats returns the counters' totals since the process started.
 func HelperStats() HelperCounts {
 	return HelperCounts{counts.helperSteps.Load(), counts.inlineSteps.Load(),
-		counts.requests.Load(), counts.handoffs.Load(), counts.parks.Load()}
+		counts.requests.Load(), counts.handoffs.Load(), counts.parks.Load(),
+		counts.solves.Load(), counts.solveHits.Load(), counts.solvesAbandoned.Load()}
 }
 
 // spareCore reports whether a core is left for the helper: more than one, and
@@ -58,13 +67,16 @@ func spareCore() bool { return helps && runtime.GOMAXPROCS(0) > max(1, vtime.Run
 // request asks the helper to keep r's tape lookahead batches past mark k, the
 // next one the player needs, and never past limit, the last mark the
 // compilation's budget lets it jump to (0: the player asks for nothing). The
+// request that first reaches limit queues the run even where the tape is
+// long enough, a replay's, so that help takes it to the DP at final. The
 // first request starts the helper.
 func (r *run) request(k, limit int) {
 	want := int32(min(k+lookahead, limit))
-	if r.target.Load() < want {
+	raised := r.target.Load() < want
+	if raised {
 		r.target.Store(want)
 	}
-	if r.nmarks.Load() >= want || r.queued.Load() || !r.queued.CompareAndSwap(false, true) {
+	if (r.nmarks.Load() >= want && !(raised && want == int32(limit))) || r.queued.Load() || !r.queued.CompareAndSwap(false, true) {
 		return
 	}
 	select {
@@ -76,41 +88,83 @@ func (r *run) request(k, limit int) {
 	}
 }
 
-// helperLoop serves requests for the life of the process: parked on its
-// queue, it holds nothing and costs nothing.
+// helperLoop serves requests for the life of the process: tapes first, DPs
+// when no tape is asked for. Parked on its queue, it holds nothing and costs
+// nothing.
 func helperLoop() {
-	for idle := time.Now(); ; {
+	// Runs help took to final; every run the tape queue holds may get there.
+	solves := make(chan *run, cap(helperQueue))
+	idle, polls := time.Now(), 0
+	for {
 		select {
 		case r := <-helperQueue:
-			r.help()
-			idle = time.Now()
+			r.help(solves)
 		default:
-			if time.Since(idle) >= linger {
+			select {
+			case r := <-solves:
+				r.solveFinal()
+			default:
+				if polls++; polls%pollsPerClock != 0 || time.Since(idle) < linger {
+					continue
+				}
 				counts.parks.Add(1)
-				(<-helperQueue).help()
-				idle = time.Now()
+				(<-helperQueue).help(solves)
 			}
 		}
+		idle, polls = time.Now(), 0
 	}
 }
 
-// help advances r to its target, or until a player wants it. A run a player
-// holds is left alone, and so is one recycled since the request: its target is
-// zero. Either way the player's next boundary asks again.
-func (r *run) help() {
+// help advances r to its target, or until a player wants it. A player given
+// its last jumpable mark, budget/WorkBatch, stops at final unless it is cut,
+// so the tape goes on to final, and the run joins solves if the DP there is
+// still to solve (a full queue drops it: the player solves). A run a player
+// holds is left alone, and so is one no compilation asks anything for:
+// recycled since the request, or done with it — its target is zero. Either
+// way a player's next boundary asks again.
+func (r *run) help(solves chan<- *run) {
 	if r.mu.TryLock() {
 		steps := uint64(0)
 		for !r.wanted.Load() && r.nmarks.Load() < r.target.Load() && r.advance() {
 			steps++
 		}
+		if r.target.Load() > 0 && int(r.nmarks.Load()) >= r.budget/r.o.cfg.WorkBatch {
+			for !r.wanted.Load() && r.final.pos == 0 && r.advance() {
+				steps++
+			}
+		}
+		solve := r.target.Load() > 0 && r.final.pos != 0 && r.solved != r.final
 		r.mu.Unlock()
 		counts.helperSteps.Add(steps)
+		if solve {
+			select {
+			case solves <- r:
+			default:
+			}
+		}
 	}
 	r.queued.Store(false)
 }
 
+// solveFinal solves r's DP at final for its player to find, unless a player
+// holds the run, no compilation asks for it, it is solved already, or a
+// player comes for the run first.
+func (r *run) solveFinal() {
+	if !r.mu.TryLock() {
+		return
+	}
+	if r.target.Load() > 0 && r.final.pos != 0 && r.solved != r.final {
+		if r.solve(r.final, true) {
+			counts.solves.Add(1)
+		} else {
+			counts.solvesAbandoned.Add(1)
+		}
+	}
+	r.mu.Unlock()
+}
+
 // take locks r for a player or the pool; a helper that holds it lets go at its
-// next step.
+// next kernel step, or within solveChunk groups of a DP.
 func (r *run) take() {
 	if r.mu.TryLock() {
 		return

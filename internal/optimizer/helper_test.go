@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"compilegate/internal/memo"
 	"compilegate/internal/plan"
 )
 
@@ -18,16 +19,45 @@ type helperCase struct {
 	scripts []spanScript
 }
 
+// helperStmt is a statement and the optimizer that compiles it.
+type helperStmt struct {
+	o *Optimizer
+	q *plan.Query
+}
+
+// helperStatements are spanStatements, whose compilations end at their
+// budget — the default one, past the helper's lookahead, and one of ten
+// batches and ten tasks, inside it, so the helper takes the run to final at
+// the first request — and two stars whose search space ends first: inside a
+// work batch past the first, and on a batch boundary.
+func helperStatements(t *testing.T) map[string]helperStmt {
+	o, stmts := spanStatements(t)
+	cfg := o.cfg
+	cfg.MaxTasks = 10*cfg.WorkBatch + 10
+	ten := New(o.est, cfg)
+	out := map[string]helperStmt{"star4": {o, starQuery(4)}, "star6": {o, starQuery(6)}}
+	for name, q := range stmts {
+		out[name], out[name+"/ten batches"] = helperStmt{o, q}, helperStmt{ten, q}
+	}
+	return out
+}
+
 // helperCases covers what a compilation can do to a run the helper works on:
-// run to its budget, fail a charge early and late (so the exploration is
+// run to its budget or to the end of the search space (where the helper may
+// have solved the DP), fail a charge early and late (so the exploration is
 // released, or replayed, with the helper's request still queued), stop at a
-// best-effort poll, pass a gate, and replay a tape shorter and longer than it
-// needs.
-func helperCases(stmts map[string]*plan.Query, unit int64) []helperCase {
+// best-effort poll — two of the last, short of the prefix the helper solves
+// — pass a gate, and replay a tape shorter and longer than it needs.
+func helperCases(t *testing.T, stmts map[string]helperStmt) []helperCase {
 	var out []helperCase
-	for name := range stmts {
+	for name, s := range stmts {
+		cost, err := s.o.estimateInitialCost(s.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastPoll, unit := s.o.effortBudget(cost)/s.o.cfg.WorkBatch, s.o.cfg.Memo.BytesPerExpr
 		for _, history := range [][]spanScript{nil, {{failAt: 150}}, {{failAt: 700}, {bePoll: 2}}} {
-			for _, sc := range []spanScript{{}, {failAt: 1}, {failAt: 41}, {failAt: 1500}, {bePoll: 1}, {bePoll: 7}, {gateAt: 150}, {limit: 700 * unit}} {
+			for _, sc := range []spanScript{{}, {failAt: 1}, {failAt: 41}, {failAt: 1500}, {bePoll: 1}, {bePoll: 7}, {bePoll: lastPoll - 4}, {bePoll: lastPoll}, {gateAt: 150}, {limit: 700 * unit}} {
 				out = append(out, helperCase{name, append(slices.Clone(history), sc)})
 			}
 		}
@@ -36,20 +66,24 @@ func helperCases(stmts map[string]*plan.Query, unit int64) []helperCase {
 }
 
 // play runs the case on a fresh exploration and returns every compilation's
-// log. Before it releases the exploration it checks the run's record against
-// want, the statement's tape and marks as a lone player left them: the tape is
-// a pure function of the statement, so whatever the helper added, the two
-// agree as far as both go.
-func (c helperCase) play(t *testing.T, o *Optimizer, q *plan.Query, want *run) []string {
-	x := o.Explore(q)
+// log. Before it releases the exploration it checks that the run holds no DP
+// tables, as a retained one must not, and the run's record against want, the
+// statement's tape and marks as a lone player left them: the tape is a pure
+// function of the statement, so whatever the helper added, the two agree as
+// far as both go.
+func (c helperCase) play(t *testing.T, s helperStmt, want *run) []string {
+	x := s.o.Explore(s.q)
 	defer x.Release()
 	var logs []string
 	for _, sc := range c.scripts {
-		log, _ := sc.play(t, o, q, &x, true)
+		log, _ := sc.play(t, s.o, s.q, &x, true)
 		logs = append(logs, log)
 	}
 	if r := x.r; r != nil && want != nil {
 		r.take()
+		if r.t != nil {
+			t.Errorf("%s %+v: the exploration holds DP tables between compilations", c.stmt, c.scripts)
+		}
 		n := min(len(r.tape), len(want.tape))
 		if !slices.Equal(r.tape[:n], want.tape[:n]) {
 			t.Errorf("%s %+v: the tape differs from a lone player's within their first %d segments", c.stmt, c.scripts, n)
@@ -67,24 +101,25 @@ func (c helperCase) play(t *testing.T, o *Optimizer, q *plan.Query, want *run) [
 // test: goroutines play every case at once on pooled runs — failing charges,
 // best-effort stops, retained replays, releases with a request queued — and
 // each compilation's log (every hook call with the governor's state, the
-// error or the plan) and each run's tape and marks must be what one goroutine
-// without a helper produced. With a core spare the helper must have taken
-// steps, or the test proves nothing. CI runs it under -race at GOMAXPROCS 1
-// (the helper stands down), 2 and 4.
+// error or the plan's digest, cost, ExprsExplored and CompileBytes) and each
+// run's tape and marks must be what one goroutine without a helper produced.
+// With a core spare the helper must have taken steps and solved DPs, or the
+// test proves nothing. CI runs it under -race at GOMAXPROCS 1 (the helper
+// stands down), 2 and 4.
 func TestHelperIsUnobservable(t *testing.T) {
-	o, stmts := spanStatements(t)
-	cases := helperCases(stmts, o.cfg.Memo.BytesPerExpr)
+	stmts := helperStatements(t)
+	cases := helperCases(t, stmts)
 
 	was := setHelper(false)
 	records := map[string]*run{}
-	for name, q := range stmts {
-		x := o.Explore(q)
-		spanScript{}.play(t, o, q, &x, true)
+	for name, s := range stmts {
+		x := s.o.Explore(s.q)
+		spanScript{}.play(t, s.o, s.q, &x, true)
 		records[name] = x.r // kept out of the pool: never released
 	}
 	want := make([][]string, len(cases))
 	for i, c := range cases {
-		want[i] = c.play(t, o, stmts[c.stmt], records[c.stmt])
+		want[i] = c.play(t, stmts[c.stmt], records[c.stmt])
 	}
 	setHelper(was)
 
@@ -110,7 +145,7 @@ func TestHelperIsUnobservable(t *testing.T) {
 				for j := range cases {
 					i := (j*7 + w*11) % len(cases) // 7 is coprime to the case count: each worker's own order
 					c := cases[i]
-					got := c.play(t, o, stmts[c.stmt], records[c.stmt])
+					got := c.play(t, stmts[c.stmt], records[c.stmt])
 					for k := range got {
 						if got[k] != want[i][k] {
 							t.Errorf("%s %+v, compilation %d: with the helper %s", c.stmt, c.scripts, k, firstDiff(got[k], want[i][k]))
@@ -122,11 +157,126 @@ func TestHelperIsUnobservable(t *testing.T) {
 		wg.Wait()
 	}
 	after := HelperStats()
-	t.Logf("kernel steps: %d by the helper, %d inline; %d requests, %d hand-offs, %d parks",
+	t.Logf("kernel steps: %d by the helper, %d inline; %d requests, %d hand-offs, %d parks; %d DPs solved, %d found by their player, %d abandoned",
 		after.HelperSteps-before.HelperSteps, after.InlineSteps-before.InlineSteps,
-		after.Requests-before.Requests, after.Handoffs-before.Handoffs, after.Parks-before.Parks)
-	if spare := runtime.GOMAXPROCS(0) > 1; spare != (after.HelperSteps > before.HelperSteps) {
-		t.Errorf("GOMAXPROCS %d: the helper took %d kernel steps", runtime.GOMAXPROCS(0), after.HelperSteps-before.HelperSteps)
+		after.Requests-before.Requests, after.Handoffs-before.Handoffs, after.Parks-before.Parks,
+		after.Solves-before.Solves, after.SolveHits-before.SolveHits, after.SolvesAbandoned-before.SolvesAbandoned)
+	if spare := runtime.GOMAXPROCS(0) > 1; spare != (after.HelperSteps > before.HelperSteps) || spare != (after.Solves > before.Solves) {
+		t.Errorf("GOMAXPROCS %d: the helper took %d kernel steps and solved %d DPs", runtime.GOMAXPROCS(0),
+			after.HelperSteps-before.HelperSteps, after.Solves-before.Solves)
+	}
+}
+
+// finalRun opens q's exploration with a compilation that fails at its first
+// charge and advances it, with no helper, to final; the caller holds it.
+func finalRun(t *testing.T, o *Optimizer, q *plan.Query) (Exploration, *run) {
+	x := o.Explore(q)
+	spanScript{failAt: 1}.play(t, o, q, &x, true)
+	r := x.r
+	r.take()
+	for r.final.pos == 0 && r.advance() {
+	}
+	return x, r
+}
+
+// TestHelperSolveMatchesInline pins that the DP the helper leaves at final is
+// the one a player solves there, entry by entry, with the same cardinalities:
+// on a run whose cards a best-effort extraction filled part of, and on one
+// with only the initial plan's; and that the player takes it instead of
+// solving.
+func TestHelperSolveMatchesInline(t *testing.T) {
+	defer setHelper(setHelper(false))
+	for name, s := range helperStatements(t) {
+		for _, cut := range []bool{false, true} {
+			x, r := finalRun(t, s.o, s.q)
+			if cut {
+				r.extract(batchMark{r.marks[0].pos, r.marks[0].groups, r.marks[0].exprs})
+			}
+			r.mu.Unlock()
+			r.target.Store(1) // a compilation asks the helper
+			r.solveFinal()    // what the helper runs
+			r.take()
+			if r.solved != r.final {
+				t.Fatalf("%s cut=%t: the helper's solve at %+v was left unfinished (%+v)", name, cut, r.final, r.solved)
+			}
+			n := int(r.final.groups)
+			dp, cards := slices.Clone(r.t.dp[:n]), slices.Clone(r.cards[:n])
+
+			y, inline := finalRun(t, s.o, s.q)
+			if inline.final != r.final {
+				t.Fatalf("%s: two explorations' finals differ: %+v, %+v", name, r.final, inline.final)
+			}
+			inline.solve(inline.final, false)
+			for g := 0; g < n; g++ {
+				if dp[g] != inline.t.dp[g] || cards[g] != inline.cards[g] {
+					t.Fatalf("%s cut=%t, group %d: the helper solved %+v at %v rows, a player %+v at %v", name, cut, g, dp[g], cards[g], inline.t.dp[g], inline.cards[g])
+				}
+			}
+			want := inline.extract(inline.final).String()
+			before := HelperStats().SolveHits
+			if got := r.extract(r.final).String(); got != want {
+				t.Errorf("%s cut=%t: the plan from the helper's DP differs:\n%s\nvs\n%s", name, cut, got, want)
+			}
+			if HelperStats().SolveHits == before {
+				t.Errorf("%s cut=%t: the player solved again instead of taking the helper's DP", name, cut)
+			}
+			r.mu.Unlock()
+			inline.mu.Unlock()
+			x.Release()
+			y.Release()
+		}
+	}
+}
+
+// TestAbandonedSolveIsNeverUsed pins the other half: a helper solve that a
+// waiting player cuts short — in the cardinalities or in the DP — leaves
+// nothing the player takes. The tables it leaves are scribbled over, and the
+// plan must still be a lone player's.
+func TestAbandonedSolveIsNeverUsed(t *testing.T) {
+	defer setHelper(setHelper(false))
+	o, stmts := spanStatements(t)
+	for name, q := range stmts {
+		lone, err := o.Optimize(q, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inDP := range []bool{false, true} {
+			x, r := finalRun(t, o, q)
+			from := len(r.cards)
+			if inDP {
+				r.fillCards(int(r.final.groups), false)
+			}
+			r.mu.Unlock()
+			before := HelperStats()
+			r.wanted.Store(true) // a player waits for the run
+			r.target.Store(1)
+			r.solveFinal()
+			r.wanted.Store(false)
+			r.take()
+			after := HelperStats()
+			if after.SolvesAbandoned == before.SolvesAbandoned || r.solved != (batchMark{}) {
+				t.Fatalf("%s inDP=%t: the solve was not abandoned: %d abandoned, solved %+v", name, inDP, after.SolvesAbandoned-before.SolvesAbandoned, r.solved)
+			}
+			if !inDP && len(r.cards) != from+solveChunk {
+				t.Errorf("%s: abandoned with %d cards past the %d it began at, want %d", name, len(r.cards)-from, from, solveChunk)
+			}
+			if inDP {
+				if r.t == nil {
+					t.Fatalf("%s: the abandoned DP left no tables", name)
+				}
+				for i := range r.t.dp {
+					r.t.dp[i] = costed{cost: -1, expr: memo.ExprID(i % 3)}
+				}
+			}
+			if got := r.extract(r.final).String(); got != lone.String() {
+				t.Errorf("%s inDP=%t: the plan after an abandoned solve differs:\n%s\nvs\n%s", name, inDP, got, lone.String())
+			}
+			if HelperStats().SolveHits != after.SolveHits {
+				t.Errorf("%s inDP=%t: the player took an abandoned DP", name, inDP)
+			}
+			r.mu.Unlock()
+			x.Release()
+		}
 	}
 }
 

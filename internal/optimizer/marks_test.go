@@ -94,7 +94,7 @@ func TestJumpsMatchWalking(t *testing.T) {
 	for joins := 1; joins <= 7; joins++ {
 		q := starQuery(joins)
 		_, g := playBothWays(t, small, q, nil, spanScript{})
-		initial, err := small.EstimateInitialCost(q)
+		initial, err := small.estimateInitialCost(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,8 @@
 // does not look at the structures of a whole work batch at all: the kernel
 // marks where every batch ends, and the player moves from mark to mark.
 // The kernel has a second caller, a helper goroutine that runs it ahead of the
-// players on a core the simulations leave idle (helper.go).
+// players on a core the simulations leave idle, and solves extraction's DP
+// where a compilation that is not cut will stop (helper.go).
 //
 // Exploration is also purely structural. The memo holds sets and
 // neighbourhoods; what a set of tables is estimated to produce is read only
@@ -112,9 +113,20 @@ func DefaultConfig() Config {
 // instances keep their grown arenas, so a sweep's later runs compile
 // without re-paying the first run's arena warm-up.
 type Optimizer struct {
-	est *stats.Estimator
-	cat *catalog.Catalog
-	cfg Config
+	est  *stats.Estimator
+	cat  *catalog.Catalog
+	cfg  Config
+	work struct{ compilations, extractions, groups, exprs atomic.Uint64 }
+}
+
+// Work counts compilations played, failed ones included, those that
+// extracted a plan, and the memo prefixes (groups, expressions) they
+// extracted from — pure functions of the statements and the hooks' answers.
+type Work struct{ Compilations, Extractions, ExtractedGroups, ExtractedExprs uint64 }
+
+// Work returns the counts since the optimizer was made.
+func (o *Optimizer) Work() Work {
+	return Work{o.work.compilations.Load(), o.work.extractions.Load(), o.work.groups.Load(), o.work.exprs.Load()}
 }
 
 // runPool and memoPool recycle per-statement state across every
@@ -168,9 +180,14 @@ const (
 // step's segment, and the memo's size. A step segment is taped after the
 // structures it carries and before the next add, so at that instant the
 // memo's counts are the tape's cumulative counts — the mark is the cursor of
-// a player that has walked there.
+// a player that has walked there. It also names final and a solved prefix.
 type batchMark struct {
 	pos, groups, exprs int32
+}
+
+// here is the kernel's position as a mark.
+func (r *run) here() batchMark {
+	return batchMark{int32(len(r.tape)), int32(r.m.Groups()), int32(r.m.Exprs())}
 }
 
 // run is one statement's exploration: the resolved query, its memo, the
@@ -216,22 +233,26 @@ type run struct {
 	// The record. tape[:k] describes how the memo grew to the prefix it
 	// names; marks[i], for i < nmarks, is where step (i+1)*WorkBatch left it
 	// (getRun sizes the slice once, so publishing a mark writes an element and
-	// never the header); root and the initial plan's cost (which sizes every
-	// compilation's budget) are fixed once buildInitial has run.
-	tape        []uint16
-	marks       []batchMark
-	root        memo.GroupID
-	initialCost float64
+	// never the header); root and every compilation's budget are fixed by
+	// open. final is where step budget left the tape, or its end if the search
+	// space ended first: where every compilation not cut stops (pos 0: not yet).
+	tape   []uint16
+	marks  []batchMark
+	root   memo.GroupID
+	budget int
+	final  batchMark
 
-	// The kernel's position: the round-robin cursor over groups, and how
-	// many steps are left to the next mark.
+	// The kernel's position: the round-robin cursor over groups, and the
+	// steps taped.
 	g          memo.GroupID
 	progressed bool
-	toMark     int
+	steps      int
 
 	// The extraction DP's tables, borrowed from dpPool between solve and
-	// unsolve, and buildInitial scratch.
+	// unsolve, the prefix they hold a finished DP of (zero: none), and
+	// buildInitial scratch.
 	t         *dpTables
+	solved    batchMark
 	leaves    []memo.GroupID // leaf group per term
 	remaining []bool         // buildInitial: term not yet joined
 	aggCols   []struct{ Table, Column string }
@@ -263,7 +284,7 @@ func (o *Optimizer) getRun(q *plan.Query) *run {
 		r.marks = make([]batchMark, n)
 	}
 	r.nmarks.Store(0)
-	r.g, r.progressed, r.toMark = 0, false, o.cfg.WorkBatch
+	r.g, r.progressed, r.steps, r.final = 0, false, 0, batchMark{}
 	r.mu.Unlock()
 	return r
 }
@@ -273,6 +294,7 @@ func (o *Optimizer) getRun(q *plan.Query) *run {
 func (o *Optimizer) putRun(r *run) {
 	r.take()
 	r.target.Store(0)
+	r.unsolve()
 	memoPool.Put(r.m)
 	r.o, r.q, r.m = nil, nil, nil
 	r.mu.Unlock()
@@ -296,7 +318,7 @@ func (o *Optimizer) open(q *plan.Query) (*run, error) {
 	}
 	// The cost is computed without materializing the throwaway initial
 	// plan's nodes (same arithmetic, no allocation).
-	r.initialCost = r.costInitial()
+	r.budget = o.effortBudget(r.costInitial())
 	return r, nil
 }
 
@@ -335,18 +357,6 @@ func (o *Optimizer) Optimize(q *plan.Query, hooks Hooks) (*plan.Plan, error) {
 	return x.Optimize(hooks)
 }
 
-// EstimateInitialCost returns the cost of the unexplored left-deep plan
-// for q — what dynamic optimization keys its effort from. Used by tests
-// and diagnostics; it charges no memory.
-func (o *Optimizer) EstimateInitialCost(q *plan.Query) (float64, error) {
-	r, err := o.open(q)
-	if err != nil {
-		return 0, err
-	}
-	defer o.putRun(r)
-	return r.initialCost, nil
-}
-
 // cursor is a compilation's position: on the tape — which is also a memo
 // prefix, the groups and expressions it has passed — and in its task count.
 type cursor struct {
@@ -355,6 +365,8 @@ type cursor struct {
 	tasks         int // steps taken
 	worked        int // of them, reported through Work
 }
+
+func (c *cursor) at() batchMark { return batchMark{int32(c.pos), int32(c.groups), int32(c.exprs)} }
 
 // player is one compilation's share of the state: its hooks, its budget
 // and its cursor. With a ChargeSpan hook it defers: structures are passed
@@ -497,7 +509,8 @@ func (p *player) jump() bool {
 // or has best-effort answer true, or at the end of the search space — always
 // a prefix of the statement's one tape — and extracts the plan from the memo
 // prefix at its cursor, so a kernel that ran ahead, or a tape left by a
-// longer earlier attempt, changes nothing. Errors are query errors
+// longer earlier attempt, changes nothing; nor does a DP the helper solved
+// there first, the same pure function of that prefix. Errors are query errors
 // (validation, on the first compilation only) or come from the Charge hook.
 func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 	o := x.o
@@ -510,7 +523,8 @@ func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 	}
 	r := x.r
 	cfg := &o.cfg
-	p := player{hooks: hooks, r: r, budget: o.effortBudget(r.initialCost), batch: cfg.WorkBatch}
+	o.work.compilations.Add(1)
+	p := player{hooks: hooks, r: r, budget: r.budget, batch: cfg.WorkBatch}
 	defer p.drop() // a panic must not leave the run held: Release takes it
 	p.startSpan()
 	if p.deferring && spareCore() {
@@ -574,14 +588,22 @@ play:
 	if n := p.tasks - p.worked; hooks.Work != nil && n > 0 {
 		hooks.Work(n)
 	}
+	p.hold()
+	r.target.Store(0) // the helper has nothing left to do for this compilation
 	if err != nil {
+		r.unsolve() // a retained exploration holds no DP tables
 		return nil, err
 	}
-	p.hold()
-	out := r.extract(p.groups, p.exprs)
+	if !p.bestEffort && p.at() != r.final {
+		panic("optimizer: a compilation that was not cut stopped short of the statement's final cursor")
+	}
+	out := r.extract(p.at())
 	out.BestEffort = p.bestEffort
 	out.ExprsExplored = p.exprs
 	out.CompileBytes = cfg.Memo.Bytes(p.groups, p.exprs)
+	o.work.extractions.Add(1)
+	o.work.groups.Add(uint64(p.groups))
+	o.work.exprs.Add(uint64(p.exprs))
 	return out, nil
 }
 
@@ -686,14 +708,20 @@ func (r *run) cards4(sets [4]uint64) [4]float64 {
 	return out
 }
 
-// fillCards extends cards to the memo's first n groups.
-func (r *run) fillCards(n int) {
+// fillCards extends cards to the memo's first n groups and reports true, or,
+// when it yields to a player that waits for the run, stops at a whole number
+// of solveChunk groups past where it began and reports false.
+func (r *run) fillCards(n int, yield bool) bool {
 	from := len(r.cards)
 	if from >= n {
-		return
+		return true
 	}
 	r.cards = slices.Grow(r.cards, n-from)[:n]
 	for g := from; g < n; g += 4 {
+		if yield && g > from && (g-from)%solveChunk == 0 && r.wanted.Load() {
+			r.cards = r.cards[:g]
+			return false
+		}
 		var sets [4]uint64
 		for i := 0; i < 4 && g+i < n; i++ {
 			sets[i] = r.m.Group(memo.GroupID(g + i)).Set
@@ -701,6 +729,7 @@ func (r *run) fillCards(n int) {
 		c := r.cards4(sets)
 		copy(r.cards[g:], c[:])
 	}
+	return true
 }
 
 // buildInitial creates leaf groups and a connectivity-respecting left-deep
@@ -776,7 +805,8 @@ func (r *run) buildInitial() error {
 
 // advance is the kernel: it applies the rules to the next unexplored
 // expression and tapes what that did, or reports false, taping nothing,
-// when every expression has had its rules applied. Rule application goes
+// when every expression has had its rules applied — then the tape's end is
+// final, unless the budget's step came first. Rule application goes
 // round-robin across groups (the group count grows while it iterates); a
 // pass that finds nothing unexplored ends the search.
 func (r *run) advance() bool {
@@ -790,6 +820,9 @@ func (r *run) advance() bool {
 			}
 		}
 		if !r.progressed {
+			if r.final.pos == 0 {
+				r.final = r.here()
+			}
 			return false
 		}
 		r.g, r.progressed = 0, false
@@ -862,15 +895,18 @@ func (r *run) applyRules(g memo.GroupID, id memo.ExprID) {
 }
 
 // tapeStep tapes a segment that ends in a step, and marks the tape where the
-// step is the last of a work batch.
+// step is the last of a work batch, and where it is the budget's.
 func (r *run) tapeStep(seg uint16) {
 	r.tape = append(r.tape, seg)
-	if r.toMark--; r.toMark == 0 {
+	r.steps++
+	if r.steps%r.o.cfg.WorkBatch == 0 {
 		if n := int(r.nmarks.Load()); n < len(r.marks) {
-			r.marks[n] = batchMark{int32(len(r.tape)), int32(r.m.Groups()), int32(r.m.Exprs())}
+			r.marks[n] = r.here()
 			r.nmarks.Store(int32(n + 1))
 		}
-		r.toMark = r.o.cfg.WorkBatch
+	}
+	if r.steps == r.budget {
+		r.final = r.here()
 	}
 }
 
@@ -899,19 +935,26 @@ type costed struct {
 // group, so visiting groups by ascending table count (a counting sort on
 // the popcount of their sets) finds both children's entries final. Each
 // group keeps the first of its cheapest expressions in insertion order.
-// It reads the memo prefix of n groups and nExprs expressions, and is what
-// computes their cardinalities.
-func (r *run) solve(n, nExprs int) {
+// It reads the memo prefix at, and is what computes its groups'
+// cardinalities. With yield (the helper's) it gives up, reporting false, at
+// a look at wanted every solveChunk groups that finds a player waiting.
+func (r *run) solve(at batchMark, yield bool) bool {
 	m := r.m
-	r.fillCards(n)
+	n, nExprs := int(at.groups), int(at.exprs)
+	r.solved = batchMark{}
+	if !r.fillCards(n, yield) {
+		return false
+	}
 	cards := r.cards
-	t := dpPool.Get().(*dpTables)
-	if cap(t.dp) < n {
-		t.dp = make([]costed, n)
-		t.order = make([]memo.GroupID, n)
+	if r.t == nil {
+		r.t = dpPool.Get().(*dpTables)
+	}
+	t := r.t
+	if cap(t.dp) < n { // with room: with a helper, tables are held by several runs, and each grows apart
+		t.dp = make([]costed, n, 2*n)
+		t.order = make([]memo.GroupID, n, 2*n)
 	}
 	t.dp, t.order = t.dp[:n], t.order[:n]
-	r.t = t
 	var start [66]int32 // start[c]: first slot of the groups covering c tables
 	for g := 0; g < n; g++ {
 		start[bits.OnesCount64(m.Group(memo.GroupID(g)).Set)+1]++
@@ -925,7 +968,10 @@ func (r *run) solve(n, nExprs int) {
 		start[c]++
 	}
 
-	for _, id := range t.order {
+	for i, id := range t.order {
+		if yield && i > 0 && i%solveChunk == 0 && r.wanted.Load() {
+			return false
+		}
 		g := m.Group(id)
 		if m.Expr(g.FirstExpr()).Kind == memo.KindLeaf {
 			t.dp[id] = r.bestScan(bits.TrailingZeros64(g.Set), g.FirstExpr())
@@ -943,12 +989,17 @@ func (r *run) solve(n, nExprs int) {
 		}
 		t.dp[id] = out
 	}
+	r.solved = at
+	return true
 }
 
-// unsolve returns the DP's tables to their pool.
+// unsolve returns the DP's tables, if the run holds them, to their pool.
 func (r *run) unsolve() {
-	dpPool.Put(r.t)
-	r.t = nil
+	if r.t != nil {
+		dpPool.Put(r.t)
+		r.t = nil
+	}
+	r.solved = batchMark{}
 }
 
 // bestScan picks the access path of the leaf group over table tid, whose
@@ -976,14 +1027,19 @@ func (r *run) bestScan(tid int, e memo.ExprID) costed {
 }
 
 // extract computes the cheapest implementation of every group in the memo
-// prefix (groups, exprs) and materializes the physical plan reachable from
-// the root (with the query's aggregate on top when present). The DP table
-// is a pooled slice indexed by group ID rather than a map, and the plan's
-// nodes come from a single exactly-sized arena owned by the plan — one
-// allocation per extraction instead of one per node.
-func (r *run) extract(groups, exprs int) *plan.Plan {
+// prefix at, unless the helper solved exactly that prefix, and materializes
+// the physical plan reachable from the root (with the query's aggregate on
+// top when present). The DP table is a pooled slice indexed by group ID
+// rather than a map, and the plan's nodes come from a single exactly-sized
+// arena owned by the plan — one allocation per extraction instead of one per
+// node.
+func (r *run) extract(at batchMark) *plan.Plan {
 	root := r.root
-	r.solve(groups, exprs)
+	if r.solved == at {
+		counts.solveHits.Add(1)
+	} else {
+		r.solve(at, false)
+	}
 	count := r.countNodes(root)
 	if len(r.q.GroupBy) > 0 {
 		count++
@@ -1048,7 +1104,7 @@ func (r *run) groupByDistinct(card float64) float64 {
 // materializing version.
 func (r *run) costInitial() float64 {
 	root := r.root
-	r.solve(r.m.Groups(), r.m.Exprs())
+	r.solve(r.here(), false)
 	cost := r.subtreeCost(root)
 	r.unsolve()
 	if len(r.q.GroupBy) > 0 {

@@ -153,7 +153,7 @@ func TestAggregationOnTop(t *testing.T) {
 func TestExplorationImprovesOrBound(t *testing.T) {
 	_, o := salesEnv()
 	q := snowQuery()
-	initial, err := o.EstimateInitialCost(q)
+	initial, err := o.estimateInitialCost(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +265,11 @@ func TestValidationErrors(t *testing.T) {
 
 func TestDynamicEffortScalesWithCost(t *testing.T) {
 	_, o := salesEnv()
-	cheap, err := o.EstimateInitialCost(starQuery(1))
+	cheap, err := o.estimateInitialCost(starQuery(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	costly, err := o.EstimateInitialCost(snowQuery())
+	costly, err := o.estimateInitialCost(snowQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestOptimizerSpeed(t *testing.T) {
 // no compilation, cut or not, reports more tasks than its budget.
 func TestBestEffortStopsAtTheFirstStep(t *testing.T) {
 	_, o := salesEnv()
-	initial, err := o.EstimateInitialCost(snowQuery())
+	initial, err := o.estimateInitialCost(snowQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

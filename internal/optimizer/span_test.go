@@ -108,7 +108,7 @@ func (sc spanScript) play(t *testing.T, o *Optimizer, q *plan.Query, x *Explorat
 	if err == nil {
 		h := fnv.New64a()
 		h.Write([]byte(p.String()))
-		fmt.Fprintf(&g.log, "plan=%016x exprs=%d bytes=%d besteffort=%t\n", h.Sum64(), p.ExprsExplored, p.CompileBytes, p.BestEffort)
+		fmt.Fprintf(&g.log, "plan=%016x cost=%v exprs=%d bytes=%d besteffort=%t\n", h.Sum64(), p.Cost(), p.ExprsExplored, p.CompileBytes, p.BestEffort)
 		if p.CompileBytes != g.bytes {
 			t.Errorf("plan reports %d compile bytes, the governor was charged %d", p.CompileBytes, g.bytes)
 		}

@@ -39,9 +39,10 @@ func TestKernelHelperInvariance(t *testing.T) {
 	if after.HelperSteps == before.HelperSteps {
 		t.Fatalf("the helper took no kernel step with a core spare: %+v, then %+v", before, after)
 	}
-	t.Logf("kernel steps: %d by the helper, %d inline; %d requests, %d hand-offs, %d parks",
+	t.Logf("kernel steps: %d by the helper, %d inline; %d requests, %d hand-offs, %d parks; %d DPs solved, %d found by their player, %d abandoned",
 		after.HelperSteps-before.HelperSteps, after.InlineSteps-before.InlineSteps,
-		after.Requests-before.Requests, after.Handoffs-before.Handoffs, after.Parks-before.Parks)
+		after.Requests-before.Requests, after.Handoffs-before.Handoffs, after.Parks-before.Parks,
+		after.Solves-before.Solves, after.SolveHits-before.SolveHits, after.SolvesAbandoned-before.SolvesAbandoned)
 	for i := range scenarios {
 		name := scenarios[i].Name
 		if alone[i].Err != nil || helped[i].Err != nil {
