@@ -18,13 +18,14 @@ import (
 //	identify  text → fingerprint and locality seed: the snapshot's closed
 //	          set by text, or one hash of any other text
 //	probe     one plan-cache lookup (it counts, and it reorders the LRU)
-//	compile   only on a miss: the governed optimizer, on a coroutine
+//	compile   only on a miss: the governed optimizer, on a coroutine —
+//	          explore → codegen ramp → extract, no plan if the ramp fails
 //	execute   grant → plan nodes → refault I/O
 //	record    completion or error, into the metrics and to the caller
 //
 // SubmitThen walks them as continuation steps on the event loop; compile
 // is the one phase that needs a stack (the optimizer's player calls the
-// blocking Charge and Work hooks from inside its recursion), so it runs
+// blocking Charge, Work and Codegen hooks from inside its recursion), so it runs
 // as a blocking section and a statement whose plan is cached never
 // touches a coroutine.
 
@@ -91,7 +92,8 @@ type attempt struct {
 	costingHeld           int64
 	// hooks are bound to the attempt once, when it is first created:
 	// starting a compilation rewrites the fields above in place instead of
-	// allocating fresh closures.
+	// allocating fresh closures. Codegen is passed on only when the
+	// compilation is staged.
 	hooks optimizer.Hooks
 }
 
@@ -124,7 +126,7 @@ func (s *Server) newAttempt(sql string, id StmtID) (*attempt, error) {
 	a := s.attempts.Get()
 	if a == nil {
 		a = &attempt{s: s}
-		a.hooks = optimizer.Hooks{Charge: a.charge, Work: a.work, BestEffort: a.bestEffort}
+		a.hooks = optimizer.Hooks{Charge: a.charge, Work: a.work, BestEffort: a.bestEffort, Codegen: a.codegen}
 		// A span is so many reservations of at least a byte each; a memo
 		// configured with a free structure is charged one by one.
 		if memo := s.cfg.Optimizer.Memo; spanCharging && memo.BytesPerExpr > 0 && memo.BytesPerGroup > 0 {
@@ -445,6 +447,18 @@ func (a *attempt) chargeSpan(exprs, groups int) bool {
 
 func (a *attempt) work(tasks int) { a.s.compileWork(a.t, tasks) }
 
+// codegen is a staged compilation's last phase, once exploration is done and
+// before the plan is built: a ramp sized from the memo. Costing scratch is
+// dead once the ramp has consumed it; the release mid-flight is what gives
+// the broker a falling trend to track.
+func (a *attempt) codegen(memoBytes int64) error {
+	if err := a.s.stageRamp(a.t, a, int64(a.s.cfg.CompileStages.CodegenScale*float64(memoBytes))); err != nil {
+		return err
+	}
+	a.comp.Free(a.costingHeld)
+	return nil
+}
+
 func (a *attempt) bestEffort() bool { return a.comp.ShouldYieldBestEffort() }
 
 // spanCharging and staticPrepared are false, and retainedLimit other than
@@ -459,7 +473,8 @@ var (
 // compile optimizes a's statement under the governor, walking the staged
 // memory phases: bind (fixed footprint) → join enumeration with costing
 // scratch accreting alongside every memo charge → codegen (a ramp sized
-// from the memo). Costing scratch is freed once codegen has consumed it;
+// from the memo, the optimizer's Codegen hook) → the plan, built only when
+// the ramp succeeded. Costing scratch is freed once codegen has consumed it;
 // everything else is released when the compilation closes, which it has
 // on every return from here: a holds the session, so a may be retained or
 // recycled only after. It is blocking-style code: t must be inside a
@@ -482,27 +497,23 @@ func (s *Server) compile(t *vtime.Task, a *attempt) (*plan.Plan, error) {
 	memo := s.cfg.Optimizer.Memo
 	a.t, a.costingHeld, a.epoch = t, 0, s.crashEpoch
 	a.exprExtra, a.groupExtra = int64(scale*float64(memo.BytesPerExpr)), int64(scale*float64(memo.BytesPerGroup))
-	p, err := a.x.Optimize(a.hooks)
-	if err != nil {
-		// Alloc failures already rolled the compilation back; other
-		// errors (validation) abort explicitly. Both are idempotent.
-		comp.Abort()
-		return nil, err
-	}
-	if staged && !p.BestEffort {
-		if err := s.stageRamp(t, a, int64(st.CodegenScale*float64(p.CompileBytes))); err != nil {
-			return nil, err
-		}
-		// Costing scratch is dead once the physical plan exists; the
-		// release mid-flight is what gives the broker a falling trend
-		// to track.
-		comp.Free(a.costingHeld)
+	hooks := a.hooks
+	if !staged {
+		hooks.Codegen = nil
 	}
 	// A best-effort plan skips the codegen ramp entirely: the §4.1
 	// valve yielded the held plan precisely because the broker predicts
 	// exhaustion, so the compilation must not grow further — otherwise
 	// the ramp could fail with the very out-of-memory error the valve
 	// exists to avoid.
+	p, err := a.x.Optimize(hooks)
+	if err != nil {
+		// Alloc failures, the ramp's too, already rolled the compilation
+		// back, and a crash mid-ramp aborted it; other errors (validation)
+		// abort explicitly. All are idempotent.
+		comp.Abort()
+		return nil, err
+	}
 	peak := comp.Peak()
 	comp.Finish()
 	s.compileHist.Observe(t.Now() - start)

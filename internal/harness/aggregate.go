@@ -94,11 +94,7 @@ func aggregate(s Scenario, nodes []*engine.Server, router *cluster.Router, loadS
 		if max > res.CompileMemMax {
 			res.CompileMemMax = max
 		}
-		w := srv.Optimizer().Work()
-		res.Work.Compilations += w.Compilations
-		res.Work.Extractions += w.Extractions
-		res.Work.ExtractedGroups += w.ExtractedGroups
-		res.Work.ExtractedExprs += w.ExtractedExprs
+		res.Work.Add(srv.Optimizer().Work())
 		poolHits += srv.BufferPool().Hits()
 		poolAccess += srv.BufferPool().Hits() + srv.BufferPool().Misses()
 		cacheHits += nr.PlanCacheHits

@@ -45,9 +45,11 @@ func helperStatements(t *testing.T) map[string]helperStmt {
 // helperCases covers what a compilation can do to a run the helper works on:
 // run to its budget or to the end of the search space (where the helper may
 // have solved the DP), fail a charge early and late (so the exploration is
-// released, or replayed, with the helper's request still queued), stop at a
+// released, or replayed, with the helper's request still queued), fail its
+// codegen there (with the helper's DP, perhaps, solved during it), stop at a
 // best-effort poll — two of the last, short of the prefix the helper solves
-// — pass a gate, and replay a tape shorter and longer than it needs.
+// — pass a gate, and replay a tape shorter and longer than it needs, or one
+// whose last compilation failed in codegen.
 func helperCases(t *testing.T, stmts map[string]helperStmt) []helperCase {
 	var out []helperCase
 	for name, s := range stmts {
@@ -56,8 +58,8 @@ func helperCases(t *testing.T, stmts map[string]helperStmt) []helperCase {
 			t.Fatal(err)
 		}
 		lastPoll, unit := s.o.effortBudget(cost)/s.o.cfg.WorkBatch, s.o.cfg.Memo.BytesPerExpr
-		for _, history := range [][]spanScript{nil, {{failAt: 150}}, {{failAt: 700}, {bePoll: 2}}} {
-			for _, sc := range []spanScript{{}, {failAt: 1}, {failAt: 41}, {failAt: 1500}, {bePoll: 1}, {bePoll: 7}, {bePoll: lastPoll - 4}, {bePoll: lastPoll}, {gateAt: 150}, {limit: 700 * unit}} {
+		for _, history := range [][]spanScript{nil, {{failAt: 150}}, {{failAt: 700}, {bePoll: 2}}, {{failCodegen: true}}} {
+			for _, sc := range []spanScript{{}, {failAt: 1}, {failAt: 41}, {failAt: 1500}, {failCodegen: true}, {bePoll: 1}, {bePoll: 7}, {bePoll: lastPoll - 4}, {bePoll: lastPoll}, {gateAt: 150}, {limit: 700 * unit}} {
 				out = append(out, helperCase{name, append(slices.Clone(history), sc)})
 			}
 		}
@@ -99,10 +101,11 @@ func (c helperCase) play(t *testing.T, s helperStmt, want *run) []string {
 
 // TestHelperIsUnobservable is the helper's exactness contract and its stress
 // test: goroutines play every case at once on pooled runs — failing charges,
-// best-effort stops, retained replays, releases with a request queued — and
-// each compilation's log (every hook call with the governor's state, the
-// error or the plan's digest, cost, ExprsExplored and CompileBytes) and each
-// run's tape and marks must be what one goroutine without a helper produced.
+// failing codegens, best-effort stops, retained replays, releases with a
+// request queued — and each compilation's log (every hook call with the
+// governor's state, the error or the plan's digest, cost, ExprsExplored and
+// CompileBytes) and each run's tape and marks must be what one goroutine
+// without a helper produced.
 // With a core spare the helper must have taken steps and solved DPs, or the
 // test proves nothing. CI runs it under -race at GOMAXPROCS 1 (the helper
 // stands down), 2 and 4.
@@ -281,7 +284,7 @@ func TestAbandonedSolveIsNeverUsed(t *testing.T) {
 }
 
 // TestHooksRunWithTheRunLetGo pins the half of the ownership protocol the
-// engine depends on: Work and Charge park the compilation — for good, when
+// engine depends on: Work, Charge and Codegen park the compilation — for good, when
 // the simulation ends first — so no hook may be called with the run held, or
 // the helper and the exploration's Release would wait for it forever. It also
 // pins that a hook's panic leaves the run free to release.
@@ -314,6 +317,7 @@ func TestHooksRunWithTheRunLetGo(t *testing.T) {
 					Charge:     func(n int64) error { free("Charge"); return g.charge(n) },
 					Work:       func(k int) { free("Work"); g.work(k) },
 					BestEffort: func() bool { free("BestEffort"); return g.bestEffort() },
+					Codegen:    func(m int64) error { free("Codegen"); return g.codegen(m) },
 				}
 				if spans {
 					hooks.ChargeSpan = func(e, gr int) bool { free("ChargeSpan"); return g.chargeSpan(e, gr) }

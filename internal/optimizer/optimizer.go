@@ -80,6 +80,12 @@ type Hooks struct {
 	// nothing and report false; the compilation then makes those Charge
 	// calls one by one, in the tape's order, as if it had never asked.
 	ChargeSpan func(exprs, groups int) bool
+	// Codegen, when set, is the compilation's last phase before its plan is
+	// built: it is called once, after the last Work call, with the bytes of
+	// the memo prefix explored, by a compilation that neither failed a charge
+	// nor was cut by best effort. An error fails the compilation as a failed
+	// charge does, and no plan is extracted.
+	Codegen func(memoBytes int64) error
 }
 
 // Config tunes the optimizer.
@@ -116,17 +122,39 @@ type Optimizer struct {
 	est  *stats.Estimator
 	cat  *catalog.Catalog
 	cfg  Config
-	work struct{ compilations, extractions, groups, exprs atomic.Uint64 }
+	work struct {
+		compilations, extractions, groups, exprs, opens, steps, settled, refused atomic.Uint64
+	}
 }
 
 // Work counts compilations played, failed ones included, those that
 // extracted a plan, and the memo prefixes (groups, expressions) they
-// extracted from — pure functions of the statements and the hooks' answers.
-type Work struct{ Compilations, Extractions, ExtractedGroups, ExtractedExprs uint64 }
+// extracted from; explorations opened; the steps the compilations took,
+// walked or jumped (not those the helper ran ahead); and the spans ChargeSpan
+// settled and refused — pure functions of the statements and the hooks'
+// answers.
+type Work struct {
+	Compilations, Extractions, ExtractedGroups, ExtractedExprs uint64
+	Opens, StepsPlayed, SpansSettled, SpansRefused             uint64
+}
 
 // Work returns the counts since the optimizer was made.
 func (o *Optimizer) Work() Work {
-	return Work{o.work.compilations.Load(), o.work.extractions.Load(), o.work.groups.Load(), o.work.exprs.Load()}
+	w := &o.work
+	return Work{w.compilations.Load(), w.extractions.Load(), w.groups.Load(), w.exprs.Load(),
+		w.opens.Load(), w.steps.Load(), w.settled.Load(), w.refused.Load()}
+}
+
+// Add adds v's counts to w's.
+func (w *Work) Add(v Work) {
+	w.Compilations += v.Compilations
+	w.Extractions += v.Extractions
+	w.ExtractedGroups += v.ExtractedGroups
+	w.ExtractedExprs += v.ExtractedExprs
+	w.Opens += v.Opens
+	w.StepsPlayed += v.StepsPlayed
+	w.SpansSettled += v.SpansSettled
+	w.SpansRefused += v.SpansRefused
 }
 
 // runPool and memoPool recycle per-statement state across every
@@ -319,6 +347,7 @@ func (o *Optimizer) open(q *plan.Query) (*run, error) {
 	// The cost is computed without materializing the throwaway initial
 	// plan's nodes (same arithmetic, no allocation).
 	r.budget = o.effortBudget(r.costInitial())
+	o.work.opens.Add(1)
 	return r, nil
 }
 
@@ -443,9 +472,14 @@ func (p *player) settle() bool {
 		return true
 	}
 	exprs, groups := p.exprs-p.mark.exprs, p.groups-p.mark.groups
-	if exprs == 0 || p.hooks.ChargeSpan(exprs, groups) {
+	if exprs == 0 {
 		return true
 	}
+	if p.hooks.ChargeSpan(exprs, groups) {
+		p.r.o.work.settled.Add(1)
+		return true
+	}
+	p.r.o.work.refused.Add(1)
 	p.cursor, p.deferring = p.mark, false
 	return false
 }
@@ -507,11 +541,13 @@ func (p *player) jump() bool {
 // boundary then either settles it or sends the player back to walk it.
 // It stops at a failed charge, at the first step that exhausts the budget
 // or has best-effort answer true, or at the end of the search space — always
-// a prefix of the statement's one tape — and extracts the plan from the memo
-// prefix at its cursor, so a kernel that ran ahead, or a tape left by a
-// longer earlier attempt, changes nothing; nor does a DP the helper solved
-// there first, the same pure function of that prefix. Errors are query errors
-// (validation, on the first compilation only) or come from the Charge hook.
+// a prefix of the statement's one tape. One that neither failed nor was cut
+// then calls the Codegen hook. Unless that failed too, it extracts the plan
+// from the memo prefix at its cursor, so a kernel that ran ahead, or a tape
+// left by a longer earlier attempt, changes nothing; nor does a DP the helper
+// solved there first, the same pure function of that prefix. A compilation
+// that fails builds no plan. Errors are query errors (validation, on the
+// first compilation only) or come from the Charge or Codegen hook.
 func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
 	o := x.o
 	if x.r == nil {
@@ -582,11 +618,16 @@ play:
 	}
 	p.drop()
 	counts.inlineSteps.Add(uint64(p.inline))
+	o.work.steps.Add(uint64(p.tasks))
 	if p.tasks > p.budget {
 		panic("optimizer: a compilation took more tasks than its budget")
 	}
 	if n := p.tasks - p.worked; hooks.Work != nil && n > 0 {
 		hooks.Work(n)
+	}
+	if err == nil && !p.bestEffort && hooks.Codegen != nil {
+		// The helper may go on solving the DP at final meanwhile.
+		err = hooks.Codegen(cfg.Memo.Bytes(p.groups, p.exprs))
 	}
 	p.hold()
 	r.target.Store(0) // the helper has nothing left to do for this compilation

@@ -11,18 +11,20 @@ import (
 )
 
 // spanScript is a scripted governor: it lets a compilation grow until one
-// trip, placed by structure count (gate, failure) or by bytes (limit), and
-// cuts it by best-effort at a chosen poll.
+// trip, placed by structure count (gate, failure) or by bytes (limit), cuts
+// it by best-effort at a chosen poll, and may fail its codegen.
 type spanScript struct {
-	gateAt int   // Charge number gateAt "blocks": it logs a gate event, then succeeds
-	failAt int   // Charge number failAt fails
-	limit  int64 // a Charge that would take the total past limit fails (0: none)
-	bePoll int   // BestEffort answers true at this poll (1-based), once
+	gateAt      int   // Charge number gateAt "blocks": it logs a gate event, then succeeds
+	failAt      int   // Charge number failAt fails
+	limit       int64 // a Charge that would take the total past limit fails (0: none)
+	bePoll      int   // BestEffort answers true at this poll (1-based), once
+	failCodegen bool  // Codegen fails
 }
 
 var (
-	errSpanFail  = errors.New("scripted failure")
-	errSpanLimit = errors.New("scripted limit")
+	errSpanFail    = errors.New("scripted failure")
+	errSpanLimit   = errors.New("scripted limit")
+	errSpanCodegen = errors.New("scripted codegen failure")
 )
 
 // spanGovernor plays a spanScript and logs what a real governor could see:
@@ -80,6 +82,19 @@ func (g *spanGovernor) work(k int) {
 	fmt.Fprintf(&g.log, "work %d bytes=%d structures=%d tasks=%d\n", k, g.bytes, g.structures, g.tasks)
 }
 
+// codegen logs the memo bytes it is handed beside what was charged. Like
+// Work it is time an engine spends away from the compilation.
+func (g *spanGovernor) codegen(memoBytes int64) error {
+	if spanWorkPause != nil {
+		spanWorkPause()
+	}
+	fmt.Fprintf(&g.log, "codegen memo=%d bytes=%d structures=%d tasks=%d\n", memoBytes, g.bytes, g.structures, g.tasks)
+	if g.failCodegen {
+		return errSpanCodegen
+	}
+	return nil
+}
+
 func (g *spanGovernor) bestEffort() bool {
 	g.polls++
 	fmt.Fprintf(&g.log, "poll %d bytes=%d structures=%d\n", g.polls, g.bytes, g.structures)
@@ -93,7 +108,7 @@ func (g *spanGovernor) bestEffort() bool {
 func (sc spanScript) play(t *testing.T, o *Optimizer, q *plan.Query, x *Exploration, spans bool) (string, *spanGovernor) {
 	t.Helper()
 	g := &spanGovernor{spanScript: sc, o: o}
-	hooks := Hooks{Charge: g.charge, Work: g.work, BestEffort: g.bestEffort}
+	hooks := Hooks{Charge: g.charge, Work: g.work, BestEffort: g.bestEffort, Codegen: g.codegen}
 	if spans {
 		hooks.ChargeSpan = g.chargeSpan
 	}
@@ -197,5 +212,59 @@ func TestSpanChargingMatchesPerStructure(t *testing.T) {
 			t.Fatalf("%s: %d spans settled, %d replayed: both paths must run", name, settled, replayed)
 		}
 		t.Logf("%s: %d spans settled at once, %d replayed", name, settled, replayed)
+	}
+}
+
+// TestCodegenHook pins the Codegen hook's contract. A compilation that runs
+// to its end calls it once, after its last Work call, with the bytes of the
+// memo it charged for; one that fails a charge or is cut by best effort never
+// calls it. A compilation whose codegen fails returns that error, extracts
+// nothing — no extraction counted, no allocation — and leaves no DP tables on
+// the run; the next compilation on the exploration compiles what a fresh
+// exploration does.
+func TestCodegenHook(t *testing.T) {
+	defer setHelper(setHelper(false))
+	o, stmts := spanStatements(t)
+	for name, q := range stmts {
+		fresh, _ := spanScript{}.play(t, o, q, nil, true)
+		lines := strings.Split(strings.TrimSuffix(fresh, "\n"), "\n")
+		var memo, bytes int64
+		if n := len(lines); strings.Count(fresh, "codegen ") != 1 || !strings.HasPrefix(lines[n-3], "codegen ") {
+			t.Fatalf("%s: Codegen is not called once, last before the plan:\n%s", name, strings.Join(lines[max(0, n-6):], "\n"))
+		} else if _, err := fmt.Sscanf(lines[n-3], "codegen memo=%d bytes=%d", &memo, &bytes); err != nil || memo != bytes {
+			t.Errorf("%s: %q: Codegen is not handed the memo bytes charged (%v)", name, lines[n-3], err)
+		}
+		for _, sc := range []spanScript{{failAt: 41}, {limit: 700 * o.cfg.Memo.BytesPerExpr}, {bePoll: 2}} {
+			if log, _ := sc.play(t, o, q, nil, true); strings.Contains(log, "codegen ") {
+				t.Errorf("%s %+v: Codegen called after a failed charge or a cut", name, sc)
+			}
+		}
+
+		x := o.Explore(q)
+		before := o.Work()
+		log, _ := spanScript{failCodegen: true}.play(t, o, q, &x, true)
+		if !strings.Contains(log, "err="+errSpanCodegen.Error()) {
+			t.Errorf("%s: the compilation did not fail with Codegen's error:\n%s", name, log)
+		}
+		if w := o.Work(); w.Compilations != before.Compilations+1 || w.Extractions != before.Extractions {
+			t.Errorf("%s: a failed codegen counted %d compilations and %d extractions", name,
+				w.Compilations-before.Compilations, w.Extractions-before.Extractions)
+		}
+		x.r.take()
+		if x.r.t != nil {
+			t.Errorf("%s: a failed codegen left DP tables on the run", name)
+		}
+		x.r.mu.Unlock()
+		failing := Hooks{Codegen: func(int64) error { return errSpanCodegen }}
+		if n := testing.AllocsPerRun(3, func() { x.Optimize(failing) }); n != 0 {
+			t.Errorf("%s: a compilation whose codegen fails allocates %v times", name, n)
+		}
+		if n := testing.AllocsPerRun(3, func() { x.Optimize(Hooks{}) }); n == 0 {
+			t.Errorf("%s: a compilation that extracts allocates nothing: the count above proves nothing", name)
+		}
+		if again, _ := (spanScript{}).play(t, o, q, &x, true); again != fresh {
+			t.Errorf("%s: after a failed codegen the exploration compiles %s", name, firstDiff(again, fresh))
+		}
+		x.Release()
 	}
 }

@@ -10,13 +10,14 @@ import (
 	"time"
 )
 
-// update re-records testdata/golden.txt. Run
+// update re-records testdata/golden.txt and testdata/work.txt. Run
 //
 //	go test ./internal/scenario -run TestRegistryGoldenDigests -update
 //
-// after an *intentional* model or calibration change; any other diff is
-// a determinism regression.
-var update = flag.Bool("update", false, "re-record golden scenario digests")
+// after an *intentional* model or calibration change, or a change of what
+// the simulator does on the host (work.txt alone moves then); any other
+// diff is a determinism regression.
+var update = flag.Bool("update", false, "re-record golden scenario digests and the work ledger")
 
 // goldenWindow compresses long-horizon scenarios so the golden sweep
 // stays test-sized: everything above two hours runs the benchmark
@@ -44,13 +45,24 @@ func digest(sr SweepResult) string {
 		int64(r.AvgOvercommitRatio*1000))
 }
 
-const goldenPath = "testdata/golden.txt"
+// workLine is one run's Result.Work: what the simulator did on the host,
+// counted exactly.
+func workLine(sr SweepResult) string { return fmt.Sprintf("%+v", sr.Result.Work) }
+
+const (
+	goldenPath = "testdata/golden.txt"
+	workPath   = "testdata/work.txt"
+)
 
 // TestRegistryGoldenDigests pins the end-to-end results of every
 // registered scenario. It is the repository's determinism contract: a
 // refactor that claims to preserve behavior must reproduce every line
 // byte-for-byte, and an intentional model change must re-record the
-// file with -update (and say so in its commit).
+// file with -update (and say so in its commit). From the same sweep it
+// pins every scenario's Result.Work in testdata/work.txt, the work ledger:
+// a change that makes the simulator do more or less on the host, with
+// nothing simulated moving, re-records that file alone, and shows it in a
+// diff.
 func TestRegistryGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
@@ -61,50 +73,57 @@ func TestRegistryGoldenDigests(t *testing.T) {
 		scenarios[i] = goldenWindow(s)
 	}
 	results := RunSweep(scenarios, 0)
+	checkLines(t, goldenPath, results, digest)
+	checkLines(t, workPath, results, workLine)
+}
 
+// checkLines compares one line per scenario, "name: line(result)", with the
+// file at path, or records them there under -update.
+func checkLines(t *testing.T, path string, results []SweepResult, line func(SweepResult) string) {
+	t.Helper()
 	var sb strings.Builder
 	for _, sr := range results {
-		fmt.Fprintf(&sb, "%s: %s\n", sr.Scenario.Name, digest(sr))
+		fmt.Fprintf(&sb, "%s: %s\n", sr.Scenario.Name, line(sr))
 	}
 	got := sb.String()
 
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("recorded %d golden digests to %s", len(results), goldenPath)
+		t.Logf("recorded %d lines to %s", len(results), path)
 		return
 	}
 
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("no golden file (run with -update to record): %v", err)
+		t.Fatalf("no file %s (run with -update to record): %v", path, err)
 	}
 	if got == string(want) {
 		return
 	}
 	// Report per-scenario so a diff names the regressed experiments.
 	wantLines := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
-		if name, rest, ok := strings.Cut(line, ": "); ok {
+	for _, l := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
+		if name, rest, ok := strings.Cut(l, ": "); ok {
 			wantLines[name] = rest
 		}
 	}
 	for _, sr := range results {
-		d := digest(sr)
+		d := line(sr)
 		w, ok := wantLines[sr.Scenario.Name]
 		switch {
 		case !ok:
-			t.Errorf("%s: no golden digest recorded (run -update)", sr.Scenario.Name)
+			t.Errorf("%s: no line recorded in %s (run -update)", sr.Scenario.Name, path)
 		case d != w:
-			t.Errorf("%s diverged:\ngot:  %s\nwant: %s", sr.Scenario.Name, d, w)
+			t.Errorf("%s diverged from %s:\ngot:  %s\nwant: %s", sr.Scenario.Name, path, d, w)
 		}
 		delete(wantLines, sr.Scenario.Name)
 	}
 	for name := range wantLines {
-		t.Errorf("%s: golden digest recorded but scenario no longer registered", name)
+		t.Errorf("%s: line recorded in %s but scenario no longer registered", name, path)
 	}
 }
