@@ -33,12 +33,12 @@ func BenchmarkReadMany(b *testing.B) {
 			keys := make([]storage.ExtentKey, batch)
 			s := vtime.NewScheduler()
 			s.Go("reader", func(tk *vtime.Task) {
-				at := 0
+				at, hits := 0, 0
 				read := func() {
 					for i := range keys {
 						keys[i] = storage.NewExtentKey(0, int64((at+i)%table))
 					}
-					p.ReadMany(tk, keys)
+					tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, &hits, k) })
 					at += tc.stride
 				}
 				read() // hit: fault the batch in; evict: start filling

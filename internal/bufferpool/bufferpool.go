@@ -198,7 +198,7 @@ func (p *Pool) Shrink(want int64) int64 {
 	return freed
 }
 
-// readManyOp is the continuation state machine behind ReadMany: one
+// readManyOp is the continuation state machine behind ReadManyThen: one
 // sleep covers all hits, then each miss claims a disk channel, pays the
 // (dilation-adjusted) transfer time, and is admitted to the cache.
 type readManyOp struct {
@@ -244,9 +244,9 @@ func (op *readManyOp) Run(t *vtime.Task) {
 }
 
 // ReadManyThen fetches a batch of extents as continuation steps on the
-// event loop, then runs k. The hit count is stored through hits before
-// any virtual time passes; all hits are charged as one sleep and misses
-// go through the disk individually, exactly like ReadMany.
+// event loop, amortizing scheduler events, then runs k. The hit count is
+// stored through hits before any virtual time passes; all hits are charged
+// as one sleep and misses go through the disk individually.
 func (p *Pool) ReadManyThen(t *vtime.Task, keys []storage.ExtentKey, hits *int, k vtime.Step) {
 	op := p.reads.Get()
 	if op == nil {
@@ -270,15 +270,6 @@ func (p *Pool) ReadManyThen(t *vtime.Task, keys []storage.ExtentKey, hits *int, 
 		return
 	}
 	op.Run(t)
-}
-
-// ReadMany fetches a batch of extents, amortizing scheduler events: all
-// hits are charged as one sleep, misses go through the disk individually.
-// It returns the number of hits.
-func (p *Pool) ReadMany(t *vtime.Task, keys []storage.ExtentKey) int {
-	var hits int
-	t.Await(func(k vtime.Step) { p.ReadManyThen(t, keys, &hits, k) })
-	return hits
 }
 
 // admit tries to cache a just-read extent.

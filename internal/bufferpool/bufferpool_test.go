@@ -20,9 +20,11 @@ var testExtents = []int64{3, 128, 40}
 
 func key(i int64) storage.ExtentKey { return storage.NewExtentKey(1, i) }
 
-// read is a one-extent ReadMany; it reports whether it was a hit.
-func read(p *Pool, tk *vtime.Task, k storage.ExtentKey) bool {
-	return p.ReadMany(tk, []storage.ExtentKey{k}) == 1
+// read is a one-extent ReadManyThen; it reports whether it was a hit.
+func read(p *Pool, tk *vtime.Task, key storage.ExtentKey) bool {
+	var hits int
+	tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, []storage.ExtentKey{key}, &hits, k) })
+	return hits == 1
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -202,11 +204,12 @@ func TestReadMany(t *testing.T) {
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		keys := []storage.ExtentKey{key(1), key(2), key(3)}
-		if hits := p.ReadMany(tk, keys); hits != 0 {
-			t.Errorf("cold ReadMany hits = %d", hits)
+		var hits int
+		if tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, &hits, k) }); hits != 0 {
+			t.Errorf("cold ReadManyThen hits = %d", hits)
 		}
-		if hits := p.ReadMany(tk, keys); hits != 3 {
-			t.Errorf("warm ReadMany hits = %d", hits)
+		if tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, &hits, k) }); hits != 3 {
+			t.Errorf("warm ReadManyThen hits = %d", hits)
 		}
 	})
 	if err := s.Run(); err != nil {

@@ -163,8 +163,10 @@ func TestFramesMatchMapModel(t *testing.T) {
 					for i := range keys {
 						keys[i] = pick()
 					}
-					if got, want := p.ReadMany(tk, keys), m.readMany(keys); got != want {
-						t.Errorf("seed %d step %d: ReadMany hits = %d, model %d", seed, step, got, want)
+					var got int
+					tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, &got, k) })
+					if want := m.readMany(keys); got != want {
+						t.Errorf("seed %d step %d: ReadManyThen hits = %d, model %d", seed, step, got, want)
 						return
 					}
 				case op < 14:

@@ -4,10 +4,10 @@
 // protocol the optimizer uses.
 //
 // Every query compilation opens a Compilation handle. All optimizer memory
-// goes through Compilation.Alloc, which (a) charges the compile-memory
-// tracker against the machine budget and (b) reports the new total to the
-// gateway ticket, blocking the compiling task at a monitor when its
-// category's concurrency is exhausted. The governor listens to broker
+// goes through Compilation.AllocThen, which (a) reports the new total to the
+// gateway ticket, making the compiling task wait at a monitor when its
+// category's concurrency is exhausted, and (b) charges the compile-memory
+// tracker against the machine budget. The governor listens to broker
 // notifications to adjust dynamic gate thresholds and to raise the
 // best-effort-plan signal when memory exhaustion is predicted (§4.1).
 package core
@@ -203,6 +203,12 @@ type Compilation struct {
 	peak   int64
 	closed bool
 	cut    bool // best-effort signal consumed
+	// AllocThen's charge in flight: its bytes, the ticket's answer, where
+	// the outcome goes and what runs next.
+	n    int64
+	err  error
+	errp *error
+	k    vtime.Step
 }
 
 // Begin opens a compilation handle for the given task. name is used in
@@ -236,35 +242,55 @@ func (c *Compilation) Peak() int64 { return c.peak }
 // GateWait returns the time this compilation has spent blocked at gates.
 func (c *Compilation) GateWait() time.Duration { return c.ticket.WaitTime() }
 
-// Alloc charges n bytes of compilation memory. The call may block the
-// compiling task at a memory monitor. It returns mem.ErrOutOfMemory (via
-// the budget) or *gateway.ErrTimeout; either way the compilation has been
-// rolled back and must abort (or return a best-effort plan it already
-// holds).
+// Alloc is AllocThen for blocking-style callers.
 func (c *Compilation) Alloc(n int64) error {
+	return c.task.AwaitErr(func(errp *error, k vtime.Step) { c.AllocThen(n, errp, k) })
+}
+
+// AllocThen charges n bytes of compilation memory on behalf of the
+// compilation's task, then stores the outcome through errp and runs k. The
+// charge may wait at a memory monitor. The outcome is nil, mem.ErrOutOfMemory
+// (via the budget) or *gateway.ErrTimeout; on an error the compilation has
+// been rolled back and must abort (or return a best-effort plan it already
+// holds).
+func (c *Compilation) AllocThen(n int64, errp *error, k vtime.Step) {
 	if c.closed {
 		panic("core: Alloc on closed compilation " + c.name)
 	}
+	c.n, c.errp, c.k = n, errp, k
 	// Gate first: the monitor must admit the growth before the memory is
-	// actually taken, so a blocked compilation holds its current memory
+	// actually taken, so a waiting compilation holds its current memory
 	// but does not keep growing — exactly the paper's "restrict future
 	// memory allocations" semantics.
 	if c.g.chain != nil {
-		if err := c.ticket.Update(c.task, c.used+n); err != nil {
-			c.Abort()
-			return err
-		}
+		c.ticket.UpdateThen(c.task, c.used+n, &c.err, (*gated)(c))
+		return
 	}
-	if err := c.g.tracker.Reserve(n); err != nil {
+	(*gated)(c).Run(c.task)
+}
+
+// gated is a compilation whose charge in flight the monitors have answered.
+type gated Compilation
+
+func (s *gated) Run(t *vtime.Task) {
+	c := (*Compilation)(s)
+	err := c.err
+	if err == nil {
+		err = c.g.tracker.Reserve(c.n)
+	}
+	if err != nil {
 		c.Abort()
-		return err
-	}
-	c.used += n
-	if c.used > c.peak {
+	} else if c.used += c.n; c.used > c.peak {
 		c.peak = c.used
 	}
-	return nil
+	k, errp := c.k, c.errp
+	c.k, c.errp = nil, nil
+	*errp = err
+	k.Run(t)
 }
+
+// cleared continues an update that clears: there is nothing left to do.
+var cleared vtime.Step = vtime.StepFunc(func(*vtime.Task) {})
 
 // AllocSpan is k Alloc calls, each of at least one byte and n bytes in all,
 // provided none of them would block at a gate, make the budget reclaim, or
@@ -282,7 +308,7 @@ func (c *Compilation) AllocSpan(n int64, k int) bool {
 	}
 	c.used += n
 	if gated {
-		c.ticket.Update(c.task, c.used) // clears: records the usage, nothing more
+		c.ticket.UpdateThen(c.task, c.used, &c.err, cleared) // clears: records the usage, nothing more
 	}
 	if c.used > c.peak {
 		c.peak = c.used

@@ -141,10 +141,10 @@ const (
 //     each), after which the costing scratch is released — a
 //     mid-compilation fall the broker's trend detector sees.
 //
-// All stage memory flows through Compilation.Alloc, so the gateway
-// ladder observes genuinely growing consumers and can block (or time
-// out) a compilation mid-flight at any threshold crossing — the
-// paper's gateway-chain mechanism.
+// All stage memory flows through Compilation.AllocThen, so the gateway
+// ladder observes genuinely growing consumers and can hold (or time out)
+// a compilation mid-flight at any threshold crossing — the paper's
+// gateway-chain mechanism.
 //
 // Single-table (point/diagnostic) queries skip the stages entirely:
 // their plans are trivial, which is what keeps them under the small
@@ -277,11 +277,9 @@ type Server struct {
 	compileMemN                  int64
 
 	// Host-side state that simulates nothing (one scheduler per server, no
-	// locking): the statement table, and the free lists of submissions and
-	// compile-work continuation ops.
+	// locking): the statement table, and the free list of submissions.
 	statements
-	stmts   freelist.List[statement]
-	workOps freelist.List[compileWorkOp]
+	stmts freelist.List[statement]
 
 	// Fault-plane state (see internal/fault): ballast is the wired
 	// "leak" tracker injections ratchet; faultDiskMul dilates every disk

@@ -18,16 +18,15 @@ import (
 //	identify  text → fingerprint and locality seed: the snapshot's closed
 //	          set by text, or one hash of any other text
 //	probe     one plan-cache lookup (it counts, and it reorders the LRU)
-//	compile   only on a miss: the governed optimizer, on a coroutine —
-//	          explore → codegen ramp → extract, no plan if the ramp fails
+//	compile   only on a miss: the governed optimizer — bind → explore →
+//	          codegen ramp → extract, no plan if the ramp fails
 //	execute   grant → plan nodes → refault I/O
 //	record    completion or error, into the metrics and to the caller
 //
-// SubmitThen walks them as continuation steps on the event loop; compile
-// is the one phase that needs a stack (the optimizer's player calls the
-// blocking Charge, Work and Codegen hooks from inside its recursion), so it runs
-// as a blocking section and a statement whose plan is cached never
-// touches a coroutine.
+// SubmitThen walks them as continuation steps on the event loop. Compile is
+// steps too: the optimizer's player returns each charge, work batch and
+// codegen it needs as a demand, and the attempt meets it with a *Then
+// continuation (attempt.Run), so no statement ever takes a stack.
 
 // identify derives the identity of text outside the closed set. Execution
 // locality is seeded from the full fingerprint so repeated statements
@@ -62,7 +61,7 @@ type statements struct {
 // attempt is one compilation's record, and all a submission holds while it
 // compiles: the statement (text, identity, parse — the closed set's shared
 // one, or the record's own), its exploration, the governor session with the
-// gateway ticket inside it, and the optimizer hook state. The paper's
+// gateway ticket inside it, and the compile phase's state. The paper's
 // failed compilations "likely need to be resubmitted", and a resubmission
 // is the same text, so a compilation that fails leaves its attempt in the
 // retained table and the next submission of that text takes it out and
@@ -79,7 +78,7 @@ type attempt struct {
 	own plan.Query // what q points at for text outside the closed set
 	x   optimizer.Exploration
 
-	t    *vtime.Task
+	st   *statement // the submission compiling on the attempt
 	comp core.Compilation
 	// epoch is the crash epoch the compilation started under; a charge
 	// after the engine crashed aborts the compilation with ErrCrashed.
@@ -90,11 +89,21 @@ type attempt struct {
 	// (plain memo charges).
 	exprExtra, groupExtra int64
 	costingHeld           int64
-	// hooks are bound to the attempt once, when it is first created:
-	// starting a compilation rewrites the fields above in place instead of
-	// allocating fresh closures. Codegen is passed on only when the
-	// compilation is staged.
-	hooks optimizer.Hooks
+	// asks are bound once, when the attempt is created; Codegen is set per
+	// compilation, when it is staged.
+	asks optimizer.Asks
+
+	// The compile phase's state machine (Run): its state, the state a work
+	// batch returns to, when it began, the answer to the last demand, the
+	// costing scratch of the charge in flight, the ramp's bytes still to
+	// reserve, a work batch's tasks, and whether a call made with the
+	// attempt as its continuation is under way, and was answered at once.
+	state, after     int8
+	start            time.Duration
+	err              error
+	extra, ramp      int64
+	tasks            int
+	calling, replied bool
 }
 
 // retainedCap bounds the retained table. A client resubmits a failed
@@ -126,11 +135,11 @@ func (s *Server) newAttempt(sql string, id StmtID) (*attempt, error) {
 	a := s.attempts.Get()
 	if a == nil {
 		a = &attempt{s: s}
-		a.hooks = optimizer.Hooks{Charge: a.charge, Work: a.work, BestEffort: a.bestEffort, Codegen: a.codegen}
+		a.asks = optimizer.Asks{Charges: true, BestEffort: a.comp.ShouldYieldBestEffort}
 		// A span is so many reservations of at least a byte each; a memo
 		// configured with a free structure is charged one by one.
 		if memo := s.cfg.Optimizer.Memo; spanCharging && memo.BytesPerExpr > 0 && memo.BytesPerGroup > 0 {
-			a.hooks.ChargeSpan = a.chargeSpan
+			a.asks.ChargeSpan = a.chargeSpan
 		}
 	}
 	if a.q = id.Query; a.q == nil {
@@ -147,7 +156,7 @@ func (s *Server) newAttempt(sql string, id StmtID) (*attempt, error) {
 // releaseAttempt returns an attempt and its exploration to the pools.
 func (s *Server) releaseAttempt(a *attempt) {
 	a.x.Release()
-	a.sql, a.q, a.t = "", nil, nil
+	a.sql, a.q = "", nil
 	s.attempts.Put(a)
 }
 
@@ -247,14 +256,10 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 			return
 		}
 	}
-	t.Block((*compiling)(st), st)
-}
-
-// compiling is a statement as the body of its blocking section.
-type compiling statement
-
-func (st *compiling) Run(t *vtime.Task) {
-	st.p, st.err = st.s.compile(t, st.a)
+	a := st.a
+	a.st, a.start, a.err, a.state = st, t.Now(), nil, opening
+	s.gov.BeginIn(&a.comp, t, "compile")
+	a.Run(t)
 }
 
 // execute runs p with prep — the plan-cache entry's Prepared on a hit, nil
@@ -278,8 +283,8 @@ func (st *statement) execute(t *vtime.Task, p *plan.Plan, prep *executor.Prepare
 // connection, so whatever the phase concluded the statement fails with
 // ErrCrashed and nothing of it may reach the (new) plan cache or the
 // retained table. The exception is a compilation that failed on its own:
-// it keeps its error (its charge hook already reports ErrCrashed when the
-// crash is what stopped it).
+// it keeps its error (its charges already report ErrCrashed when the crash
+// is what stopped it).
 func (st *statement) Run(t *vtime.Task) {
 	s := st.s
 	err, crashed := st.err, s.crashEpoch != st.epoch
@@ -321,118 +326,9 @@ func (st *statement) record(t *vtime.Task, err error) {
 	k.Run(t)
 }
 
-// compileWorkOp is the continuation op behind one optimizer Work batch:
-// burn the batch's CPU on the processor pool, then pay the non-CPU wait
-// (metadata fetches, latching). Both phases run as event-loop steps, so
-// a compilation's many work batches each cost a single coroutine round
-// trip instead of one per CPU quantum.
-type compileWorkOp struct {
-	s     *Server
-	cpu   time.Duration
-	tasks int
-	k     vtime.Step
-	state int8
-}
-
-func (op *compileWorkOp) Run(t *vtime.Task) {
-	s := op.s
-	switch op.state {
-	case 0:
-		op.state = 1
-		s.cpu.UseThen(t, op.cpu, op)
-	case 1:
-		if s.cfg.CompileTaskWait > 0 {
-			// Metadata fetches and latching stretch with the paging
-			// slowdown too: a thrashing machine faults on catalog
-			// pages like everything else. The slowdown is read after
-			// the CPU phase, when the wait actually starts.
-			wait := time.Duration(op.tasks) * s.cfg.CompileTaskWait
-			if f := s.budget.Slowdown(); f > 1 {
-				wait = time.Duration(float64(wait) * f)
-			}
-			op.state = 2
-			t.SleepThen(wait, op)
-			return
-		}
-		op.finish(t)
-	case 2:
-		op.finish(t)
-	}
-}
-
-func (op *compileWorkOp) finish(t *vtime.Task) {
-	k := op.k
-	op.k = nil
-	op.s.workOps.Put(op)
-	k.Run(t)
-}
-
-// compileWork charges one optimizer work batch on behalf of t.
-func (s *Server) compileWork(t *vtime.Task, tasks int) {
-	t.Await(func(k vtime.Step) {
-		op := s.workOps.Get()
-		if op == nil {
-			op = &compileWorkOp{s: s}
-		}
-		op.cpu = time.Duration(tasks) * compileTaskCPU
-		op.tasks, op.k, op.state = tasks, k, 0
-		op.Run(t)
-	})
-}
-
-// stageRamp wires total additional bytes onto the compilation in
-// StepBytes increments, charging stepTasks of optimizer work per step.
-// Every increment passes through Compilation.Alloc, so the gateway
-// ladder can block (or time out) the compiling task mid-ramp and the
-// broker's trend detector sees the footprint actually climb between
-// ticks. A failed step has already rolled the whole compilation back.
-func (s *Server) stageRamp(t *vtime.Task, a *attempt, total int64) error {
-	step := s.cfg.CompileStages.StepBytes
-	if step <= 0 {
-		step = total
-	}
-	for reserved := int64(0); reserved < total; {
-		if s.crashEpoch != a.epoch {
-			a.comp.Abort()
-			return ErrCrashed
-		}
-		n := step
-		if rest := total - reserved; n > rest {
-			n = rest
-		}
-		if err := a.comp.Alloc(n); err != nil {
-			return err
-		}
-		reserved += n
-		s.compileWork(t, stepTasks)
-	}
-	return nil
-}
-
-// charge forwards the growth of the memo by one structure of n bytes to the
-// compilation. When staged, the footprint the gateways see grows scale+1
-// times as fast as the memo — exploration's memory is memo plus costing
-// scratch.
-func (a *attempt) charge(n int64) error {
-	if a.s.crashEpoch != a.epoch {
-		// The engine crashed under this compilation; stop growing
-		// immediately (the caller aborts, releasing memory and gates).
-		return ErrCrashed
-	}
-	extra := a.exprExtra
-	if n != a.s.cfg.Optimizer.Memo.BytesPerExpr {
-		extra = a.groupExtra
-	}
-	if err := a.comp.Alloc(n + extra); err != nil {
-		return err
-	}
-	a.costingHeld += extra
-	return nil
-}
-
-// chargeSpan is charge for every structure of a span at once, when the
-// governor can take them so (see optimizer.Hooks.ChargeSpan). A crash
-// refuses the span, so that its first charge reports it.
+// chargeSpan charges every structure of a span at once, when the governor
+// can take them so (see optimizer.Hooks.ChargeSpan). A crash refuses the
+// span, so that its first charge reports it.
 func (a *attempt) chargeSpan(exprs, groups int) bool {
 	if a.s.crashEpoch != a.epoch {
 		return false
@@ -445,22 +341,6 @@ func (a *attempt) chargeSpan(exprs, groups int) bool {
 	return true
 }
 
-func (a *attempt) work(tasks int) { a.s.compileWork(a.t, tasks) }
-
-// codegen is a staged compilation's last phase, once exploration is done and
-// before the plan is built: a ramp sized from the memo. Costing scratch is
-// dead once the ramp has consumed it; the release mid-flight is what gives
-// the broker a falling trend to track.
-func (a *attempt) codegen(memoBytes int64) error {
-	if err := a.s.stageRamp(a.t, a, int64(a.s.cfg.CompileStages.CodegenScale*float64(memoBytes))); err != nil {
-		return err
-	}
-	a.comp.Free(a.costingHeld)
-	return nil
-}
-
-func (a *attempt) bestEffort() bool { return a.comp.ShouldYieldBestEffort() }
-
 // spanCharging and staticPrepared are false, and retainedLimit other than
 // retainedCap, only in the differential tests that run a whole simulation
 // both ways (export_test.go).
@@ -470,58 +350,172 @@ var (
 	retainedLimit  = retainedCap
 )
 
-// compile optimizes a's statement under the governor, walking the staged
-// memory phases: bind (fixed footprint) → join enumeration with costing
-// scratch accreting alongside every memo charge → codegen (a ramp sized
-// from the memo, the optimizer's Codegen hook) → the plan, built only when
-// the ramp succeeded. Costing scratch is freed once codegen has consumed it;
-// everything else is released when the compilation closes, which it has
-// on every return from here: a holds the session, so a may be retained or
-// recycled only after. It is blocking-style code: t must be inside a
-// blocking section.
-func (s *Server) compile(t *vtime.Task, a *attempt) (*plan.Plan, error) {
-	comp := &a.comp
-	s.gov.BeginIn(comp, t, "compile")
-	start := t.Now()
-	st := s.cfg.CompileStages
-	staged := !st.Disabled && len(a.q.Tables) > 1
-	if staged {
-		if err := comp.Alloc(bindBytes); err != nil {
-			return nil, err
+// The compile phase's states (attempt.Run).
+const (
+	opening int8 = iota // the compilation is open: charge the bind footprint
+	binding             // the bind charge is answered: begin the player
+	asking              // the last demand is answered (a.err): resume the player
+	burnt               // a work batch's CPU is spent: its wait comes next
+	ramping             // the codegen ramp's next step
+	ramped              // a ramp step's charge is answered
+)
+
+// Run is the compile phase, from where it stands to its next wait or to its
+// end: under the governor, through the staged memory phases — bind (fixed
+// footprint) → join enumeration with costing scratch accreting alongside
+// every memo charge → codegen (a ramp sized from the memo, the player's
+// Codegen demand) → the plan, built only when the ramp succeeded. A
+// best-effort plan skips the ramp: the §4.1 valve yielded the held plan
+// precisely because the broker predicts exhaustion, so the compilation must
+// not grow further. Costing scratch is freed once codegen has consumed it;
+// the rest when the compilation closes, before the submission runs on: the
+// attempt holds the session, so it may be retained or recycled only after.
+// Every call Run makes continues with the attempt; one answered at once is
+// taken up by the loop, not by a nested Run, so a compilation's thousands of
+// charges do not grow the stack.
+func (a *attempt) Run(t *vtime.Task) {
+	if a.calling {
+		a.replied = true // answered at once: the loop that made the call goes on
+		return
+	}
+	s := a.s
+	cs := &s.cfg.CompileStages
+	for {
+		switch a.state {
+		case opening:
+			a.state = binding
+			if a.asks.Codegen = !cs.Disabled && len(a.q.Tables) > 1; a.asks.Codegen {
+				a.calling = true
+				a.comp.AllocThen(bindBytes, &a.err, a)
+			}
+		case binding:
+			scale, memo := 0.0, s.cfg.Optimizer.Memo
+			if a.asks.Codegen && cs.CostingScale > 0 {
+				scale = cs.CostingScale
+			}
+			a.costingHeld, a.epoch = 0, s.crashEpoch
+			a.exprExtra, a.groupExtra = int64(scale*float64(memo.BytesPerExpr)), int64(scale*float64(memo.BytesPerGroup))
+			if a.err == nil {
+				a.err = a.x.Begin(a.asks)
+			}
+			if a.err != nil {
+				a.finish(t, nil, a.err)
+				return
+			}
+			a.state = asking
+		case asking:
+			if a.err == nil {
+				a.costingHeld += a.extra // the charge answered holds its scratch
+			}
+			d := a.x.Resume(a.err)
+			a.err, a.extra = nil, 0
+			switch d.Kind {
+			case optimizer.ChargeDemand:
+				if s.crashEpoch != a.epoch {
+					// The engine crashed under this compilation: it stops
+					// growing at once, and finish aborts it.
+					a.err = ErrCrashed
+					continue
+				}
+				// Staged, the footprint the gateways see grows scale+1 times
+				// as fast as the memo: exploration's memory is memo plus
+				// costing scratch.
+				a.extra = a.exprExtra
+				if d.N != s.cfg.Optimizer.Memo.BytesPerExpr {
+					a.extra = a.groupExtra
+				}
+				a.calling = true
+				a.comp.AllocThen(d.N+a.extra, &a.err, a)
+			case optimizer.WorkDemand:
+				a.work(t, int(d.N), asking)
+			case optimizer.CodegenDemand:
+				a.ramp, a.state = int64(cs.CodegenScale*float64(d.N)), ramping
+			default:
+				a.finish(t, d.Plan, d.Err)
+				return
+			}
+		case burnt:
+			// Metadata fetches and latching stretch with the paging slowdown
+			// too: a thrashing machine faults on catalog pages like
+			// everything else. The slowdown is read when the wait starts.
+			a.state = a.after
+			if w := s.cfg.CompileTaskWait; w > 0 {
+				wait := time.Duration(a.tasks) * w
+				if f := s.budget.Slowdown(); f > 1 {
+					wait = time.Duration(float64(wait) * f)
+				}
+				t.SleepThen(wait, a)
+				return
+			}
+		case ramping:
+			// The ramp wires its bytes in StepBytes increments, stepTasks of
+			// work each. Every one passes through the gateway ladder, which
+			// may hold it (or time it out) mid-ramp, and the broker's trend
+			// detector sees the footprint climb between ticks; costing
+			// scratch is dead once the ramp is done, and its release gives
+			// the broker a falling trend to track.
+			a.state = asking
+			if a.ramp <= 0 {
+				a.comp.Free(a.costingHeld)
+			} else if s.crashEpoch != a.epoch {
+				a.comp.Abort()
+				a.err = ErrCrashed
+			} else {
+				n := a.ramp
+				if cs.StepBytes > 0 && cs.StepBytes < n {
+					n = cs.StepBytes
+				}
+				a.ramp, a.state, a.calling = a.ramp-n, ramped, true
+				a.comp.AllocThen(n, &a.err, a) // a failure rolled the compilation back
+			}
+		case ramped:
+			a.state = asking
+			if a.err == nil {
+				a.work(t, stepTasks, ramping)
+			}
+		}
+		if a.calling && !a.answered() {
+			return
 		}
 	}
-	scale := 0.0
-	if staged && st.CostingScale > 0 {
-		scale = st.CostingScale
-	}
-	memo := s.cfg.Optimizer.Memo
-	a.t, a.costingHeld, a.epoch = t, 0, s.crashEpoch
-	a.exprExtra, a.groupExtra = int64(scale*float64(memo.BytesPerExpr)), int64(scale*float64(memo.BytesPerGroup))
-	hooks := a.hooks
-	if !staged {
-		hooks.Codegen = nil
-	}
-	// A best-effort plan skips the codegen ramp entirely: the §4.1
-	// valve yielded the held plan precisely because the broker predicts
-	// exhaustion, so the compilation must not grow further — otherwise
-	// the ramp could fail with the very out-of-memory error the valve
-	// exists to avoid.
-	p, err := a.x.Optimize(hooks)
+}
+
+// work spends tasks of optimizer work — the batch's CPU on the processor
+// pool, then its non-CPU wait (metadata fetches, latching) — and goes on in
+// state after.
+func (a *attempt) work(t *vtime.Task, tasks int, after int8) {
+	a.tasks, a.after, a.state, a.calling = tasks, after, burnt, true
+	a.s.cpu.UseThen(t, time.Duration(tasks)*compileTaskCPU, a)
+}
+
+// answered ends a call made with the attempt as its continuation (calling
+// marks one under way), and reports whether it was answered at once. If
+// not, the event loop runs the attempt when it is.
+func (a *attempt) answered() bool {
+	ok := a.replied
+	a.calling, a.replied = false, false
+	return ok
+}
+
+// finish closes the compilation — aborted on an error (every failure but
+// validation's has done that already), finished with a plan — and hands the
+// outcome to the submission.
+func (a *attempt) finish(t *vtime.Task, p *plan.Plan, err error) {
+	s, comp := a.s, &a.comp
 	if err != nil {
-		// Alloc failures, the ramp's too, already rolled the compilation
-		// back, and a crash mid-ramp aborted it; other errors (validation)
-		// abort explicitly. All are idempotent.
 		comp.Abort()
-		return nil, err
+	} else {
+		peak := comp.Peak()
+		comp.Finish()
+		s.compileHist.Observe(t.Now() - a.start)
+		p.CompileBytes = peak
+		s.compileMemSum += peak
+		s.compileMemN++
+		if peak > s.compileMemMax {
+			s.compileMemMax = peak
+		}
 	}
-	peak := comp.Peak()
-	comp.Finish()
-	s.compileHist.Observe(t.Now() - start)
-	p.CompileBytes = peak
-	s.compileMemSum += peak
-	s.compileMemN++
-	if peak > s.compileMemMax {
-		s.compileMemMax = peak
-	}
-	return p, nil
+	st := a.st
+	a.st, st.p, st.err = nil, p, err
+	st.Run(t)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -209,12 +210,15 @@ func TestInterleavedCompilationsKeepTheirOwnAccounts(t *testing.T) {
 
 // TestCompileAllocs pins what a compilation allocates once the pools are
 // warm: the plan and what hangs off it, not the compilation's record — no
-// attempt, parse, governor session, gateway ticket, hook closure or
-// fingerprint string. Throttled, so the ticket is live.
+// attempt, parse, governor session, gateway ticket, continuation or
+// fingerprint string, and nothing per demand the player makes. Throttled, so
+// the ticket is live. A collection empties the sync.Pools the compilation
+// draws from, so the garbage collector is held off while it is measured.
 func TestCompileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	srv, sched, _, _ := closedSetServer(t, func(c *Config) { c.Throttle = true })
 	heavy := heavySQL(0)
 	sched.Go("client", func(tk *vtime.Task) {

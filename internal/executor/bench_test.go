@@ -42,7 +42,7 @@ func BenchmarkExecute(b *testing.B) {
 			s.Go("client", func(tk *vtime.Task) {
 				exec := func(i int) {
 					c := &stmts[i%len(stmts)]
-					if _, err := e.exec.Execute(tk, c.p, c.seed, c.prep); err != nil {
+					if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, c.p, c.seed, c.prep, nil, errp, k) }); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -187,13 +187,6 @@ func (gm *GrantManager) AcquireThen(t *vtime.Task, want int64, errp *error, k vt
 	op.Run(t)
 }
 
-// Acquire is AcquireThen for blocking-style callers.
-func (gm *GrantManager) Acquire(t *vtime.Task, bytes int64) error {
-	var err error
-	t.Await(func(k vtime.Step) { gm.AcquireThen(t, bytes, &err, k) })
-	return err
-}
-
 // Release returns a grant and wakes the longest waiter to retry.
 func (gm *GrantManager) Release(bytes int64) {
 	if bytes <= 0 {
@@ -567,10 +560,4 @@ func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Pr
 	op.granted = p.MemoryGrant()
 	op.state = exGranted
 	e.grants.AcquireThen(t, op.granted, &op.err, op)
-}
-
-// Execute is ExecuteThen for blocking-style callers.
-func (e *Executor) Execute(t *vtime.Task, p *plan.Plan, seed int64, prep *Prepared) (st Stats, err error) {
-	t.Await(func(k vtime.Step) { e.ExecuteThen(t, p, seed, prep, &st, &err, k) })
-	return st, err
 }

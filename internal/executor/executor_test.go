@@ -69,7 +69,7 @@ func TestExecuteSimpleScan(t *testing.T) {
 	var st Stats
 	s.Go("q", func(tk *vtime.Task) {
 		var err error
-		st, err = e.exec.Execute(tk, p, 1, nil)
+		err = tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &st, errp, k) })
 		if err != nil {
 			t.Error(err)
 		}
@@ -95,11 +95,11 @@ func TestWarmCacheFasterThanCold(t *testing.T) {
 	var cold, warm Stats
 	s.Go("q", func(tk *vtime.Task) {
 		var err error
-		cold, err = e.exec.Execute(tk, p, 1, nil)
+		err = tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &cold, errp, k) })
 		if err != nil {
 			t.Error(err)
 		}
-		warm, err = e.exec.Execute(tk, p, 1, nil)
+		err = tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &warm, errp, k) })
 		if err != nil {
 			t.Error(err)
 		}
@@ -126,7 +126,7 @@ func TestGrantAcquireRelease(t *testing.T) {
 	}
 	s := vtime.NewScheduler()
 	s.Go("q", func(tk *vtime.Task) {
-		if _, err := e.exec.Execute(tk, p, 1, nil); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, nil, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		if e.grants.Tracker().Used() != 0 {
@@ -149,7 +149,7 @@ func TestGrantQueueingSerializes(t *testing.T) {
 	hold := func(name string, bytes int64, holdFor time.Duration, after time.Duration) {
 		s.Go(name, func(tk *vtime.Task) {
 			tk.Sleep(after)
-			if err := gm.Acquire(tk, bytes); err != nil {
+			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { gm.AcquireThen(tk, bytes, errp, k) }); err != nil {
 				t.Error(err)
 				return
 			}
@@ -177,7 +177,7 @@ func TestGrantTimeout(t *testing.T) {
 	s := vtime.NewScheduler()
 	var gotErr error
 	s.Go("hog", func(tk *vtime.Task) {
-		if err := gm.Acquire(tk, 900*mem.MiB); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { gm.AcquireThen(tk, 900*mem.MiB, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		tk.Sleep(grantTimeout + time.Minute)
@@ -185,7 +185,7 @@ func TestGrantTimeout(t *testing.T) {
 	})
 	s.Go("victim", func(tk *vtime.Task) {
 		tk.Sleep(time.Millisecond)
-		gotErr = gm.Acquire(tk, 500*mem.MiB)
+		gotErr = tk.AwaitErr(func(errp *error, k vtime.Step) { gm.AcquireThen(tk, 500*mem.MiB, errp, k) })
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -205,13 +205,13 @@ func TestGrantFIFONoBarge(t *testing.T) {
 	s := vtime.NewScheduler()
 	var order []string
 	s.Go("hog", func(tk *vtime.Task) {
-		gm.Acquire(tk, 900*mem.MiB)
+		tk.AwaitErr(func(errp *error, k vtime.Step) { gm.AcquireThen(tk, 900*mem.MiB, errp, k) })
 		tk.Sleep(time.Second)
 		gm.Release(900 * mem.MiB)
 	})
 	s.Go("big-waiter", func(tk *vtime.Task) {
 		tk.Sleep(time.Millisecond)
-		if err := gm.Acquire(tk, 800*mem.MiB); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { gm.AcquireThen(tk, 800*mem.MiB, errp, k) }); err != nil {
 			t.Error(err)
 			return
 		}
@@ -221,7 +221,7 @@ func TestGrantFIFONoBarge(t *testing.T) {
 	})
 	s.Go("small-late", func(tk *vtime.Task) {
 		tk.Sleep(2 * time.Millisecond)
-		if err := gm.Acquire(tk, 10*mem.MiB); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { gm.AcquireThen(tk, 10*mem.MiB, errp, k) }); err != nil {
 			t.Error(err)
 			return
 		}
@@ -242,7 +242,7 @@ func TestCPUConsumption(t *testing.T) {
 	s := vtime.NewScheduler()
 	var st Stats
 	s.Go("q", func(tk *vtime.Task) {
-		st, _ = e.exec.Execute(tk, p, 1, nil)
+		tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &st, errp, k) })
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestKickWakesWaiter(t *testing.T) {
 	})
 	s.Go("waiter", func(tk *vtime.Task) {
 		tk.Sleep(time.Millisecond)
-		if err := gm.Acquire(tk, 800*mem.MiB); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { gm.AcquireThen(tk, 800*mem.MiB, errp, k) }); err != nil {
 			t.Error(err)
 			return
 		}
@@ -296,7 +296,7 @@ func TestDeterministicExecution(t *testing.T) {
 		s := vtime.NewScheduler()
 		var st Stats
 		s.Go("q", func(tk *vtime.Task) {
-			st, _ = e.exec.Execute(tk, p, 42, nil)
+			tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 42, nil, &st, errp, k) })
 		})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
@@ -342,7 +342,7 @@ func TestHandBuiltPlanResolvesByName(t *testing.T) {
 					pr = nil
 				}
 				var err error
-				if *st, err = e.exec.Execute(tk, p, 42, pr); err != nil {
+				if err = tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 42, pr, st, errp, k) }); err != nil {
 					t.Error(err)
 				}
 			}

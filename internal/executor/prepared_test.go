@@ -82,8 +82,8 @@ func TestReplayEqualsFreshDraws(t *testing.T) {
 					if withPrep {
 						prep = c.prep
 					}
-					st, err := e.exec.Execute(tk, c.p, c.seed, prep)
-					if err != nil {
+					var st Stats
+					if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, c.p, c.seed, prep, &st, errp, k) }); err != nil {
 						t.Errorf("%s: %v", c.sql, err)
 					}
 					out = append(out, st)
@@ -142,7 +142,7 @@ func TestFailedExecutionRecordsNothing(t *testing.T) {
 	s := vtime.NewScheduler()
 	s.Go("hog", func(tk *vtime.Task) {
 		hog := mem.GiB - p.MemoryGrant()/2
-		if err := e.grants.Acquire(tk, hog); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.grants.AcquireThen(tk, hog, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		tk.Sleep(grantTimeout + time.Minute)
@@ -150,7 +150,7 @@ func TestFailedExecutionRecordsNothing(t *testing.T) {
 	})
 	s.Go("client", func(tk *vtime.Task) {
 		tk.Sleep(time.Millisecond)
-		_, err := e.exec.Execute(tk, p, 1, prep)
+		err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, prep, nil, errp, k) })
 		var ge *ErrGrantTimeout
 		if !errors.As(err, &ge) {
 			t.Errorf("err = %v, want grant timeout", err)
@@ -159,7 +159,7 @@ func TestFailedExecutionRecordsNothing(t *testing.T) {
 			t.Errorf("a failed execution recorded %d scans", prep.Scans())
 		}
 		tk.Sleep(2 * time.Minute)
-		if _, err := e.exec.Execute(tk, p, 1, prep); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, prep, nil, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		if want := len(freshLists(e, p, 1)); prep.Scans() != want {
@@ -182,7 +182,7 @@ func TestGeneratingAfterReplayLeavesListsIntact(t *testing.T) {
 	s := vtime.NewScheduler()
 	s.Go("client", func(tk *vtime.Task) {
 		exec := func(p *plan.Plan, seed int64, prep *Prepared) {
-			if _, err := e.exec.Execute(tk, p, seed, prep); err != nil {
+			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, seed, prep, nil, errp, k) }); err != nil {
 				t.Error(err)
 			}
 		}

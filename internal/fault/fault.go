@@ -256,8 +256,8 @@ type Surface struct {
 	Crash   func()
 	Restart func()
 	// StormQuery submits one heavy query on behalf of the calling ghost
-	// task, returning the server's error.
-	StormQuery func(t *vtime.Task) error
+	// task, then stores the server's error through errp and runs k.
+	StormQuery func(t *vtime.Task, errp *error, k vtime.Step)
 }
 
 // Stats counts what the plane actually did, filled in as the simulation
@@ -295,74 +295,89 @@ func InjectCluster(sched *vtime.Scheduler, p Plan, surfaces []Surface) *Stats {
 		s := surfaces[in.Node]
 		switch in.Kind {
 		case DiskStall:
-			sched.Go("fault-diskstall", func(t *vtime.Task) {
-				t.Sleep(in.At)
+			after(sched, "fault-diskstall", in.At, func(t *vtime.Task) {
 				st.Injected++
 				s.SetDiskStall(in.Factor)
-				t.Sleep(in.Duration)
-				s.SetDiskStall(1)
-				st.StallTime += in.Duration
+				t.SleepThen(in.Duration, vtime.StepFunc(func(*vtime.Task) {
+					s.SetDiskStall(1)
+					st.StallTime += in.Duration
+				}))
 			})
 		case MemLeak:
-			sched.Go("fault-leak", func(t *vtime.Task) {
-				t.Sleep(in.At)
-				st.Injected++
-				iv := in.Interval
-				if iv <= 0 {
-					iv = defaultLeakInterval
-				}
-				end := in.At + in.Duration
-				for {
-					if err := s.Leak(in.RateBytes); err != nil {
-						st.LeakFailures++
-					} else {
-						st.LeakedBytes += in.RateBytes
-					}
-					if t.Now()+iv > end {
-						break
-					}
-					t.Sleep(iv)
-				}
-				if t.Now() < end {
-					t.Sleep(end - t.Now())
-				}
+			iv, end := in.Interval, in.At+in.Duration
+			if iv <= 0 {
+				iv = defaultLeakInterval
+			}
+			var drop, leak vtime.StepFunc
+			drop = func(*vtime.Task) {
 				if in.Release {
 					s.DropLeak()
 				}
+			}
+			leak = func(t *vtime.Task) {
+				if err := s.Leak(in.RateBytes); err != nil {
+					st.LeakFailures++
+				} else {
+					st.LeakedBytes += in.RateBytes
+				}
+				switch {
+				case t.Now()+iv <= end:
+					t.SleepThen(iv, leak)
+				case t.Now() < end:
+					t.SleepThen(end-t.Now(), drop)
+				default:
+					drop(t)
+				}
+			}
+			after(sched, "fault-leak", in.At, func(t *vtime.Task) {
+				st.Injected++
+				leak(t)
 			})
 		case CompileStorm:
-			sched.Go("fault-storm", func(t *vtime.Task) {
-				t.Sleep(in.At)
+			after(sched, "fault-storm", in.At, func(*vtime.Task) {
 				st.Injected++
 				// Ghost clients: one task per storm query, staggered by
 				// the arrival spacing. They are spawned at onset (not at
 				// plan time) so a run's task census matches its schedule.
 				for k := 0; k < in.Burst; k++ {
 					delay := time.Duration(k) * in.Interval
-					sched.Go("fault-storm-query", func(tt *vtime.Task) {
-						if delay > 0 {
-							tt.Sleep(delay)
-						}
+					submit := vtime.StepFunc(func(t *vtime.Task) {
 						st.StormSubmitted++
-						if err := s.StormQuery(tt); err != nil {
-							st.StormFailed++
+						var err error
+						s.StormQuery(t, &err, vtime.StepFunc(func(*vtime.Task) {
+							if err != nil {
+								st.StormFailed++
+							}
+						}))
+					})
+					sched.GoFunc("fault-storm-query", func(t *vtime.Task) {
+						if delay > 0 {
+							t.SleepThen(delay, submit)
+							return
 						}
+						submit(t)
 					})
 				}
 			})
 		case CrashRestart:
-			sched.Go("fault-crash", func(t *vtime.Task) {
-				t.Sleep(in.At)
+			after(sched, "fault-crash", in.At, func(t *vtime.Task) {
 				st.Injected++
 				st.Crashes++
 				s.Crash()
-				t.Sleep(in.Duration)
-				s.Restart()
-				st.DownTime += in.Duration
+				t.SleepThen(in.Duration, vtime.StepFunc(func(*vtime.Task) {
+					s.Restart()
+					st.DownTime += in.Duration
+				}))
 			})
 		}
 	}
 	return st
+}
+
+// after starts a task named name that runs f once it has slept d (a
+// non-positive d yields); f may arm the task's next step.
+func after(sched *vtime.Scheduler, name string, d time.Duration, f vtime.StepFunc) {
+	sched.GoFunc(name, func(t *vtime.Task) { t.SleepThen(d, f) })
 }
 
 // Random generates a valid plan inside the given horizon from rng — the

@@ -126,13 +126,14 @@ func (rs *recordingSurface) surface() Surface {
 		DropLeak: func() { rs.log("drop") },
 		Crash:    func() { rs.log("crash") },
 		Restart:  func() { rs.log("restart") },
-		StormQuery: func(t *vtime.Task) error {
+		StormQuery: func(t *vtime.Task, errp *error, k vtime.Step) {
 			rs.log("storm")
-			t.Sleep(time.Second)
-			if rs.sched.Now() > 12*time.Minute {
-				return errors.New("rejected")
-			}
-			return nil
+			t.SleepThen(time.Second, vtime.StepFunc(func(t *vtime.Task) {
+				if *errp = nil; rs.sched.Now() > 12*time.Minute {
+					*errp = errors.New("rejected")
+				}
+				k.Run(t)
+			}))
 		},
 	}
 }

@@ -35,7 +35,7 @@ func BenchmarkTicketUpdate(b *testing.B) {
 		c := chain()
 		inTask(b, func(tk *vtime.Task) {
 			ti := c.NewTicket()
-			if err := ti.Update(tk, 1*mem.MiB); err != nil { // past the small gate
+			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 1*mem.MiB, errp, k) }); err != nil { // past the small gate
 				b.Fatal(err)
 			}
 			usage, top := ti.Usage(), c.Info()[1].Threshold
@@ -44,7 +44,7 @@ func BenchmarkTicketUpdate(b *testing.B) {
 				if usage += step; usage > top {
 					usage = 1 * mem.MiB
 				}
-				if err := ti.Update(tk, usage); err != nil {
+				if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, usage, errp, k) }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -60,7 +60,7 @@ func BenchmarkTicketUpdate(b *testing.B) {
 			for b.Loop() {
 				ti := c.NewTicket()
 				for usage := int64(step); usage <= 5000*step; usage += step {
-					if err := ti.Update(tk, usage); err != nil {
+					if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, usage, errp, k) }); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,9 +3,9 @@
 // progressively lower limits on concurrent compilations.
 //
 // A compilation holds a Ticket. As the compilation's memory usage grows it
-// calls Ticket.Update with the new total; when the usage crosses a level's
-// threshold the ticket must acquire that level's semaphore before the
-// allocation may proceed. Gates are acquired strictly in order (a ticket
+// calls Ticket.UpdateThen with the new total; when the usage crosses a
+// level's threshold the ticket must acquire that level's semaphore before
+// the allocation may proceed. Gates are acquired strictly in order (a ticket
 // holding gate i holds all gates < i) and released in reverse order when
 // the ticket is closed. If a gate cannot be acquired within its timeout the
 // compilation is aborted with ErrTimeout — the paper's throttle-induced
@@ -264,6 +264,10 @@ type Ticket struct {
 	held  int // gates [0, held) are held
 	usage int64
 	waits time.Duration
+	// UpdateThen's wait: when it began, the outcome's slot, what runs next.
+	since time.Duration
+	errp  *error
+	k     vtime.Step
 }
 
 // NewTicket starts a compilation at zero usage holding no gates.
@@ -274,45 +278,64 @@ func (c *Chain) NewTicket() Ticket {
 // Held reports how many gates the ticket currently holds.
 func (t *Ticket) Held() int { return t.held }
 
-// Usage returns the last usage reported via Update.
+// Usage returns the last usage reported via UpdateThen.
 func (t *Ticket) Usage() int64 { return t.usage }
 
 // WaitTime returns the total time this ticket spent blocked at gates.
 func (t *Ticket) WaitTime() time.Duration { return t.waits }
 
-// Update informs the chain that the compilation's memory usage is now
-// usage bytes. If the usage crosses gate thresholds the calling task blocks
-// until each gate is acquired (in order). On timeout the ticket's gates are
-// released and an *ErrTimeout is returned; the compilation must abort.
-func (t *Ticket) Update(task *vtime.Task, usage int64) error {
-	t.usage = usage
-	for t.held < len(t.chain.levels) {
-		l := t.chain.levels[t.held]
-		if usage <= l.threshold {
-			return nil
+// UpdateThen informs the chain that the compilation's memory usage is now
+// usage bytes, then stores the outcome through errp and runs k. If the usage
+// crosses gate thresholds the task first waits for each gate in order. On
+// timeout the ticket's gates are released and the outcome is an *ErrTimeout;
+// the compilation must abort.
+func (t *Ticket) UpdateThen(task *vtime.Task, usage int64, errp *error, k vtime.Step) {
+	t.usage, t.errp, t.k = usage, errp, k
+	*errp = nil
+	(*climb)(t).next(task)
+}
+
+// climb is a ticket inside UpdateThen. next waits for the next gate its
+// usage crosses, or ends the update: once no gate is left, or one timed out.
+type climb Ticket
+
+func (c *climb) next(task *vtime.Task) {
+	if c.held < len(c.chain.levels) && *c.errp == nil {
+		if l := c.chain.levels[c.held]; c.usage > l.threshold {
+			c.since = task.Now()
+			l.sem.AcquireTimeoutThen(task, l.cfg.Timeout, c)
+			return
 		}
-		start := task.Now()
-		ok := l.sem.AcquireTimeout(task, l.cfg.Timeout)
-		waited := task.Now() - start
-		t.waits += waited
-		t.chain.waitTotal += waited
-		if !ok {
-			t.chain.timeouts++
-			t.chain.timeoutErr = ErrTimeout{Gate: l.cfg.Name, Wait: waited}
-			t.Close()
-			return &t.chain.timeoutErr
-		}
+	}
+	k := c.k
+	c.errp, c.k = nil, nil
+	k.Run(task)
+}
+
+// Run ends a wait for the next gate.
+func (c *climb) Run(task *vtime.Task) {
+	t := (*Ticket)(c)
+	l := t.chain.levels[t.held]
+	waited := task.Now() - t.since
+	t.waits += waited
+	t.chain.waitTotal += waited
+	if task.TimedOut() {
+		t.chain.timeouts++
+		t.chain.timeoutErr = ErrTimeout{Gate: l.cfg.Name, Wait: waited}
+		*t.errp = &t.chain.timeoutErr
+		t.Close()
+	} else {
 		t.chain.acquires++
 		t.held++
 		l.holders++
 		t.chain.recomputeThresholds()
 	}
-	return nil
+	c.next(task)
 }
 
-// Clears reports whether Update(usage) would return at once, acquiring no
-// gate: the ticket holds the whole chain or usage is at or below the next
-// gate's threshold. Then so would Update of any smaller usage, which lets a
+// Clears reports whether UpdateThen(usage) would complete at once, acquiring
+// no gate: the ticket holds the whole chain or usage is at or below the next
+// gate's threshold. Then so would an update to any smaller usage, which lets a
 // compilation report a run of growth by its last value alone.
 func (t *Ticket) Clears(usage int64) bool {
 	return t.held == len(t.chain.levels) || usage <= t.chain.levels[t.held].threshold

@@ -86,7 +86,7 @@ func TestBelowFirstThresholdNeverBlocks(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Go("diag", func(tk *vtime.Task) {
 			ti := c.NewTicket()
-			if err := ti.Update(tk, 99); err != nil {
+			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 99, errp, k) }); err != nil {
 				t.Error(err)
 			}
 			if ti.Held() != 0 {
@@ -114,7 +114,7 @@ func TestGateConcurrencyLimits(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Go("q", func(tk *vtime.Task) {
 			ti := c.NewTicket()
-			if err := ti.Update(tk, 500); err != nil { // crosses small only
+			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 500, errp, k) }); err != nil { // crosses small only
 				t.Error(err)
 				return
 			}
@@ -140,13 +140,13 @@ func TestGatesAcquiredInOrderAndReleasedReverse(t *testing.T) {
 	c := mustChain(t, testConfig())
 	s.Go("q", func(tk *vtime.Task) {
 		ti := c.NewTicket()
-		if err := ti.Update(tk, 150); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 150, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		if ti.Held() != 1 {
 			t.Errorf("held = %d after crossing small, want 1", ti.Held())
 		}
-		if err := ti.Update(tk, 50000); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 50000, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		if ti.Held() != 3 {
@@ -178,7 +178,7 @@ func TestTimeoutAbortsAndReleases(t *testing.T) {
 	var timeoutErr error
 	s.Go("hog", func(tk *vtime.Task) {
 		ti := c.NewTicket()
-		if err := ti.Update(tk, 50000); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 50000, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		tk.Sleep(time.Hour) // hold the big gate forever
@@ -188,7 +188,7 @@ func TestTimeoutAbortsAndReleases(t *testing.T) {
 		tk.Sleep(time.Millisecond)
 		ti := c.NewTicket()
 		start := tk.Now()
-		err := ti.Update(tk, 50000)
+		err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 50000, errp, k) })
 		timeoutErr = err
 		if ti.Held() != 0 {
 			t.Errorf("victim still holds %d gates after timeout", ti.Held())
@@ -218,14 +218,14 @@ func TestBlockedCompilationResumes(t *testing.T) {
 	var resumedAt time.Duration
 	s.Go("holder", func(tk *vtime.Task) {
 		ti := c.NewTicket()
-		_ = ti.Update(tk, 50000)
+		_ = tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 50000, errp, k) })
 		tk.Sleep(500 * time.Millisecond)
 		ti.Close()
 	})
 	s.Go("waiter", func(tk *vtime.Task) {
 		tk.Sleep(time.Millisecond)
 		ti := c.NewTicket()
-		if err := ti.Update(tk, 50000); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 50000, errp, k) }); err != nil {
 			t.Error(err)
 			return
 		}
@@ -253,7 +253,7 @@ func TestDynamicThresholds(t *testing.T) {
 	s := vtime.NewScheduler()
 	s.Go("q", func(tk *vtime.Task) {
 		ti := c.NewTicket()
-		_ = ti.Update(tk, 150) // now 1 holder at small
+		_ = tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 150, errp, k) }) // now 1 holder at small
 		c.SetTarget(10000)
 		if got := c.Info()[1].Threshold; got != 5000 {
 			t.Errorf("medium threshold = %d, want 5000 (= 10000*0.5/1)", got)
@@ -271,8 +271,8 @@ func TestDynamicThresholds(t *testing.T) {
 	s2 := vtime.NewScheduler()
 	s2.Go("pair", func(tk *vtime.Task) {
 		a, b := c.NewTicket(), c.NewTicket()
-		_ = a.Update(tk, 150)
-		_ = b.Update(tk, 150)
+		_ = tk.AwaitErr(func(errp *error, k vtime.Step) { a.UpdateThen(tk, 150, errp, k) })
+		_ = tk.AwaitErr(func(errp *error, k vtime.Step) { b.UpdateThen(tk, 150, errp, k) })
 		if got := c.Info()[1].Threshold; got != 2500 {
 			t.Errorf("medium threshold with 2 small = %d, want 2500", got)
 		}
@@ -309,7 +309,7 @@ func TestCloseIdempotent(t *testing.T) {
 	c := mustChain(t, testConfig())
 	s.Go("q", func(tk *vtime.Task) {
 		ti := c.NewTicket()
-		_ = ti.Update(tk, 5000)
+		_ = tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 5000, errp, k) })
 		ti.Close()
 		ti.Close()
 		ti.Close()
@@ -375,7 +375,7 @@ func TestQuickGatewayInvariants(t *testing.T) {
 				peak := int64(j.Peak % 100000)
 				// Grow in 3 steps to exercise incremental acquisition.
 				for step := int64(1); step <= 3; step++ {
-					if err := ti.Update(tk, peak*step/3); err != nil {
+					if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, peak*step/3, errp, k) }); err != nil {
 						return // timeout path still valid
 					}
 					check()
@@ -411,7 +411,7 @@ func TestTimeoutErrorRecycled(t *testing.T) {
 	c := mustChain(t, cfg)
 	s.Go("hog", func(tk *vtime.Task) {
 		ti := c.NewTicket()
-		if err := ti.Update(tk, 50000); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 50000, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		tk.Sleep(time.Hour)
@@ -422,7 +422,7 @@ func TestTimeoutErrorRecycled(t *testing.T) {
 		s.Go("victim", func(tk *vtime.Task) {
 			tk.Sleep(time.Millisecond)
 			ti := c.NewTicket()
-			if err := ti.Update(tk, 50000); err != nil {
+			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, 50000, errp, k) }); err != nil {
 				errs = append(errs, err)
 			}
 		})

@@ -37,12 +37,12 @@ func TestClearsIsKUpdates(t *testing.T) {
 						s.Go("q", func(tk *vtime.Task) {
 							for i := 0; i < neighbours; i++ {
 								neighbour := c.NewTicket()
-								_ = neighbour.Update(tk, 150)
+								_ = tk.AwaitErr(func(errp *error, k vtime.Step) { neighbour.UpdateThen(tk, 150, errp, k) })
 							}
 							c.SetTarget(target)
 							ti := c.NewTicket()
 							for ti.Held() < held {
-								if err := ti.Update(tk, c.Info()[ti.Held()].Threshold+1); err != nil {
+								if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, c.Info()[ti.Held()].Threshold+1, errp, k) }); err != nil {
 									t.Fatal(err)
 								}
 							}
@@ -57,7 +57,7 @@ func TestClearsIsKUpdates(t *testing.T) {
 							before := c.Acquires()
 							if fast {
 								if ok = ti.Clears(last); ok {
-									if err := ti.Update(tk, last); err != nil {
+									if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, last, errp, k) }); err != nil {
 										t.Fatal(err)
 									}
 								}
@@ -65,7 +65,7 @@ func TestClearsIsKUpdates(t *testing.T) {
 								return
 							}
 							for u := start; u <= last; u += unit {
-								if err := ti.Update(tk, u); err != nil {
+								if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, u, errp, k) }); err != nil {
 									t.Fatal(err)
 								}
 							}

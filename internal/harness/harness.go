@@ -301,8 +301,8 @@ func surfaceFor(srv *engine.Server, sub workload.Submitter, heavy func(*rand.Ran
 		DropLeak:     srv.DropBallast,
 		Crash:        srv.Crash,
 		Restart:      srv.Restart,
-		StormQuery: func(t *vtime.Task) error {
-			return t.AwaitErr(func(errp *error, k vtime.Step) { sub.SubmitThen(t, heavy(stormRNG), errp, k) })
+		StormQuery: func(t *vtime.Task, errp *error, k vtime.Step) {
+			sub.SubmitThen(t, heavy(stormRNG), errp, k)
 		},
 	}
 }

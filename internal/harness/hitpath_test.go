@@ -7,42 +7,44 @@ import (
 
 	"compilegate/internal/cluster"
 	"compilegate/internal/engine"
+	"compilegate/internal/fault"
 	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
 )
 
-// TestCoroutinesFollowCompilations pins what the hit path costs in
-// stacks: on a fleet run whose plans are cached after the first minute,
-// the coroutines created and the switches into them are bounded by the
-// compilations, not by the clients or the queries.
-func TestCoroutinesFollowCompilations(t *testing.T) {
+// TestRunsTakeNoCoroutines pins that a run takes no stack: on a fleet run
+// that compiles (its first minute) and then hits the plan cache, and on a
+// fault run whose storm queries, crash and leak are injected tasks, the
+// scheduler creates no coroutine and switches into none.
+func TestRunsTakeNoCoroutines(t *testing.T) {
 	const clients = 200
 	o := defaults(clients).WithWindow(10*time.Minute, 5*time.Minute).WithSlice(5 * time.Minute)
 	o.Workload = workload.SpecOLTP
 	o.Nodes = 2
 	o.Load = func(l *workload.LoadConfig) { l.ThinkTime = 5 * time.Second }
-	sched := vtime.NewScheduler()
-	r, err := o.RunOn(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var compiles uint64
-	for _, n := range r.NodeResults {
-		compiles += n.PlanCacheMisses
-	}
-	coros, switches := sched.Coroutines(), sched.CoroSwitches()
-	t.Logf("%d clients, %d queries, %d events: %d compilations, %d coroutines, %d switches",
-		clients, r.Load.Submitted, r.SimEvents, compiles, coros, switches)
-	if compiles == 0 || uint64(r.Load.Submitted) < 100*compiles {
-		t.Fatalf("%d compilations in %d queries: not a hit-path run", compiles, r.Load.Submitted)
-	}
-	if coros > compiles || coros >= clients {
-		t.Errorf("%d coroutines for %d compilations and %d clients", coros, compiles, clients)
-	}
-	// A point query's compilation parks a handful of times (its work
-	// batches); nothing else on the path may.
-	if switches > 4*compiles {
-		t.Errorf("%d switches into coroutines for %d compilations", switches, compiles)
+	f := defaults(10).WithWindow(20*time.Minute, 5*time.Minute).WithSlice(5 * time.Minute)
+	f.Fault = &fault.Plan{Injections: []fault.Injection{
+		{Kind: fault.CompileStorm, At: 8 * time.Minute, Burst: 6, Interval: time.Second},
+		{Kind: fault.MemLeak, At: 9 * time.Minute, Duration: 3 * time.Minute, RateBytes: 64 << 20, Release: true},
+		{Kind: fault.CrashRestart, At: 12 * time.Minute, Duration: time.Minute},
+		{Kind: fault.DiskStall, At: 14 * time.Minute, Duration: time.Minute, Factor: 4},
+	}}
+	for _, s := range []Scenario{o, f} {
+		sched := vtime.NewScheduler()
+		r, err := s.RunOn(sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiles := r.Work.Compilations
+		coros, switches := sched.Coroutines(), sched.CoroSwitches()
+		t.Logf("%d clients, %d queries, %d events, %d compilations: %d coroutines, %d switches",
+			s.Clients, r.Load.Submitted, r.SimEvents, compiles, coros, switches)
+		if compiles == 0 {
+			t.Fatalf("%d queries compiled nothing", r.Load.Submitted)
+		}
+		if coros != 0 || switches != 0 {
+			t.Errorf("%d coroutines created, %d switches into them, want none", coros, switches)
+		}
 	}
 }
 

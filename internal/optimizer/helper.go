@@ -13,7 +13,7 @@ import (
 // runs players ask it to, on a core the simulations leave idle, and then
 // solves their DP at final. Tape and DP are pure functions of the statement,
 // so who computed them cannot be observed, and the player still makes every
-// hook call. EXPERIMENTS.md ("Measured and left out") has the measurements.
+// demand. EXPERIMENTS.md ("Measured and left out") has the measurements.
 const (
 	// lookahead is how many work batches past the mark its player needs next
 	// the helper keeps a run's tape.

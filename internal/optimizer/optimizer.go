@@ -7,10 +7,10 @@
 // depends on:
 //
 //   - memory grows with the number of alternatives considered (every memo
-//     structure is charged to the engine, which wires the Charge hook to the
-//     governor's Compilation.Alloc — where gateway blocking happens — and
-//     the optional ChargeSpan hook to AllocSpan, which takes a work batch's
-//     worth of structures at once when none of them would block there);
+//     structure is charged to the engine, which meets a Charge demand with
+//     the governor's Compilation.AllocThen — where gateway waits happen —
+//     and answers ChargeSpan with AllocSpan, which takes a work batch's
+//     worth of structures at once when none of them would wait there);
 //   - optimization time is a function of estimated query cost (dynamic
 //     optimization), so expensive 15-20-join queries compile for tens of
 //     virtual seconds while OLTP queries finish instantly;
@@ -18,22 +18,25 @@
 //     immediately, so the best-effort path (§4.1) can always return
 //     something once the broker predicts exhaustion.
 //
-// Exploration is a pure function of the statement; the hooks only decide
-// where it is cut. So it is split in two. The kernel (run.advance) grows
-// the memo hook-free and appends what it did to a tape; the player
-// (Exploration.Optimize) walks the tape and is the only code that calls
-// the hooks, counts tasks and decides to stop. A compilation that is cut
-// leaves its exploration behind, and a resubmission of the statement plays
-// the same tape again instead of re-exploring. Between two Work/BestEffort
-// calls the player may pass structures uncharged and settle the span in one
-// ChargeSpan call; when the engine refuses — some structure in it would
-// block, reclaim or fail — it goes back to the span's start and charges them
-// one by one, so what the engine sees is the same either way. Such a player
-// does not look at the structures of a whole work batch at all: the kernel
-// marks where every batch ends, and the player moves from mark to mark.
-// The kernel has a second caller, a helper goroutine that runs it ahead of the
-// players on a core the simulations leave idle, and solves extraction's DP
-// where a compilation that is not cut will stop (helper.go).
+// Exploration is a pure function of the statement; the engine's answers only
+// decide where it is cut. So it is split in two. The kernel (run.advance)
+// grows the memo and appends what it did to a tape; the player
+// (Exploration.Resume) walks the tape, counts tasks, decides to stop, and is
+// the only code that asks the engine anything. It asks by returning a demand
+// — a charge, a work batch, a codegen — and is resumed with the answer, so
+// an engine meets a demand that waits with a continuation and no compilation
+// needs a stack of its own. A compilation that is cut leaves its exploration
+// behind, and a resubmission of the statement plays the same tape again
+// instead of re-exploring. Between two work batches the player may pass
+// structures uncharged and settle the span in one ChargeSpan call; when the
+// engine refuses — some structure in it would block, reclaim or fail — it
+// goes back to the span's start and demands their charges one by one, so what
+// the engine sees is the same either way. Such a player does not look at the
+// structures of a whole work batch at all: the kernel marks where every batch
+// ends, and the player moves from mark to mark. The kernel has a second
+// caller, a helper goroutine that runs it ahead of the players on a core the
+// simulations leave idle, and solves extraction's DP where a compilation that
+// is not cut will stop (helper.go).
 //
 // Exploration is also purely structural. The memo holds sets and
 // neighbourhoods; what a set of tables is estimated to produce is read only
@@ -55,34 +58,36 @@ import (
 	"compilegate/internal/stats"
 )
 
-// Hooks connect one optimization run to the engine.
+// Hooks meet one compilation's demands for Optimize, the synchronous driver
+// of Begin and Resume: a Charge demand calls Charge, and so on. An engine
+// whose answers wait meets the demands itself instead (see Asks).
 type Hooks struct {
 	// Charge charges n simulated bytes of compilation memory — one memo
-	// structure: Config.Memo's bytes for an expression or for a group; may
-	// block at gateways and may fail (OOM / gateway timeout), which aborts
-	// the compilation. Without a ChargeSpan hook it is called for every
-	// structure; with one, for the structures of the spans that hook
-	// refused.
+	// structure: Config.Memo's bytes for an expression or for a group; an
+	// error (OOM / gateway timeout) aborts the compilation. Without a
+	// ChargeSpan hook it is called for every structure; with one, for the
+	// structures of the spans that hook refused.
 	Charge func(n int64) error
 	// Work reports n units of optimizer work so the engine can consume
 	// virtual CPU time. May be nil.
 	Work func(tasks int)
-	// BestEffort, polled periodically, asks whether to stop exploring and
-	// return the best complete plan so far. May be nil.
+	// BestEffort, polled after every work batch, asks whether to stop
+	// exploring and return the best complete plan so far. May be nil. It
+	// must answer at once.
 	BestEffort func() bool
 	// ChargeSpan, when set beside Charge, lets a compilation settle its memo
-	// growth once per span — the structures it passed since the last call of
-	// any hook — instead of once per structure. It charges exprs expressions
+	// growth once per span — the structures it passed since the last demand
+	// or call — instead of once per structure. It charges exprs expressions
 	// and groups groups (Config.Memo's bytes each) and reports true iff a
 	// Charge call for each of them, in any order, would have returned nil at
-	// once: without blocking and without anything but the sum of their
+	// once: without waiting and without anything but the sum of their
 	// charges changing on the engine's side. Otherwise it must change
-	// nothing and report false; the compilation then makes those Charge
-	// calls one by one, in the tape's order, as if it had never asked.
+	// nothing and report false; the compilation then demands those charges
+	// one by one, in the tape's order, as if it had never asked.
 	ChargeSpan func(exprs, groups int) bool
 	// Codegen, when set, is the compilation's last phase before its plan is
-	// built: it is called once, after the last Work call, with the bytes of
-	// the memo prefix explored, by a compilation that neither failed a charge
+	// built: it is called once, after the last Work, with the bytes of the
+	// memo prefix explored, by a compilation that neither failed a charge
 	// nor was cut by best effort. An error fails the compilation as a failed
 	// charge does, and no plan is extracted.
 	Codegen func(memoBytes int64) error
@@ -353,17 +358,18 @@ func (o *Optimizer) open(q *plan.Query) (*run, error) {
 
 // Exploration is the recorded exploration of one statement. Any number of
 // compilations may be played on it, one at a time: each starts from the
-// beginning of the tape, calls its own hooks in the order and with the
+// beginning of the tape, makes its demands in the order and with the
 // answers honoured exactly as a compilation on a fresh exploration would,
-// and explores live only past what earlier ones recorded. The zero value
-// is released.
+// and explores live only past what earlier ones recorded. The compilation
+// under way lives in it. The zero value is released.
 type Exploration struct {
 	o *Optimizer
 	q *plan.Query
 	r *run // nil until the first compilation
+	p player
 }
 
-// Explore returns q's exploration, not yet started: the first Optimize
+// Explore returns q's exploration, not yet started: the first Begin
 // validates and binds q. q must stay unmodified until Release.
 func (o *Optimizer) Explore(q *plan.Query) Exploration {
 	return Exploration{o: o, q: q}
@@ -386,25 +392,84 @@ func (o *Optimizer) Optimize(q *plan.Query, hooks Hooks) (*plan.Plan, error) {
 	return x.Optimize(hooks)
 }
 
+// Optimize plays one compilation, meeting each demand with the hook of its
+// name (a Work demand with no Work hook, at once).
+func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
+	if err := x.Begin(Asks{hooks.Charge != nil, hooks.Codegen != nil, hooks.ChargeSpan, hooks.BestEffort}); err != nil {
+		return nil, err
+	}
+	var err error
+	for {
+		switch d := x.Resume(err); d.Kind {
+		case ChargeDemand:
+			err = hooks.Charge(d.N)
+		case WorkDemand:
+			if hooks.Work != nil {
+				hooks.Work(int(d.N))
+			}
+		case CodegenDemand:
+			err = hooks.Codegen(d.N)
+		default:
+			return d.Plan, d.Err
+		}
+	}
+}
+
+// Asks is what a compilation asks of its engine besides work: Charge
+// demands, a Codegen demand, and the answers that never wait, as callbacks
+// (Hooks.ChargeSpan, asked only beside charges, and Hooks.BestEffort).
+type Asks struct {
+	Charges, Codegen bool
+	ChargeSpan       func(exprs, groups int) bool
+	BestEffort       func() bool
+}
+
+// Demand is what a compilation needs before it can go on — met as the hook
+// of its name — or, Done, its plan or the error that failed it.
+type Demand struct {
+	Kind DemandKind
+	N    int64 // a Charge's or a Codegen's bytes, a Work's tasks
+	Plan *plan.Plan
+	Err  error
+}
+
+// DemandKind names a demand.
+type DemandKind uint8
+
+const (
+	Done DemandKind = iota
+	ChargeDemand
+	WorkDemand
+	CodegenDemand
+)
+
 // cursor is a compilation's position: on the tape — which is also a memo
 // prefix, the groups and expressions it has passed — and in its task count.
 type cursor struct {
 	pos           int // tape cursor
 	groups, exprs int // memo prefix shown so far
 	tasks         int // steps taken
-	worked        int // of them, reported through Work
+	worked        int // of them, reported by a Work demand
 }
 
 func (c *cursor) at() batchMark { return batchMark{int32(c.pos), int32(c.groups), int32(c.exprs)} }
 
-// player is one compilation's share of the state: its hooks, its budget
-// and its cursor. With a ChargeSpan hook it defers: structures are passed
-// uncharged and the span since mark is settled in one call before the next
-// hook call. A refused span puts the cursor back on mark and is played again
-// with a Charge per structure, up to the next work-batch boundary. A
-// deferred span that is a whole work batch is not walked at all (see jump).
+// The phases of a compilation between two demands.
+const (
+	playing    uint8 = iota // walking the tape; a Charge may be out
+	working                 // a work batch's Work is out
+	ending                  // exploration stopped; its last Work may be out
+	generating              // the Codegen is out
+)
+
+// player is one compilation's share of the state: what it asks, its budget,
+// its cursor and its phase. Deferring, it passes structures uncharged and
+// settles the span since mark in one ChargeSpan call at the next boundary. A
+// refused span puts the cursor back on mark and is played again with a
+// Charge demand per structure, up to the next work-batch boundary. A deferred
+// span that is a whole work batch is not walked at all (see jump).
 type player struct {
-	hooks  Hooks
+	asks   Asks
 	r      *run
 	held   bool // the player holds r.mu
 	limit  int  // marks the kernel helper may be asked for: 0 without a spare core
@@ -413,52 +478,158 @@ type player struct {
 	mark       cursor // deferring: where the unsettled span began
 	deferring  bool
 	budget     int  // tasks it may take
-	batch      int  // tasks between Work/BestEffort calls
+	batch      int  // tasks between Work demands
 	next       int  // the task count that ends the batch or the budget, whichever is first
 	bestEffort bool // best-effort fired
+	phase      uint8
+	seg        uint16 // the segment read last, until it is passed (no segment is 0)
+	owed       int    // of its structures' Charge demands, those still to make
+	err        error  // ending: the failed charge that stopped exploration
 }
 
-// step accounts one unit of optimizer work. It returns false when
-// exploration must stop (budget exhausted or best-effort requested). It is
-// small enough to inline into the player's loop.
-func (p *player) step() bool {
-	p.tasks++
-	return p.tasks < p.next || p.boundary()
+// Begin starts a compilation on x. The first one binds the statement: an
+// error there is a query error, and no compilation begins.
+func (x *Exploration) Begin(a Asks) error {
+	o := x.o
+	if x.r == nil {
+		r, err := o.open(x.q)
+		if err != nil {
+			return err
+		}
+		x.r = r
+	}
+	o.work.compilations.Add(1)
+	x.p = player{asks: a, r: x.r, budget: x.r.budget, batch: o.cfg.WorkBatch}
+	p := &x.p
+	p.startSpan()
+	if p.deferring && spareCore() {
+		p.limit = p.budget / p.batch // the last mark the budget lets it jump to
+		x.r.request(0, p.limit)
+	}
+	return nil
+}
+
+// Resume plays the compilation to its next demand, given the answer to the
+// last one (nil after Begin and Work). It passes over the tape from the
+// start, demanding a charge for every group and expression — one by one, or
+// a span at a time when ChargeSpan allows — and taking every step, and runs
+// the kernel only when it needs tape that is not there yet. It walks segment
+// by segment, except that a span it can settle in one call and that is a
+// whole work batch is passed in one move to the kernel's mark, whose
+// boundary then either settles it or sends the player back to walk it. It
+// stops at a failed charge, at the first step that exhausts the budget or
+// has best-effort answer true, or at the end of the search space — always a
+// prefix of the statement's one tape. One that neither failed nor was cut
+// then demands its Codegen, if asked to. Unless that failed too, it extracts
+// the plan from the memo prefix at its cursor, so a kernel that ran ahead,
+// or a tape left by a longer earlier attempt, changes nothing; nor does a DP
+// the helper solved there first. Resume lets the run go before it returns
+// or calls back, so nothing the engine does can hold up the helper or a
+// Release.
+func (x *Exploration) Resume(err error) Demand {
+	p := &x.p
+	defer p.drop() // a panic must not leave the run held: Release takes it
+	switch p.phase {
+	case working:
+		p.phase, p.worked = playing, p.tasks
+		p.bestEffort = p.asks.BestEffort != nil && p.asks.BestEffort()
+		p.startSpan()
+		if p.bestEffort || p.tasks >= p.budget {
+			return p.stop(nil)
+		}
+	case ending:
+		return p.stop(nil)
+	case generating:
+		return p.finish(err)
+	default:
+		if err != nil {
+			return p.stop(err)
+		}
+	}
+	return p.play()
+}
+
+// play walks the tape up to the next demand.
+func (p *player) play() Demand {
+	r, memo := p.r, &p.r.o.cfg.Memo
+	for {
+		if p.owed > 0 {
+			n := memo.BytesPerExpr
+			if p.owed == 2 && p.seg&segGroup != 0 {
+				n = memo.BytesPerGroup // a new group, then its first expression
+			}
+			p.owed--
+			return Demand{Kind: ChargeDemand, N: n}
+		}
+		if seg := p.seg; seg != 0 {
+			p.seg = 0
+			group := int(seg>>13) & 1 // segGroup's bit
+			p.exprs += int(seg&segExprs) + group
+			p.groups += group
+			if seg&segStep != 0 {
+				if p.tasks++; p.tasks >= p.next {
+					if d, more := p.boundary(); !more {
+						return d
+					}
+				}
+			}
+			continue
+		}
+		if p.deferring && p.pos == p.mark.pos && p.jump() {
+			if d, more := p.boundary(); !more { // the batch's last step
+				return d
+			}
+			continue
+		}
+		p.hold()
+		if p.pos == len(r.tape) {
+			if p.inline++; !r.advance() {
+				p.drop()
+				if p.settle() {
+					return p.stop(nil) // the end of the search space
+				}
+				continue // the last span was refused: play it again from mark
+			}
+		}
+		p.seg = r.tape[p.pos]
+		p.pos++
+		if p.asks.Charges && !p.deferring {
+			p.owed = int(p.seg&segExprs) + int(p.seg>>13&1)*2 // a group costs two
+		}
+	}
 }
 
 // boundary is the step that ends a work batch, the budget, or both. The
 // span is settled first; a refusal undoes the step with the rest of the
-// span, and exploration goes on from mark. At the end of a batch it fires
-// the Work callback and polls BestEffort. Whatever comes next starts a new
-// span. Hooks are called with the run let go — Work parks the compilation,
-// perhaps for good — and after the helper was asked for the batches ahead.
-func (p *player) boundary() bool {
+// span, and exploration goes on from mark. At the end of a batch it demands
+// the batch's Work; once that is met, Resume polls BestEffort. Whatever
+// comes next starts a new span. It lets the run go first, and asks the
+// helper for the batches ahead. It reports whether play goes on, or else the
+// demand to return.
+func (p *player) boundary() (Demand, bool) {
 	if p.bestEffort {
 		panic("optimizer: a compilation went on after its best-effort stop")
 	}
 	p.drop()
 	p.r.request(p.tasks/p.batch, p.limit)
 	if !p.settle() {
-		return true
+		return Demand{}, true
 	}
-	stop := false
 	if n := p.tasks - p.worked; n >= p.batch {
-		if p.hooks.Work != nil {
-			p.hooks.Work(n)
-		}
-		p.worked = p.tasks
-		if p.hooks.BestEffort != nil && p.hooks.BestEffort() {
-			p.bestEffort, stop = true, true
-		}
+		p.phase = working
+		return Demand{Kind: WorkDemand, N: int64(n)}, false
 	}
 	p.startSpan()
-	return !stop && p.tasks < p.budget
+	if p.tasks < p.budget {
+		return Demand{}, true
+	}
+	return p.stop(nil), false
 }
 
 // startSpan marks the cursor as the start of a span, deferred when the
-// hooks allow.
+// compilation asks for charges and settles spans.
 func (p *player) startSpan() {
-	p.mark, p.deferring = p.cursor, p.hooks.ChargeSpan != nil && p.hooks.Charge != nil
+	p.mark, p.deferring = p.cursor, p.asks.ChargeSpan != nil && p.asks.Charges
 	p.next = min(p.worked+p.batch, p.budget)
 }
 
@@ -475,13 +646,62 @@ func (p *player) settle() bool {
 	if exprs == 0 {
 		return true
 	}
-	if p.hooks.ChargeSpan(exprs, groups) {
+	if p.asks.ChargeSpan(exprs, groups) {
 		p.r.o.work.settled.Add(1)
 		return true
 	}
 	p.r.o.work.refused.Add(1)
 	p.cursor, p.deferring = p.mark, false
 	return false
+}
+
+// stop ends exploration, failed by err or not. It demands the Work done
+// since the last, if any; then (called again once that is met) the Codegen
+// of a compilation that asks for one and neither failed nor was cut — the
+// helper may go on solving the DP at final meanwhile; then it finishes.
+func (p *player) stop(err error) Demand {
+	o := p.r.o
+	if p.phase != ending {
+		p.drop()
+		counts.inlineSteps.Add(uint64(p.inline))
+		o.work.steps.Add(uint64(p.tasks))
+		if p.tasks > p.budget {
+			panic("optimizer: a compilation took more tasks than its budget")
+		}
+		p.phase, p.err, p.owed = ending, err, 0
+		if n := p.tasks - p.worked; n > 0 {
+			return Demand{Kind: WorkDemand, N: int64(n)}
+		}
+	}
+	if p.err != nil || p.bestEffort || !p.asks.Codegen {
+		return p.finish(p.err)
+	}
+	p.phase = generating
+	return Demand{Kind: CodegenDemand, N: o.cfg.Memo.Bytes(p.groups, p.exprs)}
+}
+
+// finish ends the compilation: with err, or with the plan extracted at its
+// cursor.
+func (p *player) finish(err error) Demand {
+	r, o := p.r, p.r.o
+	p.phase = playing
+	p.hold()
+	r.target.Store(0) // the helper has nothing left to do for this compilation
+	if err != nil {
+		r.unsolve() // a retained exploration holds no DP tables
+		return Demand{Err: err}
+	}
+	if !p.bestEffort && p.at() != r.final {
+		panic("optimizer: a compilation that was not cut stopped short of the statement's final cursor")
+	}
+	out := r.extract(p.at())
+	out.BestEffort = p.bestEffort
+	out.ExprsExplored = p.exprs
+	out.CompileBytes = o.cfg.Memo.Bytes(p.groups, p.exprs)
+	o.work.extractions.Add(1)
+	o.work.groups.Add(uint64(p.groups))
+	o.work.exprs.Add(uint64(p.exprs))
+	return Demand{Plan: out}
 }
 
 // hold takes the run for the player, to read its tape or memo or to advance
@@ -530,122 +750,6 @@ func (p *player) jump() bool {
 	p.pos, p.groups, p.exprs = int(m.pos), int(m.groups), int(m.exprs)
 	p.tasks = p.worked + p.batch
 	return true
-}
-
-// Optimize plays one compilation: it passes over the tape from the start,
-// charging for every group and expression — one by one, or a span at a
-// time when hooks.ChargeSpan allows — and taking every step, and runs the
-// kernel only when it needs tape that is not there yet. It walks segment
-// by segment, except that a span it can settle in one call and that is a
-// whole work batch is passed in one move to the kernel's mark, whose
-// boundary then either settles it or sends the player back to walk it.
-// It stops at a failed charge, at the first step that exhausts the budget
-// or has best-effort answer true, or at the end of the search space — always
-// a prefix of the statement's one tape. One that neither failed nor was cut
-// then calls the Codegen hook. Unless that failed too, it extracts the plan
-// from the memo prefix at its cursor, so a kernel that ran ahead, or a tape
-// left by a longer earlier attempt, changes nothing; nor does a DP the helper
-// solved there first, the same pure function of that prefix. A compilation
-// that fails builds no plan. Errors are query errors (validation, on the
-// first compilation only) or come from the Charge or Codegen hook.
-func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
-	o := x.o
-	if x.r == nil {
-		r, err := o.open(x.q)
-		if err != nil {
-			return nil, err
-		}
-		x.r = r
-	}
-	r := x.r
-	cfg := &o.cfg
-	o.work.compilations.Add(1)
-	p := player{hooks: hooks, r: r, budget: r.budget, batch: cfg.WorkBatch}
-	defer p.drop() // a panic must not leave the run held: Release takes it
-	p.startSpan()
-	if p.deferring && spareCore() {
-		p.limit = p.budget / p.batch // the last mark the budget lets it jump to
-		r.request(0, p.limit)
-	}
-	var err error
-	charge := hooks.Charge
-play:
-	for {
-		if p.deferring && p.pos == p.mark.pos && p.jump() {
-			// The batch's last step, as step takes it.
-			if !p.boundary() {
-				break
-			}
-			continue
-		}
-		p.hold()
-		if p.pos == len(r.tape) {
-			if p.inline++; !r.advance() {
-				p.drop()
-				if p.settle() {
-					break // the end of the search space
-				}
-				continue // the last span was refused: play it again from mark
-			}
-		}
-		seg := r.tape[p.pos]
-		p.pos++
-		n, group := int(seg&segExprs), 0
-		if seg&segGroup != 0 {
-			group = 1
-		}
-		if charge != nil && !p.deferring && n+group > 0 {
-			p.drop() // a charge may park the compilation
-			for i := 0; i < n; i++ {
-				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
-					break play
-				}
-			}
-			if group != 0 {
-				if err = charge(cfg.Memo.BytesPerGroup); err != nil {
-					break play
-				}
-				if err = charge(cfg.Memo.BytesPerExpr); err != nil {
-					break play
-				}
-			}
-		}
-		p.exprs += n + group
-		p.groups += group
-		if seg&segStep != 0 && !p.step() {
-			break
-		}
-	}
-	p.drop()
-	counts.inlineSteps.Add(uint64(p.inline))
-	o.work.steps.Add(uint64(p.tasks))
-	if p.tasks > p.budget {
-		panic("optimizer: a compilation took more tasks than its budget")
-	}
-	if n := p.tasks - p.worked; hooks.Work != nil && n > 0 {
-		hooks.Work(n)
-	}
-	if err == nil && !p.bestEffort && hooks.Codegen != nil {
-		// The helper may go on solving the DP at final meanwhile.
-		err = hooks.Codegen(cfg.Memo.Bytes(p.groups, p.exprs))
-	}
-	p.hold()
-	r.target.Store(0) // the helper has nothing left to do for this compilation
-	if err != nil {
-		r.unsolve() // a retained exploration holds no DP tables
-		return nil, err
-	}
-	if !p.bestEffort && p.at() != r.final {
-		panic("optimizer: a compilation that was not cut stopped short of the statement's final cursor")
-	}
-	out := r.extract(p.at())
-	out.BestEffort = p.bestEffort
-	out.ExprsExplored = p.exprs
-	out.CompileBytes = cfg.Memo.Bytes(p.groups, p.exprs)
-	o.work.extractions.Add(1)
-	o.work.groups.Add(uint64(p.groups))
-	o.work.exprs.Add(uint64(p.exprs))
-	return out, nil
 }
 
 func (o *Optimizer) effortBudget(cost float64) int {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"compilegate/internal/vtime"
 )
 
 // update re-records testdata/golden.txt and testdata/work.txt. Run
@@ -62,7 +64,10 @@ const (
 // pins every scenario's Result.Work in testdata/work.txt, the work ledger:
 // a change that makes the simulator do more or less on the host, with
 // nothing simulated moving, re-records that file alone, and shows it in a
-// diff.
+// diff. The sweep is RunSweep's, so that it can also pin that no run takes a
+// stack: every scenario's scheduler must end it with no coroutine created
+// and none switched into — compilations, clients, routers and fault
+// injectors all run as continuation steps.
 func TestRegistryGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
@@ -72,9 +77,23 @@ func TestRegistryGoldenDigests(t *testing.T) {
 	for i, s := range all {
 		scenarios[i] = goldenWindow(s)
 	}
-	results := RunSweep(scenarios, 0)
+	results := make([]SweepResult, len(scenarios))
+	stacks := make([][2]uint64, len(scenarios))
+	sh := vtime.NewShards(0)
+	defer sh.Close()
+	sh.Run(len(scenarios), func(i int, sched *vtime.Scheduler) (time.Duration, error) {
+		r, err := scenarios[i].RunOn(sched)
+		results[i] = SweepResult{Scenario: scenarios[i], Result: r, Err: err}
+		stacks[i] = [2]uint64{sched.Coroutines(), sched.CoroSwitches()}
+		return sched.Now(), err
+	})
 	checkLines(t, goldenPath, results, digest)
 	checkLines(t, workPath, results, workLine)
+	for i, c := range stacks {
+		if c != [2]uint64{} {
+			t.Errorf("%s: %d coroutines created, %d switches into them, want none", scenarios[i].Name, c[0], c[1])
+		}
+	}
 }
 
 // checkLines compares one line per scenario, "name: line(result)", with the

@@ -48,7 +48,7 @@ func TestContinuationWaitSignal(t *testing.T) {
 		q.WaitThen(tk, StepFunc(func(tk *Task) { order = append(order, "c1") }))
 	})
 	s.Go("g1", func(tk *Task) {
-		q.Wait(tk)
+		tk.Await(func(k Step) { q.WaitThen(tk, k) })
 		order = append(order, "g1")
 	})
 	s.GoFunc("c2", func(tk *Task) {
@@ -116,7 +116,7 @@ func TestContinuationDeadlockReport(t *testing.T) {
 		q.WaitThen(tk, StepFunc(func(tk *Task) {}))
 	})
 	s.Go("goro-waiter", func(tk *Task) {
-		q.Wait(tk)
+		tk.Await(func(k Step) { q.WaitThen(tk, k) })
 	})
 	err := s.Run()
 	dl, ok := err.(*ErrDeadlock)
@@ -217,7 +217,7 @@ func TestSemaphoreAcquireThen(t *testing.T) {
 }
 
 // TestCPUSetUseThen checks that the continuation CPU op charges the same
-// virtual time as the blocking wrapper and respects quantum contention.
+// virtual time as an Await of it and respects quantum contention.
 func TestCPUSetUseThen(t *testing.T) {
 	s := NewScheduler()
 	c := NewCPUSet(1, 100*time.Millisecond)
@@ -228,7 +228,7 @@ func TestCPUSetUseThen(t *testing.T) {
 		}))
 	})
 	s.Go("goro", func(tk *Task) {
-		c.Use(tk, 250*time.Millisecond)
+		tk.Await(func(k Step) { c.UseThen(tk, 250*time.Millisecond, k) })
 		goroDone = tk.Now()
 	})
 	if err := s.Run(); err != nil {

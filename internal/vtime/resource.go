@@ -60,15 +60,6 @@ func (m *Semaphore) TryAcquire() bool {
 	return false
 }
 
-// Acquire blocks task t until a slot is available.
-func (m *Semaphore) Acquire(t *Task) {
-	if m.TryAcquire() {
-		return
-	}
-	m.q.Wait(t)
-	// Slot was transferred by Release/SetCap before the wakeup.
-}
-
 // AcquireThen acquires a slot, running k once it is held. The slot may
 // be taken synchronously (k runs inline) or handed over by a Release.
 func (m *Semaphore) AcquireThen(t *Task, k Step) {
@@ -77,15 +68,6 @@ func (m *Semaphore) AcquireThen(t *Task, k Step) {
 		return
 	}
 	m.q.WaitThen(t, k)
-}
-
-// AcquireTimeout blocks for at most d and reports whether the slot was
-// acquired.
-func (m *Semaphore) AcquireTimeout(t *Task, d time.Duration) bool {
-	if m.TryAcquire() {
-		return true
-	}
-	return m.q.WaitTimeout(t, d)
 }
 
 // AcquireTimeoutThen acquires a slot or gives up after d, then runs k;
@@ -153,7 +135,7 @@ func (c *CPUSet) SetDilation(fn func() float64) { c.dilation = fn }
 // StallTime returns the aggregate extra occupancy charged by dilation.
 func (c *CPUSet) StallTime() time.Duration { return c.stall }
 
-// cpuUseOp is the continuation state machine behind Use/UseThen: claim a
+// cpuUseOp is the continuation state machine behind UseThen: claim a
 // processor, run one quantum, release, repeat.
 type cpuUseOp struct {
 	c      *CPUSet
@@ -227,13 +209,4 @@ func (c *CPUSet) UseThen(t *Task, d time.Duration, k Step) {
 	}
 	op.remain, op.k, op.state = d, k, cpuClaim
 	op.Run(t)
-}
-
-// Use consumes d of CPU time on behalf of t, competing with other tasks
-// for the processors.
-func (c *CPUSet) Use(t *Task, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t.Await(func(k Step) { c.UseThen(t, d, k) })
 }

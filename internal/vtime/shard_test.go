@@ -94,7 +94,7 @@ func TestShardsErrorAndPoisonedScheduler(t *testing.T) {
 	ledger := sh.Run(2, func(i int, sched *Scheduler) (time.Duration, error) {
 		if i == 0 {
 			q := NewWaitQueue("never")
-			sched.Go("stuck", func(tk *Task) { q.Wait(tk) })
+			sched.Go("stuck", func(tk *Task) { tk.Await(func(k Step) { q.WaitThen(tk, k) }) })
 			if err := sched.Run(); err == nil {
 				return 0, errors.New("expected deadlock")
 			}
@@ -164,7 +164,7 @@ func TestIdleAndReset(t *testing.T) {
 func TestResetPanicsOnNonIdle(t *testing.T) {
 	s := NewScheduler()
 	q := NewWaitQueue("never")
-	s.Go("stuck", func(tk *Task) { q.Wait(tk) })
+	s.Go("stuck", func(tk *Task) { tk.Await(func(k Step) { q.WaitThen(tk, k) }) })
 	if err := s.Run(); err == nil {
 		t.Fatal("expected deadlock")
 	}
@@ -179,8 +179,8 @@ func TestResetPanicsOnNonIdle(t *testing.T) {
 func TestDeadlockErrorNamesBlockedTasks(t *testing.T) {
 	s := NewScheduler()
 	q := NewWaitQueue("gate")
-	s.Go("alice", func(tk *Task) { q.Wait(tk) })
-	s.Go("bob", func(tk *Task) { q.Wait(tk) })
+	s.Go("alice", func(tk *Task) { tk.Await(func(k Step) { q.WaitThen(tk, k) }) })
+	s.Go("bob", func(tk *Task) { tk.Await(func(k Step) { q.WaitThen(tk, k) }) })
 	err := s.Run()
 	var dl *ErrDeadlock
 	if !errors.As(err, &dl) {
@@ -202,7 +202,7 @@ func TestSemaphoreAccessorsAndTimeouts(t *testing.T) {
 	}
 	var holderTimedOut, waiterAcquired, thenAcquired, thenTimedOut bool
 	s.Go("holder", func(tk *Task) {
-		if !m.AcquireTimeout(tk, time.Second) {
+		if tk.Await(func(k Step) { m.AcquireTimeoutThen(tk, time.Second, k) }); tk.TimedOut() {
 			holderTimedOut = true
 			return
 		}
@@ -212,7 +212,8 @@ func TestSemaphoreAccessorsAndTimeouts(t *testing.T) {
 	s.Go("waiter", func(tk *Task) {
 		// Queued behind holder; the slot is handed over at t=3s, inside
 		// the 5 s timeout.
-		waiterAcquired = m.AcquireTimeout(tk, 5*time.Second)
+		tk.Await(func(k Step) { m.AcquireTimeoutThen(tk, 5*time.Second, k) })
+		waiterAcquired = !tk.TimedOut()
 		if waiterAcquired {
 			m.Release()
 		}
@@ -259,7 +260,7 @@ func TestSemaphoreSetCapWakesWaiters(t *testing.T) {
 	var acquired int
 	for i := 0; i < 2; i++ {
 		s.Go(fmt.Sprintf("w%d", i), func(tk *Task) {
-			m.Acquire(tk)
+			tk.Await(func(k Step) { m.AcquireThen(tk, k) })
 			acquired++
 		})
 	}
@@ -293,7 +294,7 @@ func TestCPUSetDilationAndAccessors(t *testing.T) {
 	}
 	c.SetDilation(func() float64 { return 2 })
 	s.Go("worker", func(tk *Task) {
-		c.Use(tk, 100*time.Millisecond)
+		tk.Await(func(k Step) { c.UseThen(tk, 100*time.Millisecond, k) })
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

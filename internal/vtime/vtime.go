@@ -22,36 +22,27 @@
 // bit-identical to the heap scheduler (pinned by the scenario
 // golden-digest test and the wheel-vs-heap differential test).
 //
-// There are three ways to run code under a Scheduler, and they share one
-// run queue and one timer wheel:
+// Code runs under a Scheduler in one of two ways, sharing one run queue and
+// one timer wheel:
 //
-//   - A step (GoStep, and every *Then primitive's continuation) is a
-//     plain call on the event-loop goroutine. A task made only of steps
-//     is a state machine with no stack at all; the client population and
-//     the engine's housekeeping are such tasks.
-//   - A blocking section (Task.Block) is ordinary imperative code —
-//     Task.Sleep, WaitQueue.Wait, Task.Await — that a task runs on a
-//     coroutine (iter.Pull) for as long as the section lasts. The
-//     coroutine comes from the scheduler's free list when the section
-//     starts and goes back when it returns, and the task continues with a
-//     step in the same dispatch. The loop enters and leaves a coroutine by
-//     direct switch — roughly 4x cheaper than a channel handoff, and with
-//     no runtime-scheduler involvement — but every switch lands on a
-//     cache-cold stack, so a task should hold one only where its code
-//     needs a stack: the engine's statements take one to compile and for
-//     nothing else.
-//   - A Go task is a task whose whole body is one blocking section.
+//   - A step (GoStep, and every *Then primitive's continuation) is a plain
+//     call on the event-loop goroutine. A task made only of steps is a state
+//     machine with no stack at all. Every task of a simulation run — engine,
+//     clients, routers, fault injectors — is one.
+//   - A blocking section (Task.Block; a Go task's whole body) is imperative
+//     code — Sleep, Await, AwaitErr — run on a coroutine (iter.Pull) from the
+//     scheduler's free list for as long as it lasts; the task then continues
+//     with a step in the same dispatch. The loop switches in and out
+//     directly, roughly 4x cheaper than a channel handoff, but every switch
+//     lands on a cache-cold stack: tests and host-side drivers use sections
+//     where straight-line code reads better. Await runs a whole
+//     continuation-style operation with at most one round trip, and Awaits
+//     nest: the operation an Await starts may itself enter a section.
 //
-// Blocking code can execute a whole continuation-style composite
-// operation with ONE coroutine round trip via Task.Await; the hot engine
-// paths use this so high-frequency events (CPU quanta, disk transfers,
-// grant retries) never touch a stack. Awaits nest: the operation an Await
-// starts may itself enter a blocking section that Awaits.
-//
-// Tasks block by sleeping or by waiting on a WaitQueue; when no task is
-// runnable the scheduler advances the virtual clock to the next timer.
-// Wall-clock time never matters: a five-hour benchmark window executes
-// in however long the event processing takes.
+// Tasks wait by sleeping or on a WaitQueue; when no task is runnable the
+// scheduler advances the virtual clock to the next timer. Wall-clock time
+// never matters: a five-hour benchmark window executes in however long the
+// event processing takes.
 package vtime
 
 import (
@@ -224,7 +215,7 @@ func (s *Scheduler) growRunq() {
 }
 
 // Go creates a task named name whose body fn is one blocking section: fn
-// may use the imperative API (Sleep, Wait, Await, ...). The name is used
+// may use the imperative API (Sleep, Await, AwaitErr). The name is used
 // only for diagnostics (deadlock reports). Go may be called from the
 // host goroutine before Run, or from a running task.
 func (s *Scheduler) Go(name string, fn func(*Task)) *Task {
@@ -289,13 +280,11 @@ func (s *Scheduler) Run() error {
 		k := t.k
 		t.k = nil
 		// De-virtualized dispatch: the overwhelmingly common resume
-		// points — coroutine switches, CPU-quantum ops, plain functions —
-		// take a direct (inlinable) call instead of an interface call.
-		// Everything else (the engine's composite compile/exec/grant ops,
-		// which amortize many events per arm) dispatches virtually.
+		// points — CPU-quantum ops, plain functions — take a direct
+		// (inlinable) call instead of an interface call. Everything else
+		// (the engine's composite compile/exec/grant ops, which amortize
+		// many events per arm) dispatches virtually.
 		switch kk := k.(type) {
-		case coroResumeStep:
-			kk.Run(t)
 		case *cpuUseOp:
 			kk.Run(t)
 		case StepFunc:
@@ -453,7 +442,7 @@ func (s *Scheduler) dropCoros() {
 	s.freeCoros = nil
 }
 
-// Block runs body — blocking-style code: Sleep, Wait, Await — as one
+// Block runs body — blocking-style code: Sleep, Await, AwaitErr — as one
 // blocking section of the task, then continues with k. Called from a
 // step, it takes a coroutine for exactly as long as body runs, and k runs
 // on the event loop in the dispatch in which body returned. Called from
@@ -576,24 +565,11 @@ func (t *Task) SleepThen(d time.Duration, k Step) {
 	t.s.addTimer(t, t.s.now+d)
 }
 
-// --- blocking wrappers (blocking sections only) ---
-
-// Yield reschedules the task at the back of the run queue, letting other
-// runnable tasks execute at the same virtual instant.
-func (t *Task) Yield() {
-	t.YieldThen(coroResume)
-	t.park()
-}
-
-// Sleep blocks the task for d of virtual time. Non-positive d yields.
+// Sleep blocks the task's blocking section for d of virtual time.
+// Non-positive d yields.
 func (t *Task) Sleep(d time.Duration) {
 	t.SleepThen(d, coroResume)
 	t.park()
-}
-
-// SleepUntil blocks until the virtual clock reaches at.
-func (t *Task) SleepUntil(at time.Duration) {
-	t.Sleep(at - t.s.now)
 }
 
 // --- timers ---
@@ -612,9 +588,8 @@ func (s *Scheduler) cancelTimer(t *Task) {
 	}
 }
 
-// WaitQueue is a FIFO condition queue. Tasks block on it with Wait /
-// WaitTimeout (or arm a continuation with WaitThen / WaitTimeoutThen);
-// other tasks wake them with Signal or Broadcast. Membership is an
+// WaitQueue is a FIFO condition queue. Tasks wait on it with WaitThen or
+// WaitTimeoutThen; other tasks wake them with Signal or Broadcast. Membership is an
 // intrusive doubly-linked list, so timeout removal is O(1) while wake
 // order stays strictly FIFO. A WaitQueue must only be used by tasks of a
 // single scheduler.
@@ -686,24 +661,6 @@ func (q *WaitQueue) WaitTimeoutThen(t *Task, d time.Duration, k Step) {
 	t.queue = q
 	q.pushWaiter(t)
 	t.s.addTimer(t, t.s.now+d)
-}
-
-// Wait blocks t until another task calls Signal or Broadcast.
-func (q *WaitQueue) Wait(t *Task) {
-	q.WaitThen(t, coroResume)
-	t.park()
-}
-
-// WaitTimeout blocks t until signaled or until d of virtual time has
-// elapsed. It reports true if the task was signaled and false on
-// timeout.
-func (q *WaitQueue) WaitTimeout(t *Task, d time.Duration) bool {
-	if d <= 0 {
-		return false
-	}
-	q.WaitTimeoutThen(t, d, coroResume)
-	t.park()
-	return !t.timedOut
 }
 
 // Signal wakes the longest-waiting task, if any, and reports whether a

@@ -61,9 +61,9 @@ func TestSleepUntil(t *testing.T) {
 	s := NewScheduler()
 	var at time.Duration
 	s.Go("x", func(tk *Task) {
-		tk.SleepUntil(5 * time.Second)
+		tk.Sleep(5*time.Second - tk.Now())
 		at = tk.Now()
-		tk.SleepUntil(time.Second) // already past: yields, no time travel
+		tk.Sleep(time.Second - tk.Now()) // already past: yields, no time travel
 		if tk.Now() != 5*time.Second {
 			t.Errorf("clock went backwards: %v", tk.Now())
 		}
@@ -81,7 +81,7 @@ func TestWaitSignal(t *testing.T) {
 	q := NewWaitQueue("q")
 	var got time.Duration
 	s.Go("waiter", func(tk *Task) {
-		q.Wait(tk)
+		tk.Await(func(k Step) { q.WaitThen(tk, k) })
 		got = tk.Now()
 	})
 	s.Go("signaler", func(tk *Task) {
@@ -104,7 +104,8 @@ func TestWaitTimeout(t *testing.T) {
 	var signaled bool
 	var woke time.Duration
 	s.Go("waiter", func(tk *Task) {
-		signaled = q.WaitTimeout(tk, 3*time.Second)
+		tk.Await(func(k Step) { q.WaitTimeoutThen(tk, 3*time.Second, k) })
+		signaled = !tk.TimedOut()
 		woke = tk.Now()
 	})
 	if err := s.Run(); err != nil {
@@ -126,7 +127,8 @@ func TestWaitTimeoutSignaledFirst(t *testing.T) {
 	q := NewWaitQueue("q")
 	var signaled bool
 	s.Go("waiter", func(tk *Task) {
-		signaled = q.WaitTimeout(tk, 10*time.Second)
+		tk.Await(func(k Step) { q.WaitTimeoutThen(tk, 10*time.Second, k) })
+		signaled = !tk.TimedOut()
 	})
 	s.Go("signaler", func(tk *Task) {
 		tk.Sleep(1 * time.Second)
@@ -149,7 +151,7 @@ func TestBroadcast(t *testing.T) {
 	woken := 0
 	for i := 0; i < 5; i++ {
 		s.Go("w", func(tk *Task) {
-			q.Wait(tk)
+			tk.Await(func(k Step) { q.WaitThen(tk, k) })
 			woken++
 		})
 	}
@@ -170,7 +172,7 @@ func TestBroadcast(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	s := NewScheduler()
 	q := NewWaitQueue("q")
-	s.Go("stuck", func(tk *Task) { q.Wait(tk) })
+	s.Go("stuck", func(tk *Task) { tk.Await(func(k Step) { q.WaitThen(tk, k) }) })
 	err := s.Run()
 	de, ok := err.(*ErrDeadlock)
 	if !ok {
@@ -189,14 +191,14 @@ func TestFIFOSignalOrder(t *testing.T) {
 		i := i
 		s.Go("w", func(tk *Task) {
 			tk.Sleep(time.Duration(i) * time.Millisecond) // enqueue in order
-			q.Wait(tk)
+			tk.Await(func(k Step) { q.WaitThen(tk, k) })
 			order = append(order, i)
 		})
 	}
 	s.Go("sig", func(tk *Task) {
 		tk.Sleep(time.Second)
 		for q.Signal() {
-			tk.Yield() // let each woken task record before the next signal
+			tk.Await(func(k Step) { tk.YieldThen(k) }) // let each woken task record before the next signal
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -215,7 +217,7 @@ func TestSemaphoreBasic(t *testing.T) {
 	maxHeld, held := 0, 0
 	for i := 0; i < 6; i++ {
 		s.Go("t", func(tk *Task) {
-			sem.Acquire(tk)
+			tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 			held++
 			if held > maxHeld {
 				maxHeld = held
@@ -241,19 +243,20 @@ func TestSemaphoreTimeout(t *testing.T) {
 	sem := NewSemaphore("s", 1)
 	var got bool
 	s.Go("holder", func(tk *Task) {
-		sem.Acquire(tk)
+		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 		tk.Sleep(10 * time.Second)
 		sem.Release()
 	})
 	s.Go("waiter", func(tk *Task) {
 		tk.Sleep(time.Millisecond)
-		got = sem.AcquireTimeout(tk, time.Second)
+		tk.Await(func(k Step) { sem.AcquireTimeoutThen(tk, time.Second, k) })
+		got = !tk.TimedOut()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got {
-		t.Fatal("AcquireTimeout succeeded, want timeout")
+		t.Fatal("AcquireTimeoutThen succeeded, want timeout")
 	}
 	if sem.Held() != 0 {
 		t.Fatalf("held = %d after all released, want 0", sem.Held())
@@ -265,20 +268,20 @@ func TestSemaphoreHandoffNoBarge(t *testing.T) {
 	sem := NewSemaphore("s", 1)
 	var order []string
 	s.Go("holder", func(tk *Task) {
-		sem.Acquire(tk)
+		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 		tk.Sleep(time.Second)
 		sem.Release()
 	})
 	s.Go("first", func(tk *Task) {
 		tk.Sleep(10 * time.Millisecond)
-		sem.Acquire(tk)
+		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 		order = append(order, "first")
 		sem.Release()
 	})
 	s.Go("barger", func(tk *Task) {
 		tk.Sleep(999 * time.Millisecond)
 		// Arrives just before release; must queue behind "first".
-		sem.Acquire(tk)
+		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 		order = append(order, "barger")
 		sem.Release()
 	})
@@ -296,7 +299,7 @@ func TestSemaphoreSetCapGrow(t *testing.T) {
 	done := 0
 	for i := 0; i < 3; i++ {
 		s.Go("w", func(tk *Task) {
-			sem.Acquire(tk)
+			tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 			done++
 			sem.Release()
 		})
@@ -318,12 +321,12 @@ func TestSemaphoreShrinkDrains(t *testing.T) {
 	sem := NewSemaphore("s", 2)
 	concurrentAfterShrink := 0
 	s.Go("a", func(tk *Task) {
-		sem.Acquire(tk)
+		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 		tk.Sleep(2 * time.Second)
 		sem.Release()
 	})
 	s.Go("b", func(tk *Task) {
-		sem.Acquire(tk)
+		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 		tk.Sleep(4 * time.Second)
 		sem.Release()
 	})
@@ -333,7 +336,7 @@ func TestSemaphoreShrinkDrains(t *testing.T) {
 	})
 	s.Go("late", func(tk *Task) {
 		tk.Sleep(3 * time.Second) // a released at 2s, but cap=1 and b holds
-		sem.Acquire(tk)
+		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 		concurrentAfterShrink = sem.Held()
 		if tk.Now() != 4*time.Second {
 			t.Errorf("late acquired at %v, want 4s", tk.Now())
@@ -352,7 +355,7 @@ func TestCPUSetSingleTask(t *testing.T) {
 	s := NewScheduler()
 	cpu := NewCPUSet(4, 50*time.Millisecond)
 	s.Go("t", func(tk *Task) {
-		cpu.Use(tk, time.Second)
+		tk.Await(func(k Step) { cpu.UseThen(tk, time.Second, k) })
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -370,7 +373,7 @@ func TestCPUSetContention(t *testing.T) {
 	s := NewScheduler()
 	cpu := NewCPUSet(2, 100*time.Millisecond)
 	for i := 0; i < 4; i++ {
-		s.Go("t", func(tk *Task) { cpu.Use(tk, time.Second) })
+		s.Go("t", func(tk *Task) { tk.Await(func(k Step) { cpu.UseThen(tk, time.Second, k) }) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -390,13 +393,13 @@ func TestDeterminism(t *testing.T) {
 			i := i
 			s.Go("t", func(tk *Task) {
 				tk.Sleep(time.Duration(i%3) * time.Millisecond)
-				sem.Acquire(tk)
+				tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 				tk.Sleep(time.Duration(10-i) * time.Millisecond)
 				sem.Release()
 				if i%2 == 0 {
 					q.Signal()
 				} else if i < 5 {
-					q.WaitTimeout(tk, 20*time.Millisecond)
+					tk.Await(func(k Step) { q.WaitTimeoutThen(tk, 20*time.Millisecond, k) })
 				}
 				log = append(log, tk.Name()+string(rune('0'+i)))
 			})
@@ -470,7 +473,7 @@ func TestQuickSemaphoreNeverOverCap(t *testing.T) {
 			h := h
 			s.Go("t", func(tk *Task) {
 				tk.Sleep(time.Duration(h%7) * time.Millisecond)
-				sem.Acquire(tk)
+				tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
 				held++
 				if held > capN {
 					over = true

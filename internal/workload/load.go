@@ -133,8 +133,7 @@ type load struct {
 
 // client is one closed-loop user as a continuation task: a state machine
 // whose every wait — arrival stagger, the submission, retry backoff,
-// think time — is a resume point on the event loop, so a client holds a
-// coroutine only while the engine compiles for it.
+// think time — is a resume point on the event loop.
 type client struct {
 	ld      *load
 	rng     *rand.Rand
