@@ -203,10 +203,8 @@ type Compilation struct {
 	peak   int64
 	closed bool
 	cut    bool // best-effort signal consumed
-	// AllocThen's charge in flight: its bytes, the ticket's answer, where
-	// the outcome goes and what runs next.
+	// AllocThen's charge in flight: its bytes, its outcome's slot, what next.
 	n    int64
-	err  error
 	errp *error
 	k    vtime.Step
 }
@@ -257,16 +255,16 @@ func (c *Compilation) AllocThen(n int64, errp *error, k vtime.Step) {
 	if c.closed {
 		panic("core: Alloc on closed compilation " + c.name)
 	}
-	c.n, c.errp, c.k = n, errp, k
+	c.n, c.errp, c.k, *errp = n, errp, k, nil
 	// Gate first: the monitor must admit the growth before the memory is
 	// actually taken, so a waiting compilation holds its current memory
 	// but does not keep growing — exactly the paper's "restrict future
 	// memory allocations" semantics.
 	if c.g.chain != nil {
-		c.ticket.UpdateThen(c.task, c.used+n, &c.err, (*gated)(c))
-		return
+		c.ticket.UpdateThen(c.task, c.used+n, errp, (*gated)(c))
+	} else {
+		(*gated)(c).Run(c.task)
 	}
-	(*gated)(c).Run(c.task)
 }
 
 // gated is a compilation whose charge in flight the monitors have answered.
@@ -274,23 +272,16 @@ type gated Compilation
 
 func (s *gated) Run(t *vtime.Task) {
 	c := (*Compilation)(s)
-	err := c.err
-	if err == nil {
-		err = c.g.tracker.Reserve(c.n)
+	if *c.errp == nil {
+		*c.errp = c.g.tracker.Reserve(c.n)
 	}
-	if err != nil {
+	if *c.errp != nil {
 		c.Abort()
 	} else if c.used += c.n; c.used > c.peak {
 		c.peak = c.used
 	}
-	k, errp := c.k, c.errp
-	c.k, c.errp = nil, nil
-	*errp = err
-	k.Run(t)
+	c.k.Run(t)
 }
-
-// cleared continues an update that clears: there is nothing left to do.
-var cleared vtime.Step = vtime.StepFunc(func(*vtime.Task) {})
 
 // AllocSpan is k Alloc calls, each of at least one byte and n bytes in all,
 // provided none of them would block at a gate, make the budget reclaim, or
@@ -308,7 +299,7 @@ func (c *Compilation) AllocSpan(n int64, k int) bool {
 	}
 	c.used += n
 	if gated {
-		c.ticket.UpdateThen(c.task, c.used, &c.err, cleared) // clears: records the usage, nothing more
+		c.ticket.UpdateThen(c.task, c.used, nil, vtime.StepFunc(func(*vtime.Task) {})) // clears: records the usage
 	}
 	if c.used > c.peak {
 		c.peak = c.used

@@ -23,10 +23,9 @@ import (
 //	execute   grant → plan nodes → refault I/O
 //	record    completion or error, into the metrics and to the caller
 //
-// SubmitThen walks them as continuation steps on the event loop. Compile is
-// steps too: the optimizer's player returns each charge, work batch and
-// codegen it needs as a demand, and the attempt meets it with a *Then
-// continuation (attempt.Run), so no statement ever takes a stack.
+// SubmitThen walks them as continuation steps on the event loop, compile
+// included: attempt.Run meets each demand of the optimizer's player (a
+// charge, a work batch, a codegen) with a *Then continuation.
 
 // identify derives the identity of text outside the closed set. Execution
 // locality is seeded from the full fingerprint so repeated statements
@@ -89,21 +88,19 @@ type attempt struct {
 	// (plain memo charges).
 	exprExtra, groupExtra int64
 	costingHeld           int64
-	// asks are bound once, when the attempt is created; Codegen is set per
-	// compilation, when it is staged.
+	// asks are bound when the attempt is made; Codegen is set per compilation.
 	asks optimizer.Asks
 
-	// The compile phase's state machine (Run): its state, the state a work
-	// batch returns to, when it began, the answer to the last demand, the
-	// costing scratch of the charge in flight, the ramp's bytes still to
-	// reserve, a work batch's tasks, and whether a call made with the
-	// attempt as its continuation is under way, and was answered at once.
-	state, after     int8
-	start            time.Duration
-	err              error
-	extra, ramp      int64
-	tasks            int
-	calling, replied bool
+	// Run's state, the state a work batch returns to, when compile began, the
+	// last demand's answer, the scratch of the charge in flight, the ramp's
+	// bytes to go, a work batch's tasks, and whether a call made with the
+	// attempt as its continuation is not yet answered.
+	state, after int8
+	start        time.Duration
+	err          error
+	extra, ramp  int64
+	tasks        int
+	calling      bool
 }
 
 // retainedCap bounds the retained table. A client resubmits a failed
@@ -186,16 +183,12 @@ func (s *Server) dropRetained() {
 }
 
 // statement is one submission's state across the phases; it is also the
-// step both asynchronous phases resume (see Run).
+// step its execution resumes (see Run).
 type statement struct {
-	s     *Server
-	id    StmtID
-	epoch uint64 // the crash epoch the submission started under
-	// a is held from the probe's miss until Run has seen the compilation's
-	// outcome; non-nil is how Run knows which phase it resumes.
-	a         *attempt
-	p         *plan.Plan
-	err       error // the outcome of the phase that just ended
+	s         *Server
+	id        StmtID
+	epoch     uint64 // the crash epoch the submission started under
+	err       error  // the execution's outcome
 	execStart time.Duration
 	errp      *error
 	k         vtime.Step
@@ -246,17 +239,14 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 
 	// Compile, on the attempt a failed submission of this text left or on a
 	// new one.
+	a, err := (*attempt)(nil), error(nil)
 	if left >= 0 {
-		st.a = s.retained[left]
+		a = s.retained[left]
 		s.retained = slices.Delete(s.retained, left, left+1)
-	} else {
-		var err error
-		if st.a, err = s.newAttempt(sql, id); err != nil {
-			st.record(t, err)
-			return
-		}
+	} else if a, err = s.newAttempt(sql, id); err != nil {
+		st.record(t, err)
+		return
 	}
-	a := st.a
 	a.st, a.start, a.err, a.state = st, t.Now(), nil, opening
 	s.gov.BeginIn(&a.comp, t, "compile")
 	a.Run(t)
@@ -276,36 +266,21 @@ func (st *statement) execute(t *vtime.Task, p *plan.Plan, prep *executor.Prepare
 	st.s.exec.ExecuteThen(t, p, st.id.Seed, prep, nil, &st.err, st)
 }
 
-// Run is the continuation tail of both asynchronous phases, and the one
-// place crash semantics live: virtual time passed since SubmitThen, and if
-// the crash epoch moved with it the engine crashed under this statement.
-// The process that compiled or executed is gone and so is the client's
+// Run is the execution's continuation. It and attempt.finish are where
+// crash semantics live: virtual time passed since SubmitThen, and if the
+// crash epoch moved with it the engine crashed under this statement. The
+// process that compiled or executed is gone and so is the client's
 // connection, so whatever the phase concluded the statement fails with
 // ErrCrashed and nothing of it may reach the (new) plan cache or the
 // retained table. The exception is a compilation that failed on its own:
 // it keeps its error (its charges already report ErrCrashed when the crash
 // is what stopped it).
 func (st *statement) Run(t *vtime.Task) {
-	s := st.s
-	err, crashed := st.err, s.crashEpoch != st.epoch
-	if a := st.a; a != nil {
-		st.a = nil
-		if err == nil && crashed {
-			err = ErrCrashed
-		}
-		s.finishAttempt(a, err != nil, st.epoch)
-		if err == nil {
-			s.cache.Put(st.id.Fingerprint, st.id.Static, st.p, t.Now())
-			st.execute(t, st.p, nil)
-			return
-		}
-	} else {
-		if crashed {
-			err = ErrCrashed
-		}
-		if err == nil {
-			s.execHist.Observe(t.Now() - st.execStart)
-		}
+	err := st.err
+	if st.s.crashEpoch != st.epoch {
+		err = ErrCrashed
+	} else if err == nil {
+		st.s.execHist.Observe(t.Now() - st.execStart)
 	}
 	st.record(t, err)
 }
@@ -321,7 +296,7 @@ func (st *statement) record(t *vtime.Task, err error) {
 	}
 	*st.errp = err
 	k := st.k
-	st.p, st.err, st.errp, st.k = nil, nil, nil, nil
+	st.err, st.errp, st.k = nil, nil, nil
 	s.stmts.Put(st)
 	k.Run(t)
 }
@@ -361,21 +336,17 @@ const (
 )
 
 // Run is the compile phase, from where it stands to its next wait or to its
-// end: under the governor, through the staged memory phases — bind (fixed
-// footprint) → join enumeration with costing scratch accreting alongside
-// every memo charge → codegen (a ramp sized from the memo, the player's
+// end: bind (fixed footprint) → join enumeration, costing scratch accreting
+// with every memo charge → codegen (a ramp sized from the memo, the player's
 // Codegen demand) → the plan, built only when the ramp succeeded. A
-// best-effort plan skips the ramp: the §4.1 valve yielded the held plan
-// precisely because the broker predicts exhaustion, so the compilation must
-// not grow further. Costing scratch is freed once codegen has consumed it;
-// the rest when the compilation closes, before the submission runs on: the
-// attempt holds the session, so it may be retained or recycled only after.
-// Every call Run makes continues with the attempt; one answered at once is
-// taken up by the loop, not by a nested Run, so a compilation's thousands of
-// charges do not grow the stack.
+// best-effort plan skips the ramp: the §4.1 valve cut the compilation because
+// the broker predicts exhaustion, so it must not grow further. Every call Run
+// makes continues with the attempt; one answered at once is taken up by the
+// loop, not by a nested Run, so the stack does not grow with a compilation's
+// thousands of charges.
 func (a *attempt) Run(t *vtime.Task) {
 	if a.calling {
-		a.replied = true // answered at once: the loop that made the call goes on
+		a.calling = false // answered at once: the loop that made the call goes on
 		return
 	}
 	s := a.s
@@ -449,11 +420,9 @@ func (a *attempt) Run(t *vtime.Task) {
 			}
 		case ramping:
 			// The ramp wires its bytes in StepBytes increments, stepTasks of
-			// work each. Every one passes through the gateway ladder, which
-			// may hold it (or time it out) mid-ramp, and the broker's trend
-			// detector sees the footprint climb between ticks; costing
-			// scratch is dead once the ramp is done, and its release gives
-			// the broker a falling trend to track.
+			// work each, through the gateway ladder: the broker's trend
+			// detector sees the footprint climb between ticks. Costing scratch
+			// dies with the ramp, and its release is a falling trend.
 			a.state = asking
 			if a.ramp <= 0 {
 				a.comp.Free(a.costingHeld)
@@ -474,32 +443,23 @@ func (a *attempt) Run(t *vtime.Task) {
 				a.work(t, stepTasks, ramping)
 			}
 		}
-		if a.calling && !a.answered() {
+		if a.calling { // not answered yet: the event loop runs the attempt when it is
+			a.calling = false
 			return
 		}
 	}
 }
 
-// work spends tasks of optimizer work — the batch's CPU on the processor
-// pool, then its non-CPU wait (metadata fetches, latching) — and goes on in
-// state after.
+// work spends tasks of optimizer work — CPU on the processor pool, then the
+// non-CPU wait (metadata fetches, latching) — and goes on in state after.
 func (a *attempt) work(t *vtime.Task, tasks int, after int8) {
 	a.tasks, a.after, a.state, a.calling = tasks, after, burnt, true
 	a.s.cpu.UseThen(t, time.Duration(tasks)*compileTaskCPU, a)
 }
 
-// answered ends a call made with the attempt as its continuation (calling
-// marks one under way), and reports whether it was answered at once. If
-// not, the event loop runs the attempt when it is.
-func (a *attempt) answered() bool {
-	ok := a.replied
-	a.calling, a.replied = false, false
-	return ok
-}
-
 // finish closes the compilation — aborted on an error (every failure but
-// validation's has done that already), finished with a plan — and hands the
-// outcome to the submission.
+// validation's has done that already), finished with a plan — and only then
+// lets the attempt go, as it holds the session. A plan is cached and run.
 func (a *attempt) finish(t *vtime.Task, p *plan.Plan, err error) {
 	s, comp := a.s, &a.comp
 	if err != nil {
@@ -516,6 +476,14 @@ func (a *attempt) finish(t *vtime.Task, p *plan.Plan, err error) {
 		}
 	}
 	st := a.st
-	a.st, st.p, st.err = nil, p, err
-	st.Run(t)
+	if a.st = nil; err == nil && s.crashEpoch != st.epoch {
+		err = ErrCrashed // see statement.Run
+	}
+	s.finishAttempt(a, err != nil, st.epoch)
+	if err != nil {
+		st.record(t, err)
+		return
+	}
+	s.cache.Put(st.id.Fingerprint, st.id.Static, p, t.Now())
+	st.execute(t, p, nil)
 }

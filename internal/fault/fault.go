@@ -340,23 +340,21 @@ func InjectCluster(sched *vtime.Scheduler, p Plan, surfaces []Surface) *Stats {
 				// the arrival spacing. They are spawned at onset (not at
 				// plan time) so a run's task census matches its schedule.
 				for k := 0; k < in.Burst; k++ {
-					delay := time.Duration(k) * in.Interval
+					delay, err := time.Duration(k)*in.Interval, error(nil)
+					failed := vtime.StepFunc(func(*vtime.Task) {
+						if err != nil {
+							st.StormFailed++
+						}
+					})
 					submit := vtime.StepFunc(func(t *vtime.Task) {
 						st.StormSubmitted++
-						var err error
-						s.StormQuery(t, &err, vtime.StepFunc(func(*vtime.Task) {
-							if err != nil {
-								st.StormFailed++
-							}
-						}))
+						s.StormQuery(t, &err, failed)
 					})
-					sched.GoFunc("fault-storm-query", func(t *vtime.Task) {
-						if delay > 0 {
-							t.SleepThen(delay, submit)
-							return
-						}
-						submit(t)
-					})
+					if delay > 0 {
+						after(sched, "fault-storm-query", delay, submit)
+					} else {
+						sched.GoFunc("fault-storm-query", submit)
+					}
 				}
 			})
 		case CrashRestart:

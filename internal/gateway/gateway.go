@@ -264,7 +264,7 @@ type Ticket struct {
 	held  int // gates [0, held) are held
 	usage int64
 	waits time.Duration
-	// UpdateThen's wait: when it began, the outcome's slot, what runs next.
+	// UpdateThen's gate wait: when it began, the outcome's slot, what next.
 	since time.Duration
 	errp  *error
 	k     vtime.Step
@@ -285,52 +285,47 @@ func (t *Ticket) Usage() int64 { return t.usage }
 func (t *Ticket) WaitTime() time.Duration { return t.waits }
 
 // UpdateThen informs the chain that the compilation's memory usage is now
-// usage bytes, then stores the outcome through errp and runs k. If the usage
-// crosses gate thresholds the task first waits for each gate in order. On
-// timeout the ticket's gates are released and the outcome is an *ErrTimeout;
-// the compilation must abort.
+// usage bytes, then runs k. If the usage crosses gate thresholds the task
+// first waits for each gate in order. On timeout the ticket's gates are
+// released and an *ErrTimeout is stored through errp, which nothing else
+// writes (nor reads, in an update that Clears); the compilation must abort.
 func (t *Ticket) UpdateThen(task *vtime.Task, usage int64, errp *error, k vtime.Step) {
-	t.usage, t.errp, t.k = usage, errp, k
-	*errp = nil
-	(*climb)(t).next(task)
+	t.usage, t.errp, t.k, t.since = usage, errp, k, -1
+	(*climb)(t).Run(task)
 }
 
-// climb is a ticket inside UpdateThen. next waits for the next gate its
-// usage crosses, or ends the update: once no gate is left, or one timed out.
+// climb is a ticket inside UpdateThen. Run ends a gate wait under way (since
+// is when it began), then waits for the next gate the usage crosses, or runs k.
 type climb Ticket
 
-func (c *climb) next(task *vtime.Task) {
-	if c.held < len(c.chain.levels) && *c.errp == nil {
-		if l := c.chain.levels[c.held]; c.usage > l.threshold {
-			c.since = task.Now()
-			l.sem.AcquireTimeoutThen(task, l.cfg.Timeout, c)
-			return
-		}
-	}
-	k := c.k
-	c.errp, c.k = nil, nil
-	k.Run(task)
-}
-
-// Run ends a wait for the next gate.
 func (c *climb) Run(task *vtime.Task) {
 	t := (*Ticket)(c)
-	l := t.chain.levels[t.held]
-	waited := task.Now() - t.since
-	t.waits += waited
-	t.chain.waitTotal += waited
-	if task.TimedOut() {
-		t.chain.timeouts++
-		t.chain.timeoutErr = ErrTimeout{Gate: l.cfg.Name, Wait: waited}
-		*t.errp = &t.chain.timeoutErr
-		t.Close()
-	} else {
+	if t.since >= 0 {
+		l := t.chain.levels[t.held]
+		waited := task.Now() - t.since
+		t.waits += waited
+		t.chain.waitTotal += waited
+		if task.TimedOut() {
+			t.chain.timeouts++
+			t.chain.timeoutErr = ErrTimeout{Gate: l.cfg.Name, Wait: waited}
+			*t.errp = &t.chain.timeoutErr
+			t.Close()
+			t.k.Run(task)
+			return
+		}
 		t.chain.acquires++
 		t.held++
 		l.holders++
 		t.chain.recomputeThresholds()
 	}
-	c.next(task)
+	if t.held < len(t.chain.levels) {
+		if l := t.chain.levels[t.held]; t.usage > l.threshold {
+			t.since = task.Now()
+			l.sem.AcquireTimeoutThen(task, l.cfg.Timeout, c)
+			return
+		}
+	}
+	t.k.Run(task)
 }
 
 // Clears reports whether UpdateThen(usage) would complete at once, acquiring

@@ -22,9 +22,8 @@
 // decide where it is cut. So it is split in two. The kernel (run.advance)
 // grows the memo and appends what it did to a tape; the player
 // (Exploration.Resume) walks the tape, counts tasks, decides to stop, and is
-// the only code that asks the engine anything. It asks by returning a demand
-// — a charge, a work batch, a codegen — and is resumed with the answer, so
-// an engine meets a demand that waits with a continuation and no compilation
+// the only code that asks the engine anything: it returns a demand (a charge,
+// a work batch, a codegen) and is resumed with the answer, so no compilation
 // needs a stack of its own. A compilation that is cut leaves its exploration
 // behind, and a resubmission of the statement plays the same tape again
 // instead of re-exploring. Between two work batches the player may pass
@@ -59,8 +58,7 @@ import (
 )
 
 // Hooks meet one compilation's demands for Optimize, the synchronous driver
-// of Begin and Resume: a Charge demand calls Charge, and so on. An engine
-// whose answers wait meets the demands itself instead (see Asks).
+// of Begin and Resume. An engine whose answers wait meets them itself.
 type Hooks struct {
 	// Charge charges n simulated bytes of compilation memory — one memo
 	// structure: Config.Memo's bytes for an expression or for a group; an
@@ -394,30 +392,28 @@ func (o *Optimizer) Optimize(q *plan.Query, hooks Hooks) (*plan.Plan, error) {
 
 // Optimize plays one compilation, meeting each demand with the hook of its
 // name (a Work demand with no Work hook, at once).
-func (x *Exploration) Optimize(hooks Hooks) (*plan.Plan, error) {
-	if err := x.Begin(Asks{hooks.Charge != nil, hooks.Codegen != nil, hooks.ChargeSpan, hooks.BestEffort}); err != nil {
+func (x *Exploration) Optimize(h Hooks) (*plan.Plan, error) {
+	if err := x.Begin(Asks{h.Charge != nil, h.Codegen != nil, h.ChargeSpan, h.BestEffort}); err != nil {
 		return nil, err
 	}
-	var err error
-	for {
-		switch d := x.Resume(err); d.Kind {
+	d := x.Resume(nil)
+	for ; d.Kind != Done; d = x.Resume(d.Err) {
+		switch d.Kind {
 		case ChargeDemand:
-			err = hooks.Charge(d.N)
-		case WorkDemand:
-			if hooks.Work != nil {
-				hooks.Work(int(d.N))
-			}
+			d.Err = h.Charge(d.N)
 		case CodegenDemand:
-			err = hooks.Codegen(d.N)
+			d.Err = h.Codegen(d.N)
 		default:
-			return d.Plan, d.Err
+			if h.Work != nil {
+				h.Work(int(d.N))
+			}
 		}
 	}
+	return d.Plan, d.Err
 }
 
-// Asks is what a compilation asks of its engine besides work: Charge
-// demands, a Codegen demand, and the answers that never wait, as callbacks
-// (Hooks.ChargeSpan, asked only beside charges, and Hooks.BestEffort).
+// Asks is what a compilation asks of its engine besides work: Charge and
+// Codegen demands, and as callbacks the Hooks answers that never wait.
 type Asks struct {
 	Charges, Codegen bool
 	ChargeSpan       func(exprs, groups int) bool
@@ -441,6 +437,7 @@ const (
 	ChargeDemand
 	WorkDemand
 	CodegenDemand
+	goOn // not a demand: play goes on
 )
 
 // cursor is a compilation's position: on the tape — which is also a memo
@@ -510,22 +507,18 @@ func (x *Exploration) Begin(a Asks) error {
 }
 
 // Resume plays the compilation to its next demand, given the answer to the
-// last one (nil after Begin and Work). It passes over the tape from the
-// start, demanding a charge for every group and expression — one by one, or
-// a span at a time when ChargeSpan allows — and taking every step, and runs
-// the kernel only when it needs tape that is not there yet. It walks segment
-// by segment, except that a span it can settle in one call and that is a
-// whole work batch is passed in one move to the kernel's mark, whose
-// boundary then either settles it or sends the player back to walk it. It
+// last (nil after Begin and Work). It passes over the tape from the start,
+// demanding a charge for every group and expression — one by one, or a span
+// at a time when ChargeSpan allows — and taking every step; it runs the
+// kernel only for tape that is not there yet, and passes a settleable span
+// that is a whole work batch in one move to the kernel's mark (see jump). It
 // stops at a failed charge, at the first step that exhausts the budget or
-// has best-effort answer true, or at the end of the search space — always a
+// has best-effort answer true, or at the end of the search space: always a
 // prefix of the statement's one tape. One that neither failed nor was cut
-// then demands its Codegen, if asked to. Unless that failed too, it extracts
-// the plan from the memo prefix at its cursor, so a kernel that ran ahead,
-// or a tape left by a longer earlier attempt, changes nothing; nor does a DP
-// the helper solved there first. Resume lets the run go before it returns
-// or calls back, so nothing the engine does can hold up the helper or a
-// Release.
+// then demands its Codegen, if asked to; unless that fails, it extracts the
+// plan at its cursor, so no kernel or helper that ran ahead, and no longer
+// earlier attempt's tape, changes anything. Resume lets the run go before it
+// returns or calls back: the engine cannot hold up the helper or a Release.
 func (x *Exploration) Resume(err error) Demand {
 	p := &x.p
 	defer p.drop() // a panic must not leave the run held: Release takes it
@@ -546,11 +539,6 @@ func (x *Exploration) Resume(err error) Demand {
 			return p.stop(err)
 		}
 	}
-	return p.play()
-}
-
-// play walks the tape up to the next demand.
-func (p *player) play() Demand {
 	r, memo := p.r, &p.r.o.cfg.Memo
 	for {
 		if p.owed > 0 {
@@ -566,64 +554,56 @@ func (p *player) play() Demand {
 			group := int(seg>>13) & 1 // segGroup's bit
 			p.exprs += int(seg&segExprs) + group
 			p.groups += group
-			if seg&segStep != 0 {
-				if p.tasks++; p.tasks >= p.next {
-					if d, more := p.boundary(); !more {
-						return d
+			p.tasks += int(seg >> 14) // segStep's bit
+		} else if !p.deferring || p.pos != p.mark.pos || !p.jump() { // a jump takes the batch's last step
+			p.hold()
+			if p.pos == len(r.tape) {
+				if p.inline++; !r.advance() {
+					p.drop()
+					if p.settle() {
+						return p.stop(nil) // the end of the search space
 					}
+					continue // the last span was refused: play it again from mark
 				}
+			}
+			p.seg = r.tape[p.pos]
+			p.pos++
+			if p.asks.Charges && !p.deferring {
+				p.owed = int(p.seg&segExprs) + int(p.seg>>13&1)*2 // a group costs two
 			}
 			continue
 		}
-		if p.deferring && p.pos == p.mark.pos && p.jump() {
-			if d, more := p.boundary(); !more { // the batch's last step
+		if p.tasks >= p.next {
+			if d := p.boundary(); d.Kind != goOn {
 				return d
 			}
-			continue
-		}
-		p.hold()
-		if p.pos == len(r.tape) {
-			if p.inline++; !r.advance() {
-				p.drop()
-				if p.settle() {
-					return p.stop(nil) // the end of the search space
-				}
-				continue // the last span was refused: play it again from mark
-			}
-		}
-		p.seg = r.tape[p.pos]
-		p.pos++
-		if p.asks.Charges && !p.deferring {
-			p.owed = int(p.seg&segExprs) + int(p.seg>>13&1)*2 // a group costs two
 		}
 	}
 }
 
-// boundary is the step that ends a work batch, the budget, or both. The
-// span is settled first; a refusal undoes the step with the rest of the
-// span, and exploration goes on from mark. At the end of a batch it demands
-// the batch's Work; once that is met, Resume polls BestEffort. Whatever
-// comes next starts a new span. It lets the run go first, and asks the
-// helper for the batches ahead. It reports whether play goes on, or else the
-// demand to return.
-func (p *player) boundary() (Demand, bool) {
+// boundary is the step that ends a work batch, the budget, or both. It lets
+// the run go, asks the helper for the batches ahead, and settles the span: a
+// refusal undoes the step with the rest of the span, and play goes on from
+// mark. It returns the demand to make (a batch's Work, after which Resume
+// polls BestEffort and starts a new span), or goOn.
+func (p *player) boundary() Demand {
 	if p.bestEffort {
 		panic("optimizer: a compilation went on after its best-effort stop")
 	}
 	p.drop()
 	p.r.request(p.tasks/p.batch, p.limit)
 	if !p.settle() {
-		return Demand{}, true
+		return Demand{Kind: goOn}
 	}
 	if n := p.tasks - p.worked; n >= p.batch {
 		p.phase = working
-		return Demand{Kind: WorkDemand, N: int64(n)}, false
+		return Demand{Kind: WorkDemand, N: int64(n)}
 	}
 	p.startSpan()
 	if p.tasks < p.budget {
-		return Demand{}, true
+		return Demand{Kind: goOn}
 	}
-	return p.stop(nil), false
+	return p.stop(nil)
 }
 
 // startSpan marks the cursor as the start of a span, deferred when the
@@ -656,9 +636,8 @@ func (p *player) settle() bool {
 }
 
 // stop ends exploration, failed by err or not. It demands the Work done
-// since the last, if any; then (called again once that is met) the Codegen
-// of a compilation that asks for one and neither failed nor was cut — the
-// helper may go on solving the DP at final meanwhile; then it finishes.
+// since the last, if any; then (called again) the Codegen of a compilation
+// that asks for one and neither failed nor was cut; then it finishes.
 func (p *player) stop(err error) Demand {
 	o := p.r.o
 	if p.phase != ending {
@@ -684,7 +663,6 @@ func (p *player) stop(err error) Demand {
 // cursor.
 func (p *player) finish(err error) Demand {
 	r, o := p.r, p.r.o
-	p.phase = playing
 	p.hold()
 	r.target.Store(0) // the helper has nothing left to do for this compilation
 	if err != nil {

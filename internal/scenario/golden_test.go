@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"compilegate/internal/vtime"
 )
 
 // update re-records testdata/golden.txt and testdata/work.txt. Run
@@ -64,10 +62,9 @@ const (
 // pins every scenario's Result.Work in testdata/work.txt, the work ledger:
 // a change that makes the simulator do more or less on the host, with
 // nothing simulated moving, re-records that file alone, and shows it in a
-// diff. The sweep is RunSweep's, so that it can also pin that no run takes a
-// stack: every scenario's scheduler must end it with no coroutine created
-// and none switched into — compilations, clients, routers and fault
-// injectors all run as continuation steps.
+// diff. The same sweep pins that no run takes a stack: every scenario's
+// scheduler must end it with no coroutine created and none switched into —
+// compilations, clients, routers and fault injectors all run as steps.
 func TestRegistryGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
@@ -77,21 +74,12 @@ func TestRegistryGoldenDigests(t *testing.T) {
 	for i, s := range all {
 		scenarios[i] = goldenWindow(s)
 	}
-	results := make([]SweepResult, len(scenarios))
-	stacks := make([][2]uint64, len(scenarios))
-	sh := vtime.NewShards(0)
-	defer sh.Close()
-	sh.Run(len(scenarios), func(i int, sched *vtime.Scheduler) (time.Duration, error) {
-		r, err := scenarios[i].RunOn(sched)
-		results[i] = SweepResult{Scenario: scenarios[i], Result: r, Err: err}
-		stacks[i] = [2]uint64{sched.Coroutines(), sched.CoroSwitches()}
-		return sched.Now(), err
-	})
+	results := RunSweep(scenarios, 0)
 	checkLines(t, goldenPath, results, digest)
 	checkLines(t, workPath, results, workLine)
-	for i, c := range stacks {
-		if c != [2]uint64{} {
-			t.Errorf("%s: %d coroutines created, %d switches into them, want none", scenarios[i].Name, c[0], c[1])
+	for _, r := range results {
+		if r.Coroutines != 0 || r.CoroSwitches != 0 {
+			t.Errorf("%s: %d coroutines created, %d switches into them, want none", r.Scenario.Name, r.Coroutines, r.CoroSwitches)
 		}
 	}
 }

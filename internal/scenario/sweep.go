@@ -12,6 +12,8 @@ type SweepResult struct {
 	Scenario Scenario
 	Result   *harness.Result
 	Err      error
+	// Coroutines and CoroSwitches are its scheduler's counts (vtime).
+	Coroutines, CoroSwitches uint64
 }
 
 // RunSweep executes the scenarios across vtime event-loop shards and
@@ -38,7 +40,7 @@ func RunSweep(scenarios []Scenario, workers int) []SweepResult {
 	sh.Run(len(scenarios), func(i int, sched *vtime.Scheduler) (time.Duration, error) {
 		s := scenarios[i]
 		r, err := s.RunOn(sched)
-		out[i] = SweepResult{Scenario: s, Result: r, Err: err}
+		out[i] = SweepResult{s, r, err, sched.Coroutines(), sched.CoroSwitches()}
 		return sched.Now(), err
 	})
 	return out

@@ -32,10 +32,8 @@
 //   - A blocking section (Task.Block; a Go task's whole body) is imperative
 //     code — Sleep, Await, AwaitErr — run on a coroutine (iter.Pull) from the
 //     scheduler's free list for as long as it lasts; the task then continues
-//     with a step in the same dispatch. The loop switches in and out
-//     directly, roughly 4x cheaper than a channel handoff, but every switch
-//     lands on a cache-cold stack: tests and host-side drivers use sections
-//     where straight-line code reads better. Await runs a whole
+//     with a step in the same dispatch. Only tests and host-side drivers use
+//     sections, where straight-line code reads better. Await runs a whole
 //     continuation-style operation with at most one round trip, and Awaits
 //     nest: the operation an Await starts may itself enter a section.
 //
