@@ -9,10 +9,11 @@ import (
 
 // The root package re-exports what benchmark/ and example_test.go use, and
 // these tests pin that surface. What they no longer cover is tested where
-// it lives: registry names and listing by scenario's
+// it lives: the registry's refusals, names and listing by scenario's
 // TestRegistryRejectsDuplicatesAndSortsNames, sweep ≡ serial by
-// TestSweepMatchesSerial, and CompareRuns by harness's Compare table test
-// (TestCompareZeroBaseline) and Example_adhocDSS.
+// TestSweepMatchesSerial and TestSweepWorkerCountInvariance, and
+// CompareRuns by harness's Compare table test (TestCompareZeroBaseline)
+// and Example_adhocDSS.
 
 // TestPublicAPIGovernedCompilation drives a governed compilation through
 // the public facade.

@@ -17,7 +17,7 @@
 // statement text, the virtual clock, and per-node state mutated only
 // from task context on the run's single event loop, and no policy or
 // breaker draws randomness. A cluster run is therefore exactly as
-// reproducible as a single-server run, and sweep shard/worker
+// reproducible as a single-server run, and sweep worker-count
 // invariance carries over untouched.
 package cluster
 

@@ -62,7 +62,7 @@ func dssShape(clients int, throttled bool) scenario.Scenario {
 // [warmup, horizon) when horizon is not zero.
 func registered(t *testing.T, name string, warmup, horizon time.Duration) scenario.Scenario {
 	t.Helper()
-	s, ok := scenario.Default.Get(name)
+	s, ok := scenario.Get(name)
 	if !ok {
 		t.Fatalf("scenario %q is not registered", name)
 	}

@@ -8,7 +8,7 @@
 // Determinism is by construction, not by care: an injection is just
 // another task on the run's single event loop, scheduled at fixed
 // virtual times with all randomness drawn from the plan's seed, so a
-// faulted run is exactly as reproducible as a clean one and shard/worker
+// faulted run is exactly as reproducible as a clean one and worker-count
 // sweep invariance carries over untouched (each run owns its scheduler;
 // the plane adds tasks only inside it).
 package fault

@@ -71,7 +71,7 @@ func referenceRun(sched *vtime.Scheduler, sub workload.Submitter, gen workload.G
 
 func registered(t *testing.T, name string) scenario.Scenario {
 	t.Helper()
-	s, ok := scenario.Default.Get(name)
+	s, ok := scenario.Get(name)
 	if !ok {
 		t.Fatalf("scenario %q is not registered", name)
 	}

@@ -153,10 +153,8 @@ func (s Scenario) Run() (*Result, error) {
 	return s.RunOn(nil)
 }
 
-// RunOn is Run on a caller-supplied scheduler, which must be idle (nil
-// builds a private one). Sweep shards pass their pooled scheduler here
-// so back-to-back runs reuse its run queue, timer wheel, and task slab;
-// results are bit-identical either way.
+// RunOn is Run on a caller-supplied fresh scheduler (nil builds one), so
+// the caller can read the scheduler's counters after the run.
 func (s Scenario) RunOn(sched *vtime.Scheduler) (*Result, error) {
 	return s.run(sched, seams{})
 }

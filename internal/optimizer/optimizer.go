@@ -161,7 +161,7 @@ func (w *Work) Add(v Work) {
 }
 
 // runPool and memoPool recycle per-statement state across every
-// optimizer in the process. Optimizers on different sweep shards drain
+// optimizer in the process. Optimizers on different sweep workers drain
 // and fill them concurrently, so they must be synchronized pools; a
 // pooled instance carries only capacity (arenas, map slots) —
 // getRun and memo.Reset restore observable state bit-identically, so

@@ -37,7 +37,7 @@ func init() {
 			l.ThinkTime = 15 * time.Second
 		},
 	}
-	Default.MustRegister(rr.WithSlice(5 * time.Minute))
+	register(rr.WithSlice(5 * time.Minute))
 
 	// The locality experiment: a 2000-statement point-query pool over
 	// four nodes. Round-robin pays the pool's cold-compilation bill on
@@ -60,7 +60,7 @@ func init() {
 			l.ThinkTime = 5 * time.Second
 		},
 	}
-	Default.MustRegister(aff)
+	register(aff)
 
 	// The degradation experiment: least-loaded routing through a scripted
 	// loss of node 1. While the node is down the router carries its share
@@ -86,7 +86,7 @@ func init() {
 			{Kind: fault.CrashRestart, Node: 1, At: 40 * time.Minute, Duration: 6 * time.Minute},
 		}},
 	}
-	Default.MustRegister(loss)
+	register(loss)
 
 	// The thrash-shedding experiment: a wired-memory leak squeezes node 1
 	// into the paging regime while the rest of the fleet stays healthy.
@@ -120,7 +120,7 @@ func init() {
 				RateBytes: 64 * mem.MiB, Interval: 10 * time.Second, Release: true},
 		}},
 	}
-	Default.MustRegister(thrash.WithSlice(5 * time.Minute))
+	register(thrash.WithSlice(5 * time.Minute))
 
 	// The correlated-storm control: a compile-storm burst hits every node
 	// at the same instant. Storms raise pressure fleet-wide, but client
@@ -154,7 +154,7 @@ func init() {
 			{Kind: fault.CompileStorm, Node: 3, At: 40 * time.Minute, Burst: 16, Interval: 2 * time.Second},
 		}},
 	}
-	Default.MustRegister(storm.WithSlice(5 * time.Minute))
+	register(storm.WithSlice(5 * time.Minute))
 
 	// The recovery experiment: cluster-nodeloss re-run with the router's
 	// liveness oracle replaced by circuit breakers. The router discovers
@@ -184,5 +184,5 @@ func init() {
 			{Kind: fault.CrashRestart, Node: 1, At: 40 * time.Minute, Duration: 6 * time.Minute},
 		}},
 	}
-	Default.MustRegister(recovery)
+	register(recovery)
 }

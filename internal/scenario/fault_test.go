@@ -8,7 +8,7 @@ import (
 	"compilegate/internal/fault"
 )
 
-// TestFaultDeterminism proves shard/worker invariance holds under the
+// TestFaultDeterminism proves worker-count invariance holds under the
 // fault plane: randomized seeded fault plans over registry scenarios
 // produce byte-identical digests at every worker count. Injections run
 // as ordinary scheduler tasks, so this must hold by construction — a

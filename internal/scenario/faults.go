@@ -53,7 +53,7 @@ func init() {
 		30, &fault.Plan{Seed: 101, Injections: []fault.Injection{
 			{Kind: fault.DiskStall, At: 40 * time.Minute, Duration: 20 * time.Minute, Factor: 6},
 		}})
-	Default.MustRegister(stall)
+	register(stall)
 
 	// A wired-memory leak: 48 MiB every 15 s for 20 minutes (~3.8 GiB),
 	// squeezing the machine into the thrash regime until the leaking
@@ -67,7 +67,7 @@ func init() {
 				RateBytes: 48 * mem.MiB, Interval: 15 * time.Second, Release: true},
 		}})
 	leak.Engine = calibrated(brownout)
-	Default.MustRegister(leak)
+	register(leak)
 
 	// An engine crash: 4 minutes of downtime at t = 50 min. In-flight
 	// queries error, the plan cache and broker history are lost, and
@@ -79,7 +79,7 @@ func init() {
 			{Kind: fault.CrashRestart, At: 50 * time.Minute, Duration: 4 * time.Minute},
 		}})
 	crash.Load = retryDriver
-	Default.MustRegister(crash)
+	register(crash)
 
 	// The retry storm: an overloaded population (40 clients) with an
 	// aggressive-retry driver, hit by a burst of big-join compilations.
@@ -93,5 +93,5 @@ func init() {
 		}})
 	storm.Load = retryDriver
 	storm.Engine = calibrated(brownout)
-	Default.MustRegister(storm)
+	register(storm)
 }

@@ -13,7 +13,7 @@ import (
 // ahead of their players or (one core: the helper stands down by itself) the
 // players grew them alone. The helper's counters move between the two sweeps
 // and no Result or Report does, so none of them — they depend on host timing
-// — reaches one, or a golden derived from one. It joins the shard/worker
+// — reaches one, or a golden derived from one. It joins the worker-count
 // invariance suite, and under -race it is the whole-simulation probe of the
 // run ownership protocol.
 func TestKernelHelperInvariance(t *testing.T) {

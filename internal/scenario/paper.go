@@ -85,7 +85,7 @@ func monitorAblation(n string) Scenario {
 	return s
 }
 
-// init registers every paper experiment in the default registry, in the
+// init registers every paper experiment in the registry, in the
 // order the evaluation section presents them.
 func init() {
 	// Figure 2's conditions as a harness run: a memory-starved server
@@ -97,14 +97,14 @@ func init() {
 	fig2.Description = "Figure 2 conditions: compilations throttle at the monitor ladder under memory pressure"
 	fig2.Horizon, fig2.Warmup = 30*time.Minute, 5*time.Minute
 	fig2.Engine = calibrated(func(c *engine.Config) { c.MemoryBytes = 2 * mem.GiB })
-	Default.MustRegister(fig2.WithSlice(5 * time.Minute))
+	register(fig2.WithSlice(5 * time.Minute))
 
-	Default.MustRegister(figure(3, 30, "paper: ~35% higher throughput"))
-	Default.MustRegister(figure(4, 35, "paper: throttled stays ahead"))
-	Default.MustRegister(figure(5, 40, "paper: baseline collapses under overload"))
+	register(figure(3, 30, "paper: ~35% higher throughput"))
+	register(figure(4, 35, "paper: throttled stays ahead"))
+	register(figure(5, 40, "paper: baseline collapses under overload"))
 
 	for _, n := range []string{"1", "2", "5"} {
-		Default.MustRegister(monitorAblation(n))
+		register(monitorAblation(n))
 	}
 
 	// A-5: the broker's contribution alone — throttling off in both; the
@@ -113,14 +113,14 @@ func init() {
 	brokerOnly.Name = "broker-only"
 	brokerOnly.Description = "ablation A-5: Memory Broker without compilation throttling"
 	brokerOnly.Throttled = false
-	Default.MustRegister(brokerOnly)
+	register(brokerOnly)
 
 	noGov := Sales(30)
 	noGov.Name = "no-governance"
 	noGov.Description = "ablation A-5 twin: neither broker nor throttling"
 	noGov.Throttled = false
 	noGov.Engine = calibrated(func(c *engine.Config) { c.BrokerEnabled = false })
-	Default.MustRegister(noGov)
+	register(noGov)
 
 	// The mixed workload: OLTP point queries bypass the ladder while
 	// SALES compilations queue ("diagnostics under overload", §4).
@@ -135,7 +135,7 @@ func init() {
 		Throttled:   true,
 		Seed:        1,
 	}
-	Default.MustRegister(mix)
+	register(mix)
 
 	// §4.1's best-effort plans on a starved machine, plus the
 	// plain-OOM twin. The smaller machine keeps the 32-bit *default*
@@ -150,7 +150,7 @@ func init() {
 	be.Name = "best-effort"
 	be.Description = "§4.1 best-effort plans under memory exhaustion (2 GiB machine)"
 	be.Engine = calibrated(starved)
-	Default.MustRegister(be)
+	register(be)
 
 	beOff := Sales(30)
 	beOff.Name = "best-effort-off"
@@ -159,14 +159,14 @@ func init() {
 		starved(c)
 		c.BestEffort = false
 	})
-	Default.MustRegister(beOff)
+	register(beOff)
 
 	// The demo-sized ad-hoc DSS run the examples use.
 	dss := Sales(30)
 	dss.Name = "adhoc-dss"
 	dss.Description = "SALES ad-hoc DSS demo window (90 min)"
 	dss.Horizon, dss.Warmup = 90*time.Minute, 15*time.Minute
-	Default.MustRegister(dss.WithSlice(15 * time.Minute))
+	register(dss.WithSlice(15 * time.Minute))
 
 	// A seconds-scale smoke configuration for quickstarts and tests.
 	quick := Sales(4)
@@ -174,5 +174,5 @@ func init() {
 	quick.Description = "small SALES smoke run (4 clients, 20 min)"
 	quick.Scale = 0.02
 	quick.Horizon, quick.Warmup = 20*time.Minute, 2*time.Minute
-	Default.MustRegister(quick.WithSlice(2 * time.Minute))
+	register(quick.WithSlice(2 * time.Minute))
 }

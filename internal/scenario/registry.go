@@ -4,84 +4,55 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Registry is a named collection of scenarios. Iteration (Names,
-// Scenarios, List) is sorted by name, so listings and docs snippets are
-// stable regardless of init wiring order. Safe for concurrent use.
-type Registry struct {
-	mu     sync.RWMutex
-	byName map[string]Scenario
-}
+// registry holds every paper experiment by name; paper.go, cluster.go and
+// faults.go fill it at init, and nothing writes it after.
+var registry = map[string]Scenario{}
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]Scenario)}
-}
-
-// Register adds a scenario, rejecting invalid descriptions and duplicate
-// names.
-func (r *Registry) Register(s Scenario) error {
+// register adds a scenario at init, panicking on an invalid description
+// or a duplicate name.
+func register(s Scenario) {
 	if err := s.Validate(); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[s.Name]; dup {
-		return fmt.Errorf("scenario: duplicate name %q", s.Name)
-	}
-	r.byName[s.Name] = s
-	return nil
-}
-
-// MustRegister is Register for init-time wiring.
-func (r *Registry) MustRegister(s Scenario) {
-	if err := r.Register(s); err != nil {
 		panic(err)
 	}
+	if _, dup := registry[s.Name]; dup {
+		panic(fmt.Sprintf("scenario: duplicate name %q", s.Name))
+	}
+	registry[s.Name] = s
 }
 
 // Get returns the scenario registered under name.
-func (r *Registry) Get(name string) (Scenario, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.byName[name]
+func Get(name string) (Scenario, bool) {
+	s, ok := registry[name]
 	return s, ok
 }
 
-// Names returns the registered names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.byName))
-	for name := range r.byName {
+// Names returns the registered names, sorted, so listings and docs
+// snippets are stable regardless of init wiring order.
+func Names() []string {
+	out := make([]string, 0, len(registry))
+	for name := range registry {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Scenarios returns the registered scenarios sorted by name.
-func (r *Registry) Scenarios() []Scenario {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.byName))
-	for name := range r.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Scenario, 0, len(names))
-	for _, name := range names {
-		out = append(out, r.byName[name])
+// All returns the registered scenarios sorted by name.
+func All() []Scenario {
+	names := Names()
+	out := make([]Scenario, len(names))
+	for i, name := range names {
+		out[i] = registry[name]
 	}
 	return out
 }
 
 // List renders a table of the registered scenarios for -list flags.
-func (r *Registry) List() string {
+func List() string {
 	var sb strings.Builder
-	for _, s := range r.Scenarios() {
+	for _, s := range All() {
 		throttle := "throttled"
 		if !s.Throttled {
 			throttle = "baseline"
@@ -92,19 +63,3 @@ func (r *Registry) List() string {
 	}
 	return sb.String()
 }
-
-// Default is the registry holding every paper experiment; paper.go
-// populates it at init.
-var Default = NewRegistry()
-
-// Get resolves name against the default registry.
-func Get(name string) (Scenario, bool) { return Default.Get(name) }
-
-// Names lists the default registry's names.
-func Names() []string { return Default.Names() }
-
-// All returns the default registry's scenarios.
-func All() []Scenario { return Default.Scenarios() }
-
-// List renders the default registry.
-func List() string { return Default.List() }

@@ -12,9 +12,9 @@ import (
 // This file is the multi-seed replication runner: every paper claim the
 // repository pins is asserted over a population of seeds, not a single
 // lucky draw. Seeds become sweep jobs through RunSweep, so the
-// shard-count and worker-count invariance guarantees of the sweep
-// runner carry over to replications for free, and a replication's
-// per-seed results are byte-identical at any worker count.
+// worker-count invariance of the sweep carries over to replications for
+// free: a replication's per-seed results are byte-identical at any worker
+// count.
 
 // Seeds returns the canonical replication seed list {1..n}. Claims
 // tests default to Seeds(DefaultClaimSeeds), overridable through the

@@ -1,12 +1,11 @@
 // Package scenario owns what is run: the registry holding every paper
 // experiment by name, so commands, examples and benchmarks resolve
 // configurations instead of hand-wiring them; RunSweep, which executes
-// independent scenarios concurrently across vtime event-loop shards (each
-// run starts from fresh scheduler state, so per-run determinism is
-// untouched); multi-seed replications with claim bands; and the pressure
-// calibration. How a scenario is declared, validated and executed belongs
-// to package harness: Scenario is its description type under this
-// package's name.
+// independent scenarios concurrently, each on a fresh scheduler of its
+// own (so per-run determinism is untouched); multi-seed replications with
+// claim bands; and the pressure calibration. How a scenario is declared,
+// validated and executed belongs to package harness: Scenario is its
+// description type under this package's name.
 package scenario
 
 import "compilegate/internal/harness"

@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -100,34 +100,43 @@ func TestValidateRejectsBrokenScenarios(t *testing.T) {
 }
 
 func TestRegistryRejectsDuplicatesAndSortsNames(t *testing.T) {
-	r := NewRegistry()
-	a, b := Sales(4), Sales(5)
-	a.Name, b.Name = "b", "a" // registered out of name order on purpose
-	if err := r.Register(a); err != nil {
-		t.Fatal(err)
+	refused := func(what string, s Scenario) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s registered", what)
+			}
+		}()
+		register(s)
 	}
-	if err := r.Register(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(a); err == nil {
-		t.Fatal("duplicate registration accepted")
+	n := len(registry)
+	refused("duplicate name", MustGet(t, "figure3").WithSeed(9))
+	bad := Sales(0) // invalid: no clients
+	bad.Name = "bad"
+	refused("invalid scenario", bad)
+	if len(registry) != n {
+		t.Fatalf("registry grew from %d to %d scenarios", n, len(registry))
 	}
 	// Iteration is sorted by name regardless of registration order, so
 	// -list output and docs snippets stay stable.
-	if names := r.Names(); !reflect.DeepEqual(names, []string{"a", "b"}) {
+	names, all := Names(), All()
+	if !sort.StringsAreSorted(names) || len(names) != n || len(all) != n {
 		t.Fatalf("names = %v", names)
 	}
-	if all := r.Scenarios(); len(all) != 2 || all[0].Name != "a" || all[1].Name != "b" {
-		t.Fatalf("scenarios not sorted: %v, %v", all[0].Name, all[1].Name)
+	list := List()
+	for i, s := range all {
+		if s.Name != names[i] {
+			t.Fatalf("scenario %d is %s, want %s", i, s.Name, names[i])
+		}
+		if !strings.Contains(list, s.Name) {
+			t.Fatalf("list misses %s", s.Name)
+		}
 	}
-	if _, ok := r.Get("a"); !ok {
+	if s, ok := Get("figure3"); !ok || s.Name != "figure3" {
 		t.Fatal("registered scenario not found")
 	}
-	if _, ok := r.Get("zzz"); ok {
+	if _, ok := Get("zzz"); ok {
 		t.Fatal("unknown scenario found")
-	}
-	if list := r.List(); !strings.Contains(list, "a") || !strings.Contains(list, "b") {
-		t.Fatalf("list = %q", list)
 	}
 }
 
@@ -206,78 +215,6 @@ func TestSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepWorkerCountInvariance is the full-registry determinism
-// guard: running every registered scenario through RunSweep with
-// workers=1 and with workers=N must produce byte-identical results —
-// same measurements, same rendered reports — because each run owns a
-// private scheduler and shares no mutable state. It extends the
-// four-scenario serial-vs-parallel probe (TestSweepMatchesSerial)
-// across the whole registry, guarding scheduler determinism under the
-// staged compile-memory model. (That the process-wide shared snapshot
-// changes nothing either is internal/harness's
-// TestFreshSnapshotMatchesShared.)
-func TestSweepWorkerCountInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short")
-	}
-	all := All()
-	scenarios := make([]Scenario, len(all))
-	for i, s := range all {
-		scenarios[i] = goldenWindow(s)
-	}
-	// Replication pass: a multi-seed replication is sweep jobs underneath,
-	// so its per-seed results must also be identical at any worker count.
-	repScenario := goldenWindow(MustGet(t, "figure3"))
-	repOne, err := Replication{Scenario: repScenario, Seeds: Seeds(3), Paired: true, Workers: 1}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	repMany, err := Replication{Scenario: repScenario, Seeds: Seeds(3), Paired: true, Workers: 0}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range repOne.Runs {
-		if !sameSeedRun(repOne.Runs[i], repMany.Runs[i]) {
-			t.Errorf("replication seed %d differs between workers=1 and workers=N", repOne.Runs[i].Seed)
-		}
-	}
-	// Cluster pass: the affinity fleet's per-seed results must be
-	// worker-count invariant as well; cluster-thrash-shed re-proves it
-	// with health exclusion, breakers, and failover all armed.
-	for _, name := range []string{"cluster-affinity", "cluster-thrash-shed"} {
-		clOne, err := Replication{Scenario: MustGet(t, name), Seeds: Seeds(2), Workers: 1}.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		clMany, err := Replication{Scenario: MustGet(t, name), Seeds: Seeds(2), Workers: 0}.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range clOne.Runs {
-			if !sameSeedRun(clOne.Runs[i], clMany.Runs[i]) {
-				t.Errorf("%s replication seed %d differs between workers=1 and workers=N", name, clOne.Runs[i].Seed)
-			}
-		}
-	}
-
-	one := RunSweep(scenarios, 1)
-	many := RunSweep(scenarios, 0)
-	for i := range scenarios {
-		name := scenarios[i].Name
-		if one[i].Err != nil || many[i].Err != nil {
-			t.Fatalf("%s: errs %v vs %v", name, one[i].Err, many[i].Err)
-		}
-		if one[i].Result.Report != many[i].Result.Report {
-			t.Errorf("%s: report diverges between workers=1 and workers=N:\n%s\nvs\n%s",
-				name, one[i].Result.Report, many[i].Result.Report)
-			continue
-		}
-		if !sameResult(one[i].Result, many[i].Result) {
-			t.Errorf("%s: results differ between workers=1 and workers=N", name)
-		}
-	}
-}
-
 func TestSweepWorkerBounds(t *testing.T) {
 	s, _ := Get("quickstart")
 	// workers > len, workers = 1, workers <= 0 all behave.
@@ -303,5 +240,20 @@ func TestSweepSurfacesErrors(t *testing.T) {
 	res := RunSweep([]Scenario{bad}, 1)
 	if res[0].Err == nil {
 		t.Fatal("invalid scenario ran")
+	}
+	// A failed run between two good ones leaves their results as a sweep
+	// without it returns them.
+	s := MustGet(t, "quickstart")
+	ref := RunSweep([]Scenario{s, s.WithSeed(2)}, 1)
+	for _, workers := range []int{1, 2} {
+		got := RunSweep([]Scenario{s, bad, s.WithSeed(2)}, workers)
+		if got[1].Err == nil {
+			t.Fatalf("workers=%d: invalid scenario ran", workers)
+		}
+		for i, j := range []int{0, 2} {
+			if ref[i].Err != nil || got[j].Err != nil || !sameResult(ref[i].Result, got[j].Result) {
+				t.Errorf("workers=%d: %s differs beside a failed run", workers, got[j].Scenario.Name)
+			}
+		}
 	}
 }

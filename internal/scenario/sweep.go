@@ -1,7 +1,9 @@
 package scenario
 
 import (
-	"time"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"compilegate/internal/harness"
 	"compilegate/internal/vtime"
@@ -16,32 +18,31 @@ type SweepResult struct {
 	Coroutines, CoroSwitches uint64
 }
 
-// RunSweep executes the scenarios across vtime event-loop shards and
-// returns their outcomes in input order. Scenario i runs on shard
-// i%workers (static placement, no work stealing), each shard reusing
-// one scheduler — run queue, timer wheel, task slab — across its whole
-// job stream via Reset. Runs share no mutable state, and every run
-// starts from the fresh-scheduler state, so a sweep returns results
-// bit-identical to running every scenario serially at any worker count
-// (pinned by the shard-invariance test), while the wall-clock cost
-// drops to roughly the slowest shard's share.
+// RunSweep executes the scenarios concurrently and returns their outcomes
+// in input order. min(workers, len(scenarios)) goroutines each take the
+// next scenario and run it on a fresh scheduler of its own. Runs share no
+// mutable state, so a sweep's results are identical to running every
+// scenario serially, at any worker count.
 //
 // workers <= 0 uses GOMAXPROCS.
 func RunSweep(scenarios []Scenario, workers int) []SweepResult {
 	out := make([]SweepResult, len(scenarios))
-	if len(scenarios) == 0 {
-		return out
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(scenarios)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(scenarios); i = int(next.Add(1)) - 1 {
+				s, sched := scenarios[i], vtime.NewScheduler()
+				r, err := s.RunOn(sched)
+				out[i] = SweepResult{s, r, err, sched.Coroutines(), sched.CoroSwitches()}
+			}
+		}()
 	}
-	sh := vtime.NewShards(workers)
-	defer sh.Close()
-	sh.Run(len(scenarios), func(i int, sched *vtime.Scheduler) (time.Duration, error) {
-		s := scenarios[i]
-		r, err := s.RunOn(sched)
-		out[i] = SweepResult{s, r, err, sched.Coroutines(), sched.CoroSwitches()}
-		return sched.Now(), err
-	})
+	wg.Wait()
 	return out
 }

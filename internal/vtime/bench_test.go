@@ -50,11 +50,10 @@ func BenchmarkSleepers(b *testing.B) {
 	}{{"1k", 1000}, {"10k", 10000}, {"100k", 100000}} {
 		for _, fl := range flavours {
 			b.Run(size.name+"/"+fl.name, func(b *testing.B) {
-				s := NewScheduler()
 				var events uint64
 				var busy time.Duration
 				for it := 0; it < b.N; it++ {
-					s.Reset()
+					s := NewScheduler()
 					for i := 0; i < size.n; i++ {
 						fl.spawn(s, i)
 					}

@@ -91,14 +91,12 @@ type Scheduler struct {
 	// hot wait paths only pay a nil check for it.
 	queues []*WaitQueue
 
-	// Task slab: chunked arena the Tasks of a run are carved from.
-	// Starting a task costs one allocation per taskChunkSize tasks
-	// instead of one each, and Reset rewinds the whole slab for the next
-	// run — the per-run arena freed (recycled) wholesale at run end.
-	// Task records embed their timer and wait-queue links, so this one
-	// slab is also the run's timer and wait-queue storage.
-	tchunks [][]Task
-	tcur    int
+	// Task slab: the current chunk of the arena the Tasks of a run are
+	// carved from, so starting a task costs one allocation per
+	// taskChunkSize tasks instead of one each. Task records embed their
+	// timer and wait-queue links, so the slab is also the run's timer and
+	// wait-queue storage.
+	tasks []Task
 }
 
 const taskChunkSize = 64
@@ -129,56 +127,14 @@ func (s *Scheduler) CoroSwitches() uint64 { return s.switches }
 // Coroutines: see CoroSwitches.
 func (s *Scheduler) Coroutines() uint64 { return s.coros }
 
-// Idle reports whether the scheduler holds no live tasks, no runnable
-// tasks, and no armed timers — the state in which Reset is legal. A
-// scheduler whose Run returned nil is idle; one abandoned after a
-// deadlock is not.
-func (s *Scheduler) Idle() bool {
-	return s.live == 0 && s.rlen == 0 && s.wheel.count == 0
-}
-
-// Reset restores an idle scheduler to the observable state NewScheduler
-// returns — clock at zero, zero task sequence, zero event count, no
-// registered queues — while retaining the run queue ring, timer-wheel
-// geometry, and task-slab chunks. A run on a Reset scheduler is
-// bit-identical to a run on a fresh one (pinned by the scenario
-// arena-reuse test), which is what lets a sweep shard reuse one
-// scheduler across its whole job stream. Reset panics if the scheduler
-// is not Idle: task records of an abandoned (deadlocked) run may still
-// be referenced by parked coroutines and must not be recycled.
-func (s *Scheduler) Reset() {
-	if !s.Idle() {
-		panic("vtime: Reset on a non-idle scheduler")
-	}
-	s.now = 0
-	s.seq = 0
-	s.events = 0
-	s.switches = 0
-	s.coros = 0
-	s.queues = s.queues[:0]
-	s.wheel.cur = 0
-	for i := range s.tchunks {
-		s.tchunks[i] = s.tchunks[i][:0]
-	}
-	s.tcur = 0
-}
-
-// newTask carves a pointer-stable Task slot out of the slab. Slots are
-// stale when reused after Reset; the caller initializes every field.
+// newTask carves a zeroed, pointer-stable Task slot out of the slab,
+// starting a fresh chunk when the current one is full.
 func (s *Scheduler) newTask() *Task {
-	for {
-		if s.tcur == len(s.tchunks) {
-			s.tchunks = append(s.tchunks, make([]Task, 0, taskChunkSize))
-		}
-		c := s.tchunks[s.tcur]
-		if len(c) == cap(c) {
-			s.tcur++
-			continue
-		}
-		c = c[:len(c)+1]
-		s.tchunks[s.tcur] = c
-		return &c[len(c)-1]
+	if len(s.tasks) == cap(s.tasks) {
+		s.tasks = make([]Task, 0, taskChunkSize)
 	}
+	s.tasks = s.tasks[:len(s.tasks)+1]
+	return &s.tasks[len(s.tasks)-1]
 }
 
 // --- run queue ---

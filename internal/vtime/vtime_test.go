@@ -1,6 +1,9 @@
 package vtime
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -508,5 +511,168 @@ func TestGoFromTask(t *testing.T) {
 	}
 	if !childRan {
 		t.Fatal("child task never ran")
+	}
+}
+
+func TestDeadlockErrorNamesBlockedTasks(t *testing.T) {
+	s := NewScheduler()
+	q := NewWaitQueue("gate")
+	s.Go("alice", func(tk *Task) { tk.Await(func(k Step) { q.WaitThen(tk, k) }) })
+	s.Go("bob", func(tk *Task) { tk.Await(func(k Step) { q.WaitThen(tk, k) }) })
+	err := s.Run()
+	var dl *ErrDeadlock
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run returned %v, want *ErrDeadlock", err)
+	}
+	msg := dl.Error()
+	for _, name := range []string{"alice", "bob", "2 task(s)"} {
+		if !strings.Contains(msg, name) {
+			t.Fatalf("deadlock message missing %q: %s", name, msg)
+		}
+	}
+}
+
+func TestSemaphoreAccessorsAndTimeouts(t *testing.T) {
+	s := NewScheduler()
+	m := NewSemaphore("gate", 1)
+	if m.Name() != "gate" || m.Cap() != 1 {
+		t.Fatalf("accessors: name %q cap %d", m.Name(), m.Cap())
+	}
+	var holderTimedOut, waiterAcquired, thenAcquired, thenTimedOut bool
+	s.Go("holder", func(tk *Task) {
+		if tk.Await(func(k Step) { m.AcquireTimeoutThen(tk, time.Second, k) }); tk.TimedOut() {
+			holderTimedOut = true
+			return
+		}
+		tk.Sleep(3 * time.Second)
+		m.Release()
+	})
+	s.Go("waiter", func(tk *Task) {
+		// Queued behind holder; the slot is handed over at t=3s, inside
+		// the 5 s timeout.
+		tk.Await(func(k Step) { m.AcquireTimeoutThen(tk, 5*time.Second, k) })
+		waiterAcquired = !tk.TimedOut()
+		if waiterAcquired {
+			m.Release()
+		}
+	})
+	s.Go("observer", func(tk *Task) {
+		tk.Sleep(time.Second)
+		if m.Waiting() != 1 {
+			t.Errorf("Waiting = %d at t=1s, want 1", m.Waiting())
+		}
+	})
+	s.Go("hopeless", func(tk *Task) {
+		// Queued behind waiter with a timeout that fires first.
+		m.AcquireTimeoutThen(tk, time.Millisecond, StepFunc(func(tk *Task) {
+			thenTimedOut = tk.TimedOut()
+		}))
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if holderTimedOut || !waiterAcquired || !thenTimedOut {
+		t.Fatalf("holderTimedOut=%v waiterAcquired=%v thenTimedOut=%v",
+			holderTimedOut, waiterAcquired, thenTimedOut)
+	}
+
+	// AcquireTimeoutThen on a free semaphore runs synchronously.
+	s2 := NewScheduler()
+	m2 := NewSemaphore("free", 1)
+	s2.Go("instant", func(tk *Task) {
+		m2.AcquireTimeoutThen(tk, time.Second, StepFunc(func(tk *Task) {
+			thenAcquired = !tk.TimedOut()
+		}))
+	})
+	if err := s2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !thenAcquired {
+		t.Fatal("AcquireTimeoutThen on a free semaphore timed out")
+	}
+}
+
+func TestSemaphoreSetCapWakesWaiters(t *testing.T) {
+	s := NewScheduler()
+	m := NewSemaphore("pool", 0)
+	var acquired int
+	for i := 0; i < 2; i++ {
+		s.Go(fmt.Sprintf("w%d", i), func(tk *Task) {
+			tk.Await(func(k Step) { m.AcquireThen(tk, k) })
+			acquired++
+		})
+	}
+	s.Go("grower", func(tk *Task) {
+		tk.Sleep(time.Second)
+		m.SetCap(2)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if acquired != 2 || m.Held() != 2 {
+		t.Fatalf("acquired=%d held=%d after SetCap growth", acquired, m.Held())
+	}
+}
+
+func TestSemaphoreReleasePanicsUnheld(t *testing.T) {
+	m := NewSemaphore("empty", 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Release of an unheld semaphore did not panic")
+		}
+	}()
+	m.Release()
+}
+
+func TestCPUSetDilationAndAccessors(t *testing.T) {
+	s := NewScheduler()
+	c := NewCPUSet(2, 50*time.Millisecond)
+	if c.N() != 2 {
+		t.Fatalf("N = %d", c.N())
+	}
+	c.SetDilation(func() float64 { return 2 })
+	s.Go("worker", func(tk *Task) {
+		tk.Await(func(k Step) { c.UseThen(tk, 100*time.Millisecond, k) })
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// 100ms of useful work at 2x dilation occupies 200ms: 100ms stall.
+	if c.StallTime() != 100*time.Millisecond {
+		t.Fatalf("StallTime = %v, want 100ms", c.StallTime())
+	}
+	if c.BusyTime() != 200*time.Millisecond {
+		t.Fatalf("BusyTime = %v, want 200ms", c.BusyTime())
+	}
+	// UseThen with non-positive d runs the continuation synchronously.
+	var ran bool
+	s = NewScheduler()
+	s.Go("zero", func(tk *Task) {
+		c.UseThen(tk, 0, StepFunc(func(*Task) { ran = true }))
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("UseThen(0) did not run its continuation")
+	}
+}
+
+func TestTaskAndQueueIdentity(t *testing.T) {
+	s := NewScheduler()
+	q := NewWaitQueue("diag")
+	if q.Name() != "diag" {
+		t.Fatalf("queue name %q", q.Name())
+	}
+	var id uint64
+	tk := s.Go("ident", func(tk *Task) { id = tk.ID() })
+	if tk.Name() != "ident" {
+		t.Fatalf("task name %q", tk.Name())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if id == 0 || id != tk.ID() {
+		t.Fatalf("task ID %d vs %d", id, tk.ID())
 	}
 }
