@@ -11,7 +11,8 @@ import (
 // these tests pin that surface. What they no longer cover is tested where
 // it lives: the registry's refusals, names and listing by scenario's
 // TestRegistryRejectsDuplicatesAndSortsNames, sweep ≡ serial by
-// TestSweepMatchesSerial and TestSweepWorkerCountInvariance, and
+// TestSweepMatchesSerial, TestShardCountInvariance and
+// TestSweepWorkerCountInvariance, and
 // CompareRuns by harness's Compare table test (TestCompareZeroBaseline)
 // and Example_adhocDSS.
 

@@ -8,16 +8,36 @@ import (
 	"compilegate/internal/harness"
 )
 
-// TestSweepWorkerCountInvariance is the sweep's determinism guard: a
-// full-registry sweep returns byte-identical results — same measurements,
-// same rendered reports — at every worker count, because each run owns a
-// fresh scheduler and shares no mutable state. Workers 1 is the serial
-// reference; 2, 4, NumCPU and 0 (GOMAXPROCS) cover under-, evenly- and
-// over-subscribed pools (a count above len(scenarios) clamps inside
-// RunSweep). CI runs this under -race, so it doubles as the sweep's
-// data-race probe. (That the process-wide shared snapshot changes nothing
-// either is internal/harness's TestFreshSnapshotMatchesShared.)
+// TestShardCountInvariance and TestSweepWorkerCountInvariance are the
+// sweep's determinism guard: a full-registry sweep returns
+// byte-identical results — same measurements, same rendered reports —
+// at every worker count, because each run owns a fresh scheduler and
+// shares no mutable state. Both share one body, sweepInvariant, and
+// split the worker counts and cluster scenarios between them; workers 1
+// is the serial reference for each. CI runs them under -race, so they
+// double as the sweep's data-race probe. (That the process-wide shared
+// snapshot changes nothing either is internal/harness's
+// TestFreshSnapshotMatchesShared.)
+//
+// TestShardCountInvariance covers explicit pool sizes: 2, 4 and NumCPU
+// are under-, evenly- and over-subscribed pools (a count above
+// len(scenarios) clamps inside RunSweep).
+func TestShardCountInvariance(t *testing.T) {
+	sweepInvariant(t, []int{2, 4, runtime.NumCPU()}, 4, "cluster-nodeloss", "cluster-breaker-recovery")
+}
+
+// TestSweepWorkerCountInvariance covers workers 0, the GOMAXPROCS
+// default that the commands and Replication use.
 func TestSweepWorkerCountInvariance(t *testing.T) {
+	sweepInvariant(t, []int{0}, 0, "cluster-affinity", "cluster-thrash-shed")
+}
+
+// sweepInvariant sweeps the whole registry at workers 1 and at each of
+// workers, and fails on any scenario whose runs differ. It then runs a
+// paired figure3 replication and a replication of each named cluster
+// scenario at workers 1 and repWorkers.
+func sweepInvariant(t *testing.T, workers []int, repWorkers int, clusters ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
@@ -32,20 +52,20 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("%s: workers=1: %v", scenarios[i].Name, ref[i].Err)
 		}
 	}
-	for _, workers := range []int{2, 4, runtime.NumCPU(), 0} {
-		got := RunSweep(scenarios, workers)
+	for _, w := range workers {
+		got := RunSweep(scenarios, w)
 		for i := range scenarios {
 			name := scenarios[i].Name
 			if got[i].Err != nil {
-				t.Fatalf("%s: workers=%d: %v", name, workers, got[i].Err)
+				t.Fatalf("%s: workers=%d: %v", name, w, got[i].Err)
 			}
 			if ref[i].Result.Report != got[i].Result.Report {
 				t.Errorf("%s: report diverges between workers=1 and workers=%d:\n%s\nvs\n%s",
-					name, workers, ref[i].Result.Report, got[i].Result.Report)
+					name, w, ref[i].Result.Report, got[i].Result.Report)
 				continue
 			}
 			if !sameResult(ref[i].Result, got[i].Result) {
-				t.Errorf("%s: results differ between workers=1 and workers=%d", name, workers)
+				t.Errorf("%s: results differ between workers=1 and workers=%d", name, w)
 			}
 		}
 	}
@@ -53,7 +73,7 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	// Replication pass: seeds become sweep jobs, so a replication's
 	// per-seed results must be identical at any worker count.
 	rep := goldenWindow(MustGet(t, "figure3"))
-	replicationInvariant(t, Replication{Scenario: rep, Seeds: Seeds(3), Paired: true}, 4, 0)
+	replicationInvariant(t, Replication{Scenario: rep, Seeds: Seeds(3), Paired: true}, repWorkers)
 	// Cluster pass: a multi-node run adds N servers and a router to one
 	// event loop; its per-seed results (including the per-node breakdown
 	// and the injected node loss) must be worker-count invariant too.
@@ -61,8 +81,8 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	// the health plane armed — health exclusion, breaker state machines,
 	// failover resubmission and the per-node transition trails all live on
 	// the same loop.
-	for _, name := range []string{"cluster-nodeloss", "cluster-breaker-recovery", "cluster-affinity", "cluster-thrash-shed"} {
-		replicationInvariant(t, Replication{Scenario: MustGet(t, name), Seeds: Seeds(2)}, 4, 0)
+	for _, name := range clusters {
+		replicationInvariant(t, Replication{Scenario: MustGet(t, name), Seeds: Seeds(2)}, repWorkers)
 	}
 }
 
