@@ -16,15 +16,19 @@
 //	figures -scenario oltp-mix [-clients N] [-seed N] [-scale F]
 //	        [-workload sales|tpch|oltp|mix] [-horizon D] [-warmup D]
 //	figures -faultplan [-scenario fault-leak]
+//	figures -claims
 //
 // -quick shrinks the simulation window so a full regeneration finishes in
 // well under a minute of wall-clock time. The override flags replace
 // that field of every scenario the command runs, after -quick. -scenario
 // prints, after the side-by-side series, each side's completion series,
 // error taxonomy, compile memory, gateway counters and engine report.
+// -claims checks every row of scenario.Claims() over CLAIMS_SEEDS seeds
+// (default 5) into a markdown table, and exits 1 when a row fails.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,6 +60,7 @@ func run(args []string, w io.Writer) error {
 	scen := fs.String("scenario", "", "run one registered scenario (with its baseline) instead of a figure")
 	list := fs.Bool("list", false, "list registered scenarios and exit")
 	faultplan := fs.Bool("faultplan", false, "print the injected fault schedule of -scenario (or of every fault scenario) and exit")
+	claims := fs.Bool("claims", false, "check every paper claim over the claim seeds and print the table")
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = all cores)")
 	clients := fs.Int("clients", 0, "override the concurrent database users")
 	seed := fs.Int64("seed", 0, "override the random seed")
@@ -108,6 +113,9 @@ func run(args []string, w io.Writer) error {
 	if *list {
 		fmt.Fprint(w, scenario.List())
 		return nil
+	}
+	if *claims {
+		return renderClaims(w, scenario.RunClaims(scenario.Claims(), scenario.ClaimSeeds()))
 	}
 	if *faultplan {
 		plans := scenario.All()
@@ -182,6 +190,22 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// renderClaims prints one markdown row per verdict and returns the
+// failing claims' errors.
+func renderClaims(w io.Writer, vs []scenario.Verdict) error {
+	fmt.Fprint(w, "| claim | metric | band | n | mean | 95% CI | verdict |\n|---|---|---|---|---|---|---|\n")
+	var errs []error
+	for _, v := range vs {
+		verdict := "holds"
+		if v.Err != nil {
+			verdict, errs = "fails", append(errs, v.Err)
+		}
+		fmt.Fprintf(w, "| %s | %s | [%g, %g] | %d | %.3f | [%.3f, %.3f] | %s |\n", v.Text, v.Metric.Name,
+			v.Lo, v.Hi, v.Summary.N, v.Summary.Mean, v.Summary.CI.Lo, v.Summary.CI.Hi, verdict)
+	}
+	return errors.Join(errs...)
 }
 
 // renderPair prints the throttled and baseline series side by side.

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
+
+	"compilegate/internal/scenario"
 )
 
 // figures runs the command and fails the test on an error.
@@ -91,4 +94,24 @@ func TestUnknownNamesAreErrors(t *testing.T) {
 			t.Errorf("figures %s: no error", strings.Join(args, " "))
 		}
 	}
+}
+
+// TestClaimsTable: -claims' printer marks each verdict's row and returns
+// an error exactly when a claim fails.
+func TestClaimsTable(t *testing.T) {
+	holds := scenario.Verdict{Claim: scenario.Claim{Text: "a claim that holds", Metric: scenario.MetricCompleted, Lo: 1, Hi: 2},
+		Summary: scenario.Summarize([]float64{1.5, 1.5, 1.5}, 0.95)}
+	fails := holds
+	fails.Text, fails.Err = "a claim that fails", errors.New("claim \"a claim that fails\": out of band")
+	var out strings.Builder
+	if err := renderClaims(&out, []scenario.Verdict{holds}); err != nil {
+		t.Fatalf("holding claim: %v", err)
+	}
+	wantLines(t, out.String(), "| a claim that holds | completed | [1, 2] | 3 | 1.500 | [1.500, 1.500] | holds |")
+	out.Reset()
+	err := renderClaims(&out, []scenario.Verdict{holds, fails})
+	if err == nil || !strings.Contains(err.Error(), "a claim that fails") {
+		t.Fatalf("failing claim returned %v", err)
+	}
+	wantLines(t, out.String(), "| a claim that fails | completed | [1, 2] | 3 | 1.500 | [1.500, 1.500] | fails |")
 }

@@ -2,12 +2,12 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"compilegate/internal/engine"
-	"compilegate/internal/harness"
 	"compilegate/internal/mem"
 )
 
@@ -143,29 +143,9 @@ func CalibratedKnobs() PressureKnobs {
 	}
 }
 
-// CalibrationPoint is one grid cell's outcome: a throttled/baseline pair
-// at one client count and seed under one knob set.
-type CalibrationPoint struct {
-	Knobs     PressureKnobs
-	Clients   int
-	Seed      int64
-	Throttled *harness.Result
-	Baseline  *harness.Result
-	Err       error
-}
-
-// Ratio returns throttled/baseline completions (0 when unavailable).
-func (p CalibrationPoint) Ratio() float64 {
-	if p.Err != nil || p.Baseline == nil || p.Baseline.Completed == 0 {
-		return 0
-	}
-	return float64(p.Throttled.Completed) / float64(p.Baseline.Completed)
-}
-
 // FidelityTarget is the throughput separation the paper shows at one
 // client count.
 type FidelityTarget struct {
-	Clients int
 	// Ratio is the throttled/baseline separation to aim for.
 	Ratio float64
 	// AtLeast relaxes the target to a floor: any separation >= Ratio
@@ -174,31 +154,21 @@ type FidelityTarget struct {
 	AtLeast bool
 }
 
-// PaperTargets returns the Figures 3-5 separations: ~1.35x at 30
-// clients (Figure 3), throttled clearly ahead at 35 (Figure 4), and a
+// paperTargets are the Figures 3-5 separations by client count: ~1.35x
+// at 30 (Figure 3), throttled clearly ahead at 35 (Figure 4), and a
 // collapsing baseline at 40 (Figure 5).
-func PaperTargets() []FidelityTarget {
-	return []FidelityTarget{
-		{Clients: 30, Ratio: 1.35},
-		{Clients: 35, Ratio: 1.30, AtLeast: true},
-		{Clients: 40, Ratio: 1.50, AtLeast: true},
-	}
-}
+var paperTargets = map[int]FidelityTarget{30: {1.35, false}, 35: {1.30, true}, 40: {1.50, true}}
 
 // Calibration describes a sweep: every knob set crossed with every
-// client count, each cell a throttled/baseline pair.
+// client count, each cell a paired replication against the baseline.
 type Calibration struct {
 	Knobs   []PressureKnobs
 	Clients []int
 	// Horizon/Warmup bound each run's measurement window.
 	Horizon, Warmup time.Duration
-	// Seeds replicates every cell over this seed population; nil runs
-	// every cell at seed 1. A multi-seed grid scores each knob set over
-	// all of its cells, so the selected calibration holds as a
-	// distribution.
+	// Seeds replicates every cell over this seed population, so the
+	// selected calibration holds as a distribution.
 	Seeds []int64
-	// Targets score knob sets; nil uses PaperTargets.
-	Targets []FidelityTarget
 	// Workers bounds concurrent simulations (0 = all cores).
 	Workers int
 }
@@ -233,120 +203,64 @@ func DefaultCalibration() Calibration {
 		Clients: []int{30, 35, 40},
 		Horizon: 3 * time.Hour,
 		Warmup:  45 * time.Minute,
+		Seeds:   Seeds(1),
 	}
 }
 
-// seedList resolves the grid's seed population: Seeds when set, else {1}.
-func (c Calibration) seedList() []int64 {
-	if len(c.Seeds) > 0 {
-		return c.Seeds
-	}
-	return []int64{1}
+// CalibrationCell is one grid cell: a knob set at one client count,
+// replicated over the grid's seeds against its baseline twin.
+type CalibrationCell struct {
+	Knobs   PressureKnobs
+	Clients int
+	Rep     *ReplicationReport
 }
 
-// cellScenario builds the throttled arm of one calibration cell; the
-// baseline arm is its Baseline twin.
-func (c Calibration) cellScenario(k PressureKnobs, clients int, seed int64) Scenario {
-	s := Sales(clients)
-	s.Name = fmt.Sprintf("cal-%s-c%d-s%d", k.Name, clients, seed)
-	s.Description = fmt.Sprintf("calibration cell %s at %d clients, seed %d", k.Name, clients, seed)
-	s.Horizon, s.Warmup = c.Horizon, c.Warmup
-	s.Seed = seed
-	s.Engine = k.Apply
-	// The grid's 45- and 15-minute warm-ups are whole 5-minute slices.
-	return s.WithSlice(5 * time.Minute)
-}
-
-// scenarios expands the grid into throttled/baseline scenario pairs in a
-// fixed order: for cell i, index 2i is throttled and 2i+1 its baseline.
-func (c Calibration) scenarios() []Scenario {
-	seeds := c.seedList()
-	out := make([]Scenario, 0, 2*len(c.Knobs)*len(c.Clients)*len(seeds))
-	for _, k := range c.Knobs {
-		for _, cl := range c.Clients {
-			for _, seed := range seeds {
-				s := c.cellScenario(k, cl, seed)
-				out = append(out, s, s.Baseline())
-			}
-		}
-	}
-	return out
-}
-
-// Run executes the whole grid through RunSweep (every cell is two
-// independent simulations; all of them run concurrently on real cores)
-// and collects the outcomes into a report.
+// Run replicates every cell through RunReplications (all simulations of
+// the grid in one sweep) and collects the cells into a report.
 func (c Calibration) Run() *CalibrationReport {
-	if c.Horizon <= 0 {
-		c.Horizon, c.Warmup = 3*time.Hour, 45*time.Minute
-	}
-	targets := c.Targets
-	if targets == nil {
-		targets = PaperTargets()
-	}
-	seeds := c.seedList()
-	results := RunSweep(c.scenarios(), c.Workers)
-	rep := &CalibrationReport{Targets: targets}
-	i := 0
+	rep := &CalibrationReport{}
+	var rps []Replication
 	for _, k := range c.Knobs {
 		for _, cl := range c.Clients {
-			for _, seed := range seeds {
-				th, ba := results[i], results[i+1]
-				i += 2
-				p := CalibrationPoint{Knobs: k, Clients: cl, Seed: seed}
-				switch {
-				case th.Err != nil:
-					p.Err = th.Err
-				case ba.Err != nil:
-					p.Err = ba.Err
-				default:
-					p.Throttled, p.Baseline = th.Result, ba.Result
-				}
-				rep.Points = append(rep.Points, p)
-			}
+			s := Sales(cl).WithWindow(c.Horizon, c.Warmup)
+			s.Name, s.Description, s.Engine = fmt.Sprintf("cal-%s-c%d", k.Name, cl), "calibration cell "+k.Name, k.Apply
+			// The grid's 45- and 15-minute warm-ups are whole 5-minute slices.
+			rps = append(rps, Replication{Scenario: s.WithSlice(5 * time.Minute), Seeds: c.Seeds, Twin: Scenario.Baseline})
+			rep.Cells = append(rep.Cells, CalibrationCell{Knobs: k, Clients: cl})
 		}
+	}
+	for i, r := range RunReplications(rps, c.Workers) {
+		rep.Cells[i].Rep = r
 	}
 	return rep
 }
 
-// CalibrationReport holds a finished grid with its fidelity targets.
+// CalibrationReport holds a finished grid.
 type CalibrationReport struct {
-	Points  []CalibrationPoint
-	Targets []FidelityTarget
+	Cells []CalibrationCell
 }
 
-func (r *CalibrationReport) target(clients int) (FidelityTarget, bool) {
-	for _, t := range r.Targets {
-		if t.Clients == clients {
-			return t, true
-		}
-	}
-	return FidelityTarget{}, false
-}
-
-// Score returns the fidelity of one knob set to the targets: 0 is a
+// Score returns the fidelity of one knob set to paperTargets: 0 is a
 // perfect match, larger is worse. Cells at client counts without a
 // target are ignored; failed cells score as a total miss.
 func (r *CalibrationReport) Score(name string) float64 {
 	var score float64
-	for _, p := range r.Points {
-		if p.Knobs.Name != name {
+	for _, cell := range r.Cells {
+		t, ok := paperTargets[cell.Clients]
+		if cell.Knobs.Name != name || !ok {
 			continue
 		}
-		t, ok := r.target(p.Clients)
-		if !ok {
-			continue
+		for _, run := range cell.Rep.Runs {
+			ratio := 0.0 // a failed cell
+			if cell.Rep.Err == nil {
+				ratio = MetricThroughputRatio.F(run)
+			}
+			if t.AtLeast && ratio >= t.Ratio {
+				continue
+			}
+			d := ratio - t.Ratio
+			score += float64(d * d)
 		}
-		if p.Err != nil {
-			score += float64(t.Ratio * t.Ratio)
-			continue
-		}
-		ratio := p.Ratio()
-		if t.AtLeast && ratio >= t.Ratio {
-			continue
-		}
-		d := ratio - t.Ratio
-		score += float64(d * d)
 	}
 	return score
 }
@@ -356,77 +270,87 @@ func (r *CalibrationReport) Score(name string) float64 {
 func (r *CalibrationReport) Best() (PressureKnobs, float64) {
 	var best PressureKnobs
 	bestScore := -1.0
-	for _, p := range r.Points {
-		if bestScore >= 0 && p.Knobs.Name == best.Name {
+	for _, cell := range r.Cells {
+		if bestScore >= 0 && cell.Knobs.Name == best.Name {
 			continue
 		}
-		s := r.Score(p.Knobs.Name)
+		s := r.Score(cell.Knobs.Name)
 		if bestScore < 0 || s < bestScore {
-			best, bestScore = p.Knobs, s
+			best, bestScore = cell.Knobs, s
 		}
 	}
 	return best, bestScore
 }
 
-// CSV renders every cell as one row — the machine-readable sweep output.
+// CSV renders every cell's seeds as one row each — the machine-readable
+// sweep output.
 func (r *CalibrationReport) CSV() string {
 	var sb strings.Builder
 	sb.WriteString("knobs,clients,seed,reserve_frac,slope,wait_ms,grant_frac,stage_costing,stage_codegen," +
 		"memo_scale,vas_mib,exhaust_frac," +
 		"throttled,baseline,ratio,throttled_errors,baseline_errors," +
 		"throttled_compile_p50_s,baseline_overcommit,baseline_steal_mib\n")
-	for _, p := range r.Points {
-		if p.Err != nil {
-			fmt.Fprintf(&sb, "%s,%d,%d,,,,,,,,,,,,,,,,,error: %v\n", p.Knobs.Name, p.Clients, p.Seed, p.Err)
-			continue
+	for _, cell := range r.Cells {
+		k := cell.Knobs
+		for _, run := range cell.Rep.Runs {
+			if cell.Rep.Err != nil {
+				fmt.Fprintf(&sb, "%s,%d,%d,,,,,,,,,,,,,,,,,error: %v\n", k.Name, cell.Clients, run.Seed, cell.Rep.Err)
+				continue
+			}
+			th, ba := run.Result, run.Twin
+			fmt.Fprintf(&sb, "%s,%d,%d,%.2f,%.1f,%d,%.2f,%.1f,%.1f,%.2f,%d,%.2f,%d,%d,%.3f,%d,%d,%.0f,%.2f,%d\n",
+				k.Name, cell.Clients, run.Seed,
+				k.CacheReserveFrac, k.SlowdownSlope,
+				k.CompileTaskWait.Milliseconds(), k.ExecGrantLimitFrac,
+				k.StageCostingScale, k.StageCodegenScale,
+				k.MemoBytesScale, k.VASBytes>>20, k.BrokerExhaustionFrac,
+				th.Completed, ba.Completed, MetricThroughputRatio.F(run),
+				th.Errors, ba.Errors,
+				th.CompileP50.Seconds(),
+				ba.AvgOvercommitRatio, ba.PageStealBytes>>20)
 		}
-		fmt.Fprintf(&sb, "%s,%d,%d,%.2f,%.1f,%d,%.2f,%.1f,%.1f,%.2f,%d,%.2f,%d,%d,%.3f,%d,%d,%.0f,%.2f,%d\n",
-			p.Knobs.Name, p.Clients, p.Seed,
-			p.Knobs.CacheReserveFrac, p.Knobs.SlowdownSlope,
-			p.Knobs.CompileTaskWait.Milliseconds(), p.Knobs.ExecGrantLimitFrac,
-			p.Knobs.StageCostingScale, p.Knobs.StageCodegenScale,
-			p.Knobs.MemoBytesScale, p.Knobs.VASBytes>>20, p.Knobs.BrokerExhaustionFrac,
-			p.Throttled.Completed, p.Baseline.Completed, p.Ratio(),
-			p.Throttled.Errors, p.Baseline.Errors,
-			p.Throttled.CompileP50.Seconds(),
-			p.Baseline.AvgOvercommitRatio, p.Baseline.PageStealBytes>>20)
 	}
 	return sb.String()
 }
 
-// Markdown renders one table per knob set, ready for EXPERIMENTS.md.
-func (r *CalibrationReport) Markdown() string {
-	names := make([]string, 0)
-	seen := map[string]bool{}
-	for _, p := range r.Points {
-		if !seen[p.Knobs.Name] {
-			seen[p.Knobs.Name] = true
-			names = append(names, p.Knobs.Name)
+// names returns the knob-set names in grid order.
+func (r *CalibrationReport) names() []string {
+	var names []string
+	for _, cell := range r.Cells {
+		if !slices.Contains(names, cell.Knobs.Name) {
+			names = append(names, cell.Knobs.Name)
 		}
 	}
+	return names
+}
+
+// Markdown renders one table per knob set, ready for EXPERIMENTS.md.
+func (r *CalibrationReport) Markdown() string {
 	var sb strings.Builder
-	for _, name := range names {
+	for _, name := range r.names() {
 		fmt.Fprintf(&sb, "### %s (score %.3f)\n\n", name, r.Score(name))
 		sb.WriteString("| clients | seed | throttled | baseline | ratio | target | compile p50 (throttled) | baseline overcommit |\n")
 		sb.WriteString("|---|---|---|---|---|---|---|---|\n")
-		for _, p := range r.Points {
-			if p.Knobs.Name != name {
+		for _, cell := range r.Cells {
+			if cell.Knobs.Name != name {
 				continue
 			}
 			tgt := "—"
-			if t, ok := r.target(p.Clients); ok {
+			if t, ok := paperTargets[cell.Clients]; ok {
 				tgt = fmt.Sprintf("%.2f", t.Ratio)
 				if t.AtLeast {
 					tgt = "≥" + tgt
 				}
 			}
-			if p.Err != nil {
-				fmt.Fprintf(&sb, "| %d | %d | error | error | — | %s | — | — |\n", p.Clients, p.Seed, tgt)
-				continue
+			for _, run := range cell.Rep.Runs {
+				if cell.Rep.Err != nil {
+					fmt.Fprintf(&sb, "| %d | %d | error | error | — | %s | — | — |\n", cell.Clients, run.Seed, tgt)
+					continue
+				}
+				fmt.Fprintf(&sb, "| %d | %d | %d | %d | %.2fx | %s | %v | %.2f |\n",
+					cell.Clients, run.Seed, run.Result.Completed, run.Twin.Completed,
+					MetricThroughputRatio.F(run), tgt, run.Result.CompileP50, run.Twin.AvgOvercommitRatio)
 			}
-			fmt.Fprintf(&sb, "| %d | %d | %d | %d | %.2fx | %s | %v | %.2f |\n",
-				p.Clients, p.Seed, p.Throttled.Completed, p.Baseline.Completed,
-				p.Ratio(), tgt, p.Throttled.CompileP50, p.Baseline.AvgOvercommitRatio)
 		}
 		sb.WriteString("\n")
 	}
@@ -435,14 +359,7 @@ func (r *CalibrationReport) Markdown() string {
 
 // Ranking returns knob-set names ordered best to worst.
 func (r *CalibrationReport) Ranking() []string {
-	names := make([]string, 0)
-	seen := map[string]bool{}
-	for _, p := range r.Points {
-		if !seen[p.Knobs.Name] {
-			seen[p.Knobs.Name] = true
-			names = append(names, p.Knobs.Name)
-		}
-	}
+	names := r.names()
 	sort.SliceStable(names, func(i, j int) bool {
 		return r.Score(names[i]) < r.Score(names[j])
 	})

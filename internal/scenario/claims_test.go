@@ -2,140 +2,115 @@ package scenario
 
 import (
 	"math"
-	"sync"
+	"strings"
 	"testing"
 )
 
-// The paper-claim tests below assert distributions, not draws: every
-// claim replicates its scenario over ClaimSeeds() (5 by default; PR CI
-// narrows to 3 through CLAIMS_SEEDS; generator-sensitive claims keep at
-// least 10, see generatorSensitive) at the paper's full 8 h window
-// measured from 3 h, and holds only when the bootstrap confidence
-// interval of the metric sits inside the claimed band. Compressed
-// windows are deliberately not used here: at 3 h/45 min the figure3
-// separation genuinely fails on some seeds (seed 3 gives 0.99x), which
-// is exactly the lucky-draw failure mode replication exists to expose.
-
-// generatorSensitive names the replications with a claim whose verdict
-// moved when only the random source did (EXPERIMENTS.md, "Claims ×
-// perturbations"): figure3's >= 1.2x separation holds over ten seeds under
-// either generator but its five-seed interval reaches down to 1.17 under
-// PCG, and fault-crash-restart's one-hour recovery bound needs more than
-// three seeds once a single one of them never recovers. They are asserted
-// over at least ten seeds, whatever CLAIMS_SEEDS says.
-var generatorSensitive = map[string]bool{"figure3": true, "fault-crash-restart": true}
-
-// claimReplication runs the named figure's paired replication over the
-// claim seed population, memoized so the figure3 claims share one set
-// of simulations. The CSV artifact is written when REPLICATION_CSV_DIR
-// is set (the nightly workflow collects it).
-var claimReps sync.Map // name -> *ReplicationReport
-
-func claimReplication(t *testing.T, name string) *ReplicationReport {
-	t.Helper()
-	if rep, ok := claimReps.Load(name); ok {
-		return rep.(*ReplicationReport)
+// TestClaims asserts every simulated paper claim: each row of Claims()
+// replicates its scenario over ClaimSeeds() (5 by default; PR CI narrows
+// to 3 through CLAIMS_SEEDS; rows with MinSeeds keep at least that many)
+// at the paper's full windows, and holds only when the bootstrap
+// confidence interval of its metric sits inside the band. Compressed
+// windows are deliberately not used: at 3 h/45 min the figure3
+// separation genuinely fails on some seeds (seed 3 gives 0.99x), which is
+// exactly the lucky-draw failure mode replication exists to expose.
+func TestClaims(t *testing.T) {
+	claims := Claims()
+	if len(claims) != 26 {
+		t.Fatalf("Claims() has %d rows, want 26", len(claims))
 	}
-	seeds := ClaimSeeds()
-	if generatorSensitive[name] && len(seeds) < 10 {
-		seeds = Seeds(10)
+	seen := map[string]bool{}
+	for _, c := range claims {
+		if seen[c.Text] || c.Metric.F == nil || !(c.Lo <= c.Hi) || c.Scenario.Validate() != nil {
+			t.Fatalf("malformed or duplicate claim row %q", c.Text)
+		}
+		seen[c.Text] = true
 	}
-	rep, err := Replication{Scenario: MustGet(t, name), Seeds: seeds, Paired: true}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteCSVEnv(MetricCompleted, MetricErrors, MetricThroughputRatio,
-		MetricOvercommit, MetricOvercommitMargin, MetricCompileP50, MetricCompileP90); err != nil {
-		t.Logf("replication CSV artifact: %v", err)
-	}
-	claimReps.Store(name, rep)
-	return rep
-}
-
-// metricBaselineOvercommit reads the unthrottled twin's overcommit —
-// the thrash-regime precondition behind the throughput claims.
-var metricBaselineOvercommit = Metric{"ba-overcommit", func(r SeedRun) float64 {
-	return r.Baseline.AvgOvercommitRatio
-}}
-
-// TestClaimThroughputSeparation pins the paper's headline claim at the
-// figure3 operating point (30 clients): across the seed population the
-// throttled server sustains at least 1.2x the unthrottled baseline
-// (the paper shows ~1.35x), the baseline genuinely thrashes
-// (overcommit > 1), and governance keeps the throttled server cooler.
-func TestClaimThroughputSeparation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
-	rep := claimReplication(t, "figure3")
-	ClaimBand{
-		Claim:  "figure3: throttled sustains >= 1.2x baseline throughput at 30 clients",
-		Metric: MetricThroughputRatio, Lo: 1.2, Hi: math.Inf(1),
-	}.Assert(t, rep)
-	ClaimBand{
-		Claim:  "figure3: the unthrottled baseline is overcommitted (thrash regime)",
-		Metric: metricBaselineOvercommit, Lo: 1.0, Hi: math.Inf(1),
-	}.Assert(t, rep)
-	ClaimBand{
-		Claim:  "figure3: governance keeps the throttled server cooler than baseline",
-		Metric: MetricOvercommitMargin, Lo: 0.02, Hi: math.Inf(1),
-	}.Assert(t, rep)
+	for _, v := range RunClaims(claims, ClaimSeeds()) {
+		if v.Err != nil {
+			t.Error(v.Err)
+			continue
+		}
+		t.Logf("claim %q holds: %s = %s", v.Text, v.Metric.Name, v.Summary)
+	}
 }
 
-// TestClaimMidloadSeparation pins Figure 4's point (35 clients): the
-// separation grows with load — at least 1.3x across the population.
-func TestClaimMidloadSeparation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short")
+func TestClaimCheck(t *testing.T) {
+	xs := []float64{10, 12, 11, 13, 9}
+	check := func(c Claim, xs []float64) error {
+		c.Text, c.Metric = "synthetic", MetricCompleted
+		_, err := c.Check(xs)
+		return err
 	}
-	rep := claimReplication(t, "figure4")
-	ClaimBand{
-		Claim:  "figure4: throttled sustains >= 1.3x baseline throughput at 35 clients",
-		Metric: MetricThroughputRatio, Lo: 1.3, Hi: math.Inf(1),
-	}.Assert(t, rep)
+	// Holds: the CI of mean≈11 sits inside a generous band, or one
+	// unbounded above.
+	if err := check(Claim{Lo: 5, Hi: 20}, xs); err != nil {
+		t.Fatalf("claim should hold: %v", err)
+	}
+	if err := check(Claim{Lo: 5, Hi: math.Inf(1)}, xs); err != nil {
+		t.Fatalf("unbounded claim should hold: %v", err)
+	}
+	// Fails: band above the sample; the error carries the samples.
+	err := check(Claim{Lo: 50, Hi: 60}, xs)
+	if err == nil || !strings.Contains(err.Error(), "synthetic") || !strings.Contains(err.Error(), "[10 12 11 13 9]") {
+		t.Fatalf("claim above the sample: %v", err)
+	}
+	// Invalid band.
+	if check(Claim{Lo: 2, Hi: 1}, xs) == nil {
+		t.Fatal("inverted band accepted")
+	}
+	// Seed floors: 2 samples < the default 3; 5 < MinSeeds 10.
+	if check(Claim{Lo: 0, Hi: 100}, xs[:2]) == nil {
+		t.Fatal("2-seed replication passed the 3-seed floor")
+	}
+	if check(Claim{Lo: 0, Hi: 100, MinSeeds: 10}, xs) == nil {
+		t.Fatal("5-seed replication passed a 10-seed floor")
+	}
+	// Exactly-zero band over an all-zero sample.
+	if err := check(Claim{Lo: 0, Hi: 0}, []float64{0, 0, 0}); err != nil {
+		t.Fatalf("all-zero sample failed the [0,0] band: %v", err)
+	}
+	// A NaN sample makes a NaN interval, which is inside no band.
+	if check(Claim{Lo: 1, Hi: 2}, []float64{1.5, math.NaN(), 1.5}) == nil {
+		t.Fatal("NaN sample held a [1, 2] band")
+	}
 }
 
-// TestClaimCollapseAtForty pins Figure 5's qualitative claim: at 40
-// clients the unthrottled baseline collapses — the throttled server
-// sustains at least twice its throughput (baseline starvation reads as
-// RatioCap and counts as collapse) while the baseline drowns in
-// hundreds more failures (out-of-memory under a thrashing,
-// VAS-exhausted machine).
-func TestClaimCollapseAtForty(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short")
+// TestRunClaimsSharesReplications: rows on the same scenario, twin and
+// seed count share one report, whose runs happen once; a row with no
+// twin or more seeds gets its own.
+func TestRunClaimsSharesReplications(t *testing.T) {
+	s := cheapScenario()
+	rows := []Claim{
+		{Text: "a", Scenario: s, Twin: Scenario.Baseline, Metric: MetricThroughputRatio, Lo: 0, Hi: math.Inf(1)},
+		{Text: "b", Scenario: s, Twin: Scenario.Baseline, Metric: MetricCompleted, Lo: 0, Hi: math.Inf(1)},
+		{Text: "c", Scenario: s, Metric: MetricCompleted, Lo: 0, Hi: math.Inf(1)},
+		{Text: "d", Scenario: s, Metric: MetricCompleted, Lo: 0, Hi: math.Inf(1), MinSeeds: 4},
 	}
-	rep := claimReplication(t, "figure5")
-	ClaimBand{
-		Claim:  "figure5: throttled sustains >= 2x baseline throughput at 40 clients",
-		Metric: MetricThroughputRatio, Lo: 2, Hi: math.Inf(1),
-	}.Assert(t, rep)
-	ClaimBand{
-		Claim:  "figure5: the collapsing baseline fails hundreds more queries",
-		Metric: MetricErrorMargin, Lo: 500, Hi: math.Inf(1),
-	}.Assert(t, rep)
-}
-
-// TestClaimCompileDurationBand pins the unification the staged
-// compile-memory model buys: at the *same* calibration that produces
-// the Figures 3-5 separation (figure3's operating point), the
-// throttled server's compile-duration distribution still matches
-// §5.2's 10-90 s ad-hoc profile — the median inside the band and the
-// tail bounded. Histogram.Quantile reports the upper bound of the
-// median's bucket (bounds ... 1s, 10s, 30s ...), so a median anywhere
-// at or below the 10 s bucket reads as exactly 10 s — the band's lower
-// edge sits just above 10 to reject sub-band medians.
-func TestClaimCompileDurationBand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short")
+	vs := RunClaims(rows, Seeds(3))
+	for _, v := range vs {
+		if v.Err != nil {
+			t.Fatalf("row %s: %v", v.Text, v.Err)
+		}
 	}
-	rep := claimReplication(t, "figure3")
-	ClaimBand{
-		Claim:  "figure3: compile p50 stays in the §5.2 10-90 s ad-hoc band",
-		Metric: MetricCompileP50, Lo: 10.5, Hi: 90,
-	}.Assert(t, rep)
-	ClaimBand{
-		Claim:  "figure3: compile p90 stays minutes, not the pre-stage tens of minutes",
-		Metric: MetricCompileP90, Lo: 10.5, Hi: 300,
-	}.Assert(t, rep)
+	if vs[0].Report != vs[1].Report {
+		t.Fatal("rows on one scenario and twin replicated twice")
+	}
+	if vs[2].Report == vs[0].Report || vs[3].Report == vs[2].Report {
+		t.Fatal("rows with a different twin or seed count shared a replication")
+	}
+	if n := len(vs[3].Report.Runs); n != 4 || vs[3].Summary.N != 4 {
+		t.Fatalf("MinSeeds 4 ran %d seeds", n)
+	}
+	for i, run := range vs[0].Report.Runs {
+		if run.Twin == nil || vs[2].Report.Runs[i].Twin != nil {
+			t.Fatalf("seed %d: twin runs where they were not asked for, or missing", run.Seed)
+		}
+		if !sameResult(run.Result, vs[2].Report.Runs[i].Result) {
+			t.Fatalf("seed %d: the same scenario and seed measured differently", run.Seed)
+		}
+	}
 }

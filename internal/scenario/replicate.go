@@ -4,21 +4,16 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strings"
 
 	"compilegate/internal/harness"
 )
 
-// This file is the multi-seed replication runner: every paper claim the
-// repository pins is asserted over a population of seeds, not a single
-// lucky draw. Seeds become sweep jobs through RunSweep, so the
-// worker-count invariance of the sweep carries over to replications for
-// free: a replication's per-seed results are byte-identical at any worker
-// count.
+// This file is the multi-seed runner behind the claims table and the
+// calibration grid. Seeds become sweep jobs, so a replication's per-seed
+// results are byte-identical at any worker count, as a sweep's are.
 
-// Seeds returns the canonical replication seed list {1..n}. Claims
-// tests default to Seeds(DefaultClaimSeeds), overridable through the
-// CLAIMS_SEEDS environment variable (see ClaimSeeds).
+// Seeds returns the canonical replication seed list {1..n}. Claims run
+// over ClaimSeeds().
 func Seeds(n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
@@ -32,7 +27,7 @@ func Seeds(n int) []int64 {
 // the full population).
 const DefaultClaimSeeds = 5
 
-// ClaimSeeds resolves the claims-test seed list: CLAIMS_SEEDS when set
+// ClaimSeeds resolves the claim seed list: CLAIMS_SEEDS when set
 // to a positive integer, DefaultClaimSeeds otherwise.
 func ClaimSeeds() []int64 {
 	if v := os.Getenv("CLAIMS_SEEDS"); v != "" {
@@ -51,71 +46,71 @@ type Replication struct {
 	Scenario Scenario
 	// Seeds is the replication population (one full run per entry).
 	Seeds []int64
-	// Paired additionally runs the unthrottled Baseline twin under each
-	// seed, so ratio metrics compare the pair within a seed.
-	Paired bool
-	// Workers bounds sweep concurrency (0 = all cores). The results are
-	// identical at every worker count.
-	Workers int
+	// Twin, when set, builds the run each seed's scenario is compared
+	// with under the same seed (Scenario.Baseline for the unthrottled
+	// twin), so twin metrics compare the pair within a seed.
+	Twin func(Scenario) Scenario
 }
 
 // SeedRun is one seed's outcome within a replication.
 type SeedRun struct {
-	Seed     int64
-	Result   *harness.Result
-	Baseline *harness.Result // nil unless the replication was Paired
+	Seed   int64
+	Result *harness.Result
+	Twin   *harness.Result // nil unless the replication has a Twin
 }
 
 // ReplicationReport holds a finished replication in seed order.
 type ReplicationReport struct {
-	Scenario Scenario
-	Paired   bool
-	Runs     []SeedRun
+	Runs []SeedRun
+	// Err is the first failed run, named by scenario and seed; the runs
+	// then hold only their seeds and the results that did finish.
+	Err error
 }
 
-// Run executes the replication: one scenario run per seed (plus the
-// baseline twin when Paired), all through RunSweep. The first failed
-// run aborts with its scenario name and seed.
-func (rp Replication) Run() (*ReplicationReport, error) {
-	if len(rp.Seeds) == 0 {
-		return nil, fmt.Errorf("replicate %s: no seeds", rp.Scenario.Name)
-	}
-	per := 1
-	if rp.Paired {
-		per = 2
-	}
-	jobs := make([]Scenario, 0, per*len(rp.Seeds))
-	for _, seed := range rp.Seeds {
-		s := rp.Scenario.WithSeed(seed)
-		jobs = append(jobs, s)
-		if rp.Paired {
-			jobs = append(jobs, s.Baseline())
-		}
-	}
-	results := RunSweep(jobs, rp.Workers)
-	rep := &ReplicationReport{Scenario: rp.Scenario, Paired: rp.Paired}
-	for i, seed := range rp.Seeds {
-		run := SeedRun{Seed: seed}
-		sr := results[per*i]
-		if sr.Err != nil {
-			return nil, fmt.Errorf("replicate %s seed %d: %w", sr.Scenario.Name, seed, sr.Err)
-		}
-		run.Result = sr.Result
-		if rp.Paired {
-			ba := results[per*i+1]
-			if ba.Err != nil {
-				return nil, fmt.Errorf("replicate %s seed %d: %w", ba.Scenario.Name, seed, ba.Err)
+// RunReplications runs every replication's jobs (each seed's scenario,
+// then its twin) in one RunSweep at the given worker count (0 = all
+// cores) and returns the reports in order.
+func RunReplications(rps []Replication, workers int) []*ReplicationReport {
+	var jobs []Scenario
+	for _, rp := range rps {
+		for _, seed := range rp.Seeds {
+			s := rp.Scenario.WithSeed(seed)
+			jobs = append(jobs, s)
+			if rp.Twin != nil {
+				jobs = append(jobs, rp.Twin(s))
 			}
-			run.Baseline = ba.Result
 		}
-		rep.Runs = append(rep.Runs, run)
 	}
-	return rep, nil
+	results := RunSweep(jobs, workers)
+	out := make([]*ReplicationReport, len(rps))
+	for i, rp := range rps {
+		rep := &ReplicationReport{}
+		if len(rp.Seeds) == 0 {
+			rep.Err = fmt.Errorf("replicate %s: no seeds", rp.Scenario.Name)
+		}
+		next := func() *harness.Result {
+			sr := results[0]
+			results = results[1:]
+			if sr.Err != nil && rep.Err == nil {
+				rep.Err = fmt.Errorf("replicate %s seed %d: %w", sr.Scenario.Name, sr.Scenario.Seed, sr.Err)
+			}
+			return sr.Result
+		}
+		for _, seed := range rp.Seeds {
+			run := SeedRun{Seed: seed, Result: next()}
+			if rp.Twin != nil {
+				run.Twin = next()
+			}
+			rep.Runs = append(rep.Runs, run)
+		}
+		out[i] = rep
+	}
+	return out
 }
 
-// RatioCap bounds ratio metrics when the baseline completed nothing:
-// total starvation reads as "at least this much better", keeping the
-// sample arithmetic finite while any sane lower-band claim still holds.
+// RatioCap bounds ratio metrics when the twin completed nothing: total
+// starvation reads as "at least this much better", keeping the sample
+// arithmetic finite while any sane lower-band claim still holds.
 const RatioCap = 1000
 
 // Metric extracts one number from a seed's outcome.
@@ -124,34 +119,39 @@ type Metric struct {
 	F    func(SeedRun) float64
 }
 
+// twinMetric is a metric over a seed's run and its twin. Without a twin
+// it is NaN, which no claim band contains.
+func twinMetric(name string, f func(r, twin *harness.Result) float64) Metric {
+	return Metric{name, func(r SeedRun) float64 {
+		if r.Twin == nil {
+			return math.NaN()
+		}
+		return f(r.Result, r.Twin)
+	}}
+}
+
 // The standard claim metrics.
 var (
 	// MetricCompleted is completions inside the measurement window.
 	MetricCompleted = Metric{"completed", func(r SeedRun) float64 { return float64(r.Result.Completed) }}
-	// MetricErrors is failed queries inside the window.
-	MetricErrors = Metric{"errors", func(r SeedRun) float64 { return float64(r.Result.Errors) }}
-	// MetricThroughputRatio is throttled/baseline completions within the
-	// seed (paired replications only; capped at RatioCap on baseline
-	// starvation).
-	MetricThroughputRatio = Metric{"ratio", func(r SeedRun) float64 {
-		if r.Baseline == nil || r.Baseline.Completed == 0 {
+	// MetricThroughputRatio is run/twin completions within the seed
+	// (capped at RatioCap on twin starvation).
+	MetricThroughputRatio = twinMetric("ratio", func(r, twin *harness.Result) float64 {
+		if twin.Completed == 0 {
 			return RatioCap
 		}
-		return math.Min(RatioCap, float64(r.Result.Completed)/float64(r.Baseline.Completed))
-	}}
-	// MetricErrorMargin is baseline minus throttled errors within the
-	// seed (paired): positive means the baseline failed more.
-	MetricErrorMargin = Metric{"err-margin", func(r SeedRun) float64 {
-		return float64(r.Baseline.Errors - r.Result.Errors)
-	}}
-	// MetricOvercommit is the mean wired-memory overcommit ratio.
-	MetricOvercommit = Metric{"overcommit", func(r SeedRun) float64 { return r.Result.AvgOvercommitRatio }}
-	// MetricOvercommitMargin is baseline minus throttled overcommit
-	// within the seed (paired): positive means governance kept the
-	// throttled server cooler.
-	MetricOvercommitMargin = Metric{"oc-margin", func(r SeedRun) float64 {
-		return r.Baseline.AvgOvercommitRatio - r.Result.AvgOvercommitRatio
-	}}
+		return math.Min(RatioCap, float64(r.Completed)/float64(twin.Completed))
+	})
+	// MetricErrorMargin is twin minus run errors within the seed:
+	// positive means the twin failed more.
+	MetricErrorMargin = twinMetric("err-margin", func(r, twin *harness.Result) float64 {
+		return float64(twin.Errors - r.Errors)
+	})
+	// MetricOvercommitMargin is twin minus run overcommit within the
+	// seed: positive means governance kept the throttled server cooler.
+	MetricOvercommitMargin = twinMetric("oc-margin", func(r, twin *harness.Result) float64 {
+		return twin.AvgOvercommitRatio - r.AvgOvercommitRatio
+	})
 	// MetricCompileP50 is the compile-latency median in seconds.
 	MetricCompileP50 = Metric{"compile-p50s", func(r SeedRun) float64 { return r.Result.CompileP50.Seconds() }}
 	// MetricCompileP90 is the compile-latency p90 in seconds.
@@ -173,15 +173,11 @@ var (
 	// MetricRetries counts client-side resubmissions over the run.
 	MetricRetries = Metric{"retries", func(r SeedRun) float64 { return float64(r.Result.Load.Retries) }}
 	// MetricPlanCacheHitRate is the end-of-run plan-cache hit rate,
-	// pooled across nodes on cluster runs — the routing-locality claim
-	// compares it between affinity and round-robin twins.
+	// pooled across nodes on cluster runs.
 	MetricPlanCacheHitRate = Metric{"plan-hit-rate", func(r SeedRun) float64 { return r.Result.PlanCacheHitRate }}
 	// MetricRerouted counts submissions the cluster router steered away
 	// from the policy's first choice (down, tripped, or unhealthy node).
 	MetricRerouted = Metric{"rerouted", func(r SeedRun) float64 { return float64(r.Result.Rerouted) }}
-	// MetricResubmitted counts router-level failover resubmissions after
-	// crashed responses.
-	MetricResubmitted = Metric{"resubmitted", func(r SeedRun) float64 { return float64(r.Result.Resubmitted) }}
 	// MetricRouterAllExcluded counts submissions that found every node
 	// excluded and went to the policy's first choice anyway.
 	MetricRouterAllExcluded = Metric{"all-excluded", func(r SeedRun) float64 { return float64(r.Result.RouterAllExcluded) }}
@@ -194,146 +190,4 @@ func (r *ReplicationReport) Samples(m Metric) []float64 {
 		out[i] = m.F(run)
 	}
 	return out
-}
-
-// Summary is the Summarize of m's samples at the given confidence
-// (0 → 0.95).
-func (r *ReplicationReport) Summary(m Metric, confidence float64) Summary {
-	return Summarize(r.Samples(m), confidence)
-}
-
-// Table renders the per-seed values of the given metrics — the full
-// replication evidence a failed claim prints.
-func (r *ReplicationReport) Table(metrics ...Metric) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-6s", "seed")
-	for _, m := range metrics {
-		fmt.Fprintf(&sb, " %14s", m.Name)
-	}
-	sb.WriteString("\n")
-	for _, run := range r.Runs {
-		fmt.Fprintf(&sb, "%-6d", run.Seed)
-		for _, m := range metrics {
-			fmt.Fprintf(&sb, " %14.3f", m.F(run))
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-// CSV renders the per-seed metric table as CSV (the nightly replication
-// artifact format).
-func (r *ReplicationReport) CSV(metrics ...Metric) string {
-	var sb strings.Builder
-	sb.WriteString("scenario,seed")
-	for _, m := range metrics {
-		sb.WriteString(",")
-		sb.WriteString(m.Name)
-	}
-	sb.WriteString("\n")
-	for _, run := range r.Runs {
-		fmt.Fprintf(&sb, "%s,%d", r.Scenario.Name, run.Seed)
-		for _, m := range metrics {
-			fmt.Fprintf(&sb, ",%g", m.F(run))
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-// WriteCSVEnv appends the report's CSV to $REPLICATION_CSV_DIR/<name>.csv
-// when that environment variable is set (the nightly workflow collects
-// the directory as its artifact); otherwise it does nothing. Errors are
-// returned so tests can surface them without failing the claim itself.
-func (r *ReplicationReport) WriteCSVEnv(metrics ...Metric) error {
-	dir := os.Getenv("REPLICATION_CSV_DIR")
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := dir + "/" + r.Scenario.Name + ".csv"
-	return os.WriteFile(path, []byte(r.CSV(metrics...)), 0o644)
-}
-
-// TB is the subset of testing.TB the claim assertions use, declared
-// locally so the library does not import the testing package.
-type TB interface {
-	Helper()
-	Logf(format string, args ...any)
-	Fatalf(format string, args ...any)
-}
-
-// ClaimBand is a paper claim stated as a band over a replicated
-// metric: the claim holds when the bootstrap confidence interval for
-// the metric's mean lies entirely inside [Lo, Hi]. A claim is a
-// statement about the distribution — a single lucky seed cannot pass
-// it, and a single unlucky seed cannot fail it.
-type ClaimBand struct {
-	// Claim names the paper claim in failure output.
-	Claim string
-	// Metric is the replicated statistic under test.
-	Metric Metric
-	// Lo/Hi bound the band (inclusive, Hi >= Lo); claims with no upper
-	// bound write Hi: math.Inf(1). A [0, 0] band claims "exactly zero
-	// on every seed" (the CI of an all-zero sample is degenerate).
-	Lo, Hi float64
-	// Confidence is the CI coverage (0 → 0.95).
-	Confidence float64
-	// MinSeeds guards against accidentally thin populations
-	// (0 → 3: the PR-CI subset floor; nightly runs 5+).
-	MinSeeds int
-}
-
-// CheckSamples evaluates the claim band directly over per-seed samples
-// — for claims whose replicated statistic is not a harness metric
-// (optimizer-level measurements, cross-scenario margins).
-func (b ClaimBand) CheckSamples(xs []float64) (Summary, error) {
-	minSeeds := b.MinSeeds
-	if minSeeds == 0 {
-		minSeeds = 3
-	}
-	if b.Hi < b.Lo {
-		return Summary{}, fmt.Errorf("claim %q: invalid band [%g, %g]", b.Claim, b.Lo, b.Hi)
-	}
-	s := Summarize(xs, b.Confidence)
-	if s.N < minSeeds {
-		return s, fmt.Errorf("claim %q: %d seeds < the %d-seed floor", b.Claim, s.N, minSeeds)
-	}
-	if s.CI.Lo < b.Lo || s.CI.Hi > b.Hi {
-		return s, fmt.Errorf("claim %q: %s CI [%.3f, %.3f] not within [%g, %g] (%s)",
-			b.Claim, b.Metric.Name, s.CI.Lo, s.CI.Hi, b.Lo, b.Hi, s)
-	}
-	return s, nil
-}
-
-// AssertSamples is CheckSamples wired to a test: a failed claim prints
-// the per-seed samples, a passing one logs the interval.
-func (b ClaimBand) AssertSamples(t TB, xs []float64) Summary {
-	t.Helper()
-	s, err := b.CheckSamples(xs)
-	if err != nil {
-		t.Fatalf("%v\nper-seed samples: %v", err, xs)
-	}
-	t.Logf("claim %q holds: %s = %s", b.Claim, b.Metric.Name, s)
-	return s
-}
-
-// Check evaluates the claim over the replication, returning the metric
-// summary and a descriptive error when the claim does not hold.
-func (b ClaimBand) Check(rep *ReplicationReport) (Summary, error) {
-	return b.CheckSamples(rep.Samples(b.Metric))
-}
-
-// Assert is Check wired to a test: a failed claim prints the summary
-// and the full per-seed table, a passing one logs the interval.
-func (b ClaimBand) Assert(t TB, rep *ReplicationReport) Summary {
-	t.Helper()
-	s, err := b.Check(rep)
-	if err != nil {
-		t.Fatalf("%v\nper-seed replication table:\n%s", err, rep.Table(b.Metric))
-	}
-	t.Logf("claim %q holds: %s = %s", b.Claim, b.Metric.Name, s)
-	return s
 }

@@ -1,10 +1,7 @@
 package scenario
 
 import (
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,10 +15,16 @@ func cheapScenario() Scenario {
 	return Sales(6).WithWindow(20*time.Minute, 5*time.Minute).WithSlice(5 * time.Minute)
 }
 
+// replicate runs one replication at the given worker count.
+func replicate(rp Replication, workers int) (*ReplicationReport, error) {
+	rep := RunReplications([]Replication{rp}, workers)[0]
+	return rep, rep.Err
+}
+
 // syntheticReport builds a report whose metric values are dictated by
 // the test, for exercising the stats plumbing without simulations.
 func syntheticReport(values ...float64) *ReplicationReport {
-	rep := &ReplicationReport{Scenario: Scenario{Name: "synthetic"}}
+	rep := &ReplicationReport{}
 	for i, v := range values {
 		rep.Runs = append(rep.Runs, SeedRun{
 			Seed:   int64(i + 1),
@@ -33,12 +36,12 @@ func syntheticReport(values ...float64) *ReplicationReport {
 
 func TestReplicationMatchesDirectRuns(t *testing.T) {
 	sc := cheapScenario()
-	rep, err := Replication{Scenario: sc, Seeds: Seeds(3), Paired: true}.Run()
+	rep, err := replicate(Replication{Scenario: sc, Seeds: Seeds(3), Twin: Scenario.Baseline}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) != 3 || !rep.Paired {
-		t.Fatalf("report shape: %d runs, paired=%v", len(rep.Runs), rep.Paired)
+	if len(rep.Runs) != 3 {
+		t.Fatalf("report shape: %d runs", len(rep.Runs))
 	}
 	for i, run := range rep.Runs {
 		if run.Seed != int64(i+1) {
@@ -57,7 +60,7 @@ func TestReplicationMatchesDirectRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameResult(run.Baseline, base) {
+		if !sameResult(run.Twin, base) {
 			t.Fatalf("seed %d: replication baseline differs from direct run", run.Seed)
 		}
 	}
@@ -65,11 +68,11 @@ func TestReplicationMatchesDirectRuns(t *testing.T) {
 
 func TestReplicationWorkerCountInvariance(t *testing.T) {
 	sc := cheapScenario()
-	one, err := Replication{Scenario: sc, Seeds: Seeds(3), Paired: true, Workers: 1}.Run()
+	one, err := replicate(Replication{Scenario: sc, Seeds: Seeds(3), Twin: Scenario.Baseline}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Replication{Scenario: sc, Seeds: Seeds(3), Paired: true, Workers: 4}.Run()
+	many, err := replicate(Replication{Scenario: sc, Seeds: Seeds(3), Twin: Scenario.Baseline}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +84,12 @@ func TestReplicationWorkerCountInvariance(t *testing.T) {
 }
 
 func TestReplicationErrors(t *testing.T) {
-	if _, err := (Replication{Scenario: cheapScenario()}).Run(); err == nil {
+	if _, err := replicate(Replication{Scenario: cheapScenario()}, 0); err == nil {
 		t.Fatal("no-seed replication did not error")
 	}
 	broken := cheapScenario()
 	broken.Scale = 0
-	_, err := Replication{Scenario: broken, Seeds: Seeds(2)}.Run()
+	_, err := replicate(Replication{Scenario: broken, Seeds: Seeds(2)}, 0)
 	if err == nil {
 		t.Fatal("broken scenario replicated without error")
 	}
@@ -95,108 +98,25 @@ func TestReplicationErrors(t *testing.T) {
 	}
 }
 
-func TestClaimBandCheck(t *testing.T) {
-	rep := syntheticReport(10, 12, 11, 13, 9)
-
-	// Holds: the CI of mean≈11 sits inside a generous band.
-	if _, err := (ClaimBand{Claim: "holds", Metric: MetricCompleted, Lo: 5, Hi: 20}).Check(rep); err != nil {
-		t.Fatalf("claim should hold: %v", err)
-	}
-	// Unbounded above.
-	if _, err := (ClaimBand{Claim: "open", Metric: MetricCompleted, Lo: 5, Hi: math.Inf(1)}).Check(rep); err != nil {
-		t.Fatalf("unbounded claim should hold: %v", err)
-	}
-	// Fails: band above the sample.
-	if _, err := (ClaimBand{Claim: "fails", Metric: MetricCompleted, Lo: 50, Hi: 60}).Check(rep); err == nil {
-		t.Fatal("claim above the sample passed")
-	}
-	// Invalid band.
-	if _, err := (ClaimBand{Claim: "bad", Metric: MetricCompleted, Lo: 2, Hi: 1}).Check(rep); err == nil {
-		t.Fatal("inverted band accepted")
-	}
-	// Seed floor: 2 samples < default 3.
-	thin := syntheticReport(10, 12)
-	if _, err := (ClaimBand{Claim: "thin", Metric: MetricCompleted, Lo: 0, Hi: 100}).Check(thin); err == nil {
-		t.Fatal("2-seed replication passed the 3-seed floor")
-	}
-	// Exactly-zero band over an all-zero sample.
-	zero := syntheticReport(0, 0, 0, 0, 0)
-	if _, err := (ClaimBand{Claim: "zero", Metric: MetricCompleted, Lo: 0, Hi: 0}).Check(zero); err != nil {
-		t.Fatalf("all-zero sample failed the [0,0] band: %v", err)
-	}
-}
-
-// fatalTB records Assert's failure output instead of stopping the test.
-type fatalTB struct {
-	testing.TB
-	fatal string
-}
-
-func (f *fatalTB) Helper()                           {}
-func (f *fatalTB) Logf(string, ...any)               {}
-func (f *fatalTB) Fatalf(format string, args ...any) { f.fatal = fmt.Sprintf(format, args...) }
-
-func TestClaimBandAssertPrintsPerSeedTable(t *testing.T) {
-	rep := syntheticReport(10, 12, 11)
-	var tb fatalTB
-	ClaimBand{Claim: "doomed", Metric: MetricCompleted, Lo: 50, Hi: 60}.Assert(&tb, rep)
-	if tb.fatal == "" {
-		t.Fatal("failed claim did not Fatalf")
-	}
-	for _, want := range []string{"doomed", "per-seed replication table", "completed", "10.000", "12.000"} {
-		if !strings.Contains(tb.fatal, want) {
-			t.Fatalf("failure output missing %q:\n%s", want, tb.fatal)
-		}
-	}
-}
-
 func TestRatioMetricsCapStarvation(t *testing.T) {
 	run := SeedRun{
-		Result:   &harness.Result{Completed: 500},
-		Baseline: &harness.Result{Completed: 0},
+		Result: &harness.Result{Completed: 500},
+		Twin:   &harness.Result{Completed: 0},
 	}
 	if got := MetricThroughputRatio.F(run); got != RatioCap {
 		t.Fatalf("starved baseline ratio = %v, want RatioCap", got)
 	}
-	run.Baseline.Completed = 250
+	run.Twin.Completed = 250
 	if got := MetricThroughputRatio.F(run); got != 2 {
 		t.Fatalf("ratio = %v, want 2", got)
 	}
-}
-
-func TestReplicationTableAndCSV(t *testing.T) {
+	// Without a twin, metrics that read it are NaN, so a ratio row fails
+	// on an unpaired report instead of reading RatioCap.
 	rep := syntheticReport(10, 12, 11)
-	table := rep.Table(MetricCompleted, MetricErrors)
-	for _, want := range []string{"seed", "completed", "errors", "10.000"} {
-		if !strings.Contains(table, want) {
-			t.Fatalf("table missing %q:\n%s", want, table)
+	for _, m := range []Metric{MetricThroughputRatio, MetricErrorMargin, MetricOvercommitMargin} {
+		if _, err := (Claim{Text: "unpaired", Metric: m, Lo: 1.2, Hi: math.Inf(1)}).Check(rep.Samples(m)); err == nil {
+			t.Errorf("%s row held on an unpaired report", m.Name)
 		}
-	}
-	csv := rep.CSV(MetricCompleted)
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 4 || lines[0] != "scenario,seed,completed" || lines[1] != "synthetic,1,10" {
-		t.Fatalf("bad CSV:\n%s", csv)
-	}
-}
-
-func TestWriteCSVEnv(t *testing.T) {
-	rep := syntheticReport(10, 12, 11)
-	// Unset: a no-op.
-	t.Setenv("REPLICATION_CSV_DIR", "")
-	if err := rep.WriteCSVEnv(MetricCompleted); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	t.Setenv("REPLICATION_CSV_DIR", dir)
-	if err := rep.WriteCSVEnv(MetricCompleted); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "synthetic.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != rep.CSV(MetricCompleted) {
-		t.Fatalf("artifact file does not match CSV():\n%s", data)
 	}
 }
 

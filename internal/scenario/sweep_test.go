@@ -73,7 +73,7 @@ func sweepInvariant(t *testing.T, workers []int, repWorkers int, clusters ...str
 	// Replication pass: seeds become sweep jobs, so a replication's
 	// per-seed results must be identical at any worker count.
 	rep := goldenWindow(MustGet(t, "figure3"))
-	replicationInvariant(t, Replication{Scenario: rep, Seeds: Seeds(3), Paired: true}, repWorkers)
+	replicationInvariant(t, Replication{Scenario: rep, Seeds: Seeds(3), Twin: Scenario.Baseline}, repWorkers)
 	// Cluster pass: a multi-node run adds N servers and a router to one
 	// event loop; its per-seed results (including the per-node breakdown
 	// and the injected node loss) must be worker-count invariant too.
@@ -86,18 +86,16 @@ func sweepInvariant(t *testing.T, workers []int, repWorkers int, clusters ...str
 	}
 }
 
-// replicationInvariant runs rp at Workers 1 and at each of workers, and
+// replicationInvariant runs rp on one worker and on each of workers, and
 // fails on any seed whose runs differ.
 func replicationInvariant(t *testing.T, rp Replication, workers ...int) {
 	t.Helper()
-	rp.Workers = 1
-	ref, err := rp.Run()
+	ref, err := replicate(rp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workers {
-		rp.Workers = w
-		got, err := rp.Run()
+		got, err := replicate(rp, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +121,7 @@ func sameResult(a, b *harness.Result) bool {
 
 // sameSeedRun is sameResult over both arms of a replication's seed.
 func sameSeedRun(a, b SeedRun) bool {
-	return a.Seed == b.Seed && sameResult(a.Result, b.Result) && sameResult(a.Baseline, b.Baseline)
+	return a.Seed == b.Seed && sameResult(a.Result, b.Result) && sameResult(a.Twin, b.Twin)
 }
 
 // MustGet fetches a registered scenario or fails the test.
