@@ -17,6 +17,7 @@
 //	        [-workload sales|tpch|oltp|mix] [-horizon D] [-warmup D]
 //	figures -faultplan [-scenario fault-leak]
 //	figures -claims
+//	figures -perturb
 //
 // -quick shrinks the simulation window so a full regeneration finishes in
 // well under a minute of wall-clock time. The override flags replace
@@ -25,6 +26,9 @@
 // error taxonomy, compile memory, gateway counters and engine report.
 // -claims checks every row of scenario.Claims() over CLAIMS_SEEDS seeds
 // (default 5) into a markdown table, and exits 1 when a row fails.
+// -perturb checks every row again under each calibrated knob moved ±10%
+// (scenario.KnobTwins), one row per claim and knob, then lists the cells
+// that fail; it exits 1 only when a run returns an error.
 package main
 
 import (
@@ -61,6 +65,7 @@ func run(args []string, w io.Writer) error {
 	list := fs.Bool("list", false, "list registered scenarios and exit")
 	faultplan := fs.Bool("faultplan", false, "print the injected fault schedule of -scenario (or of every fault scenario) and exit")
 	claims := fs.Bool("claims", false, "check every paper claim over the claim seeds and print the table")
+	perturb := fs.Bool("perturb", false, "check every paper claim under each calibrated knob moved ±10% and print the table")
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = all cores)")
 	clients := fs.Int("clients", 0, "override the concurrent database users")
 	seed := fs.Int64("seed", 0, "override the random seed")
@@ -116,6 +121,9 @@ func run(args []string, w io.Writer) error {
 	}
 	if *claims {
 		return renderClaims(w, scenario.RunClaims(scenario.Claims(), scenario.ClaimSeeds()))
+	}
+	if *perturb {
+		return renderPerturbed(w, scenario.Claims(), scenario.KnobTwins(), scenario.ClaimSeeds())
 	}
 	if *faultplan {
 		plans := scenario.All()
@@ -204,6 +212,32 @@ func renderClaims(w io.Writer, vs []scenario.Verdict) error {
 		}
 		fmt.Fprintf(w, "| %s | %s | [%g, %g] | %d | %.3f | [%.3f, %.3f] | %s |\n", v.Text, v.Metric.Name,
 			v.Lo, v.Hi, v.Summary.N, v.Summary.Mean, v.Summary.CI.Lo, v.Summary.CI.Hi, verdict)
+	}
+	return errors.Join(errs...)
+}
+
+// renderPerturbed checks every claim on each twin of its scenario and
+// prints one row per (claim, twin), labelled with the twin's knob
+// ("[vas+10%]"), then lists the cells that fail. A failing cell is a
+// finding about the calibration's neighbourhood, not an error: only runs
+// that return one fail the command.
+func renderPerturbed(w io.Writer, claims []scenario.Claim, twins []func(scenario.Scenario) scenario.Scenario, seeds []int64) error {
+	var cells []scenario.Claim
+	for _, c := range claims {
+		for _, twin := range twins {
+			cell := c
+			cell.Scenario = twin(c.Scenario)
+			cell.Text += " [" + strings.TrimPrefix(cell.Scenario.Name, c.Scenario.Name+"~") + "]"
+			cells = append(cells, cell)
+		}
+	}
+	vs := scenario.RunClaims(cells, seeds)
+	if fails := renderClaims(w, vs); fails != nil {
+		fmt.Fprintf(w, "\nCells that fail:\n\n- %s\n", strings.ReplaceAll(fails.Error(), "\n", "\n- "))
+	}
+	var errs []error
+	for _, v := range vs {
+		errs = append(errs, v.Report.Err)
 	}
 	return errors.Join(errs...)
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"compilegate/internal/scenario"
 )
@@ -114,4 +115,35 @@ func TestClaimsTable(t *testing.T) {
 		t.Fatalf("failing claim returned %v", err)
 	}
 	wantLines(t, out.String(), "| a claim that fails | completed | [1, 2] | 3 | 1.500 | [1.500, 1.500] | fails |")
+}
+
+// TestPerturbTable: -perturb prints one row per (claim, twin), labelled
+// with the twin's knob, lists the cells that fail without failing itself,
+// and fails only when a run returns an error.
+func TestPerturbTable(t *testing.T) {
+	s := scenario.Sales(6).WithWindow(20*time.Minute, 10*time.Minute)
+	claim := scenario.Claim{Text: "completes nothing", Scenario: s, Metric: scenario.MetricCompleted, Lo: 0, Hi: 0}
+	var out strings.Builder
+	if err := renderPerturbed(&out, []scenario.Claim{claim}, scenario.KnobTwins()[:2], scenario.Seeds(3)); err != nil {
+		t.Fatalf("failing cells returned %v", err)
+	}
+	rows := strings.Count(out.String(), "| completes nothing [")
+	wantLines(t, out.String(), "Cells that fail:")
+	for _, knob := range []string{"reserve+10%", "reserve-10%"} {
+		if !strings.Contains(out.String(), "| completes nothing ["+knob+"] | completed | [0, 0] | 3 |") ||
+			!strings.Contains(out.String(), "\n- claim \"completes nothing ["+knob+"]\": ") {
+			t.Errorf("no failing row or listed cell for %s", knob)
+		}
+	}
+	if rows != 2 {
+		t.Errorf("%d rows, want one per twin:\n%s", rows, out.String())
+	}
+
+	broken := func(s scenario.Scenario) scenario.Scenario {
+		s.Name, s.Clients = s.Name+"~broken", 0
+		return s
+	}
+	if err := renderPerturbed(io.Discard, []scenario.Claim{claim}, []func(scenario.Scenario) scenario.Scenario{broken}, scenario.Seeds(3)); err == nil {
+		t.Error("a run error did not fail -perturb")
+	}
 }

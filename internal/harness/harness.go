@@ -7,7 +7,7 @@
 // client population and the fault plane, all in virtual time — and the
 // Result carrying the measurements the paper's figures plot, audited
 // before it is returned. Package scenario owns what is run: the registry
-// of named experiments, sweeps, replications and the calibration.
+// of named experiments, sweeps, replications and the claims table.
 package harness
 
 import (

@@ -17,9 +17,9 @@ import (
 // identified and parsed. A snapshot is built once per (workload,
 // scale) and shared read-only by every run of that shape, including
 // concurrent sweep runs: only mutable engine state (budget, pools,
-// caches, metrics, schedulers) is per-run. This is what lets a
-// calibration grid of dozens of knob points amortize all setup cost into
-// a single catalog-and-statistics build.
+// caches, metrics, schedulers) is per-run. This is what lets a claims
+// table of hundreds of runs amortize all setup cost into one
+// catalog-and-statistics build per shape.
 type Snapshot struct {
 	Workload workload.Spec
 	Scale    float64

@@ -3,8 +3,8 @@ package mem
 // PressureModel describes what happens to the machine when wired memory
 // — reservations that cannot be paged out for free (compilations,
 // execution grants, fixed overhead), as opposed to reclaimable caches —
-// crowds out the page cache the workload needs. It is the knob set the
-// calibration sweep (internal/scenario, cmd/calibrate) explores.
+// crowds out the page cache the workload needs. Its fields are five of
+// the calibrated knobs (scenario.PressureKnobs).
 //
 // The model is deliberately simple: the machine has physical memory
 // Budget.Total and swap extending commit to CommitFrac*Total. Wired
@@ -39,9 +39,9 @@ type PressureModel struct {
 // paging starts once wired memory claims more than 65% of RAM, and
 // severity ramps steeply (slope 14) so a machine 10% past the threshold
 // already runs ~2.4x slow. The default workload profile sits below the
-// threshold; the §5 throughput experiments tighten CacheReserveFrac to
-// 0.45 through the calibrated scenario knobs (internal/scenario,
-// cmd/calibrate) to reproduce the paper's collapse regime.
+// threshold; the §5 throughput experiments set CacheReserveFrac to 0.50
+// through scenario.CalibratedKnobs to reproduce the paper's collapse
+// regime.
 func DefaultPressureModel() PressureModel {
 	return PressureModel{
 		Enabled:          true,

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"compilegate/internal/cluster"
@@ -25,8 +26,8 @@ type Claim struct {
 	// Hi: math.Inf(1). A [0, 0] band claims "exactly zero on every seed".
 	Lo, Hi float64
 	// MinSeeds raises the seed population for a claim whose verdict
-	// moved when only the random source did (EXPERIMENTS.md, "Claims ×
-	// perturbations"). The floor is 3 either way.
+	// moved when only the random source did (EXPERIMENTS.md, "The one
+	// golden break"). The floor is 3 either way.
 	MinSeeds int
 }
 
@@ -184,7 +185,7 @@ func Claims() []Claim {
 		band{"§5.2: compile p50 within the 10-90 s band (bucketed)", MetricCompileP50, 5, 180},
 		band{"§5.2: exec p50 within the 30 s - 10 min band (bucketed)", MetricExecP50, 20, 900})
 	add(defaults("overload-30", 30, 90*time.Minute, 15*time.Minute), func(s Scenario) Scenario {
-		s.Name, s.Clients = "overload-40", 40
+		s.Name, s.Clients = strings.Replace(s.Name, "30", "40", 1), 40 // keeps a knob twin's suffix
 		return s
 	}, 0, band{"§5.2: errors rise when pushed past saturation (40 vs 30 clients)", MetricErrorMargin, 1, inf})
 	mix := defaults("small-query-bypass", 16, 40*time.Minute, 5*time.Minute)

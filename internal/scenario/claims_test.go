@@ -199,6 +199,11 @@ func TestRunClaimsSharesReplications(t *testing.T) {
 		{Text: "c", Scenario: s, Metric: MetricCompleted, Lo: 0, Hi: math.Inf(1)},
 		{Text: "d", Scenario: s, Metric: MetricCompleted, Lo: 0, Hi: math.Inf(1), MinSeeds: 4},
 	}
+	// The + and - twins of one knob: the scenarios differ only in the
+	// knob and the name, and must not be merged.
+	for _, twin := range KnobTwins()[:2] {
+		rows = append(rows, Claim{Text: "knob", Scenario: twin(s), Twin: Scenario.Baseline, Metric: MetricCompleted, Lo: 0, Hi: math.Inf(1)})
+	}
 	vs := RunClaims(rows, Seeds(3))
 	for _, v := range vs {
 		if v.Err != nil {
@@ -210,6 +215,10 @@ func TestRunClaimsSharesReplications(t *testing.T) {
 	}
 	if vs[2].Report == vs[0].Report || vs[3].Report == vs[2].Report {
 		t.Fatal("rows with a different twin or seed count shared a replication")
+	}
+	if up, down := vs[4].Scenario.Name, vs[5].Scenario.Name; up != s.Name+"~reserve+10%" || down != s.Name+"~reserve-10%" ||
+		vs[4].Report == vs[5].Report || vs[4].Report == vs[0].Report || vs[5].Report == vs[0].Report {
+		t.Fatalf("knob twins %s and %s merged with each other or with their scenario", up, down)
 	}
 	if n := len(vs[3].Report.Runs); n != 4 || vs[3].Summary.N != 4 {
 		t.Fatalf("MinSeeds 4 ran %d seeds", n)

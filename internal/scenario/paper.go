@@ -12,7 +12,7 @@ import (
 
 // Sales returns the canonical §5 SALES experiment at the given client
 // count: the paper's 8-hour run measured from t = 3 h, throttling on,
-// under the pressure calibration cmd/calibrate selected (compilations
+// under the selected pressure calibration, CalibratedKnobs (compilations
 // hold their memory for minutes, so an unthrottled server at 30+ clients
 // ignites compile-memory thrash instead of queuing politely).
 func Sales(clients int) Scenario {

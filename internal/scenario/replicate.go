@@ -8,8 +8,7 @@ import (
 	"compilegate/internal/harness"
 )
 
-// This file is the multi-seed runner behind the claims table and the
-// calibration grid. Seeds become sweep jobs, so a replication's per-seed
+// This file is the multi-seed runner behind the claims table. Seeds become sweep jobs, so a replication's per-seed
 // results are byte-identical at any worker count, as a sweep's are.
 
 // Seeds returns the canonical replication seed list {1..n}. Claims run

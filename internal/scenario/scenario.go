@@ -3,9 +3,9 @@
 // configurations instead of hand-wiring them; RunSweep, which executes
 // independent scenarios concurrently, each on a fresh scheduler of its
 // own (so per-run determinism is untouched); multi-seed replications with
-// claim bands; and the pressure calibration. How a scenario is declared,
-// validated and executed belongs to package harness: Scenario is its
-// description type under this package's name.
+// claim bands; and the calibrated pressure knobs with their ±10% twins.
+// How a scenario is declared, validated and executed belongs to package
+// harness: Scenario is its description type under this package's name.
 package scenario
 
 import "compilegate/internal/harness"
