@@ -55,7 +55,8 @@ const (
 )
 
 // TestRegistryGoldenDigests pins the end-to-end results of every
-// registered scenario. It is the repository's determinism contract: a
+// registered scenario, read from the reference sweep (equivalence_test.go).
+// It is the repository's determinism contract: a
 // refactor that claims to preserve behavior must reproduce every line
 // byte-for-byte, and an intentional model change must re-record the
 // file with -update (and say so in its commit). From the same sweep it
@@ -65,18 +66,17 @@ const (
 // diff. The same sweep pins that no run takes a stack: every scenario's
 // scheduler must end it with no coroutine created and none switched into —
 // compilations, clients, routers and fault injectors all run as steps.
+// Under -race the reference runs raceWindow, so the two files, recorded on
+// goldenWindow, are not compared.
 func TestRegistryGoldenDigests(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short")
+	if raceEnabled && *update {
+		t.Fatal("-update records goldenWindow runs: run it without -race")
 	}
-	all := All()
-	scenarios := make([]Scenario, len(all))
-	for i, s := range all {
-		scenarios[i] = goldenWindow(s)
+	results := reference(t)
+	if !raceEnabled {
+		checkLines(t, goldenPath, results, digest)
+		checkLines(t, workPath, results, workLine)
 	}
-	results := RunSweep(scenarios, 0)
-	checkLines(t, goldenPath, results, digest)
-	checkLines(t, workPath, results, workLine)
 	for _, r := range results {
 		if r.Coroutines != 0 || r.CoroSwitches != 0 {
 			t.Errorf("%s: %d coroutines created, %d switches into them, want none", r.Scenario.Name, r.Coroutines, r.CoroSwitches)

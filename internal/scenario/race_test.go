@@ -1,0 +1,7 @@
+//go:build race
+
+package scenario
+
+// raceEnabled: the race detector slows a run about tenfold, so the
+// whole-run equivalences sweep the registry on raceWindow.
+const raceEnabled = true
