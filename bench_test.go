@@ -419,12 +419,9 @@ func BenchmarkAblationDynamicThresholds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dynamic := benchScenario(35)
 		static := benchScenario(35)
-		// Compose with the scenario's calibrated operating point: only the
-		// thresholds policy may differ between the two arms.
-		static.Engine = func(c *engine.Config) {
-			scenario.CalibratedKnobs().Apply(c)
-			c.DynamicThresholds = false
-		}
+		// On the scenario's calibrated server: only the thresholds policy
+		// may differ between the two arms.
+		static.Server.DynamicThresholds = false
 		res := mustSweep(b, dynamic, static)
 		meter.add(res...)
 		b.ReportMetric(float64(res[0].Completed), "completions-dynamic")

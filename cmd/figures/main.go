@@ -32,6 +32,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -304,12 +305,14 @@ func renderNodes(w io.Writer, r *harness.Result) {
 	fmt.Fprintln(w)
 }
 
-// renderRun prints one side of a -scenario pair: its settings, the
-// completion series, the error taxonomy, compile-memory and gateway
-// counters, and the engine report.
+// renderRun prints one side of a -scenario pair: its settings and their
+// Key, the completion series, the error taxonomy, compile-memory and
+// gateway counters, and the engine report.
 func renderRun(w io.Writer, s scenario.Scenario, res *harness.Result) {
 	fmt.Fprintf(w, "scenario=%s workload=%s clients=%d throttle=%v window=[%v,%v)\n",
 		s.Name, s.Workload, s.Clients, s.Throttled, s.Warmup, s.Horizon)
+	key, _ := s.Key()
+	fmt.Fprintf(w, "key: %s\n", cmp.Or(key, "none (an Engine or Load closure is set)"))
 	fmt.Fprintln(w, "completions per slice:")
 	for _, p := range res.Series {
 		fmt.Fprintf(w, "  t=%6.0fs  %d\n", p.T.Seconds(), p.V)

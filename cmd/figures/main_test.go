@@ -55,7 +55,7 @@ func TestQuickRegeneratesEveryFigure(t *testing.T) {
 
 // TestScenarioOverrides sets every override flag on a cluster scenario and
 // on a fault scenario: both sides of the pair run with them and print
-// their per-run lines.
+// their per-run lines, the Key of what ran among them.
 func TestScenarioOverrides(t *testing.T) {
 	for _, tc := range []struct{ name, workload, extra string }{
 		{"cluster-nodeloss", "mix", "  per-node breakdown (least-loaded router, rerouted=0):"},
@@ -67,7 +67,15 @@ func TestScenarioOverrides(t *testing.T) {
 			"scenario="+tc.name+" workload="+tc.workload+" clients=6 throttle=true window=[10m0s,1h0m0s)",
 			"scenario="+tc.name+"-baseline workload="+tc.workload+" clients=6 throttle=false window=[10m0s,1h0m0s)",
 			"completions per slice:")
-		for _, prefix := range []string{"\nerrors: ", "\ncompile memory: ", "\ngateway timeouts: "} {
+		for _, side := range []string{tc.name, tc.name + "-baseline"} {
+			if !strings.Contains(out, "\nkey: {\"Name\":\""+side+"\",") {
+				t.Errorf("%s: no key line", side)
+			}
+		}
+		if n := strings.Count(out, `"Clients":6,`); n != 2 {
+			t.Errorf("%s: %d keys carry the -clients override, want 2", tc.name, n)
+		}
+		for _, prefix := range []string{"\nkey: ", "\nerrors: ", "\ncompile memory: ", "\ngateway timeouts: "} {
 			if n := strings.Count(out, prefix); n != 2 {
 				t.Errorf("%s: %d lines start %q, want one per side", tc.name, n, prefix[1:])
 			}

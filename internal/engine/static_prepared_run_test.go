@@ -41,15 +41,8 @@ func mixNodelossShape() scenario.Scenario {
 		Throttled: true,
 		Nodes:     3,
 		Router:    cluster.LeastLoaded,
-		Load: func(l *workload.LoadConfig) {
-			l.MaxRetries = 6
-			l.BackoffBase = 500 * time.Millisecond
-			l.BackoffCap = 10 * time.Second
-			l.BackoffJitter = 0.3
-			l.RetryBudget = 40
-			l.NoRetryShed = true
-			l.ThinkTime = 5 * time.Second
-		},
+		ThinkTime: 5 * time.Second,
+		Retry:     true,
 		Fault: &fault.Plan{Seed: 105, Injections: []fault.Injection{
 			{Kind: fault.CrashRestart, Node: 1, At: 40 * time.Minute, Duration: 6 * time.Minute},
 		}},

@@ -92,7 +92,10 @@ func TestContinuationClientsMatchBlockingReference(t *testing.T) {
 	oltp := func(clients int, horizon, think time.Duration) scenario.Scenario {
 		s := defaultsScenario("oltp", clients, horizon, horizon/2)
 		s.Workload = workload.SpecOLTP
-		s.Load = func(l *workload.LoadConfig) { l.ThinkTime = think }
+		s.ThinkTime = think
+		if think == 0 { // the field replaces only a positive think time
+			s.Load = func(l *workload.LoadConfig) { l.ThinkTime = 0 }
+		}
 		return s
 	}
 	failover := registered(t, "cluster-nodeloss")
@@ -127,10 +130,8 @@ func TestContinuationClientsMatchBlockingReference(t *testing.T) {
 			}
 		}},
 		{"SALES, jittered backoff", registered(t, "retry-storm").Baseline(), func(t *testing.T, r *harness.Result) {
-			var l workload.LoadConfig
-			r.Options.Load(&l)
-			if r.Load.Retries == 0 || l.BackoffJitter == 0 {
-				t.Errorf("%d retries at jitter %v: the jittered driver is idle", r.Load.Retries, l.BackoffJitter)
+			if r.Load.Retries == 0 || !r.Options.Retry {
+				t.Errorf("%d retries, retry model %v: the jittered driver is idle", r.Load.Retries, r.Options.Retry)
 			}
 		}},
 		{"SALES, fixed backoff", defaultsScenario("fixed-backoff", 40, 40*time.Minute, 20*time.Minute).Baseline(), func(t *testing.T, r *harness.Result) {

@@ -1,13 +1,14 @@
 // Package harness runs complete benchmark configurations — the virtual
 // equivalent of the paper's test lab. It owns the run: the Scenario type
-// that describes one (the only declaration of a run's settings, with the
-// only validator), the one path that executes it — a scheduler, a fleet
-// of simulated servers over the chosen catalog behind a router (a single
-// server is a one-node fleet with the router elided), a closed-loop
-// client population and the fault plane, all in virtual time — and the
-// Result carrying the measurements the paper's figures plot, audited
-// before it is returned. Package scenario owns what is run: the registry
-// of named experiments, sweeps, replications and the claims table.
+// that describes one (the only declaration of a run's settings, as a
+// value with Key as its encoding, and the only validator), the one path
+// that executes it — a scheduler, a fleet of simulated servers over the
+// chosen catalog behind a router (a single server is a one-node fleet
+// with the router elided), a closed-loop client population and the fault
+// plane, all in virtual time — and the Result carrying the measurements
+// the paper's figures plot, audited before it is returned. Package
+// scenario owns what is run: the registry of named experiments, sweeps,
+// replications and the claims table.
 package harness
 
 import (
@@ -188,13 +189,20 @@ func (s Scenario) run(sched *vtime.Scheduler, test seams) (*Result, error) {
 		return nil, err
 	}
 
-	ecfg := s.engineConfig()
+	ecfg := s.ServerConfig()
 	ecfg.Throttle = s.Throttled
 	if !s.Throttled {
 		ecfg.DynamicThresholds = false
 		ecfg.BestEffort = false
 	}
 	lcfg := workload.DefaultLoadConfig(s.Clients)
+	if s.ThinkTime > 0 {
+		lcfg.ThinkTime = s.ThinkTime
+	}
+	if s.Retry {
+		lcfg.MaxRetries, lcfg.RetryBudget, lcfg.NoRetryShed = 6, 40, true
+		lcfg.BackoffBase, lcfg.BackoffCap, lcfg.BackoffJitter = 500*time.Millisecond, 10*time.Second, 0.3
+	}
 	if s.Load != nil {
 		s.Load(&lcfg)
 	}

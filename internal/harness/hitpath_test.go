@@ -21,7 +21,7 @@ func TestRunsTakeNoCoroutines(t *testing.T) {
 	o := defaults(clients).WithWindow(10*time.Minute, 5*time.Minute).WithSlice(5 * time.Minute)
 	o.Workload = workload.SpecOLTP
 	o.Nodes = 2
-	o.Load = func(l *workload.LoadConfig) { l.ThinkTime = 5 * time.Second }
+	o.ThinkTime = 5 * time.Second
 	f := defaults(10).WithWindow(20*time.Minute, 5*time.Minute).WithSlice(5 * time.Minute)
 	f.Fault = &fault.Plan{Injections: []fault.Injection{
 		{Kind: fault.CompileStorm, At: 8 * time.Minute, Burst: 6, Interval: time.Second},

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -36,7 +37,7 @@ type Scenario struct {
 	// Horizon, measurements start at Warmup, as §5.2 does ("the data
 	// starts at an intermediate time index"). Both are whole multiples of
 	// the recorder's slice (engine.Config.SliceDur, 10 minutes unless
-	// Engine sets it), so the slices counted are exactly the window.
+	// Server sets it), so the slices counted are exactly the window.
 	Horizon time.Duration
 	Warmup  time.Duration
 
@@ -45,14 +46,23 @@ type Scenario struct {
 	// Seed drives all randomness in the run.
 	Seed int64
 
-	// Engine, when non-nil, mutates the default server config — ablation
-	// toggles (monitor ladders, broker on/off, memory sizing) live here.
-	// Every run applies it to a fresh config, so concurrent runs never
-	// share mutable state.
-	Engine func(*engine.Config)
-	// Load, when non-nil, mutates the default load config (think time,
-	// retry policy), likewise per run.
-	Load func(*workload.LoadConfig)
+	// Server is the server config every node starts from; the zero value
+	// means engine.DefaultConfig(). Ablations set its fields — a monitor
+	// ladder, broker on/off, memory sizing, brown-out — on a copy.
+	Server engine.Config
+	// ThinkTime, when positive, replaces the load's think time between a
+	// client's queries.
+	ThinkTime time.Duration
+	// Retry puts the clients on the real-client retry model: capped
+	// exponential backoff with jitter, a per-client retry budget, and no
+	// resubmission of deliberately shed work.
+	Retry bool
+	// Engine and Load, when non-nil, mutate the server config (after
+	// Server) and the load config (after ThinkTime and Retry) per run.
+	// They stay for benchmark/workloads.go, whose pinned workloads set
+	// them; a closure does not compare, so a scenario with one has no Key.
+	Engine func(*engine.Config)       `json:"-"`
+	Load   func(*workload.LoadConfig) `json:"-"`
 	// Fault, when non-nil and non-empty, is the scripted failure plan
 	// injected into the run (shared read-only across sweep runs of the
 	// scenario). Injections execute as ordinary scheduler tasks, so
@@ -84,14 +94,30 @@ type Scenario struct {
 // fleet is the number of engine instances the scenario runs on.
 func (s Scenario) fleet() int { return max(s.Nodes, 1) }
 
-// engineConfig is the default server config with the scenario's Engine
-// delta applied.
-func (s Scenario) engineConfig() engine.Config {
-	cfg := engine.DefaultConfig()
+// ServerConfig is the config the scenario's servers start from: Server
+// (engine.DefaultConfig() when zero), then the Engine closure.
+func (s Scenario) ServerConfig() engine.Config {
+	cfg := s.Server
+	if cfg == (engine.Config{}) {
+		cfg = engine.DefaultConfig()
+	}
 	if s.Engine != nil {
 		s.Engine(&cfg)
 	}
 	return cfg
+}
+
+// Key is the scenario's canonical encoding, its JSON with Server
+// resolved: two scenarios with one key describe one run, a zero Server
+// and an explicit engine.DefaultConfig() included. ok is false when an
+// Engine or Load closure is set, since closures do not compare.
+func (s Scenario) Key() (key string, ok bool) {
+	if s.Engine != nil || s.Load != nil {
+		return "", false
+	}
+	s.Server = s.ServerConfig()
+	b, err := json.Marshal(s)
+	return string(b), err == nil
 }
 
 // Validate reports whether the scenario describes a runnable experiment.
@@ -115,12 +141,15 @@ func (s Scenario) Validate() error {
 	}
 	// The recorder counts completions per slice, so a window that cuts a
 	// slice would count completions outside it or drop some inside.
-	slice := s.engineConfig().SliceDur
+	slice := s.ServerConfig().SliceDur
 	if slice <= 0 {
 		return fmt.Errorf("scenario %s: recorder slice %v", s.Name, slice)
 	}
 	if s.Warmup%slice != 0 || s.Horizon%slice != 0 {
 		return fmt.Errorf("scenario %s: window [%v, %v) is not made of whole %v recorder slices", s.Name, s.Warmup, s.Horizon, slice)
+	}
+	if s.ThinkTime < 0 {
+		return fmt.Errorf("scenario %s: think time %v", s.Name, s.ThinkTime)
 	}
 	if s.Nodes < 0 {
 		return fmt.Errorf("scenario %s: nodes = %d", s.Name, s.Nodes)
@@ -177,16 +206,12 @@ func (s Scenario) WithWindow(horizon, warmup time.Duration) Scenario {
 }
 
 // WithSlice returns a copy whose recorder counts completions in slices of
-// d instead of the default 10 minutes, on top of the scenario's Engine
-// delta — for a window that is not made of whole 10-minute slices.
+// d instead of the default 10 minutes — for a window that is not made of
+// whole 10-minute slices. An Engine closure is folded into Server first,
+// so the slice is set last.
 func (s Scenario) WithSlice(d time.Duration) Scenario {
-	delta := s.Engine
-	s.Engine = func(c *engine.Config) {
-		if delta != nil {
-			delta(c)
-		}
-		c.SliceDur = d
-	}
+	s.Server, s.Engine = s.ServerConfig(), nil
+	s.Server.SliceDur = d
 	return s
 }
 

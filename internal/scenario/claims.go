@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"compilegate/internal/cluster"
+	"compilegate/internal/engine"
 	"compilegate/internal/harness"
 	"compilegate/internal/workload"
 )
@@ -58,8 +59,9 @@ type Verdict struct {
 
 // RunClaims replicates each distinct (scenario, twin, seed count) among
 // the claims once, all in one sweep, and checks every claim over its
-// replication. Scenarios and twins are told apart by name. A claim runs
-// at seeds, or at Seeds(MinSeeds) when that is more.
+// replication. Scenarios and twins are told apart by Key; a row with no
+// key (a closure) shares with none. A claim runs at seeds, or at
+// Seeds(MinSeeds) when that is more.
 func RunClaims(claims []Claim, seeds []int64) []Verdict {
 	var rps []Replication
 	at := map[string]int{}
@@ -69,12 +71,17 @@ func RunClaims(claims []Claim, seeds []int64) []Verdict {
 		if len(seeds) < c.MinSeeds {
 			rp.Seeds = Seeds(c.MinSeeds)
 		}
-		key := fmt.Sprintf("%s/%d", c.Scenario.Name, len(rp.Seeds))
+		key, ok := c.Scenario.Key()
 		if c.Twin != nil {
-			key += "/" + c.Twin(c.Scenario).Name
+			twin, twinOK := c.Twin(c.Scenario).Key()
+			key, ok = key+"\n"+twin, ok && twinOK
 		}
-		j, ok := at[key]
+		key = fmt.Sprintf("%d seeds\n%s", len(rp.Seeds), key)
 		if !ok {
+			key = fmt.Sprintf("row %d", i) // a closure compares with nothing
+		}
+		j, shared := at[key]
+		if !shared {
 			j, at[key] = len(rps), len(rps)
 			rps = append(rps, rp)
 		}
@@ -200,6 +207,6 @@ func Claims() []Claim {
 // for the recorder's slice, which is the warm-up).
 func defaults(name string, clients int, horizon, warmup time.Duration) Scenario {
 	s := Sales(clients)
-	s.Name, s.Description, s.Engine = name, "harness defaults at "+name, nil
+	s.Name, s.Description, s.Server = name, "harness defaults at "+name, engine.Config{}
 	return s.WithWindow(horizon, warmup).WithSlice(warmup)
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"compilegate/internal/engine"
 )
 
 // The paper-claim tests assert distributions, not draws: each names its
@@ -65,6 +67,12 @@ func assertClaims(t *testing.T) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("simulation in -short")
+	}
+	if raceEnabled {
+		// The sweep's run path is probed for races by the whole-run
+		// equivalences; at full windows the claims sweep alone took half
+		// of this package's time under -race.
+		t.Skip("claims sweep skipped under -race: CI's Coverage floor step checks the bands (go test -cover ./internal/scenario, CLAIMS_SEEDS=3, no -race)")
 	}
 	claimRun.Do(func() {
 		var rows []Claim
@@ -190,7 +198,8 @@ func TestClaimBandAssertPrintsPerSeedTable(t *testing.T) {
 
 // TestRunClaimsSharesReplications: rows on the same scenario, twin and
 // seed count share one report, whose runs happen once; a row with no
-// twin or more seeds gets its own.
+// twin or more seeds gets its own, and so do twins that share a name but
+// not their settings, and a scenario carrying a closure.
 func TestRunClaimsSharesReplications(t *testing.T) {
 	s := cheapScenario()
 	rows := []Claim{
@@ -203,6 +212,21 @@ func TestRunClaimsSharesReplications(t *testing.T) {
 	// knob and the name, and must not be merged.
 	for _, twin := range KnobTwins()[:2] {
 		rows = append(rows, Claim{Text: "knob", Scenario: twin(s), Twin: Scenario.Baseline, Metric: MetricCompleted, Lo: 0, Hi: math.Inf(1)})
+	}
+	// Two twins with one name and different servers run twice.
+	for _, vas := range []int64{2 << 30, 3 << 30} {
+		twin := func(s Scenario) Scenario {
+			s.Name += "-vas"
+			s.Server.VASBytes = vas
+			return s
+		}
+		rows = append(rows, Claim{Text: "vas", Scenario: s, Twin: twin, Metric: MetricCompleted, Lo: 0, Hi: math.Inf(1)})
+	}
+	// A closure compares with nothing, not even itself.
+	closure := s
+	closure.Engine = func(*engine.Config) {}
+	for range 2 {
+		rows = append(rows, Claim{Text: "closure", Scenario: closure, Metric: MetricCompleted, Lo: 0, Hi: math.Inf(1)})
 	}
 	vs := RunClaims(rows, Seeds(3))
 	for _, v := range vs {
@@ -219,6 +243,12 @@ func TestRunClaimsSharesReplications(t *testing.T) {
 	if up, down := vs[4].Scenario.Name, vs[5].Scenario.Name; up != s.Name+"~reserve+10%" || down != s.Name+"~reserve-10%" ||
 		vs[4].Report == vs[5].Report || vs[4].Report == vs[0].Report || vs[5].Report == vs[0].Report {
 		t.Fatalf("knob twins %s and %s merged with each other or with their scenario", up, down)
+	}
+	if vs[6].Report == vs[7].Report {
+		t.Fatal("twins with one name and different settings shared a replication")
+	}
+	if vs[8].Report == vs[9].Report || vs[8].Report == vs[2].Report {
+		t.Fatal("a scenario carrying an Engine closure shared a replication")
 	}
 	if n := len(vs[3].Report.Runs); n != 4 || vs[3].Summary.N != 4 {
 		t.Fatalf("MinSeeds 4 ran %d seeds", n)

@@ -33,9 +33,7 @@ func init() {
 		Seed:        1,
 		Nodes:       4,
 		Router:      cluster.RoundRobin,
-		Load: func(l *workload.LoadConfig) {
-			l.ThinkTime = 15 * time.Second
-		},
+		ThinkTime:   15 * time.Second,
 	}
 	register(rr.WithSlice(5 * time.Minute))
 
@@ -56,9 +54,7 @@ func init() {
 		Seed:        1,
 		Nodes:       4,
 		Router:      cluster.Affinity,
-		Load: func(l *workload.LoadConfig) {
-			l.ThinkTime = 5 * time.Second
-		},
+		ThinkTime:   5 * time.Second,
 	}
 	register(aff)
 
@@ -78,10 +74,8 @@ func init() {
 		Seed:        1,
 		Nodes:       3,
 		Router:      cluster.LeastLoaded,
-		Load: func(l *workload.LoadConfig) {
-			retryDriver(l)
-			l.ThinkTime = 5 * time.Second
-		},
+		ThinkTime:   5 * time.Second,
+		Retry:       true,
 		Fault: &fault.Plan{Seed: 105, Injections: []fault.Injection{
 			{Kind: fault.CrashRestart, Node: 1, At: 40 * time.Minute, Duration: 6 * time.Minute},
 		}},
@@ -97,21 +91,19 @@ func init() {
 	// with all three mechanisms off and holds a per-seed throughput
 	// margin.
 	thrash := Scenario{
-		Name:        "cluster-thrash-shed",
-		Description: "memory leak thrashes node 1 of 3; health-aware routing sheds around it",
-		Clients:     24,
-		Scale:       0.04,
-		Workload:    workload.SpecSales,
-		Horizon:     100 * time.Minute,
-		Warmup:      15 * time.Minute,
-		Throttled:   true,
-		Seed:        1,
-		Nodes:       3,
-		Router:      cluster.RoundRobin,
-		Engine:      calibrated(brownout),
-		Load: func(l *workload.LoadConfig) {
-			retryDriver(l)
-		},
+		Name:         "cluster-thrash-shed",
+		Description:  "memory leak thrashes node 1 of 3; health-aware routing sheds around it",
+		Clients:      24,
+		Scale:        0.04,
+		Workload:     workload.SpecSales,
+		Horizon:      100 * time.Minute,
+		Warmup:       15 * time.Minute,
+		Throttled:    true,
+		Seed:         1,
+		Nodes:        3,
+		Router:       cluster.RoundRobin,
+		Server:       calibrated(),
+		Retry:        true,
 		Health:       true,
 		Breaker:      true,
 		FailoverHops: 2,
@@ -120,6 +112,7 @@ func init() {
 				RateBytes: 64 * mem.MiB, Interval: 10 * time.Second, Release: true},
 		}},
 	}
+	thrash.Server.Brownout = true
 	register(thrash.WithSlice(5 * time.Minute))
 
 	// The correlated-storm control: a compile-storm burst hits every node
@@ -130,21 +123,19 @@ func init() {
 	// breaker at all. The claim test holds all-excluded at exactly zero
 	// on every seed.
 	storm := Scenario{
-		Name:        "cluster-compile-storm",
-		Description: "correlated compile storm on all 4 nodes — breakers must not trip the fleet open",
-		Clients:     48,
-		Scale:       0.04,
-		Workload:    workload.SpecSales,
-		Horizon:     80 * time.Minute,
-		Warmup:      15 * time.Minute,
-		Throttled:   true,
-		Seed:        1,
-		Nodes:       4,
-		Router:      cluster.RoundRobin,
-		Engine:      calibrated(brownout),
-		Load: func(l *workload.LoadConfig) {
-			retryDriver(l)
-		},
+		Name:         "cluster-compile-storm",
+		Description:  "correlated compile storm on all 4 nodes — breakers must not trip the fleet open",
+		Clients:      48,
+		Scale:        0.04,
+		Workload:     workload.SpecSales,
+		Horizon:      80 * time.Minute,
+		Warmup:       15 * time.Minute,
+		Throttled:    true,
+		Seed:         1,
+		Nodes:        4,
+		Router:       cluster.RoundRobin,
+		Server:       calibrated(),
+		Retry:        true,
 		Breaker:      true,
 		FailoverHops: 2,
 		Fault: &fault.Plan{Seed: 107, Injections: []fault.Injection{
@@ -154,6 +145,7 @@ func init() {
 			{Kind: fault.CompileStorm, Node: 3, At: 40 * time.Minute, Burst: 16, Interval: 2 * time.Second},
 		}},
 	}
+	storm.Server.Brownout = true
 	register(storm.WithSlice(5 * time.Minute))
 
 	// The recovery experiment: cluster-nodeloss re-run with the router's
@@ -163,21 +155,19 @@ func init() {
 	// re-admits the restarted node through half-open probes. The claim
 	// test bounds cluster-level recovery time across seeds.
 	recovery := Scenario{
-		Name:        "cluster-breaker-recovery",
-		Description: "node 1 of 3 lost for 6 min; breakers discover, shed, and re-admit it",
-		Clients:     48,
-		Scale:       0.04,
-		Workload:    workload.SpecOLTP,
-		Horizon:     70 * time.Minute,
-		Warmup:      10 * time.Minute,
-		Throttled:   true,
-		Seed:        1,
-		Nodes:       3,
-		Router:      cluster.RoundRobin,
-		Load: func(l *workload.LoadConfig) {
-			retryDriver(l)
-			l.ThinkTime = 5 * time.Second
-		},
+		Name:         "cluster-breaker-recovery",
+		Description:  "node 1 of 3 lost for 6 min; breakers discover, shed, and re-admit it",
+		Clients:      48,
+		Scale:        0.04,
+		Workload:     workload.SpecOLTP,
+		Horizon:      70 * time.Minute,
+		Warmup:       10 * time.Minute,
+		Throttled:    true,
+		Seed:         1,
+		Nodes:        3,
+		Router:       cluster.RoundRobin,
+		ThinkTime:    5 * time.Second,
+		Retry:        true,
 		Breaker:      true,
 		FailoverHops: 2,
 		Fault: &fault.Plan{Seed: 108, Injections: []fault.Injection{

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"compilegate/internal/engine"
 	"compilegate/internal/gateway"
 	"compilegate/internal/harness"
 	"compilegate/internal/optimizer"
@@ -155,16 +154,11 @@ func neverClosingVsBaseline(t *testing.T, ref []SweepResult) ([]SweepResult, []S
 // with dynamic thresholds and best-effort plans off: the uncontended
 // configuration, governed.
 func neverClosing(s Scenario) Scenario {
-	delta := s.Engine
-	s.Engine = func(c *engine.Config) {
-		if delta != nil {
-			delta(c)
-		}
-		c.GatewayOverride = &gateway.Config{Levels: []gateway.LevelConfig{
-			{Name: "open", Threshold: math.MaxInt64 / 2, Slots: 1 << 20, Timeout: 1000 * time.Hour},
-		}}
-		c.DynamicThresholds, c.BestEffort = false, false
-	}
+	s.Server = s.ServerConfig()
+	s.Server.GatewayOverride = &gateway.Config{Levels: []gateway.LevelConfig{
+		{Name: "open", Threshold: math.MaxInt64 / 2, Slots: 1 << 20, Timeout: 1000 * time.Hour},
+	}}
+	s.Server.DynamicThresholds, s.Server.BestEffort = false, false
 	return s
 }
 

@@ -3,10 +3,8 @@ package scenario
 import (
 	"time"
 
-	"compilegate/internal/engine"
 	"compilegate/internal/fault"
 	"compilegate/internal/mem"
-	"compilegate/internal/workload"
 )
 
 // This file registers the fault-plane scenarios: scripted failures
@@ -24,24 +22,6 @@ func faultSales(name, desc string, clients int, plan *fault.Plan) Scenario {
 	s.Horizon, s.Warmup = 2*time.Hour, 20*time.Minute
 	s.Fault = plan
 	return s
-}
-
-// retryDriver is the real-client retry model the fault scenarios use:
-// capped exponential backoff with jitter, a per-client retry budget, and
-// no resubmission of deliberately shed work.
-func retryDriver(l *workload.LoadConfig) {
-	l.MaxRetries = 6
-	l.BackoffBase = 500 * time.Millisecond
-	l.BackoffCap = 10 * time.Second
-	l.BackoffJitter = 0.3
-	l.RetryBudget = 40
-	l.NoRetryShed = true
-}
-
-// brownout turns on the governor's sustained-pressure degradation mode
-// on top of the calibrated knobs.
-func brownout(c *engine.Config) {
-	c.Brownout = true
 }
 
 func init() {
@@ -66,7 +46,7 @@ func init() {
 			{Kind: fault.MemLeak, At: 40 * time.Minute, Duration: 20 * time.Minute,
 				RateBytes: 48 * mem.MiB, Interval: 15 * time.Second, Release: true},
 		}})
-	leak.Engine = calibrated(brownout)
+	leak.Server.Brownout = true
 	register(leak)
 
 	// An engine crash: 4 minutes of downtime at t = 50 min. In-flight
@@ -78,7 +58,7 @@ func init() {
 		30, &fault.Plan{Seed: 103, Injections: []fault.Injection{
 			{Kind: fault.CrashRestart, At: 50 * time.Minute, Duration: 4 * time.Minute},
 		}})
-	crash.Load = retryDriver
+	crash.Retry = true
 	register(crash)
 
 	// The retry storm: an overloaded population (40 clients) with an
@@ -91,7 +71,6 @@ func init() {
 		40, &fault.Plan{Seed: 104, Injections: []fault.Injection{
 			{Kind: fault.CompileStorm, At: 40 * time.Minute, Burst: 24, Interval: 2 * time.Second},
 		}})
-	storm.Load = retryDriver
-	storm.Engine = calibrated(brownout)
+	storm.Retry, storm.Server.Brownout = true, true
 	register(storm)
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,13 +85,26 @@ func TestRegistryGoldenDigests(t *testing.T) {
 	}
 }
 
-// checkLines compares one line per scenario, "name: line(result)", with the
-// file at path, or records them there under -update.
+// keyHash is a short hash of the run scenario's Key, so a line moves when
+// a setting does even if every digest field stays put.
+func keyHash(s Scenario) string {
+	key, ok := s.Key()
+	if !ok {
+		return "key=none"
+	}
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return fmt.Sprintf("key=%08x", h.Sum32())
+}
+
+// checkLines compares one line per scenario, "name: key=hash line(result)",
+// with the file at path, or records them there under -update.
 func checkLines(t *testing.T, path string, results []SweepResult, line func(SweepResult) string) {
 	t.Helper()
+	keyed := func(sr SweepResult) string { return keyHash(sr.Scenario) + " " + line(sr) }
 	var sb strings.Builder
 	for _, sr := range results {
-		fmt.Fprintf(&sb, "%s: %s\n", sr.Scenario.Name, line(sr))
+		fmt.Fprintf(&sb, "%s: %s\n", sr.Scenario.Name, keyed(sr))
 	}
 	got := sb.String()
 
@@ -120,7 +134,7 @@ func checkLines(t *testing.T, path string, results []SweepResult, line func(Swee
 		}
 	}
 	for _, sr := range results {
-		d := line(sr)
+		d := keyed(sr)
 		w, ok := wantLines[sr.Scenario.Name]
 		switch {
 		case !ok:

@@ -147,10 +147,10 @@ var knobs = []struct {
 
 // KnobTwins returns the calibration's perturbations as twins: for each
 // PressureKnobs field, one that moves its engine setting up 10% and one
-// down, from the value the scenario runs with (after its own Engine
-// delta; a setting at zero, like the uncalibrated machine's unbounded
-// VAS, stays there). Each twin renames the scenario after the knob
-// ("figure3~vas+10%"), so twins of one claim are distinct replications.
+// down, from the value the scenario runs with (its ServerConfig; a
+// setting at zero, like the uncalibrated machine's unbounded VAS, stays
+// there). Each twin renames the scenario after the knob
+// ("figure3~vas+10%"), so an error says which knob it ran under.
 func KnobTwins() []func(Scenario) Scenario {
 	var out []func(Scenario) Scenario
 	for _, k := range knobs {
@@ -159,14 +159,9 @@ func KnobTwins() []func(Scenario) Scenario {
 			f     float64
 		}{{"+10%", 1.1}, {"-10%", 0.9}} {
 			out = append(out, func(s Scenario) Scenario {
-				delta := s.Engine
 				s.Name += "~" + k.name + d.label
-				s.Engine = func(c *engine.Config) {
-					if delta != nil {
-						delta(c)
-					}
-					k.scale(c, d.f)
-				}
+				s.Server, s.Engine = s.ServerConfig(), nil
+				k.scale(&s.Server, d.f)
 				return s
 			})
 		}

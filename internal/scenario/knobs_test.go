@@ -9,15 +9,6 @@ import (
 	"compilegate/internal/engine"
 )
 
-// configOf is the engine config a scenario runs with.
-func configOf(s Scenario) engine.Config {
-	c := engine.DefaultConfig()
-	if s.Engine != nil {
-		s.Engine(&c)
-	}
-	return c
-}
-
 // movedFields returns the numeric fields of engine.Config (by path) whose
 // values differ between a and b, each with its value in both.
 func movedFields(a, b engine.Config) map[string][2]float64 {
@@ -73,7 +64,7 @@ func TestKnobPerturbations(t *testing.T) {
 		t.Fatalf("%d twins, want %d (two per PressureKnobs field)", len(twins), want)
 	}
 	s := registry["figure3"]
-	base := configOf(s)
+	base := s.ServerConfig()
 	names, covered := map[string]bool{}, map[string]bool{}
 	for _, twin := range twins {
 		tw := twin(s)
@@ -85,7 +76,7 @@ func TestKnobPerturbations(t *testing.T) {
 		if strings.HasSuffix(tw.Name, "-10%") {
 			f = 0.9
 		}
-		moved := movedFields(base, configOf(tw))
+		moved := movedFields(base, tw.ServerConfig())
 		if len(moved) != 1 && !(len(moved) == 2 && strings.Contains(tw.Name, "~memo")) {
 			t.Errorf("%s moves %v, want one setting (both memo sizes for memo)", tw.Name, moved)
 		}
@@ -108,10 +99,10 @@ func TestKnobPerturbations(t *testing.T) {
 	// On the uncalibrated machine the twins move the engine defaults; the
 	// unbounded VAS stays unbounded.
 	def := Sales(30)
-	def.Engine = nil
+	def.Server = engine.Config{}
 	for _, twin := range twins {
 		tw := twin(def)
-		moved := movedFields(engine.DefaultConfig(), configOf(tw))
+		moved := movedFields(engine.DefaultConfig(), tw.ServerConfig())
 		if strings.Contains(tw.Name, "~vas") != (len(moved) == 0) {
 			t.Errorf("%s on the default machine moves %v", tw.Name, moved)
 		}

@@ -26,20 +26,16 @@ func Sales(clients int) Scenario {
 		Warmup:      3 * time.Hour,
 		Throttled:   true,
 		Seed:        1,
-		Engine:      calibrated(nil),
+		Server:      calibrated(),
 	}
 }
 
-// calibrated composes the §5 pressure calibration with an additional
-// engine delta (nil for none): every SALES-derived scenario starts from
-// the calibrated operating point, then applies its own override.
-func calibrated(extra func(*engine.Config)) func(*engine.Config) {
-	return func(c *engine.Config) {
-		CalibratedKnobs().Apply(c)
-		if extra != nil {
-			extra(c)
-		}
-	}
+// calibrated is the server at the §5 pressure calibration: every
+// SALES-derived scenario starts from it, then sets its own overrides.
+func calibrated() engine.Config {
+	c := engine.DefaultConfig()
+	CalibratedKnobs().Apply(&c)
+	return c
 }
 
 // figure builds one of the paper's throughput figures (3, 4, 5).
@@ -81,7 +77,7 @@ func monitorAblation(n string) Scenario {
 	s.Name = "monitors-" + n
 	s.Description = "monitor-count ablation A-1: " + n + "-monitor ladder instead of 3"
 	ladder := monitorLadder(n)
-	s.Engine = calibrated(func(c *engine.Config) { c.GatewayOverride = &ladder })
+	s.Server.GatewayOverride = &ladder
 	return s
 }
 
@@ -96,7 +92,7 @@ func init() {
 	fig2.Name = "figure2"
 	fig2.Description = "Figure 2 conditions: compilations throttle at the monitor ladder under memory pressure"
 	fig2.Horizon, fig2.Warmup = 30*time.Minute, 5*time.Minute
-	fig2.Engine = calibrated(func(c *engine.Config) { c.MemoryBytes = 2 * mem.GiB })
+	fig2.Server.MemoryBytes = 2 * mem.GiB
 	register(fig2.WithSlice(5 * time.Minute))
 
 	register(figure(3, 30, "paper: ~35% higher throughput"))
@@ -119,7 +115,7 @@ func init() {
 	noGov.Name = "no-governance"
 	noGov.Description = "ablation A-5 twin: neither broker nor throttling"
 	noGov.Throttled = false
-	noGov.Engine = calibrated(func(c *engine.Config) { c.BrokerEnabled = false })
+	noGov.Server.BrokerEnabled = false
 	register(noGov)
 
 	// The mixed workload: OLTP point queries bypass the ladder while
@@ -142,23 +138,16 @@ func init() {
 	// user VAS (2 GB, no extended-VAS boot switch), so compilations
 	// exhaust the address space early and the exhaustion signal fires
 	// constantly — exactly the regime best-effort plans exist for.
-	starved := func(c *engine.Config) {
-		c.MemoryBytes = 2 * mem.GiB
-		c.VASBytes = 1792 * mem.MiB
-	}
 	be := Sales(30)
 	be.Name = "best-effort"
 	be.Description = "§4.1 best-effort plans under memory exhaustion (2 GiB machine)"
-	be.Engine = calibrated(starved)
+	be.Server.MemoryBytes, be.Server.VASBytes = 2*mem.GiB, 1792*mem.MiB
 	register(be)
 
-	beOff := Sales(30)
+	beOff := be
 	beOff.Name = "best-effort-off"
 	beOff.Description = "best-effort disabled: exhausted compilations fail with OOM"
-	beOff.Engine = calibrated(func(c *engine.Config) {
-		starved(c)
-		c.BestEffort = false
-	})
+	beOff.Server.BestEffort = false
 	register(beOff)
 
 	// The demo-sized ad-hoc DSS run the examples use.

@@ -15,8 +15,8 @@ import (
 
 // TestRegisteredScenariosBuildValidConfigs proves every registered
 // experiment resolves to a runnable configuration: the scenario
-// validates and its engine delta yields a config that assembles a real
-// server over the resolved catalog.
+// validates, is a value (it has a Key: no Engine or Load closure), and
+// its server config assembles a real server over the resolved catalog.
 func TestRegisteredScenariosBuildValidConfigs(t *testing.T) {
 	all := All()
 	if len(all) < 10 {
@@ -27,10 +27,10 @@ func TestRegisteredScenariosBuildValidConfigs(t *testing.T) {
 			if err := s.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			ecfg := engine.DefaultConfig()
-			if s.Engine != nil {
-				s.Engine(&ecfg)
+			if _, ok := s.Key(); !ok {
+				t.Fatal("no key: the scenario carries an Engine or Load closure")
 			}
+			ecfg := s.ServerConfig()
 			ecfg.Throttle = s.Throttled
 			cat := s.Workload.NewCatalog(s.Scale, workload.DefaultExtentBytes)
 			if _, err := engine.NewShared(ecfg, cat, engine.Prebuilt{}, vtime.NewScheduler()); err != nil {
@@ -72,6 +72,7 @@ func TestValidateRejectsBrokenScenarios(t *testing.T) {
 		"negative-warmup":    func(s *Scenario) { s.Warmup = -time.Minute },
 		"window-cuts-slices": func(s *Scenario) { s.Warmup, s.Horizon = 5*time.Minute, 15*time.Minute },
 		"no-slice":           func(s *Scenario) { *s = s.WithSlice(0) },
+		"negative-think":     func(s *Scenario) { s.ThinkTime = -time.Second },
 		"negative-nodes":     func(s *Scenario) { s.Nodes = -1 },
 		"bad-router":         func(s *Scenario) { s.Nodes, s.Router = 2, "random" },
 		"health-one-node":    func(s *Scenario) { s.Health = true },
@@ -155,6 +156,49 @@ func TestDerivations(t *testing.T) {
 	}
 	if s.WithSeed(9).Seed != 9 || s.WithClients(7).Clients != 7 {
 		t.Fatal("WithSeed/WithClients broken")
+	}
+	if sl := s.WithSlice(time.Minute); sl.Server.SliceDur != time.Minute || s.Server.SliceDur != 10*time.Minute ||
+		sl.Server.VASBytes != s.Server.VASBytes {
+		t.Fatal("WithSlice must set the slice on the copy only, keeping its server")
+	}
+}
+
+// TestKeyIsTheResolvedScenario: Key resolves Server, so a zero Server and
+// an explicit engine.DefaultConfig() are one key, while any setting, the
+// name included, moves it; an Engine or Load closure leaves no key.
+func TestKeyIsTheResolvedScenario(t *testing.T) {
+	explicit := defaults("keyed", 6, time.Hour, 10*time.Minute)
+	zero := explicit
+	zero.Server = engine.Config{}
+	if explicit.Server != engine.DefaultConfig() {
+		t.Fatal("defaults is not on engine.DefaultConfig()")
+	}
+	kz, okz := zero.Key()
+	ke, oke := explicit.Key()
+	if !okz || !oke || kz != ke {
+		t.Fatalf("zero and default Server keyed apart:\n%s\n%s", kz, ke)
+	}
+	moved := []func(*Scenario){
+		func(s *Scenario) { s.Name += "~" },
+		func(s *Scenario) { s.ThinkTime = time.Second },
+		func(s *Scenario) { s.Retry = true },
+		func(s *Scenario) { s.Server = calibrated() },
+		func(s *Scenario) { s.Server.Brownout = true },
+	}
+	for i, move := range moved {
+		s := explicit
+		move(&s)
+		if k, ok := s.Key(); !ok || k == ke {
+			t.Errorf("setting %d left the key unchanged", i)
+		}
+	}
+	for _, s := range []Scenario{
+		{Name: "engine", Engine: func(*engine.Config) {}},
+		{Name: "load", Load: func(*workload.LoadConfig) {}},
+	} {
+		if _, ok := s.Key(); ok {
+			t.Errorf("%s: a scenario with a closure has a key", s.Name)
+		}
 	}
 }
 
