@@ -72,6 +72,11 @@ func TestScenarioOverrides(t *testing.T) {
 				t.Errorf("%s: no key line", side)
 			}
 		}
+		// The baseline's key says what it ran: no throttling.
+		_, base, _ := strings.Cut(out, "\nkey: {\"Name\":\""+tc.name+"-baseline\",")
+		if line, _, _ := strings.Cut(base, "\n"); !strings.Contains(line, `"Throttle":false,`) {
+			t.Errorf("%s: the baseline's key does not say \"Throttle\":false: %s", tc.name, line)
+		}
 		if n := strings.Count(out, `"Clients":6,`); n != 2 {
 			t.Errorf("%s: %d keys carry the -clients override, want 2", tc.name, n)
 		}

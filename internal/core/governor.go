@@ -109,7 +109,8 @@ func (g *Governor) AttachBroker(b *broker.Broker, weight float64, min int64) {
 
 // OnBrokerNotice applies a broker notification: it installs the
 // compile-memory target on the gateway chain (when dynamic thresholds are
-// enabled) and latches the exhaustion signal for best-effort plans.
+// enabled), latches the exhaustion signal for best-effort plans and, with
+// both Brownout and BestEffort on, advances the brown-out machine.
 // Without machine-wide pressure the static thresholds are restored — the
 // broker "takes no action" when memory is plentiful.
 func (g *Governor) OnBrokerNotice(n broker.Notification) {
@@ -121,7 +122,7 @@ func (g *Governor) OnBrokerNotice(n broker.Notification) {
 		}
 	}
 	g.exhaustion = n.Exhaustion
-	if g.opts.Brownout {
+	if g.opts.Brownout && g.opts.BestEffort { // it acts only through best-effort plans
 		g.brownoutTick(n.Pressure || n.Exhaustion)
 	}
 }

@@ -241,6 +241,23 @@ func TestBestEffortDisabled(t *testing.T) {
 	}
 }
 
+// TestBrownoutNeedsBestEffort: brown-out acts through best-effort plans,
+// so without them sustained pressure never enters it and counts no ticks.
+func TestBrownoutNeedsBestEffort(t *testing.T) {
+	for _, bestEffort := range []bool{true, false} {
+		opts := testOpts()
+		opts.BestEffort, opts.Brownout = bestEffort, true
+		g := newGov(t, opts, mem.NewBudget(1<<20))
+		for range brownoutEnter + 2 {
+			g.OnBrokerNotice(broker.Notification{Pressure: true})
+		}
+		if entered := g.BrownoutEntries() > 0; entered != bestEffort || (g.BrownoutTicks() > 0) != bestEffort {
+			t.Errorf("best-effort=%v: %d entries, %d ticks after %d pressured ticks",
+				bestEffort, g.BrownoutEntries(), g.BrownoutTicks(), brownoutEnter+2)
+		}
+	}
+}
+
 func TestFinishIdempotentAndAbort(t *testing.T) {
 	budget := mem.NewBudget(1 << 20)
 	g := newGov(t, testOpts(), budget)

@@ -76,8 +76,7 @@ type Config struct {
 	CompileTaskWait time.Duration
 	// CompileStages is the staged compile-memory model: the memory a
 	// compilation wires beyond the exploration memo, reserved as a ramp
-	// the monitor ladder can interpose on mid-compilation. Set Disabled
-	// to reproduce the flat pre-stage model.
+	// the monitor ladder can interpose on mid-compilation.
 	CompileStages CompileStages
 	// ExecGrantLimitFrac caps total concurrent execution-grant memory as
 	// a fraction of physical memory.
@@ -150,9 +149,6 @@ const (
 // their plans are trivial, which is what keeps them under the small
 // gateway's threshold — the paper's diagnostics-under-overload bypass.
 type CompileStages struct {
-	// Disabled reproduces the flat pre-stage model: compile memory is
-	// the exploration memo alone.
-	Disabled bool
 	// CostingScale sizes costing scratch as a multiple of every memo
 	// charge; it is held until codegen completes.
 	CostingScale float64

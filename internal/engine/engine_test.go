@@ -164,13 +164,13 @@ func compileOnce(t *testing.T, sql string, mutate func(*Config)) int64 {
 
 // TestStagedCompilePeakArithmetic pins the staged stock model's shape:
 // with integral scales the peak is exactly bind + (1+costing+codegen) x
-// the exploration memo, and disabling the stages reproduces the flat
-// memo-only footprint.
+// the exploration memo, and with both scales at zero it is bind plus the
+// memo alone.
 func TestStagedCompilePeakArithmetic(t *testing.T) {
 	sql := "SELECT COUNT(*) FROM sales_fact JOIN dim_date ON sales_fact.date_id = dim_date.date_id JOIN dim_store ON sales_fact.store_id = dim_store.store_id WHERE sales_fact.date_id BETWEEN 100 AND 200 GROUP BY dim_date.year"
 	flat := compileOnce(t, sql, func(c *Config) {
-		c.CompileStages.Disabled = true
-	})
+		c.CompileStages.CostingScale, c.CompileStages.CodegenScale = 0, 0
+	}) - bindBytes
 	staged := compileOnce(t, sql, nil)
 
 	st := DefaultConfig().CompileStages

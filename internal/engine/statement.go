@@ -355,7 +355,7 @@ func (a *attempt) Run(t *vtime.Task) {
 		switch a.state {
 		case opening:
 			a.state = binding
-			if a.asks.Codegen = !cs.Disabled && len(a.q.Tables) > 1; a.asks.Codegen {
+			if a.asks.Codegen = len(a.q.Tables) > 1; a.asks.Codegen {
 				a.calling = true
 				a.comp.AllocThen(bindBytes, &a.err, a)
 			}

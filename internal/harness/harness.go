@@ -190,11 +190,6 @@ func (s Scenario) run(sched *vtime.Scheduler, test seams) (*Result, error) {
 	}
 
 	ecfg := s.ServerConfig()
-	ecfg.Throttle = s.Throttled
-	if !s.Throttled {
-		ecfg.DynamicThresholds = false
-		ecfg.BestEffort = false
-	}
 	lcfg := workload.DefaultLoadConfig(s.Clients)
 	if s.ThinkTime > 0 {
 		lcfg.ThinkTime = s.ThinkTime

@@ -41,7 +41,8 @@ type Scenario struct {
 	Horizon time.Duration
 	Warmup  time.Duration
 
-	// Throttled enables compilation throttling (the paper's feature).
+	// Throttled enables compilation throttling (the paper's feature); it
+	// decides Server.Throttle and, off, the §4.1 extensions (ServerConfig).
 	Throttled bool
 	// Seed drives all randomness in the run.
 	Seed int64
@@ -94,8 +95,11 @@ type Scenario struct {
 // fleet is the number of engine instances the scenario runs on.
 func (s Scenario) fleet() int { return max(s.Nodes, 1) }
 
-// ServerConfig is the config the scenario's servers start from: Server
-// (engine.DefaultConfig() when zero), then the Engine closure.
+// ServerConfig is the config the scenario's servers run with, and the one
+// place it is assembled: Server (engine.DefaultConfig() when zero), then
+// the Engine closure, then Throttled — an unthrottled server has neither
+// dynamic thresholds nor best-effort plans. A copy that folds it into
+// Server keeps that: throttling such a copy again leaves both off.
 func (s Scenario) ServerConfig() engine.Config {
 	cfg := s.Server
 	if cfg == (engine.Config{}) {
@@ -104,13 +108,18 @@ func (s Scenario) ServerConfig() engine.Config {
 	if s.Engine != nil {
 		s.Engine(&cfg)
 	}
+	cfg.Throttle = s.Throttled
+	if !s.Throttled {
+		cfg.DynamicThresholds, cfg.BestEffort = false, false
+	}
 	return cfg
 }
 
 // Key is the scenario's canonical encoding, its JSON with Server
-// resolved: two scenarios with one key describe one run, a zero Server
-// and an explicit engine.DefaultConfig() included. ok is false when an
-// Engine or Load closure is set, since closures do not compare.
+// resolved by ServerConfig: two scenarios with one key describe one run,
+// a zero Server and an explicit engine.DefaultConfig() included, as do
+// two that differ only in settings Throttled overrides. ok is false when
+// an Engine or Load closure is set, since closures do not compare.
 func (s Scenario) Key() (key string, ok bool) {
 	if s.Engine != nil || s.Load != nil {
 		return "", false

@@ -4,7 +4,7 @@ package mem
 // — reservations that cannot be paged out for free (compilations,
 // execution grants, fixed overhead), as opposed to reclaimable caches —
 // crowds out the page cache the workload needs. Its fields are five of
-// the calibrated knobs (scenario.PressureKnobs).
+// the calibrated knobs (scenario.CalibratedKnobs).
 //
 // The model is deliberately simple: the machine has physical memory
 // Budget.Total and swap extending commit to CommitFrac*Total. Wired

@@ -38,34 +38,28 @@ func movedFields(a, b engine.Config) map[string][2]float64 {
 	return out
 }
 
-// TestKnobPerturbations: there is one twin per PressureKnobs field and
-// direction; each moves the engine settings its field sets — exactly one,
+// TestKnobPerturbations: there are two twins per knob, one per
+// direction; each moves the engine settings its knob names — exactly one,
 // or both memo byte sizes — by ±10% of the value the scenario runs with,
-// once, and nothing else; and twin names are unique and survive a claim's
-// own twin.
+// once, and nothing else; no two knobs move one setting; every setting
+// CalibratedKnobs chose is a knob; and twin names are unique and survive
+// a claim's own twin.
 func TestKnobPerturbations(t *testing.T) {
-	// The settings Apply controls: every field set to an odd value.
-	var odd PressureKnobs
-	kv := reflect.ValueOf(&odd).Elem()
-	for i := range kv.NumField() {
-		switch f := kv.Field(i); f.Kind() {
-		case reflect.Float64:
-			f.SetFloat(0.777)
-		case reflect.Int64:
-			f.SetInt(777)
-		}
+	// The settings the calibration chose: those it moves off the defaults.
+	calibrated := engine.DefaultConfig()
+	CalibratedKnobs().Apply(&calibrated)
+	chosen := movedFields(engine.DefaultConfig(), calibrated)
+	if len(chosen) != 7 {
+		t.Errorf("CalibratedKnobs moves %v, want six settings (both memo sizes for memo)", chosen)
 	}
-	applied := engine.DefaultConfig()
-	odd.Apply(&applied)
-	controlled := movedFields(engine.DefaultConfig(), applied)
 
 	twins := KnobTwins()
-	if want := 2 * kv.NumField(); len(twins) != want {
-		t.Fatalf("%d twins, want %d (two per PressureKnobs field)", len(twins), want)
+	if want := 2 * len(knobs); len(twins) != want {
+		t.Fatalf("%d twins, want %d (two per knob)", len(twins), want)
 	}
 	s := registry["figure3"]
 	base := s.ServerConfig()
-	names, covered := map[string]bool{}, map[string]bool{}
+	names, covered := map[string]bool{}, map[string]string{}
 	for _, twin := range twins {
 		tw := twin(s)
 		if names[tw.Name] || !strings.HasPrefix(tw.Name, s.Name+"~") {
@@ -80,20 +74,23 @@ func TestKnobPerturbations(t *testing.T) {
 		if len(moved) != 1 && !(len(moved) == 2 && strings.Contains(tw.Name, "~memo")) {
 			t.Errorf("%s moves %v, want one setting (both memo sizes for memo)", tw.Name, moved)
 		}
+		knob := strings.TrimSuffix(strings.TrimSuffix(tw.Name, "+10%"), "-10%")
 		for path, v := range moved {
-			if _, ok := controlled[path]; !ok {
-				t.Errorf("%s moves %s, which no PressureKnobs field sets", tw.Name, path)
+			if k, ok := covered[path]; ok && k != knob {
+				t.Errorf("knobs %s and %s both move %s", k, knob, path)
 			}
 			// Integer settings truncate, hence the tolerance; applying the
 			// twin twice would read 1.21 or 0.81.
 			if r := v[1] / v[0]; math.Abs(r-f) > 1e-4 {
 				t.Errorf("%s: %s %v -> %v, a factor of %v, want %v", tw.Name, path, v[0], v[1], r, f)
 			}
-			covered[path] = true
+			covered[path] = knob
 		}
 	}
-	if len(covered) != len(controlled) {
-		t.Errorf("twins move %v, Apply sets %v", covered, controlled)
+	for path := range chosen {
+		if _, ok := covered[path]; !ok {
+			t.Errorf("CalibratedKnobs sets %s, which no knob perturbs", path)
+		}
 	}
 
 	// On the uncalibrated machine the twins move the engine defaults; the

@@ -30,10 +30,8 @@ func TestRegisteredScenariosBuildValidConfigs(t *testing.T) {
 			if _, ok := s.Key(); !ok {
 				t.Fatal("no key: the scenario carries an Engine or Load closure")
 			}
-			ecfg := s.ServerConfig()
-			ecfg.Throttle = s.Throttled
 			cat := s.Workload.NewCatalog(s.Scale, workload.DefaultExtentBytes)
-			if _, err := engine.NewShared(ecfg, cat, engine.Prebuilt{}, vtime.NewScheduler()); err != nil {
+			if _, err := engine.NewShared(s.ServerConfig(), cat, engine.Prebuilt{}, vtime.NewScheduler()); err != nil {
 				t.Fatalf("engine rejects the scenario's config: %v", err)
 			}
 		})
@@ -164,7 +162,8 @@ func TestDerivations(t *testing.T) {
 }
 
 // TestKeyIsTheResolvedScenario: Key resolves Server, so a zero Server and
-// an explicit engine.DefaultConfig() are one key, while any setting, the
+// an explicit engine.DefaultConfig() are one key, as are two scenarios
+// that differ only in settings Throttled overrides, while any setting, the
 // name included, moves it; an Engine or Load closure leaves no key.
 func TestKeyIsTheResolvedScenario(t *testing.T) {
 	explicit := defaults("keyed", 6, time.Hour, 10*time.Minute)
@@ -190,6 +189,27 @@ func TestKeyIsTheResolvedScenario(t *testing.T) {
 		move(&s)
 		if k, ok := s.Key(); !ok || k == ke {
 			t.Errorf("setting %d left the key unchanged", i)
+		}
+	}
+	// Unthrottled, the server runs without the ladder and the §4.1
+	// extensions whatever Server says; throttled, with the ladder.
+	overridden := map[bool][]func(*engine.Config){
+		false: {
+			func(c *engine.Config) { c.Throttle = false },
+			func(c *engine.Config) { c.DynamicThresholds = false },
+			func(c *engine.Config) { c.BestEffort = false },
+		},
+		true: {func(c *engine.Config) { c.Throttle = false }},
+	}
+	for throttled, sets := range overridden {
+		s := explicit
+		s.Throttled = throttled
+		want, _ := s.Key()
+		for i, set := range sets {
+			set(&s.Server)
+			if k, _ := s.Key(); k != want {
+				t.Errorf("throttled=%v: override %d moved the key:\n%s\n%s", throttled, i, want, k)
+			}
 		}
 	}
 	for _, s := range []Scenario{
