@@ -363,7 +363,12 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 	s.pool = bufferpool.New(cat.ExtentBytes, poolTracker, s.layout.ExtentCounts())
 	cacheTracker := inVAS(s.budget.NewTracker("plancache"))
 	cacheTracker.MarkReclaimable()
-	s.cache = plancache.New(cacheTracker, len(pre.Statements))
+	est := pre.Estimator
+	if est == nil {
+		est = stats.NewEstimator(cat)
+	}
+	s.opt = optimizer.New(est, cfg.Optimizer)
+	s.cache = plancache.New(cacheTracker, len(pre.Statements), s.opt.Recycle)
 
 	govOpts := core.Options{
 		Enabled:           cfg.Throttle,
@@ -412,12 +417,6 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 	// the pressure model's thrash regime instead of failing outright.
 	s.ballast = s.budget.NewTracker("ballast")
 	s.ballast.AllowOvercommit()
-
-	est := pre.Estimator
-	if est == nil {
-		est = stats.NewEstimator(cat)
-	}
-	s.opt = optimizer.New(est, cfg.Optimizer)
 
 	// Reclaimers: only the plan cache yields memory synchronously (it is
 	// the cheapest cache to drop). The buffer pool gives memory back only

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -13,10 +14,9 @@ import (
 const pointSQL = "SELECT * FROM dim_channel WHERE dim_channel.channel_id = 3"
 
 // preparedFor returns the Prepared the plan cache holds for sql (nil when
-// the statement is not cached). It counts as a hit.
+// the statement is not cached).
 func preparedFor(srv *Server, sql string) *executor.Prepared {
-	_, prep, _ := srv.cache.Get(sqlparser.Hash64(sql), -1)
-	return prep
+	return srv.cache.Prepared(sqlparser.Hash64(sql), -1)
 }
 
 // TestRecompiledPlanRecordsAfresh: a plan's recorded scan lists go when
@@ -82,8 +82,8 @@ func TestRecompiledPlanRecordsAfresh(t *testing.T) {
 		// point query's fingerprint. It must record two lists of its own,
 		// not replay the one list of the plan it replaced.
 		submit(joinSQL, 1)
-		joinPlan, _, _ := srv.cache.Get(sqlparser.Hash64(joinSQL), -1)
-		srv.cache.Put(sqlparser.Hash64(pointSQL), -1, joinPlan, tk.Now())
+		joinPlan, _ := srv.cache.Get(sqlparser.Hash64(joinSQL), -1)
+		srv.cache.Put(sqlparser.Hash64(pointSQL), -1, joinPlan)
 		submit(pointSQL, 2) // records, replays
 		if got := preparedFor(srv, pointSQL).Scans(); got != 2 {
 			t.Errorf("replacement plan recorded %d scans, want 2", got)
@@ -164,6 +164,38 @@ func TestCacheHitSubmitAllocatesNothing(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, submit); n != 0 {
 			t.Errorf("a plan-cache-hit Submit allocates %v times, want 0", n)
+		}
+	})
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClosedSetHitAfterRecompileAllocatesNothing: a closed-set statement
+// keeps its scan lists with the statement, so a hit on its recompiled plan
+// makes no Prepared for the cache entry — the hit allocates nothing beyond
+// what the recompilation did.
+func TestClosedSetHitAfterRecompileAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	srv, sched, _, _ := closedSetServer(t, nil)
+	sched.Go("client", func(tk *vtime.Task) {
+		defer srv.Close()
+		submit := func() {
+			if err := srv.Submit(tk, pointSQL); err != nil {
+				t.Errorf("Submit: %v", err)
+			}
+		}
+		recompile := func() { srv.cache.Clear(); submit() }
+		recompileAndHit := func() { recompile(); submit() }
+		for i := 0; i < 3; i++ { // grow the pools, record the scan lists
+			recompileAndHit()
+		}
+		one, pair := testing.AllocsPerRun(20, recompile), testing.AllocsPerRun(20, recompileAndHit)
+		if pair > one {
+			t.Errorf("a recompilation and a hit allocate %v times, the recompilation alone %v", pair, one)
 		}
 	})
 	if err := sched.Run(); err != nil {

@@ -229,11 +229,11 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 	}
 	st.id = id
 
-	// Probe. A hit executes a prepared plan: prep carries the plan's
+	// Probe. A hit executes a prepared plan: its Prepared carries the plan's
 	// scan-extent lists from one execution to the next (see execute for the
 	// statements that keep their own).
-	if p, prep, cached := s.cache.Get(id.Fingerprint, id.Static); cached {
-		st.execute(t, p, prep)
+	if p, cached := s.cache.Get(id.Fingerprint, id.Static); cached {
+		st.execute(t, p, true)
 		return
 	}
 
@@ -252,15 +252,20 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 	a.Run(t)
 }
 
-// execute runs p with prep — the plan-cache entry's Prepared on a hit, nil
+// execute runs p with a Prepared — the plan-cache entry's on a hit, none
 // for a freshly compiled plan, most of which are never seen again — unless
 // the statement is one of the snapshot's: its text compiles to the same plan
 // every time, so the plan's scan lists are the statement's, recorded once
 // per server and replayed by every execution after, cached or recompiled. A
-// best-effort cut may order the scans differently and goes by prep.
-func (st *statement) execute(t *vtime.Task, p *plan.Plan, prep *executor.Prepared) {
+// best-effort cut may order the scans differently and goes by the entry's.
+// The execution copies what it needs of p, so the cache may recycle p while
+// it runs.
+func (st *statement) execute(t *vtime.Task, p *plan.Plan, cached bool) {
+	var prep *executor.Prepared
 	if i := st.id.Static; i >= 0 && !p.BestEffort && staticPrepared {
 		prep = &st.s.staticPrep[i]
+	} else if cached {
+		prep = st.s.cache.Prepared(st.id.Fingerprint, i)
 	}
 	st.execStart = t.Now()
 	st.s.exec.ExecuteThen(t, p, st.id.Seed, prep, nil, &st.err, st)
@@ -459,7 +464,9 @@ func (a *attempt) work(t *vtime.Task, tasks int, after int8) {
 
 // finish closes the compilation — aborted on an error (every failure but
 // validation's has done that already), finished with a plan — and only then
-// lets the attempt go, as it holds the session. A plan is cached and run.
+// lets the attempt go, as it holds the session. A plan is cached and run;
+// one the cache did not keep goes back to the optimizer once its execution
+// has started.
 func (a *attempt) finish(t *vtime.Task, p *plan.Plan, err error) {
 	s, comp := a.s, &a.comp
 	if err != nil {
@@ -484,6 +491,9 @@ func (a *attempt) finish(t *vtime.Task, p *plan.Plan, err error) {
 		st.record(t, err)
 		return
 	}
-	s.cache.Put(st.id.Fingerprint, st.id.Static, p, t.Now())
-	st.execute(t, p, nil)
+	kept := s.cache.Put(st.id.Fingerprint, st.id.Static, p)
+	st.execute(t, p, false)
+	if !kept {
+		s.opt.Recycle(p)
+	}
 }

@@ -284,15 +284,23 @@ type Prepared struct {
 // or 0 while nothing is (every plan has at least one scan).
 func (pr *Prepared) Scans() int { return len(pr.ends) }
 
+// step is what an execution needs of one plan node, copied from the plan
+// when the execution starts: a scan's table (nil for any other node) and
+// the fraction of its extents touched, and the node's CPU in cost units.
+type step struct {
+	tab         *catalog.Table
+	frac, units float64
+}
+
 // execOp is the continuation state machine behind ExecuteThen: acquire
 // the grant, run the plan's nodes (children first — build before probe,
 // matching hash-join scheduling; the tree is flattened into exactly the
-// old recursion's visit order), pay refault I/O, release.
-// Its scan-key and node scratch buffers and its locality source are
+// old recursion's visit order), pay refault I/O, release. It runs from its
+// copy of the plan's nodes, so it never reads the plan after ExecuteThen.
+// Its scan-key and step scratch buffers and its locality source are
 // retained across uses.
 type execOp struct {
 	e    *Executor
-	p    *plan.Plan
 	seed int64
 	prep *Prepared
 	// stp (may be nil) and errp receive the outcome before k runs.
@@ -320,7 +328,7 @@ type execOp struct {
 
 	startAt   time.Duration
 	granted   int64
-	nodes     []*plan.Node
+	steps     []step
 	ni        int
 	keys      []storage.ExtentKey
 	scan      []storage.ExtentKey // the current scan's extents
@@ -351,48 +359,28 @@ func (op *execOp) Run(t *vtime.Task) {
 				return
 			}
 			st.GrantBytes = op.granted
-			op.nodes = appendPostorder(op.nodes[:0], op.p.Root)
 			op.ni = 0
 			op.state = exNode
 			if op.prep != nil && !op.replay {
 				op.sizeRecording()
 			}
 		case exNode:
-			if op.ni >= len(op.nodes) {
+			if op.ni >= len(op.steps) {
 				op.install()
 				op.state = exRefault
 				continue
 			}
-			n := op.nodes[op.ni]
-			switch n.Op {
-			case plan.OpSeqScan, plan.OpIndexScan:
-				op.scan = op.scanExtents(n)
+			if s := &op.steps[op.ni]; s.tab != nil {
+				op.scan = op.scanExtents(s)
 				op.bi = 0
 				op.state = exBatch
-			case plan.OpHashJoin:
-				build := n.Right.OutCard
-				probe := n.Left.OutCard
-				units := float64(build*plan.BuildRowCost) + float64(probe*plan.CPURowCost) + float64(n.OutCard*plan.CPURowCost)
-				if op.useCPU(t, units) {
-					return
-				}
-			case plan.OpHashAgg:
-				// The optimizer's agg cost is pure CPU.
-				if op.useCPU(t, n.NodeCost) {
-					return
-				}
-			default:
-				op.ni++
+			} else if op.useCPU(t, s.units) {
+				return
 			}
 		case exBatch:
 			if op.bi >= len(op.scan) {
 				st.ExtentsRead += len(op.scan)
-				n := op.nodes[op.ni]
-				visited := float64(e.table(n).Rows)
-				if n.Op == plan.OpIndexScan {
-					visited *= n.ScanFraction
-				}
-				if op.useCPU(t, visited*plan.CPURowCost) {
+				if op.useCPU(t, op.steps[op.ni].units) {
 					return
 				}
 				continue
@@ -453,11 +441,11 @@ func (op *execOp) useCPU(t *vtime.Task, units float64) bool {
 	return true
 }
 
-// scanExtents returns the extents scan node n touches: replayed from
-// the plan's recorded lists, or drawn from the seeded source — into the
+// scanExtents returns the extents scan s touches: replayed from the
+// plan's recorded lists, or drawn from the seeded source — into the
 // recording when the plan is cached and not yet recorded, else into the
 // op's scratch buffer.
-func (op *execOp) scanExtents(n *plan.Node) []storage.ExtentKey {
+func (op *execOp) scanExtents(s *step) []storage.ExtentKey {
 	if op.replay {
 		lo := 0
 		if op.si > 0 {
@@ -479,11 +467,11 @@ func (op *execOp) scanExtents(n *plan.Node) []storage.ExtentKey {
 	}
 	e := op.e
 	if op.prep == nil {
-		op.keys = e.layout.ScanInto(op.keys[:0], e.table(n), n.ScanFraction, scanPattern, op.rng)
+		op.keys = e.layout.ScanInto(op.keys[:0], s.tab, s.frac, scanPattern, op.rng)
 		return op.keys
 	}
 	lo := len(op.recKeys)
-	op.recKeys = e.layout.ScanInto(op.recKeys, e.table(n), n.ScanFraction, scanPattern, op.rng)
+	op.recKeys = e.layout.ScanInto(op.recKeys, s.tab, s.frac, scanPattern, op.rng)
 	op.recEnds = append(op.recEnds, len(op.recKeys))
 	return op.recKeys[lo:]
 }
@@ -492,10 +480,10 @@ func (op *execOp) scanExtents(n *plan.Node) []storage.ExtentKey {
 // fill, so that drawing into it never grows it.
 func (op *execOp) sizeRecording() {
 	scans, keys := 0, 0
-	for _, n := range op.nodes {
-		if n.Op == plan.OpSeqScan || n.Op == plan.OpIndexScan {
+	for i := range op.steps {
+		if s := &op.steps[i]; s.tab != nil {
 			scans++
-			keys += op.e.layout.ScanLenOf(op.e.table(n), n.ScanFraction)
+			keys += op.e.layout.ScanLenOf(s.tab, s.frac)
 		}
 	}
 	op.recKeys, op.recEnds = make([]storage.ExtentKey, 0, keys), make([]int, 0, scans)
@@ -511,16 +499,33 @@ func (op *execOp) install() {
 	op.recKeys, op.recEnds = nil, nil
 }
 
-// appendPostorder flattens the plan tree into the execution order the
-// recursive walk used: right subtree (build side), left subtree (probe
-// side), then the node itself.
-func appendPostorder(nodes []*plan.Node, n *plan.Node) []*plan.Node {
+// appendSteps copies the plan tree into steps in execution order: right
+// subtree (build side), left subtree (probe side), then the node itself.
+// Each product of the CPU units is rounded on its own (DESIGN.md,
+// "Determinism"), so that no platform fuses it into the sum.
+func (e *Executor) appendSteps(steps []step, n *plan.Node) []step {
 	if n == nil {
-		return nodes
+		return steps
 	}
-	nodes = appendPostorder(nodes, n.Right)
-	nodes = appendPostorder(nodes, n.Left)
-	return append(nodes, n)
+	steps = e.appendSteps(steps, n.Right)
+	steps = e.appendSteps(steps, n.Left)
+	var s step
+	switch n.Op {
+	case plan.OpSeqScan, plan.OpIndexScan:
+		s.tab, s.frac = e.table(n), n.ScanFraction
+		visited := float64(s.tab.Rows)
+		if n.Op == plan.OpIndexScan {
+			visited *= n.ScanFraction
+		}
+		s.units = visited * plan.CPURowCost
+	case plan.OpHashJoin:
+		build := n.Right.OutCard
+		probe := n.Left.OutCard
+		s.units = float64(build*plan.BuildRowCost) + float64(probe*plan.CPURowCost) + float64(n.OutCard*plan.CPURowCost)
+	case plan.OpHashAgg:
+		s.units = n.NodeCost // the optimizer's agg cost is pure CPU
+	}
+	return append(steps, s)
 }
 
 // finish delivers the outcome, recycles the op and continues with k.
@@ -530,7 +535,7 @@ func (op *execOp) finish(t *vtime.Task) {
 	}
 	*op.errp = op.err
 	k := op.k
-	op.p, op.prep, op.stp, op.errp, op.k, op.err, op.scan = nil, nil, nil, nil, nil, nil, nil
+	op.prep, op.stp, op.errp, op.k, op.err, op.scan = nil, nil, nil, nil, nil, nil
 	op.e.execs.Put(op)
 	k.Run(t)
 }
@@ -542,14 +547,16 @@ func (op *execOp) finish(t *vtime.Task) {
 // executed once; for a cached plan it is the Prepared kept with the plan,
 // which the first complete execution fills and later ones replay instead
 // of drawing — with the same seed on every execution of the plan, the two
-// are indistinguishable in virtual time. A steady-state call allocates
-// nothing.
+// are indistinguishable in virtual time. The execution copies what it needs
+// of p before ExecuteThen returns, and reads p no more. A steady-state call
+// allocates nothing.
 func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Prepared, st *Stats, errp *error, k vtime.Step) {
 	op := e.execs.Get()
 	if op == nil {
 		op = &execOp{e: e}
 	}
-	op.p, op.seed, op.prep, op.stp, op.errp, op.k = p, seed, prep, st, errp, k
+	op.steps = e.appendSteps(op.steps[:0], p.Root)
+	op.seed, op.prep, op.stp, op.errp, op.k = seed, prep, st, errp, k
 	op.st = Stats{}
 	op.seeded, op.si = false, 0
 	op.replay = prep != nil && prep.Scans() > 0

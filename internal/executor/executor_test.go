@@ -328,7 +328,7 @@ func TestHandBuiltPlanResolvesByName(t *testing.T) {
 		if byName {
 			p = &plan.Plan{Root: strip(p.Root)}
 		}
-		for _, n := range appendPostorder(nil, p.Root) {
+		for _, n := range postorder(nil, p.Root) {
 			if scan := n.Op == plan.OpSeqScan || n.Op == plan.OpIndexScan; scan && (n.Tab == nil) != byName {
 				t.Fatalf("scan of %s: Tab = %v with byName = %v", n.Table, n.Tab, byName)
 			}

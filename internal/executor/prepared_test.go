@@ -20,12 +20,23 @@ func stmtSeed(sql string) int64 {
 	return int64(sqlparser.Hash64(sqlparser.Fingerprint(sql)))
 }
 
+// postorder lists the plan tree in execution order: right subtree (build
+// side), left subtree (probe side), then the node itself.
+func postorder(nodes []*plan.Node, n *plan.Node) []*plan.Node {
+	if n == nil {
+		return nodes
+	}
+	nodes = postorder(nodes, n.Right)
+	nodes = postorder(nodes, n.Left)
+	return append(nodes, n)
+}
+
 // freshLists is the reference the replay path must reproduce: every scan
 // of p in execution order, drawn from a new source seeded with seed.
 func freshLists(e *env, p *plan.Plan, seed int64) [][]storage.ExtentKey {
 	rng := vtime.NewRand(seed)
 	var lists [][]storage.ExtentKey
-	for _, n := range appendPostorder(nil, p.Root) {
+	for _, n := range postorder(nil, p.Root) {
 		if n.Op == plan.OpSeqScan || n.Op == plan.OpIndexScan {
 			lists = append(lists, e.layout.ScanInto(nil, e.layout.Table(n.Table), n.ScanFraction, scanPattern, rng))
 		}

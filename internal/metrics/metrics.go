@@ -9,24 +9,38 @@ package metrics
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 )
 
 // Recorder aggregates completions and errors into fixed-width time slices,
-// mirroring the "Successful Queries/Time" axes of Figures 3-5.
+// mirroring the "Successful Queries/Time" axes of Figures 3-5. An error is
+// counted by the index of its kind in kinds, so recording allocates only
+// when the slice list or the kinds list grows.
 type Recorder struct {
-	sliceDur  time.Duration
-	slices    []slice
-	completed int64
-	errors    map[string]int64 // totals by kind
+	sliceDur time.Duration
+	slices   []slice
+	total    slice
+	kinds    []string // error kinds, in the order first recorded
 }
 
+// slice holds one slice's counts. A recorder counts at most maxKinds error
+// kinds; the engine's are a closed set of five.
 type slice struct {
 	completed int64
-	errors    map[string]int64
+	errors    [maxKinds]int64
+}
+
+const maxKinds = 8
+
+func (s *slice) errorSum() int64 {
+	var n int64
+	for _, v := range s.errors {
+		n += v
+	}
+	return n
 }
 
 // NewRecorder creates a recorder with the given slice width (the paper's
@@ -35,7 +49,7 @@ func NewRecorder(sliceDur time.Duration) *Recorder {
 	if sliceDur <= 0 {
 		panic("metrics: non-positive slice duration")
 	}
-	return &Recorder{sliceDur: sliceDur, errors: make(map[string]int64)}
+	return &Recorder{sliceDur: sliceDur}
 }
 
 // SliceDur returns the slice width.
@@ -44,7 +58,7 @@ func (r *Recorder) SliceDur() time.Duration { return r.sliceDur }
 func (r *Recorder) sliceAt(now time.Duration) *slice {
 	i := int(now / r.sliceDur)
 	for len(r.slices) <= i {
-		r.slices = append(r.slices, slice{errors: make(map[string]int64)})
+		r.slices = append(r.slices, slice{})
 	}
 	return &r.slices[i]
 }
@@ -53,32 +67,35 @@ func (r *Recorder) sliceAt(now time.Duration) *slice {
 // now.
 func (r *Recorder) RecordCompletion(now time.Duration) {
 	r.sliceAt(now).completed++
-	r.completed++
+	r.total.completed++
 }
 
 // RecordError counts one failed query of the given kind (e.g. "oom",
-// "gateway-timeout", "grant-timeout") at virtual time now.
+// "gateway-timeout", "grant-timeout") at virtual time now. It panics on a
+// kind past the first maxKinds.
 func (r *Recorder) RecordError(now time.Duration, kind string) {
-	r.sliceAt(now).errors[kind]++
-	r.errors[kind]++
+	i := slices.Index(r.kinds, kind)
+	if i < 0 {
+		i, r.kinds = len(r.kinds), append(r.kinds, kind)
+	}
+	r.sliceAt(now).errors[i]++
+	r.total.errors[i]++
 }
 
 // Completed returns the total number of completions recorded.
-func (r *Recorder) Completed() int64 { return r.completed }
+func (r *Recorder) Completed() int64 { return r.total.completed }
 
 // Errors returns total error counts by kind.
 func (r *Recorder) Errors() map[string]int64 {
-	return maps.Clone(r.errors)
+	out := make(map[string]int64, len(r.kinds))
+	for i, k := range r.kinds {
+		out[k] = r.total.errors[i]
+	}
+	return out
 }
 
 // TotalErrors returns the total number of errors across kinds.
-func (r *Recorder) TotalErrors() int64 {
-	var n int64
-	for _, v := range r.errors {
-		n += v
-	}
-	return n
-}
+func (r *Recorder) TotalErrors() int64 { return r.total.errorSum() }
 
 // Point is one time slice of a series.
 type Point struct {
@@ -86,55 +103,50 @@ type Point struct {
 	V int64
 }
 
-// CompletionSeries returns completions per slice for slices whose start
-// lies in [from, to).
-func (r *Recorder) CompletionSeries(from, to time.Duration) []Point {
+// series returns v of every slice whose start lies in [from, to).
+func (r *Recorder) series(from, to time.Duration, v func(*slice) int64) []Point {
 	var out []Point
 	for i := range r.slices {
-		start := time.Duration(i) * r.sliceDur
-		if start < from || start >= to {
-			continue
+		if start := time.Duration(i) * r.sliceDur; start >= from && start < to {
+			out = append(out, Point{T: start, V: v(&r.slices[i])})
 		}
-		out = append(out, Point{T: start, V: r.slices[i].completed})
 	}
 	return out
 }
 
-// ErrorSeries returns errors of the given kind per slice in [from, to).
-func (r *Recorder) ErrorSeries(kind string, from, to time.Duration) []Point {
-	var out []Point
-	for i := range r.slices {
-		start := time.Duration(i) * r.sliceDur
-		if start < from || start >= to {
-			continue
-		}
-		out = append(out, Point{T: start, V: r.slices[i].errors[kind]})
-	}
-	return out
-}
-
-// CompletionsIn sums completions over slices starting in [from, to).
-func (r *Recorder) CompletionsIn(from, to time.Duration) int64 {
+func sum(points []Point) int64 {
 	var n int64
-	for _, p := range r.CompletionSeries(from, to) {
+	for _, p := range points {
 		n += p.V
 	}
 	return n
 }
 
+// CompletionSeries returns completions per slice for slices whose start
+// lies in [from, to).
+func (r *Recorder) CompletionSeries(from, to time.Duration) []Point {
+	return r.series(from, to, func(s *slice) int64 { return s.completed })
+}
+
+// ErrorSeries returns errors of the given kind per slice in [from, to).
+func (r *Recorder) ErrorSeries(kind string, from, to time.Duration) []Point {
+	k := slices.Index(r.kinds, kind)
+	return r.series(from, to, func(s *slice) int64 {
+		if k < 0 {
+			return 0
+		}
+		return s.errors[k]
+	})
+}
+
+// CompletionsIn sums completions over slices starting in [from, to).
+func (r *Recorder) CompletionsIn(from, to time.Duration) int64 {
+	return sum(r.CompletionSeries(from, to))
+}
+
 // ErrorsIn sums all errors over slices starting in [from, to).
 func (r *Recorder) ErrorsIn(from, to time.Duration) int64 {
-	var n int64
-	for i := range r.slices {
-		start := time.Duration(i) * r.sliceDur
-		if start < from || start >= to {
-			continue
-		}
-		for _, v := range r.slices[i].errors {
-			n += v
-		}
-	}
-	return n
+	return sum(r.series(from, to, (*slice).errorSum))
 }
 
 // Trace records a named time-series of values sampled at arbitrary virtual

@@ -308,8 +308,9 @@ func BenchmarkExtract(b *testing.B) {
 	r := explored(b, salesOptimizer(), salesQuery(b, true, 20))
 	exprs := r.m.Exprs()
 	b.ReportAllocs()
+	var p plan.Plan // recycled, as the engine's plans are
 	for b.Loop() {
-		benchPlan = r.extract(r.here())
+		benchPlan = r.extract(r.here(), &p)
 	}
 	b.ReportMetric(float64(exprs), "exprs")
 }

@@ -10,7 +10,7 @@ func (o *Optimizer) estimateInitialCost(q *plan.Query) (float64, error) {
 		return 0, err
 	}
 	defer o.putRun(r)
-	return r.costInitial(), nil
+	return r.initial.Cost(), nil
 }
 
 // setJumps switches the player's batch-to-batch moves off (or back on) and

@@ -193,7 +193,7 @@ func TestHelperSolveMatchesInline(t *testing.T) {
 		for _, cut := range []bool{false, true} {
 			x, r := finalRun(t, s.o, s.q)
 			if cut {
-				r.extract(batchMark{r.marks[0].pos, r.marks[0].groups, r.marks[0].exprs})
+				r.extract(batchMark{r.marks[0].pos, r.marks[0].groups, r.marks[0].exprs}, new(plan.Plan))
 			}
 			r.mu.Unlock()
 			r.target.Store(1) // a compilation asks the helper
@@ -215,9 +215,9 @@ func TestHelperSolveMatchesInline(t *testing.T) {
 					t.Fatalf("%s cut=%t, group %d: the helper solved %+v at %v rows, a player %+v at %v", name, cut, g, dp[g], cards[g], inline.t.dp[g], inline.cards[g])
 				}
 			}
-			want := inline.extract(inline.final).String()
+			want := inline.extract(inline.final, new(plan.Plan)).String()
 			before := HelperStats().SolveHits
-			if got := r.extract(r.final).String(); got != want {
+			if got := r.extract(r.final, new(plan.Plan)).String(); got != want {
 				t.Errorf("%s cut=%t: the plan from the helper's DP differs:\n%s\nvs\n%s", name, cut, got, want)
 			}
 			if HelperStats().SolveHits == before {
@@ -271,7 +271,7 @@ func TestAbandonedSolveIsNeverUsed(t *testing.T) {
 					r.t.dp[i] = costed{cost: -1, expr: memo.ExprID(i % 3)}
 				}
 			}
-			if got := r.extract(r.final).String(); got != lone.String() {
+			if got := r.extract(r.final, new(plan.Plan)).String(); got != lone.String() {
 				t.Errorf("%s inDP=%t: the plan after an abandoned solve differs:\n%s\nvs\n%s", name, inDP, got, lone.String())
 			}
 			if HelperStats().SolveHits != after.SolveHits {

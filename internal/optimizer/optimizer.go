@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 
 	"compilegate/internal/catalog"
+	"compilegate/internal/freelist"
 	"compilegate/internal/memo"
 	"compilegate/internal/plan"
 	"compilegate/internal/stats"
@@ -116,11 +117,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Optimizer holds immutable state shared across optimizations. Per-
-// statement state (runs and memos) comes from process-wide pools: an
-// exploration holds its run and memo until it is released, and recycled
-// instances keep their grown arenas, so a sweep's later runs compile
-// without re-paying the first run's arena warm-up.
+// Optimizer holds immutable state shared across optimizations, and the
+// plans handed back to it. Per-statement state (runs and memos) comes from
+// process-wide pools: an exploration holds its run and memo until it is
+// released, and recycled instances keep their grown arenas, so a sweep's
+// later runs compile without re-paying the first run's arena warm-up.
 type Optimizer struct {
 	est  *stats.Estimator
 	cat  *catalog.Catalog
@@ -128,6 +129,29 @@ type Optimizer struct {
 	work struct {
 		compilations, extractions, groups, exprs, opens, steps, settled, refused atomic.Uint64
 	}
+	// mu guards plans: the plans handed back by Recycle, for extraction to
+	// rebuild in place.
+	mu    sync.Mutex
+	plans freelist.List[plan.Plan]
+}
+
+// Recycle hands p back to the optimizer, whose next extraction may rebuild
+// it in place. The caller gives p up: nothing may read it afterwards. A
+// plan Optimize returns belongs to its caller, who need never recycle it.
+func (o *Optimizer) Recycle(p *plan.Plan) {
+	o.mu.Lock()
+	o.plans.Put(p)
+	o.mu.Unlock()
+}
+
+// newPlan returns a plan Recycle handed back, or a new one.
+func (o *Optimizer) newPlan() *plan.Plan {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if p := o.plans.Get(); p != nil {
+		return p
+	}
+	return new(plan.Plan)
 }
 
 // Work counts compilations played, failed ones included, those that
@@ -287,8 +311,8 @@ type run struct {
 	leaves    []memo.GroupID // leaf group per term
 	remaining []bool         // buildInitial: term not yet joined
 	aggCols   []struct{ Table, Column string }
-	// Plan-node arena for the current extraction; ownership transfers to
-	// the plan, so it is not pooled.
+	initial   plan.Plan // the initial plan open costs
+	// Plan-node arena for the current extraction: the plan's own.
 	arena     []plan.Node
 	arenaNext int
 }
@@ -347,9 +371,9 @@ func (o *Optimizer) open(q *plan.Query) (*run, error) {
 		o.putRun(r)
 		return nil, err
 	}
-	// The cost is computed without materializing the throwaway initial
-	// plan's nodes (same arithmetic, no allocation).
-	r.budget = o.effortBudget(r.costInitial())
+	// The budget is keyed by the initial plan's cost, extracted into the
+	// run's own plan, which keeps its arena in the pool.
+	r.budget = o.effortBudget(r.extract(r.here(), &r.initial).Cost())
 	o.work.opens.Add(1)
 	return r, nil
 }
@@ -672,7 +696,7 @@ func (p *player) finish(err error) Demand {
 	if !p.bestEffort && p.at() != r.final {
 		panic("optimizer: a compilation that was not cut stopped short of the statement's final cursor")
 	}
-	out := r.extract(p.at())
+	out := r.extract(p.at(), o.newPlan())
 	out.BestEffort = p.bestEffort
 	out.ExprsExplored = p.exprs
 	out.CompileBytes = o.cfg.Memo.Bytes(p.groups, p.exprs)
@@ -1152,11 +1176,10 @@ func (r *run) bestScan(tid int, e memo.ExprID) costed {
 // extract computes the cheapest implementation of every group in the memo
 // prefix at, unless the helper solved exactly that prefix, and materializes
 // the physical plan reachable from the root (with the query's aggregate on
-// top when present). The DP table is a pooled slice indexed by group ID
-// rather than a map, and the plan's nodes come from a single exactly-sized
-// arena owned by the plan — one allocation per extraction instead of one per
-// node.
-func (r *run) extract(at batchMark) *plan.Plan {
+// top when present) into out. The DP table is a pooled slice indexed by
+// group ID rather than a map, and the plan's nodes come from the single
+// arena out owns, so rebuilding a recycled plan allocates nothing.
+func (r *run) extract(at batchMark, out *plan.Plan) *plan.Plan {
 	root := r.root
 	if r.solved == at {
 		counts.solveHits.Add(1)
@@ -1167,8 +1190,7 @@ func (r *run) extract(at batchMark) *plan.Plan {
 	if len(r.q.GroupBy) > 0 {
 		count++
 	}
-	arena := make([]plan.Node, count)
-	r.arena, r.arenaNext = arena, 0
+	r.arena, r.arenaNext = out.Reuse(count), 0
 	node := r.buildNode(root)
 	// Aggregation on top.
 	if len(r.q.GroupBy) > 0 {
@@ -1189,9 +1211,10 @@ func (r *run) extract(at batchMark) *plan.Plan {
 		}
 		node = agg
 	}
-	r.arena = nil // the plan owns the arena now
+	r.arena = nil // the plan owns the arena
 	r.unsolve()
-	return &plan.Plan{Root: node}
+	out.Root = node
+	return out
 }
 
 // countNodes sizes the plan-node arena: the number of nodes buildNode
@@ -1219,43 +1242,6 @@ func (r *run) groupByDistinct(card float64) float64 {
 		r.aggCols = append(r.aggCols, struct{ Table, Column string }{c.Table, c.Column})
 	}
 	return r.o.est.DistinctAfterGroupBy(card, r.aggCols)
-}
-
-// costInitial is extract().Cost() of the memo buildInitial left, without
-// materializing plan nodes: the same DP over the same groups with the same
-// operand order, so the effort budget it feeds is bit-identical to the
-// materializing version.
-func (r *run) costInitial() float64 {
-	root := r.root
-	r.solve(r.here(), false)
-	cost := r.subtreeCost(root)
-	r.unsolve()
-	if len(r.q.GroupBy) > 0 {
-		card := r.cards[root]
-		groups := r.groupByDistinct(card)
-		aggs := r.q.Aggregates
-		if aggs < 1 {
-			aggs = 1
-		}
-		aggCost := float64(card*plan.AggRowCost*float64(aggs)) + float64(groups*plan.BuildRowCost)
-		cost = cost + aggCost
-	}
-	return cost
-}
-
-// subtreeCost mirrors buildNode's SubtreeCost arithmetic (operand order
-// included — float addition is not associative) without allocating the
-// nodes.
-func (r *run) subtreeCost(id memo.GroupID) float64 {
-	c := &r.t.dp[id]
-	e := r.m.Expr(c.expr)
-	if e.Kind == memo.KindLeaf {
-		return c.cost
-	}
-	lc := r.subtreeCost(e.L)
-	rc := r.subtreeCost(e.R)
-	own := float64(r.cards[e.R]*plan.BuildRowCost) + float64(r.cards[e.L]*plan.CPURowCost) + float64(r.cards[id]*plan.CPURowCost)
-	return lc + rc + own
 }
 
 // buildNode materializes the chosen expression tree for g out of the

@@ -305,3 +305,52 @@ func TestTrajectoryGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledPlansMatchFresh extracts every statement of the corpus onto
+// the plan the statement before it left, back to back — larger and smaller
+// plans, from the other catalog, cut by best-effort or not — and checks
+// that each is the plan a fresh extraction builds: the same digest, cost,
+// ExprsExplored, CompileBytes and best-effort mark.
+func TestRecycledPlansMatchFresh(t *testing.T) {
+	render := func(p *plan.Plan) string {
+		h := fnv.New64a()
+		h.Write([]byte(p.String()))
+		return fmt.Sprintf("plan=%016x cost=%v exprs=%d bytes=%d besteffort=%t",
+			h.Sum64(), p.Cost(), p.ExprsExplored, p.CompileBytes, p.BestEffort)
+	}
+	var prev *plan.Plan
+	cuts := 0
+	for i, s := range trajectoryCorpus(t) {
+		hooks := func() Hooks {
+			if i%2 == 0 {
+				return Hooks{}
+			}
+			polls := 0
+			return Hooks{BestEffort: func() bool { polls++; return polls == 3 }}
+		}
+		fresh, err := s.opt.Optimize(s.q, hooks()) // nothing recycled: a new plan
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if fresh.BestEffort {
+			cuts++
+		}
+		if prev != nil {
+			s.opt.Recycle(prev)
+		}
+		got, err := s.opt.Optimize(s.q, hooks())
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if prev != nil && got != prev {
+			t.Fatalf("%s: extraction did not take the recycled plan", s.name)
+		}
+		if g, w := render(got), render(fresh); g != w {
+			t.Errorf("%s on a recycled plan:\n   got %s\n fresh %s", s.name, g, w)
+		}
+		prev = got
+	}
+	if cuts == 0 {
+		t.Error("no statement was cut by best-effort; the mark is never rewritten")
+	}
+}

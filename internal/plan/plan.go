@@ -223,6 +223,18 @@ type Plan struct {
 	ExprsExplored int
 	// CompileBytes is the peak simulated compilation memory used.
 	CompileBytes int64
+
+	nodes []Node // the arena Root's tree lives in, kept for Reuse
+}
+
+// Reuse empties p and returns its node arena resized to n nodes, grown when
+// it is too small; the caller rewrites every node, and sets Root.
+func (p *Plan) Reuse(n int) []Node {
+	if cap(p.nodes) < n {
+		p.nodes = make([]Node, n)
+	}
+	*p = Plan{nodes: p.nodes[:n]}
+	return p.nodes
 }
 
 // Cost returns the plan's total estimated cost.
@@ -240,34 +252,31 @@ func (p *Plan) Cost() float64 {
 // reserves query-execution memory up front.
 func (p *Plan) MemoryGrant() int64 {
 	var maxBuild, agg int64
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n == nil {
-			return
+	walk(p.Root, 0, func(n *Node, _ int) {
+		if n.Op == OpHashJoin {
+			maxBuild = max(maxBuild, n.BuildBytes)
+		} else if n.Op == OpHashAgg {
+			agg = max(agg, n.BuildBytes)
 		}
-		if n.Op == OpHashJoin && n.BuildBytes > maxBuild {
-			maxBuild = n.BuildBytes
-		}
-		if n.Op == OpHashAgg && n.BuildBytes > agg {
-			agg = n.BuildBytes
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(p.Root)
+	})
 	return maxBuild + agg
 }
 
 // Nodes returns the plan's node count.
 func (p *Plan) Nodes() int {
-	var count func(n *Node) int
-	count = func(n *Node) int {
-		if n == nil {
-			return 0
-		}
-		return 1 + count(n.Left) + count(n.Right)
+	count := 0
+	walk(p.Root, 0, func(*Node, int) { count++ })
+	return count
+}
+
+// walk visits the tree under n in preorder, left before right, with each
+// node's depth below n's.
+func walk(n *Node, depth int, visit func(n *Node, depth int)) {
+	if n != nil {
+		visit(n, depth)
+		walk(n.Left, depth+1, visit)
+		walk(n.Right, depth+1, visit)
 	}
-	return count(p.Root)
 }
 
 // PlanBytes estimates the cached-plan footprint: proportional to node
@@ -282,11 +291,7 @@ func (p *Plan) String() string {
 	if p.BestEffort {
 		sb.WriteString("(best-effort plan)\n")
 	}
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
-		if n == nil {
-			return
-		}
+	walk(p.Root, 0, func(n *Node, depth int) {
 		sb.WriteString(strings.Repeat("  ", depth))
 		switch n.Op {
 		case OpSeqScan, OpIndexScan:
@@ -296,9 +301,6 @@ func (p *Plan) String() string {
 			fmt.Fprintf(&sb, "%s card=%.3g cost=%.3g build=%dB\n",
 				n.Op, n.OutCard, n.SubtreeCost, n.BuildBytes)
 		}
-		walk(n.Left, depth+1)
-		walk(n.Right, depth+1)
-	}
-	walk(p.Root, 0)
+	})
 	return sb.String()
 }

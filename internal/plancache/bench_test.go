@@ -21,7 +21,7 @@ func BenchmarkCacheGet(b *testing.B) {
 	for _, static := range []bool{true, false} {
 		name := map[bool]string{true: "static", false: "text"}[static]
 		b.Run(name, func(b *testing.B) {
-			c := New(mem.NewBudget(mem.GiB).NewTracker("plancache"), len(sqls))
+			c := New(mem.NewBudget(mem.GiB).NewTracker("plancache"), len(sqls), drop)
 			index := func(i int) int {
 				if static {
 					return i
@@ -29,13 +29,13 @@ func BenchmarkCacheGet(b *testing.B) {
 				return -1
 			}
 			for i, fp := range fps {
-				c.Put(fp, index(i), tinyPlan(1), 0)
+				c.Put(fp, index(i), tinyPlan(1))
 			}
 			i := 0
 			b.ReportAllocs()
 			for b.Loop() {
 				at := i % len(fps)
-				if _, _, ok := c.Get(fps[at], index(at)); !ok {
+				if _, ok := c.Get(fps[at], index(at)); !ok {
 					b.Fatal("miss")
 				}
 				i++

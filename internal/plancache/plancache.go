@@ -16,16 +16,17 @@
 // eviction through the cache per statement, recency is an intrusive
 // doubly-linked list over pooled entries rather than container/list.
 //
-// An entry that is hit also carries the executor's Prepared for its plan
-// (the plan's recorded scan-extent lists). It is created on the first hit
-// — a plan that is never reused retains nothing — and dropped with the
-// entry on eviction, replacement and Clear, so a recompiled plan always
-// starts from an empty one.
+// An entry may also carry the executor's Prepared for its plan (the plan's
+// recorded scan-extent lists). It is created when an execution of the
+// cached plan first asks for it — a plan that is never reused, or whose
+// executions keep their lists elsewhere, retains nothing — and dropped with
+// the entry on eviction, replacement and Clear, so a recompiled plan always
+// starts from an empty one. The plan itself goes to the recycle function
+// the cache was made with, for the optimizer to rebuild in place.
 package plancache
 
 import (
 	"fmt"
-	"time"
 
 	"compilegate/internal/executor"
 	"compilegate/internal/freelist"
@@ -37,9 +38,8 @@ type entry struct {
 	key        uint64 // the fingerprint
 	static     int    // ≥ 0: held by statics[static]; else by entries[key]
 	p          *plan.Plan
-	prep       *executor.Prepared // nil until the first hit
+	prep       *executor.Prepared // nil until an execution asks for it
 	bytes      int64
-	added      time.Duration
 	prev, next *entry // recency list: front = most recent
 }
 
@@ -53,18 +53,21 @@ type Cache struct {
 	back    *entry            // least recently used
 	target  int64
 
-	free freelist.List[entry] // recycled entries
+	free    freelist.List[entry] // recycled entries
+	recycle func(*plan.Plan)     // takes every plan the cache lets go of
 
 	hits, misses, inserts, evictions uint64
 }
 
 // New creates a cache charging plans to tracker, for a workload whose
-// closed statement set has statics members (indices 0..statics-1).
-func New(tracker *mem.Tracker, statics int) *Cache {
+// closed statement set has statics members (indices 0..statics-1). Every
+// plan the cache lets go of is handed to recycle.
+func New(tracker *mem.Tracker, statics int, recycle func(*plan.Plan)) *Cache {
 	return &Cache{
 		tracker: tracker,
 		entries: make(map[uint64]*entry),
 		statics: make([]*entry, statics),
+		recycle: recycle,
 	}
 }
 
@@ -133,7 +136,7 @@ func (c *Cache) lookup(key uint64, static int) *entry {
 }
 
 // release drops an entry from its slot or the map, and from the list, and
-// recycles it.
+// recycles it and its plan.
 func (c *Cache) release(e *entry) {
 	c.unlink(e)
 	if e.static >= 0 {
@@ -143,6 +146,7 @@ func (c *Cache) release(e *entry) {
 	}
 	c.n--
 	c.tracker.Release(e.bytes)
+	c.recycle(e.p)
 	// Entries are recycled but a Prepared never is: an execution still in
 	// flight keeps writing to the orphan, not to the entry's next plan.
 	e.p, e.prep = nil, nil
@@ -151,27 +155,37 @@ func (c *Cache) release(e *entry) {
 
 // Get returns the cached plan for the statement — static is its index in
 // the closed set, or negative for text outside it, which goes by the
-// fingerprint key — and the Prepared kept with it, refreshing recency.
-func (c *Cache) Get(key uint64, static int) (*plan.Plan, *executor.Prepared, bool) {
+// fingerprint key — refreshing recency. The plan stays the cache's.
+func (c *Cache) Get(key uint64, static int) (*plan.Plan, bool) {
 	e := c.lookup(key, static)
 	if e == nil {
 		c.misses++
-		return nil, nil, false
+		return nil, false
 	}
 	c.hits++
 	c.moveToFront(e)
+	return e.p, true
+}
+
+// Prepared returns the Prepared kept with the statement's cached plan (see
+// Get), made on the first call, or nil when no plan is cached.
+func (c *Cache) Prepared(key uint64, static int) *executor.Prepared {
+	e := c.lookup(key, static)
+	if e == nil {
+		return nil
+	}
 	if e.prep == nil {
 		e.prep = new(executor.Prepared)
 	}
-	return e.p, e.prep, true
+	return e.prep
 }
 
-// Put caches a plan for the statement (see Get) at virtual time now. If memory
-// cannot be found even after evicting colder plans the plan is simply not
-// cached (compilation already succeeded; caching is best-effort).
+// Put caches a plan for the statement (see Get) and reports whether it did;
+// one it cannot find memory for, even after evicting colder plans, stays the
+// caller's (compilation already succeeded; caching is best-effort).
 // Re-putting a cached statement replaces the stored plan and adjusts the
 // tracker charge to the new plan's size.
-func (c *Cache) Put(key uint64, static int, p *plan.Plan, now time.Duration) {
+func (c *Cache) Put(key uint64, static int, p *plan.Plan) bool {
 	if e := c.lookup(key, static); e != nil {
 		// Drop the stale entry and release its charge; the fresh plan
 		// goes through the normal insert path below (which may evict
@@ -184,19 +198,19 @@ func (c *Cache) Put(key uint64, static int, p *plan.Plan, now time.Duration) {
 		for c.Bytes()+bytes > c.target && c.evictOldest() {
 		}
 		if c.Bytes()+bytes > c.target {
-			return
+			return false
 		}
 	}
 	for c.tracker.Reserve(bytes) != nil {
 		if !c.evictOldest() {
-			return // nothing left to evict; skip caching
+			return false // nothing left to evict; skip caching
 		}
 	}
 	e := c.free.Get()
 	if e == nil {
 		e = &entry{}
 	}
-	e.key, e.static, e.p, e.bytes, e.added = key, static, p, bytes, now
+	e.key, e.static, e.p, e.bytes = key, static, p, bytes
 	c.pushFront(e)
 	if static >= 0 {
 		c.statics[static] = e
@@ -205,6 +219,7 @@ func (c *Cache) Put(key uint64, static int, p *plan.Plan, now time.Duration) {
 	}
 	c.n++
 	c.inserts++
+	return true
 }
 
 // Clear drops every cached plan, releasing all tracker charge — the

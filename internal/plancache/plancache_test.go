@@ -3,9 +3,9 @@ package plancache
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"compilegate/internal/executor"
 	"compilegate/internal/mem"
@@ -31,13 +31,13 @@ func tinyPlan(n int) *plan.Plan {
 
 func TestGetPutHitMiss(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"), 0)
+	c := New(b.NewTracker("plancache"), 0, drop)
 	p := tinyPlan(1)
-	if _, _, ok := c.Get(key("q1"), -1); ok {
+	if _, ok := c.Get(key("q1"), -1); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(key("q1"), -1, p, 0)
-	got, _, ok := c.Get(key("q1"), -1)
+	c.Put(key("q1"), -1, p)
+	got, ok := c.Get(key("q1"), -1)
 	if !ok || got != p {
 		t.Fatal("cached plan not returned")
 	}
@@ -54,10 +54,10 @@ func TestGetPutHitMiss(t *testing.T) {
 
 func TestPutDuplicateRefreshes(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"), 0)
+	c := New(b.NewTracker("plancache"), 0, drop)
 	p := tinyPlan(1)
-	c.Put(key("q1"), -1, p, 0)
-	c.Put(key("q1"), -1, p, time.Second)
+	c.Put(key("q1"), -1, p)
+	c.Put(key("q1"), -1, p)
 	if c.Len() != 1 {
 		t.Fatalf("len = %d", c.Len())
 	}
@@ -71,14 +71,14 @@ func TestPutDuplicateRefreshes(t *testing.T) {
 // with a refreshed recency.
 func TestPutReplacesStalePlan(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"), 0)
+	c := New(b.NewTracker("plancache"), 0, drop)
 	old, fresh := tinyPlan(1), tinyPlan(5)
 	if old.PlanBytes() == fresh.PlanBytes() {
 		t.Fatal("test plans must differ in size")
 	}
-	c.Put(key("q1"), -1, old, 0)
-	c.Put(key("q1"), -1, fresh, time.Second)
-	got, _, ok := c.Get(key("q1"), -1)
+	c.Put(key("q1"), -1, old)
+	c.Put(key("q1"), -1, fresh)
+	got, ok := c.Get(key("q1"), -1)
 	if !ok || got != fresh {
 		t.Fatal("re-put kept the stale plan")
 	}
@@ -90,27 +90,68 @@ func TestPutReplacesStalePlan(t *testing.T) {
 	}
 
 	// Shrinking on re-put releases the difference too.
-	c.Put(key("q1"), -1, old, 2*time.Second)
+	c.Put(key("q1"), -1, old)
 	if c.Bytes() != old.PlanBytes() {
 		t.Fatalf("bytes = %d after shrink, want %d", c.Bytes(), old.PlanBytes())
 	}
+}
+
+// drop is the recycle function of a cache whose plans nobody reuses.
+func drop(*plan.Plan) {}
+
+// TestEveryDroppedPlanIsRecycled: each plan the cache lets go of — on
+// replacement, eviction, Shrink and Clear — reaches the recycle function
+// once, and only then; a plan Put did not keep stays the caller's.
+func TestEveryDroppedPlanIsRecycled(t *testing.T) {
+	unit := tinyPlan(1).PlanBytes()
+	var recycled []*plan.Plan
+	c := New(mem.NewBudget(3*unit).NewTracker("plancache"), 1, func(p *plan.Plan) { recycled = append(recycled, p) })
+	plans := make([]*plan.Plan, 8)
+	for i := range plans {
+		plans[i] = tinyPlan(1)
+	}
+	expect := func(step string, want ...*plan.Plan) {
+		t.Helper()
+		if !slices.Equal(recycled, want) {
+			t.Fatalf("%s: recycled %p, want %p", step, recycled, want)
+		}
+		recycled = recycled[:0]
+	}
+	for i, p := range plans[:3] {
+		if !c.Put(key(fmt.Sprint(i)), -1, p) {
+			t.Fatalf("Put %d refused with room", i)
+		}
+	}
+	expect("fill")
+	c.Put(key("0"), -1, plans[3])
+	expect("replace", plans[0])
+	c.Put(key("static"), 0, plans[4])
+	expect("evict", plans[1])
+	c.Shrink(unit)
+	expect("shrink", plans[2])
+	c.Clear()
+	expect("clear", plans[3], plans[4])
+	if c.Put(key("refused"), -1, tinyPlan(5)) {
+		t.Fatal("a plan larger than the budget was kept")
+	}
+	expect("refused")
 }
 
 func TestLRUEvictionUnderBudget(t *testing.T) {
 	p := tinyPlan(1)
 	// Budget fits exactly 3 plans.
 	b := mem.NewBudget(3 * p.PlanBytes())
-	c := New(b.NewTracker("plancache"), 0)
+	c := New(b.NewTracker("plancache"), 0, drop)
 	for i := 0; i < 3; i++ {
-		c.Put(key(fmt.Sprintf("q%d", i)), -1, tinyPlan(1), time.Duration(i))
+		c.Put(key(fmt.Sprintf("q%d", i)), -1, tinyPlan(1))
 	}
 	// Touch q0 so q1 is the LRU.
 	c.Get(key("q0"), -1)
-	c.Put(key("q3"), -1, tinyPlan(1), 10)
-	if _, _, ok := c.Get(key("q1"), -1); ok {
+	c.Put(key("q3"), -1, tinyPlan(1))
+	if _, ok := c.Get(key("q1"), -1); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if _, _, ok := c.Get(key("q0"), -1); !ok {
+	if _, ok := c.Get(key("q0"), -1); !ok {
 		t.Fatal("recently-used entry evicted")
 	}
 	if c.Evictions() != 1 {
@@ -120,9 +161,9 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 
 func TestShrink(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"), 0)
+	c := New(b.NewTracker("plancache"), 0, drop)
 	for i := 0; i < 10; i++ {
-		c.Put(key(fmt.Sprintf("q%d", i)), -1, tinyPlan(1), time.Duration(i))
+		c.Put(key(fmt.Sprintf("q%d", i)), -1, tinyPlan(1))
 	}
 	before := c.Bytes()
 	freed := c.Shrink(before / 2)
@@ -133,19 +174,19 @@ func TestShrink(t *testing.T) {
 		t.Fatal("bytes inconsistent after shrink")
 	}
 	// Oldest (q0...) went first.
-	if _, _, ok := c.Get(key("q0"), -1); ok {
+	if _, ok := c.Get(key("q0"), -1); ok {
 		t.Fatal("oldest survived shrink")
 	}
-	if _, _, ok := c.Get(key("q9"), -1); !ok {
+	if _, ok := c.Get(key("q9"), -1); !ok {
 		t.Fatal("newest evicted by shrink")
 	}
 }
 
 func TestSetTargetShrinksAndCaps(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"), 0)
+	c := New(b.NewTracker("plancache"), 0, drop)
 	for i := 0; i < 10; i++ {
-		c.Put(key(fmt.Sprintf("q%d", i)), -1, tinyPlan(1), 0)
+		c.Put(key(fmt.Sprintf("q%d", i)), -1, tinyPlan(1))
 	}
 	target := c.Bytes() / 2
 	c.SetTarget(target)
@@ -154,7 +195,7 @@ func TestSetTargetShrinksAndCaps(t *testing.T) {
 	}
 	// New puts respect the cap (evict-to-fit).
 	lenBefore := c.Len()
-	c.Put(key("new"), -1, tinyPlan(1), 1)
+	c.Put(key("new"), -1, tinyPlan(1))
 	if c.Bytes() > target {
 		t.Fatal("Put grew past target")
 	}
@@ -170,8 +211,8 @@ func TestSetTargetShrinksAndCaps(t *testing.T) {
 func TestPutSkipsWhenNoRoom(t *testing.T) {
 	p := tinyPlan(1)
 	b := mem.NewBudget(p.PlanBytes() / 2) // can't fit even one
-	c := New(b.NewTracker("plancache"), 0)
-	c.Put(key("q"), -1, p, 0)
+	c := New(b.NewTracker("plancache"), 0, drop)
+	c.Put(key("q"), -1, p)
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatal("plan cached despite no memory")
 	}
@@ -179,7 +220,7 @@ func TestPutSkipsWhenNoRoom(t *testing.T) {
 
 func TestString(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"), 0)
+	c := New(b.NewTracker("plancache"), 0, drop)
 	if c.String() == "" {
 		t.Fatal("empty String")
 	}
@@ -191,13 +232,13 @@ func TestQuickCacheAccounting(t *testing.T) {
 	f := func(ops []uint8) bool {
 		p := tinyPlan(1)
 		b := mem.NewBudget(5 * p.PlanBytes())
-		c := New(b.NewTracker("plancache"), 0)
-		for i, op := range ops {
+		c := New(b.NewTracker("plancache"), 0, drop)
+		for _, op := range ops {
 			k := uint64(op % 12)
 			if op%3 == 0 {
 				c.Get(k, -1)
 			} else {
-				c.Put(k, -1, tinyPlan(1), time.Duration(i))
+				c.Put(k, -1, tinyPlan(1))
 			}
 			if c.Bytes() != int64(c.Len())*p.PlanBytes() {
 				return false
@@ -219,19 +260,20 @@ func TestQuickCacheAccounting(t *testing.T) {
 // one of its own.
 func TestPreparedLivesAndDiesWithEntry(t *testing.T) {
 	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"), 0)
+	c := New(b.NewTracker("plancache"), 0, drop)
 	hit := func() *executor.Prepared {
 		t.Helper()
-		_, prep, ok := c.Get(key("q"), -1)
+		_, ok := c.Get(key("q"), -1)
+		prep := c.Prepared(key("q"), -1)
 		if !ok || prep == nil {
 			t.Fatal("no Prepared on a hit")
 		}
-		if _, again, _ := c.Get(key("q"), -1); again != prep {
+		if again := c.Prepared(key("q"), -1); again != prep {
 			t.Fatal("two hits on one entry got different Prepareds")
 		}
 		return prep
 	}
-	c.Put(key("q"), -1, tinyPlan(1), 0)
+	c.Put(key("q"), -1, tinyPlan(1))
 	seen := []*executor.Prepared{hit()}
 	for _, tc := range []struct {
 		name string
@@ -243,7 +285,7 @@ func TestPreparedLivesAndDiesWithEntry(t *testing.T) {
 	} {
 		name := tc.name
 		tc.drop()
-		c.Put(key("q"), -1, tinyPlan(2), 0)
+		c.Put(key("q"), -1, tinyPlan(2))
 		prep := hit()
 		for _, old := range seen {
 			if prep == old {

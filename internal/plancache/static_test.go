@@ -3,7 +3,6 @@ package plancache
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"compilegate/internal/mem"
 )
@@ -34,15 +33,15 @@ func TestStaticSlotsMatchFingerprintOnly(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		budget := int64(6+rng.Intn(20)) * unit
-		got := New(mem.NewBudget(budget).NewTracker("plancache"), statics)
-		ref := New(mem.NewBudget(budget).NewTracker("plancache"), 0)
+		got := New(mem.NewBudget(budget).NewTracker("plancache"), statics, drop)
+		ref := New(mem.NewBudget(budget).NewTracker("plancache"), 0, drop)
 		for step := 0; step < 4000; step++ {
 			s := stmts[rng.Intn(len(stmts))]
 			switch op := rng.Intn(40); {
 			case op < 20:
-				gp, gprep, gok := got.Get(s.fp, s.static)
-				rp, _, rok := ref.Get(s.fp, -1)
-				if gok != rok || gp != rp || gok != (gprep != nil) {
+				gp, gok := got.Get(s.fp, s.static)
+				rp, rok := ref.Get(s.fp, -1)
+				if gok != rok || gp != rp || gok != (got.Prepared(s.fp, s.static) != nil) {
 					t.Fatalf("seed %d step %d: Get(%d) = %p, %v; reference %p, %v", seed, step, s.fp, gp, gok, rp, rok)
 				}
 				if gok && s.static >= 0 {
@@ -50,8 +49,8 @@ func TestStaticSlotsMatchFingerprintOnly(t *testing.T) {
 				}
 			case op < 34:
 				p := tinyPlan(1 + 2*rng.Intn(3))
-				got.Put(s.fp, s.static, p, time.Duration(step))
-				ref.Put(s.fp, -1, p, time.Duration(step))
+				got.Put(s.fp, s.static, p)
+				ref.Put(s.fp, -1, p)
 			case op < 36:
 				want := int64(rng.Intn(4)) * unit
 				if g, r := got.Shrink(want), ref.Shrink(want); g != r {
@@ -106,22 +105,22 @@ func TestStaticSlotsMatchFingerprintOnly(t *testing.T) {
 // its slot — one entry, the new plan, the new charge — and an eviction
 // empties the slot.
 func TestStaticRePutReplacesSlot(t *testing.T) {
-	c := New(mem.NewBudget(mem.GiB).NewTracker("plancache"), 3)
+	c := New(mem.NewBudget(mem.GiB).NewTracker("plancache"), 3, drop)
 	old, fresh := tinyPlan(1), tinyPlan(3)
-	c.Put(key("fp"), 2, old, 0)
-	c.Put(key("fp"), 2, fresh, time.Second)
-	if p, _, ok := c.Get(key("fp"), 2); !ok || p != fresh {
+	c.Put(key("fp"), 2, old)
+	c.Put(key("fp"), 2, fresh)
+	if p, ok := c.Get(key("fp"), 2); !ok || p != fresh {
 		t.Fatalf("Get after re-Put = %p, %v; want the fresh plan %p", p, ok, fresh)
 	}
 	if c.Len() != 1 || c.Bytes() != fresh.PlanBytes() || len(c.entries) != 0 {
 		t.Fatalf("after re-Put: %d plans, %d bytes, %d in the map; want 1, %d, 0", c.Len(), c.Bytes(), len(c.entries), fresh.PlanBytes())
 	}
 	// The same fingerprint outside the closed set is another statement.
-	if _, _, ok := c.Get(key("fp"), -1); ok {
+	if _, ok := c.Get(key("fp"), -1); ok {
 		t.Fatal("a static entry was found through the fingerprint map")
 	}
 	c.Shrink(c.Bytes())
-	if _, _, ok := c.Get(key("fp"), 2); ok || c.statics[2] != nil || c.Len() != 0 {
+	if _, ok := c.Get(key("fp"), 2); ok || c.statics[2] != nil || c.Len() != 0 {
 		t.Fatal("eviction left the static slot occupied")
 	}
 }
