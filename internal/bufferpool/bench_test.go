@@ -43,7 +43,7 @@ func BenchmarkReadMany(b *testing.B) {
 				}
 				read() // hit: fault the batch in; evict: start filling
 				if tc.name == "evict" {
-					for p.Evictions() == 0 {
+					for p.evictions == 0 {
 						read()
 					}
 				}
@@ -65,7 +65,7 @@ func BenchmarkReadMany(b *testing.B) {
 			case tc.name == "hit" && p.Misses() != batch,
 				tc.name != "hit" && p.Hits() != 0,
 				tc.name == "miss" && p.passthrough != 0:
-				b.Fatalf("%s: %d hits, %d misses, %d evictions, %d passthrough", tc.name, p.Hits(), p.Misses(), p.Evictions(), p.passthrough)
+				b.Fatalf("%s: %d hits, %d misses, %d evictions, %d passthrough", tc.name, p.Hits(), p.Misses(), p.evictions, p.passthrough)
 			}
 		})
 	}

@@ -125,9 +125,6 @@ func (p *Pool) Frames() int { return p.cached }
 func (p *Pool) Hits() uint64   { return p.hits }
 func (p *Pool) Misses() uint64 { return p.misses }
 
-// Evictions returns how many frames were evicted.
-func (p *Pool) Evictions() uint64 { return p.evictions }
-
 // HitRate returns hits / (hits + misses), or 0 with no traffic.
 func (p *Pool) HitRate() float64 {
 	t := p.hits + p.misses
@@ -175,9 +172,6 @@ func (p *Pool) SetTarget(target int64) {
 		p.Shrink(p.Bytes() - target)
 	}
 }
-
-// Target returns the current broker target.
-func (p *Pool) Target() int64 { return p.target }
 
 // Shrink releases up to want bytes of frames (oldest-clock first), never
 // below minBytes, and returns the bytes actually freed. It is the pool's

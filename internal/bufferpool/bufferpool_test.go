@@ -93,7 +93,7 @@ func TestBudgetPressurePassthrough(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Evictions() == 0 {
+	if p.evictions == 0 {
 		t.Fatal("no evictions under budget pressure")
 	}
 }

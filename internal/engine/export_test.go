@@ -9,9 +9,9 @@ func SetSpanCharging(on bool) (was bool) {
 	return was
 }
 
-// SetStaticPrepared switches off (or back on) the reuse of a static
-// statement's scan lists by its freshly compiled plans, and returns the
-// previous setting. Only the whole-run differential test uses it; it must
+// SetStaticPrepared switches off (or back on) the reuse of a closed-set
+// statement's scan lists, the only lists any execution replays, and
+// returns the previous setting. Only the whole-run differential test uses it; it must
 // not run in parallel with other tests.
 func SetStaticPrepared(on bool) (was bool) {
 	was, staticPrepared = staticPrepared, on

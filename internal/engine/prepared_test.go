@@ -6,92 +6,55 @@ import (
 	"time"
 
 	"compilegate/internal/catalog"
-	"compilegate/internal/executor"
+	"compilegate/internal/optimizer"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/vtime"
 )
 
 const pointSQL = "SELECT * FROM dim_channel WHERE dim_channel.channel_id = 3"
 
-// preparedFor returns the Prepared the plan cache holds for sql (nil when
-// the statement is not cached).
-func preparedFor(srv *Server, sql string) *executor.Prepared {
-	return srv.cache.Prepared(sqlparser.Hash64(sql), -1)
-}
-
-// TestRecompiledPlanRecordsAfresh: a plan's recorded scan lists go when
-// its cache entry goes — by eviction, Clear, or crash — and the plan
-// compiled next under the fingerprint records its own, even when it has
-// a different shape.
-func TestRecompiledPlanRecordsAfresh(t *testing.T) {
-	srv, sched := testServer(t, nil)
+// TestBestEffortPlanDrawsItsLists: a best-effort cut may order the scans
+// differently from the plan a closed-set statement's text compiles to, so
+// its executions never touch the statement's recorded lists: a two-scan
+// best-effort plan cached under pointSQL's index neither replays the
+// one-scan recording nor overwrites it.
+func TestBestEffortPlanDrawsItsLists(t *testing.T) {
+	srv, sched, _, _ := closedSetServer(t, nil)
 	sched.Go("client", func(tk *vtime.Task) {
 		defer srv.Close()
-		submit := func(sql string, times int) {
+		submit := func() {
 			t.Helper()
-			for i := 0; i < times; i++ {
-				if err := srv.Submit(tk, sql); err != nil {
-					t.Errorf("Submit: %v", err)
-				}
+			if err := srv.Submit(tk, pointSQL); err != nil {
+				t.Errorf("Submit: %v", err)
 			}
 		}
-		submit(pointSQL, 1)
-		if prep := preparedFor(srv, pointSQL); prep.Scans() != 0 {
-			t.Errorf("a plan executed once recorded %d scans", prep.Scans())
+		submit() // compiles, records
+		lists := &srv.staticPrep[srv.static[pointSQL].Static]
+		if lists.Scans() != 1 {
+			t.Errorf("the statement recorded %d scans, want 1", lists.Scans())
 			return
 		}
-		submit(pointSQL, 2) // records, replays
-		seen := []*executor.Prepared{preparedFor(srv, pointSQL)}
-		if got := seen[0].Scans(); got != 1 {
-			t.Errorf("recorded %d scans on the first hit, want 1", got)
-			return
+		q, err := sqlparser.Parse(joinSQL)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		for _, c := range []struct {
-			name string
-			drop func()
-		}{
-			{"evict", func() { srv.cache.Shrink(srv.cache.Bytes()) }},
-			{"clear", srv.cache.Clear},
-			{"crash", func() { srv.Crash(); srv.Restart() }},
-		} {
-			name := c.name
-			compiles := srv.Governor().Started()
-			c.drop()
-			submit(pointSQL, 2) // recompiles, records
-			if srv.Governor().Started() != compiles+1 {
-				t.Errorf("%s: plan was not recompiled", name)
-				return
-			}
-			prep := preparedFor(srv, pointSQL)
-			for _, old := range seen {
-				if prep == old {
-					t.Errorf("%s: the recompiled plan was handed an earlier plan's lists", name)
-					return
-				}
-			}
-			if prep.Scans() != 1 {
-				t.Errorf("%s: recompiled plan recorded %d scans, want 1", name, prep.Scans())
-				return
-			}
-			seen = append(seen, prep)
+		cut, err := srv.Optimizer().Optimize(q, optimizer.Hooks{})
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		// A recompilation may yield another shape (a best-effort plan cut
-		// short of the full search): cache a two-scan plan under the
-		// point query's fingerprint. It must record two lists of its own,
-		// not replay the one list of the plan it replaced.
-		submit(joinSQL, 1)
-		joinPlan, _ := srv.cache.Get(sqlparser.Hash64(joinSQL), -1)
-		srv.cache.Put(sqlparser.Hash64(pointSQL), -1, joinPlan)
-		submit(pointSQL, 2) // records, replays
-		if got := preparedFor(srv, pointSQL).Scans(); got != 2 {
-			t.Errorf("replacement plan recorded %d scans, want 2", got)
-			return
+		cut.BestEffort = true
+		id := srv.static[pointSQL]
+		if !srv.cache.Put(id.Fingerprint, id.Static, cut) {
+			t.Fatal("the best-effort plan was not cached")
 		}
-		if got := seen[len(seen)-1].Scans(); got != 1 {
-			t.Errorf("the replaced plan's lists changed: %d scans", got)
-			return
+		replayed := srv.Executor().Replayed()
+		submit()
+		submit()
+		if got := srv.Executor().Replayed(); got != replayed {
+			t.Errorf("%d executions of the best-effort plan replayed", got-replayed)
+		}
+		if lists.Scans() != 1 {
+			t.Errorf("the statement's recording holds %d scans after the best-effort plan ran, want 1", lists.Scans())
 		}
 	})
 	if err := sched.Run(); err != nil {
@@ -103,8 +66,9 @@ func TestRecompiledPlanRecordsAfresh(t *testing.T) {
 }
 
 // TestCrashMidExecutionInstallsNothing crashes the engine under a
-// cache-hit execution that is recording: the query fails with ErrCrashed
-// and what it recorded reaches no plan of the restarted engine.
+// cache-hit execution: the query fails with ErrCrashed, its plan does not
+// survive the restart, and — the text being outside the closed set — no
+// execution before or after the crash replays scan lists.
 func TestCrashMidExecutionInstallsNothing(t *testing.T) {
 	srv, sched := testServer(t, nil)
 	sched.Go("victim", func(tk *vtime.Task) {
@@ -119,14 +83,16 @@ func TestCrashMidExecutionInstallsNothing(t *testing.T) {
 		if srv.Executor().Executed() != executed+1 {
 			t.Error("the crash did not land mid-execution; test is vacuous")
 		}
-		if prep := preparedFor(srv, joinSQL); prep != nil {
+		if srv.PlanCache().Len() != 0 {
 			t.Error("the crashed engine's plan survived the restart")
 		}
-		if err := srv.Submit(tk, joinSQL); err != nil {
-			t.Errorf("post-restart Submit: %v", err)
+		for i := 0; i < 2; i++ { // recompiles, then hits
+			if err := srv.Submit(tk, joinSQL); err != nil {
+				t.Errorf("post-restart Submit: %v", err)
+			}
 		}
-		if prep := preparedFor(srv, joinSQL); prep.Scans() != 0 {
-			t.Errorf("the recompiled plan starts with %d recorded scans", prep.Scans())
+		if r := srv.Executor().Replayed(); r != 0 {
+			t.Errorf("%d executions of text outside the closed set replayed", r)
 		}
 	})
 	sched.Go("chaos", func(tk *vtime.Task) {
@@ -172,34 +138,37 @@ func TestCacheHitSubmitAllocatesNothing(t *testing.T) {
 }
 
 // TestClosedSetHitAfterRecompileAllocatesNothing: a closed-set statement
-// keeps its scan lists with the statement, so a hit on its recompiled plan
-// makes no Prepared for the cache entry — the hit allocates nothing beyond
-// what the recompilation did.
+// keeps its scan lists with the statement, and other text keeps none, so a
+// hit on a recompiled plan — pointSQL's, in the closed set, or joinSQL's,
+// outside it — allocates nothing beyond what the recompilation did.
 func TestClosedSetHitAfterRecompileAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	srv, sched, _, _ := closedSetServer(t, nil)
-	sched.Go("client", func(tk *vtime.Task) {
-		defer srv.Close()
-		submit := func() {
-			if err := srv.Submit(tk, pointSQL); err != nil {
-				t.Errorf("Submit: %v", err)
+	for _, tc := range []struct{ name, sql string }{{"closed set", pointSQL}, {"other text", joinSQL}} {
+		sql := tc.sql
+		srv, sched, _, _ := closedSetServer(t, nil)
+		sched.Go("client", func(tk *vtime.Task) {
+			defer srv.Close()
+			submit := func() {
+				if err := srv.Submit(tk, sql); err != nil {
+					t.Errorf("Submit: %v", err)
+				}
 			}
+			recompile := func() { srv.cache.Clear(); submit() }
+			recompileAndHit := func() { recompile(); submit() }
+			for i := 0; i < 3; i++ { // grow the pools, record the scan lists
+				recompileAndHit()
+			}
+			one, pair := testing.AllocsPerRun(20, recompile), testing.AllocsPerRun(20, recompileAndHit)
+			if pair > one {
+				t.Errorf("%s: a recompilation and a hit allocate %v times, the recompilation alone %v", tc.name, pair, one)
+			}
+		})
+		if err := sched.Run(); err != nil {
+			t.Fatal(err)
 		}
-		recompile := func() { srv.cache.Clear(); submit() }
-		recompileAndHit := func() { recompile(); submit() }
-		for i := 0; i < 3; i++ { // grow the pools, record the scan lists
-			recompileAndHit()
-		}
-		one, pair := testing.AllocsPerRun(20, recompile), testing.AllocsPerRun(20, recompileAndHit)
-		if pair > one {
-			t.Errorf("a recompilation and a hit allocate %v times, the recompilation alone %v", pair, one)
-		}
-	})
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -215,8 +184,8 @@ func TestPrepareStatementsIndexIsDense(t *testing.T) {
 // TestStaticStatementKeepsItsLists: a snapshot statement's scan lists are
 // recorded by its first execution on the server and replayed by every later
 // one, whether the plan comes from the cache or from a recompilation after
-// an eviction, a Clear or a crash; text outside the snapshot's set replays
-// only from its plan-cache entry, as before.
+// an eviction, a Clear or a crash; text outside the snapshot's set never
+// replays, cached or not.
 func TestStaticStatementKeepsItsLists(t *testing.T) {
 	cfg := DefaultConfig()
 	sched := vtime.NewScheduler()
@@ -260,7 +229,9 @@ func TestStaticStatementKeepsItsLists(t *testing.T) {
 		if compiled, replayed := submit(joinSQL); !compiled || replayed {
 			t.Errorf("text outside the snapshot, first submission: compiled %t, replayed %t", compiled, replayed)
 		}
-		submit(joinSQL) // first hit: records into the entry's Prepared
+		if compiled, replayed := submit(joinSQL); compiled || replayed {
+			t.Errorf("text outside the snapshot, first hit: compiled %t, replayed %t", compiled, replayed)
+		}
 		srv.cache.Clear()
 		if compiled, replayed := submit(joinSQL); !compiled || replayed {
 			t.Errorf("text outside the snapshot, recompiled: compiled %t, replayed %t", compiled, replayed)

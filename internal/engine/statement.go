@@ -229,11 +229,9 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 	}
 	st.id = id
 
-	// Probe. A hit executes a prepared plan: its Prepared carries the plan's
-	// scan-extent lists from one execution to the next (see execute for the
-	// statements that keep their own).
+	// Probe. A hit skips compilation and executes the cached plan.
 	if p, cached := s.cache.Get(id.Fingerprint, id.Static); cached {
-		st.execute(t, p, true)
+		st.execute(t, p)
 		return
 	}
 
@@ -252,20 +250,16 @@ func (s *Server) SubmitThen(t *vtime.Task, sql string, errp *error, k vtime.Step
 	a.Run(t)
 }
 
-// execute runs p with a Prepared — the plan-cache entry's on a hit, none
-// for a freshly compiled plan, most of which are never seen again — unless
-// the statement is one of the snapshot's: its text compiles to the same plan
-// every time, so the plan's scan lists are the statement's, recorded once
-// per server and replayed by every execution after, cached or recompiled. A
-// best-effort cut may order the scans differently and goes by the entry's.
-// The execution copies what it needs of p, so the cache may recycle p while
-// it runs.
-func (st *statement) execute(t *vtime.Task, p *plan.Plan, cached bool) {
+// execute runs p. A statement of the snapshot's closed set compiles to the
+// same plan every time, so the plan's scan lists are the statement's:
+// recorded once per server and replayed by every execution after, cached or
+// recompiled. A best-effort cut may order the scans differently, and it and
+// any other text draw their lists. The execution copies what it needs of p,
+// so the cache may recycle p while it runs.
+func (st *statement) execute(t *vtime.Task, p *plan.Plan) {
 	var prep *executor.Prepared
 	if i := st.id.Static; i >= 0 && !p.BestEffort && staticPrepared {
 		prep = &st.s.staticPrep[i]
-	} else if cached {
-		prep = st.s.cache.Prepared(st.id.Fingerprint, i)
 	}
 	st.execStart = t.Now()
 	st.s.exec.ExecuteThen(t, p, st.id.Seed, prep, nil, &st.err, st)
@@ -492,7 +486,7 @@ func (a *attempt) finish(t *vtime.Task, p *plan.Plan, err error) {
 		return
 	}
 	kept := s.cache.Put(st.id.Fingerprint, st.id.Static, p)
-	st.execute(t, p, false)
+	st.execute(t, p)
 	if !kept {
 		s.opt.Recycle(p)
 	}

@@ -56,8 +56,7 @@ func mixNodelossShape() scenario.Scenario {
 // list a reseeded source would draw. On the mix shape, where the plan cache
 // misses nine times in ten and three statements in four are static, three
 // executions in five must replay (the SALES quarter never can; without the
-// reuse one in fifty does) — if they stop, this fails before a benchmark
-// notices. cluster-thrash-shed has no static statements: the switch must
+// reuse none does) — if they stop, this fails before a benchmark notices. cluster-thrash-shed has no static statements: the switch must
 // reach nothing there.
 func TestStaticPreparedLeavesRunsIdentical(t *testing.T) {
 	cases := []struct {
@@ -100,10 +99,9 @@ func TestStaticPreparedLeavesRunsIdentical(t *testing.T) {
 			if tc.name == "mix-nodeloss" {
 				gs, gr := execCounts(t, got)
 				ws, wr := execCounts(t, want)
-				if gs != ws || wr >= gr {
-					t.Errorf("executions %d with reuse and %d without, replays %d and %d: the switch must take replays away and nothing else", gs, ws, gr, wr)
+				if gs != ws || gr == 0 || wr != 0 {
+					t.Errorf("executions %d with reuse and %d without, replays %d and %d: the switch must take every replay away and nothing else", gs, ws, gr, wr)
 				}
-				t.Logf("without the reuse %d of %d executions replay", wr, ws)
 			}
 			got.Report = execLine.ReplaceAllString(got.Report, "")
 			want.Report = execLine.ReplaceAllString(want.Report, "")

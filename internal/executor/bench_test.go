@@ -12,10 +12,10 @@ import (
 
 // BenchmarkExecute is one execution of an OLTP statement's plan — the 50
 // statements of the closed set in turn, grant, scans through a warm buffer
-// pool, CPU — handed its recorded scan lists ("prepared": what a plan-cache
-// hit and a recompiled static statement do) or nothing ("oneshot": a
-// 607-word reseed of the locality source to draw a few extents, what every
-// freshly compiled plan did before static statements kept their lists).
+// pool, CPU — handed its recorded scan lists ("prepared": what every
+// execution of a closed-set statement's plan does) or nothing ("oneshot":
+// a reseed of the locality source to draw a few extents, what a
+// best-effort plan and any text outside the closed set do).
 func BenchmarkExecute(b *testing.B) {
 	for _, prepared := range []bool{true, false} {
 		name := map[bool]string{true: "prepared", false: "oneshot"}[prepared]

@@ -66,8 +66,7 @@ type GrantManager struct {
 	tracker *mem.Tracker
 	queue   *vtime.WaitQueue
 
-	granted, timeouts uint64
-	waitTotal         time.Duration
+	timeouts uint64
 
 	ops freelist.List[grantOp] // recycled continuation ops (single scheduler)
 }
@@ -84,17 +83,11 @@ func NewGrantManager(tracker *mem.Tracker) *GrantManager {
 // Tracker returns the underlying tracker.
 func (gm *GrantManager) Tracker() *mem.Tracker { return gm.tracker }
 
-// Granted returns the number of grants issued.
-func (gm *GrantManager) Granted() uint64 { return gm.granted }
-
 // Timeouts returns the number of grant waits that timed out.
 func (gm *GrantManager) Timeouts() uint64 { return gm.timeouts }
 
 // Waiting returns the number of queued requests.
 func (gm *GrantManager) Waiting() int { return gm.queue.Len() }
-
-// TotalWait returns aggregate time spent queued for grants.
-func (gm *GrantManager) TotalWait() time.Duration { return gm.waitTotal }
 
 // grantOp is the continuation state machine behind AcquireThen: wait FIFO
 // with timeout, retrying the reservation on every wake.
@@ -131,8 +124,6 @@ func (op *grantOp) Run(t *vtime.Task) {
 				return
 			}
 			if err := gm.tracker.Reserve(op.want); err == nil {
-				gm.granted++
-				gm.waitTotal += t.Now() - op.start
 				// Let the next waiter retry too: memory may remain.
 				gm.queue.Signal()
 				op.finish(t, nil)
@@ -146,7 +137,6 @@ func (op *grantOp) Run(t *vtime.Task) {
 func (op *grantOp) fail(t *vtime.Task) {
 	gm := op.gm
 	gm.timeouts++
-	gm.waitTotal += t.Now() - op.start
 	op.finish(t, &ErrGrantTimeout{Bytes: op.want, Wait: t.Now() - op.start})
 }
 
@@ -173,7 +163,6 @@ func (gm *GrantManager) AcquireThen(t *vtime.Task, want int64, errp *error, k vt
 	// request would fit, preventing starvation of big grants.
 	if gm.queue.Len() == 0 {
 		if err := gm.tracker.Reserve(want); err == nil {
-			gm.granted++
 			k.Run(t)
 			return
 		}
@@ -266,14 +255,14 @@ func (e *Executor) table(n *plan.Node) *catalog.Table {
 	return e.layout.Table(n.Table)
 }
 
-// Prepared is what the executor keeps with a cached plan between
-// executions: the extent list of every scan node, in execution order,
-// exactly as the plan's seed draws them. The seed is a function of the
-// statement fingerprint, so on one executor a plan's lists are a constant:
-// the first execution handed an empty Prepared that visits every scan
-// records them, and every later one replays them with no PRNG at all.
-// The zero value is empty. It belongs to whatever holds the plan (the
-// plan-cache entry) and is dropped with it; once recorded it is never
+// Prepared is a plan's scan lists kept between executions: the extent list
+// of every scan node, in execution order, exactly as the plan's seed draws
+// them. The seed is a function of the statement fingerprint, so on one
+// executor a plan's lists are a constant: the first execution handed an
+// empty Prepared that visits every scan records them, and every later one
+// replays them with no PRNG at all. The zero value is empty. It belongs to
+// a statement of the closed set on one server, whose text compiles to the
+// same plan every time, and is never dropped; once recorded it is never
 // written again.
 type Prepared struct {
 	keys []storage.ExtentKey // every scan's list, concatenated
@@ -442,9 +431,9 @@ func (op *execOp) useCPU(t *vtime.Task, units float64) bool {
 }
 
 // scanExtents returns the extents scan s touches: replayed from the
-// plan's recorded lists, or drawn from the seeded source — into the
-// recording when the plan is cached and not yet recorded, else into the
-// op's scratch buffer.
+// recorded lists, or drawn from the seeded source — into the recording
+// when the execution has an empty Prepared, else into the op's scratch
+// buffer.
 func (op *execOp) scanExtents(s *step) []storage.ExtentKey {
 	if op.replay {
 		lo := 0
@@ -489,7 +478,7 @@ func (op *execOp) sizeRecording() {
 	op.recKeys, op.recEnds = make([]storage.ExtentKey, 0, keys), make([]int, 0, scans)
 }
 
-// install hands a finished recording to the plan, once every scan node
+// install hands a finished recording to the Prepared, once every scan node
 // has been visited. A concurrent recording of the same plan that finished
 // first wins; the lists are equal either way.
 func (op *execOp) install() {
@@ -543,11 +532,11 @@ func (op *execOp) finish(t *vtime.Task) {
 // ExecuteThen runs plan p on behalf of task t as continuation steps, then
 // stores the outcome through st (nil to discard the statistics) and errp
 // and runs k. seed drives scan locality (derive it from the statement for
-// deterministic-but-varied access patterns). prep is nil for a plan
-// executed once; for a cached plan it is the Prepared kept with the plan,
-// which the first complete execution fills and later ones replay instead
-// of drawing — with the same seed on every execution of the plan, the two
-// are indistinguishable in virtual time. The execution copies what it needs
+// deterministic-but-varied access patterns). prep is nil for an execution
+// that draws its lists; for a closed-set statement it is the statement's
+// Prepared, which the first complete execution fills and later ones replay
+// instead of drawing — with the same seed on every execution of the plan,
+// the two are indistinguishable in virtual time. The execution copies what it needs
 // of p before ExecuteThen returns, and reads p no more. A steady-state call
 // allocates nothing.
 func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Prepared, st *Stats, errp *error, k vtime.Step) {

@@ -125,8 +125,9 @@ func TestGrantAcquireRelease(t *testing.T) {
 		t.Fatal("plan needs no grant; test is vacuous")
 	}
 	s := vtime.NewScheduler()
+	var st Stats
 	s.Go("q", func(tk *vtime.Task) {
-		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, nil, errp, k) }); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &st, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		if e.grants.Tracker().Used() != 0 {
@@ -136,8 +137,8 @@ func TestGrantAcquireRelease(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.grants.Granted() == 0 {
-		t.Fatal("no grant issued")
+	if st.GrantBytes != p.MemoryGrant() {
+		t.Fatalf("granted %d bytes, want the plan's %d", st.GrantBytes, p.MemoryGrant())
 	}
 }
 
@@ -146,6 +147,7 @@ func TestGrantQueueingSerializes(t *testing.T) {
 	gm := e.grants
 	s := vtime.NewScheduler()
 	var order []string
+	var bGranted time.Duration
 	hold := func(name string, bytes int64, holdFor time.Duration, after time.Duration) {
 		s.Go(name, func(tk *vtime.Task) {
 			tk.Sleep(after)
@@ -154,6 +156,9 @@ func TestGrantQueueingSerializes(t *testing.T) {
 				return
 			}
 			order = append(order, name)
+			if name == "b" {
+				bGranted = tk.Now()
+			}
 			tk.Sleep(holdFor)
 			gm.Release(bytes)
 		})
@@ -166,8 +171,8 @@ func TestGrantQueueingSerializes(t *testing.T) {
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("order = %v", order)
 	}
-	if gm.TotalWait() == 0 {
-		t.Fatal("no grant wait accounted")
+	if bGranted < time.Second {
+		t.Fatalf("b granted at %v, before a released at 1s", bGranted)
 	}
 }
 

@@ -94,9 +94,6 @@ func (r *Recorder) Errors() map[string]int64 {
 	return out
 }
 
-// TotalErrors returns the total number of errors across kinds.
-func (r *Recorder) TotalErrors() int64 { return r.total.errorSum() }
-
 // Point is one time slice of a series.
 type Point struct {
 	T time.Duration // slice start
@@ -187,16 +184,6 @@ func (tr *Trace) Max() int64 {
 		}
 	}
 	return m
-}
-
-// At returns the value in effect at time t (the most recent sample at or
-// before t), or 0 if t precedes all samples.
-func (tr *Trace) At(t time.Duration) int64 {
-	i := sort.Search(len(tr.Points), func(i int) bool { return tr.Points[i].T > t })
-	if i == 0 {
-		return 0
-	}
-	return tr.Points[i-1].V
 }
 
 // Histogram is a simple log-ish bucketed histogram for durations, used for

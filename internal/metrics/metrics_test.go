@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -23,7 +24,7 @@ func TestRecorderSlices(t *testing.T) {
 	if r.Completed() != 3 {
 		t.Fatalf("completed = %d", r.Completed())
 	}
-	if r.Errors()["oom"] != 1 || r.TotalErrors() != 1 {
+	if r.Errors()["oom"] != 1 || r.ErrorsIn(0, time.Hour) != 1 {
 		t.Fatalf("errors = %v", r.Errors())
 	}
 }
@@ -63,14 +64,8 @@ func TestTrace(t *testing.T) {
 	if tr.Max() != 20 {
 		t.Fatalf("Max = %d", tr.Max())
 	}
-	if tr.At(1500*time.Millisecond) != 20 {
-		t.Fatalf("At(1.5s) = %d, want 20", tr.At(1500*time.Millisecond))
-	}
-	if tr.At(-time.Second) != 0 {
-		t.Fatalf("At before first sample = %d, want 0", tr.At(-time.Second))
-	}
-	if tr.At(time.Hour) != 15 {
-		t.Fatalf("At after last sample = %d, want 15", tr.At(time.Hour))
+	if want := []TracePoint{{0, 10}, {time.Second, 20}, {2 * time.Second, 15}}; !slices.Equal(tr.Points, want) {
+		t.Fatalf("Points = %v, want %v", tr.Points, want)
 	}
 }
 
@@ -204,16 +199,13 @@ func TestCounterGaugeRoundTrip(t *testing.T) {
 	if errs["oom"] != 2 || errs["gateway-timeout"] != 1 || len(errs) != 2 {
 		t.Fatalf("Errors = %v", errs)
 	}
-	if r.TotalErrors() != 3 {
-		t.Fatalf("TotalErrors = %d", r.TotalErrors())
-	}
 	// Window sums must agree with the totals and with per-slice series.
 	horizon := 4 * time.Minute
 	if got := r.CompletionsIn(0, horizon); got != r.Completed() {
 		t.Fatalf("CompletionsIn(all) = %d, want %d", got, r.Completed())
 	}
-	if got := r.ErrorsIn(0, horizon); got != r.TotalErrors() {
-		t.Fatalf("ErrorsIn(all) = %d, want %d", got, r.TotalErrors())
+	if got := r.ErrorsIn(0, horizon); got != 3 {
+		t.Fatalf("ErrorsIn(all) = %d, want 3", got)
 	}
 	var fromSeries int64
 	for _, kind := range []string{"oom", "gateway-timeout"} {
@@ -221,8 +213,8 @@ func TestCounterGaugeRoundTrip(t *testing.T) {
 			fromSeries += p.V
 		}
 	}
-	if fromSeries != r.TotalErrors() {
-		t.Fatalf("error series sum = %d, want %d", fromSeries, r.TotalErrors())
+	if fromSeries != 3 {
+		t.Fatalf("error series sum = %d, want 3", fromSeries)
 	}
 
 	tr := NewTrace("compile-bytes")
@@ -233,10 +225,8 @@ func TestCounterGaugeRoundTrip(t *testing.T) {
 	for _, s := range samples {
 		tr.Add(s.T, s.V)
 	}
-	for _, s := range samples {
-		if got := tr.At(s.T); got != s.V {
-			t.Fatalf("At(%v) = %d, want %d", s.T, got, s.V)
-		}
+	if !slices.Equal(tr.Points, samples) {
+		t.Fatalf("Points = %v, want %v", tr.Points, samples)
 	}
 	if tr.Max() != 250 {
 		t.Fatalf("Max = %d", tr.Max())

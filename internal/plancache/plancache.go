@@ -16,19 +16,14 @@
 // eviction through the cache per statement, recency is an intrusive
 // doubly-linked list over pooled entries rather than container/list.
 //
-// An entry may also carry the executor's Prepared for its plan (the plan's
-// recorded scan-extent lists). It is created when an execution of the
-// cached plan first asks for it — a plan that is never reused, or whose
-// executions keep their lists elsewhere, retains nothing — and dropped with
-// the entry on eviction, replacement and Clear, so a recompiled plan always
-// starts from an empty one. The plan itself goes to the recycle function
-// the cache was made with, for the optimizer to rebuild in place.
+// Every plan the cache lets go of — on eviction, replacement, Shrink and
+// Clear — goes to the recycle function the cache was made with, for the
+// optimizer to rebuild in place.
 package plancache
 
 import (
 	"fmt"
 
-	"compilegate/internal/executor"
 	"compilegate/internal/freelist"
 	"compilegate/internal/mem"
 	"compilegate/internal/plan"
@@ -38,7 +33,6 @@ type entry struct {
 	key        uint64 // the fingerprint
 	static     int    // ≥ 0: held by statics[static]; else by entries[key]
 	p          *plan.Plan
-	prep       *executor.Prepared // nil until an execution asks for it
 	bytes      int64
 	prev, next *entry // recency list: front = most recent
 }
@@ -77,10 +71,9 @@ func (c *Cache) Bytes() int64 { return c.tracker.Used() }
 // Len returns the number of cached plans.
 func (c *Cache) Len() int { return c.n }
 
-// Hits, Misses, Evictions expose the counters.
-func (c *Cache) Hits() uint64      { return c.hits }
-func (c *Cache) Misses() uint64    { return c.misses }
-func (c *Cache) Evictions() uint64 { return c.evictions }
+// Hits and Misses expose the counters.
+func (c *Cache) Hits() uint64   { return c.hits }
+func (c *Cache) Misses() uint64 { return c.misses }
 
 // HitRate returns hits/(hits+misses), 0 with no traffic.
 func (c *Cache) HitRate() float64 {
@@ -147,9 +140,7 @@ func (c *Cache) release(e *entry) {
 	c.n--
 	c.tracker.Release(e.bytes)
 	c.recycle(e.p)
-	// Entries are recycled but a Prepared never is: an execution still in
-	// flight keeps writing to the orphan, not to the entry's next plan.
-	e.p, e.prep = nil, nil
+	e.p = nil
 	c.free.Put(e)
 }
 
@@ -165,19 +156,6 @@ func (c *Cache) Get(key uint64, static int) (*plan.Plan, bool) {
 	c.hits++
 	c.moveToFront(e)
 	return e.p, true
-}
-
-// Prepared returns the Prepared kept with the statement's cached plan (see
-// Get), made on the first call, or nil when no plan is cached.
-func (c *Cache) Prepared(key uint64, static int) *executor.Prepared {
-	e := c.lookup(key, static)
-	if e == nil {
-		return nil
-	}
-	if e.prep == nil {
-		e.prep = new(executor.Prepared)
-	}
-	return e.prep
 }
 
 // Put caches a plan for the statement (see Get) and reports whether it did;
@@ -266,9 +244,6 @@ func (c *Cache) SetTarget(target int64) {
 		c.Shrink(c.Bytes() - target)
 	}
 }
-
-// Target returns the broker target (0 when unset).
-func (c *Cache) Target() int64 { return c.target }
 
 // String summarizes the cache.
 func (c *Cache) String() string {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"compilegate/internal/executor"
 	"compilegate/internal/mem"
 	"compilegate/internal/plan"
 )
@@ -154,8 +153,8 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	if _, ok := c.Get(key("q0"), -1); !ok {
 		t.Fatal("recently-used entry evicted")
 	}
-	if c.Evictions() != 1 {
-		t.Fatalf("evictions = %d", c.Evictions())
+	if c.evictions != 1 {
+		t.Fatalf("evictions = %d", c.evictions)
 	}
 }
 
@@ -203,7 +202,7 @@ func TestSetTargetShrinksAndCaps(t *testing.T) {
 		t.Fatalf("len changed unexpectedly: %d -> %d", lenBefore, c.Len())
 	}
 	c.SetTarget(0)
-	if c.Target() != 0 {
+	if c.target != 0 {
 		t.Fatal("target not cleared")
 	}
 }
@@ -251,47 +250,5 @@ func TestQuickCacheAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPreparedLivesAndDiesWithEntry: hits on one entry share one
-// Prepared; replacement, eviction and Clear each drop it, so the plan
-// cached next under the key — on a recycled entry — starts from an empty
-// one of its own.
-func TestPreparedLivesAndDiesWithEntry(t *testing.T) {
-	b := mem.NewBudget(mem.GiB)
-	c := New(b.NewTracker("plancache"), 0, drop)
-	hit := func() *executor.Prepared {
-		t.Helper()
-		_, ok := c.Get(key("q"), -1)
-		prep := c.Prepared(key("q"), -1)
-		if !ok || prep == nil {
-			t.Fatal("no Prepared on a hit")
-		}
-		if again := c.Prepared(key("q"), -1); again != prep {
-			t.Fatal("two hits on one entry got different Prepareds")
-		}
-		return prep
-	}
-	c.Put(key("q"), -1, tinyPlan(1))
-	seen := []*executor.Prepared{hit()}
-	for _, tc := range []struct {
-		name string
-		drop func()
-	}{
-		{"replace", func() {}},
-		{"evict", func() { c.Shrink(c.Bytes()) }},
-		{"clear", c.Clear},
-	} {
-		name := tc.name
-		tc.drop()
-		c.Put(key("q"), -1, tinyPlan(2))
-		prep := hit()
-		for _, old := range seen {
-			if prep == old {
-				t.Fatalf("%s: the new plan got an earlier plan's Prepared", name)
-			}
-		}
-		seen = append(seen, prep)
 	}
 }
