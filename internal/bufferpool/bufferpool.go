@@ -12,6 +12,7 @@ package bufferpool
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"compilegate/internal/freelist"
@@ -197,7 +198,7 @@ func (p *Pool) Shrink(want int64) int64 {
 // (dilation-adjusted) transfer time, and is admitted to the cache.
 type readManyOp struct {
 	p     *Pool
-	miss  []storage.ExtentKey // scratch, retained across uses
+	miss  []storage.ExtentKey // scratch, grown once to a batch and retained across uses
 	mi    int
 	k     vtime.Step
 	state int8
@@ -246,7 +247,7 @@ func (p *Pool) ReadManyThen(t *vtime.Task, keys []storage.ExtentKey, hits *int, 
 	if op == nil {
 		op = &readManyOp{p: p}
 	}
-	op.miss, op.mi, op.k, op.state = op.miss[:0], 0, k, rmNextMiss
+	op.miss, op.mi, op.k, op.state = slices.Grow(op.miss[:0], len(keys)), 0, k, rmNextMiss
 	h := 0
 	for _, key := range keys {
 		if f := *p.slot(key); f != nil {

@@ -125,6 +125,10 @@ func (s *Server) leftBy(sql string) int {
 	return -1
 }
 
+// An attempt's own parse starts with room for the widest SALES statement,
+// so that parsing one grows none of its lists.
+const ownTables, ownJoins, ownGroupBy = 21, 20, 2
+
 // newAttempt starts an attempt at the statement: over the closed set's
 // parse, or over its own parse of any other text — whose error is the
 // statement's.
@@ -140,7 +144,9 @@ func (s *Server) newAttempt(sql string, id StmtID) (*attempt, error) {
 		}
 	}
 	if a.q = id.Query; a.q == nil {
-		if err := sqlparser.ParseInto(&a.own, sql); err != nil {
+		q := &a.own
+		q.Tables, q.Joins, q.GroupBy = slices.Grow(q.Tables[:0], ownTables), slices.Grow(q.Joins[:0], ownJoins), slices.Grow(q.GroupBy[:0], ownGroupBy)
+		if err := sqlparser.ParseInto(q, sql); err != nil {
 			s.attempts.Put(a)
 			return nil, err
 		}

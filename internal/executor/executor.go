@@ -8,6 +8,7 @@ package executor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"compilegate/internal/bufferpool"
@@ -350,8 +351,8 @@ func (op *execOp) Run(t *vtime.Task) {
 			st.GrantBytes = op.granted
 			op.ni = 0
 			op.state = exNode
-			if op.prep != nil && !op.replay {
-				op.sizeRecording()
+			if !op.replay {
+				op.sizeScratch()
 			}
 		case exNode:
 			if op.ni >= len(op.steps) {
@@ -465,17 +466,22 @@ func (op *execOp) scanExtents(s *step) []storage.ExtentKey {
 	return op.recKeys[lo:]
 }
 
-// sizeRecording allocates the recording at the size the plan's scans will
-// fill, so that drawing into it never grows it.
-func (op *execOp) sizeRecording() {
-	scans, keys := 0, 0
+// sizeScratch sizes what the execution draws into, so that drawing never
+// grows it: a recording at the size the plan's scans fill, or the one-shot
+// buffer at the longest of them.
+func (op *execOp) sizeScratch() {
+	scans, keys, longest := 0, 0, 0
 	for i := range op.steps {
 		if s := &op.steps[i]; s.tab != nil {
-			scans++
-			keys += op.e.layout.ScanLenOf(s.tab, s.frac)
+			n := op.e.layout.ScanLenOf(s.tab, s.frac)
+			scans, keys, longest = scans+1, keys+n, max(longest, n)
 		}
 	}
-	op.recKeys, op.recEnds = make([]storage.ExtentKey, 0, keys), make([]int, 0, scans)
+	if op.prep != nil {
+		op.recKeys, op.recEnds = make([]storage.ExtentKey, 0, keys), make([]int, 0, scans)
+	} else if cap(op.keys) < longest {
+		op.keys = make([]storage.ExtentKey, 0, longest)
+	}
 }
 
 // install hands a finished recording to the Prepared, once every scan node
@@ -488,19 +494,28 @@ func (op *execOp) install() {
 	op.recKeys, op.recEnds = nil, nil
 }
 
+// shape is what appendSteps learns of a plan as it copies it: its scan
+// count, and its largest hash-join and aggregate builds, whose sum is the
+// grant (Plan.MemoryGrant).
+type shape struct {
+	scans     int
+	join, agg int64
+}
+
 // appendSteps copies the plan tree into steps in execution order: right
 // subtree (build side), left subtree (probe side), then the node itself.
 // Each product of the CPU units is rounded on its own (DESIGN.md,
 // "Determinism"), so that no platform fuses it into the sum.
-func (e *Executor) appendSteps(steps []step, n *plan.Node) []step {
+func (e *Executor) appendSteps(steps []step, n *plan.Node, sh *shape) []step {
 	if n == nil {
 		return steps
 	}
-	steps = e.appendSteps(steps, n.Right)
-	steps = e.appendSteps(steps, n.Left)
+	steps = e.appendSteps(steps, n.Right, sh)
+	steps = e.appendSteps(steps, n.Left, sh)
 	var s step
 	switch n.Op {
 	case plan.OpSeqScan, plan.OpIndexScan:
+		sh.scans++
 		s.tab, s.frac = e.table(n), n.ScanFraction
 		visited := float64(s.tab.Rows)
 		if n.Op == plan.OpIndexScan {
@@ -508,10 +523,12 @@ func (e *Executor) appendSteps(steps []step, n *plan.Node) []step {
 		}
 		s.units = visited * plan.CPURowCost
 	case plan.OpHashJoin:
+		sh.join = max(sh.join, n.BuildBytes)
 		build := n.Right.OutCard
 		probe := n.Left.OutCard
 		s.units = float64(build*plan.BuildRowCost) + float64(probe*plan.CPURowCost) + float64(n.OutCard*plan.CPURowCost)
 	case plan.OpHashAgg:
+		sh.agg = max(sh.agg, n.BuildBytes)
 		s.units = n.NodeCost // the optimizer's agg cost is pure CPU
 	}
 	return append(steps, s)
@@ -544,16 +561,20 @@ func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Pr
 	if op == nil {
 		op = &execOp{e: e}
 	}
-	op.steps = e.appendSteps(op.steps[:0], p.Root)
+	var sh shape
+	op.steps = e.appendSteps(slices.Grow(op.steps[:0], p.Nodes()), p.Root, &sh)
 	op.seed, op.prep, op.stp, op.errp, op.k = seed, prep, st, errp, k
 	op.st = Stats{}
 	op.seeded, op.si = false, 0
 	op.replay = prep != nil && prep.Scans() > 0
 	if op.replay {
+		if prep.Scans() != sh.scans {
+			panic(fmt.Sprintf("executor: replaying %d recorded scan lists on a plan of %d scans", prep.Scans(), sh.scans))
+		}
 		e.replayed++
 	}
 	op.startAt = t.Now()
-	op.granted = p.MemoryGrant()
+	op.granted = sh.join + sh.agg
 	op.state = exGranted
 	e.grants.AcquireThen(t, op.granted, &op.err, op)
 }

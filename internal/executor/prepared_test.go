@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"compilegate/internal/mem"
+	"compilegate/internal/optimizer"
 	"compilegate/internal/plan"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/storage"
@@ -224,5 +225,76 @@ func TestGeneratingAfterReplayLeavesListsIntact(t *testing.T) {
 	}
 	if op.recKeys != nil || op.scan != nil {
 		t.Error("a pooled op still references a recording or a plan's list")
+	}
+}
+
+// TestReplayOfAnotherPlanPanics: a recording replays only on a plan with
+// as many scans as it holds lists. Any other pairing is a bug in whoever
+// kept the lists, so the execution refuses it before it starts, naming
+// both counts.
+func TestReplayOfAnotherPlanPanics(t *testing.T) {
+	e := newEnv(mem.GiB)
+	p := e.plan(t, starQ(1))
+	lists := freshLists(e, p, 1)
+	if len(lists) != 2 {
+		t.Fatalf("plan of %d scans, want 2", len(lists))
+	}
+	one := &Prepared{keys: lists[0], ends: []int{len(lists[0])}}
+	defer func() {
+		want := "executor: replaying 1 recorded scan lists on a plan of 2 scans"
+		if got := recover(); got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	var err error
+	e.exec.ExecuteThen(nil, p, 1, one, nil, &err, nil)
+}
+
+// TestExecutionGrantIsThePlans: the grant an execution takes as it copies
+// the plan is Plan.MemoryGrant, for every OLTP statement, a draw of every
+// SALES template and a best-effort cut, and the copy has a step per node.
+func TestExecutionGrantIsThePlans(t *testing.T) {
+	e := newEnv(mem.GiB)
+	var plans []*plan.Plan
+	stmts := workload.SpecOLTP.StaticStatements()
+	sales, rng := workload.NewSales(), rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		stmts = append(stmts, sales.Next(rng))
+	}
+	for _, sql := range stmts {
+		q, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, e.plan(t, q))
+	}
+	q, err := sqlparser.Parse(stmts[len(stmts)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := e.opt.Optimize(q, optimizer.Hooks{BestEffort: func() bool { return true }})
+	if err != nil || !cut.BestEffort {
+		t.Fatalf("no best-effort cut: %v", err)
+	}
+	plans = append(plans, cut)
+
+	s := vtime.NewScheduler()
+	s.Go("client", func(tk *vtime.Task) {
+		for i, p := range plans {
+			var st Stats
+			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &st, errp, k) }); err != nil {
+				t.Error(err)
+			}
+			if st.GrantBytes != p.MemoryGrant() {
+				t.Errorf("plan %d: the execution took a grant of %d bytes, the plan needs %d\n%s", i, st.GrantBytes, p.MemoryGrant(), p)
+			}
+			var sh shape
+			if steps := e.exec.appendSteps(nil, p.Root, &sh); len(steps) != p.Nodes() || len(steps) != len(postorder(nil, p.Root)) {
+				t.Errorf("plan %d: %d steps for %d nodes (%d in its tree)", i, len(steps), p.Nodes(), len(postorder(nil, p.Root)))
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

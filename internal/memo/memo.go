@@ -19,6 +19,7 @@ package memo
 
 import (
 	"fmt"
+	"slices"
 
 	"compilegate/internal/u64hash"
 )
@@ -148,8 +149,27 @@ type Memo struct {
 	cleared int
 }
 
+// The arena floors. A compilation over floorTables tables or more starts its
+// memo at the size SALES compilations reach, so that a cold run allocates each
+// arena once: over four seeds of dss-governed a memo reached 301 groups and
+// 1 500 expressions on average, 699 and 3 965 at most, and of the powers of two
+// around these, 512 and 4096 allocated the fewest bytes per run. Fewer tables
+// never reach the floors (2^7-1 groups, under 3^7 expressions).
+const minGroups, minExprs, floorTables = 512, 4096, 8
+
 // New creates an empty memo.
 func New() *Memo { return &Memo{} }
+
+// Reserve makes room in an empty memo for a compilation over n tables and
+// returns the groups and expressions it made room for: the floors, or none.
+func (m *Memo) Reserve(tables int) (groups, exprs int) {
+	if tables < floorTables {
+		return 0, 0
+	}
+	m.groups, m.exprs = slices.Grow(m.groups, minGroups), slices.Grow(m.exprs, minExprs)
+	m.seen = slices.Grow(m.seen, seenWords(minGroups)) // zeroes what it adds: seen[len:cap] stays zero
+	return minGroups, minExprs
+}
 
 // Reset empties the memo for reuse, retaining every backing array. The
 // arenas are truncated, not cleared (slots are fully initialized on
@@ -210,16 +230,17 @@ func (m *Memo) addGroup(set, nbr uint64) GroupID {
 	return id
 }
 
-// growSeen extends the dedup matrix to cover n groups: n(n-1)/2 bits.
+// seenWords is the size of the dedup matrix over n groups: n(n-1)/2 bits.
+func seenWords(n int) int { return (n*(n-1)/2 + 63) / 64 }
+
+// growSeen extends the dedup matrix to cover n groups.
 func (m *Memo) growSeen(n int) {
-	words := (n*(n-1)/2 + 63) / 64
+	words := seenWords(n)
 	if words <= len(m.seen) {
 		return
 	}
 	if words > cap(m.seen) {
-		grown := make([]uint64, len(m.seen), 2*words)
-		copy(grown, m.seen)
-		m.seen = grown
+		m.seen = slices.Grow(m.seen, 2*words-len(m.seen)) // zeroes what it adds
 	}
 	m.seen = m.seen[:words]
 }

@@ -227,3 +227,51 @@ func TestStructSizes(t *testing.T) {
 		t.Errorf("Expr is %d bytes, want 16", n)
 	}
 }
+
+// TestSeenTailStaysZero: growSeen extends the dedup matrix by reslicing, so
+// every word past its length must be zero — after Reserve, after growth past
+// the floor, and after Reset.
+func TestSeenTailStaysZero(t *testing.T) {
+	m := New()
+	check := func(when string) {
+		t.Helper()
+		for i, w := range m.seen[len(m.seen):cap(m.seen)] {
+			if w != 0 {
+				t.Fatalf("%s: seen[%d] = %#x past the high-water word %d", when, len(m.seen)+i, w, len(m.seen))
+			}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		m.Reserve(64)
+		check("reserved")
+		intervalMemo(m, 45) // 1035 groups
+		if m.Groups() <= minGroups || cap(m.seen) <= seenWords(minGroups) {
+			t.Fatalf("%d groups in %d words did not grow past the floor", m.Groups(), cap(m.seen))
+		}
+		check("grown past the floor")
+		m.Reset()
+		check("reset")
+	}
+}
+
+// TestReserve: a compilation over 8 tables or more starts at the floors,
+// one over fewer reserves nothing, and reaching the floors regrows nothing.
+func TestReserve(t *testing.T) {
+	m := New()
+	if g, e := m.Reserve(7); g != 0 || e != 0 || cap(m.groups)+cap(m.exprs)+cap(m.seen) != 0 {
+		t.Fatalf("a 7-table compilation reserved %d groups and %d exprs", g, e)
+	}
+	if g, e := m.Reserve(8); g != minGroups || e != minExprs {
+		t.Fatalf("an 8-table compilation reserved %d groups and %d exprs, want the floors", g, e)
+	}
+	// A chain of n tables has n(n+1)/2 connected sets, each of them a group.
+	const n = 20
+	caps := [3]int{cap(m.groups), cap(m.exprs), cap(m.seen)}
+	intervalMemo(m, n)
+	if m.Groups() != n*(n+1)/2 || m.Groups() > minGroups || m.Exprs() > minExprs {
+		t.Fatalf("a %d-table chain made %d groups and %d exprs", n, m.Groups(), m.Exprs())
+	}
+	if grown := [3]int{cap(m.groups), cap(m.exprs), cap(m.seen)}; grown != caps {
+		t.Fatalf("arenas regrew from %v to %v inside the floors", caps, grown)
+	}
+}

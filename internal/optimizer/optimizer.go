@@ -194,7 +194,7 @@ var (
 	runPool = sync.Pool{New: func() any {
 		// 64 factors hold any query of up to 32 tables joined as a tree (the
 		// widest SALES statement has 41); a larger one grows the table.
-		return &run{tableOf: make(map[string]*catalog.Table), factors: make([]factor, 0, 64)}
+		return &run{factors: make([]factor, 0, 64)}
 	}}
 	memoPool = sync.Pool{New: func() any { return memo.New() }}
 )
@@ -270,12 +270,11 @@ type run struct {
 	q *plan.Query
 	m *memo.Memo
 
-	terms    []*plan.TableTerm         // query terms by table ID position
-	tabs     []*catalog.Table          // resolved tables, parallel to terms
-	tableOf  map[string]*catalog.Table // name -> table, for join validation
-	leafCard [64]float64               // filtered cardinality by table ID
-	leafSel  [64]float64               // combined filter selectivity by table ID
-	adjacent [64]uint64                // neighbor bitset by table ID
+	// Table sets are 64 bits wide, so every per-table array is too.
+	ids      [64]uint8   // resolved table IDs, in the query's order
+	leafCard [64]float64 // filtered cardinality by table ID
+	leafSel  [64]float64 // combined filter selectivity by table ID
+	adjacent [64]uint64  // neighbor bitset by table ID
 	// factors are the terms of every cardinality product, in the order they
 	// are multiplied: the query's leaves by ascending table ID, then its join
 	// edges in insertion order.
@@ -304,14 +303,10 @@ type run struct {
 	steps      int
 
 	// The extraction DP's tables, borrowed from dpPool between solve and
-	// unsolve, the prefix they hold a finished DP of (zero: none), and
-	// buildInitial scratch.
-	t         *dpTables
-	solved    batchMark
-	leaves    []memo.GroupID // leaf group per term
-	remaining []bool         // buildInitial: term not yet joined
-	aggCols   []struct{ Table, Column string }
-	initial   plan.Plan // the initial plan open costs
+	// unsolve, and the prefix they hold a finished DP of (zero: none).
+	t       *dpTables
+	solved  batchMark
+	initial plan.Plan // the initial plan open costs
 	// Plan-node arena for the current extraction: the plan's own.
 	arena     []plan.Node
 	arenaNext int
@@ -322,17 +317,15 @@ func (o *Optimizer) getRun(q *plan.Query) *run {
 	r := runPool.Get().(*run)
 	m := memoPool.Get().(*memo.Memo)
 	m.Reset()
+	groups, exprs := m.Reserve(len(q.Tables)) // the tape has a segment per step, cards one per group
 	r.mu.Lock()
 	r.o, r.q, r.m = o, q, m
-	r.terms = r.terms[:0]
-	r.tabs = r.tabs[:0]
-	clear(r.tableOf)
 	r.leafCard = [64]float64{}
 	r.leafSel = [64]float64{}
 	r.adjacent = [64]uint64{}
 	r.factors = r.factors[:0]
-	r.cards = r.cards[:0]
-	r.tape = r.tape[:0]
+	r.cards = slices.Grow(r.cards[:0], groups)
+	r.tape = slices.Grow(r.tape[:0], exprs)
 	// A compilation takes at most MaxTasks steps, so it jumps to no mark past
 	// this many; the kernel records no others.
 	if n := o.cfg.MaxTasks / o.cfg.WorkBatch; len(r.marks) < n {
@@ -772,38 +765,35 @@ func (r *run) resolve() error {
 		if t == nil {
 			return fmt.Errorf("optimizer: unknown table %s", term.Name)
 		}
-		r.tableOf[term.Name] = t
 		sel := r.o.est.CombinedSelectivity(term.Preds)
-		card := float64(t.Rows) * sel
-		if card < 1 {
-			card = 1
-		}
-		r.leafCard[t.ID] = card
+		r.leafCard[t.ID] = max(float64(t.Rows)*sel, 1) // at least 1; a NaN stays NaN
 		r.leafSel[t.ID] = sel
 		tables |= 1 << uint(t.ID)
-		r.terms = append(r.terms, term)
-		r.tabs = append(r.tabs, t)
+		r.ids[i] = uint8(t.ID)
 	}
 	for s := tables; s != 0; s &= s - 1 {
 		id := bits.TrailingZeros64(s)
 		r.factors = append(r.factors, factor{mask: 1 << uint(id), by: [2]float64{1, r.leafCard[id]}})
 	}
 	for _, j := range r.q.Joins {
-		a, b := r.tableOf[j.A], r.tableOf[j.B]
-		if a == nil || b == nil {
-			return fmt.Errorf("optimizer: join references unknown table %s-%s", j.A, j.B)
-		}
-		if r.adjacent[a.ID]&(1<<uint(b.ID)) != 0 {
+		a, b := r.tableID(j.A), r.tableID(j.B)
+		if r.adjacent[a]&(1<<b) != 0 {
 			continue // repeated edge: one selectivity factor per table pair
 		}
-		r.adjacent[a.ID] |= 1 << uint(b.ID)
-		r.adjacent[b.ID] |= 1 << uint(a.ID)
+		r.adjacent[a] |= 1 << b
+		r.adjacent[b] |= 1 << a
 		r.factors = append(r.factors, factor{
-			mask: 1<<uint(a.ID) | 1<<uint(b.ID),
+			mask: 1<<a | 1<<b,
 			by:   [2]float64{1, r.o.est.JoinSelectivity(j.A, j.B)},
 		})
 	}
 	return nil
+}
+
+// tableID returns the ID of the query's table named name, which Validate
+// found among them.
+func (r *run) tableID(name string) uint8 {
+	return r.ids[slices.IndexFunc(r.q.Tables, func(t plan.TableTerm) bool { return t.Name == name })]
 }
 
 // factor is one term of the cardinality product: a leaf's filtered
@@ -884,44 +874,41 @@ func (r *run) fillCards(n int, yield bool) bool {
 // structure and leaving the root group in r.root. This is the "first
 // complete plan" dynamic optimization starts from.
 func (r *run) buildInitial() error {
-	m := r.m
-	r.leaves = r.leaves[:0]
-	for i := range r.terms {
-		t := r.tabs[i]
-		r.leaves = append(r.leaves, m.AddLeaf(t.ID, r.adjacent[t.ID]))
+	// The memo is empty and the tables are distinct, so table i's leaf is
+	// group i.
+	m, n := r.m, len(r.q.Tables)
+	for _, id := range r.ids[:n] {
+		m.AddLeaf(int(id), r.adjacent[id])
 		r.tape = append(r.tape, segGroup)
 	}
-	if len(r.terms) == 1 {
-		r.root = r.leaves[0]
+	if n == 1 {
+		r.root = 0
 		return nil
 	}
 
 	// Pick the smallest filtered leaf as the seed, then greedily join the
-	// connected table that minimizes intermediate cardinality.
-	r.remaining = r.remaining[:0]
-	for range r.terms {
-		r.remaining = append(r.remaining, true)
-	}
+	// connected table that minimizes intermediate cardinality. Bit i of
+	// remaining is table i, not yet joined.
 	curIdx := 0
-	for i := range r.terms {
-		if r.leafCard[r.tabs[i].ID] < r.leafCard[r.tabs[curIdx].ID] {
+	for i := range n {
+		if r.leafCard[r.ids[i]] < r.leafCard[r.ids[curIdx]] {
 			curIdx = i
 		}
 	}
-	cur := r.leaves[curIdx]
-	r.remaining[curIdx] = false
-	for left := len(r.terms) - 1; left > 0; left-- {
+	cur := memo.GroupID(curIdx)
+	remaining := (uint64(1)<<n - 1) &^ (1 << curIdx)
+	for left := n - 1; left > 0; left-- {
 		curSet, curNbr := m.Group(cur).Set, m.Group(cur).Nbr
 		bestIdx := -1
 		bestCard := math.Inf(1)
-		for i := 0; i < len(r.terms); {
+		for i := 0; i < n; {
 			// The next four connected candidates, estimated together.
 			var cand [4]int
 			var sets [4]uint64
 			k := 0
-			for ; i < len(r.terms) && k < 4; i++ {
-				bit := uint64(1) << uint(r.tabs[i].ID)
-				if r.remaining[i] && curNbr&bit != 0 {
+			for ; i < n && k < 4; i++ {
+				bit := uint64(1) << r.ids[i]
+				if remaining&(1<<i) != 0 && curNbr&bit != 0 {
 					cand[k], sets[k] = i, curSet|bit
 					k++
 				}
@@ -939,12 +926,12 @@ func (r *run) buildInitial() error {
 		if bestIdx < 0 {
 			// Validate() guarantees connectivity, so this is unreachable
 			// unless the query lied; fail loudly.
-			return fmt.Errorf("optimizer: disconnected join graph at %s", r.terms[curIdx].Name)
+			return fmt.Errorf("optimizer: disconnected join graph at %s", r.q.Tables[curIdx].Name)
 		}
 		// Each join covers one table more than the last: its group is new.
-		cur, _ = m.AddJoin(cur, r.leaves[bestIdx])
+		cur, _ = m.AddJoin(cur, memo.GroupID(bestIdx))
 		r.tape = append(r.tape, segGroup)
-		r.remaining[bestIdx] = false
+		remaining &^= 1 << bestIdx
 	}
 	r.root = cur
 	return nil
@@ -1194,11 +1181,8 @@ func (r *run) extract(at batchMark, out *plan.Plan) *plan.Plan {
 	node := r.buildNode(root)
 	// Aggregation on top.
 	if len(r.q.GroupBy) > 0 {
-		groups := r.groupByDistinct(node.OutCard)
-		aggs := r.q.Aggregates
-		if aggs < 1 {
-			aggs = 1
-		}
+		groups := r.o.est.DistinctAfterGroupBy(node.OutCard, r.q.GroupBy)
+		aggs := max(r.q.Aggregates, 1)
 		aggCost := float64(node.OutCard*plan.AggRowCost*float64(aggs)) + float64(groups*plan.BuildRowCost)
 		agg := r.newNode()
 		*agg = plan.Node{
@@ -1232,16 +1216,6 @@ func (r *run) newNode() *plan.Node {
 	n := &r.arena[r.arenaNext]
 	r.arenaNext++
 	return n
-}
-
-// groupByDistinct estimates the aggregate's output groups, reusing the
-// run's column scratch.
-func (r *run) groupByDistinct(card float64) float64 {
-	r.aggCols = r.aggCols[:0]
-	for _, c := range r.q.GroupBy {
-		r.aggCols = append(r.aggCols, struct{ Table, Column string }{c.Table, c.Column})
-	}
-	return r.o.est.DistinctAfterGroupBy(card, r.aggCols)
 }
 
 // buildNode materializes the chosen expression tree for g out of the

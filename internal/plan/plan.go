@@ -13,12 +13,7 @@ import (
 )
 
 // ColRef names a column of a table.
-type ColRef struct {
-	Table, Column string
-}
-
-// String renders the reference.
-func (c ColRef) String() string { return c.Table + "." + c.Column }
+type ColRef = stats.ColRef
 
 // TableTerm is one table referenced by a query with its local filter
 // predicates.
@@ -262,8 +257,12 @@ func (p *Plan) MemoryGrant() int64 {
 	return maxBuild + agg
 }
 
-// Nodes returns the plan's node count.
+// Nodes returns the plan's node count: the length of its arena (Reuse), or
+// for a hand-built plan the size of its tree.
 func (p *Plan) Nodes() int {
+	if p.nodes != nil {
+		return len(p.nodes)
+	}
 	count := 0
 	walk(p.Root, 0, func(*Node, int) { count++ })
 	return count

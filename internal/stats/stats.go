@@ -227,9 +227,17 @@ func (e *Estimator) JoinCardinality(cardA, cardB float64, a, b string) float64 {
 	return cardA * cardB * e.JoinSelectivity(a, b)
 }
 
+// ColRef names a column of a table.
+type ColRef struct {
+	Table, Column string
+}
+
+// String renders the reference.
+func (c ColRef) String() string { return c.Table + "." + c.Column }
+
 // DistinctAfterGroupBy estimates the output cardinality of a GROUP BY on
 // the given columns, capped at the input cardinality.
-func (e *Estimator) DistinctAfterGroupBy(input float64, cols []struct{ Table, Column string }) float64 {
+func (e *Estimator) DistinctAfterGroupBy(input float64, cols []ColRef) float64 {
 	d := 1.0
 	for _, c := range cols {
 		h := e.Histogram(c.Table, c.Column)

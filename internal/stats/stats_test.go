@@ -118,7 +118,7 @@ func TestPredString(t *testing.T) {
 func TestGroupByCap(t *testing.T) {
 	c := catalog.NewSales(catalog.SalesConfig{Scale: 0.01, ExtentBytes: 8 << 20})
 	e := NewEstimator(c)
-	cols := []struct{ Table, Column string }{{"dim_date", "year"}}
+	cols := []ColRef{{"dim_date", "year"}}
 	if got := e.DistinctAfterGroupBy(5, cols); got != 5 {
 		t.Fatalf("groupby estimate = %v exceeds input 5", got)
 	}
