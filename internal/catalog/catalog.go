@@ -125,9 +125,6 @@ func (c *Catalog) Table(name string) *Table { return c.tables[name] }
 // Tables returns all tables in creation order.
 func (c *Catalog) Tables() []*Table { return c.order }
 
-// FKs returns the foreign-key edges.
-func (c *Catalog) FKs() []FKEdge { return c.fks }
-
 // FK returns the edge joining the two tables (in either direction), or
 // false when none exists.
 func (c *Catalog) FK(a, b string) (FKEdge, bool) {
@@ -156,15 +153,6 @@ func (c *Catalog) TotalExtents() int64 {
 	var n int64
 	for _, t := range c.order {
 		n += c.Extents(t)
-	}
-	return n
-}
-
-// TotalBytes returns the whole database's data size.
-func (c *Catalog) TotalBytes() int64 {
-	var n int64
-	for _, t := range c.order {
-		n += t.Bytes()
 	}
 	return n
 }

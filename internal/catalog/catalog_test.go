@@ -14,7 +14,11 @@ func TestSalesShape(t *testing.T) {
 	if fact.Rows < 400_000_000 {
 		t.Fatalf("fact rows = %d, paper says >400M", fact.Rows)
 	}
-	totalGB := float64(c.TotalBytes()) / 1e9
+	var total int64
+	for _, tb := range c.Tables() {
+		total += tb.Bytes()
+	}
+	totalGB := float64(total) / 1e9
 	if totalGB < 495 || totalGB > 555 {
 		t.Fatalf("database size = %.0f GB, paper says 524 GB", totalGB)
 	}
@@ -22,8 +26,8 @@ func TestSalesShape(t *testing.T) {
 		t.Fatalf("only %d tables; need a rich snowflake for 15-20 join queries", len(c.Tables()))
 	}
 	// The join graph must connect enough tables for 15-20 join queries.
-	if len(c.FKs()) < 15 {
-		t.Fatalf("only %d FK edges", len(c.FKs()))
+	if len(c.fks) < 15 {
+		t.Fatalf("only %d FK edges", len(c.fks))
 	}
 }
 
@@ -60,7 +64,7 @@ func TestFKLookup(t *testing.T) {
 // second, later edge over the same pair, which must stay shadowed.
 func TestFKIndexMatchesEdgeScan(t *testing.T) {
 	scan := func(c *Catalog, a, b string) (FKEdge, bool) {
-		for _, e := range c.FKs() {
+		for _, e := range c.fks {
 			if (e.Child == a && e.Parent == b) || (e.Child == b && e.Parent == a) {
 				return e, true
 			}

@@ -33,7 +33,7 @@ func TestColdRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const statements, bound = 20, 12.0
+	const statements, bound = 20, 9.0
 	stmts := salesDraws(statements)
 	sched := vtime.NewScheduler()
 	cat := catalog.NewSales(catalog.SalesConfig{Scale: 0.04, ExtentBytes: 8 << 20})

@@ -260,17 +260,9 @@ type Server struct {
 	compileHist *metrics.Histogram
 	execHist    *metrics.Histogram
 
-	// Component memory traces sampled every broker interval.
-	poolTrace, compileTrace, execTrace *metrics.Trace
-	activeCompileTrace                 *metrics.Trace
-	// overcommitTrace samples the budget's overcommit ratio in permille
-	// (the thrash severity the pressure model responds to).
-	overcommitTrace *metrics.Trace
-
 	// compile-memory per-query profile (for the compile-memory
-	// experiments): sum/count/max in bytes.
+	// experiments): sum/max in bytes; compileHist counts the queries.
 	compileMemSum, compileMemMax int64
-	compileMemN                  int64
 
 	// Host-side state that simulates nothing (one scheduler per server, no
 	// locking): the statement table, and the free list of submissions.
@@ -316,12 +308,6 @@ func NewShared(cfg Config, cat *catalog.Catalog, pre Prebuilt, sched *vtime.Sche
 		rec:         metrics.NewRecorder(cfg.SliceDur),
 		compileHist: metrics.NewHistogram(time.Second, 10*time.Second, 30*time.Second, time.Minute, 75*time.Second, 90*time.Second, 2*time.Minute, 3*time.Minute, 5*time.Minute),
 		execHist:    metrics.NewHistogram(10*time.Second, 30*time.Second, time.Minute, 5*time.Minute, 10*time.Minute, 30*time.Minute),
-
-		poolTrace:          metrics.NewTrace("bufferpool"),
-		compileTrace:       metrics.NewTrace("compile"),
-		execTrace:          metrics.NewTrace("exec"),
-		activeCompileTrace: metrics.NewTrace("active-compiles"),
-		overcommitTrace:    metrics.NewTrace("overcommit-permille"),
 
 		statements: statements{
 			static:     pre.Statements,
@@ -506,11 +492,13 @@ func (s *Server) housekeepingTick(t *vtime.Task) {
 			s.pool.StealPages(int64(s.cfg.Pressure.StealFrac * float64(over)))
 		}
 	}
-	s.poolTrace.Add(t.Now(), s.pool.Bytes())
-	s.compileTrace.Add(t.Now(), s.gov.Tracker().Used())
-	s.execTrace.Add(t.Now(), s.exec.Grants().Tracker().Used())
-	s.activeCompileTrace.Add(t.Now(), int64(s.gov.Active()))
-	s.overcommitTrace.Add(t.Now(), int64(s.budget.OvercommitRatio()*1000))
+	s.rec.RecordGauges(t.Now(), metrics.Gauges{
+		PoolBytes:          s.pool.Bytes(),
+		CompileBytes:       s.gov.Tracker().Used(),
+		ExecBytes:          s.exec.Grants().Tracker().Used(),
+		ActiveCompiles:     int64(s.gov.Active()),
+		OvercommitPermille: int64(s.budget.OvercommitRatio() * 1000),
+	})
 }
 
 // Close stops the housekeeping task after in-flight work finishes. The
@@ -589,9 +577,6 @@ func (s *Server) SetDiskFault(mul float64) {
 // limit (physical + swap) is exhausted.
 func (s *Server) LeakBallast(n int64) error { return s.ballast.Reserve(n) }
 
-// BallastBytes returns the ballast currently held.
-func (s *Server) BallastBytes() int64 { return s.ballast.Used() }
-
 // DropBallast releases all leak ballast (the faulty component was
 // restarted or the leak cleared).
 func (s *Server) DropBallast() { s.ballast.ReleaseAll() }
@@ -649,12 +634,6 @@ func classify(err error) string {
 // Recorder returns the completion/error recorder.
 func (s *Server) Recorder() *metrics.Recorder { return s.rec }
 
-// Budget returns the machine memory budget.
-func (s *Server) Budget() *mem.Budget { return s.budget }
-
-// Broker returns the memory broker (nil when disabled).
-func (s *Server) Broker() *broker.Broker { return s.brk }
-
 // Governor returns the compilation governor.
 func (s *Server) Governor() *core.Governor { return s.gov }
 
@@ -699,14 +678,8 @@ func (s *Server) BufferPool() *bufferpool.Pool { return s.pool }
 // PlanCache returns the plan cache.
 func (s *Server) PlanCache() *plancache.Cache { return s.cache }
 
-// Executor returns the execution engine.
-func (s *Server) Executor() *executor.Executor { return s.exec }
-
 // Optimizer returns the optimizer.
 func (s *Server) Optimizer() *optimizer.Optimizer { return s.opt }
-
-// CPU returns the processor pool.
-func (s *Server) CPU() *vtime.CPUSet { return s.cpu }
 
 // CompileTimes returns the compile-latency histogram.
 func (s *Server) CompileTimes() *metrics.Histogram { return s.compileHist }
@@ -714,27 +687,17 @@ func (s *Server) CompileTimes() *metrics.Histogram { return s.compileHist }
 // ExecTimes returns the execution-latency histogram.
 func (s *Server) ExecTimes() *metrics.Histogram { return s.execHist }
 
-// Traces returns the component memory traces sampled every broker
-// interval: buffer pool bytes, compile bytes, execution-grant bytes, and
-// the number of concurrently open compilations.
-func (s *Server) Traces() (pool, compile, exec, activeCompiles *metrics.Trace) {
-	return s.poolTrace, s.compileTrace, s.execTrace, s.activeCompileTrace
-}
-
-// OvercommitTrace returns the overcommit-ratio samples (permille, every
-// broker interval) — the thrash-severity curve of the run.
-func (s *Server) OvercommitTrace() *metrics.Trace { return s.overcommitTrace }
-
 // PageStealBytes returns how much buffer-pool memory the pager stole
 // while the machine was overcommitted.
 func (s *Server) PageStealBytes() int64 { return s.pool.StolenBytes() }
 
 // CompileMemProfile returns (mean, max) per-query compile memory in bytes.
 func (s *Server) CompileMemProfile() (mean, max int64) {
-	if s.compileMemN == 0 {
+	n := s.compileHist.Count()
+	if n == 0 {
 		return 0, 0
 	}
-	return s.compileMemSum / s.compileMemN, s.compileMemMax
+	return s.compileMemSum / n, s.compileMemMax
 }
 
 // Report renders a diagnostic summary.

@@ -48,7 +48,7 @@ func TestSubmitLifecycle(t *testing.T) {
 	if srv.Governor().Tracker().Used() != 0 {
 		t.Fatal("compile memory leaked")
 	}
-	if srv.Executor().Grants().Tracker().Used() != 0 {
+	if srv.exec.Grants().Tracker().Used() != 0 {
 		t.Fatal("grant leaked")
 	}
 	if mean, max := srv.CompileMemProfile(); mean <= 0 || max < mean {
@@ -208,18 +208,20 @@ func TestThrottleDisabledHasNoChain(t *testing.T) {
 func TestHousekeepingTicksBroker(t *testing.T) {
 	srv, sched := testServer(t, nil)
 	sched.Go("client", func(tk *vtime.Task) {
+		if err := srv.Submit(tk, "SELECT * FROM dim_channel WHERE dim_channel.channel_id = 1"); err != nil {
+			t.Error(err)
+		}
 		tk.Sleep(time.Minute)
 		srv.Close()
 	})
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Broker().Ticks() == 0 {
+	if srv.brk.Ticks() == 0 {
 		t.Fatal("broker never ticked")
 	}
-	pool, _, _, _ := srv.Traces()
-	if len(pool.Points) == 0 {
-		t.Fatal("no pool trace samples")
+	if srv.rec.GaugeMeans(0, srv.rec.SliceDur()).PoolBytes == 0 {
+		t.Fatal("no pool gauge samples")
 	}
 }
 

@@ -103,37 +103,37 @@ func TestDiskFaultDilation(t *testing.T) {
 	// With the pressure model on, the stall factor composes with the
 	// paging slowdown.
 	pressured, _ := testServer(t, nil)
-	if got, want := pressured.diskDilation(), pressured.Budget().Slowdown(); got != want {
+	if got, want := pressured.diskDilation(), pressured.budget.Slowdown(); got != want {
 		t.Fatalf("pressured idle dilation = %v, want %v", got, want)
 	}
 	pressured.SetDiskFault(2)
-	if got, want := pressured.diskDilation(), 2*pressured.Budget().Slowdown(); got != want {
+	if got, want := pressured.diskDilation(), 2*pressured.budget.Slowdown(); got != want {
 		t.Fatalf("pressured stalled dilation = %v, want %v", got, want)
 	}
 }
 
 func TestLeakBallastAccounting(t *testing.T) {
 	srv, _ := testServer(t, nil)
-	if got := srv.BallastBytes(); got != 0 {
+	if got := srv.ballast.Used(); got != 0 {
 		t.Fatalf("initial ballast = %d", got)
 	}
 	if err := srv.LeakBallast(64 * mem.MiB); err != nil {
 		t.Fatalf("LeakBallast: %v", err)
 	}
-	if got := srv.BallastBytes(); got != 64*mem.MiB {
+	if got := srv.ballast.Used(); got != 64*mem.MiB {
 		t.Fatalf("ballast = %d, want %d", got, 64*mem.MiB)
 	}
-	if used := srv.Budget().Used(); used < 64*mem.MiB {
+	if used := srv.budget.Used(); used < 64*mem.MiB {
 		t.Fatalf("budget used = %d; ballast not charged", used)
 	}
 	// Ballast may overcommit into swap, but not past the commit limit.
-	if err := srv.LeakBallast(3 * srv.Budget().Total()); err == nil {
+	if err := srv.LeakBallast(3 * srv.budget.Total()); err == nil {
 		t.Fatal("ballast past the commit limit must fail")
 	} else if !errclass.IsOOM(err) {
 		t.Fatalf("over-limit ballast error %v not classified OOM", err)
 	}
 	srv.DropBallast()
-	if got := srv.BallastBytes(); got != 0 {
+	if got := srv.ballast.Used(); got != 0 {
 		t.Fatalf("ballast after drop = %d", got)
 	}
 	if err := srv.CheckInvariants(); err != nil {
@@ -146,9 +146,9 @@ func TestLeakBallastAccounting(t *testing.T) {
 // profile is the zero pair.
 func TestAccessorSurface(t *testing.T) {
 	srv, _ := testServer(t, nil)
-	if srv.Budget() == nil || srv.BufferPool() == nil || srv.Optimizer() == nil ||
-		srv.CPU() == nil || srv.CompileTimes() == nil || srv.ExecTimes() == nil ||
-		srv.OvercommitTrace() == nil {
+	if srv.Recorder() == nil || srv.Governor() == nil || srv.BufferPool() == nil ||
+		srv.PlanCache() == nil || srv.Optimizer() == nil || srv.CompileTimes() == nil ||
+		srv.ExecTimes() == nil {
 		t.Fatal("nil diagnostic accessor")
 	}
 	if mean, max := srv.CompileMemProfile(); mean != 0 || max != 0 {

@@ -47,10 +47,10 @@ func TestBestEffortPlanDrawsItsLists(t *testing.T) {
 		if !srv.cache.Put(id.Fingerprint, id.Static, cut) {
 			t.Fatal("the best-effort plan was not cached")
 		}
-		replayed := srv.Executor().Replayed()
+		replayed := srv.exec.Replayed()
 		submit()
 		submit()
-		if got := srv.Executor().Replayed(); got != replayed {
+		if got := srv.exec.Replayed(); got != replayed {
 			t.Errorf("%d executions of the best-effort plan replayed", got-replayed)
 		}
 		if lists.Scans() != 1 {
@@ -76,11 +76,11 @@ func TestCrashMidExecutionInstallsNothing(t *testing.T) {
 		if err := srv.Submit(tk, joinSQL); err != nil {
 			t.Errorf("Submit: %v", err)
 		}
-		executed := srv.Executor().Executed()
+		executed := srv.exec.Executed()
 		if err := srv.Submit(tk, joinSQL); err != ErrCrashed {
 			t.Errorf("Submit across a crash = %v, want ErrCrashed", err)
 		}
-		if srv.Executor().Executed() != executed+1 {
+		if srv.exec.Executed() != executed+1 {
 			t.Error("the crash did not land mid-execution; test is vacuous")
 		}
 		if srv.PlanCache().Len() != 0 {
@@ -91,7 +91,7 @@ func TestCrashMidExecutionInstallsNothing(t *testing.T) {
 				t.Errorf("post-restart Submit: %v", err)
 			}
 		}
-		if r := srv.Executor().Replayed(); r != 0 {
+		if r := srv.exec.Replayed(); r != 0 {
 			t.Errorf("%d executions of text outside the closed set replayed", r)
 		}
 	})
@@ -200,11 +200,11 @@ func TestStaticStatementKeepsItsLists(t *testing.T) {
 		// for it and whether its execution replayed.
 		submit := func(sql string) (compiled, replayed bool) {
 			t.Helper()
-			c, r := srv.Governor().Started(), srv.Executor().Replayed()
+			c, r := srv.Governor().Started(), srv.exec.Replayed()
 			if err := srv.Submit(tk, sql); err != nil {
 				t.Errorf("Submit: %v", err)
 			}
-			return srv.Governor().Started() > c, srv.Executor().Replayed() > r
+			return srv.Governor().Started() > c, srv.exec.Replayed() > r
 		}
 		if compiled, replayed := submit(pointSQL); !compiled || replayed {
 			t.Errorf("first submission: compiled %t, replayed %t", compiled, replayed)

@@ -35,13 +35,13 @@ func TestRecycledPlanIsUnobservable(t *testing.T) {
 			rendered := p.String()
 
 			// Hold every byte of execution memory, so that the hit queues.
-			grants := srv.Executor().Grants()
+			grants := srv.exec.Grants()
 			hog := grants.Tracker().Limit() - grants.Tracker().Used()
 			grants.Tracker().MustReserve(hog)
 			done := false
 			sched.Go("hit", func(tk *vtime.Task) {
 				out.err = tk.AwaitErr(func(errp *error, k vtime.Step) {
-					srv.Executor().ExecuteThen(tk, p, identify(joinSQL).Seed, nil, &out.st, errp, k)
+					srv.exec.ExecuteThen(tk, p, identify(joinSQL).Seed, nil, &out.st, errp, k)
 				})
 				done = true
 			})

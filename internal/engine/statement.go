@@ -477,7 +477,6 @@ func (a *attempt) finish(t *vtime.Task, p *plan.Plan, err error) {
 		s.compileHist.Observe(t.Now() - a.start)
 		p.CompileBytes = peak
 		s.compileMemSum += peak
-		s.compileMemN++
 		if peak > s.compileMemMax {
 			s.compileMemMax = peak
 		}

@@ -91,7 +91,7 @@ func TestCrashRestartLeavesAFreshServersRecords(t *testing.T) {
 			g := srv.gov
 			started, finished, aborted := g.Started(), g.Finished(), g.Aborted()
 			hits, misses := srv.cache.Hits(), srv.cache.Misses()
-			memSum, memN := srv.compileMemSum, srv.compileMemN
+			memSum, memN := srv.compileMemSum, srv.compileHist.Count()
 			step := func(name, sql string, failing bool) {
 				if failing {
 					squeeze()
@@ -102,7 +102,7 @@ func TestCrashRestartLeavesAFreshServersRecords(t *testing.T) {
 				}
 				steps = append(steps, fmt.Sprintf("%s: err=%v started=%d finished=%d aborted=%d hits=%d misses=%d compile-mem=%d/%d cached=%d retained=%v",
 					name, err, g.Started()-started, g.Finished()-finished, g.Aborted()-aborted,
-					srv.cache.Hits()-hits, srv.cache.Misses()-misses, srv.compileMemSum-memSum, srv.compileMemN-memN,
+					srv.cache.Hits()-hits, srv.cache.Misses()-misses, srv.compileMemSum-memSum, srv.compileHist.Count()-memN,
 					srv.cache.Len(), len(retainedTexts(srv))))
 			}
 			step("closed set, cold cache", pointSQL, false)

@@ -13,24 +13,23 @@ import (
 )
 
 // aggregate fills the run's Result from the fleet's measurements. Counters
-// sum; rates pool (Σhits / Σaccesses); latency quantiles come from merged
-// histograms; the overcommit ratio averages across nodes (each node is a
-// whole machine). At one node every pooled figure is the server's own, no
-// router exists (router is nil) and there is no per-node breakdown.
-// faultStats is nil for a clean run.
+// and window-mean gauges sum; rates pool (Σhits / Σaccesses); latency
+// quantiles come from merged histograms; the overcommit ratio averages
+// across nodes (each node is a whole machine). One node takes the same
+// path, which pools to the server's own figures; with no router (router is
+// nil) there is no per-node breakdown. faultStats is nil for a clean run.
 func aggregate(s Scenario, nodes []*engine.Server, router *cluster.Router, loadStats *workload.LoadStats, faultStats *fault.Stats, events uint64) *Result {
 	res := &Result{
-		Options:   s,
-		Series:    fleetSeries(nodes, s.Warmup, s.Horizon),
-		Load:      *loadStats,
-		SimEvents: events,
-		Fault:     faultStats,
+		Options:      s,
+		Series:       fleetSeries(nodes, s.Warmup, s.Horizon),
+		ErrorsByKind: make(map[string]int64),
+		Load:         *loadStats,
+		SimEvents:    events,
+		Fault:        faultStats,
 	}
 	if router == nil {
-		res.ErrorsByKind = nodes[0].Recorder().Errors()
 		res.Report = nodes[0].Report()
 	} else {
-		res.ErrorsByKind = make(map[string]int64)
 		res.NodeResults = make([]NodeResult, len(nodes))
 		res.Rerouted = router.Rerouted()
 		res.Resubmitted = router.Resubmitted()
@@ -74,9 +73,9 @@ func aggregate(s Scenario, nodes []*engine.Server, router *cluster.Router, loadS
 				nr.BreakerTransitions = router.BreakerTransitions(i)
 			}
 			res.NodeResults[i] = nr
-			for kind, n := range rec.Errors() {
-				res.ErrorsByKind[kind] += n
-			}
+		}
+		for kind, n := range rec.Errors() {
+			res.ErrorsByKind[kind] += n
 		}
 
 		res.Completed += nr.Completed
@@ -100,12 +99,12 @@ func aggregate(s Scenario, nodes []*engine.Server, router *cluster.Router, loadS
 		cacheHits += nr.PlanCacheHits
 		cacheMisses += nr.PlanCacheMisses
 
-		poolTr, compTr, execTr, activeTr := srv.Traces()
-		res.AvgPoolBytes += traceWindowAvg(poolTr, s.Warmup, s.Horizon)
-		res.AvgCompileBytes += traceWindowAvg(compTr, s.Warmup, s.Horizon)
-		res.AvgExecBytes += traceWindowAvg(execTr, s.Warmup, s.Horizon)
-		res.AvgActiveCompiles += float64(traceWindowAvg(activeTr, s.Warmup, s.Horizon))
-		overcommit += traceWindowAvg(srv.OvercommitTrace(), s.Warmup, s.Horizon)
+		g := rec.GaugeMeans(s.Warmup, s.Horizon)
+		res.AvgPoolBytes += g.PoolBytes
+		res.AvgCompileBytes += g.CompileBytes
+		res.AvgExecBytes += g.ExecBytes
+		res.AvgActiveCompiles += float64(g.ActiveCompiles)
+		overcommit += g.OvercommitPermille
 		res.PageStealBytes += srv.PageStealBytes()
 	}
 
@@ -130,11 +129,8 @@ func aggregate(s Scenario, nodes []*engine.Server, router *cluster.Router, loadS
 }
 
 // fleetSeries is the fleet's completion series over [from, to): the
-// server's own at one node, the per-slice sum over nodes otherwise.
+// per-slice sum over nodes.
 func fleetSeries(nodes []*engine.Server, from, to time.Duration) []metrics.Point {
-	if len(nodes) == 1 {
-		return nodes[0].Recorder().CompletionSeries(from, to)
-	}
 	per := make([][]metrics.Point, len(nodes))
 	for i, srv := range nodes {
 		per[i] = srv.Recorder().CompletionSeries(from, to)
@@ -143,11 +139,8 @@ func fleetSeries(nodes []*engine.Server, from, to time.Duration) []metrics.Point
 }
 
 // fleetHistogram is one latency histogram for the whole fleet: the
-// server's own at one node, a bucket-wise merge otherwise.
+// bucket-wise merge over nodes.
 func fleetHistogram(nodes []*engine.Server, of func(*engine.Server) *metrics.Histogram) *metrics.Histogram {
-	if len(nodes) == 1 {
-		return of(nodes[0])
-	}
 	per := make([]*metrics.Histogram, len(nodes))
 	for i, srv := range nodes {
 		per[i] = of(srv)

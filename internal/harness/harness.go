@@ -135,22 +135,6 @@ type NodeResult struct {
 	BreakerTransitions []cluster.BreakerTransition
 }
 
-// traceWindowAvg averages trace samples with T in [from, to).
-func traceWindowAvg(tr *metrics.Trace, from, to time.Duration) int64 {
-	var sum, n int64
-	for _, p := range tr.Points {
-		if p.T < from || p.T >= to {
-			continue
-		}
-		sum += p.V
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / n
-}
-
 // Throughput returns completions per hour inside the window.
 func (r *Result) Throughput() float64 {
 	window := (r.Options.Horizon - r.Options.Warmup).Hours()

@@ -230,9 +230,3 @@ func (s Scenario) WithSeed(seed int64) Scenario {
 	s.Seed = seed
 	return s
 }
-
-// WithClients returns a copy at a different client count.
-func (s Scenario) WithClients(n int) Scenario {
-	s.Clients = n
-	return s
-}

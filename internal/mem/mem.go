@@ -171,14 +171,6 @@ func (b *Budget) reclaim(want int64) int64 {
 	return freed
 }
 
-// Usage is a point-in-time snapshot of one component's reservation.
-type Usage struct {
-	Name  string
-	Used  int64
-	Peak  int64
-	Limit int64 // 0 when the tracker has no cap
-}
-
 // CheckConservation audits the budget's double-entry bookkeeping: every
 // byte of Used is attributed to exactly one tracker, the wired total is
 // the sum over non-reclaimable trackers, and each group's usage is the
@@ -212,16 +204,6 @@ func (b *Budget) CheckConservation() error {
 		}
 	}
 	return nil
-}
-
-// Snapshot returns per-component usage sorted by name.
-func (b *Budget) Snapshot() []Usage {
-	out := make([]Usage, 0, len(b.trackers))
-	for _, t := range b.trackers {
-		out = append(out, Usage{Name: t.name, Used: t.used, Peak: t.peak, Limit: t.limit})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Group is a sub-budget shared by several trackers: reservations by member

@@ -145,16 +145,17 @@ func TestReleaseAll(t *testing.T) {
 	}
 }
 
-func TestSnapshotSorted(t *testing.T) {
+func TestTrackerUsageByName(t *testing.T) {
 	b := NewBudget(100)
-	b.NewTracker("zeta").MustReserve(1)
-	b.NewTracker("alpha").MustReserve(2)
-	snap := b.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "alpha" || snap[1].Name != "zeta" {
-		t.Fatalf("snapshot = %+v", snap)
+	zeta, alpha := b.NewTracker("zeta"), b.NewTracker("alpha")
+	zeta.MustReserve(1)
+	alpha.MustReserve(2)
+	if zeta.Name() != "zeta" || alpha.Name() != "alpha" {
+		t.Fatalf("names = %q, %q", zeta.Name(), alpha.Name())
 	}
-	if snap[0].Used != 2 {
-		t.Fatalf("alpha used = %d", snap[0].Used)
+	if alpha.Used() != 2 || alpha.Peak() != 2 || alpha.Limit() != 0 || zeta.Used() != 1 || b.Used() != 3 {
+		t.Fatalf("alpha used %d peak %d limit %d, zeta used %d, budget used %d",
+			alpha.Used(), alpha.Peak(), alpha.Limit(), zeta.Used(), b.Used())
 	}
 }
 

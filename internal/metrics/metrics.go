@@ -1,7 +1,6 @@
 // Package metrics collects the measurements the paper reports: successful
 // query completions per time slice, error counts by kind, latency
-// distributions, and named time-series traces (memory-over-time curves for
-// Figure 2).
+// distributions, and per-slice sums of the gauges the broker samples.
 //
 // Everything is keyed by virtual time and safe for single-threaded use from
 // vtime task context.
@@ -16,14 +15,42 @@ import (
 )
 
 // Recorder aggregates completions and errors into fixed-width time slices,
-// mirroring the "Successful Queries/Time" axes of Figures 3-5. An error is
-// counted by the index of its kind in kinds, so recording allocates only
-// when the slice list or the kinds list grows.
+// mirroring the "Successful Queries/Time" axes of Figures 3-5, and sums
+// gauge samples per slice, so a window's mean gauge is a sum and a count.
+// An error is counted by the index of its kind in kinds, so recording
+// allocates only when the slice list, the gauge list or the kinds list
+// grows.
 type Recorder struct {
 	sliceDur time.Duration
 	slices   []slice
 	total    slice
 	kinds    []string // error kinds, in the order first recorded
+	// gauges[i] sums the samples taken in slice i. It is apart from slices
+	// because a sample must not make a slice: series lists only the slices
+	// a completion or an error made.
+	gauges []gaugeSum
+}
+
+// Gauges is one sample of what the broker watches: the bytes of the buffer
+// pool, of compilations and of execution grants, the number of open
+// compilations, and the machine's overcommit ratio in permille.
+type Gauges struct {
+	PoolBytes, CompileBytes, ExecBytes int64
+	ActiveCompiles, OvercommitPermille int64
+}
+
+func (g *Gauges) add(o Gauges) {
+	g.PoolBytes += o.PoolBytes
+	g.CompileBytes += o.CompileBytes
+	g.ExecBytes += o.ExecBytes
+	g.ActiveCompiles += o.ActiveCompiles
+	g.OvercommitPermille += o.OvercommitPermille
+}
+
+// gaugeSum is one slice's sample sum and sample count.
+type gaugeSum struct {
+	sum Gauges
+	n   int64
 }
 
 // slice holds one slice's counts. A recorder counts at most maxKinds error
@@ -55,12 +82,22 @@ func NewRecorder(sliceDur time.Duration) *Recorder {
 // SliceDur returns the slice width.
 func (r *Recorder) SliceDur() time.Duration { return r.sliceDur }
 
-func (r *Recorder) sliceAt(now time.Duration) *slice {
-	i := int(now / r.sliceDur)
-	for len(r.slices) <= i {
-		r.slices = append(r.slices, slice{})
+// at returns &(*s)[i], first growing *s with zero values to reach i.
+func at[T any](s *[]T, i int) *T {
+	for len(*s) <= i {
+		*s = append(*s, *new(T))
 	}
-	return &r.slices[i]
+	return &(*s)[i]
+}
+
+func (r *Recorder) sliceAt(now time.Duration) *slice {
+	return at(&r.slices, int(now/r.sliceDur))
+}
+
+// inWindow reports whether slice i starts in [from, to).
+func (r *Recorder) inWindow(i int, from, to time.Duration) bool {
+	start := time.Duration(i) * r.sliceDur
+	return start >= from && start < to
 }
 
 // RecordCompletion counts one successful query completion at virtual time
@@ -104,8 +141,8 @@ type Point struct {
 func (r *Recorder) series(from, to time.Duration, v func(*slice) int64) []Point {
 	var out []Point
 	for i := range r.slices {
-		if start := time.Duration(i) * r.sliceDur; start >= from && start < to {
-			out = append(out, Point{T: start, V: v(&r.slices[i])})
+		if r.inWindow(i, from, to) {
+			out = append(out, Point{T: time.Duration(i) * r.sliceDur, V: v(&r.slices[i])})
 		}
 	}
 	return out
@@ -125,17 +162,6 @@ func (r *Recorder) CompletionSeries(from, to time.Duration) []Point {
 	return r.series(from, to, func(s *slice) int64 { return s.completed })
 }
 
-// ErrorSeries returns errors of the given kind per slice in [from, to).
-func (r *Recorder) ErrorSeries(kind string, from, to time.Duration) []Point {
-	k := slices.Index(r.kinds, kind)
-	return r.series(from, to, func(s *slice) int64 {
-		if k < 0 {
-			return 0
-		}
-		return s.errors[k]
-	})
-}
-
 // CompletionsIn sums completions over slices starting in [from, to).
 func (r *Recorder) CompletionsIn(from, to time.Duration) int64 {
 	return sum(r.CompletionSeries(from, to))
@@ -146,44 +172,28 @@ func (r *Recorder) ErrorsIn(from, to time.Duration) int64 {
 	return sum(r.series(from, to, (*slice).errorSum))
 }
 
-// Trace records a named time-series of values sampled at arbitrary virtual
-// times — used for per-query compile-memory curves (Figure 2) and broker
-// component traces.
-type Trace struct {
-	name   string
-	Points []TracePoint
+// RecordGauges adds one gauge sample taken at virtual time now.
+func (r *Recorder) RecordGauges(now time.Duration, g Gauges) {
+	gs := at(&r.gauges, int(now/r.sliceDur))
+	gs.sum.add(g)
+	gs.n++
 }
 
-// TracePoint is one (time, value) sample.
-type TracePoint struct {
-	T time.Duration
-	V int64
-}
-
-// NewTrace returns an empty trace with the given name.
-func NewTrace(name string) *Trace { return &Trace{name: name} }
-
-// Name returns the trace name.
-func (tr *Trace) Name() string { return tr.name }
-
-// Add appends a sample. Samples should be added in nondecreasing time
-// order; Add panics otherwise to catch clock misuse early.
-func (tr *Trace) Add(t time.Duration, v int64) {
-	if n := len(tr.Points); n > 0 && t < tr.Points[n-1].T {
-		panic(fmt.Sprintf("metrics: trace %q sample at %v precedes %v", tr.name, t, tr.Points[n-1].T))
-	}
-	tr.Points = append(tr.Points, TracePoint{T: t, V: v})
-}
-
-// Max returns the maximum sampled value (0 for an empty trace).
-func (tr *Trace) Max() int64 {
-	var m int64
-	for _, p := range tr.Points {
-		if p.V > m {
-			m = p.V
+// GaugeMeans returns each gauge's mean over the samples taken in slices
+// starting in [from, to), truncated to an integer; all zero with no sample.
+func (r *Recorder) GaugeMeans(from, to time.Duration) Gauges {
+	var g Gauges
+	var n int64
+	for i, gs := range r.gauges {
+		if r.inWindow(i, from, to) {
+			g.add(gs.sum)
+			n += gs.n
 		}
 	}
-	return m
+	if n == 0 {
+		return Gauges{}
+	}
+	return Gauges{g.PoolBytes / n, g.CompileBytes / n, g.ExecBytes / n, g.ActiveCompiles / n, g.OvercommitPermille / n}
 }
 
 // Histogram is a simple log-ish bucketed histogram for durations, used for
@@ -192,7 +202,6 @@ type Histogram struct {
 	bounds []time.Duration // ascending upper bounds; final bucket unbounded
 	counts []int64
 	total  int64
-	sum    time.Duration
 	max    time.Duration
 }
 
@@ -212,7 +221,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
 	h.counts[i]++
 	h.total++
-	h.sum += d
 	if d > h.max {
 		h.max = d
 	}
@@ -220,17 +228,6 @@ func (h *Histogram) Observe(d time.Duration) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.total }
-
-// Mean returns the mean observation (0 with no observations).
-func (h *Histogram) Mean() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.total)
-}
-
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration { return h.max }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) using
 // bucket boundaries; the overflow bucket reports the observed max.
@@ -271,7 +268,6 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.counts[i] += c
 	}
 	h.total += other.total
-	h.sum += other.sum
 	if other.max > h.max {
 		h.max = other.max
 	}
@@ -293,23 +289,21 @@ func MergedHistogram(hs ...*Histogram) *Histogram {
 }
 
 // SumSeries merges per-node completion series into one cluster-level
-// series: points are summed per slice start and returned in time
-// order. Inputs must be individually time-ordered (CompletionSeries
-// output is).
+// series, adding the values slice by slice. The inputs must be aligned:
+// each starts at the same slice and steps one slice at a time, as
+// CompletionSeries does for recorders of one slice width over one window.
+// It panics on inputs that are not.
 func SumSeries(series ...[]Point) []Point {
-	sums := make(map[time.Duration]int64)
+	var out []Point
 	for _, s := range series {
-		for _, p := range s {
-			sums[p.T] += p.V
+		for i, p := range s {
+			if i == len(out) {
+				out = append(out, Point{T: p.T})
+			} else if out[i].T != p.T {
+				panic("metrics: summing misaligned series")
+			}
+			out[i].V += p.V
 		}
-	}
-	out := make([]Point, 0, len(sums))
-	for t, v := range sums {
-		out = append(out, Point{T: t, V: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"slices"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -47,37 +47,75 @@ func TestErrorSeriesAndWindowSum(t *testing.T) {
 	r.RecordError(30*time.Second, "timeout")
 	r.RecordError(90*time.Second, "timeout")
 	r.RecordError(90*time.Second, "oom")
-	s := r.ErrorSeries("timeout", 0, 5*time.Minute)
-	if s[0].V != 1 || s[1].V != 1 {
-		t.Fatalf("timeout series = %v", s)
+	if got := r.ErrorsIn(0, time.Minute); got != 1 {
+		t.Fatalf("ErrorsIn(first slice) = %d, want 1", got)
 	}
 	if got := r.ErrorsIn(time.Minute, 2*time.Minute); got != 2 {
 		t.Fatalf("ErrorsIn = %d, want 2", got)
 	}
-}
-
-func TestTrace(t *testing.T) {
-	tr := NewTrace("q1")
-	tr.Add(0, 10)
-	tr.Add(time.Second, 20)
-	tr.Add(2*time.Second, 15)
-	if tr.Max() != 20 {
-		t.Fatalf("Max = %d", tr.Max())
+	if got := r.ErrorsIn(2*time.Minute, 5*time.Minute); got != 0 {
+		t.Fatalf("ErrorsIn(empty slices) = %d, want 0", got)
 	}
-	if want := []TracePoint{{0, 10}, {time.Second, 20}, {2 * time.Second, 15}}; !slices.Equal(tr.Points, want) {
-		t.Fatalf("Points = %v, want %v", tr.Points, want)
+	if errs := r.Errors(); errs["timeout"] != 2 || errs["oom"] != 1 {
+		t.Fatalf("Errors = %v", errs)
 	}
 }
 
-func TestTraceRejectsTimeTravel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order trace sample did not panic")
+type gaugeSample struct {
+	at time.Duration
+	g  Gauges
+}
+
+// windowAvg is the mean the recorder must reproduce from its sums: the
+// truncated average of one gauge over the samples taken in [from, to), 0
+// with none.
+func windowAvg(samples []gaugeSample, from, to time.Duration, v func(Gauges) int64) int64 {
+	var sum, n int64
+	for _, s := range samples {
+		if s.at < from || s.at >= to {
+			continue
 		}
-	}()
-	tr := NewTrace("q")
-	tr.Add(time.Second, 1)
-	tr.Add(0, 2)
+		sum += v(s.g)
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / n
+}
+
+// TestGaugeMeansMatchSamples checks GaugeMeans against the samples
+// themselves over random sample times and values and random windows of
+// whole slices, and that a sample makes no completion slice.
+func TestGaugeMeansMatchSamples(t *testing.T) {
+	const width = 10 * time.Minute
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		r := NewRecorder(width)
+		var samples []gaugeSample
+		var at time.Duration
+		for n := rng.Intn(200); n > 0; n-- {
+			at += time.Duration(rng.Intn(180)) * time.Second
+			g := Gauges{rng.Int63n(1 << 40), rng.Int63n(1 << 32), rng.Int63n(1 << 32), rng.Int63n(64), rng.Int63n(3000)}
+			r.RecordGauges(at, g)
+			samples = append(samples, gaugeSample{at, g})
+		}
+		if s := r.CompletionSeries(0, at+width); s != nil {
+			t.Fatalf("gauge samples made completion slices %v", s)
+		}
+		from := time.Duration(rng.Intn(8)) * width
+		to := from + time.Duration(rng.Intn(8))*width
+		want := Gauges{
+			PoolBytes:          windowAvg(samples, from, to, func(g Gauges) int64 { return g.PoolBytes }),
+			CompileBytes:       windowAvg(samples, from, to, func(g Gauges) int64 { return g.CompileBytes }),
+			ExecBytes:          windowAvg(samples, from, to, func(g Gauges) int64 { return g.ExecBytes }),
+			ActiveCompiles:     windowAvg(samples, from, to, func(g Gauges) int64 { return g.ActiveCompiles }),
+			OvercommitPermille: windowAvg(samples, from, to, func(g Gauges) int64 { return g.OvercommitPermille }),
+		}
+		if got := r.GaugeMeans(from, to); got != want {
+			t.Fatalf("trial %d: GaugeMeans(%v, %v) = %+v, want %+v", trial, from, to, got, want)
+		}
+	}
 }
 
 func TestHistogram(t *testing.T) {
@@ -89,17 +127,11 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 4 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Max() != 2*time.Minute {
-		t.Fatalf("max = %v", h.Max())
-	}
 	if q := h.Quantile(0.5); q != 10*time.Second {
 		t.Fatalf("p50 = %v, want 10s bucket bound", q)
 	}
 	if q := h.Quantile(1.0); q != 2*time.Minute {
 		t.Fatalf("p100 = %v, want observed max", q)
-	}
-	if h.Mean() <= 0 {
-		t.Fatal("mean not positive")
 	}
 	if s := h.String(); s == "" {
 		t.Fatal("empty String()")
@@ -108,7 +140,7 @@ func TestHistogram(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(time.Second)
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Count() != 0 {
+	if h.Quantile(1) != 0 || h.Quantile(0.5) != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
 }
@@ -166,7 +198,7 @@ func TestQuickHistogramMonotoneQuantiles(t *testing.T) {
 }
 
 // TestCounterGaugeRoundTrip writes a deterministic mix of counters
-// (completions, errors by kind) and gauge samples (a trace) and reads
+// (completions, errors by kind) and gauge samples and reads
 // every value back through each accessor: what goes in must come out,
 // whichever view reads it.
 func TestCounterGaugeRoundTrip(t *testing.T) {
@@ -207,29 +239,28 @@ func TestCounterGaugeRoundTrip(t *testing.T) {
 	if got := r.ErrorsIn(0, horizon); got != 3 {
 		t.Fatalf("ErrorsIn(all) = %d, want 3", got)
 	}
-	var fromSeries int64
-	for _, kind := range []string{"oom", "gateway-timeout"} {
-		for _, p := range r.ErrorSeries(kind, 0, horizon) {
-			fromSeries += p.V
-		}
+	var perSlice int64
+	for from := time.Duration(0); from < horizon; from += time.Minute {
+		perSlice += r.ErrorsIn(from, from+time.Minute)
 	}
-	if fromSeries != 3 {
-		t.Fatalf("error series sum = %d, want 3", fromSeries)
+	if perSlice != 3 {
+		t.Fatalf("per-slice error sum = %d, want 3", perSlice)
 	}
 
-	tr := NewTrace("compile-bytes")
-	if tr.Name() != "compile-bytes" {
-		t.Fatalf("Name = %q", tr.Name())
+	samples := []Gauges{{CompileBytes: 100}, {CompileBytes: 250, ActiveCompiles: 2}, {CompileBytes: 75, OvercommitPermille: 1200}}
+	for i, g := range samples {
+		r.RecordGauges(time.Duration(i)*time.Minute, g)
 	}
-	samples := []TracePoint{{0, 100}, {time.Minute, 250}, {2 * time.Minute, 75}}
-	for _, s := range samples {
-		tr.Add(s.T, s.V)
+	for i, g := range samples {
+		if got := r.GaugeMeans(time.Duration(i)*time.Minute, time.Duration(i+1)*time.Minute); got != g {
+			t.Fatalf("slice %d gauges = %+v, want %+v", i, got, g)
+		}
 	}
-	if !slices.Equal(tr.Points, samples) {
-		t.Fatalf("Points = %v, want %v", tr.Points, samples)
+	if got, want := r.GaugeMeans(0, horizon), (Gauges{CompileBytes: 141, ActiveCompiles: 0, OvercommitPermille: 400}); got != want {
+		t.Fatalf("GaugeMeans(all) = %+v, want %+v", got, want)
 	}
-	if tr.Max() != 250 {
-		t.Fatalf("Max = %d", tr.Max())
+	if got := r.CompletionsIn(0, horizon); got != 3 {
+		t.Fatalf("gauge samples moved completions: %d", got)
 	}
 }
 
@@ -244,8 +275,8 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Count() != 4 {
 		t.Fatalf("merged count = %d, want 4", a.Count())
 	}
-	if a.Max() != time.Minute {
-		t.Fatalf("merged max = %v, want 1m", a.Max())
+	if q := a.Quantile(1); q != time.Minute {
+		t.Fatalf("merged p100 = %v, want the observed max 1m", q)
 	}
 	if q := a.Quantile(0.5); q != 10*time.Second {
 		t.Fatalf("merged p50 = %v, want 10s bucket bound", q)
@@ -267,9 +298,8 @@ func TestMergedHistogramMatchesSingle(t *testing.T) {
 		whole.Observe(d)
 	}
 	m := MergedHistogram(parts...)
-	if m.Count() != whole.Count() || m.Max() != whole.Max() || m.Mean() != whole.Mean() {
-		t.Fatalf("merged %d/%v/%v, whole %d/%v/%v",
-			m.Count(), m.Max(), m.Mean(), whole.Count(), whole.Max(), whole.Mean())
+	if m.Count() != whole.Count() {
+		t.Fatalf("merged count %d, whole %d", m.Count(), whole.Count())
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9, 1.0} {
 		if m.Quantile(q) != whole.Quantile(q) {
@@ -295,10 +325,10 @@ func TestHistogramMergeRejectsMismatchedBounds(t *testing.T) {
 }
 
 func TestSumSeries(t *testing.T) {
-	a := []Point{{T: 0, V: 1}, {T: time.Minute, V: 2}}
-	b := []Point{{T: time.Minute, V: 3}, {T: 2 * time.Minute, V: 4}}
+	a := []Point{{T: time.Minute, V: 1}, {T: 2 * time.Minute, V: 2}}
+	b := []Point{{T: time.Minute, V: 3}, {T: 2 * time.Minute, V: 4}, {T: 3 * time.Minute, V: 5}}
 	got := SumSeries(a, b)
-	want := []Point{{T: 0, V: 1}, {T: time.Minute, V: 5}, {T: 2 * time.Minute, V: 4}}
+	want := []Point{{T: time.Minute, V: 4}, {T: 2 * time.Minute, V: 6}, {T: 3 * time.Minute, V: 5}}
 	if len(got) != len(want) {
 		t.Fatalf("SumSeries = %v, want %v", got, want)
 	}
@@ -310,4 +340,10 @@ func TestSumSeries(t *testing.T) {
 	if SumSeries() != nil || SumSeries(nil, nil) != nil {
 		t.Fatal("empty inputs should sum to nil")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("summing misaligned series did not panic")
+		}
+	}()
+	SumSeries(a, b[1:])
 }

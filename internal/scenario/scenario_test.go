@@ -152,8 +152,8 @@ func TestDerivations(t *testing.T) {
 	if w.Horizon != time.Hour || w.Warmup != time.Minute || s.Horizon != 8*time.Hour {
 		t.Fatal("WithWindow must replace the window on the copy only")
 	}
-	if s.WithSeed(9).Seed != 9 || s.WithClients(7).Clients != 7 {
-		t.Fatal("WithSeed/WithClients broken")
+	if s.WithSeed(9).Seed != 9 || s.Seed == 9 {
+		t.Fatal("WithSeed must set the seed on the copy only")
 	}
 	if sl := s.WithSlice(time.Minute); sl.Server.SliceDur != time.Minute || s.Server.SliceDur != 10*time.Minute ||
 		sl.Server.VASBytes != s.Server.VASBytes {

@@ -105,9 +105,6 @@ func (h *Histogram) SelectivityRange(lo, hi int64) float64 {
 	return sel
 }
 
-// Buckets returns the bucket count.
-func (h *Histogram) Buckets() int { return len(h.Bounds) }
-
 // TableStats bundles per-column histograms for one table.
 type TableStats struct {
 	Table *catalog.Table
@@ -220,11 +217,6 @@ func (e *Estimator) JoinSelectivity(a, b string) float64 {
 		return 1
 	}
 	return 1 / m
-}
-
-// JoinCardinality estimates |A ⋈ B| given the input cardinalities.
-func (e *Estimator) JoinCardinality(cardA, cardB float64, a, b string) float64 {
-	return cardA * cardB * e.JoinSelectivity(a, b)
 }
 
 // ColRef names a column of a table.
