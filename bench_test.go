@@ -98,17 +98,22 @@ func (m *simMeter) report(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure1MonitorLadder verifies and reports the monitor ladder:
-// thresholds strictly ascending, concurrency strictly descending
-// (4·CPU / 1·CPU / 1), timeouts ascending.
+// BenchmarkFigure1MonitorLadder builds the server figure3 runs and
+// verifies and reports its monitor ladder: thresholds strictly ascending,
+// concurrency never rising (4·CPU / 1·CPU / 1).
 func BenchmarkFigure1MonitorLadder(b *testing.B) {
+	s, ok := scenario.Get("figure3")
+	if !ok {
+		b.Fatal("no figure3 scenario")
+	}
+	cat := s.Workload.NewCatalog(s.Scale, workload.DefaultExtentBytes)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		chain, err := gateway.NewChain(gateway.DefaultConfig(8, 4*mem.GiB))
+		srv, err := engine.NewShared(s.ServerConfig(), cat, engine.Prebuilt{}, vtime.NewScheduler())
 		if err != nil {
 			b.Fatal(err)
 		}
-		info := chain.Info()
+		info := srv.Governor().Chain().Info()
 		for j := 1; j < len(info); j++ {
 			if info[j].Threshold <= info[j-1].Threshold || info[j].Slots > info[j-1].Slots {
 				b.Fatal("monitor ladder not monotonic")
@@ -331,7 +336,7 @@ func BenchmarkRetryStorm(b *testing.B) {
 	var te gateway.ErrTimeout
 	if a := testing.AllocsPerRun(100, func() {
 		te = gateway.ErrTimeout{Gate: "small", Wait: 42 * time.Second}
-		if !errclass.IsShed(&te) || !errclass.IsCrashed(engine.ErrCrashed) {
+		if !errclass.IsShed(&te) || errclass.Of(engine.ErrCrashed) != errclass.Crashed {
 			b.Fatal("error taxonomy misclassified recycled errors")
 		}
 	}); a != 0 {

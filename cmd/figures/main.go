@@ -42,7 +42,7 @@ import (
 	"time"
 
 	"compilegate/internal/core"
-	"compilegate/internal/gateway"
+	"compilegate/internal/engine"
 	"compilegate/internal/harness"
 	"compilegate/internal/mem"
 	"compilegate/internal/profiling"
@@ -167,16 +167,19 @@ func run(args []string, w io.Writer) error {
 
 	figs := []string{*fig}
 	switch *fig {
-	case "1":
-		figure1(w)
-		return nil
+	case "1", "all":
+		s, err := resolve("figure3")
+		if err != nil {
+			return err
+		}
+		if err := figure1(w, s); err != nil || *fig == "1" {
+			return err
+		}
+		figure2(w)
+		figs = []string{"3", "4", "5"}
 	case "2":
 		figure2(w)
 		return nil
-	case "all":
-		figure1(w)
-		figure2(w)
-		figs = []string{"3", "4", "5"}
 	case "3", "4", "5":
 	default:
 		return fmt.Errorf("unknown -figure %q", *fig)
@@ -326,16 +329,19 @@ func renderRun(w io.Writer, s scenario.Scenario, res *harness.Result) {
 	fmt.Fprintln(w, res.Report)
 }
 
-// figure1 prints the monitor ladder (thresholds ascending, concurrency
-// descending) — the content of the paper's Figure 1.
-func figure1(w io.Writer) {
+// figure1 prints the monitor ladder of the server scenario s runs — the
+// content of the paper's Figure 1. Building the server checks its shape:
+// gateway.NewChain refuses thresholds that do not ascend and concurrency
+// that rises.
+func figure1(w io.Writer, s scenario.Scenario) error {
 	fmt.Fprintln(w, "== Figure 1: memory monitors ==")
-	chain, err := gateway.NewChain(gateway.DefaultConfig(8, 4*mem.GiB))
+	cat := s.Workload.NewCatalog(s.Scale, workload.DefaultExtentBytes)
+	srv, err := engine.NewShared(s.ServerConfig(), cat, engine.Prebuilt{}, vtime.NewScheduler())
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Fprint(w, chain.String())
-	fmt.Fprintln(w)
+	fmt.Fprintln(w, srv.Governor().Chain())
+	return nil
 }
 
 // figure2 reproduces the throttling example trace with the governance

@@ -53,6 +53,18 @@ func TestQuickRegeneratesEveryFigure(t *testing.T) {
 	}
 }
 
+// TestFigure1IsFigure3sLadder: Figure 1 is the ladder of the server figure3
+// runs, sized against its 2 816 MiB VAS — the thresholds EXPERIMENTS.md
+// quotes.
+func TestFigure1IsFigure3sLadder(t *testing.T) {
+	out := figures(t, "-figure", "1")
+	for _, want := range []string{"small    threshold=380.00 KiB", "medium   threshold=176.00 MiB", "big      threshold=469.33 MiB"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-figure 1 lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestScenarioOverrides sets every override flag on a cluster scenario and
 // on a fault scenario: both sides of the pair run with them and print
 // their per-run lines, the Key of what ran among them.

@@ -239,10 +239,10 @@ func (op *readManyOp) Run(t *vtime.Task) {
 }
 
 // ReadManyThen fetches a batch of extents as continuation steps on the
-// event loop, amortizing scheduler events, then runs k. The hit count is
-// stored through hits before any virtual time passes; all hits are charged
-// as one sleep and misses go through the disk individually.
-func (p *Pool) ReadManyThen(t *vtime.Task, keys []storage.ExtentKey, hits *int, k vtime.Step) {
+// event loop, amortizing scheduler events, then runs k. All hits are
+// charged as one sleep and misses go through the disk individually. keys
+// is read only before ReadManyThen returns.
+func (p *Pool) ReadManyThen(t *vtime.Task, keys []storage.ExtentKey, k vtime.Step) {
 	op := p.reads.Get()
 	if op == nil {
 		op = &readManyOp{p: p}
@@ -259,7 +259,6 @@ func (p *Pool) ReadManyThen(t *vtime.Task, keys []storage.ExtentKey, hits *int, 
 			op.miss = append(op.miss, key)
 		}
 	}
-	*hits = h
 	if h > 0 {
 		t.SleepThen(time.Duration(h)*hitLatency, op)
 		return

@@ -22,9 +22,9 @@ func key(i int64) storage.ExtentKey { return storage.NewExtentKey(1, i) }
 
 // read is a one-extent ReadManyThen; it reports whether it was a hit.
 func read(p *Pool, tk *vtime.Task, key storage.ExtentKey) bool {
-	var hits int
-	tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, []storage.ExtentKey{key}, &hits, k) })
-	return hits == 1
+	hits := p.Hits()
+	tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, []storage.ExtentKey{key}, k) })
+	return p.Hits() == hits+1
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -204,12 +204,11 @@ func TestReadMany(t *testing.T) {
 	s := vtime.NewScheduler()
 	s.Go("r", func(tk *vtime.Task) {
 		keys := []storage.ExtentKey{key(1), key(2), key(3)}
-		var hits int
-		if tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, &hits, k) }); hits != 0 {
-			t.Errorf("cold ReadManyThen hits = %d", hits)
+		if tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, k) }); p.Hits() != 0 {
+			t.Errorf("cold ReadManyThen hits = %d", p.Hits())
 		}
-		if tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, &hits, k) }); hits != 3 {
-			t.Errorf("warm ReadManyThen hits = %d", hits)
+		if tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, k) }); p.Hits() != 3 {
+			t.Errorf("warm ReadManyThen hits = %d", p.Hits())
 		}
 	})
 	if err := s.Run(); err != nil {

@@ -163,9 +163,9 @@ func TestFramesMatchMapModel(t *testing.T) {
 					for i := range keys {
 						keys[i] = pick()
 					}
-					var got int
-					tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, &got, k) })
-					if want := m.readMany(keys); got != want {
+					before := p.Hits()
+					tk.Await(func(k vtime.Step) { p.ReadManyThen(tk, keys, k) })
+					if got, want := int(p.Hits()-before), m.readMany(keys); got != want {
 						t.Errorf("seed %d step %d: ReadManyThen hits = %d, model %d", seed, step, got, want)
 						return
 					}

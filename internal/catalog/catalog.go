@@ -179,11 +179,6 @@ type SalesConfig struct {
 	ExtentBytes int64
 }
 
-// DefaultSalesConfig returns the paper-faithful scale with 8 MiB extents.
-func DefaultSalesConfig() SalesConfig {
-	return SalesConfig{Scale: 1.0, ExtentBytes: 8 << 20}
-}
-
 // NewSales builds the SALES data-mart catalog: one wide fact table and a
 // ring of dimension tables (product, store, customer, time, geography,
 // promotion hierarchies) so that 15-20-join queries are natural.
@@ -351,28 +346,5 @@ func NewTPCHLike(scale float64, extentBytes int64) *Catalog {
 	c.AddFK("supplier", "s_nationkey", "nation")
 	c.AddFK("nation", "n_regionkey", "region")
 	c.AddFK("partsupp", "ps_partkey", "part")
-	return c
-}
-
-// NewOLTPLike builds a small OLTP-shaped catalog (TPC-C-ish) whose queries
-// touch 1-3 tables and compile below the first monitor threshold.
-func NewOLTPLike(extentBytes int64) *Catalog {
-	if extentBytes == 0 {
-		extentBytes = 8 << 20
-	}
-	c := New(extentBytes)
-	c.AddTable(&Table{Name: "warehouse", Rows: 100, RowBytes: 100,
-		Columns: []*Column{intCol("w_id", 100)}})
-	c.AddTable(&Table{Name: "district", Rows: 1000, RowBytes: 120,
-		Columns: []*Column{intCol("d_id", 1000), intCol("d_w_id", 100)}})
-	c.AddTable(&Table{Name: "customer_oltp", Rows: 3_000_000, RowBytes: 600,
-		Columns: []*Column{intCol("c_id", 3_000_000), intCol("c_d_id", 1000)},
-		Indexes: []*Index{{Name: "pk_customer", Columns: []string{"c_id"}}}})
-	c.AddTable(&Table{Name: "order_oltp", Rows: 30_000_000, RowBytes: 80,
-		Columns: []*Column{intCol("o_id", 30_000_000), intCol("o_c_id", 3_000_000)},
-		Indexes: []*Index{{Name: "pk_order", Columns: []string{"o_id"}}}})
-	c.AddFK("district", "d_w_id", "warehouse")
-	c.AddFK("customer_oltp", "c_d_id", "district")
-	c.AddFK("order_oltp", "o_c_id", "customer_oltp")
 	return c
 }

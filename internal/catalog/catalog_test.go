@@ -6,7 +6,7 @@ import (
 )
 
 func TestSalesShape(t *testing.T) {
-	c := NewSales(DefaultSalesConfig())
+	c := NewSales(SalesConfig{})
 	fact := c.Table("sales_fact")
 	if fact == nil {
 		t.Fatal("no fact table")
@@ -46,7 +46,7 @@ func TestSalesScaling(t *testing.T) {
 }
 
 func TestFKLookup(t *testing.T) {
-	c := NewSales(DefaultSalesConfig())
+	c := NewSales(SalesConfig{})
 	if _, ok := c.FK("sales_fact", "dim_product"); !ok {
 		t.Fatal("fact->product FK missing")
 	}
@@ -75,8 +75,7 @@ func TestFKIndexMatchesEdgeScan(t *testing.T) {
 	dup.AddFK("orders", "o_orderkey", "lineitem") // reversed twin of the first edge
 	dup.AddFK("nation", "n_nationkey", "nation")  // self edge
 	for name, c := range map[string]*Catalog{
-		"sales": NewSales(DefaultSalesConfig()), "tpch": NewTPCHLike(1, 8<<20),
-		"oltp": NewOLTPLike(8 << 20), "tpch+dup": dup,
+		"sales": NewSales(SalesConfig{}), "tpch": NewTPCHLike(1, 8<<20), "tpch+dup": dup,
 	} {
 		names := []string{"no_such_table"}
 		for _, tb := range c.Tables() {
@@ -118,7 +117,7 @@ func TestDuplicateTablePanics(t *testing.T) {
 }
 
 func TestColumnAndIndexLookup(t *testing.T) {
-	c := NewSales(DefaultSalesConfig())
+	c := NewSales(SalesConfig{})
 	fact := c.Table("sales_fact")
 	if fact.Column("date_id") == nil {
 		t.Fatal("date_id column missing")
@@ -134,7 +133,7 @@ func TestColumnAndIndexLookup(t *testing.T) {
 	}
 }
 
-func TestTPCHAndOLTP(t *testing.T) {
+func TestTPCHShape(t *testing.T) {
 	h := NewTPCHLike(1.0, 8<<20)
 	if len(h.Tables()) != 8 {
 		t.Fatalf("tpch tables = %d, want 8", len(h.Tables()))
@@ -142,21 +141,17 @@ func TestTPCHAndOLTP(t *testing.T) {
 	if h.Table("lineitem") == nil || h.Table("region") == nil {
 		t.Fatal("tpch tables missing")
 	}
-	o := NewOLTPLike(8 << 20)
-	if len(o.Tables()) != 4 {
-		t.Fatalf("oltp tables = %d, want 4", len(o.Tables()))
-	}
 }
 
 func TestString(t *testing.T) {
-	c := NewOLTPLike(8 << 20)
-	if s := c.String(); !strings.Contains(s, "warehouse") {
+	c := NewTPCHLike(1.0, 8<<20)
+	if s := c.String(); !strings.Contains(s, "lineitem") {
 		t.Fatalf("String() = %q", s)
 	}
 }
 
 func TestTableIDsDense(t *testing.T) {
-	c := NewSales(DefaultSalesConfig())
+	c := NewSales(SalesConfig{})
 	for i, tb := range c.Tables() {
 		if tb.ID != i {
 			t.Fatalf("table %s has ID %d at position %d", tb.Name, tb.ID, i)

@@ -27,8 +27,9 @@ type Options struct {
 	// Enabled turns compilation throttling on. When false the governor
 	// only does memory accounting — the paper's "non-throttled" baseline.
 	Enabled bool
-	// Gateways configures the monitor chain; zero value uses
-	// gateway.DefaultConfig for the machine.
+	// Gateways configures the monitor chain (gateway.DefaultConfig for the
+	// machine); with Enabled it must have at least one level, or
+	// NewGovernor fails.
 	Gateways gateway.Config
 	// DynamicThresholds enables §4.1's broker-target-driven thresholds.
 	DynamicThresholds bool
@@ -284,17 +285,17 @@ func (s *gated) Run(t *vtime.Task) {
 	c.k.Run(t)
 }
 
-// AllocSpan is k Alloc calls, each of at least one byte and n bytes in all,
-// provided none of them would block at a gate, make the budget reclaim, or
-// fail. Nothing else runs between them and the compilation only grows, so
-// that is a question about the last one alone. Otherwise it does nothing and
-// reports false: the caller makes the k calls.
-func (c *Compilation) AllocSpan(n int64, k int) bool {
+// AllocSpan is any number of Alloc calls of n bytes in all, provided none
+// of them would block at a gate, make the budget reclaim, or fail. Nothing
+// else runs between them and the compilation only grows, so that is a
+// question about the last one alone. Otherwise it does nothing and reports
+// false: the caller makes the calls one by one.
+func (c *Compilation) AllocSpan(n int64) bool {
 	if c.closed {
 		panic("core: AllocSpan on closed compilation " + c.name)
 	}
 	gated := c.g.chain != nil
-	if (gated && !c.ticket.Clears(c.used+n)) || !c.g.tracker.ReserveSpan(n, k) {
+	if (gated && !c.ticket.Clears(c.used+n)) || !c.g.tracker.ReserveSpan(n) {
 		c.g.spansReplayed++
 		return false
 	}

@@ -90,12 +90,12 @@ func TestAllocSpanIsKAllocs(t *testing.T) {
 						g.tracker.SetLimit(g.tracker.Used() + max(int64(off), 1))
 					}
 					state := func() string {
-						st := fmt.Sprintf("comp used=%d peak=%d wait=%v closed=%v | tracker used=%d peak=%d allocs=%d fails=%d | budget used=%d wired=%d wiredPeak=%d cache=%d | active=%d aborted=%d",
+						st := fmt.Sprintf("comp used=%d peak=%d wait=%v closed=%v | tracker used=%d peak=%d | budget used=%d wired=%d wiredPeak=%d cache=%d | active=%d aborted=%d",
 							c.Used(), c.Peak(), c.GateWait(), c.closed,
-							g.tracker.Used(), g.tracker.Peak(), g.tracker.Allocs(), g.tracker.Fails(),
+							g.tracker.Used(), g.tracker.Peak(),
 							budget.Used(), budget.WiredBytes(), budget.WiredPeak(), cache.Used(), g.Active(), g.Aborted())
 						if g.chain != nil {
-							st += fmt.Sprintf(" | ticket held=%d usage=%d | acquires=%d %+v", c.ticket.Held(), c.ticket.Usage(), g.chain.Acquires(), g.chain.Info())
+							st += fmt.Sprintf(" | ticket held=%d usage=%d | %+v", c.ticket.Held(), c.ticket.Usage(), g.chain.Info())
 						}
 						return st
 					}
@@ -113,7 +113,7 @@ func TestAllocSpanIsKAllocs(t *testing.T) {
 						states[pass] = state()
 						return
 					}
-					ok = c.AllocSpan(k*unit, k)
+					ok = c.AllocSpan(k * unit)
 					if a, b := g.Spans(); (ok && (a != 1 || b != 0)) || (!ok && (a != 0 || b != 1)) {
 						t.Errorf("%s off=%d: AllocSpan=%v counted settled=%d replayed=%d", w.name, off, ok, a, b)
 					}

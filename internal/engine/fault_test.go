@@ -29,7 +29,7 @@ func TestCrashRestartCycle(t *testing.T) {
 		if err != ErrCrashed {
 			t.Errorf("Submit while down = %v, want ErrCrashed", err)
 		}
-		if !errclass.IsCrashed(err) {
+		if errclass.Of(err) != errclass.Crashed {
 			t.Error("ErrCrashed not classified as errclass.Crashed")
 		}
 		if got := classify(err); got != ErrKindCrashed {
@@ -129,7 +129,7 @@ func TestLeakBallastAccounting(t *testing.T) {
 	// Ballast may overcommit into swap, but not past the commit limit.
 	if err := srv.LeakBallast(3 * srv.budget.Total()); err == nil {
 		t.Fatal("ballast past the commit limit must fail")
-	} else if !errclass.IsOOM(err) {
+	} else if errclass.Of(err) != errclass.OOM {
 		t.Fatalf("over-limit ballast error %v not classified OOM", err)
 	}
 	srv.DropBallast()

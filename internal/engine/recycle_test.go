@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"compilegate/internal/executor"
 	"compilegate/internal/mem"
 	"compilegate/internal/plan"
 	"compilegate/internal/vtime"
@@ -12,13 +11,15 @@ import (
 
 // TestRecycledPlanIsUnobservable evicts a cached plan while an execution of
 // it waits for its grant, and at once compiles a different statement onto
-// the recycled plan. The execution must not notice: its Stats and outcome
-// equal those of the same run without the eviction. The run without it
+// the recycled plan. The execution must not notice: the buffer-pool reads
+// made while it ran, its virtual time and its outcome equal those of the
+// same run without the eviction. The run without it
 // also pins that a cached plan is never rebuilt while the cache holds it.
 func TestRecycledPlanIsUnobservable(t *testing.T) {
 	type outcome struct {
-		st  executor.Stats
-		err error
+		hits, misses uint64
+		elapsed      time.Duration
+		err          error
 	}
 	run := func(evict bool) outcome {
 		srv, sched := testServer(t, func(c *Config) {
@@ -40,9 +41,11 @@ func TestRecycledPlanIsUnobservable(t *testing.T) {
 			grants.Tracker().MustReserve(hog)
 			done := false
 			sched.Go("hit", func(tk *vtime.Task) {
+				hits, misses, at := srv.pool.Hits(), srv.pool.Misses(), tk.Now()
 				out.err = tk.AwaitErr(func(errp *error, k vtime.Step) {
-					srv.exec.ExecuteThen(tk, p, identify(joinSQL).Seed, nil, &out.st, errp, k)
+					srv.exec.ExecuteThen(tk, p, identify(joinSQL).Seed, nil, errp, k)
 				})
+				out.hits, out.misses, out.elapsed = srv.pool.Hits()-hits, srv.pool.Misses()-misses, tk.Now()-at
 				done = true
 			})
 			for grants.Waiting() == 0 {
@@ -81,10 +84,10 @@ func TestRecycledPlanIsUnobservable(t *testing.T) {
 		return out
 	}
 	kept, evicted := run(false), run(true)
-	if kept.err != nil || kept.st.ExtentsRead == 0 {
-		t.Fatalf("the reference execution read %d extents, error %v", kept.st.ExtentsRead, kept.err)
+	if kept.err != nil || kept.hits+kept.misses == 0 {
+		t.Fatalf("the reference execution read %d extents, error %v", kept.hits+kept.misses, kept.err)
 	}
 	if evicted != kept {
-		t.Errorf("execution of an evicted plan: %+v, %v; kept: %+v, %v", evicted.st, evicted.err, kept.st, kept.err)
+		t.Errorf("execution of an evicted plan: %+v; kept: %+v", evicted, kept)
 	}
 }

@@ -268,7 +268,7 @@ func (st *statement) execute(t *vtime.Task, p *plan.Plan) {
 		prep = &st.s.staticPrep[i]
 	}
 	st.execStart = t.Now()
-	st.s.exec.ExecuteThen(t, p, st.id.Seed, prep, nil, &st.err, st)
+	st.s.exec.ExecuteThen(t, p, st.id.Seed, prep, &st.err, st)
 }
 
 // Run is the execution's continuation. It and attempt.finish are where
@@ -314,7 +314,7 @@ func (a *attempt) chargeSpan(exprs, groups int) bool {
 		return false
 	}
 	extra := int64(exprs)*a.exprExtra + int64(groups)*a.groupExtra
-	if !a.comp.AllocSpan(a.s.cfg.Optimizer.Memo.Bytes(groups, exprs)+extra, exprs+groups) {
+	if !a.comp.AllocSpan(a.s.cfg.Optimizer.Memo.Bytes(groups, exprs) + extra) {
 		return false
 	}
 	a.costingHeld += extra

@@ -30,8 +30,8 @@ type class struct{ name string }
 
 func (c *class) Error() string { return "errclass: " + c.name }
 
-// The four class sentinels. Use errors.Is(err, errclass.Shed) etc.;
-// the helpers below read better at call sites.
+// The four class sentinels. Test one with errors.Is(err, errclass.OOM),
+// or take err's class with Of.
 var (
 	Shed    error = &class{"shed"}
 	Timeout error = &class{"timeout"}
@@ -41,15 +41,6 @@ var (
 
 // IsShed reports whether err is deliberately shed work.
 func IsShed(err error) bool { return errors.Is(err, Shed) }
-
-// IsTimeout reports whether err is an expired resource wait.
-func IsTimeout(err error) bool { return errors.Is(err, Timeout) }
-
-// IsOOM reports whether err is a failed memory reservation.
-func IsOOM(err error) bool { return errors.Is(err, OOM) }
-
-// IsCrashed reports whether err is a lost server connection.
-func IsCrashed(err error) bool { return errors.Is(err, Crashed) }
 
 // Of returns the class sentinel for err, or nil when err matches none —
 // the switch every error-counting path shares.

@@ -22,7 +22,7 @@ func TestWrappedClassification(t *testing.T) {
 	if !IsShed(wrapped) {
 		t.Error("wrapped shed not recognized")
 	}
-	if IsTimeout(wrapped) || IsOOM(wrapped) || IsCrashed(wrapped) {
+	if errors.Is(wrapped, Timeout) || errors.Is(wrapped, OOM) || errors.Is(wrapped, Crashed) {
 		t.Error("wrapped shed matched a foreign class")
 	}
 	if Of(wrapped) != Shed {

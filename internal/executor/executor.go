@@ -193,19 +193,6 @@ func (gm *GrantManager) Kick() {
 	gm.queue.Signal()
 }
 
-// Stats reports one execution.
-type Stats struct {
-	ExtentsRead int
-	Hits        int
-	CPUTime     time.Duration
-	GrantBytes  int64
-	// PageStallTime is the nominal (pre-dilation) disk time charged for
-	// refaulting the workspace on an overcommitted machine; the virtual
-	// time actually spent is this stretched by the slowdown in effect.
-	PageStallTime time.Duration
-	Elapsed       time.Duration
-}
-
 // Executor runs plans.
 type Executor struct {
 	pool   *bufferpool.Pool
@@ -293,13 +280,9 @@ type execOp struct {
 	e    *Executor
 	seed int64
 	prep *Prepared
-	// stp (may be nil) and errp receive the outcome before k runs.
-	stp  *Stats
-	errp *error
+	errp *error // receives the outcome before k runs
 	k    vtime.Step
-
-	st  Stats
-	err error
+	err  error
 
 	// rng is reseeded from seed at the first scan that draws; an
 	// execution that replays (or never reaches a scan) never pays the
@@ -316,30 +299,26 @@ type execOp struct {
 	recKeys []storage.ExtentKey
 	recEnds []int
 
-	startAt   time.Duration
-	granted   int64
-	steps     []step
-	ni        int
-	keys      []storage.ExtentKey
-	scan      []storage.ExtentKey // the current scan's extents
-	bi, bj    int
-	batchHits int
-	state     int8
+	granted int64
+	steps   []step
+	ni      int
+	keys    []storage.ExtentKey
+	scan    []storage.ExtentKey // the current scan's extents
+	bi      int                 // the next read batch's start in scan
+	state   int8
 }
 
 const (
-	exGranted   int8 = iota // grant outcome known
-	exNode                  // run the next node
-	exBatch                 // issue the next read batch of the current scan
-	exBatchDone             // account a finished read batch
-	exNodeCPU               // current node's CPU charge finished
-	exRefault               // pay workspace refault I/O under thrash
-	exFinish                // account and release
+	exGranted int8 = iota // grant outcome known
+	exNode                // run the next node
+	exBatch               // issue the next read batch of the current scan
+	exNodeCPU             // current node's CPU charge finished
+	exRefault             // pay workspace refault I/O under thrash
+	exFinish              // account and release
 )
 
 func (op *execOp) Run(t *vtime.Task) {
 	e := op.e
-	st := &op.st
 	for {
 		switch op.state {
 		case exGranted:
@@ -348,7 +327,6 @@ func (op *execOp) Run(t *vtime.Task) {
 				op.finish(t)
 				return
 			}
-			st.GrantBytes = op.granted
 			op.ni = 0
 			op.state = exNode
 			if !op.replay {
@@ -369,24 +347,17 @@ func (op *execOp) Run(t *vtime.Task) {
 			}
 		case exBatch:
 			if op.bi >= len(op.scan) {
-				st.ExtentsRead += len(op.scan)
 				if op.useCPU(t, op.steps[op.ni].units) {
 					return
 				}
 				continue
 			}
-			j := op.bi + readBatch
-			if j > len(op.scan) {
-				j = len(op.scan)
-			}
-			op.bj = j
-			op.state = exBatchDone
-			e.pool.ReadManyThen(t, op.scan[op.bi:j], &op.batchHits, op)
+			// The pool reads the batch's keys before the call returns, so the
+			// next batch's start can move first; Run resumes at exBatch.
+			i := op.bi
+			op.bi = min(i+readBatch, len(op.scan))
+			e.pool.ReadManyThen(t, op.scan[i:op.bi], op)
 			return
-		case exBatchDone:
-			st.Hits += op.batchHits
-			op.bi = op.bj
-			op.state = exBatch
 		case exNodeCPU:
 			op.ni++
 			op.state = exNode
@@ -400,7 +371,6 @@ func (op *execOp) Run(t *vtime.Task) {
 				if f := e.pressure(); f > 1 {
 					extents := (op.granted + e.pool.ExtentBytes() - 1) / e.pool.ExtentBytes()
 					stall := time.Duration((f - 1) * float64(extents) * float64(refaultExtentTime))
-					st.PageStallTime = stall
 					e.pageStallTotal += stall
 					e.pool.DiskDelayThen(t, stall, op)
 					return
@@ -408,7 +378,6 @@ func (op *execOp) Run(t *vtime.Task) {
 			}
 		case exFinish:
 			e.executed++
-			st.Elapsed = t.Now() - op.startAt
 			e.grants.Release(op.granted)
 			op.finish(t)
 			return
@@ -425,7 +394,6 @@ func (op *execOp) useCPU(t *vtime.Task, units float64) bool {
 		op.state = exNode
 		return false
 	}
-	op.st.CPUTime += d
 	op.state = exNodeCPU
 	op.e.cpu.UseThen(t, d, op)
 	return true
@@ -536,35 +504,31 @@ func (e *Executor) appendSteps(steps []step, n *plan.Node, sh *shape) []step {
 
 // finish delivers the outcome, recycles the op and continues with k.
 func (op *execOp) finish(t *vtime.Task) {
-	if op.stp != nil {
-		*op.stp = op.st
-	}
 	*op.errp = op.err
 	k := op.k
-	op.prep, op.stp, op.errp, op.k, op.err, op.scan = nil, nil, nil, nil, nil, nil
+	op.prep, op.errp, op.k, op.err, op.scan = nil, nil, nil, nil, nil
 	op.e.execs.Put(op)
 	k.Run(t)
 }
 
 // ExecuteThen runs plan p on behalf of task t as continuation steps, then
-// stores the outcome through st (nil to discard the statistics) and errp
-// and runs k. seed drives scan locality (derive it from the statement for
-// deterministic-but-varied access patterns). prep is nil for an execution
-// that draws its lists; for a closed-set statement it is the statement's
-// Prepared, which the first complete execution fills and later ones replay
-// instead of drawing — with the same seed on every execution of the plan,
-// the two are indistinguishable in virtual time. The execution copies what it needs
-// of p before ExecuteThen returns, and reads p no more. A steady-state call
+// stores the outcome through errp and runs k. seed drives scan locality
+// (derive it from the statement for deterministic-but-varied access
+// patterns). prep is nil for an execution that draws its lists; for a
+// closed-set statement it is the statement's Prepared, which the first
+// complete execution fills and later ones replay instead of drawing — with
+// the same seed on every execution of the plan, the two are
+// indistinguishable in virtual time. The execution copies what it needs of
+// p before ExecuteThen returns, and reads p no more. A steady-state call
 // allocates nothing.
-func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Prepared, st *Stats, errp *error, k vtime.Step) {
+func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Prepared, errp *error, k vtime.Step) {
 	op := e.execs.Get()
 	if op == nil {
 		op = &execOp{e: e}
 	}
 	var sh shape
 	op.steps = e.appendSteps(slices.Grow(op.steps[:0], p.Nodes()), p.Root, &sh)
-	op.seed, op.prep, op.stp, op.errp, op.k = seed, prep, st, errp, k
-	op.st = Stats{}
+	op.seed, op.prep, op.errp, op.k = seed, prep, errp, k
 	op.seeded, op.si = false, 0
 	op.replay = prep != nil && prep.Scans() > 0
 	if op.replay {
@@ -573,7 +537,6 @@ func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, seed int64, prep *Pr
 		}
 		e.replayed++
 	}
-	op.startAt = t.Now()
 	op.granted = sh.join + sh.agg
 	op.state = exGranted
 	e.grants.AcquireThen(t, op.granted, &op.err, op)

@@ -52,6 +52,21 @@ func (e *env) plan(t testing.TB, q *plan.Query) *plan.Plan {
 	return p
 }
 
+// outcome is what one execution shows from outside the executor: the
+// buffer-pool reads it made, the CPU it charged and the virtual time it
+// took.
+type outcome struct {
+	hits, misses  uint64
+	busy, elapsed time.Duration
+}
+
+// execute runs p on behalf of tk and returns its outcome.
+func (e *env) execute(tk *vtime.Task, p *plan.Plan, seed int64, prep *Prepared) (outcome, error) {
+	h, m, b, at := e.pool.Hits(), e.pool.Misses(), e.cpu.BusyTime(), tk.Now()
+	err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, seed, prep, errp, k) })
+	return outcome{e.pool.Hits() - h, e.pool.Misses() - m, e.cpu.BusyTime() - b, tk.Now() - at}, err
+}
+
 func starQ(n int) *plan.Query {
 	dims := []string{"dim_product", "dim_store", "dim_date", "dim_channel"}
 	q := &plan.Query{Tables: []plan.TableTerm{{Name: "sales_fact"}}}
@@ -66,21 +81,20 @@ func TestExecuteSimpleScan(t *testing.T) {
 	e := newEnv(mem.GiB)
 	p := e.plan(t, &plan.Query{Tables: []plan.TableTerm{{Name: "dim_product"}}})
 	s := vtime.NewScheduler()
-	var st Stats
+	var st outcome
 	s.Go("q", func(tk *vtime.Task) {
 		var err error
-		err = tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &st, errp, k) })
-		if err != nil {
+		if st, err = e.execute(tk, p, 1, nil); err != nil {
 			t.Error(err)
 		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st.ExtentsRead == 0 {
+	if st.hits+st.misses == 0 {
 		t.Fatal("no extents read")
 	}
-	if st.Elapsed <= 0 {
+	if st.elapsed <= 0 {
 		t.Fatal("no elapsed time")
 	}
 	if e.exec.Executed() != 1 {
@@ -92,26 +106,24 @@ func TestWarmCacheFasterThanCold(t *testing.T) {
 	e := newEnv(mem.GiB)
 	p := e.plan(t, starQ(2))
 	s := vtime.NewScheduler()
-	var cold, warm Stats
+	var cold, warm outcome
 	s.Go("q", func(tk *vtime.Task) {
 		var err error
-		err = tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &cold, errp, k) })
-		if err != nil {
+		if cold, err = e.execute(tk, p, 1, nil); err != nil {
 			t.Error(err)
 		}
-		err = tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &warm, errp, k) })
-		if err != nil {
+		if warm, err = e.execute(tk, p, 1, nil); err != nil {
 			t.Error(err)
 		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Hits <= cold.Hits {
-		t.Fatalf("warm hits %d <= cold hits %d", warm.Hits, cold.Hits)
+	if warm.hits <= cold.hits {
+		t.Fatalf("warm hits %d <= cold hits %d", warm.hits, cold.hits)
 	}
-	if warm.Elapsed >= cold.Elapsed {
-		t.Fatalf("warm run %v not faster than cold %v", warm.Elapsed, cold.Elapsed)
+	if warm.elapsed >= cold.elapsed {
+		t.Fatalf("warm run %v not faster than cold %v", warm.elapsed, cold.elapsed)
 	}
 }
 
@@ -125,9 +137,8 @@ func TestGrantAcquireRelease(t *testing.T) {
 		t.Fatal("plan needs no grant; test is vacuous")
 	}
 	s := vtime.NewScheduler()
-	var st Stats
 	s.Go("q", func(tk *vtime.Task) {
-		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &st, errp, k) }); err != nil {
+		if _, err := e.execute(tk, p, 1, nil); err != nil {
 			t.Error(err)
 		}
 		if e.grants.Tracker().Used() != 0 {
@@ -137,8 +148,8 @@ func TestGrantAcquireRelease(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st.GrantBytes != p.MemoryGrant() {
-		t.Fatalf("granted %d bytes, want the plan's %d", st.GrantBytes, p.MemoryGrant())
+	if got := e.grants.Tracker().Peak(); got != p.MemoryGrant() {
+		t.Fatalf("granted %d bytes, want the plan's %d", got, p.MemoryGrant())
 	}
 }
 
@@ -245,18 +256,18 @@ func TestCPUConsumption(t *testing.T) {
 	e := newEnv(mem.GiB)
 	p := e.plan(t, starQ(3))
 	s := vtime.NewScheduler()
-	var st Stats
+	var st outcome
 	s.Go("q", func(tk *vtime.Task) {
-		tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &st, errp, k) })
+		st, _ = e.execute(tk, p, 1, nil)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if st.CPUTime <= 0 {
+	if st.busy <= 0 {
 		t.Fatal("no CPU consumed by 3-join plan")
 	}
-	if e.cpu.BusyTime() < st.CPUTime {
-		t.Fatal("CPU pool busy time below query CPU time")
+	if st.elapsed < st.busy/time.Duration(e.cpu.N()) {
+		t.Fatalf("%v of CPU on %d processors in %v", st.busy, e.cpu.N(), st.elapsed)
 	}
 }
 
@@ -295,13 +306,13 @@ func TestKickWakesWaiter(t *testing.T) {
 }
 
 func TestDeterministicExecution(t *testing.T) {
-	run := func() Stats {
+	run := func() outcome {
 		e := newEnv(mem.GiB)
 		p := e.plan(t, starQ(2))
 		s := vtime.NewScheduler()
-		var st Stats
+		var st outcome
 		s.Go("q", func(tk *vtime.Task) {
-			tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 42, nil, &st, errp, k) })
+			st, _ = e.execute(tk, p, 42, nil)
 		})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
@@ -327,7 +338,7 @@ func TestHandBuiltPlanResolvesByName(t *testing.T) {
 		c.Tab, c.Left, c.Right = nil, strip(n.Left), strip(n.Right)
 		return &c
 	}
-	run := func(byName bool) (oneShot, recording, replay Stats, now time.Duration) {
+	run := func(byName bool) (oneShot, recording, replay outcome, now time.Duration) {
 		e := newEnv(mem.GiB)
 		p := e.plan(t, starQ(3))
 		if byName {
@@ -341,13 +352,13 @@ func TestHandBuiltPlanResolvesByName(t *testing.T) {
 		s := vtime.NewScheduler()
 		s.Go("q", func(tk *vtime.Task) {
 			var prep Prepared
-			for i, st := range []*Stats{&oneShot, &recording, &replay} {
+			for i, st := range []*outcome{&oneShot, &recording, &replay} {
 				pr := &prep
 				if i == 0 {
 					pr = nil
 				}
 				var err error
-				if err = tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 42, pr, st, errp, k) }); err != nil {
+				if *st, err = e.execute(tk, p, 42, pr); err != nil {
 					t.Error(err)
 				}
 			}
@@ -362,7 +373,7 @@ func TestHandBuiltPlanResolvesByName(t *testing.T) {
 	if o1 != o2 || r1 != r2 || p1 != p2 || t1 != t2 {
 		t.Fatalf("by name: %+v %+v %+v at %v\nresolved: %+v %+v %+v at %v", o2, r2, p2, t2, o1, r1, p1, t1)
 	}
-	if o1.ExtentsRead == 0 {
+	if o1.hits+o1.misses == 0 {
 		t.Fatal("no extents read")
 	}
 }

@@ -84,8 +84,8 @@ func TestReplayEqualsFreshDraws(t *testing.T) {
 	}
 
 	const execs = 3 // record, replay, replay
-	run := func(e *env, withPrep bool) []Stats {
-		var out []Stats
+	run := func(e *env, withPrep bool) []outcome {
+		var out []outcome
 		s := vtime.NewScheduler()
 		s.Go("client", func(tk *vtime.Task) {
 			for i := 0; i < execs; i++ {
@@ -94,8 +94,8 @@ func TestReplayEqualsFreshDraws(t *testing.T) {
 					if withPrep {
 						prep = c.prep
 					}
-					var st Stats
-					if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, c.p, c.seed, prep, &st, errp, k) }); err != nil {
+					st, err := e.execute(tk, c.p, c.seed, prep)
+					if err != nil {
 						t.Errorf("%s: %v", c.sql, err)
 					}
 					out = append(out, st)
@@ -162,7 +162,7 @@ func TestFailedExecutionRecordsNothing(t *testing.T) {
 	})
 	s.Go("client", func(tk *vtime.Task) {
 		tk.Sleep(time.Millisecond)
-		err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, prep, nil, errp, k) })
+		err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, prep, errp, k) })
 		var ge *ErrGrantTimeout
 		if !errors.As(err, &ge) {
 			t.Errorf("err = %v, want grant timeout", err)
@@ -171,7 +171,7 @@ func TestFailedExecutionRecordsNothing(t *testing.T) {
 			t.Errorf("a failed execution recorded %d scans", prep.Scans())
 		}
 		tk.Sleep(2 * time.Minute)
-		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, prep, nil, errp, k) }); err != nil {
+		if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, prep, errp, k) }); err != nil {
 			t.Error(err)
 		}
 		if want := len(freshLists(e, p, 1)); prep.Scans() != want {
@@ -194,7 +194,7 @@ func TestGeneratingAfterReplayLeavesListsIntact(t *testing.T) {
 	s := vtime.NewScheduler()
 	s.Go("client", func(tk *vtime.Task) {
 		exec := func(p *plan.Plan, seed int64, prep *Prepared) {
-			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, seed, prep, nil, errp, k) }); err != nil {
+			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, seed, prep, errp, k) }); err != nil {
 				t.Error(err)
 			}
 		}
@@ -247,7 +247,7 @@ func TestReplayOfAnotherPlanPanics(t *testing.T) {
 		}
 	}()
 	var err error
-	e.exec.ExecuteThen(nil, p, 1, one, nil, &err, nil)
+	e.exec.ExecuteThen(nil, p, 1, one, &err, nil)
 }
 
 // TestExecutionGrantIsThePlans: the grant an execution takes as it copies
@@ -281,12 +281,15 @@ func TestExecutionGrantIsThePlans(t *testing.T) {
 	s := vtime.NewScheduler()
 	s.Go("client", func(tk *vtime.Task) {
 		for i, p := range plans {
-			var st Stats
-			if err := tk.AwaitErr(func(errp *error, k vtime.Step) { e.exec.ExecuteThen(tk, p, 1, nil, &st, errp, k) }); err != nil {
+			// A tracker of its own per plan: its peak is this execution's grant.
+			grants := e.budget.NewTracker("exec")
+			grants.SetLimit(mem.GiB)
+			e.exec = New(e.pool, e.layout, e.cpu, NewGrantManager(grants))
+			if _, err := e.execute(tk, p, 1, nil); err != nil {
 				t.Error(err)
 			}
-			if st.GrantBytes != p.MemoryGrant() {
-				t.Errorf("plan %d: the execution took a grant of %d bytes, the plan needs %d\n%s", i, st.GrantBytes, p.MemoryGrant(), p)
+			if got := grants.Peak(); got != p.MemoryGrant() {
+				t.Errorf("plan %d: the execution took a grant of %d bytes, the plan needs %d\n%s", i, got, p.MemoryGrant(), p)
 			}
 			var sh shape
 			if steps := e.exec.appendSteps(nil, p.Root, &sh); len(steps) != p.Nodes() || len(steps) != len(postorder(nil, p.Root)) {

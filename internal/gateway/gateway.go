@@ -119,9 +119,7 @@ type Chain struct {
 	levels []*level
 	target int64 // broker-assigned compile memory target (0 = unset)
 
-	acquires  uint64
-	timeouts  uint64
-	waitTotal time.Duration
+	timeouts uint64
 
 	// timeoutErr is the recycled timeout error, rewritten per failure.
 	timeoutErr ErrTimeout
@@ -198,14 +196,8 @@ func (c *Chain) Info() []LevelInfo {
 	return out
 }
 
-// Acquires returns the total number of successful gate acquisitions.
-func (c *Chain) Acquires() uint64 { return c.acquires }
-
 // Timeouts returns the number of gate waits that ended in ErrTimeout.
 func (c *Chain) Timeouts() uint64 { return c.timeouts }
-
-// TotalWait returns the aggregate time compilations spent blocked at gates.
-func (c *Chain) TotalWait() time.Duration { return c.waitTotal }
 
 // SetTarget installs the broker's compile-memory target and recomputes
 // dynamic thresholds. A target of 0 restores static thresholds.
@@ -304,7 +296,6 @@ func (c *climb) Run(task *vtime.Task) {
 		l := t.chain.levels[t.held]
 		waited := task.Now() - t.since
 		t.waits += waited
-		t.chain.waitTotal += waited
 		if task.TimedOut() {
 			t.chain.timeouts++
 			t.chain.timeoutErr = ErrTimeout{Gate: l.cfg.Name, Wait: waited}
@@ -313,7 +304,6 @@ func (c *climb) Run(task *vtime.Task) {
 			t.k.Run(task)
 			return
 		}
-		t.chain.acquires++
 		t.held++
 		l.holders++
 		t.chain.recomputeThresholds()

@@ -9,8 +9,8 @@ import (
 
 // spanState renders what a ticket's updates may touch.
 func spanState(c *Chain, t *Ticket) string {
-	return fmt.Sprintf("held=%d usage=%d wait=%v acquires=%d timeouts=%d totalwait=%v %+v",
-		t.Held(), t.Usage(), t.WaitTime(), c.Acquires(), c.Timeouts(), c.TotalWait(), c.Info())
+	return fmt.Sprintf("held=%d usage=%d wait=%v timeouts=%d %+v",
+		t.Held(), t.Usage(), t.WaitTime(), c.Timeouts(), c.Info())
 }
 
 // TestClearsIsKUpdates places the next gate's threshold at every offset of a
@@ -54,7 +54,7 @@ func TestClearsIsKUpdates(t *testing.T) {
 								start = max(start, c.Info()[held].Threshold-int64(off))
 							}
 							last := start + (k-1)*unit
-							before := c.Acquires()
+							before := ti.Held()
 							if fast {
 								if ok = ti.Clears(last); ok {
 									if err := tk.AwaitErr(func(errp *error, k vtime.Step) { ti.UpdateThen(tk, last, errp, k) }); err != nil {
@@ -69,7 +69,7 @@ func TestClearsIsKUpdates(t *testing.T) {
 									t.Fatal(err)
 								}
 							}
-							acquired = c.Acquires() != before
+							acquired = ti.Held() != before
 							slow = spanState(c, &ti)
 						})
 						if err := s.Run(); err != nil {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"time"
 
 	"compilegate/internal/cluster"
@@ -331,15 +330,6 @@ func measureRecovery(res *Result, series []metrics.Point, sliceDur time.Duration
 			return
 		}
 	}
-}
-
-// SeriesString renders a completion series like the paper's figures.
-func SeriesString(points []metrics.Point) string {
-	var sb strings.Builder
-	for _, p := range points {
-		fmt.Fprintf(&sb, "  t=%6.0fs  completed=%d\n", p.T.Seconds(), p.V)
-	}
-	return sb.String()
 }
 
 // Compare renders the throttled-vs-unthrottled comparison the paper's

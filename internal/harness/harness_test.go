@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"compilegate/internal/metrics"
 	"compilegate/internal/workload"
 )
 
@@ -120,7 +119,7 @@ func TestWorkloadSelection(t *testing.T) {
 	}
 }
 
-func TestCompareAndSeriesString(t *testing.T) {
+func TestCompare(t *testing.T) {
 	th := &Result{Options: defaults(30), Completed: 135}
 	ba := &Result{Options: defaults(30), Completed: 100}
 	ratio, summary := Compare(th, ba)
@@ -129,10 +128,6 @@ func TestCompareAndSeriesString(t *testing.T) {
 	}
 	if !strings.Contains(summary, "35.0%") {
 		t.Fatalf("summary = %q", summary)
-	}
-	s := SeriesString([]metrics.Point{{T: 600 * time.Second, V: 31}})
-	if !strings.Contains(s, "600") || !strings.Contains(s, "31") {
-		t.Fatalf("series string = %q", s)
 	}
 }
 

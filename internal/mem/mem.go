@@ -112,8 +112,6 @@ type Budget struct {
 
 	trackers   []*Tracker
 	reclaimers []reclaimerEntry
-
-	oomCount uint64
 }
 
 type reclaimerEntry struct {
@@ -138,9 +136,6 @@ func (b *Budget) Used() int64 { return b.used }
 
 // Free returns the unreserved bytes.
 func (b *Budget) Free() int64 { return b.total - b.used }
-
-// OOMCount returns how many reservations have failed with ErrOutOfMemory.
-func (b *Budget) OOMCount() uint64 { return b.oomCount }
 
 // NewTracker registers and returns a named per-component tracker.
 func (b *Budget) NewTracker(name string) *Tracker {
@@ -277,8 +272,6 @@ type Tracker struct {
 	limit       int64 // optional per-component cap; 0 = none
 	reclaimable bool  // cache memory, excluded from wired accounting
 	overcommit  bool  // may reserve past physical up to the commit limit
-	allocs      uint64
-	fails       uint64
 
 	// oomErr is the tracker's reusable failure value. Under the collapse
 	// regime every grant retry produces an OOM error, so Reserve rewrites
@@ -310,12 +303,6 @@ func (t *Tracker) Used() int64 { return t.used }
 // Peak returns the high-water mark of Used.
 func (t *Tracker) Peak() int64 { return t.peak }
 
-// Allocs returns the number of successful reservations.
-func (t *Tracker) Allocs() uint64 { return t.allocs }
-
-// Fails returns the number of failed reservations.
-func (t *Tracker) Fails() uint64 { return t.fails }
-
 // Limit returns the component cap (0 when unset).
 func (t *Tracker) Limit() int64 { return t.limit }
 
@@ -325,11 +312,9 @@ func (t *Tracker) Limit() int64 { return t.limit }
 // component simply cannot grow until it drops below the new cap.
 func (t *Tracker) SetLimit(n int64) { t.limit = n }
 
-// failOOM records a failed reservation and returns the tracker's
-// in-place failure value (see Tracker.oomErr).
+// failOOM returns the tracker's in-place failure value (see
+// Tracker.oomErr), rewritten for this failure.
 func (t *Tracker) failOOM(kind int8, group string, a, b, c int64) error {
-	t.fails++
-	t.budget.oomCount++
 	t.oomErr = oomError{tracker: t.name, kind: kind, group: group, a: a, b: b, c: c}
 	return &t.oomErr
 }
@@ -370,12 +355,12 @@ func (t *Tracker) Reserve(n int64) error {
 			return t.failOOM(oomBudget, "", t.budget.used, t.budget.total, t.budget.CommitLimit())
 		}
 	}
-	t.take(n, 1)
+	t.take(n)
 	return nil
 }
 
-// take books k admitted reservations of n bytes in all.
-func (t *Tracker) take(n int64, k uint64) {
+// take books n admitted bytes.
+func (t *Tracker) take(n int64) {
 	b := t.budget
 	b.used += n
 	t.used += n
@@ -394,23 +379,22 @@ func (t *Tracker) take(n int64, k uint64) {
 			g.peak = g.used
 		}
 	}
-	t.allocs += k
 }
 
-// ReserveSpan makes k reservations, each of at least one byte and n bytes
-// in all, provided none of them would touch the component limit, the group
-// cap or physical memory — that is, could fail or run a reclaimer. Usage
-// only grows across them, so the last is the one to test. Otherwise it does
-// nothing and reports false, and the caller reserves one by one.
-func (t *Tracker) ReserveSpan(n int64, k int) bool {
-	if k < 0 || n < int64(k) {
-		panic("mem: span of empty or negative reservations")
+// ReserveSpan makes any number of reservations of n bytes in all, provided
+// none of them would touch the component limit, the group cap or physical
+// memory — that is, could fail or run a reclaimer. Usage only grows across
+// them, so the last is the one to test. Otherwise it does nothing and
+// reports false, and the caller reserves one by one.
+func (t *Tracker) ReserveSpan(n int64) bool {
+	if n < 0 {
+		panic("mem: negative span")
 	}
 	b, g := t.budget, t.group
 	if (t.limit > 0 && t.used+n > t.limit) || (g != nil && g.used+n > g.cap) || b.used+n > b.total {
 		return false
 	}
-	t.take(n, uint64(k))
+	t.take(n)
 	return true
 }
 

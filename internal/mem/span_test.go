@@ -88,9 +88,8 @@ func (w *spanWorld) rooms() []int64 {
 
 // observables renders everything a span or its k reservations may touch.
 func (w *spanWorld) observables() string {
-	s := fmt.Sprintf("tracker used=%d peak=%d allocs=%d fails=%d | budget used=%d wired=%d wiredPeak=%d ooms=%d | cache=%d",
-		w.t.Used(), w.t.Peak(), w.t.Allocs(), w.t.Fails(),
-		w.b.Used(), w.b.WiredBytes(), w.b.WiredPeak(), w.b.OOMCount(), w.cache.Used())
+	s := fmt.Sprintf("tracker used=%d peak=%d | budget used=%d wired=%d wiredPeak=%d | cache=%d",
+		w.t.Used(), w.t.Peak(), w.b.Used(), w.b.WiredBytes(), w.b.WiredPeak(), w.cache.Used())
 	if w.g != nil {
 		s += fmt.Sprintf(" | group used=%d peak=%d gcache=%d", w.g.Used(), w.g.Peak(), w.gcache.Used())
 	}
@@ -139,7 +138,7 @@ func TestReserveSpanIsKReserves(t *testing.T) {
 		}
 
 		before := fast.observables()
-		ok := fast.t.ReserveSpan(n, k)
+		ok := fast.t.ReserveSpan(n)
 
 		clean := true
 		for _, sz := range sizes {
@@ -178,12 +177,14 @@ func TestReserveSpanIsKReserves(t *testing.T) {
 	t.Logf("%d spans settled, %d refused", settled, refused)
 }
 
+// TestReserveSpanRejectsEmptyReservations: a span of negative bytes holds
+// no reservation at all; like Reserve, it panics.
 func TestReserveSpanRejectsEmptyReservations(t *testing.T) {
 	tr := NewBudget(MiB).NewTracker("x")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a span of 3 reservations in 2 bytes did not panic")
+			t.Fatal("a span of -1 bytes did not panic")
 		}
 	}()
-	tr.ReserveSpan(2, 3)
+	tr.ReserveSpan(-1)
 }

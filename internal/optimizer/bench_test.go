@@ -230,7 +230,7 @@ func BenchmarkOptimizeGoverned(b *testing.B) {
 						}
 						if spans {
 							hooks.ChargeSpan = func(exprs, groups int) bool {
-								return comp.AllocSpan(scratch*memo.Bytes(groups, exprs), exprs+groups)
+								return comp.AllocSpan(scratch * memo.Bytes(groups, exprs))
 							}
 						}
 						x := opt.Explore(stmt.q)

@@ -63,8 +63,14 @@ func FingerprintHash(h uint64) uint64 {
 }
 
 // lexerPool recycles token buffers across Parse calls; Parse runs from
-// concurrently-sweeping schedulers, so the pool must be synchronized.
-var lexerPool = sync.Pool{New: func() any { return &lexer{} }}
+// concurrently-sweeping schedulers, so the pool must be synchronized. A
+// new lexer starts with room for the widest SALES statement's tokens: the
+// pool is per processor, so an event loop that moves to another core
+// meets an empty one, and a buffer regrown from empty costs about ten
+// allocations each time.
+var lexerPool = sync.Pool{New: func() any { return &lexer{src: make([]token, 0, widestSalesTokens)} }}
+
+const widestSalesTokens = 262
 
 // Parse converts SQL text to a plan.Query. The returned query carries the
 // original text.

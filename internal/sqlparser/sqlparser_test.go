@@ -1,9 +1,12 @@
 package sqlparser
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"compilegate/internal/workload"
 )
 
 func TestParseSimpleSelect(t *testing.T) {
@@ -247,5 +250,20 @@ func TestFingerprintHashMatchesTheString(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { _ = FingerprintHash(h) }); n != 0 {
 			t.Errorf("FingerprintHash allocates %v times", n)
 		}
+	}
+}
+
+// TestPooledLexerFitsTheWidestSales: a pooled lexer's buffer holds the
+// tokens of the widest SALES statement, so lexing one never grows it.
+func TestPooledLexerFitsTheWidestSales(t *testing.T) {
+	sales, rng := workload.NewSales(), rand.New(rand.NewSource(1))
+	widest := 0
+	for i := 0; i < 2000; i++ {
+		var l lexer
+		l.lex(sales.Next(rng))
+		widest = max(widest, len(l.src))
+	}
+	if widest != widestSalesTokens {
+		t.Fatalf("widest SALES statement: %d tokens; a pooled lexer starts with room for %d", widest, widestSalesTokens)
 	}
 }

@@ -56,8 +56,10 @@ func TestContinuationWaitSignal(t *testing.T) {
 	})
 	s.GoFunc("signaler", func(tk *Task) {
 		tk.SleepThen(time.Second, StepFunc(func(tk *Task) {
-			if n := q.Broadcast(); n != 3 {
-				t.Errorf("Broadcast woke %d, want 3", n)
+			for i := 0; i < 3; i++ {
+				if !q.Signal() {
+					t.Errorf("Signal %d woke no one, want 3 waiters", i)
+				}
 			}
 		}))
 	})

@@ -36,20 +36,6 @@ func (m *Semaphore) Held() int { return m.held }
 // Waiting returns the number of tasks queued for a slot.
 func (m *Semaphore) Waiting() int { return m.q.Len() }
 
-// SetCap changes the capacity. Growing wakes as many waiters as new slots
-// allow. Shrinking never revokes held slots; the semaphore drains down to
-// the new capacity as holders release.
-func (m *Semaphore) SetCap(newCap int) {
-	if newCap < 0 {
-		panic("vtime: negative semaphore capacity")
-	}
-	m.cap = newCap
-	for m.held < m.cap && m.q.Len() > 0 {
-		m.held++
-		m.q.Signal()
-	}
-}
-
 // TryAcquire acquires a slot without blocking and reports success.
 // It fails if the semaphore is full or other tasks are already queued.
 func (m *Semaphore) TryAcquire() bool {
@@ -81,13 +67,13 @@ func (m *Semaphore) AcquireTimeoutThen(t *Task, d time.Duration, k Step) {
 	m.q.WaitTimeoutThen(t, d, k)
 }
 
-// Release returns a slot. If tasks are waiting and capacity allows, the
-// slot is handed to the longest waiter without decrementing held.
+// Release returns a slot. If tasks are waiting, the slot is handed to the
+// longest waiter without decrementing held.
 func (m *Semaphore) Release() {
 	if m.held <= 0 {
 		panic("vtime: Release of unheld semaphore " + m.name)
 	}
-	if m.held <= m.cap && m.q.Signal() {
+	if m.q.Signal() {
 		return // slot transferred to the woken waiter
 	}
 	m.held--

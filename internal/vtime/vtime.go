@@ -543,7 +543,7 @@ func (s *Scheduler) cancelTimer(t *Task) {
 }
 
 // WaitQueue is a FIFO condition queue. Tasks wait on it with WaitThen or
-// WaitTimeoutThen; other tasks wake them with Signal or Broadcast. Membership is an
+// WaitTimeoutThen; other tasks wake them with Signal. Membership is an
 // intrusive doubly-linked list, so timeout removal is O(1) while wake
 // order stays strictly FIFO. A WaitQueue must only be used by tasks of a
 // single scheduler.
@@ -593,7 +593,7 @@ func (q *WaitQueue) removeWaiter(t *Task) {
 	q.n--
 }
 
-// WaitThen blocks t until another task calls Signal or Broadcast, then
+// WaitThen blocks t until another task calls Signal, then
 // runs k.
 func (q *WaitQueue) WaitThen(t *Task, k Step) {
 	t.k = k
@@ -629,13 +629,4 @@ func (q *WaitQueue) Signal() bool {
 	t.s.cancelTimer(t)
 	t.s.pushRunq(t)
 	return true
-}
-
-// Broadcast wakes every waiting task and returns how many were woken.
-func (q *WaitQueue) Broadcast() int {
-	n := 0
-	for q.Signal() {
-		n++
-	}
-	return n
 }

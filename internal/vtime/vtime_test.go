@@ -2,7 +2,6 @@ package vtime
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -148,30 +147,6 @@ func TestWaitTimeoutSignaledFirst(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	s := NewScheduler()
-	q := NewWaitQueue("q")
-	woken := 0
-	for i := 0; i < 5; i++ {
-		s.Go("w", func(tk *Task) {
-			tk.Await(func(k Step) { q.WaitThen(tk, k) })
-			woken++
-		})
-	}
-	s.Go("b", func(tk *Task) {
-		tk.Sleep(time.Second)
-		if n := q.Broadcast(); n != 5 {
-			t.Errorf("Broadcast woke %d, want 5", n)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woken != 5 {
-		t.Fatalf("woken = %d, want 5", woken)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	s := NewScheduler()
 	q := NewWaitQueue("q")
@@ -293,64 +268,6 @@ func TestSemaphoreHandoffNoBarge(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != "first" {
 		t.Fatalf("order = %v, want [first barger]", order)
-	}
-}
-
-func TestSemaphoreSetCapGrow(t *testing.T) {
-	s := NewScheduler()
-	sem := NewSemaphore("s", 0)
-	done := 0
-	for i := 0; i < 3; i++ {
-		s.Go("w", func(tk *Task) {
-			tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
-			done++
-			sem.Release()
-		})
-	}
-	s.Go("grower", func(tk *Task) {
-		tk.Sleep(time.Second)
-		sem.SetCap(2)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 3 {
-		t.Fatalf("done = %d, want 3", done)
-	}
-}
-
-func TestSemaphoreShrinkDrains(t *testing.T) {
-	s := NewScheduler()
-	sem := NewSemaphore("s", 2)
-	concurrentAfterShrink := 0
-	s.Go("a", func(tk *Task) {
-		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
-		tk.Sleep(2 * time.Second)
-		sem.Release()
-	})
-	s.Go("b", func(tk *Task) {
-		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
-		tk.Sleep(4 * time.Second)
-		sem.Release()
-	})
-	s.Go("shrink", func(tk *Task) {
-		tk.Sleep(time.Second)
-		sem.SetCap(1)
-	})
-	s.Go("late", func(tk *Task) {
-		tk.Sleep(3 * time.Second) // a released at 2s, but cap=1 and b holds
-		tk.Await(func(k Step) { sem.AcquireThen(tk, k) })
-		concurrentAfterShrink = sem.Held()
-		if tk.Now() != 4*time.Second {
-			t.Errorf("late acquired at %v, want 4s", tk.Now())
-		}
-		sem.Release()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if concurrentAfterShrink != 1 {
-		t.Fatalf("held after shrink = %d, want 1", concurrentAfterShrink)
 	}
 }
 
@@ -589,28 +506,6 @@ func TestSemaphoreAccessorsAndTimeouts(t *testing.T) {
 	}
 	if !thenAcquired {
 		t.Fatal("AcquireTimeoutThen on a free semaphore timed out")
-	}
-}
-
-func TestSemaphoreSetCapWakesWaiters(t *testing.T) {
-	s := NewScheduler()
-	m := NewSemaphore("pool", 0)
-	var acquired int
-	for i := 0; i < 2; i++ {
-		s.Go(fmt.Sprintf("w%d", i), func(tk *Task) {
-			tk.Await(func(k Step) { m.AcquireThen(tk, k) })
-			acquired++
-		})
-	}
-	s.Go("grower", func(tk *Task) {
-		tk.Sleep(time.Second)
-		m.SetCap(2)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if acquired != 2 || m.Held() != 2 {
-		t.Fatalf("acquired=%d held=%d after SetCap growth", acquired, m.Held())
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"compilegate/internal/catalog"
 )
 
-// DefaultExtentBytes is the extent size shared by the catalogs and the
-// default buffer-pool config (engine.New enforces that they match);
-// every experiment surface resolves catalogs with it.
+// DefaultExtentBytes is the extent size every experiment surface builds
+// its catalogs with; the buffer pool takes its frame size from the
+// catalog.
 const DefaultExtentBytes = 8 << 20
 
 // Spec names a workload declaratively: which query generator to run and

@@ -58,16 +58,15 @@ type filter struct {
 }
 
 // Sales generates the SALES benchmark (§5.1): 10 representative templates
-// with 15-20 joins computing aggregates over the join results. The
-// template tables are immutable and shared by every Sales instance; only
-// the uniquify counter and the scratch buffer are per-generator.
+// with 15-20 joins computing aggregates over the join results. Each query
+// ends in a per-generator unique comment, so no two share a plan-cache
+// entry. The template tables are immutable and shared by every Sales
+// instance; only the uniquify counter and the scratch buffer are
+// per-generator.
 type Sales struct {
 	templates []salesTemplate
-	// Uniquify appends a per-submission unique comment (default true);
-	// disable to measure plan-cache behaviour.
-	Uniquify bool
-	counter  uint64
-	buf      []byte // query-assembly scratch, reused across Next calls
+	counter   uint64
+	buf       []byte // query-assembly scratch, reused across Next calls
 }
 
 // dateDomain is dim_date's date_id domain (3653 days).
@@ -121,7 +120,7 @@ func chain(base []join, tables ...string) []join {
 // tables (join trees, pre-rendered SQL segments) are built once per
 // process.
 func NewSales() *Sales {
-	return &Sales{templates: salesTemplates(), Uniquify: true}
+	return &Sales{templates: salesTemplates()}
 }
 
 // salesTemplates builds the shared, read-only template tables on first
@@ -337,13 +336,10 @@ func (s *Sales) render(t *salesTemplate, rng *rand.Rand) string {
 		buf = strconv.AppendInt(buf, rng.Int63n(f.domain), 10)
 	}
 	buf = append(buf, t.tail...)
-
-	if s.Uniquify {
-		s.counter++
-		buf = append(buf, " /* u"...)
-		buf = strconv.AppendUint(buf, s.counter, 10)
-		buf = append(buf, " */"...)
-	}
+	s.counter++
+	buf = append(buf, " /* u"...)
+	buf = strconv.AppendUint(buf, s.counter, 10)
+	buf = append(buf, " */"...)
 	s.buf = buf
 	return string(buf)
 }
@@ -369,15 +365,15 @@ func keyColumn(table, derived, leftCol string) string {
 }
 
 // TPCH generates TPC-H-shaped queries (0-8 joins) over the TPC-H-like
-// catalog — the paper's point of comparison for compile memory.
+// catalog — the paper's point of comparison for compile memory. Like
+// Sales, each query ends in a per-generator unique comment.
 type TPCH struct {
-	Uniquify bool
-	counter  uint64
-	buf      []byte // query-assembly scratch, reused across Next calls
+	counter uint64
+	buf     []byte // query-assembly scratch, reused across Next calls
 }
 
 // NewTPCH builds the generator.
-func NewTPCH() *TPCH { return &TPCH{Uniquify: true} }
+func NewTPCH() *TPCH { return &TPCH{} }
 
 // Name implements Generator.
 func (g *TPCH) Name() string { return "tpch" }
@@ -448,12 +444,10 @@ func (g *TPCH) Next(rng *rand.Rand) string {
 	buf = strconv.AppendInt(buf, rng.Int63n(1<<20), 10)
 	buf = append(buf, " AND "...)
 	buf = strconv.AppendInt(buf, 1<<20+rng.Int63n(1<<20), 10)
-	if g.Uniquify {
-		g.counter++
-		buf = append(buf, " /* u"...)
-		buf = strconv.AppendUint(buf, g.counter, 10)
-		buf = append(buf, " */"...)
-	}
+	g.counter++
+	buf = append(buf, " /* u"...)
+	buf = strconv.AppendUint(buf, g.counter, 10)
+	buf = append(buf, " */"...)
 	g.buf = buf
 	return string(buf)
 }

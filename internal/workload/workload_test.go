@@ -75,12 +75,6 @@ func TestSalesUniquification(t *testing.T) {
 		}
 		fps[fp] = true
 	}
-	s.Uniquify = false
-	// Without uniquification duplicates are possible (same template+literals
-	// unlikely, but the counter comment must be gone).
-	if strings.Contains(s.Next(rng), "/* u") {
-		t.Fatal("uniquifier comment present with Uniquify=false")
-	}
 }
 
 func TestHeavyTemplatesAreRare(t *testing.T) {
